@@ -13,7 +13,10 @@
 // component — a single Tarjan SCC pass, O(n + m) after the matching.
 package bipartite
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Graph is a bipartite graph with nLeft left nodes (original records) and
 // nRight right nodes (generalized records). Edges are stored as adjacency
@@ -27,6 +30,23 @@ type Graph struct {
 // New creates an empty bipartite graph.
 func New(nLeft, nRight int) *Graph {
 	return &Graph{nLeft: nLeft, nRight: nRight, adj: make([][]int, nLeft)}
+}
+
+// FromAdjacency returns the graph whose left node u has the right
+// neighbours adj[u], in that order. The graph uses adj itself, not a copy,
+// so the caller must not change adj while it uses the graph. Like AddEdge,
+// it panics on an out-of-range neighbour; duplicates must not occur.
+func FromAdjacency(nRight int, adj [][]int) *Graph {
+	g := &Graph{nLeft: len(adj), nRight: nRight, adj: adj}
+	for u, vs := range adj {
+		for _, v := range vs {
+			if v < 0 || v >= nRight {
+				panic(fmt.Sprintf("bipartite: edge (%d,%d) out of range (%d x %d)", u, v, g.nLeft, nRight))
+			}
+		}
+		g.nEdges += len(vs)
+	}
+	return g
 }
 
 // NLeft returns the number of left nodes.
@@ -87,18 +107,59 @@ func (m *Matching) IsPerfect() bool {
 
 const inf = int(^uint(0) >> 1)
 
+// Matcher computes maximum matchings and matches in working memory it keeps
+// between calls, so a caller that recomputes the matches after every small
+// change of a graph (Algorithm 6 does, once per widening step) stops
+// allocating once the buffers have grown to the graph's size. The zero
+// value is ready to use. A Matcher is not safe for concurrent use.
+type Matcher struct {
+	matchL, matchR, dist, queue []int
+	// The directed graph of the SCC pass in compressed rows: the successors
+	// of node x are tgt[off[x]:off[x+1]]. pos is the fill cursor.
+	off, tgt, pos []int
+	// Tarjan state.
+	comp, index, low []int
+	onStack          []bool
+	stack            []int
+	call             []sccFrame
+	// out[u] are subslices of outBuf.
+	out    [][]int
+	outBuf []int
+}
+
+type sccFrame struct {
+	node, edge int
+}
+
+// resize returns buf with length n, reusing its array when it is large
+// enough and growing it like append otherwise, so a graph that gains a few
+// edges per call does not reallocate every time. The contents are not
+// preserved.
+func resize[T any](buf []T, n int) []T {
+	return slices.Grow(buf[:0], n)[:n]
+}
+
 // HopcroftKarp computes a maximum matching in O(√V · E).
 func HopcroftKarp(g *Graph) *Matching {
-	matchL := make([]int, g.nLeft)
-	matchR := make([]int, g.nRight)
+	var m Matcher
+	size := m.hopcroftKarp(g)
+	return &Matching{MatchL: m.matchL, MatchR: m.matchR, Size: size}
+}
+
+// hopcroftKarp computes a maximum matching into m.matchL and m.matchR and
+// returns its size.
+func (m *Matcher) hopcroftKarp(g *Graph) int {
+	m.matchL = resize(m.matchL, g.nLeft)
+	m.matchR = resize(m.matchR, g.nRight)
+	m.dist = resize(m.dist, g.nLeft)
+	matchL, matchR, dist := m.matchL, m.matchR, m.dist
 	for i := range matchL {
 		matchL[i] = -1
 	}
 	for i := range matchR {
 		matchR[i] = -1
 	}
-	dist := make([]int, g.nLeft)
-	queue := make([]int, 0, g.nLeft)
+	queue := m.queue[:0]
 	size := 0
 
 	bfs := func() bool {
@@ -148,7 +209,8 @@ func HopcroftKarp(g *Graph) *Matching {
 			}
 		}
 	}
-	return &Matching{MatchL: matchL, MatchR: matchR, Size: size}
+	m.queue = queue
+	return size
 }
 
 // HasPerfectMatching reports whether the graph admits a perfect matching
@@ -166,35 +228,67 @@ func HasPerfectMatching(g *Graph) bool {
 // graph has no perfect matching (then no edge is a match and global
 // (1,k)-anonymity is vacuous).
 func AllowedEdges(g *Graph) ([][]int, error) {
+	var m Matcher
+	return m.AllowedEdges(g)
+}
+
+// AllowedEdges is the package-level AllowedEdges computed in the matcher's
+// working memory. The returned lists share that memory: they stay valid
+// until the matcher's next call.
+func (m *Matcher) AllowedEdges(g *Graph) ([][]int, error) {
 	if g.nLeft != g.nRight {
 		return nil, fmt.Errorf("bipartite: sides differ (%d vs %d); no perfect matching", g.nLeft, g.nRight)
 	}
-	m := HopcroftKarp(g)
-	if !m.IsPerfect() {
-		return nil, fmt.Errorf("bipartite: no perfect matching (size %d of %d)", m.Size, g.nLeft)
+	if size := m.hopcroftKarp(g); size != g.nLeft {
+		return nil, fmt.Errorf("bipartite: no perfect matching (size %d of %d)", size, g.nLeft)
 	}
 	// Directed graph: node ids 0..nLeft-1 are left, nLeft..nLeft+nRight-1
-	// are right. Unmatched edge u→v, matched edge v→u.
-	n := g.nLeft + g.nRight
-	dadj := make([][]int, n)
-	for u := 0; u < g.nLeft; u++ {
+	// are right. Unmatched edge u→v, matched edge v→u. Each node's
+	// successors keep the order of g's adjacency lists.
+	nl, matchL := g.nLeft, m.matchL
+	n := nl + g.nRight
+	off := resize(m.off, n+1)
+	clear(off)
+	for u := 0; u < nl; u++ {
 		for _, v := range g.adj[u] {
-			if m.MatchL[u] == v {
-				dadj[g.nLeft+v] = append(dadj[g.nLeft+v], u)
+			if matchL[u] == v {
+				off[nl+v+1]++
 			} else {
-				dadj[u] = append(dadj[u], g.nLeft+v)
+				off[u+1]++
 			}
 		}
 	}
-	comp := SCC(dadj)
-	out := make([][]int, g.nLeft)
-	for u := 0; u < g.nLeft; u++ {
+	for x := 1; x <= n; x++ {
+		off[x] += off[x-1]
+	}
+	pos := resize(m.pos, n)
+	copy(pos, off[:n])
+	tgt := resize(m.tgt, g.nEdges)
+	for u := 0; u < nl; u++ {
 		for _, v := range g.adj[u] {
-			if m.MatchL[u] == v || comp[u] == comp[g.nLeft+v] {
-				out[u] = append(out[u], v)
+			if matchL[u] == v {
+				tgt[pos[nl+v]] = u
+				pos[nl+v]++
+			} else {
+				tgt[pos[u]] = nl + v
+				pos[u]++
 			}
 		}
 	}
+	m.off, m.pos, m.tgt = off, pos, tgt
+	comp := m.scc(off, tgt)
+	out := resize(m.out, nl)
+	buf := resize(m.outBuf, g.nEdges)[:0]
+	for u := 0; u < nl; u++ {
+		start := len(buf)
+		for _, v := range g.adj[u] {
+			if matchL[u] == v || comp[u] == comp[nl+v] {
+				buf = append(buf, v)
+			}
+		}
+		out[u] = buf[start:len(buf):len(buf)]
+	}
+	m.out, m.outBuf = out, buf
 	return out, nil
 }
 
@@ -259,27 +353,39 @@ func AllowedEdgesNaive(g *Graph) ([][]int, error) {
 // adjacency lists, using an iterative Tarjan algorithm. It returns the
 // component id of every node; ids are dense starting at 0.
 func SCC(adj [][]int) []int {
-	n := len(adj)
-	comp := make([]int, n)
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
+	off := make([]int, len(adj)+1)
+	var tgt []int
+	for x, vs := range adj {
+		tgt = append(tgt, vs...)
+		off[x+1] = len(tgt)
+	}
+	var m Matcher
+	return m.scc(off, tgt)
+}
+
+// scc is SCC on the compressed rows off, tgt (the successors of node x are
+// tgt[off[x]:off[x+1]]), in the matcher's working memory. The returned ids
+// stay valid until the matcher's next call.
+func (m *Matcher) scc(off, tgt []int) []int {
+	n := len(off) - 1
+	m.comp = resize(m.comp, n)
+	m.index = resize(m.index, n)
+	m.low = resize(m.low, n)
+	m.onStack = resize(m.onStack, n)
+	comp, index, low, onStack := m.comp, m.index, m.low, m.onStack
 	for i := range index {
 		index[i] = -1
 		comp[i] = -1
 	}
-	var stack []int
+	clear(onStack)
+	stack, call := m.stack[:0], m.call[:0]
 	nextIndex, nextComp := 0, 0
-
-	type frame struct {
-		node, edge int
-	}
-	var call []frame
 	for start := 0; start < n; start++ {
 		if index[start] != -1 {
 			continue
 		}
-		call = append(call[:0], frame{start, 0})
+		// A frame's edge is its cursor into tgt.
+		call = append(call[:0], sccFrame{start, off[start]})
 		index[start] = nextIndex
 		low[start] = nextIndex
 		nextIndex++
@@ -288,8 +394,8 @@ func SCC(adj [][]int) []int {
 		for len(call) > 0 {
 			f := &call[len(call)-1]
 			u := f.node
-			if f.edge < len(adj[u]) {
-				v := adj[u][f.edge]
+			if f.edge < off[u+1] {
+				v := tgt[f.edge]
 				f.edge++
 				if index[v] == -1 {
 					index[v] = nextIndex
@@ -297,7 +403,7 @@ func SCC(adj [][]int) []int {
 					nextIndex++
 					stack = append(stack, v)
 					onStack[v] = true
-					call = append(call, frame{v, 0})
+					call = append(call, sccFrame{v, off[v]})
 				} else if onStack[v] && index[v] < low[u] {
 					low[u] = index[v]
 				}
@@ -325,5 +431,6 @@ func SCC(adj [][]int) []int {
 			}
 		}
 	}
+	m.stack, m.call = stack, call
 	return comp
 }

@@ -2,6 +2,7 @@ package bipartite
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -430,6 +431,61 @@ func TestAllowedCounts(t *testing.T) {
 	for u, c := range counts {
 		if c != 0 {
 			t.Errorf("vacuous counts[%d] = %d, want 0", u, c)
+		}
+	}
+}
+
+func TestFromAdjacency(t *testing.T) {
+	adj := [][]int{{0, 2}, {}, {1}}
+	g := FromAdjacency(3, adj)
+	if g.NLeft() != 3 || g.NRight() != 3 || g.NumEdges() != 3 {
+		t.Errorf("graph dims wrong: %d %d %d", g.NLeft(), g.NRight(), g.NumEdges())
+	}
+	if !g.HasEdge(0, 2) || !g.HasEdge(2, 1) || g.HasEdge(1, 0) {
+		t.Error("HasEdge wrong")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic for an out-of-range neighbour")
+		}
+	}()
+	FromAdjacency(2, adj)
+}
+
+// TestMatcherReuse runs one Matcher over a sequence of graphs that grow,
+// shrink and lose their perfect matching, as Algorithm 6 drives it, and
+// requires every answer to equal a fresh AllowedEdges call, list for list.
+func TestMatcherReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	var m Matcher
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(12)
+		adj := make([][]int, n)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				// Every fifth graph may lack the identity edges.
+				if (v == u && trial%5 != 0) || rng.Float64() < 0.25 {
+					adj[u] = append(adj[u], v)
+				}
+			}
+		}
+		g := FromAdjacency(n, adj)
+		want, wantErr := AllowedEdges(g)
+		got, gotErr := m.AllowedEdges(g)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("trial %d: error %v, want %v", trial, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			if gotErr.Error() != wantErr.Error() {
+				t.Fatalf("trial %d: error %q, want %q", trial, gotErr, wantErr)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: reused matcher %v, fresh %v", trial, got, want)
+		}
+		if slow, err := AllowedEdgesNaive(g); err != nil || !reflect.DeepEqual(got, slow) {
+			t.Fatalf("trial %d: reused matcher %v, naive %v (%v)", trial, got, slow, err)
 		}
 	}
 }

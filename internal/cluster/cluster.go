@@ -82,6 +82,36 @@ func (s *Space) fusedTables() [][]float64 {
 	return s.fused
 }
 
+// LCACostRow returns the fused cost row of node u for attribute a:
+// row[v] = CostAt(a, LCA(u, v)) for every node v of the attribute's
+// hierarchy. Leaves come first, so row[value id] is the cost of widening u
+// to also cover that value. When the attribute has a fused table the row
+// is a read-only slice of it and buf is not touched; for an attribute over
+// hierarchy.LCATableBudget the row is filled by walk-up into buf (grown to
+// NumNodes when shorter), which is then returned. Whether an attribute is
+// tabled is fixed for the Space's lifetime, so a caller may pass the
+// previous return value back as buf. Safe for concurrent callers with
+// distinct buffers.
+//
+// Every algorithm of internal/core reads its pair and widening costs
+// through these rows: a candidate scan loads the rows of its fixed side
+// once, and each candidate then costs one load per attribute.
+func (s *Space) LCACostRow(a, u int, buf []float64) []float64 {
+	h := s.Hiers[a]
+	nn := h.NumNodes()
+	if t := s.fusedTables()[a]; t != nil {
+		return t[u*nn : (u+1)*nn : (u+1)*nn]
+	}
+	if cap(buf) < nn {
+		buf = make([]float64, nn)
+	}
+	buf = buf[:nn]
+	for v := range buf {
+		buf[v] = s.costs[a][h.LCA(u, v)]
+	}
+	return buf
+}
+
 // NumAttrs returns the number of attributes r.
 func (s *Space) NumAttrs() int { return len(s.Hiers) }
 

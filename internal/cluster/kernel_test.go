@@ -182,6 +182,39 @@ func overBudgetSpace(t *testing.T, rng *rand.Rand, n int) (*Space, *table.Table)
 	return s, tbl
 }
 
+// TestLCACostRow checks the core scans' accessor on a tabled space and on
+// the over-budget attribute's walk-up fill: every entry is CostAt of the
+// walked LCA, bit for bit, and a tabled row is a view of the fused table.
+func TestLCACostRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	small, _ := randomSpace(t, rng, 10)
+	wide, _ := overBudgetSpace(t, rng, 10)
+	for _, s := range []*Space{small, wide} {
+		for a, h := range s.Hiers {
+			var buf []float64
+			for u := 0; u < h.NumNodes(); u += 1 + h.NumNodes()/40 {
+				row := s.LCACostRow(a, u, buf)
+				if len(row) != h.NumNodes() {
+					t.Fatalf("attr %d node %d: row length %d, want %d", a, u, len(row), h.NumNodes())
+				}
+				for v := range row {
+					if want := s.CostAt(a, h.LCA(u, v)); row[v] != want {
+						t.Fatalf("attr %d: row(%d)[%d] = %v, want %v", a, u, v, row[v], want)
+					}
+				}
+				tabled := s.fusedTables()[a] != nil
+				if tabled && &row[0] != &s.fusedTables()[a][u*h.NumNodes()] {
+					t.Fatalf("attr %d: tabled row is a copy, want a view of the fused table", a)
+				}
+				if !tabled && buf != nil && &row[0] != &buf[0] {
+					t.Fatalf("attr %d: walk-up fill did not reuse the buffer", a)
+				}
+				buf = row
+			}
+		}
+	}
+}
+
 // TestKernelForcedFallback forces the over-budget walk-up path: the wide
 // attribute gets no fused table, so the kernel runs mixed tabled/walked —
 // and must still match the reference exactly.

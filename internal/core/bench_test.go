@@ -52,6 +52,30 @@ func BenchmarkK1Expand500(b *testing.B) {
 	}
 }
 
+// BenchmarkK1Expand2500 is Algorithm 4 on ADT n=2500, k=10, one worker:
+// the (k,1) stage of the kk-adt2500 workload of bench/. Its reference,
+// BenchmarkK1Expand2500Ref, runs the LCA-walk oracle of ref_test.go on the
+// same input, so the in-run ratio is the speedup of the fused cost rows.
+func BenchmarkK1Expand2500(b *testing.B) {
+	s, ds := benchSpace(b, 2500)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := K1ExpandCtx(nil, s, ds.Table, 10, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkK1Expand2500Ref(b *testing.B) {
+	s, ds := benchSpace(b, 2500)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := refK1Expand(nil, s, ds.Table, 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkMake1K500(b *testing.B) {
 	s, ds := benchSpace(b, 500)
 	seed, err := K1Expand(s, ds.Table, 10)

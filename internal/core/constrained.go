@@ -92,7 +92,7 @@ func Make1KConstrainedCtx(ctx context.Context, s *cluster.Space, tbl *table.Tabl
 
 	o := obs.From(ctx)
 	defer o.Phase(PhaseMake1K)()
-	r := s.NumAttrs()
+	rows := newCostRows(s)
 	// violated collects, per round, the bounds the current candidate set
 	// fails; improvesAny asks whether widening record j would strictly
 	// improve any of them.
@@ -111,6 +111,8 @@ func Make1KConstrainedCtx(ctx context.Context, s *cluster.Space, tbl *table.Tabl
 		}
 		fault.Inject(SiteMake1KRecord)
 		ri := tbl.Records[i]
+		// Every widening of this record is priced from R_i's cost rows.
+		rows.load(ri)
 		widened := int64(0)
 		for {
 			consistent := 0
@@ -150,13 +152,7 @@ func Make1KConstrainedCtx(ctx context.Context, s *cluster.Space, tbl *table.Tabl
 				if len(violated) > 0 && !needCount && !improvesAny(j) {
 					continue
 				}
-				sum := 0.0
-				for a := 0; a < r; a++ {
-					h := s.Hiers[a]
-					w := h.LCA(gj[a], h.LeafOf(ri[a]))
-					sum += s.CostAt(a, w) - s.CostAt(a, gj[a])
-				}
-				delta := sum / float64(r)
+				delta := rows.widenDelta(gj, gj)
 				if len(violated) > 0 && improvesAny(j) {
 					delta -= 1e9
 				}
@@ -177,13 +173,7 @@ func Make1KConstrainedCtx(ctx context.Context, s *cluster.Space, tbl *table.Tabl
 					if s.Consistent(ri, gj) {
 						continue
 					}
-					sum := 0.0
-					for a := 0; a < r; a++ {
-						h := s.Hiers[a]
-						w := h.LCA(gj[a], h.LeafOf(ri[a]))
-						sum += s.CostAt(a, w) - s.CostAt(a, gj[a])
-					}
-					if delta := sum / float64(r); delta < bestDelta {
+					if delta := rows.widenDelta(gj, gj); delta < bestDelta {
 						bestJ, bestDelta = j, delta
 					}
 				}
@@ -192,11 +182,7 @@ func Make1KConstrainedCtx(ctx context.Context, s *cluster.Space, tbl *table.Tabl
 				return nil, fmt.Errorf("core: record %d cannot reach (k=%d, constraints=%s): no admissible widening",
 					i, k, constraintNames(active))
 			}
-			gj := g.Records[bestJ]
-			for a := 0; a < r; a++ {
-				h := s.Hiers[a]
-				gj[a] = h.LCA(gj[a], h.LeafOf(ri[a]))
-			}
+			widen(s, g.Records[bestJ], ri)
 			widened++
 		}
 		if widened > 0 {

@@ -136,17 +136,96 @@ func KAnonymizeStatsCtx(ctx context.Context, s *cluster.Space, tbl *table.Table,
 	return g, clusters, stats, nil
 }
 
-// pairCost returns d({R_i, R_j}): the generalization cost of the closure of
-// the two records, the edge weight used by the forest algorithm and by
-// Algorithm 3.
-func pairCost(s *cluster.Space, tbl *table.Table, i, j int) float64 {
-	ri, rj := tbl.Records[i], tbl.Records[j]
-	r := s.NumAttrs()
-	sum := 0.0
-	for a := 0; a < r; a++ {
-		h := s.Hiers[a]
-		node := h.LCA(h.LeafOf(ri[a]), h.LeafOf(rj[a]))
-		sum += s.CostAt(a, node)
+// costRows is the one cost-evaluation layer of the core scans. It holds,
+// per attribute, the fused LCA-cost row of a fixed closure u
+// (cluster.Space.LCACostRow): rows[a][v] = CostAt(a, LCA(u[a], v)). A scan
+// loads the rows of its fixed side once; each candidate then costs one
+// load per attribute instead of an LCA walk. Sums run in ascending
+// attribute order, and the entries are the CostAt values of the same LCA
+// nodes, so every cost is bit-identical to the walk it replaces.
+type costRows struct {
+	s    *cluster.Space
+	rows [][]float64
+}
+
+func newCostRows(s *cluster.Space) *costRows {
+	return &costRows{s: s, rows: make([][]float64, s.NumAttrs())}
+}
+
+// load points the rows at closure u. A record is its own leaf closure
+// (value ids are leaf node ids), so u may be a table.Record too.
+func (c *costRows) load(u []int) {
+	for a, row := range c.rows {
+		c.rows[a] = c.s.LCACostRow(a, u[a], row)
 	}
-	return sum / float64(r)
+}
+
+// pairCost returns c(u + rec), the generalization cost of the closure
+// covering u and the record. With u = R_i it is d({R_i, R_j}), the edge
+// weight of the forest algorithm and of Algorithm 3.
+func (c *costRows) pairCost(rec table.Record) float64 {
+	sum := 0.0
+	for a, row := range c.rows {
+		sum += row[rec[a]]
+	}
+	return sum / float64(len(c.rows))
+}
+
+// widenDelta returns Σ_a (row_a[v[a]] − CostAt(a, base[a])) / r: the
+// marginal cost c(base + v) − c(base) of widening base to cover v, each
+// per-attribute difference taken before it is summed. Algorithm 5 indexes
+// R_i's rows by a generalized record (v = base = R̄_j); Algorithm 6
+// indexes R̄_i's rows by an original record (v = R_j, base = R̄_i).
+func (c *costRows) widenDelta(v, base []int) float64 {
+	sum := 0.0
+	for a, row := range c.rows {
+		sum += row[v[a]] - c.s.CostAt(a, base[a])
+	}
+	return sum / float64(len(c.rows))
+}
+
+// widen sets g ← g + rec: every entry becomes the LCA of itself and the
+// record's value.
+func widen(s *cluster.Space, g table.GenRecord, rec table.Record) {
+	s.MergeInto(g, table.GenRecord(rec))
+}
+
+// cand is one scored candidate of a selection scan.
+type cand struct {
+	j int
+	w float64
+}
+
+// cheapest is a bounded selection: it keeps the m least-weight candidates
+// offered, in ascending (w, j) order. Candidates must be offered in
+// ascending j, so a later candidate never wins a tie and the kept set is
+// exactly the first m entries of a full sort by weight, ties to the lower
+// index.
+type cheapest struct {
+	m    int
+	best []cand
+}
+
+// reset empties the selection and sets its bound to m.
+func (c *cheapest) reset(m int) {
+	c.m = m
+	c.best = c.best[:0]
+}
+
+func (c *cheapest) offer(j int, w float64) {
+	n := len(c.best)
+	if n == c.m {
+		if n == 0 || w >= c.best[n-1].w {
+			return
+		}
+		n--
+		c.best = c.best[:n]
+	}
+	pos := n
+	for pos > 0 && w < c.best[pos-1].w {
+		pos--
+	}
+	c.best = append(c.best, cand{})
+	copy(c.best[pos+1:], c.best[pos:n])
+	c.best[pos] = cand{j, w}
 }

@@ -490,9 +490,12 @@ func TestOptimalKAnonymizeGuards(t *testing.T) {
 func TestPairCostSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	s, tbl := testSpace(t, rng, 10, "entropy")
+	ri, rj := newCostRows(s), newCostRows(s)
 	for i := 0; i < tbl.Len(); i++ {
+		ri.load(tbl.Records[i])
 		for j := 0; j < tbl.Len(); j++ {
-			if math.Abs(pairCost(s, tbl, i, j)-pairCost(s, tbl, j, i)) > 1e-12 {
+			rj.load(tbl.Records[j])
+			if math.Abs(ri.pairCost(tbl.Records[j])-rj.pairCost(tbl.Records[i])) > 1e-12 {
 				t.Fatalf("pairCost asymmetric at (%d,%d)", i, j)
 			}
 		}

@@ -1,0 +1,288 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"kanon/internal/cluster"
+	"kanon/internal/datagen"
+	"kanon/internal/hierarchy"
+	"kanon/internal/loss"
+	"kanon/internal/obs"
+	"kanon/internal/table"
+)
+
+// The core scans read their pair and widening costs from the fused
+// LCA-cost rows (costRows over cluster.Space.LCACostRow). These tests hold
+// every scan byte-identical to the LCA-walk oracle of ref_test.go: the same
+// generalized tables and the same core.* counters, at every worker count.
+
+// measureSpace builds the space of tbl under the named measure.
+func measureSpace(t testing.TB, tbl *table.Table, hiers []*hierarchy.Hierarchy, measure string) *cluster.Space {
+	t.Helper()
+	m := loss.Measure(loss.NewLM(hiers))
+	if measure == "entropy" {
+		em, err := loss.NewEntropy(tbl, hiers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m = em
+	}
+	s, err := cluster.NewSpace(hiers, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// overBudgetCoreSpace builds a space whose first attribute has more nodes
+// than hierarchy.LCATableBudget admits, so its cost rows come from the
+// walk-up fill, next to a small tabled attribute.
+func overBudgetCoreSpace(t testing.TB, rng *rand.Rand, n int, measure string) (*cluster.Space, *table.Table) {
+	t.Helper()
+	const wide = 2080 // 2080 leaves + 1040 intervals + root = 3121 nodes; 3121² > 1<<22
+	hw, err := hierarchy.Intervals(wide, []int{2}, "*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hw.NumNodes()*hw.NumNodes() <= hierarchy.LCATableBudget {
+		t.Fatalf("test hierarchy not over budget: %d nodes", hw.NumNodes())
+	}
+	names := make([]string, wide)
+	for i := range names {
+		names[i] = fmt.Sprint(i)
+	}
+	schema := table.MustSchema(
+		table.MustAttribute("wide", names),
+		table.MustAttribute("b", []string{"x", "y", "z", "w"}),
+	)
+	tbl := table.New(schema)
+	for i := 0; i < n; i++ {
+		// A narrow band of the wide domain keeps pairs at varied depths.
+		tbl.MustAppend(table.Record{rng.Intn(64), rng.Intn(4)})
+	}
+	hb, err := hierarchy.FromSubsets(4, []hierarchy.Subset{{Values: []int{0, 1}}, {Values: []int{2, 3}}}, "*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return measureSpace(t, tbl, []*hierarchy.Hierarchy{hw, hb}, measure), tbl
+}
+
+// equivInput builds one dataset of the matrix: "adt", "art", "test" (the
+// 3-attribute testSpace) or "wide" (over the LCA-table budget).
+func equivInput(t *testing.T, dataset, measure string, n int, seed int64) (*cluster.Space, *table.Table) {
+	t.Helper()
+	switch dataset {
+	case "adt", "art":
+		ds := datagen.Adult(n, seed)
+		if dataset == "art" {
+			ds = datagen.ART(n, seed)
+		}
+		return measureSpace(t, ds.Table, ds.Hiers, measure), ds.Table
+	case "wide":
+		return overBudgetCoreSpace(t, rand.New(rand.NewSource(seed)), n, measure)
+	default:
+		return testSpace(t, rand.New(rand.NewSource(seed)), n, measure)
+	}
+}
+
+// observe runs fn under a fresh metrics recorder and returns its counters.
+func observe(fn func(ctx context.Context) error) (obs.RunStats, error) {
+	met := obs.NewMetrics()
+	err := fn(obs.With(context.Background(), met))
+	return met.Snapshot(), err
+}
+
+func assertSameGen(t *testing.T, label string, want, got *table.GenTable) {
+	t.Helper()
+	if want.Len() != got.Len() {
+		t.Fatalf("%s: %d records, want %d", label, got.Len(), want.Len())
+	}
+	for i := range want.Records {
+		if !want.Records[i].Equal(got.Records[i]) {
+			t.Fatalf("%s: record %d is %v, oracle %v", label, i, got.Records[i], want.Records[i])
+		}
+	}
+}
+
+func assertSameCounters(t *testing.T, label string, want, got obs.RunStats) {
+	t.Helper()
+	if !reflect.DeepEqual(want.Counters, got.Counters) {
+		t.Fatalf("%s: counters %v, oracle %v", label, got.Counters, want.Counters)
+	}
+	if !reflect.DeepEqual(want.Peaks, got.Peaks) {
+		t.Fatalf("%s: peaks %v, oracle %v", label, got.Peaks, want.Peaks)
+	}
+}
+
+// checkCoreEquivalence runs Algorithms 3, 4, 5 (plain and constrained), 6
+// and the forest baseline on (s, tbl) and requires each to match the
+// oracle in output bytes, errors and counters.
+func checkCoreEquivalence(t *testing.T, label string, s *cluster.Space, tbl *table.Table, k, workers int) {
+	t.Helper()
+	type stage struct {
+		name string
+		ref  func(ctx context.Context) (*table.GenTable, error)
+		got  func(ctx context.Context) (*table.GenTable, error)
+	}
+	run := func(st stage) *table.GenTable {
+		t.Helper()
+		var want, got *table.GenTable
+		wantStats, wantErr := observe(func(ctx context.Context) (err error) {
+			want, err = st.ref(ctx)
+			return err
+		})
+		gotStats, gotErr := observe(func(ctx context.Context) (err error) {
+			got, err = st.got(ctx)
+			return err
+		})
+		l := label + " " + st.name
+		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+			t.Fatalf("%s: error %v, oracle %v", l, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			return nil
+		}
+		assertSameGen(t, l, want, got)
+		assertSameCounters(t, l, wantStats, gotStats)
+		return got
+	}
+
+	run(stage{"alg3",
+		func(ctx context.Context) (*table.GenTable, error) { return refK1Nearest(ctx, s, tbl, k) },
+		func(ctx context.Context) (*table.GenTable, error) { return K1NearestCtx(ctx, s, tbl, k, workers) },
+	})
+	k1 := run(stage{"alg4",
+		func(ctx context.Context) (*table.GenTable, error) { return refK1Expand(ctx, s, tbl, k) },
+		func(ctx context.Context) (*table.GenTable, error) { return K1ExpandCtx(ctx, s, tbl, k, workers) },
+	})
+	kk := run(stage{"alg5",
+		func(ctx context.Context) (*table.GenTable, error) { return refMake1K(ctx, s, tbl, k1.Clone(), k) },
+		func(ctx context.Context) (*table.GenTable, error) { return Make1KCtx(ctx, s, tbl, k1.Clone(), k) },
+	})
+	sensitive := make([]int, tbl.Len())
+	for i := range sensitive {
+		sensitive[i] = (i * 7) % 3
+	}
+	cons := []cluster.Constraint{cluster.DistinctLDiversity(2)}
+	run(stage{"alg5-constrained",
+		func(ctx context.Context) (*table.GenTable, error) {
+			return refMake1KConstrained(ctx, s, tbl, k1.Clone(), k, cons, sensitive)
+		},
+		func(ctx context.Context) (*table.GenTable, error) {
+			return Make1KConstrainedCtx(ctx, s, tbl, k1.Clone(), k, cons, sensitive)
+		},
+	})
+	var wantStats, gotStats Global1KStats
+	run(stage{"alg6",
+		func(ctx context.Context) (g *table.GenTable, err error) {
+			g, wantStats, err = refMakeGlobal1K(ctx, s, tbl, kk.Clone(), k)
+			return g, err
+		},
+		func(ctx context.Context) (g *table.GenTable, err error) {
+			g, gotStats, err = MakeGlobal1KCtx(ctx, s, tbl, kk.Clone(), k)
+			return g, err
+		},
+	})
+	if wantStats != gotStats {
+		t.Fatalf("%s alg6: stats %+v, oracle %+v", label, gotStats, wantStats)
+	}
+	run(stage{"forest",
+		func(ctx context.Context) (*table.GenTable, error) { return refForest(ctx, s, tbl, k) },
+		func(ctx context.Context) (g *table.GenTable, err error) {
+			g, _, err = ForestCtx(ctx, s, tbl, k)
+			return g, err
+		},
+	})
+}
+
+// TestCoreScansMatchOracle is the equivalence matrix: datasets {ADT, ART,
+// testSpace} × measures {entropy, LM} × k {2, 5, 10} × workers {1, 4}.
+func TestCoreScansMatchOracle(t *testing.T) {
+	n := 200
+	if testing.Short() {
+		n = 80
+	}
+	for _, dataset := range []string{"adt", "art", "test"} {
+		for _, measure := range []string{"entropy", "lm"} {
+			s, tbl := equivInput(t, dataset, measure, n, 5)
+			for _, k := range []int{2, 5, 10} {
+				for _, workers := range []int{1, 4} {
+					label := fmt.Sprintf("%s/%s k=%d workers=%d", dataset, measure, k, workers)
+					checkCoreEquivalence(t, label, s, tbl, k, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestCoreScansMatchOracleOverBudget runs the scans on a space whose wide
+// attribute has no fused table, so its cost rows come from the walk-up
+// fill of LCACostRow.
+func TestCoreScansMatchOracleOverBudget(t *testing.T) {
+	for _, measure := range []string{"entropy", "lm"} {
+		s, tbl := equivInput(t, "wide", measure, 120, 3)
+		for _, workers := range []int{1, 4} {
+			checkCoreEquivalence(t, fmt.Sprintf("wide/%s k=5 workers=%d", measure, workers), s, tbl, 5, workers)
+		}
+	}
+}
+
+// TestCheapestMatchesSort checks the bounded selection against a full
+// sort by (w, j), with many tied weights.
+func TestCheapestMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		m := rng.Intn(n + 1)
+		w := make([]float64, n)
+		for j := range w {
+			w[j] = float64(rng.Intn(6))
+		}
+		var c cheapest
+		c.reset(m)
+		for j, x := range w {
+			c.offer(j, x)
+		}
+		// Reference: repeatedly take the least (w, j) not yet taken.
+		taken := make([]bool, n)
+		for pos := 0; pos < m; pos++ {
+			best := -1
+			for j := range w {
+				if !taken[j] && (best < 0 || w[j] < w[best]) {
+					best = j
+				}
+			}
+			taken[best] = true
+			if got := c.best[pos]; got.j != best || got.w != w[best] {
+				t.Fatalf("trial %d: position %d is (%v, %d), want (%v, %d)", trial, pos, got.w, got.j, w[best], best)
+			}
+		}
+		if len(c.best) != m {
+			t.Fatalf("trial %d: kept %d, want %d", trial, len(c.best), m)
+		}
+	}
+}
+
+// FuzzCoreEquivalence replays the oracle comparison on fuzzed inputs of at
+// most 200 records over every dataset shape.
+func FuzzCoreEquivalence(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint8(4), uint8(0), false, uint8(1))
+	f.Add(int64(2), uint8(90), uint8(9), uint8(1), true, uint8(4))
+	f.Add(int64(3), uint8(25), uint8(2), uint8(2), true, uint8(2))
+	f.Add(int64(4), uint8(30), uint8(5), uint8(3), false, uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, nb, kb, dsb uint8, lm bool, wb uint8) {
+		n := 2 + int(nb)%199
+		k := 1 + int(kb)%min(n, 12)
+		dataset := []string{"adt", "art", "test", "wide"}[int(dsb)%4]
+		measure := "entropy"
+		if lm {
+			measure = "lm"
+		}
+		s, tbl := equivInput(t, dataset, measure, n, seed)
+		checkCoreEquivalence(t, fmt.Sprintf("%s/%s n=%d k=%d", dataset, measure, n, k), s, tbl, k, 1+int(wb)%4)
+	})
+}

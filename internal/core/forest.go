@@ -64,6 +64,7 @@ func ForestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k int) (
 	}
 	type edge struct{ u, v int }
 	var treeEdges []edge
+	rows := newCostRows(s)
 
 	for {
 		if ctxDone(ctx) {
@@ -94,6 +95,7 @@ func ForestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k int) (
 				return nil, nil, ctx.Err()
 			}
 			ri := find(i)
+			rows.load(tbl.Records[i])
 			for j := i + 1; j < n; j++ {
 				rj := find(j)
 				if ri == rj {
@@ -103,7 +105,7 @@ func ForestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k int) (
 				if !iSmall && !jSmall {
 					continue
 				}
-				w := pairCost(s, tbl, i, j)
+				w := rows.pairCost(tbl.Records[j])
 				evals++
 				if iSmall && w < bestW[ri] {
 					bestW[ri] = w

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"kanon/internal/bipartite"
 	"kanon/internal/cluster"
@@ -67,32 +68,22 @@ func MakeGlobal1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g 
 
 	o := obs.From(ctx)
 	defer o.Phase(PhaseGlobal)()
-	r := s.NumAttrs()
-	// cons[i][j] = R_i consistent with R̄_j. Widening R̄_i only adds
-	// consistencies, so the matrix is updated incrementally per column.
-	cons := make([][]bool, n)
-	for i := 0; i < n; i++ {
+	// adj[u] lists, ascending, the j with R_u consistent with R̄_j: the
+	// consistency graph. Widening R̄_i only adds consistencies, so each step
+	// inserts i into the lists that gain it instead of rebuilding the graph.
+	adj := make([][]int, n)
+	for u := 0; u < n; u++ {
 		if ctxDone(ctx) {
 			return nil, stats, ctx.Err()
 		}
-		cons[i] = make([]bool, n)
 		for j := 0; j < n; j++ {
-			cons[i][j] = s.Consistent(tbl.Records[i], g.Records[j])
-		}
-	}
-	buildGraph := func() *bipartite.Graph {
-		gr := bipartite.New(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if cons[i][j] {
-					gr.AddEdge(i, j)
-				}
+			if s.Consistent(tbl.Records[u], g.Records[j]) {
+				adj[u] = append(adj[u], j)
 			}
 		}
-		return gr
 	}
-
-	allowed, err := bipartite.AllowedEdges(buildGraph())
+	var matcher bipartite.Matcher
+	allowed, err := matcher.AllowedEdges(bipartite.FromAdjacency(n, adj))
 	if err != nil {
 		return nil, stats, fmt.Errorf("core: consistency graph has no perfect matching: %w", err)
 	}
@@ -106,10 +97,8 @@ func MakeGlobal1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g 
 			stats.DeficientRecords++
 		}
 	}
-	if n == 0 {
-		stats.InitialMinMatches = 0
-	}
-
+	rows := newCostRows(s)
+	isMatch := make([]bool, n)
 	for i := 0; i < n; i++ {
 		steps := 0
 		for len(allowed[i]) < k {
@@ -118,44 +107,39 @@ func MakeGlobal1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g 
 			}
 			fault.Inject(SiteGlobalStep)
 			// Non-match neighbours of R_i.
-			isMatch := make(map[int]bool, len(allowed[i]))
 			for _, v := range allowed[i] {
 				isMatch[v] = true
 			}
-			bestJ, bestDelta := -1, math.Inf(1)
+			// Widen R̄_i to also cover the neighbour's original R_j: each
+			// candidate reads R̄_i's cost rows at R_j's values.
 			gi := g.Records[i]
-			for j := 0; j < n; j++ {
-				if !cons[i][j] || isMatch[j] {
+			rows.load(gi)
+			bestJ, bestDelta := -1, math.Inf(1)
+			for _, j := range adj[i] {
+				if isMatch[j] {
 					continue
 				}
-				// Widen R̄_i to also cover the neighbour's original R_j.
-				sum := 0.0
-				for a := 0; a < r; a++ {
-					h := s.Hiers[a]
-					widened := h.LCA(gi[a], h.LeafOf(tbl.Records[j][a]))
-					sum += s.CostAt(a, widened) - s.CostAt(a, gi[a])
-				}
-				if delta := sum / float64(r); delta < bestDelta {
+				if delta := rows.widenDelta(tbl.Records[j], gi); delta < bestDelta {
 					bestJ, bestDelta = j, delta
 				}
+			}
+			for _, v := range allowed[i] {
+				isMatch[v] = false
 			}
 			if bestJ < 0 {
 				return nil, stats, fmt.Errorf("core: record %d has no non-match neighbour to widen towards (matches %d < k=%d)", i, len(allowed[i]), k)
 			}
-			for a := 0; a < r; a++ {
-				h := s.Hiers[a]
-				gi[a] = h.LCA(gi[a], h.LeafOf(tbl.Records[bestJ][a]))
-			}
-			// Column i of the consistency matrix may gain entries.
-			for u := 0; u < n; u++ {
-				if !cons[u][i] && s.Consistent(tbl.Records[u], gi) {
-					cons[u][i] = true
+			widen(s, gi, tbl.Records[bestJ])
+			// Right node i of the consistency graph may gain neighbours.
+			for u, nb := range adj {
+				if p, found := slices.BinarySearch(nb, i); !found && s.Consistent(tbl.Records[u], gi) {
+					adj[u] = slices.Insert(nb, p, i)
 				}
 			}
 			steps++
 			stats.GeneralizationSteps++
 			o.Event(obs.KindAugment, PhaseGlobal, 1)
-			allowed, err = bipartite.AllowedEdges(buildGraph())
+			allowed, err = matcher.AllowedEdges(bipartite.FromAdjacency(n, adj))
 			if err != nil {
 				return nil, stats, fmt.Errorf("core: perfect matching lost after widening (impossible for positional generalizations): %w", err)
 			}

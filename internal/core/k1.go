@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"kanon/internal/cluster"
 	"kanon/internal/fault"
@@ -47,27 +46,18 @@ func K1NearestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, wo
 		fault.Inject(SiteK1Record)
 		// One neighbourhood scan per record: n−1 pair-cost evaluations.
 		o.Event(obs.KindScan, PhaseK1, int64(n-1))
-		// Find the k−1 smallest pair costs; ties broken by lower index.
-		type cand struct {
-			j int
-			w float64
-		}
-		cands := make([]cand, 0, n-1)
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
+		// Keep the k−1 smallest pair costs; ties broken by lower index.
+		rows := newCostRows(s)
+		rows.load(tbl.Records[i])
+		near := cheapest{m: k - 1}
+		for j, rec := range tbl.Records {
+			if j != i {
+				near.offer(j, rows.pairCost(rec))
 			}
-			cands = append(cands, cand{j, pairCost(s, tbl, i, j)})
 		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].w != cands[b].w {
-				return cands[a].w < cands[b].w
-			}
-			return cands[a].j < cands[b].j
-		})
 		members := make([]int, 0, k)
 		members = append(members, i)
-		for _, c := range cands[:k-1] {
+		for _, c := range near.best {
 			members = append(members, c.j)
 		}
 		copy(g.Records[i], s.ClosureOf(tbl, members))
@@ -107,7 +97,6 @@ func K1ExpandCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, wor
 	o := obs.From(ctx)
 	defer o.Phase(PhaseK1)()
 	g := table.NewGen(tbl.Schema, n)
-	r := s.NumAttrs()
 	p := par.New(workers)
 	defer p.Close()
 	err := p.EachCtx(ctx, n, func(i int) {
@@ -118,31 +107,24 @@ func K1ExpandCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, wor
 		inS := make([]bool, n)
 		inS[i] = true
 		closure := s.LeafClosure(tbl.Records[i])
-		scratch := make(table.GenRecord, r)
+		rows := newCostRows(s)
 		for size := 1; size < k; size++ {
+			// d(S ∪ {R_j}) − d(S): the subtrahend is constant over j, so
+			// minimizing d(S ∪ {R_j}) suffices. The sweep reads the cost
+			// rows of S's closure, loaded once.
+			rows.load(closure)
 			bestJ, bestD := -1, math.Inf(1)
-			for j := 0; j < n; j++ {
+			for j, rec := range tbl.Records {
 				if inS[j] {
 					continue
 				}
-				// d(S ∪ {R_j}) − d(S): the subtrahend is constant over j,
-				// so minimizing d(S ∪ {R_j}) suffices.
-				sum := 0.0
-				for a := 0; a < r; a++ {
-					h := s.Hiers[a]
-					scratch[a] = h.LCA(closure[a], h.LeafOf(tbl.Records[j][a]))
-					sum += s.CostAt(a, scratch[a])
-				}
-				if d := sum / float64(r); d < bestD {
+				if d := rows.pairCost(rec); d < bestD {
 					bestJ, bestD = j, d
 				}
 				evals++
 			}
 			inS[bestJ] = true
-			for a := 0; a < r; a++ {
-				h := s.Hiers[a]
-				closure[a] = h.LCA(closure[a], h.LeafOf(tbl.Records[bestJ][a]))
-			}
+			widen(s, closure, tbl.Records[bestJ])
 		}
 		copy(g.Records[i], closure)
 		o.Event(obs.KindScan, PhaseK1, evals)

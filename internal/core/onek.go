@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"kanon/internal/cluster"
 	"kanon/internal/fault"
@@ -42,7 +41,8 @@ func Make1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g *table
 	}
 	o := obs.From(ctx)
 	defer o.Phase(PhaseMake1K)()
-	r := s.NumAttrs()
+	rows := newCostRows(s)
+	var cheap cheapest
 	for i := 0; i < n; i++ {
 		if ctxDone(ctx) {
 			return nil, ctx.Err()
@@ -58,39 +58,19 @@ func Make1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g *table
 		if consistent >= k {
 			continue
 		}
-		// Rank the non-consistent generalized records by the marginal cost
-		// of widening them to also cover R_i.
-		type cand struct {
-			j     int
-			delta float64
-		}
-		var cands []cand
-		for j := 0; j < n; j++ {
-			gj := g.Records[j]
-			if s.Consistent(ri, gj) {
-				continue
-			}
-			sum := 0.0
-			for a := 0; a < r; a++ {
-				h := s.Hiers[a]
-				widened := h.LCA(gj[a], h.LeafOf(ri[a]))
-				sum += s.CostAt(a, widened) - s.CostAt(a, gj[a])
-			}
-			cands = append(cands, cand{j, sum / float64(r)})
-		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].delta != cands[b].delta {
-				return cands[a].delta < cands[b].delta
-			}
-			return cands[a].j < cands[b].j
-		})
+		// Widen the need non-consistent generalized records of least
+		// marginal cost c(R_i + R̄_j) − c(R̄_j), ties to the lower j. There
+		// are at least n − consistent ≥ need of them, since k ≤ n.
 		need := k - consistent
-		for _, c := range cands[:need] {
-			gj := g.Records[c.j]
-			for a := 0; a < r; a++ {
-				h := s.Hiers[a]
-				gj[a] = h.LCA(gj[a], h.LeafOf(ri[a]))
+		rows.load(ri)
+		cheap.reset(need)
+		for j, gj := range g.Records {
+			if !s.Consistent(ri, gj) {
+				cheap.offer(j, rows.widenDelta(gj, gj))
 			}
+		}
+		for _, c := range cheap.best {
+			widen(s, g.Records[c.j], ri)
 		}
 		// One augmentation per deficient record; N is the number of
 		// generalized records widened to cover it.
