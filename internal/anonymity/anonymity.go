@@ -12,6 +12,7 @@ package anonymity
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"kanon/internal/bipartite"
 	"kanon/internal/cluster"
@@ -21,17 +22,11 @@ import (
 
 // BuildGraph constructs the bipartite consistency graph V_{D,g(D)}: left
 // nodes are original records, right nodes are generalized records, and an
-// edge connects R_i to R̄_j iff they are consistent (Definition 3.3).
+// edge connects R_i to R̄_j iff they are consistent (Definition 3.3). Each
+// record's neighbours are ascending; they are built from the row classes
+// of g (graph.go).
 func BuildGraph(s *cluster.Space, tbl *table.Table, g *table.GenTable) *bipartite.Graph {
-	gr := bipartite.New(tbl.Len(), g.Len())
-	for i, r := range tbl.Records {
-		for j, gj := range g.Records {
-			if s.Consistent(r, gj) {
-				gr.AddEdge(i, j)
-			}
-		}
-	}
-	return gr
+	return bipartite.FromAdjacency(g.Len(), consistentRows(s.Hiers, tbl, g))
 }
 
 // IsGeneralizationOf reports whether g is a valid generalization of tbl in
@@ -66,37 +61,21 @@ func IsKAnonymous(g *table.GenTable, k int) bool {
 // Is1K reports whether g is a (1,k)-anonymization of tbl: every original
 // record is consistent with at least k generalized records.
 func Is1K(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) bool {
-	for _, r := range tbl.Records {
-		count := 0
-		for _, gj := range g.Records {
-			if s.Consistent(r, gj) {
-				count++
-				if count >= k {
-					break
-				}
-			}
-		}
-		if count < k {
-			return false
-		}
-	}
-	return true
+	left, _ := consistencyDegrees(s.Hiers, tbl, g)
+	return allAtLeast(left, k)
 }
 
 // IsK1 reports whether g is a (k,1)-anonymization of tbl: every generalized
 // record is consistent with at least k original records.
 func IsK1(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) bool {
-	for _, gj := range g.Records {
-		count := 0
-		for _, r := range tbl.Records {
-			if s.Consistent(r, gj) {
-				count++
-				if count >= k {
-					break
-				}
-			}
-		}
-		if count < k {
+	_, right := consistencyDegrees(s.Hiers, tbl, g)
+	return allAtLeast(right, k)
+}
+
+// allAtLeast reports whether every count is at least k.
+func allAtLeast(counts []int, k int) bool {
+	for _, c := range counts {
+		if c < k {
 			return false
 		}
 	}
@@ -106,7 +85,8 @@ func IsK1(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) bool {
 // IsKK reports whether g is a (k,k)-anonymization of tbl: both (1,k) and
 // (k,1).
 func IsKK(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) bool {
-	return Is1K(s, tbl, g, k) && IsK1(s, tbl, g, k)
+	left, right := consistencyDegrees(s.Hiers, tbl, g)
+	return allAtLeast(left, k) && allAtLeast(right, k)
 }
 
 // MatchCounts returns, for every original record, the number of its matches
@@ -121,12 +101,7 @@ func MatchCounts(s *cluster.Space, tbl *table.Table, g *table.GenTable) []int {
 // IsGlobal1K reports whether g is a global (1,k)-anonymization of tbl
 // (Definition 4.6): every original record has at least k matches.
 func IsGlobal1K(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) bool {
-	for _, c := range MatchCounts(s, tbl, g) {
-		if c < k {
-			return false
-		}
-	}
-	return true
+	return allAtLeast(MatchCounts(s, tbl, g), k)
 }
 
 // IsDistinctLDiverse reports whether every equivalence class of g contains
@@ -186,27 +161,34 @@ type Report struct {
 	MinMatches     int  // min over records of the number of matches
 }
 
-// Check runs every verifier and returns the combined report.
+// Check runs every verifier and returns the combined report. The
+// consistency graph is built once: (1,k) and (k,1) are read off its left
+// and right degrees, and the match counts off its perfect-matching
+// analysis. On an empty table every notion holds vacuously, as it does for
+// the individual verifiers, and MinMatches is 0.
 func Check(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) Report {
 	rep := Report{
 		K:              k,
 		Generalization: IsGeneralizationOf(s, tbl, g),
 		KAnonymous:     IsKAnonymous(g, k),
-		OneK:           Is1K(s, tbl, g, k),
-		KOne:           IsK1(s, tbl, g, k),
 	}
-	rep.KK = rep.OneK && rep.KOne
-	counts := MatchCounts(s, tbl, g)
-	rep.MinMatches = math.MaxInt
-	for _, c := range counts {
-		if c < rep.MinMatches {
-			rep.MinMatches = c
+	graph := BuildGraph(s, tbl, g)
+	left := make([]int, graph.NLeft())
+	right := make([]int, graph.NRight())
+	for i := range left {
+		left[i] = len(graph.Neighbors(i))
+		for _, j := range graph.Neighbors(i) {
+			right[j]++
 		}
 	}
-	if len(counts) == 0 {
-		rep.MinMatches = 0
+	rep.OneK = allAtLeast(left, k)
+	rep.KOne = allAtLeast(right, k)
+	rep.KK = rep.OneK && rep.KOne
+	counts, _ := bipartite.AllowedCounts(graph)
+	if len(counts) > 0 {
+		rep.MinMatches = slices.Min(counts)
 	}
-	rep.Global1K = rep.MinMatches >= k
+	rep.Global1K = allAtLeast(counts, k)
 	return rep
 }
 

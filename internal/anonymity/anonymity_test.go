@@ -2,6 +2,7 @@ package anonymity
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -373,5 +374,51 @@ func TestIsKAnonymousEmpty(t *testing.T) {
 	g := table.NewGen(table.MustSchema(table.MustAttribute("a", []string{"x"})), 0)
 	if !IsKAnonymous(g, 5) {
 		t.Error("empty table is vacuously k-anonymous")
+	}
+}
+
+// TestCheckAgreesWithVerifiers compares every Report field with its
+// standalone verifier at n=0 and n=1, where the notions hold or fail
+// vacuously: an empty release satisfies them all.
+func TestCheckAgreesWithVerifiers(t *testing.T) {
+	s, full := prop45(t)
+	for _, n := range []int{0, 1} {
+		tbl := table.New(full.Schema)
+		for _, r := range full.Records[:n] {
+			tbl.MustAppend(r)
+		}
+		for _, suppress := range []bool{false, true} {
+			rows := make([][2]int, n)
+			for i := range rows {
+				rows[i] = [2]int{tbl.Records[i][0], tbl.Records[i][1]}
+				if suppress {
+					rows[i] = [2]int{-1, -1}
+				}
+			}
+			g := prop45Gen(s, rows)
+			for _, k := range []int{1, 2} {
+				rep := Check(s, tbl, g, k)
+				minMatches := 0
+				if counts := MatchCounts(s, tbl, g); len(counts) > 0 {
+					minMatches = slices.Min(counts)
+				}
+				want := Report{
+					K:              k,
+					Generalization: IsGeneralizationOf(s, tbl, g),
+					KAnonymous:     IsKAnonymous(g, k),
+					OneK:           Is1K(s, tbl, g, k),
+					KOne:           IsK1(s, tbl, g, k),
+					KK:             IsKK(s, tbl, g, k),
+					Global1K:       IsGlobal1K(s, tbl, g, k),
+					MinMatches:     minMatches,
+				}
+				if rep != want {
+					t.Errorf("n=%d suppress=%v k=%d: Check = %+v, verifiers say %+v", n, suppress, k, rep, want)
+				}
+				if n == 0 && !(rep.KAnonymous && rep.KK && rep.Global1K) {
+					t.Errorf("k=%d: empty release should satisfy every notion: %+v", k, rep)
+				}
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"kanon/internal/anonymity"
 	"kanon/internal/cluster"
 	"kanon/internal/table"
 )
@@ -61,6 +62,7 @@ func SimulateIntersection(releases []Release, sensitive []int) ([]IntersectionOu
 			return nil, fmt.Errorf("attack: release %d has %d records, %d released rows, %d ids",
 				ri, n, rel.Gen.Len(), len(rel.IDs))
 		}
+		graph := anonymity.BuildGraph(rel.Space, rel.Tbl, rel.Gen)
 		seen := make(map[int]bool, n)
 		for u := 0; u < n; u++ {
 			id := rel.IDs[u]
@@ -71,13 +73,13 @@ func SimulateIntersection(releases []Release, sensitive []int) ([]IntersectionOu
 				return nil, fmt.Errorf("attack: release %d contains id %d twice", ri, id)
 			}
 			seen[id] = true
-			// The first adversary's candidate set within this release,
-			// mapped to individual ids and sorted.
-			var cand []int
-			for j := 0; j < n; j++ {
-				if rel.Space.Consistent(rel.Tbl.Records[u], rel.Gen.Records[j]) {
-					cand = append(cand, rel.IDs[j])
-				}
+			// The first adversary's candidate set within this release: the
+			// record's neighbours in the consistency graph, mapped to
+			// individual ids and sorted.
+			neighbors := graph.Neighbors(u)
+			cand := make([]int, len(neighbors))
+			for c, j := range neighbors {
+				cand[c] = rel.IDs[j]
 			}
 			sort.Ints(cand)
 			if releaseCount[id] == 0 {

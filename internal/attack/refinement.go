@@ -3,6 +3,7 @@ package attack
 import (
 	"fmt"
 
+	"kanon/internal/anonymity"
 	"kanon/internal/bipartite"
 	"kanon/internal/hierarchy"
 	"kanon/internal/table"
@@ -51,33 +52,14 @@ import (
 // both sides are the released rows, and edge (i, j) is present iff rows
 // B_i and B_j overlap in every attribute (there exists an original record
 // consistent with both). It needs only the release and the hierarchies.
+// The edges come from anonymity.OverlappingRows, built from the release's
+// row classes; rows of one class share their neighbour list.
 func OverlapGraph(hiers []*hierarchy.Hierarchy, g *table.GenTable) (*bipartite.Graph, error) {
 	n := g.Len()
 	if n > 0 && len(hiers) != len(g.Records[0]) {
 		return nil, fmt.Errorf("attack: %d hierarchies for %d attributes", len(hiers), len(g.Records[0]))
 	}
-	gr := bipartite.New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if rowsOverlap(hiers, g.Records[i], g.Records[j]) {
-				gr.AddEdge(i, j)
-			}
-		}
-	}
-	return gr, nil
-}
-
-// rowsOverlap reports whether two generalized records share at least one
-// original record: per attribute, the permissible subsets must intersect,
-// which for a laminar family means one is an ancestor of the other.
-func rowsOverlap(hiers []*hierarchy.Hierarchy, a, b table.GenRecord) bool {
-	for j := range a {
-		h := hiers[j]
-		if !h.IsAncestor(a[j], b[j]) && !h.IsAncestor(b[j], a[j]) {
-			return false
-		}
-	}
-	return true
+	return bipartite.FromAdjacency(n, anonymity.OverlappingRows(hiers, g)), nil
 }
 
 // RefinementCandidates runs the combinatorial refinement attack and

@@ -1,0 +1,678 @@
+package risk
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"sync"
+	"testing"
+
+	"kanon/internal/anonymity"
+	"kanon/internal/attack"
+	"kanon/internal/bipartite"
+	"kanon/internal/cluster"
+	"kanon/internal/core"
+	"kanon/internal/datagen"
+	"kanon/internal/hierarchy"
+	"kanon/internal/loss"
+	"kanon/internal/table"
+)
+
+// This file is the naive oracle of the audit layer: the pairwise loops that
+// built the consistency graph, the overlap graph and the intersection
+// attack's candidate sets before they were built from row classes
+// (internal/anonymity/graph.go), kept verbatim. Every audit result — the
+// graphs, anonymity.Report, AttackReport, Assess and SimulateInformed —
+// must come out identical on the production path and on these loops. It
+// lives in package risk because risk is the one package that sees every
+// audit consumer.
+
+// naiveBuildGraph is V_{D,g(D)} from one Consistent call per pair.
+func naiveBuildGraph(s *cluster.Space, tbl *table.Table, g *table.GenTable) *bipartite.Graph {
+	gr := bipartite.New(tbl.Len(), g.Len())
+	for i, r := range tbl.Records {
+		for j, gj := range g.Records {
+			if s.Consistent(r, gj) {
+				gr.AddEdge(i, j)
+			}
+		}
+	}
+	return gr
+}
+
+// naiveIs1K counts, per record, the consistent released records.
+func naiveIs1K(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) bool {
+	for _, r := range tbl.Records {
+		count := 0
+		for _, gj := range g.Records {
+			if s.Consistent(r, gj) {
+				count++
+				if count >= k {
+					break
+				}
+			}
+		}
+		if count < k {
+			return false
+		}
+	}
+	return true
+}
+
+// naiveIsK1 counts, per released record, the consistent records.
+func naiveIsK1(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) bool {
+	for _, gj := range g.Records {
+		count := 0
+		for _, r := range tbl.Records {
+			if s.Consistent(r, gj) {
+				count++
+				if count >= k {
+					break
+				}
+			}
+		}
+		if count < k {
+			return false
+		}
+	}
+	return true
+}
+
+// naiveCheck is anonymity.Check from the pairwise verifiers. Global
+// (1,k) holds vacuously on an empty table, as IsGlobal1K does.
+func naiveCheck(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) anonymity.Report {
+	rep := anonymity.Report{
+		K:              k,
+		Generalization: anonymity.IsGeneralizationOf(s, tbl, g),
+		KAnonymous:     anonymity.IsKAnonymous(g, k),
+		OneK:           naiveIs1K(s, tbl, g, k),
+		KOne:           naiveIsK1(s, tbl, g, k),
+	}
+	rep.KK = rep.OneK && rep.KOne
+	counts, _ := bipartite.AllowedCounts(naiveBuildGraph(s, tbl, g))
+	if len(counts) > 0 {
+		rep.MinMatches = slices.Min(counts)
+	}
+	rep.Global1K = true
+	for _, c := range counts {
+		if c < k {
+			rep.Global1K = false
+		}
+	}
+	return rep
+}
+
+// naiveOverlapGraph is the overlap graph from one rowsOverlap call per
+// pair of released rows.
+func naiveOverlapGraph(hiers []*hierarchy.Hierarchy, g *table.GenTable) *bipartite.Graph {
+	n := g.Len()
+	gr := bipartite.New(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if rowsOverlap(hiers, g.Records[i], g.Records[j]) {
+				gr.AddEdge(i, j)
+			}
+		}
+	}
+	return gr
+}
+
+// rowsOverlap reports whether two generalized records share at least one
+// original record: per attribute, the permissible subsets must intersect,
+// which for a laminar family means one is an ancestor of the other.
+func rowsOverlap(hiers []*hierarchy.Hierarchy, a, b table.GenRecord) bool {
+	for j := range a {
+		h := hiers[j]
+		if !h.IsAncestor(a[j], b[j]) && !h.IsAncestor(b[j], a[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// naiveIntersection is attack.SimulateIntersection with each record's
+// candidate set drawn from one Consistent call per released row. Inputs
+// are assumed valid.
+func naiveIntersection(releases []attack.Release, sensitive []int) []attack.IntersectionOutcome {
+	candidates := make(map[int][]int)
+	releaseCount := make(map[int]int)
+	for _, rel := range releases {
+		n := rel.Tbl.Len()
+		for u := 0; u < n; u++ {
+			id := rel.IDs[u]
+			var cand []int
+			for j := 0; j < n; j++ {
+				if rel.Space.Consistent(rel.Tbl.Records[u], rel.Gen.Records[j]) {
+					cand = append(cand, rel.IDs[j])
+				}
+			}
+			sort.Ints(cand)
+			if releaseCount[id] == 0 {
+				candidates[id] = cand
+			} else {
+				candidates[id] = naiveIntersectSorted(candidates[id], cand)
+			}
+			releaseCount[id]++
+		}
+	}
+	ids := make([]int, 0, len(candidates))
+	for id := range candidates { //kanon:allow determinism -- keys are sorted before any ordered use
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	out := make([]attack.IntersectionOutcome, 0, len(ids))
+	for _, id := range ids {
+		o := attack.IntersectionOutcome{ID: id, Releases: releaseCount[id], Candidates: len(candidates[id])}
+		if sensitive != nil {
+			o.SensitiveExposed = naiveHomogeneousIDs(candidates[id], sensitive)
+		}
+		out = append(out, o)
+	}
+	return out
+}
+
+// naiveIntersectSorted intersects two ascending slices.
+func naiveIntersectSorted(a, b []int) []int {
+	var out []int
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	return out
+}
+
+// naiveHomogeneousIDs reports whether all candidate individuals carry the
+// same known sensitive value.
+func naiveHomogeneousIDs(ids []int, sensitive []int) bool {
+	if len(ids) == 0 {
+		return false
+	}
+	for _, id := range ids {
+		if id >= len(sensitive) {
+			return false
+		}
+	}
+	for _, id := range ids[1:] {
+		if sensitive[id] != sensitive[ids[0]] {
+			return false
+		}
+	}
+	return true
+}
+
+// naiveEvaluateAttacks is EvaluateAttacks over the naive graphs.
+func naiveEvaluateAttacks(t testing.TB, s *cluster.Space, tbl *table.Table, g *table.GenTable, k int, sensitive []int) *AttackReport {
+	t.Helper()
+	n := tbl.Len()
+	rep := &AttackReport{K: k, Records: n}
+	if n == 0 {
+		return rep
+	}
+	vuln := make([]bool, n)
+	vector := func(name string, gr *bipartite.Graph) AttackVector {
+		allowed, err := bipartite.AllowedEdges(gr)
+		if err != nil {
+			allowed = make([][]int, n)
+		}
+		counts := make([]int, n)
+		exposed := make([]bool, n)
+		for i, vs := range allowed {
+			counts[i] = len(vs)
+			exposed[i] = sensitive != nil && homogeneousIdx(vs, sensitive)
+		}
+		markVulnerable(vuln, counts, k)
+		return vectorize(name, counts, exposed, k)
+	}
+	rep.Matching = vector("matching", naiveBuildGraph(s, tbl, g))
+	rep.Refinement = vector("refinement", naiveOverlapGraph(s.Hiers, g))
+	rels, err := attack.OverlappingWindows(s, tbl, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counts []int
+	nExposed := 0
+	for _, o := range naiveIntersection(rels, sensitive) {
+		counts = append(counts, o.Candidates)
+		if o.SensitiveExposed {
+			nExposed++
+		}
+		if o.Candidates < k {
+			vuln[o.ID] = true
+		}
+	}
+	rep.Intersection = vectorize("intersection", counts, nil, k)
+	rep.Intersection.Exposed = nExposed
+	for _, v := range vuln {
+		if v {
+			rep.VulnerableUnion++
+		}
+	}
+	rep.Score = pct(rep.VulnerableUnion, n)
+	return rep
+}
+
+// naiveInformed is attack.SimulateInformed over the naive graph.
+func naiveInformed(s *cluster.Space, tbl *table.Table, g *table.GenTable, sensitive []int, known []int) []int {
+	n := tbl.Len()
+	isKnown := make(map[int]bool, len(known))
+	for _, u := range known {
+		isKnown[u] = true
+	}
+	full := naiveBuildGraph(s, tbl, g)
+	pruned := bipartite.New(n, n)
+	for u := 0; u < n; u++ {
+		for _, v := range full.Neighbors(u) {
+			if isKnown[u] && sensitive[v] != sensitive[u] {
+				continue
+			}
+			pruned.AddEdge(u, v)
+		}
+	}
+	counts, _ := bipartite.AllowedCounts(pruned)
+	return counts
+}
+
+// naiveProsecutor is Assess's per-record risk for the given candidate
+// counts.
+func naiveProsecutor(counts []int) []float64 {
+	out := make([]float64, len(counts))
+	for i, c := range counts {
+		out[i] = 1
+		if c > 0 {
+			out[i] = 1 / float64(c)
+		}
+	}
+	return out
+}
+
+// sameGraph fails unless two graphs have the same sides and the same
+// adjacency lists, in order.
+func sameGraph(t testing.TB, name string, got, want *bipartite.Graph) {
+	t.Helper()
+	if got.NLeft() != want.NLeft() || got.NRight() != want.NRight() || got.NumEdges() != want.NumEdges() {
+		t.Fatalf("%s: graph %dx%d with %d edges, oracle %dx%d with %d", name,
+			got.NLeft(), got.NRight(), got.NumEdges(), want.NLeft(), want.NRight(), want.NumEdges())
+	}
+	for u := 0; u < want.NLeft(); u++ {
+		if !slices.Equal(got.Neighbors(u), want.Neighbors(u)) {
+			t.Fatalf("%s: node %d has neighbours %v, oracle %v", name, u, got.Neighbors(u), want.Neighbors(u))
+		}
+	}
+}
+
+// assertAuditMatchesOracle runs every audit entry point on one release and
+// requires the oracle's result. sensitive may be nil.
+func assertAuditMatchesOracle(t testing.TB, name string, s *cluster.Space, tbl *table.Table, g *table.GenTable, k int, sensitive []int) {
+	t.Helper()
+	sameGraph(t, name+" consistency", anonymity.BuildGraph(s, tbl, g), naiveBuildGraph(s, tbl, g))
+	overlap, err := attack.OverlapGraph(s.Hiers, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameGraph(t, name+" overlap", overlap, naiveOverlapGraph(s.Hiers, g))
+
+	if got, want := anonymity.Check(s, tbl, g, k), naiveCheck(s, tbl, g, k); got != want {
+		t.Fatalf("%s: Check = %+v, oracle %+v", name, got, want)
+	}
+	if got, want := anonymity.Is1K(s, tbl, g, k), naiveIs1K(s, tbl, g, k); got != want {
+		t.Fatalf("%s: Is1K = %v, oracle %v", name, got, want)
+	}
+	if got, want := anonymity.IsK1(s, tbl, g, k), naiveIsK1(s, tbl, g, k); got != want {
+		t.Fatalf("%s: IsK1 = %v, oracle %v", name, got, want)
+	}
+	if got, want := anonymity.IsKK(s, tbl, g, k), naiveIs1K(s, tbl, g, k) && naiveIsK1(s, tbl, g, k); got != want {
+		t.Fatalf("%s: IsKK = %v, oracle %v", name, got, want)
+	}
+
+	for _, sens := range [][]int{nil, sensitive} {
+		got, err := EvaluateAttacks(s, tbl, g, k, sens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := naiveEvaluateAttacks(t, s, tbl, g, k, sens); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s (sensitive %v): EvaluateAttacks = %+v, oracle %+v", name, sens != nil, got, want)
+		}
+	}
+	if len(sensitive) == tbl.Len() && tbl.Len() == g.Len() {
+		var known []int
+		for u := 0; u < tbl.Len(); u += 3 {
+			known = append(known, u)
+		}
+		got, err := attack.SimulateInformed(s, tbl, g, sensitive, known)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := naiveInformed(s, tbl, g, sensitive, known); !slices.Equal(got, want) {
+			t.Fatalf("%s: SimulateInformed = %v, oracle %v", name, got, want)
+		}
+	}
+
+	graph := naiveBuildGraph(s, tbl, g)
+	neighbors := make([]int, tbl.Len())
+	for i := range neighbors {
+		neighbors[i] = len(graph.Neighbors(i))
+	}
+	matches, _ := bipartite.AllowedCounts(graph)
+	for _, m := range []struct {
+		model  Model
+		counts []int
+	}{{ByNeighbors, neighbors}, {ByMatches, matches}} {
+		rep, err := Assess(s, tbl, g, m.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := naiveProsecutor(m.counts); !slices.Equal(rep.Prosecutor, want) {
+			t.Fatalf("%s: Assess(%v) prosecutor risks = %v, oracle %v", name, m.model, rep.Prosecutor, want)
+		}
+	}
+}
+
+// auditFixture is one generated dataset with its space.
+type auditFixture struct {
+	s  *cluster.Space
+	ds *datagen.Dataset
+}
+
+func newAuditFixture(t testing.TB, ds *datagen.Dataset) auditFixture {
+	t.Helper()
+	em, err := loss.NewEntropy(ds.Table, ds.Hiers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := cluster.NewSpace(ds.Hiers, em)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return auditFixture{s: s, ds: ds}
+}
+
+// release anonymizes the fixture's table under one notion.
+func (f auditFixture) release(t testing.TB, notion string, k int) *table.GenTable {
+	t.Helper()
+	var g *table.GenTable
+	var err error
+	switch notion {
+	case "k":
+		g, _, err = core.KAnonymize(f.s, f.ds.Table, core.KAnonOptions{K: k, Workers: 1})
+	case "kk":
+		g, err = core.KKAnonymize(f.s, f.ds.Table, k, core.K1ByExpansion)
+	case "global":
+		g, _, err = core.GlobalAnonymize(f.s, f.ds.Table, k)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestAuditOracle compares the audit with the naive oracle on k, (k,k) and
+// global (1,k) releases of ADT and ART at k ∈ {2, 5, 10}.
+func TestAuditOracle(t *testing.T) {
+	n := 240
+	if testing.Short() {
+		n = 120
+	}
+	for _, ds := range []*datagen.Dataset{datagen.Adult(n, 3), datagen.ART(n, 3)} {
+		f := newAuditFixture(t, ds)
+		for _, notion := range []string{"k", "kk", "global"} {
+			for _, k := range []int{2, 5, 10} {
+				name := fmt.Sprintf("%s/%s/k=%d", ds.Name, notion, k)
+				g := f.release(t, notion, k)
+				assertAuditMatchesOracle(t, name, f.s, ds.Table, g, k, ds.Sensitive)
+			}
+		}
+	}
+}
+
+// randomHierarchy builds a random laminar hierarchy over m values: the
+// shuffled values are cut recursively into ever smaller runs, each run of
+// two or more values a permissible subset.
+func randomHierarchy(rng *rand.Rand, m int) *hierarchy.Hierarchy {
+	var subsets []hierarchy.Subset
+	var split func(vs []int)
+	split = func(vs []int) {
+		for rest := vs; len(rest) > 0; {
+			w := 1 + rng.Intn(min(len(rest), len(vs)-1))
+			block := rest[:w]
+			rest = rest[w:]
+			if w > 1 {
+				subsets = append(subsets, hierarchy.Subset{Values: slices.Clone(block)})
+				split(block)
+			}
+		}
+	}
+	if m > 1 {
+		split(rng.Perm(m))
+	}
+	return hierarchy.MustFromSubsets(m, subsets, "*")
+}
+
+// randomAncestor returns leaf v or one of its ancestors.
+func randomAncestor(rng *rand.Rand, h *hierarchy.Hierarchy, v int) int {
+	u := h.LeafOf(v)
+	for h.Parent(u) >= 0 && rng.Intn(2) == 0 {
+		u = h.Parent(u)
+	}
+	return u
+}
+
+// randomAudit builds a random table over attrs attributes with random
+// hierarchies, and a positional generalization of it whose rows fall into
+// exactly classes row classes when that many are reachable; n is at least
+// the number of classes. Sensitive values are random.
+func randomAudit(rng *rand.Rand, attrs, classes, n int) (*cluster.Space, *table.Table, *table.GenTable, []int) {
+	hiers := make([]*hierarchy.Hierarchy, attrs)
+	attrList := make([]*table.Attribute, attrs)
+	for a := range hiers {
+		m := 2 + rng.Intn(7)
+		hiers[a] = randomHierarchy(rng, m)
+		vals := make([]string, m)
+		for v := range vals {
+			vals[v] = fmt.Sprint(v)
+		}
+		attrList[a] = table.MustAttribute(fmt.Sprint("a", a), vals)
+	}
+	schema := table.MustSchema(attrList...)
+	s, err := cluster.NewSpace(hiers, loss.NewLM(hiers))
+	if err != nil {
+		panic(err)
+	}
+	tbl := table.New(schema)
+	var rows []table.GenRecord
+	distinct := map[string]bool{}
+	// New records until the rows reach the wanted number of classes (each
+	// record adds at most one), then records under existing rows.
+	for tries := 0; len(distinct) < classes && tries < 50*classes; tries++ {
+		r := make(table.Record, attrs)
+		row := make(table.GenRecord, attrs)
+		for a, h := range hiers {
+			r[a] = rng.Intn(h.NumValues())
+			row[a] = randomAncestor(rng, h, r[a])
+		}
+		if key := fmt.Sprint(row); !distinct[key] {
+			distinct[key] = true
+			tbl.MustAppend(r)
+			rows = append(rows, row)
+		}
+	}
+	for len(rows) < n {
+		row := rows[rng.Intn(len(rows))]
+		r := make(table.Record, attrs)
+		for a, h := range hiers {
+			leaves := h.Leaves(row[a])
+			r[a] = leaves[rng.Intn(len(leaves))]
+		}
+		tbl.MustAppend(r)
+		rows = append(rows, row.Clone())
+	}
+	g := table.NewGen(schema, len(rows))
+	for i, row := range rows {
+		copy(g.Records[i], row)
+	}
+	sensitive := make([]int, len(rows))
+	for i := range sensitive {
+		sensitive[i] = rng.Intn(3)
+	}
+	return s, tbl, g, sensitive
+}
+
+// TestAuditWordBoundaries runs the oracle comparison on releases whose
+// class masks end just before, at and after a 64-bit word boundary.
+func TestAuditWordBoundaries(t *testing.T) {
+	for _, classes := range []int{63, 64, 65, 129} {
+		rng := rand.New(rand.NewSource(int64(classes)))
+		s, tbl, g, sensitive := randomAudit(rng, 4, classes, classes+classes/2)
+		if got := len(loss.GroupsOf(g)); got != classes {
+			t.Fatalf("release has %d row classes, want %d", got, classes)
+		}
+		assertAuditMatchesOracle(t, fmt.Sprintf("classes=%d", classes), s, tbl, g, 2, sensitive)
+	}
+}
+
+// TestAuditNoPerfectMatching: a release whose consistency graph has no
+// perfect matching — three rows only the first record is consistent with —
+// reports zero matches everywhere on both paths.
+func TestAuditNoPerfectMatching(t *testing.T) {
+	hiers := []*hierarchy.Hierarchy{hierarchy.Flat(3), hierarchy.Flat(2)}
+	schema := table.MustSchema(
+		table.MustAttribute("A", []string{"x", "y", "z"}),
+		table.MustAttribute("B", []string{"p", "q"}),
+	)
+	s, err := cluster.NewSpace(hiers, loss.NewLM(hiers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := table.New(schema)
+	tbl.MustAppend(table.Record{0, 0})
+	tbl.MustAppend(table.Record{1, 0})
+	tbl.MustAppend(table.Record{2, 1})
+	g := table.NewGen(schema, 3)
+	for i := range g.Records {
+		g.Records[i][0] = hiers[0].LeafOf(0)
+		g.Records[i][1] = hiers[1].Root()
+	}
+	if bipartite.HasPerfectMatching(anonymity.BuildGraph(s, tbl, g)) {
+		t.Fatal("fixture should have no perfect matching")
+	}
+	assertAuditMatchesOracle(t, "no-perfect-matching", s, tbl, g, 2, []int{0, 1, 0})
+	if rep := anonymity.Check(s, tbl, g, 1); rep.MinMatches != 0 || rep.Global1K {
+		t.Errorf("Check = %+v, want no matches", rep)
+	}
+}
+
+// TestIntersectionShuffledIDs runs the intersection attack over three
+// overlapping releases whose individual ids are shuffled, sparse and not in
+// position order, against the oracle.
+func TestIntersectionShuffledIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	s, tbl, g, _ := randomAudit(rng, 3, 40, 90)
+	n := tbl.Len()
+	// Individual p has id 1000 + 7·perm[p]: sparse and shuffled.
+	perm := rng.Perm(n)
+	id := func(p int) int { return 1000 + 7*perm[p] }
+	sensitive := make([]int, 1000+7*n)
+	for i := range sensitive {
+		sensitive[i] = rng.Intn(2)
+	}
+	var releases []attack.Release
+	for _, window := range [][2]int{{0, 60}, {20, 80}, {35, 90}} {
+		rel := attack.Release{Space: s, Tbl: table.New(tbl.Schema), Gen: table.NewGen(g.Schema, 0)}
+		// Each release lists its individuals in its own shuffled order.
+		for _, p := range rng.Perm(window[1] - window[0]) {
+			p += window[0]
+			rel.Tbl.MustAppend(tbl.Records[p])
+			rel.Gen.Records = append(rel.Gen.Records, g.Records[p].Clone())
+			rel.IDs = append(rel.IDs, id(p))
+		}
+		releases = append(releases, rel)
+	}
+	got, err := attack.SimulateIntersection(releases, sensitive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := naiveIntersection(releases, sensitive)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("SimulateIntersection = %+v, oracle %+v", got, want)
+	}
+	three := 0
+	for _, o := range got {
+		if o.Releases == 3 {
+			three++
+		}
+	}
+	if len(got) != n || three != 25 {
+		t.Errorf("%d individuals, %d in all three releases; want %d and 25", len(got), three, n)
+	}
+}
+
+// FuzzConsistencyGraph compares the audit with the naive oracle on random
+// hierarchies and releases of up to 200 records.
+func FuzzConsistencyGraph(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(10), uint8(30), uint8(2))
+	f.Add(int64(2), uint8(1), uint8(64), uint8(100), uint8(3))
+	f.Add(int64(3), uint8(5), uint8(129), uint8(200), uint8(5))
+	f.Add(int64(4), uint8(2), uint8(1), uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, attrsRaw, classesRaw, nRaw, kRaw uint8) {
+		attrs := 1 + int(attrsRaw)%5
+		classes := 1 + int(classesRaw)%200
+		n := max(classes, int(nRaw)%201)
+		k := 1 + int(kRaw)%6
+		rng := rand.New(rand.NewSource(seed))
+		s, tbl, g, sensitive := randomAudit(rng, attrs, classes, n)
+		assertAuditMatchesOracle(t, fmt.Sprintf("seed=%d attrs=%d n=%d", seed, attrs, tbl.Len()), s, tbl, g, k, sensitive)
+	})
+}
+
+// auditSink keeps the benchmarked Check calls from being optimised away.
+var auditSink anonymity.Report
+
+var auditBench struct {
+	once sync.Once
+	f    auditFixture
+	g    *table.GenTable
+}
+
+// auditBenchRelease is the k=10 release of ADT n=5000 that BenchmarkAudit
+// and BenchmarkAuditRef audit, made once per process.
+func auditBenchRelease(b *testing.B) (auditFixture, *table.GenTable) {
+	auditBench.once.Do(func() {
+		auditBench.f = newAuditFixture(b, datagen.Adult(5000, 1))
+		auditBench.g = auditBench.f.release(b, "k", 10)
+	})
+	return auditBench.f, auditBench.g
+}
+
+// BenchmarkAudit is the audit of a k-anonymous release — Check plus
+// EvaluateAttacks, the work of kanon's -verify and -attack — on ADT n=5000,
+// k=10. BenchmarkAuditRef runs the naive oracle on the same release, so the
+// in-run ratio is the speed-up of building the graphs from row classes.
+func BenchmarkAudit(b *testing.B) {
+	f, g := auditBenchRelease(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		auditSink = anonymity.Check(f.s, f.ds.Table, g, 10)
+		if _, err := EvaluateAttacks(f.s, f.ds.Table, g, 10, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAuditRef(b *testing.B) {
+	f, g := auditBenchRelease(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		auditSink = naiveCheck(f.s, f.ds.Table, g, 10)
+		naiveEvaluateAttacks(b, f.s, f.ds.Table, g, 10, nil)
+	}
+}
