@@ -35,6 +35,14 @@ type Space struct {
 	// hierarchy exceeds hierarchy.LCATableBudget; the kernel walks those.
 	fusedOnce sync.Once
 	fused     [][]float64
+
+	// Root-path cost envelopes and their fused tables, built under
+	// fusedOnce: env[j][x] is the least cost over the ancestors-or-self
+	// of x, and bound[j][u*nn+v] = env[j][LCA(u,v)] (LCABoundRow). When an
+	// attribute's costs never fall along a root path, env[j] is costs[j]
+	// and bound[j] is fused[j], shared rather than copied.
+	env   [][]float64
+	bound [][]float64
 }
 
 // NewSpace validates that the hierarchies and measure agree on the number
@@ -65,21 +73,55 @@ func (s *Space) CostAt(j, node int) float64 { return s.costs[j][node] }
 // concurrent callers; the tables must not be modified.
 func (s *Space) fusedTables() [][]float64 {
 	s.fusedOnce.Do(func() {
-		fused := make([][]float64, len(s.Hiers))
+		r := len(s.Hiers)
+		s.fused = make([][]float64, r)
+		s.env = make([][]float64, r)
+		s.bound = make([][]float64, r)
 		for j, h := range s.Hiers {
+			env, monotone := rootEnvelope(h, s.costs[j])
+			s.env[j] = env
 			lt := h.LCATable()
 			if lt == nil {
 				continue
 			}
-			t := make([]float64, len(lt))
-			for idx, node := range lt {
-				t[idx] = s.costs[j][node]
+			s.fused[j] = fuseCosts(lt, s.costs[j])
+			if monotone {
+				s.bound[j] = s.fused[j]
+			} else {
+				s.bound[j] = fuseCosts(lt, env)
 			}
-			fused[j] = t
 		}
-		s.fused = fused
 	})
 	return s.fused
+}
+
+// fuseCosts maps an LCA table through a per-node cost array.
+func fuseCosts(lt []int32, cost []float64) []float64 {
+	t := make([]float64, len(lt))
+	for idx, node := range lt {
+		t[idx] = cost[node]
+	}
+	return t
+}
+
+// rootEnvelope returns env[x] = min cost over the ancestors-or-self of x,
+// and whether it equals cost everywhere (no node costs more than an
+// ancestor), in which case cost itself is returned.
+func rootEnvelope(h *hierarchy.Hierarchy, cost []float64) ([]float64, bool) {
+	env := make([]float64, len(cost))
+	monotone := true
+	for x := range env {
+		m := cost[x]
+		for y := h.Parent(x); y >= 0; y = h.Parent(y) {
+			m = min(m, cost[y])
+		}
+		env[x] = m
+		monotone = monotone && m == cost[x]
+	}
+	if monotone {
+		return cost, true
+	}
+	return env, false
 }
 
 // LCACostRow returns the fused cost row of node u for attribute a:
@@ -108,6 +150,31 @@ func (s *Space) LCACostRow(a, u int, buf []float64) []float64 {
 	buf = buf[:nn]
 	for v := range buf {
 		buf[v] = s.costs[a][h.LCA(u, v)]
+	}
+	return buf
+}
+
+// LCABoundRow is LCACostRow's lower envelope: row[v] is the least
+// CostAt(a, x) over the ancestors-or-self x of LCA(u, v). For any node w
+// above u, LCA(w, v) is an ancestor-or-self of LCA(u, v), so
+// row[v] ≤ CostAt(a, LCA(w, v)): the row bounds from below the cost of
+// widening every generalization of u to v, even under a measure whose
+// cost falls along some root path. When the attribute's costs never fall
+// along a root path the row is LCACostRow's. Tabling, buffer reuse and
+// concurrency follow LCACostRow.
+func (s *Space) LCABoundRow(a, u int, buf []float64) []float64 {
+	h := s.Hiers[a]
+	nn := h.NumNodes()
+	s.fusedTables()
+	if t := s.bound[a]; t != nil {
+		return t[u*nn : (u+1)*nn : (u+1)*nn]
+	}
+	if cap(buf) < nn {
+		buf = make([]float64, nn)
+	}
+	buf = buf[:nn]
+	for v := range buf {
+		buf[v] = s.env[a][h.LCA(u, v)]
 	}
 	return buf
 }

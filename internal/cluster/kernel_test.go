@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -212,6 +213,95 @@ func TestLCACostRow(t *testing.T) {
 				buf = row
 			}
 		}
+	}
+}
+
+// dipCosts raises the cost of every internal non-root node by 1 over an LM
+// base. LM costs lie in [0, 1], so each such node costs more than the root
+// above it: the measure's costs fall along root paths.
+type dipCosts struct {
+	loss.Measure
+	hiers []*hierarchy.Hierarchy
+}
+
+func (m dipCosts) Cost(j, u int) float64 {
+	h := m.hiers[j]
+	if !h.IsLeaf(u) && u != h.Root() {
+		return m.Measure.Cost(j, u) + 1
+	}
+	return m.Measure.Cost(j, u)
+}
+
+// TestLCABoundRow checks the envelope rows on tabled attributes, on the
+// over-budget walk-up fill, and their aliasing of the cost rows when costs
+// never fall along a root path. Every entry is the least cost on the root
+// path of LCA(u, v), never above the cost of widening u or any of its
+// ancestors to v.
+func TestLCABoundRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	small, _ := randomSpace(t, rng, 10)
+	wide, _ := overBudgetSpace(t, rng, 10)
+	dip := func(s *Space) *Space {
+		d, err := NewSpace(s.Hiers, dipCosts{s.Measure, s.Hiers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	var aliased, tabledDip, walkedDip int
+	for _, s := range []*Space{small, wide, dip(small), dip(wide)} {
+		for a, h := range s.Hiers {
+			monotone := true
+			for x := 0; x < h.NumNodes(); x++ {
+				if p := h.Parent(x); p >= 0 && s.CostAt(a, p) < s.CostAt(a, x) {
+					monotone = false
+				}
+			}
+			tabled := s.fusedTables()[a] != nil
+			var buf, costBuf []float64
+			for u := 0; u < h.NumNodes(); u += 1 + h.NumNodes()/40 {
+				row := s.LCABoundRow(a, u, buf)
+				cost := s.LCACostRow(a, u, costBuf)
+				if len(row) != h.NumNodes() {
+					t.Fatalf("attr %d node %d: row length %d, want %d", a, u, len(row), h.NumNodes())
+				}
+				for v := range row {
+					want := math.Inf(1)
+					for x := h.LCA(u, v); x >= 0; x = h.Parent(x) {
+						want = min(want, s.CostAt(a, x))
+					}
+					if row[v] != want {
+						t.Fatalf("attr %d: bound(%d)[%d] = %v, want %v", a, u, v, row[v], want)
+					}
+					for w := u; w >= 0; w = h.Parent(w) {
+						if c := s.CostAt(a, h.LCA(w, v)); row[v] > c {
+							t.Fatalf("attr %d: bound(%d)[%d] = %v above the cost %v of widening ancestor %d", a, u, v, row[v], c, w)
+						}
+					}
+				}
+				switch {
+				case tabled && monotone:
+					if &row[0] != &cost[0] {
+						t.Fatalf("attr %d: monotone costs, but the bound row is not the cost row", a)
+					}
+					aliased++
+				case tabled:
+					if &row[0] == &cost[0] {
+						t.Fatalf("attr %d: costs fall along a root path, but the bound row is the cost row", a)
+					}
+					tabledDip++
+				case !monotone:
+					walkedDip++
+				}
+				if !tabled && buf != nil && &row[0] != &buf[0] {
+					t.Fatalf("attr %d: walk-up fill did not reuse the buffer", a)
+				}
+				buf, costBuf = row, cost
+			}
+		}
+	}
+	if aliased == 0 || tabledDip == 0 || walkedDip == 0 {
+		t.Fatalf("cases not all covered: aliased=%d tabled-dip=%d walked-dip=%d", aliased, tabledDip, walkedDip)
 	}
 }
 

@@ -71,11 +71,68 @@ func overBudgetCoreSpace(t testing.TB, rng *rand.Rand, n int, measure string) (*
 	return measureSpace(t, tbl, []*hierarchy.Hierarchy{hw, hb}, measure), tbl
 }
 
+// dipMeasure is a measure whose cost falls along a root path: every
+// two-value node of attribute 0 costs 0.2 more than its parent, so
+// widening a closure past it makes the closure cheaper. A raw LCA cost is
+// then no lower bound on later growth steps of Algorithm 4, and only the
+// root-path envelope (cluster.Space.LCABoundRow) keeps its scan exact.
+type dipMeasure struct {
+	loss.Measure
+	h *hierarchy.Hierarchy
+}
+
+func (m dipMeasure) Cost(j, node int) float64 {
+	if j == 0 && m.h.Size(node) == 2 {
+		return m.Measure.Cost(0, m.h.Parent(node)) + 0.2
+	}
+	return m.Measure.Cost(j, node)
+}
+
+// dipSpace builds a sparse 3-attribute table (256 value combinations, so
+// few duplicates and many closures that widen) under dipMeasure over the
+// named base measure.
+func dipSpace(t testing.TB, rng *rand.Rand, n int, measure string) (*cluster.Space, *table.Table) {
+	t.Helper()
+	names := func(m int) []string {
+		out := make([]string, m)
+		for i := range out {
+			out[i] = fmt.Sprint(i)
+		}
+		return out
+	}
+	schema := table.MustSchema(
+		table.MustAttribute("a", names(8)),
+		table.MustAttribute("b", names(16)),
+		table.MustAttribute("c", names(2)),
+	)
+	tbl := table.New(schema)
+	for i := 0; i < n; i++ {
+		tbl.MustAppend(table.Record{rng.Intn(8), rng.Intn(16), rng.Intn(2)})
+	}
+	ha, err := hierarchy.Intervals(8, []int{2, 4}, "*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, err := hierarchy.Intervals(16, []int{4, 8}, "*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := measureSpace(t, tbl, []*hierarchy.Hierarchy{ha, hb, hierarchy.Flat(2)}, measure)
+	s, err := cluster.NewSpace(base.Hiers, dipMeasure{base.Measure, ha})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, tbl
+}
+
 // equivInput builds one dataset of the matrix: "adt", "art", "test" (the
-// 3-attribute testSpace) or "wide" (over the LCA-table budget).
+// 3-attribute testSpace), "dip" (dipSpace, under dipMeasure) or "wide"
+// (over the LCA-table budget).
 func equivInput(t *testing.T, dataset, measure string, n int, seed int64) (*cluster.Space, *table.Table) {
 	t.Helper()
 	switch dataset {
+	case "dip":
+		return dipSpace(t, rand.New(rand.NewSource(seed)), n, measure)
 	case "adt", "art":
 		ds := datagen.Adult(n, seed)
 		if dataset == "art" {
@@ -118,9 +175,32 @@ func assertSameCounters(t *testing.T, label string, want, got obs.RunStats) {
 	}
 }
 
+// assertBoundedEvals checks Algorithm 4's core.k1.scan_evals, the one
+// counter that is not oracle-equal: the bound-ordered scan adds n−1 bound
+// sums per record and prices exactly only the candidates that can still
+// win, so it must stay within k/(k−1) of the oracle's full sweeps. Both
+// counters are removed from the maps so the rest compare exactly.
+func assertBoundedEvals(t *testing.T, label string, k int, want, got obs.RunStats) {
+	t.Helper()
+	const name = PhaseK1 + ".scan_evals"
+	w, g := want.Counters[name], got.Counters[name]
+	delete(want.Counters, name)
+	delete(got.Counters, name)
+	if k == 1 {
+		if g != w {
+			t.Fatalf("%s: %s = %d at k=1, oracle %d", label, name, g, w)
+		}
+		return
+	}
+	if float64(g) > float64(k)/float64(k-1)*float64(w) {
+		t.Fatalf("%s: %s = %d, above k/(k−1) × the oracle's %d", label, name, g, w)
+	}
+}
+
 // checkCoreEquivalence runs Algorithms 3, 4, 5 (plain and constrained), 6
 // and the forest baseline on (s, tbl) and requires each to match the
-// oracle in output bytes, errors and counters.
+// oracle in output bytes, errors and counters (Algorithm 4's scan_evals
+// within assertBoundedEvals' bound).
 func checkCoreEquivalence(t *testing.T, label string, s *cluster.Space, tbl *table.Table, k, workers int) {
 	t.Helper()
 	type stage struct {
@@ -147,6 +227,9 @@ func checkCoreEquivalence(t *testing.T, label string, s *cluster.Space, tbl *tab
 			return nil
 		}
 		assertSameGen(t, l, want, got)
+		if st.name == "alg4" {
+			assertBoundedEvals(t, l, k, wantStats, gotStats)
+		}
 		assertSameCounters(t, l, wantStats, gotStats)
 		return got
 	}
@@ -200,13 +283,14 @@ func checkCoreEquivalence(t *testing.T, label string, s *cluster.Space, tbl *tab
 }
 
 // TestCoreScansMatchOracle is the equivalence matrix: datasets {ADT, ART,
-// testSpace} × measures {entropy, LM} × k {2, 5, 10} × workers {1, 4}.
+// testSpace, testSpace with a cost dip} × measures {entropy, LM} ×
+// k {2, 5, 10} × workers {1, 4}.
 func TestCoreScansMatchOracle(t *testing.T) {
 	n := 200
 	if testing.Short() {
 		n = 80
 	}
-	for _, dataset := range []string{"adt", "art", "test"} {
+	for _, dataset := range []string{"adt", "art", "test", "dip"} {
 		for _, measure := range []string{"entropy", "lm"} {
 			s, tbl := equivInput(t, dataset, measure, n, 5)
 			for _, k := range []int{2, 5, 10} {
@@ -227,6 +311,62 @@ func TestCoreScansMatchOracleOverBudget(t *testing.T) {
 		s, tbl := equivInput(t, "wide", measure, 120, 3)
 		for _, workers := range []int{1, 4} {
 			checkCoreEquivalence(t, fmt.Sprintf("wide/%s k=5 workers=%d", measure, workers), s, tbl, 5, workers)
+		}
+	}
+}
+
+// TestK1ExpandFlatBound runs Algorithm 4 where the bounds order nothing:
+// all-duplicate records (every bound and cost equal) and single-level
+// hierarchies (bounds and costs in {0, 1/r, …, 1}, heavily tied). The
+// output must still match the oracle, and no record may take more than
+// k·(n−1) row sums, the bound pass included.
+func TestK1ExpandFlatBound(t *testing.T) {
+	const n = 60
+	rng := rand.New(rand.NewSource(8))
+	dupS, dup := testSpace(t, rng, n, "lm")
+	for i := range dup.Records {
+		copy(dup.Records[i], dup.Records[0])
+	}
+	flatHiers := []*hierarchy.Hierarchy{hierarchy.Flat(3), hierarchy.Flat(2), hierarchy.Flat(4)}
+	flat := table.New(table.MustSchema(
+		table.MustAttribute("a", []string{"0", "1", "2"}),
+		table.MustAttribute("b", []string{"0", "1"}),
+		table.MustAttribute("c", []string{"0", "1", "2", "3"}),
+	))
+	for i := 0; i < n; i++ {
+		flat.MustAppend(table.Record{rng.Intn(3), rng.Intn(2), rng.Intn(4)})
+	}
+	cases := []struct {
+		name string
+		s    *cluster.Space
+		tbl  *table.Table
+	}{
+		{"duplicates", dupS, dup},
+		{"flat/lm", measureSpace(t, flat, flatHiers, "lm"), flat},
+		{"flat/entropy", measureSpace(t, flat, flatHiers, "entropy"), flat},
+	}
+	for _, c := range cases {
+		for _, k := range []int{2, 5, 10} {
+			want, err := refK1Expand(context.Background(), c.s, c.tbl, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s k=%d", c.name, k)
+			got, err := K1ExpandCtx(context.Background(), c.s, c.tbl, k, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameGen(t, label, want, got)
+			sc := newExpandScan(c.s, n)
+			out := make(table.GenRecord, c.s.NumAttrs())
+			for i := 0; i < n; i++ {
+				if evals := sc.grow(c.tbl, i, k, out); evals > int64(k*(n-1)) {
+					t.Fatalf("%s: record %d took %d row sums, above k·(n−1) = %d", label, i, evals, k*(n-1))
+				}
+				if !out.Equal(want.Records[i]) {
+					t.Fatalf("%s: record %d is %v, oracle %v", label, i, out, want.Records[i])
+				}
+			}
 		}
 	}
 }
@@ -274,10 +414,11 @@ func FuzzCoreEquivalence(f *testing.F) {
 	f.Add(int64(2), uint8(90), uint8(9), uint8(1), true, uint8(4))
 	f.Add(int64(3), uint8(25), uint8(2), uint8(2), true, uint8(2))
 	f.Add(int64(4), uint8(30), uint8(5), uint8(3), false, uint8(3))
+	f.Add(int64(5), uint8(198), uint8(4), uint8(4), true, uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, nb, kb, dsb uint8, lm bool, wb uint8) {
 		n := 2 + int(nb)%199
 		k := 1 + int(kb)%min(n, 12)
-		dataset := []string{"adt", "art", "test", "wide"}[int(dsb)%4]
+		dataset := []string{"adt", "art", "test", "wide", "dip"}[int(dsb)%5]
 		measure := "entropy"
 		if lm {
 			measure = "lm"

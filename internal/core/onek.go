@@ -49,8 +49,9 @@ func Make1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g *table
 		}
 		fault.Inject(SiteMake1KRecord)
 		ri := tbl.Records[i]
+		// The exact count matters only below k: stop once it reaches k.
 		consistent := 0
-		for j := 0; j < n; j++ {
+		for j := 0; j < n && consistent < k; j++ {
 			if s.Consistent(ri, g.Records[j]) {
 				consistent++
 			}

@@ -49,7 +49,8 @@ type Config struct {
 	// handed down to the parallel engines inside each run; 0 sizes the pool
 	// to the machine. Any value produces identical results.
 	Workers int
-	// Log, when non-nil, receives one line per completed run. It is
+	// Log, when non-nil, receives one line per completed run. Writes are
+	// serialized, so it need not be safe for concurrent use. It is
 	// excluded from JSON output.
 	Log io.Writer `json:"-"`
 	// Deterministic zeroes every wall-clock field of the output (Run.Millis,
@@ -226,8 +227,14 @@ func newSpace(ds *datagen.Dataset, m MeasureKind) (*cluster.Space, loss.Measure,
 	return s, meas, nil
 }
 
+// logMu serializes writes to Config.Log: the runs of a block log from the
+// pool's workers, and the writer need not be safe for concurrent use.
+var logMu sync.Mutex
+
 func (c Config) logf(format string, args ...interface{}) {
 	if c.Log != nil {
+		logMu.Lock()
+		defer logMu.Unlock()
 		fmt.Fprintf(c.Log, format+"\n", args...)
 	}
 }
