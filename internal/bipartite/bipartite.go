@@ -11,6 +11,10 @@
 // and unmatched edges left→right, and observes that an unmatched edge lies
 // in some perfect matching iff its endpoints share a strongly connected
 // component — a single Tarjan SCC pass, O(n + m) after the matching.
+//
+// Growing serves a graph that only gains edges, as Algorithm 6's does: it
+// keeps the one perfect matching of its first SCC pass and finds a node's
+// matches by a search from that node (growing.go).
 package bipartite
 
 import (
@@ -109,9 +113,10 @@ const inf = int(^uint(0) >> 1)
 
 // Matcher computes maximum matchings and matches in working memory it keeps
 // between calls, so a caller that recomputes the matches after every small
-// change of a graph (Algorithm 6 does, once per widening step) stops
-// allocating once the buffers have grown to the graph's size. The zero
-// value is ready to use. A Matcher is not safe for concurrent use.
+// change of a graph stops allocating once the buffers have grown to the
+// graph's size. (A graph that only gains edges needs no recomputation; see
+// Growing.) The zero value is ready to use. A Matcher is not safe for
+// concurrent use.
 type Matcher struct {
 	matchL, matchR, dist, queue []int
 	// The directed graph of the SCC pass in compressed rows: the successors

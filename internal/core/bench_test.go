@@ -6,6 +6,7 @@ import (
 	"kanon/internal/cluster"
 	"kanon/internal/datagen"
 	"kanon/internal/loss"
+	"kanon/internal/table"
 )
 
 func benchSpace(b *testing.B, n int) (*cluster.Space, *datagen.Dataset) {
@@ -105,6 +106,51 @@ func BenchmarkMakeGlobal1K500(b *testing.B) {
 		g := gkk.Clone()
 		b.StartTimer()
 		if _, _, err := MakeGlobal1K(s, ds.Table, g, 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMakeGlobal1KART3000 is Algorithm 6 on the (k,k) release of ART
+// n=3000, k=5 under the entropy measure: the upgrade stage of the
+// global-art3k workload of bench/. Its reference,
+// BenchmarkMakeGlobal1KART3000Ref, runs the oracle of ref_test.go, which
+// recomputes every match after each widening step, on the same input, so
+// the in-run ratio is the speedup of the growing consistency graph.
+func BenchmarkMakeGlobal1KART3000(b *testing.B) {
+	benchGlobal1KART3000(b, func(s *cluster.Space, tbl *table.Table, g *table.GenTable) error {
+		_, _, err := MakeGlobal1KCtx(nil, s, tbl, g, 5)
+		return err
+	})
+}
+
+func BenchmarkMakeGlobal1KART3000Ref(b *testing.B) {
+	benchGlobal1KART3000(b, func(s *cluster.Space, tbl *table.Table, g *table.GenTable) error {
+		_, _, err := refMakeGlobal1K(nil, s, tbl, g, 5)
+		return err
+	})
+}
+
+func benchGlobal1KART3000(b *testing.B, run func(*cluster.Space, *table.Table, *table.GenTable) error) {
+	ds := datagen.ART(3000, 42)
+	em, err := loss.NewEntropy(ds.Table, ds.Hiers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := cluster.NewSpace(ds.Hiers, em)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gkk, err := KKAnonymize(s, ds.Table, 5, K1ByExpansion)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		g := gkk.Clone()
+		b.StartTimer()
+		if err := run(s, ds.Table, g); err != nil {
 			b.Fatal(err)
 		}
 	}

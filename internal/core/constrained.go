@@ -92,7 +92,9 @@ func Make1KConstrainedCtx(ctx context.Context, s *cluster.Space, tbl *table.Tabl
 
 	o := obs.From(ctx)
 	defer o.Phase(PhaseMake1K)()
+	x := newConsIndex(s, g)
 	rows := newCostRows(s)
+	var members, cands []int
 	// violated collects, per round, the bounds the current candidate set
 	// fails; improvesAny asks whether widening record j would strictly
 	// improve any of them.
@@ -115,19 +117,15 @@ func Make1KConstrainedCtx(ctx context.Context, s *cluster.Space, tbl *table.Tabl
 		rows.load(ri)
 		widened := int64(0)
 		for {
-			consistent := 0
+			consistent := x.rowsOf(ri)
+			members = appendSet(members[:0], consistent)
 			for _, b := range bound {
 				b.Reset()
-			}
-			for j := 0; j < n; j++ {
-				if s.Consistent(ri, g.Records[j]) {
-					consistent++
-					for _, b := range bound {
-						b.Add(j)
-					}
+				for _, j := range members {
+					b.Add(j)
 				}
 			}
-			needCount := consistent < k
+			needCount := len(members) < k
 			violated = violated[:0]
 			for _, b := range bound {
 				if !b.Satisfied() {
@@ -143,12 +141,10 @@ func Make1KConstrainedCtx(ctx context.Context, s *cluster.Space, tbl *table.Tabl
 			// short. This reproduces the diversity-aware heuristic of the
 			// legacy Make1KDiverse exactly for DistinctLDiversity, where
 			// Improves(j) ⟺ the candidate carries a new sensitive value.
+			cands = appendClear(cands[:0], consistent, n)
 			bestJ, bestDelta := -1, math.Inf(1)
-			for j := 0; j < n; j++ {
+			for _, j := range cands {
 				gj := g.Records[j]
-				if s.Consistent(ri, gj) {
-					continue
-				}
 				if len(violated) > 0 && !needCount && !improvesAny(j) {
 					continue
 				}
@@ -168,11 +164,8 @@ func Make1KConstrainedCtx(ctx context.Context, s *cluster.Space, tbl *table.Tabl
 				// the whole table, which satisfies every bound constraint.
 				// Unreachable for distinct ℓ-diversity, where a missing value
 				// always has a non-consistent, improving carrier.
-				for j := 0; j < n; j++ {
+				for _, j := range cands {
 					gj := g.Records[j]
-					if s.Consistent(ri, gj) {
-						continue
-					}
 					if delta := rows.widenDelta(gj, gj); delta < bestDelta {
 						bestJ, bestDelta = j, delta
 					}
@@ -182,7 +175,7 @@ func Make1KConstrainedCtx(ctx context.Context, s *cluster.Space, tbl *table.Tabl
 				return nil, fmt.Errorf("core: record %d cannot reach (k=%d, constraints=%s): no admissible widening",
 					i, k, constraintNames(active))
 			}
-			widen(s, g.Records[bestJ], ri)
+			x.widen(bestJ, ri)
 			widened++
 		}
 		if widened > 0 {

@@ -197,10 +197,33 @@ func assertBoundedEvals(t *testing.T, label string, k int, want, got obs.RunStat
 	}
 }
 
+// assertOneMatching checks Algorithm 6's matching counters, the ones that
+// differ from the oracle by design: production runs Hopcroft–Karp once per
+// release and then searches for matches (core.global.search_visits), while
+// the oracle recomputes every match after each of its steps. Both counters
+// are removed from the maps so the rest compare exactly.
+func assertOneMatching(t *testing.T, label string, want, got obs.RunStats) {
+	t.Helper()
+	const matchings, visits = PhaseGlobal + ".matchings", PhaseGlobal + ".search_visits"
+	if g := got.Counters[matchings]; g != 1 {
+		t.Fatalf("%s: %s = %d, want 1", label, matchings, g)
+	}
+	if w, steps := want.Counters[matchings], want.Counters[PhaseGlobal+".steps"]; w != 1+steps {
+		t.Fatalf("%s: oracle %s = %d, want 1 + %d steps", label, matchings, w, steps)
+	}
+	if _, ok := got.Counters[visits]; !ok {
+		t.Fatalf("%s: no %s counter", label, visits)
+	}
+	delete(want.Counters, matchings)
+	delete(got.Counters, matchings)
+	delete(got.Counters, visits)
+}
+
 // checkCoreEquivalence runs Algorithms 3, 4, 5 (plain and constrained), 6
 // and the forest baseline on (s, tbl) and requires each to match the
 // oracle in output bytes, errors and counters (Algorithm 4's scan_evals
-// within assertBoundedEvals' bound).
+// within assertBoundedEvals' bound, Algorithm 6's matching counters as
+// assertOneMatching requires).
 func checkCoreEquivalence(t *testing.T, label string, s *cluster.Space, tbl *table.Table, k, workers int) {
 	t.Helper()
 	type stage struct {
@@ -227,8 +250,11 @@ func checkCoreEquivalence(t *testing.T, label string, s *cluster.Space, tbl *tab
 			return nil
 		}
 		assertSameGen(t, l, want, got)
-		if st.name == "alg4" {
+		switch st.name {
+		case "alg4":
 			assertBoundedEvals(t, l, k, wantStats, gotStats)
+		case "alg6":
+			assertOneMatching(t, l, wantStats, gotStats)
 		}
 		assertSameCounters(t, l, wantStats, gotStats)
 		return got

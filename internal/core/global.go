@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"kanon/internal/bipartite"
 	"kanon/internal/cluster"
@@ -47,10 +46,15 @@ func MakeGlobal1K(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) 
 }
 
 // MakeGlobal1KCtx is MakeGlobal1K under a context: cancellation is checked
-// before every record and every widening step (the matching rebuild is the
-// expensive unit of work), returning ctx.Err(). Like Make1KCtx, a cancelled
-// call leaves g partially widened — discard g on error. A nil ctx disables
-// cancellation.
+// while the consistency graph is built and before every widening step,
+// returning ctx.Err(). Like Make1KCtx, a cancelled call leaves g partially
+// widened — discard g on error. A nil ctx disables cancellation.
+//
+// The graph is built once, from a consIndex, and one Hopcroft–Karp pass
+// finds its perfect matching. Widening only adds edges, so that matching
+// stays perfect and a match stays a match. Only records deficient at the
+// start are revisited, each by a match search of its own
+// (bipartite.Growing) rather than a new matching.
 func MakeGlobal1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) (*table.GenTable, Global1KStats, error) {
 	var stats Global1KStats
 	n := tbl.Len()
@@ -69,45 +73,57 @@ func MakeGlobal1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g 
 	o := obs.From(ctx)
 	defer o.Phase(PhaseGlobal)()
 	// adj[u] lists, ascending, the j with R_u consistent with R̄_j: the
-	// consistency graph. Widening R̄_i only adds consistencies, so each step
-	// inserts i into the lists that gain it instead of rebuilding the graph.
+	// consistency graph. The lists share one exactly sized array until an
+	// insertion moves a list to an array of its own.
+	x := newConsIndex(s, g)
+	edges := 0
+	for _, r := range tbl.Records {
+		edges += count(x.rowsOf(r))
+	}
 	adj := make([][]int, n)
-	for u := 0; u < n; u++ {
+	buf := make([]int, 0, edges)
+	for u, r := range tbl.Records {
 		if ctxDone(ctx) {
 			return nil, stats, ctx.Err()
 		}
-		for j := 0; j < n; j++ {
-			if s.Consistent(tbl.Records[u], g.Records[j]) {
-				adj[u] = append(adj[u], j)
-			}
-		}
+		start := len(buf)
+		buf = appendSet(buf, x.rowsOf(r))
+		adj[u] = buf[start:len(buf):len(buf)]
 	}
-	var matcher bipartite.Matcher
-	allowed, err := matcher.AllowedEdges(bipartite.FromAdjacency(n, adj))
+	graph, allowed, err := bipartite.NewGrowing(n, adj)
 	if err != nil {
 		return nil, stats, fmt.Errorf("core: consistency graph has no perfect matching: %w", err)
 	}
 	o.Counter("core.global.matchings", 1)
+	// Match sets only grow, so only the records deficient now are ever
+	// widened.
 	stats.InitialMinMatches = math.MaxInt
-	for i := 0; i < n; i++ {
-		if len(allowed[i]) < stats.InitialMinMatches {
-			stats.InitialMinMatches = len(allowed[i])
-		}
-		if len(allowed[i]) < k {
-			stats.DeficientRecords++
+	var deficient []int
+	for i, ms := range allowed {
+		stats.InitialMinMatches = min(stats.InitialMinMatches, len(ms))
+		if len(ms) < k {
+			deficient = append(deficient, i)
 		}
 	}
+	stats.DeficientRecords = len(deficient)
 	rows := newCostRows(s)
 	isMatch := make([]bool, n)
-	for i := 0; i < n; i++ {
+	visits := int64(0)
+	for _, i := range deficient {
 		steps := 0
-		for len(allowed[i]) < k {
+		for {
+			// Fewer than k matches are exactly all of them.
+			matches, visited := graph.Matches(i, k)
+			visits += int64(visited)
+			if len(matches) >= k {
+				break
+			}
 			if ctxDone(ctx) {
 				return nil, stats, ctx.Err()
 			}
 			fault.Inject(SiteGlobalStep)
 			// Non-match neighbours of R_i.
-			for _, v := range allowed[i] {
+			for _, v := range matches {
 				isMatch[v] = true
 			}
 			// Widen R̄_i to also cover the neighbour's original R_j: each
@@ -115,7 +131,7 @@ func MakeGlobal1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g 
 			gi := g.Records[i]
 			rows.load(gi)
 			bestJ, bestDelta := -1, math.Inf(1)
-			for _, j := range adj[i] {
+			for _, j := range graph.Neighbors(i) {
 				if isMatch[j] {
 					continue
 				}
@@ -123,27 +139,22 @@ func MakeGlobal1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g 
 					bestJ, bestDelta = j, delta
 				}
 			}
-			for _, v := range allowed[i] {
+			for _, v := range matches {
 				isMatch[v] = false
 			}
 			if bestJ < 0 {
-				return nil, stats, fmt.Errorf("core: record %d has no non-match neighbour to widen towards (matches %d < k=%d)", i, len(allowed[i]), k)
+				return nil, stats, fmt.Errorf("core: record %d has no non-match neighbour to widen towards (matches %d < k=%d)", i, len(matches), k)
 			}
-			widen(s, gi, tbl.Records[bestJ])
+			x.widen(i, tbl.Records[bestJ])
 			// Right node i of the consistency graph may gain neighbours.
-			for u, nb := range adj {
-				if p, found := slices.BinarySearch(nb, i); !found && s.Consistent(tbl.Records[u], gi) {
-					adj[u] = slices.Insert(nb, p, i)
+			for u, ru := range tbl.Records {
+				if x.has(ru, i) {
+					graph.AddEdge(u, i)
 				}
 			}
 			steps++
 			stats.GeneralizationSteps++
 			o.Event(obs.KindAugment, PhaseGlobal, 1)
-			allowed, err = matcher.AllowedEdges(bipartite.FromAdjacency(n, adj))
-			if err != nil {
-				return nil, stats, fmt.Errorf("core: perfect matching lost after widening (impossible for positional generalizations): %w", err)
-			}
-			o.Counter("core.global.matchings", 1)
 		}
 		if steps > stats.MaxStepsPerRecord {
 			stats.MaxStepsPerRecord = steps
@@ -153,6 +164,7 @@ func MakeGlobal1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g 
 		o.Counter("core.global.deficient", int64(stats.DeficientRecords))
 		o.Counter("core.global.steps", int64(stats.GeneralizationSteps))
 		o.Counter("core.global.min_matches", int64(stats.InitialMinMatches))
+		o.Counter("core.global.search_visits", visits)
 		o.Peak("core.global.max_steps", int64(stats.MaxStepsPerRecord))
 	}
 	return g, stats, nil

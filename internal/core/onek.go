@@ -41,37 +41,34 @@ func Make1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g *table
 	}
 	o := obs.From(ctx)
 	defer o.Phase(PhaseMake1K)()
+	x := newConsIndex(s, g)
 	rows := newCostRows(s)
 	var cheap cheapest
+	var cands []int
 	for i := 0; i < n; i++ {
 		if ctxDone(ctx) {
 			return nil, ctx.Err()
 		}
 		fault.Inject(SiteMake1KRecord)
 		ri := tbl.Records[i]
-		// The exact count matters only below k: stop once it reaches k.
-		consistent := 0
-		for j := 0; j < n && consistent < k; j++ {
-			if s.Consistent(ri, g.Records[j]) {
-				consistent++
-			}
-		}
-		if consistent >= k {
+		consistent := x.rowsOf(ri)
+		have := count(consistent)
+		if have >= k {
 			continue
 		}
 		// Widen the need non-consistent generalized records of least
 		// marginal cost c(R_i + R̄_j) − c(R̄_j), ties to the lower j. There
-		// are at least n − consistent ≥ need of them, since k ≤ n.
-		need := k - consistent
+		// are at least n − have ≥ need of them, since k ≤ n.
+		need := k - have
 		rows.load(ri)
 		cheap.reset(need)
-		for j, gj := range g.Records {
-			if !s.Consistent(ri, gj) {
-				cheap.offer(j, rows.widenDelta(gj, gj))
-			}
+		cands = appendClear(cands[:0], consistent, n)
+		for _, j := range cands {
+			gj := g.Records[j]
+			cheap.offer(j, rows.widenDelta(gj, gj))
 		}
 		for _, c := range cheap.best {
-			widen(s, g.Records[c.j], ri)
+			x.widen(c.j, ri)
 		}
 		// One augmentation per deficient record; N is the number of
 		// generalized records widened to cover it.
