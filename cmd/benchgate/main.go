@@ -1,13 +1,14 @@
 // Command benchgate is the CI bench-smoke regression gate (DESIGN.md §17).
 //
 // It reads a `go test -bench` output file and BENCH_cluster.json, computes
-// the ratio of the lazy heap-path engine time to the same-run reference
-// (kernel-off) time at n=2000, and fails when the ratio exceeds the
-// recorded baseline by more than the allowed regression margin (default
-// 20%). Gating on the in-run ratio rather than absolute ns/op makes the
-// gate independent of the CI machine's clock speed: a slower runner slows
-// both paths alike, while a regression in the heap path moves only the
-// numerator.
+// the ratio of the engine's time at n=2000 to the same run's naive
+// distance evaluation (one LCA-walk dist(A, B), BenchmarkDistKernel's
+// reference leg), and fails when the ratio exceeds the recorded baseline
+// by more than the allowed regression margin (default 20%). Gating on the
+// in-run ratio rather than absolute ns/op makes the gate independent of
+// the CI machine's clock speed: a slower runner slows both alike, while a
+// regression in the engine moves only the numerator. The denominator is
+// pure LCA-walk arithmetic that no engine change touches.
 //
 // Usage:
 //
@@ -25,17 +26,17 @@ import (
 )
 
 const (
-	lazyBench = "BenchmarkAgglomerateWorkers/n=2000/workers=1"
-	refBench  = "BenchmarkAgglomerateKernelOff"
+	engineBench = "BenchmarkAgglomerateWorkers/n=2000/workers=1"
+	refBench    = "BenchmarkDistKernel/reference"
 )
 
 // baselineFile is the slice of BENCH_cluster.json the gate reads.
 type baselineFile struct {
 	CIGate struct {
-		// RatioN2000VsKernelOff is the recorded baseline ratio
-		// lazy(n=2000, workers=1) / kernel-off(n=2000) from the
+		// RatioN2000VsDistReference is the recorded baseline ratio
+		// engine(n=2000, workers=1) / reference dist(A, B) from the
 		// environment BENCH_cluster.json was measured in.
-		RatioN2000VsKernelOff float64 `json:"ratio_n2000_vs_kernel_off"`
+		RatioN2000VsDistReference float64 `json:"ratio_n2000_vs_dist_reference"`
 	} `json:"ci_gate"`
 }
 
@@ -92,7 +93,7 @@ func parseBench(path string, names ...string) (map[string]float64, error) {
 func main() {
 	in := flag.String("in", "", "benchmark output file (go test -bench output)")
 	baseline := flag.String("baseline", "BENCH_cluster.json", "baseline file with the recorded ci_gate ratio")
-	margin := flag.Float64("margin", 0.20, "allowed relative regression of the heap-path ratio")
+	margin := flag.Float64("margin", 0.20, "allowed relative regression of the engine ratio")
 	flag.Parse()
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -in is required")
@@ -109,30 +110,30 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: parsing %s: %v\n", *baseline, err)
 		os.Exit(2)
 	}
-	baseRatio := base.CIGate.RatioN2000VsKernelOff
+	baseRatio := base.CIGate.RatioN2000VsDistReference
 	if baseRatio <= 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: %s has no ci_gate.ratio_n2000_vs_kernel_off\n", *baseline)
+		fmt.Fprintf(os.Stderr, "benchgate: %s has no ci_gate.ratio_n2000_vs_dist_reference\n", *baseline)
 		os.Exit(2)
 	}
 
-	got, err := parseBench(*in, lazyBench, refBench)
+	got, err := parseBench(*in, engineBench, refBench)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(2)
 	}
-	lazy, ok1 := got[lazyBench]
+	engine, ok1 := got[engineBench]
 	ref, ok2 := got[refBench]
 	if !ok1 || !ok2 {
-		fmt.Fprintf(os.Stderr, "benchgate: %s missing %s or %s\n", *in, lazyBench, refBench)
+		fmt.Fprintf(os.Stderr, "benchgate: %s missing %s or %s\n", *in, engineBench, refBench)
 		os.Exit(2)
 	}
 
-	ratio := lazy / ref
+	ratio := engine / ref
 	limit := baseRatio * (1 + *margin)
-	fmt.Printf("benchgate: heap-path ratio %.4f (lazy %.0f ns / reference %.0f ns); baseline %.4f, limit %.4f (+%.0f%%)\n",
-		ratio, lazy, ref, baseRatio, limit, *margin*100)
+	fmt.Printf("benchgate: engine ratio %.0f (engine %.0f ns / reference dist %.2f ns); baseline %.0f, limit %.0f (+%.0f%%)\n",
+		ratio, engine, ref, baseRatio, limit, *margin*100)
 	if ratio > limit {
-		fmt.Fprintf(os.Stderr, "benchgate: FAIL — heap-path n=2000 regressed beyond %.0f%% of the recorded baseline\n", *margin*100)
+		fmt.Fprintf(os.Stderr, "benchgate: FAIL — engine n=2000 regressed beyond %.0f%% of the recorded baseline\n", *margin*100)
 		os.Exit(1)
 	}
 	fmt.Println("benchgate: OK")

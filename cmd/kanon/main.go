@@ -50,14 +50,13 @@ func main() {
 		sensPath   = flag.String("sensitive", "", "file with one sensitive value per record (enables -diversity and -constraint)")
 		autoHier   = flag.Int("auto-hier", 0, "infer interval hierarchies for numeric attributes (base bucket width, 0=off)")
 		workers    = flag.Int("workers", 0, "worker pool size for the parallel anonymizers (0 = all CPUs, 1 = sequential; output is identical)")
-		kernel     = flag.String("kernel", "on", "flat distance kernel for the agglomerative engine: on, off (output is identical)")
 		timeout    = flag.Duration("timeout", 0, "abort the run after this duration (e.g. 30s; 0 = no limit)")
 		maxRec     = flag.Int("max-records", 0, "fail fast when the input has more than this many records (0 = no limit)")
 		stats      = flag.Bool("stats", false, "print the run's statistics (phases, counters, peaks) as JSON on stderr")
 		profile    = flag.String("profile", "", "write cpu.pprof, heap.pprof and trace.out into this directory")
 		maxChunk   = flag.Int("max-chunk", 0, "switch notion=k to the sharded partitioned pipeline with chunks of at most this many records (0 = off)")
 		retries    = flag.Int("retries", 0, "shard attempts per partitioned shard, including the first (0 = default 3; needs -max-chunk)")
-		degraded   = flag.Bool("degraded", true, "complete shards that exhaust their retry budget with the reference engine instead of failing the run (needs -max-chunk)")
+		degraded   = flag.Bool("degraded", true, "complete shards that exhaust their retry budget by a single-worker re-run instead of failing the run (needs -max-chunk)")
 		retrySeed  = flag.Int64("retry-seed", 0, "seed of the deterministic shard-retry backoff schedule (needs -max-chunk)")
 		shardDL    = flag.Duration("shard-deadline", 0, "per-attempt deadline for each partitioned shard (e.g. 30s; 0 = no limit; needs -max-chunk)")
 		shardCkpt  = flag.String("shard-checkpoint", "", "JSONL file of completed-shard checkpoints: existing entries resume the run, new shards are appended (needs -max-chunk)")
@@ -75,7 +74,6 @@ func main() {
 		UseNearest: *nearest,
 		Diversity:  *diversity,
 		Workers:    *workers,
-		NoKernel:   *kernel == "off",
 		MaxChunk:   *maxChunk,
 	}
 	cons, err := kanon.ParseConstraints(*constraint)
@@ -100,12 +98,6 @@ func main() {
 		opt.RetryPolicy = rp
 	}
 	opt.ShardDeadline = *shardDL
-	switch *kernel {
-	case "on", "off":
-	default:
-		fmt.Fprintf(os.Stderr, "kanon: bad -kernel: must be on or off (value %q)\n", *kernel)
-		os.Exit(2)
-	}
 	if *shardCkpt != "" && *maxChunk <= 0 {
 		fmt.Fprintln(os.Stderr, "kanon: bad -shard-checkpoint: requires -max-chunk > 0")
 		os.Exit(2)

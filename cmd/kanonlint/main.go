@@ -1,7 +1,7 @@
 // Command kanonlint runs the project's static-analysis suite
-// (internal/analysis/...): constraintpure, ctxflow, deprecated,
-// determinism, faultsite, leakcheck, nogoroutine and obsphase, with
-// //kanon:allow suppression.
+// (internal/analysis/...): constraintpure, ctxflow, determinism,
+// faultsite, leakcheck, nogoroutine and obsphase, with //kanon:allow
+// suppression.
 //
 // Standalone:
 //

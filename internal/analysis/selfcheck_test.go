@@ -55,8 +55,8 @@ func TestSuiteOverRepository(t *testing.T) {
 // registering it here (and in the docs) is a silent coverage gap.
 func TestSuiteRegistration(t *testing.T) {
 	want := []string{
-		"constraintpure", "ctxflow", "deprecated", "determinism",
-		"faultsite", "leakcheck", "nogoroutine", "obsphase",
+		"constraintpure", "ctxflow", "determinism", "faultsite",
+		"leakcheck", "nogoroutine", "obsphase",
 	}
 	got := suite.Analyzers()
 	if len(got) != len(want) {

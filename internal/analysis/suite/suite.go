@@ -7,7 +7,6 @@ import (
 	"kanon/internal/analysis"
 	"kanon/internal/analysis/constraintpure"
 	"kanon/internal/analysis/ctxflow"
-	"kanon/internal/analysis/deprecated"
 	"kanon/internal/analysis/determinism"
 	"kanon/internal/analysis/faultsite"
 	"kanon/internal/analysis/leakcheck"
@@ -20,7 +19,6 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		constraintpure.Analyzer,
 		ctxflow.Analyzer,
-		deprecated.Analyzer,
 		determinism.Analyzer,
 		faultsite.Analyzer,
 		leakcheck.Analyzer,

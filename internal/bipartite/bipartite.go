@@ -111,60 +111,18 @@ func (m *Matching) IsPerfect() bool {
 
 const inf = int(^uint(0) >> 1)
 
-// Matcher computes maximum matchings and matches in working memory it keeps
-// between calls, so a caller that recomputes the matches after every small
-// change of a graph stops allocating once the buffers have grown to the
-// graph's size. (A graph that only gains edges needs no recomputation; see
-// Growing.) The zero value is ready to use. A Matcher is not safe for
-// concurrent use.
-type Matcher struct {
-	matchL, matchR, dist, queue []int
-	// The directed graph of the SCC pass in compressed rows: the successors
-	// of node x are tgt[off[x]:off[x+1]]. pos is the fill cursor.
-	off, tgt, pos []int
-	// Tarjan state.
-	comp, index, low []int
-	onStack          []bool
-	stack            []int
-	call             []sccFrame
-	// out[u] are subslices of outBuf.
-	out    [][]int
-	outBuf []int
-}
-
-type sccFrame struct {
-	node, edge int
-}
-
-// resize returns buf with length n, reusing its array when it is large
-// enough and growing it like append otherwise, so a graph that gains a few
-// edges per call does not reallocate every time. The contents are not
-// preserved.
-func resize[T any](buf []T, n int) []T {
-	return slices.Grow(buf[:0], n)[:n]
-}
-
 // HopcroftKarp computes a maximum matching in O(√V · E).
 func HopcroftKarp(g *Graph) *Matching {
-	var m Matcher
-	size := m.hopcroftKarp(g)
-	return &Matching{MatchL: m.matchL, MatchR: m.matchR, Size: size}
-}
-
-// hopcroftKarp computes a maximum matching into m.matchL and m.matchR and
-// returns its size.
-func (m *Matcher) hopcroftKarp(g *Graph) int {
-	m.matchL = resize(m.matchL, g.nLeft)
-	m.matchR = resize(m.matchR, g.nRight)
-	m.dist = resize(m.dist, g.nLeft)
-	matchL, matchR, dist := m.matchL, m.matchR, m.dist
+	matchL := make([]int, g.nLeft)
+	matchR := make([]int, g.nRight)
+	dist := make([]int, g.nLeft)
 	for i := range matchL {
 		matchL[i] = -1
 	}
 	for i := range matchR {
 		matchR[i] = -1
 	}
-	queue := m.queue[:0]
+	var queue []int
 	size := 0
 
 	bfs := func() bool {
@@ -214,8 +172,7 @@ func (m *Matcher) hopcroftKarp(g *Graph) int {
 			}
 		}
 	}
-	m.queue = queue
-	return size
+	return &Matching{MatchL: matchL, MatchR: matchR, Size: size}
 }
 
 // HasPerfectMatching reports whether the graph admits a perfect matching
@@ -233,27 +190,26 @@ func HasPerfectMatching(g *Graph) bool {
 // graph has no perfect matching (then no edge is a match and global
 // (1,k)-anonymity is vacuous).
 func AllowedEdges(g *Graph) ([][]int, error) {
-	var m Matcher
-	return m.AllowedEdges(g)
+	allowed, _, err := allowedEdges(g)
+	return allowed, err
 }
 
-// AllowedEdges is the package-level AllowedEdges computed in the matcher's
-// working memory. The returned lists share that memory: they stay valid
-// until the matcher's next call.
-func (m *Matcher) AllowedEdges(g *Graph) ([][]int, error) {
+// allowedEdges is AllowedEdges also returning the perfect matching the
+// SCC pass was built on.
+func allowedEdges(g *Graph) ([][]int, *Matching, error) {
 	if g.nLeft != g.nRight {
-		return nil, fmt.Errorf("bipartite: sides differ (%d vs %d); no perfect matching", g.nLeft, g.nRight)
+		return nil, nil, fmt.Errorf("bipartite: sides differ (%d vs %d); no perfect matching", g.nLeft, g.nRight)
 	}
-	if size := m.hopcroftKarp(g); size != g.nLeft {
-		return nil, fmt.Errorf("bipartite: no perfect matching (size %d of %d)", size, g.nLeft)
+	m := HopcroftKarp(g)
+	if m.Size != g.nLeft {
+		return nil, nil, fmt.Errorf("bipartite: no perfect matching (size %d of %d)", m.Size, g.nLeft)
 	}
 	// Directed graph: node ids 0..nLeft-1 are left, nLeft..nLeft+nRight-1
 	// are right. Unmatched edge u→v, matched edge v→u. Each node's
 	// successors keep the order of g's adjacency lists.
-	nl, matchL := g.nLeft, m.matchL
+	nl, matchL := g.nLeft, m.MatchL
 	n := nl + g.nRight
-	off := resize(m.off, n+1)
-	clear(off)
+	off := make([]int, n+1)
 	for u := 0; u < nl; u++ {
 		for _, v := range g.adj[u] {
 			if matchL[u] == v {
@@ -266,9 +222,8 @@ func (m *Matcher) AllowedEdges(g *Graph) ([][]int, error) {
 	for x := 1; x <= n; x++ {
 		off[x] += off[x-1]
 	}
-	pos := resize(m.pos, n)
-	copy(pos, off[:n])
-	tgt := resize(m.tgt, g.nEdges)
+	pos := slices.Clone(off[:n])
+	tgt := make([]int, g.nEdges)
 	for u := 0; u < nl; u++ {
 		for _, v := range g.adj[u] {
 			if matchL[u] == v {
@@ -280,10 +235,9 @@ func (m *Matcher) AllowedEdges(g *Graph) ([][]int, error) {
 			}
 		}
 	}
-	m.off, m.pos, m.tgt = off, pos, tgt
-	comp := m.scc(off, tgt)
-	out := resize(m.out, nl)
-	buf := resize(m.outBuf, g.nEdges)[:0]
+	comp := scc(off, tgt)
+	out := make([][]int, nl)
+	buf := make([]int, 0, g.nEdges)
 	for u := 0; u < nl; u++ {
 		start := len(buf)
 		for _, v := range g.adj[u] {
@@ -293,8 +247,7 @@ func (m *Matcher) AllowedEdges(g *Graph) ([][]int, error) {
 		}
 		out[u] = buf[start:len(buf):len(buf)]
 	}
-	m.out, m.outBuf = out, buf
-	return out, nil
+	return out, m, nil
 }
 
 // AllowedCounts returns, per left node, the number of its allowed edges
@@ -364,26 +317,27 @@ func SCC(adj [][]int) []int {
 		tgt = append(tgt, vs...)
 		off[x+1] = len(tgt)
 	}
-	var m Matcher
-	return m.scc(off, tgt)
+	return scc(off, tgt)
+}
+
+type sccFrame struct {
+	node, edge int
 }
 
 // scc is SCC on the compressed rows off, tgt (the successors of node x are
-// tgt[off[x]:off[x+1]]), in the matcher's working memory. The returned ids
-// stay valid until the matcher's next call.
-func (m *Matcher) scc(off, tgt []int) []int {
+// tgt[off[x]:off[x+1]]).
+func scc(off, tgt []int) []int {
 	n := len(off) - 1
-	m.comp = resize(m.comp, n)
-	m.index = resize(m.index, n)
-	m.low = resize(m.low, n)
-	m.onStack = resize(m.onStack, n)
-	comp, index, low, onStack := m.comp, m.index, m.low, m.onStack
+	comp := make([]int, n)
+	index := make([]int, n)
+	low := make([]int, n)
+	onStack := make([]bool, n)
 	for i := range index {
 		index[i] = -1
 		comp[i] = -1
 	}
-	clear(onStack)
-	stack, call := m.stack[:0], m.call[:0]
+	var stack []int
+	var call []sccFrame
 	nextIndex, nextComp := 0, 0
 	for start := 0; start < n; start++ {
 		if index[start] != -1 {
@@ -436,6 +390,5 @@ func (m *Matcher) scc(off, tgt []int) []int {
 			}
 		}
 	}
-	m.stack, m.call = stack, call
 	return comp
 }

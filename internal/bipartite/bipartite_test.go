@@ -2,7 +2,6 @@ package bipartite
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -450,42 +449,4 @@ func TestFromAdjacency(t *testing.T) {
 		}
 	}()
 	FromAdjacency(2, adj)
-}
-
-// TestMatcherReuse runs one Matcher over a sequence of graphs that grow,
-// shrink and lose their perfect matching, as Algorithm 6 drives it, and
-// requires every answer to equal a fresh AllowedEdges call, list for list.
-func TestMatcherReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(89))
-	var m Matcher
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(12)
-		adj := make([][]int, n)
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				// Every fifth graph may lack the identity edges.
-				if (v == u && trial%5 != 0) || rng.Float64() < 0.25 {
-					adj[u] = append(adj[u], v)
-				}
-			}
-		}
-		g := FromAdjacency(n, adj)
-		want, wantErr := AllowedEdges(g)
-		got, gotErr := m.AllowedEdges(g)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("trial %d: error %v, want %v", trial, gotErr, wantErr)
-		}
-		if wantErr != nil {
-			if gotErr.Error() != wantErr.Error() {
-				t.Fatalf("trial %d: error %q, want %q", trial, gotErr, wantErr)
-			}
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: reused matcher %v, fresh %v", trial, got, want)
-		}
-		if slow, err := AllowedEdgesNaive(g); err != nil || !reflect.DeepEqual(got, slow) {
-			t.Fatalf("trial %d: reused matcher %v, naive %v (%v)", trial, got, slow, err)
-		}
-	}
 }

@@ -38,8 +38,7 @@ type Growing struct {
 // growing graph uses adj itself, not a copy; only its AddEdge may change it
 // afterwards. It returns an error when the graph has no perfect matching.
 func NewGrowing(nRight int, adj [][]int) (*Growing, [][]int, error) {
-	var m Matcher
-	allowed, err := m.AllowedEdges(FromAdjacency(nRight, adj))
+	allowed, m, err := allowedEdges(FromAdjacency(nRight, adj))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -68,7 +67,7 @@ func NewGrowing(nRight int, adj [][]int) (*Growing, [][]int, error) {
 	g := &Growing{
 		adj:    adj,
 		radj:   radj,
-		matchL: m.matchL,
+		matchL: m.MatchL,
 		seen:   make([]uint32, n),
 		nb:     make([]uint32, nRight),
 		queue:  make([]int, 0, n),

@@ -34,8 +34,7 @@ const (
 	// nearest-neighbour build.
 	SiteInitScan = "cluster.agglo.init"
 	// SiteInitTile fires once per (record-block, candidate-tile) cell of the
-	// tiled initial build on the lazy heap path (DESIGN.md §17); the
-	// reference path never reaches it.
+	// tiled initial build (DESIGN.md §17).
 	SiteInitTile = "cluster.agglo.init_tile"
 	// SiteMerge fires once per merge iteration of the main loop.
 	SiteMerge = "cluster.agglo.merge"
@@ -74,14 +73,6 @@ type AggloOptions struct {
 	// deterministic and every tie is broken toward the lowest cluster id,
 	// so any worker count produces the identical clustering.
 	Workers int
-
-	// NoKernel disables the flat distance kernel (the precomputed LCA-cost
-	// tables, the closure arena and the devirtualized distance switch of
-	// kernel.go), forcing the reference per-cluster evaluation path. The
-	// clustering is byte-identical either way; the flag is the escape
-	// hatch exposed as `-kernel=off` on the CLIs and the reference side of
-	// the kernel equivalence harness.
-	NoKernel bool
 }
 
 // AggloStats reports the work an engine run performed and where its wall
@@ -94,24 +85,18 @@ type AggloStats struct {
 	DistEvals int64 `json:"dist_evals"`
 	// Merges counts cluster merges (iterations of the main loop).
 	Merges int64 `json:"merges"`
-	// RepairScans counts full nearest-neighbour rescans — a cluster
-	// re-deriving its cached neighbours over every live cluster, the
-	// engine's rare slow path. On the reference path these are the
-	// both-neighbours-died sweeps; on the lazy path RepairScans equals
-	// DeadNNRescans.
-	RepairScans int64 `json:"repair_scans"`
 	// HeapPushes counts candidate entries pushed onto the lazy selection
 	// heap (DESIGN.md §17): one per initial row list, two per newborn
-	// (row + column), one per pop-time heal. Zero on the reference
-	// (NoKernel) path. Worker-invariant.
+	// (row + column), one per pop-time heal. Worker-invariant.
 	HeapPushes int64 `json:"heap_pushes"`
 	// StalePops counts heap entries discarded at pop because their
 	// generation tag no longer matched the owning list's — the lazy path's
 	// deferred invalidation work. Worker-invariant.
 	StalePops int64 `json:"stale_pops"`
-	// DeadNNRescans counts pop-time full rescans: a fresh heap entry whose
-	// cached neighbour died with the rest of its list dead or undercut by
-	// the list's discard bound. Worker-invariant.
+	// DeadNNRescans counts full nearest-neighbour rescans, the engine's
+	// rare slow path: a fresh heap entry whose cached neighbour died with
+	// the rest of its list dead or undercut by the list's discard bound.
+	// Worker-invariant.
 	DeadNNRescans int64 `json:"dead_nn_rescans"`
 	// TilesScanned counts fixed-size candidate tiles walked by the tiled
 	// initial build, the newborn-offer pass and single-cluster rescans.
@@ -123,8 +108,8 @@ type AggloStats struct {
 	// SelectNanos is the wall time of best-pair selection and merge/shrink
 	// bookkeeping across all iterations.
 	SelectNanos int64 `json:"select_ns"`
-	// RepairNanos is the wall time of nearest-neighbour repair across all
-	// iterations.
+	// RepairNanos is the wall time of the newborn nearest-neighbour passes
+	// across all iterations.
 	RepairNanos int64 `json:"repair_ns"`
 	// AbsorbNanos is the wall time of the final leftover-absorption pass.
 	AbsorbNanos int64 `json:"absorb_ns"`
@@ -208,14 +193,12 @@ func AgglomerateStatsCtx(ctx context.Context, s *Space, tbl *table.Table, opt Ag
 	if par.Done(ctx) {
 		return nil, stats, ctx.Err()
 	}
-	e := &aggloEngine{s: s, tbl: tbl, opt: opt, ctx: ctx, o: obs.From(ctx), cons: bound}
+	e := &aggloEngine{s: s, tbl: tbl, opt: opt, ctx: ctx, o: obs.From(ctx), cons: bound,
+		kern: newKernel(s, opt.Distance)}
 	for _, b := range bound {
 		if !b.AdditionSafe() {
 			e.guardAbsorb = true
 		}
-	}
-	if !opt.NoKernel {
-		e.kern = newKernel(s, opt.Distance)
 	}
 	if err := e.run(); err != nil {
 		e.stats.Workers = stats.Workers
@@ -225,55 +208,24 @@ func AgglomerateStatsCtx(ctx context.Context, s *Space, tbl *table.Table, opt Ag
 	return e.final, e.stats, nil
 }
 
-// Work-sharding grains: the minimum number of items per span before a loop
-// is handed to the pool. Items of the initial build are whole O(n) scans
-// (always worth sharding); repair-sweep and wide-scan items are a handful
-// of distance evaluations; selection items are single float compares.
-// Grains only trade dispatch overhead against parallelism — the result is
-// identical either way.
-const (
-	initScanGrain = 1
-	repairGrain   = 192
-	wideScanGrain = 384
-	selectGrain   = 2048
-)
-
-// aggloEngine maintains, for every live cluster, its exact nearest live
-// neighbour (nn1) plus a cached second-nearest (nn2) that is either exact
-// or marked unknown. Cluster closures are immutable once formed, so
-// distances between untouched clusters never change; on a merge only the
-// two dead clusters and the newborn affect the structure:
+// aggloEngine runs Algorithms 1 and 2 over the flat distance kernel
+// (kernel.go) with the lazy NN-heap merge selection of lazynn.go
+// (DESIGN.md §12, §17). Cluster closures live in the kernel's arena and
+// are immutable once formed, so distances between untouched clusters never
+// change: every cluster carries fixed-depth nearest-neighbour caches built
+// once at birth, selection pops a (d, row, wit)-keyed min-heap with
+// generation-tagged staleness checks and pop-time healing, and a merge
+// touches no cluster beyond its newborns — whose caches are built by one
+// tiled pass over the dense live list. Every step merges the lexicographic
+// (d, i, j) minimum over ordered live pairs, the order Algorithm 1 scans
+// in.
 //
-//   - a cluster whose nn1 died promotes its nn2 (the exact runner-up),
-//     leaving nn2 unknown;
-//   - a cluster whose nn1 survived but whose nn2 died just forgets nn2;
-//   - a cluster that lost both rescans — the rare case;
-//   - the newborn is then offered to everyone as a candidate nn1/nn2.
-//
-// This keeps every merge at O(live·r) even when one cluster is the nearest
-// neighbour of everyone (the typical regime under distances (10) and (11)),
-// for the paper's O(n²) total.
-//
-// Parallel execution shards three loops over the worker pool, all with
-// deterministic lowest-id tie-breaking so any worker count reproduces the
-// sequential clustering exactly:
-//
-//   - the initial nearest-neighbour build (one scan per record);
-//   - the per-merge repair sweep (per-cluster fix-ups, writes confined to
-//     each cluster's own nn slots);
-//   - single-cluster rescans and best-pair selection, which are
-//     min-reductions: every span reports its local best(s) and the spans
-//     are folded in ascending id order with strict-< comparisons,
-//     reproducing the sequential left-to-right scan.
-//
-// With the kernel armed the engine instead runs the lazy NN-heap of
-// lazynn.go (DESIGN.md §17): every cluster carries fixed-depth
-// nearest-neighbour caches built once at birth, selection pops a
-// (d, row, wit)-keyed min-heap with generation-tagged staleness checks and
-// pop-time healing, and a merge touches no cluster beyond its newborns —
-// whose caches are built by one tiled pass over the dense live list. The
-// clustering is byte-identical to the reference path: both select the same
-// lexicographic (d1, id, nn) minimum at every step.
+// Parallel execution shards the initial build, the newborn passes and the
+// rare single-list rescans over the worker pool. Workers write only
+// span-local scratch or lists they own, and the driving goroutine folds
+// span results in a fixed order into lists whose contents are fold-order
+// independent, so any worker count reproduces the sequential clustering
+// exactly.
 type aggloEngine struct {
 	s   *Space
 	tbl *table.Table
@@ -289,45 +241,29 @@ type aggloEngine struct {
 
 	pool *par.Pool
 
-	// kern, when non-nil, is the flat distance kernel (kernel.go): cluster
-	// closures live in its arena instead of nodes[i].Closure, membership is
-	// tracked by the mHead/mTail/mNext chains, and nodes[i] stays nil until
-	// a cluster is materialized as final. When nil (AggloOptions.NoKernel)
-	// the engine runs the reference per-cluster path unchanged.
+	// kern is the flat distance kernel (kernel.go): live cluster closures
+	// live in its arena, and a cluster is materialized as a *Cluster only
+	// when it becomes final.
 	kern *kernel
 
-	nodes []*Cluster
 	alive []bool
 	nLive int
 
-	// Member chains (kernel mode): cluster id's members are the record
-	// indices mHead[id], mNext[mHead[id]], … through mTail[id]. Merging
-	// concatenates chains in O(1) with no allocation, preserving the exact
-	// a-then-b member order of the reference Space.Merge.
+	// Member chains: cluster id's members are the record indices
+	// mHead[id], mNext[mHead[id]], … through mTail[id]. Merging
+	// concatenates chains in O(1) with no allocation, keeping the members
+	// of a merge in a-then-b order.
 	mHead, mTail []int32
 	mNext        []int32
 
-	nn1, nn2 []int // -1: none/unknown
-	d1, d2   []float64
-
-	// Per-span scratch, reused across pool calls (one call in flight at a
-	// time): fold inputs for wide scans and selection, and per-span
-	// distance-evaluation counts.
-	spanCand  []nnCand
-	spanBest  []int
-	spanBestD []float64
-	spanEvals []int64
-	needScan  []bool
-
-	// Lazy NN-heap selection state (kernel mode only; DESIGN.md §17).
-	// rowNN[i]/colNN[i] are cluster i's birth-time nearest-neighbour caches
-	// (lazynn.go); rowGen/colGen are their generation tags, bumped on every
+	// Lazy NN-heap selection state (DESIGN.md §17). rowNN[i]/colNN[i] are
+	// cluster i's birth-time nearest-neighbour caches (lazynn.go);
+	// rowGen/colGen are their generation tags, bumped on every
 	// heal-and-repush and on kill so stale heap entries discard O(1) at
 	// pop. nnHeap holds at most one fresh entry per list under the total
 	// key (d, row, wit, kind, gen). liveList is the dense list of live ids
 	// (livePos its inverse, swap-remove on kill): the tiled passes iterate
 	// it instead of scanning the whole arena past dead slots.
-	lazy     bool
 	nnHeap   []heapEnt
 	rowNN    []nnList
 	colNN    []nnList
@@ -336,15 +272,17 @@ type aggloEngine struct {
 	liveList []int32
 	livePos  []int32
 
-	// Per-span scratch of the lazy path's sharded list builds: the initial
-	// build's cross-span partial rows, and one row/column partial list per
-	// span for newborn passes and rescans.
+	// Per-span scratch of the sharded list builds (one pool call in flight
+	// at a time): the initial build's cross-span partial rows, one
+	// row/column partial list per span for newborn passes and rescans, and
+	// per-span distance-evaluation counts.
 	spanInitPart [][]nnList
 	spanRowList  []nnList
 	spanColList  []nnList
+	spanEvals    []int64
 
-	// Kernel-mode scratch, reused across merges: the newborn-id list of
-	// each merge and the shrink prefix/suffix closure slabs.
+	// Scratch reused across merges: the newborn-id list of each merge and
+	// the shrink prefix/suffix closure slabs.
 	addedScratch []int
 	shrinkPre    []int32
 	shrinkSuf    []int32
@@ -369,12 +307,6 @@ type aggloEngine struct {
 	final []*Cluster
 }
 
-// nnCand is an exact top-2 nearest-neighbour result over some id range.
-type nnCand struct {
-	nn1, nn2 int
-	d1, d2   float64
-}
-
 // cancelled reports whether the engine's context is done.
 func (e *aggloEngine) cancelled() bool {
 	return par.Done(e.ctx)
@@ -385,73 +317,33 @@ func (e *aggloEngine) run() error {
 	e.pool = par.New(e.opt.Workers)
 	defer e.pool.Close()
 	w := e.pool.Size()
-	e.spanCand = make([]nnCand, w)
-	e.spanBest = make([]int, w)
-	e.spanBestD = make([]float64, w)
 	e.spanEvals = make([]int64, w)
-	// The lazy heap path rides on the kernel arena's flat closures; the
-	// reference (NoKernel) engine keeps the legacy sweep so the equivalence
-	// matrix retains an independent oracle.
-	e.lazy = e.kern != nil
-	if e.lazy {
-		e.spanInitPart = make([][]nnList, w)
-		e.spanRowList = make([]nnList, w)
-		e.spanColList = make([]nnList, w)
-	}
+	e.spanInitPart = make([][]nnList, w)
+	e.spanRowList = make([]nnList, w)
+	e.spanColList = make([]nnList, w)
 
 	t0 := time.Now() //kanon:allow determinism -- phase wall-clock feeds Stats timing only, never engine output
 	endInit := e.o.Phase(PhaseInit)
-	e.nodes = make([]*Cluster, 0, 2*n)
 	e.alive = make([]bool, 0, 2*n)
-	e.nn1 = make([]int, 0, 2*n)
-	e.nn2 = make([]int, 0, 2*n)
-	e.d1 = make([]float64, 0, 2*n)
-	e.d2 = make([]float64, 0, 2*n)
-	if e.lazy {
-		e.rowNN = make([]nnList, 0, 2*n)
-		e.colNN = make([]nnList, 0, 2*n)
-		e.rowGen = make([]uint32, 0, 2*n)
-		e.colGen = make([]uint32, 0, 2*n)
-		e.livePos = make([]int32, 0, 2*n)
-		e.liveList = make([]int32, 0, n)
-		e.nnHeap = make([]heapEnt, 0, 2*n)
+	e.rowNN = make([]nnList, 0, 2*n)
+	e.colNN = make([]nnList, 0, 2*n)
+	e.rowGen = make([]uint32, 0, 2*n)
+	e.colGen = make([]uint32, 0, 2*n)
+	e.livePos = make([]int32, 0, 2*n)
+	e.liveList = make([]int32, 0, n)
+	e.nnHeap = make([]heapEnt, 0, 2*n)
+	e.kern.reserve(2*n, n)
+	e.mHead = make([]int32, 0, 2*n)
+	e.mTail = make([]int32, 0, 2*n)
+	e.mNext = make([]int32, n)
+	for i := 0; i < n; i++ {
+		e.pushSingleton(i)
 	}
-	if e.kern != nil {
-		e.kern.reserve(2*n, n)
-		e.mHead = make([]int32, 0, 2*n)
-		e.mTail = make([]int32, 0, 2*n)
-		e.mNext = make([]int32, n)
-		for i := 0; i < n; i++ {
-			e.pushSingletonK(i)
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			e.push(e.s.NewSingleton(e.tbl, i))
-		}
-	}
-	// Initial nearest-neighbour build. The lazy path blocks it into
-	// cache-sized tiles over the kernel arena and seeds the selection heap;
-	// the reference path runs one independent scan per cluster. Either way
-	// every record is a cancellation checkpoint, bounding the engine's
-	// reaction latency to one block or scan per worker.
-	var err error
-	if e.lazy {
-		err = e.buildNNTiled(n)
-	} else {
-		_, err = e.pool.ForSpansCtx(e.ctx, n, initScanGrain, func(lo, hi, _ int) {
-			evals := int64(0)
-			for i := lo; i < hi; i++ {
-				if e.cancelled() {
-					break
-				}
-				fault.Inject(SiteInitScan)
-				ev := e.scanNN(i)
-				evals += ev
-				e.o.Event(obs.KindScan, PhaseInit, ev)
-			}
-			e.distEvals.Add(evals)
-		})
-	}
+	// Initial nearest-neighbour build, blocked into cache-sized tiles over
+	// the kernel arena; it seeds the selection heap. Every record is a
+	// cancellation checkpoint, bounding the engine's reaction latency to
+	// one block per worker.
+	err := e.buildNNTiled(n)
 	e.stats.InitNanos = time.Since(t0).Nanoseconds()
 	endInit()
 	if err != nil {
@@ -467,49 +359,19 @@ func (e *aggloEngine) run() error {
 		}
 		fault.Inject(SiteMerge)
 		tSel := time.Now() //kanon:allow determinism -- phase wall-clock feeds Stats timing only, never engine output
-		var best int
-		if e.lazy {
-			best = e.selectPairHeap()
-			if e.cancelled() {
-				endMerge()
-				return e.ctx.Err()
-			}
-		} else {
-			best = e.bestLive()
+		a, b := e.selectPairHeap()
+		if e.cancelled() {
+			endMerge()
+			return e.ctx.Err()
 		}
-		if best < 0 {
+		if a < 0 {
 			break // defensive: cannot happen with nLive > 1
 		}
-		a, b := best, e.nn1[best]
-		added := e.addedScratch[:0]
-		var mergedSize int
-		if e.kern != nil {
-			added, mergedSize = e.mergeK(a, b, added)
-		} else {
-			merged := e.s.Merge(e.nodes[a], e.nodes[b])
-			mergedSize = merged.Size()
-			e.kill(a)
-			e.kill(b)
-			if merged.Size() >= e.opt.K && e.constraintsOK(merged.Members) {
-				if e.opt.Modified && merged.Size() > e.opt.K {
-					removed := e.shrink(merged)
-					for _, ri := range removed {
-						added = append(added, e.push(e.s.NewSingleton(e.tbl, ri)))
-					}
-				}
-				e.final = append(e.final, merged)
-			} else {
-				added = append(added, e.push(merged))
-			}
-		}
+		added, mergedSize := e.merge(a, b, e.addedScratch[:0])
 		e.addedScratch = added[:0]
 		tRep := time.Now() //kanon:allow determinism -- phase wall-clock feeds Stats timing only, never engine output
 		e.stats.SelectNanos += tRep.Sub(tSel).Nanoseconds()
-		if e.lazy {
-			e.repairHeap(added)
-		} else {
-			e.repairNN(a, b, added)
-		}
+		e.repairHeap(added)
 		e.stats.RepairNanos += time.Since(tRep).Nanoseconds()
 		e.stats.Merges++
 		e.o.Event(obs.KindMerge, PhaseMerge, int64(mergedSize))
@@ -526,26 +388,14 @@ func (e *aggloEngine) run() error {
 		if !ok {
 			continue
 		}
-		if e.kern != nil {
-			for ri := e.mHead[i]; ri >= 0; ri = e.mNext[ri] {
-				if e.cancelled() {
-					endAbsorb()
-					return e.ctx.Err()
-				}
-				fault.Inject(SiteAbsorb)
-				e.absorbK(int(ri))
-				absorbed++
+		for ri := e.mHead[i]; ri >= 0; ri = e.mNext[ri] {
+			if e.cancelled() {
+				endAbsorb()
+				return e.ctx.Err()
 			}
-		} else {
-			for _, ri := range e.nodes[i].Members {
-				if e.cancelled() {
-					endAbsorb()
-					return e.ctx.Err()
-				}
-				fault.Inject(SiteAbsorb)
-				e.absorb(ri)
-				absorbed++
-			}
+			fault.Inject(SiteAbsorb)
+			e.absorb(int(ri))
+			absorbed++
 		}
 	}
 	e.stats.AbsorbNanos = time.Since(tAbs).Nanoseconds()
@@ -554,27 +404,22 @@ func (e *aggloEngine) run() error {
 	if e.o.Enabled() {
 		e.o.Counter("cluster.dist_evals", e.stats.DistEvals)
 		e.o.Counter("cluster.merges", e.stats.Merges)
-		e.o.Counter("cluster.repair_scans", e.stats.RepairScans)
 		e.o.Counter("cluster.absorbs", absorbed)
-		if e.lazy {
-			// Lazy-heap work counters (DESIGN.md §17); all maintained on the
-			// driving goroutine over worker-invariant quantities.
-			e.o.Counter(obs.CounterHeapPushes, e.stats.HeapPushes)
-			e.o.Counter(obs.CounterStalePops, e.stats.StalePops)
-			e.o.Counter(obs.CounterDeadNNRescans, e.stats.DeadNNRescans)
-			e.o.Counter(obs.CounterTilesScanned, e.stats.TilesScanned)
-		}
-		if k := e.kern; k != nil {
-			// Every non-shrink distance evaluation resolves r per-attribute
-			// LCA costs, each served by a fused table or a fallback walk;
-			// both derived counts are worker-count invariant because
-			// DistEvals is.
-			lcaEvals := e.stats.DistEvals - e.shrinkEvals
-			e.o.Counter(obs.CounterKernelTableHits, lcaEvals*int64(k.tabled))
-			e.o.Counter(obs.CounterKernelFallbackWalks, lcaEvals*int64(k.walked))
-			e.o.Counter(obs.CounterKernelArenaReuses, k.reuses)
-			e.o.Peak(obs.PeakKernelArenaRows, int64(k.peakRows))
-		}
+		// Lazy-heap work counters (DESIGN.md §17); all maintained on the
+		// driving goroutine over worker-invariant quantities.
+		e.o.Counter(obs.CounterHeapPushes, e.stats.HeapPushes)
+		e.o.Counter(obs.CounterStalePops, e.stats.StalePops)
+		e.o.Counter(obs.CounterDeadNNRescans, e.stats.DeadNNRescans)
+		e.o.Counter(obs.CounterTilesScanned, e.stats.TilesScanned)
+		// Every non-shrink distance evaluation resolves r per-attribute LCA
+		// costs, each served by a fused table or a fallback walk; both
+		// derived counts are worker-count invariant because DistEvals is.
+		k := e.kern
+		lcaEvals := e.stats.DistEvals - e.shrinkEvals
+		e.o.Counter(obs.CounterKernelTableHits, lcaEvals*int64(k.tabled))
+		e.o.Counter(obs.CounterKernelFallbackWalks, lcaEvals*int64(k.walked))
+		e.o.Counter(obs.CounterKernelArenaReuses, k.reuses)
+		e.o.Peak(obs.PeakKernelArenaRows, int64(k.peakRows))
 		ps := e.pool.Stats()
 		e.o.Sched("pool.size", int64(e.pool.Size()))
 		e.o.Sched("pool.spans", ps.Spans)
@@ -587,271 +432,111 @@ func (e *aggloEngine) run() error {
 	return nil
 }
 
-// push appends a cluster to the arena as live and returns its id.
-func (e *aggloEngine) push(c *Cluster) int {
-	id := len(e.nodes)
-	e.nodes = append(e.nodes, c)
+// push appends a live cluster id with empty neighbour lists and returns
+// it; the caller fills its arena row and member chain.
+func (e *aggloEngine) push() int {
+	id := len(e.alive)
 	e.alive = append(e.alive, true)
-	e.nn1 = append(e.nn1, -1)
-	e.nn2 = append(e.nn2, -1)
-	e.d1 = append(e.d1, math.Inf(1))
-	e.d2 = append(e.d2, math.Inf(1))
 	e.nLive++
-	if e.lazy {
-		e.rowNN = append(e.rowNN, nnList{})
-		e.colNN = append(e.colNN, nnList{})
-		e.rowNN[id].reset()
-		e.colNN[id].reset()
-		e.rowGen = append(e.rowGen, 0)
-		e.colGen = append(e.colGen, 0)
-		e.livePos = append(e.livePos, int32(len(e.liveList)))
-		e.liveList = append(e.liveList, int32(id))
-	}
+	e.rowNN = append(e.rowNN, nnList{})
+	e.colNN = append(e.colNN, nnList{})
+	e.rowNN[id].reset()
+	e.colNN[id].reset()
+	e.rowGen = append(e.rowGen, 0)
+	e.colGen = append(e.colGen, 0)
+	e.livePos = append(e.livePos, int32(len(e.liveList)))
+	e.liveList = append(e.liveList, int32(id))
 	return id
 }
 
 func (e *aggloEngine) kill(id int) {
-	if e.alive[id] {
-		e.alive[id] = false
-		e.nLive--
-		if e.lazy {
-			// The gen bumps stale both of id's heap entries in O(1); the dense
-			// live list drops it by swap-remove (order is irrelevant — every
-			// fold over the list uses explicit lexicographic comparisons).
-			e.rowGen[id]++
-			e.colGen[id]++
-			p := e.livePos[id]
-			last := int32(len(e.liveList) - 1)
-			moved := e.liveList[last]
-			e.liveList[p] = moved
-			e.livePos[moved] = p
-			e.liveList = e.liveList[:last]
-			e.livePos[id] = -1
-		}
-		if e.kern != nil {
-			e.kern.kill(id)
-		}
-	}
-}
-
-// dist evaluates dist(A, B) for clusters a, b without allocating. It reads
-// only immutable state (closures, hierarchies, cost tables) and is safe to
-// call from pool workers. With the kernel armed it streams two arena rows
-// through the fused LCA-cost tables; the reference path below walks the
-// per-cluster GenRecords and dispatches through the Distance interface.
-func (e *aggloEngine) dist(a, b int) float64 {
-	if e.kern != nil {
-		return e.kern.dist(a, b)
-	}
-	ca, cb := e.nodes[a], e.nodes[b]
-	r := e.s.NumAttrs()
-	sum := 0.0
-	for j := 0; j < r; j++ {
-		node := e.s.Hiers[j].LCA(ca.Closure[j], cb.Closure[j])
-		sum += e.s.CostAt(j, node)
-	}
-	dU := sum / float64(r)
-	return e.opt.Distance.Eval(ca.Size(), cb.Size(), ca.Size()+cb.Size(), ca.Cost, cb.Cost, dU)
-}
-
-// bestLive returns the live cluster minimizing d1, ties broken toward the
-// lowest id — exactly the left-to-right sequential argmin.
-func (e *aggloEngine) bestLive() int {
-	m := len(e.nodes)
-	if e.pool.Size() <= 1 || m < 2*selectGrain {
-		best, bestDist := -1, math.Inf(1)
-		for i := 0; i < m; i++ {
-			if e.alive[i] && e.nn1[i] >= 0 && e.d1[i] < bestDist {
-				best, bestDist = i, e.d1[i]
-			}
-		}
-		return best
-	}
-	spans := e.pool.ForSpans(m, selectGrain, func(lo, hi, w int) {
-		best, bestDist := -1, math.Inf(1)
-		for i := lo; i < hi; i++ {
-			if e.alive[i] && e.nn1[i] >= 0 && e.d1[i] < bestDist {
-				best, bestDist = i, e.d1[i]
-			}
-		}
-		e.spanBest[w], e.spanBestD[w] = best, bestDist
-	})
-	// Fold in ascending span order with strict < so ties keep the lowest id.
-	best, bestDist := -1, math.Inf(1)
-	for w := 0; w < spans; w++ {
-		if e.spanBest[w] >= 0 && e.spanBestD[w] < bestDist {
-			best, bestDist = e.spanBest[w], e.spanBestD[w]
-		}
-	}
-	return best
-}
-
-// scanRange computes i's exact top-2 nearest neighbours among live clusters
-// with ids in [lo, hi), excluding i itself, plus the number of distance
-// evaluations spent. Ties go to the lowest id: the top-2 are minimal under
-// the lexicographic order (distance, id).
-func (e *aggloEngine) scanRange(i, lo, hi int) (nnCand, int64) {
-	c := nnCand{nn1: -1, nn2: -1, d1: math.Inf(1), d2: math.Inf(1)}
-	evals := int64(0)
-	for j := lo; j < hi; j++ {
-		if !e.alive[j] || j == i {
-			continue
-		}
-		d := e.dist(i, j)
-		evals++
-		switch {
-		case d < c.d1:
-			c.nn2, c.d2 = c.nn1, c.d1
-			c.nn1, c.d1 = j, d
-		case d < c.d2:
-			c.nn2, c.d2 = j, d
-		}
-	}
-	return c, evals
-}
-
-// scanNN rescans all live clusters to find i's nearest and second-nearest
-// neighbours exactly, sequentially, returning the distance evaluations
-// spent. It writes only i's nn slots.
-func (e *aggloEngine) scanNN(i int) int64 {
-	if !e.alive[i] {
-		e.nn1[i], e.d1[i] = -1, math.Inf(1)
-		e.nn2[i], e.d2[i] = -1, math.Inf(1)
-		return 0
-	}
-	c, evals := e.scanRange(i, 0, len(e.nodes))
-	e.nn1[i], e.d1[i] = c.nn1, c.d1
-	e.nn2[i], e.d2[i] = c.nn2, c.d2
-	return evals
-}
-
-// scanNNWide is scanNN with the id range sharded across the pool. Each span
-// reports its local top-2; the spans are folded in ascending order, so for
-// equal distances the candidate with the lowest id is inserted first and
-// strict-< comparisons reproduce the sequential scan bit for bit.
-func (e *aggloEngine) scanNNWide(i int) {
-	m := len(e.nodes)
-	if e.pool.Size() <= 1 || m < 2*wideScanGrain {
-		ev := e.scanNN(i)
-		e.distEvals.Add(ev)
-		e.o.Event(obs.KindScan, PhaseMerge, ev)
+	if !e.alive[id] {
 		return
 	}
-	if !e.alive[i] {
-		e.nn1[i], e.d1[i] = -1, math.Inf(1)
-		e.nn2[i], e.d2[i] = -1, math.Inf(1)
-		e.o.Event(obs.KindScan, PhaseMerge, 0)
-		return
-	}
-	spans := e.pool.ForSpans(m, wideScanGrain, func(lo, hi, w int) {
-		e.spanCand[w], e.spanEvals[w] = e.scanRange(i, lo, hi)
-	})
-	best := nnCand{nn1: -1, nn2: -1, d1: math.Inf(1), d2: math.Inf(1)}
-	evals := int64(0)
-	for w := 0; w < spans; w++ {
-		evals += e.spanEvals[w]
-		sc := e.spanCand[w]
-		for _, cand := range [2]struct {
-			j int
-			d float64
-		}{{sc.nn1, sc.d1}, {sc.nn2, sc.d2}} {
-			if cand.j < 0 {
-				continue
-			}
-			switch {
-			case cand.d < best.d1:
-				best.nn2, best.d2 = best.nn1, best.d1
-				best.nn1, best.d1 = cand.j, cand.d
-			case cand.d < best.d2:
-				best.nn2, best.d2 = cand.j, cand.d
-			}
-		}
-	}
-	e.nn1[i], e.d1[i] = best.nn1, best.d1
-	e.nn2[i], e.d2[i] = best.nn2, best.d2
-	e.distEvals.Add(evals)
-	e.o.Event(obs.KindScan, PhaseMerge, evals)
+	e.alive[id] = false
+	e.nLive--
+	// The gen bumps stale both of id's heap entries in O(1); the dense
+	// live list drops it by swap-remove (order is irrelevant — every fold
+	// over the list uses explicit lexicographic comparisons).
+	e.rowGen[id]++
+	e.colGen[id]++
+	p := e.livePos[id]
+	last := int32(len(e.liveList) - 1)
+	moved := e.liveList[last]
+	e.liveList[p] = moved
+	e.livePos[moved] = p
+	e.liveList = e.liveList[:last]
+	e.livePos[id] = -1
+	e.kern.kill(id)
 }
 
-// repairNN restores the nearest-neighbour invariant after clusters a and b
-// died and the clusters in added were born. The per-cluster fix-up sweep is
-// sharded across the pool — each cluster's update reads shared immutable
-// state and writes only its own nn slots — and the full rescans that
-// double-loss clusters and newborns require run afterwards in ascending id
-// order, each itself sharded when the arena is large.
-func (e *aggloEngine) repairNN(a, b int, added []int) {
-	isAdded := func(id int) bool {
-		for _, x := range added {
-			if x == id {
-				return true
-			}
-		}
-		return false
-	}
-	dead := func(id int) bool { return id == a || id == b }
-
-	m := len(e.nodes)
-	if cap(e.needScan) < m {
-		e.needScan = make([]bool, 2*m)
-	}
-	needScan := e.needScan[:m]
-
-	e.pool.ForSpans(m, repairGrain, func(lo, hi, _ int) {
-		evals := int64(0)
-		for i := lo; i < hi; i++ {
-			if !e.alive[i] || isAdded(i) {
-				continue
-			}
-			if dead(e.nn1[i]) {
-				if e.nn2[i] >= 0 && !dead(e.nn2[i]) {
-					// The exact runner-up becomes the nearest; the new
-					// runner-up is unknown.
-					e.nn1[i], e.d1[i] = e.nn2[i], e.d2[i]
-					e.nn2[i], e.d2[i] = -1, math.Inf(1)
-				} else {
-					needScan[i] = true
-					continue
-				}
-			} else if dead(e.nn2[i]) {
-				e.nn2[i], e.d2[i] = -1, math.Inf(1)
-			}
-			// Offer each newborn as a candidate.
-			for _, nb := range added {
-				d := e.dist(i, nb)
-				evals++
-				switch {
-				case d < e.d1[i]:
-					e.nn2[i], e.d2[i] = e.nn1[i], e.d1[i]
-					e.nn1[i], e.d1[i] = nb, d
-				case e.nn2[i] >= 0 && d < e.d2[i]:
-					e.nn2[i], e.d2[i] = nb, d
-				}
-			}
-		}
-		e.distEvals.Add(evals)
-	})
-	for i := 0; i < m; i++ {
-		if needScan[i] {
-			needScan[i] = false
-			e.stats.RepairScans++
-			e.scanNNWide(i)
-		}
-	}
-	for _, nb := range added {
-		e.scanNNWide(nb)
-	}
+// pushSingleton pushes record i as a singleton cluster: its closure row
+// (the record's leaves) and cost go straight into the arena with no
+// per-cluster heap allocation, and its member chain is the single record.
+func (e *aggloEngine) pushSingleton(i int) int {
+	id := e.push()
+	e.kern.addSingleton(id, e.tbl.Records[i])
+	e.mHead = append(e.mHead, int32(i))
+	e.mTail = append(e.mTail, int32(i))
+	e.mNext[i] = -1
+	return id
 }
 
-// constraintsOK reports whether a cluster with the given member list
+// merge is one step of Algorithms 1 and 2: it stages the merged closure in
+// the kernel's scratch row, concatenates the member chains in O(1), kills
+// a and b, and then either finalizes the merged cluster (materializing the
+// one *Cluster the output needs, with the Algorithm 2 shrink when enabled)
+// or pushes it as a new live id — reusing a freed arena slot. It returns
+// the newborn ids appended to added, plus the merged size.
+func (e *aggloEngine) merge(a, b int, added []int) ([]int, int) {
+	row, cost, size := e.kern.mergeScratch(a, b)
+	head, tail := e.mHead[a], e.mTail[b]
+	e.mNext[e.mTail[a]] = e.mHead[b]
+	e.kill(a)
+	e.kill(b)
+	if size >= e.opt.K && e.constraintsOK(head) {
+		c := e.materialize(row, cost, head, size)
+		if e.opt.Modified && size > e.opt.K {
+			removed := e.shrink(c)
+			for _, ri := range removed {
+				added = append(added, e.pushSingleton(ri))
+			}
+		}
+		e.final = append(e.final, c)
+	} else {
+		id := e.push()
+		e.kern.addMerged(id, row, cost, size)
+		e.mHead = append(e.mHead, head)
+		e.mTail = append(e.mTail, tail)
+		added = append(added, id)
+	}
+	return added, size
+}
+
+// materialize builds the one heap *Cluster a final cluster needs from a
+// staged closure row and a member chain.
+func (e *aggloEngine) materialize(row []int32, cost float64, head int32, size int) *Cluster {
+	members := make([]int, 0, size)
+	for ri := head; ri >= 0; ri = e.mNext[ri] {
+		members = append(members, int(ri))
+	}
+	cl := make(table.GenRecord, e.kern.r)
+	for j, node := range row {
+		cl[j] = int(node)
+	}
+	return &Cluster{Closure: cl, Members: members, Cost: cost}
+}
+
+// constraintsOK reports whether the cluster with the member chain at head
 // satisfies every bound constraint. Each bound accumulates the members in
 // order, stopping early once the constraint is Decided (monotone
 // constraints only). Driving goroutine only.
-func (e *aggloEngine) constraintsOK(members []int) bool {
+func (e *aggloEngine) constraintsOK(head int32) bool {
 	for _, b := range e.cons {
 		b.Reset()
 		sat := false
-		for _, ri := range members {
-			b.Add(ri)
+		for ri := head; ri >= 0; ri = e.mNext[ri] {
+			b.Add(int(ri))
 			if b.Decided() {
 				sat = true
 				break
@@ -896,8 +581,7 @@ func (e *aggloEngine) commitEvict(ri int) {
 // absorbAllowed reports whether adding record ri to final cluster f keeps
 // every non-addition-safe constraint satisfied. Addition-safe constraints
 // (distinct ℓ-diversity) need no check — a satisfying cluster stays
-// satisfying under any addition — which keeps the legacy absorb path, and
-// its byte-exact absorption order, untouched for them.
+// satisfying under any addition.
 func (e *aggloEngine) absorbAllowed(f *Cluster, ri int) bool {
 	for _, b := range e.cons {
 		if b.AdditionSafe() {
@@ -915,69 +599,149 @@ func (e *aggloEngine) absorbAllowed(f *Cluster, ri int) bool {
 }
 
 // shrink implements Algorithm 2: repeatedly evict from the ripe cluster c
-// the member R̂_i maximizing dist(Ŝ, Ŝ\{R̂_i}) until |c| = K. Evictions
-// that would violate a privacy constraint are skipped; if none is
-// admissible the cluster is left larger than K, which remains valid. c is
-// mutated in place and the evicted record indices returned.
+// the member R̂_i maximizing dist(Ŝ, Ŝ\{R̂_i}) until |c| = K, ties going
+// to the earliest member. Evictions that would violate a privacy
+// constraint are skipped; if none is admissible the cluster is left larger
+// than K, which remains valid. c is mutated in place and the evicted
+// record indices returned.
+//
+// Each round precomputes prefix and suffix closures over the member list
+// into two reusable scratch slabs (closure is a semilattice join, so
+// prefix[i] ∨ suffix[i+1] is exactly the closure of the rest set), making
+// a round O(|c|·r) with zero allocations. The Bound accumulators are
+// loaded once and updated incrementally across rounds.
 func (e *aggloEngine) shrink(c *Cluster) []int {
+	k := e.kern
+	r := k.r
 	var removed []int
 	e.beginShrink(c.Members)
 	// Constrained runs admit K ≤ 1 (the constraint carries the privacy
 	// guarantee); a cluster still needs one member, so the shrink target is
 	// floored at a singleton.
-	for c.Size() > max(e.opt.K, 1) {
+	for len(c.Members) > max(e.opt.K, 1) {
+		m := len(c.Members)
+		need := (m + 1) * r
+		if cap(e.shrinkPre) < need {
+			e.shrinkPre = make([]int32, need)
+			e.shrinkSuf = make([]int32, need)
+		}
+		pre := e.shrinkPre[:need]
+		suf := e.shrinkSuf[:need]
+		// pre[i·r..] is the closure of members[0..i) (defined for i ≥ 1),
+		// suf[i·r..] the closure of members[i..m) (defined for i ≤ m−1);
+		// the join has no identity element, so the boundaries are explicit.
+		rec := e.tbl.Records[c.Members[0]]
+		for j := 0; j < r; j++ {
+			pre[r+j] = int32(rec[j])
+		}
+		for i := 2; i <= m; i++ {
+			rec := e.tbl.Records[c.Members[i-1]]
+			prev, cur := pre[(i-1)*r:i*r], pre[i*r:(i+1)*r]
+			for j := 0; j < r; j++ {
+				cur[j] = int32(k.lcaNode(j, int(prev[j]), rec[j]))
+			}
+		}
+		rec = e.tbl.Records[c.Members[m-1]]
+		for j := 0; j < r; j++ {
+			suf[(m-1)*r+j] = int32(rec[j])
+		}
+		for i := m - 2; i >= 0; i-- {
+			rec := e.tbl.Records[c.Members[i]]
+			next, cur := suf[(i+1)*r:(i+2)*r], suf[i*r:(i+1)*r]
+			for j := 0; j < r; j++ {
+				cur[j] = int32(k.lcaNode(j, rec[j], int(next[j])))
+			}
+		}
+
 		bestIdx, bestD := -1, math.Inf(-1)
-		var bestRest *Cluster
 		evals := int64(0)
-		for mi := range c.Members {
-			if !e.canEvict(c.Members[mi]) {
+		for mi := 0; mi < m; mi++ {
+			if len(e.cons) > 0 && !e.canEvict(c.Members[mi]) {
 				continue
 			}
-			rest := make([]int, 0, c.Size()-1)
-			rest = append(rest, c.Members[:mi]...)
-			rest = append(rest, c.Members[mi+1:]...)
-			restCl := e.s.NewCluster(e.tbl, rest)
+			sum := 0.0
+			switch {
+			case mi == 0:
+				for j := 0; j < r; j++ {
+					sum += k.costAt(j, int(suf[r+j]))
+				}
+			case mi == m-1:
+				for j := 0; j < r; j++ {
+					sum += k.costAt(j, int(pre[(m-1)*r+j]))
+				}
+			default:
+				for j := 0; j < r; j++ {
+					sum += k.lcaCost(j, int(pre[mi*r+j]), int(suf[(mi+1)*r+j]))
+				}
+			}
+			restCost := sum / float64(r)
 			// dist(Ŝ, Ŝ\{R̂_i}): the union of the two sets is Ŝ itself.
-			d := e.opt.Distance.Eval(c.Size(), restCl.Size(), c.Size(), c.Cost, restCl.Cost, c.Cost)
+			d := k.eval(m, m-1, m, c.Cost, restCost, c.Cost)
 			evals++
 			if d > bestD {
-				bestIdx, bestD, bestRest = mi, d, restCl
+				bestIdx, bestD = mi, d
 			}
 		}
 		e.distEvals.Add(evals)
+		e.shrinkEvals += evals
 		if bestIdx < 0 {
 			break // every eviction would break a constraint
 		}
 		evicted := c.Members[bestIdx]
 		removed = append(removed, evicted)
 		e.commitEvict(evicted)
-		c.Members = bestRest.Members
-		c.Closure = bestRest.Closure
-		c.Cost = bestRest.Cost
+		// Commit the winning rest set: its closure replaces c's, its cost
+		// is the same ascending-attribute sum s.Cost computes.
+		switch {
+		case bestIdx == 0:
+			for j := 0; j < r; j++ {
+				c.Closure[j] = int(suf[r+j])
+			}
+		case bestIdx == m-1:
+			for j := 0; j < r; j++ {
+				c.Closure[j] = int(pre[(m-1)*r+j])
+			}
+		default:
+			for j := 0; j < r; j++ {
+				c.Closure[j] = k.lcaNode(j, int(pre[bestIdx*r+j]), int(suf[(bestIdx+1)*r+j]))
+			}
+		}
+		sum := 0.0
+		for j := 0; j < r; j++ {
+			sum += k.costAt(j, c.Closure[j])
+		}
+		c.Cost = sum / float64(r)
+		c.Members = append(c.Members[:bestIdx], c.Members[bestIdx+1:]...)
 	}
 	return removed
 }
 
 // absorb adds record ri to the final cluster minimizing dist({R_ri}, S),
-// updating that cluster's closure and cost. Absorption order matters (each
-// absorption widens a final closure), so this stays sequential. Under a
-// non-addition-safe constraint the nearest cluster that stays satisfying
-// wins instead; if none does, the unconstrained nearest takes the record —
-// absorption is best-effort (ConstraintReport on the facade audits the
-// final release).
+// updating that cluster's closure and cost; the candidate sweep runs
+// through the fused tables and the devirtualized eval, with no singleton
+// construction. Absorption order matters (each absorption widens a final
+// closure), so this stays sequential. Under a non-addition-safe
+// constraint the nearest cluster that stays satisfying wins instead; if
+// none does, the unconstrained nearest takes the record — absorption is
+// best-effort (ConstraintReport on the facade audits the final release).
 func (e *aggloEngine) absorb(ri int) {
-	single := e.s.NewSingleton(e.tbl, ri)
+	k := e.kern
+	r := k.r
+	rec := e.tbl.Records[ri]
+	sum := 0.0
+	for j := 0; j < r; j++ {
+		sum += k.costAt(j, rec[j])
+	}
+	sCost := sum / float64(r)
 	bestIdx, bestD := -1, math.Inf(1)
 	okIdx, okD := -1, math.Inf(1)
-	r := e.s.NumAttrs()
 	for fi, f := range e.final {
 		sum := 0.0
 		for j := 0; j < r; j++ {
-			node := e.s.Hiers[j].LCA(single.Closure[j], f.Closure[j])
-			sum += e.s.CostAt(j, node)
+			sum += k.lcaCost(j, rec[j], f.Closure[j])
 		}
 		dU := sum / float64(r)
-		d := e.opt.Distance.Eval(1, f.Size(), 1+f.Size(), single.Cost, f.Cost, dU)
+		d := k.eval(1, f.Size(), 1+f.Size(), sCost, f.Cost, dU)
 		if d < bestD {
 			bestIdx, bestD = fi, d
 		}
@@ -990,13 +754,21 @@ func (e *aggloEngine) absorb(ri int) {
 		bestIdx = okIdx
 	}
 	if bestIdx < 0 {
-		// No final cluster exists (n < 2k and everything stayed unripe is
-		// excluded by the k ≤ n guard, but stay safe): promote the singleton.
-		e.final = append(e.final, single)
+		// No final cluster exists (excluded by the k ≤ n guard, but stay
+		// safe): promote the singleton.
+		cl := make(table.GenRecord, r)
+		copy(cl, rec)
+		e.final = append(e.final, &Cluster{Closure: cl, Members: []int{ri}, Cost: sCost})
 		return
 	}
 	f := e.final[bestIdx]
 	f.Members = append(f.Members, ri)
-	e.s.MergeInto(f.Closure, single.Closure)
-	f.Cost = e.s.Cost(f.Closure)
+	for j := 0; j < r; j++ {
+		f.Closure[j] = k.lcaNode(j, f.Closure[j], rec[j])
+	}
+	sum = 0.0
+	for j := 0; j < r; j++ {
+		sum += k.costAt(j, f.Closure[j])
+	}
+	f.Cost = sum / float64(r)
 }

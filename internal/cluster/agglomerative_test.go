@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -253,95 +254,19 @@ func TestAgglomerateDiversityWithKOne(t *testing.T) {
 	}
 }
 
-// TestAgglomerateMatchesBruteForceNN verifies the incremental
-// nearest-neighbour maintenance against a brute-force engine that rescans
-// everything each step: both must produce the identical clustering.
+// TestAgglomerateMatchesBruteForceNN checks the engine against the naive
+// oracle on many small random tables, both algorithms: the lazy heap's
+// selection, caches and healing must reproduce a full rescan at every
+// step.
 func TestAgglomerateMatchesBruteForceNN(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
 		s, tbl := randomSpace(t, rng, 24)
 		for _, dist := range []Distance{D1{}, D2{}, D3{}, D4{}} {
-			fast, err := Agglomerate(s, tbl, AggloOptions{K: 3, Distance: dist})
-			if err != nil {
-				t.Fatal(err)
-			}
-			slow := bruteForceAgglomerate(s, tbl, 3, dist)
-			if len(fast) != len(slow) {
-				t.Fatalf("seed %d %s: %d vs %d clusters", seed, dist.Name(), len(fast), len(slow))
-			}
-			for i := range fast {
-				if !fast[i].Closure.Equal(slow[i].Closure) {
-					t.Errorf("seed %d %s: cluster %d closure differs", seed, dist.Name(), i)
-				}
+			for _, modified := range []bool{false, true} {
+				label := fmt.Sprintf("seed %d %s modified=%v", seed, dist.Name(), modified)
+				assertMatchesOracle(t, label, s, tbl, AggloOptions{K: 3, Distance: dist, Modified: modified})
 			}
 		}
 	}
-}
-
-// bruteForceAgglomerate reimplements Algorithm 1 with full rescans,
-// breaking ties identically (lowest first index, then lowest second index
-// in ordered-pair iteration).
-func bruteForceAgglomerate(s *Space, tbl *table.Table, k int, dist Distance) []*Cluster {
-	type node struct {
-		c     *Cluster
-		alive bool
-	}
-	var nodes []node
-	for i := 0; i < tbl.Len(); i++ {
-		nodes = append(nodes, node{s.NewSingleton(tbl, i), true})
-	}
-	live := tbl.Len()
-	var final []*Cluster
-	evald := func(a, b int) float64 {
-		ca, cb := nodes[a].c, nodes[b].c
-		u := s.MergeClosures(ca.Closure, cb.Closure)
-		return dist.Eval(ca.Size(), cb.Size(), ca.Size()+cb.Size(), ca.Cost, cb.Cost, s.Cost(u))
-	}
-	for live > 1 {
-		bi, bj, bd := -1, -1, math.Inf(1)
-		for i := range nodes {
-			if !nodes[i].alive {
-				continue
-			}
-			for j := range nodes {
-				if i == j || !nodes[j].alive {
-					continue
-				}
-				if d := evald(i, j); d < bd {
-					bi, bj, bd = i, j, d
-				}
-			}
-		}
-		m := s.Merge(nodes[bi].c, nodes[bj].c)
-		nodes[bi].alive = false
-		nodes[bj].alive = false
-		live -= 2
-		if m.Size() >= k {
-			final = append(final, m)
-		} else {
-			nodes = append(nodes, node{m, true})
-			live++
-		}
-	}
-	for i := range nodes {
-		if !nodes[i].alive {
-			continue
-		}
-		for _, ri := range nodes[i].c.Members {
-			single := s.NewSingleton(tbl, ri)
-			bf, bd := -1, math.Inf(1)
-			for fi, f := range final {
-				u := s.MergeClosures(single.Closure, f.Closure)
-				d := dist.Eval(1, f.Size(), 1+f.Size(), single.Cost, f.Cost, s.Cost(u))
-				if d < bd {
-					bf, bd = fi, d
-				}
-			}
-			f := final[bf]
-			f.Members = append(f.Members, ri)
-			s.MergeInto(f.Closure, single.Closure)
-			f.Cost = s.Cost(f.Closure)
-		}
-	}
-	return final
 }

@@ -105,23 +105,11 @@ func BenchmarkAgglomerateLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkAgglomerateKernelOff is the n=2000 reference-path run: diffing
-// it against BenchmarkAgglomerateWorkers/n=2000/workers=1 isolates the flat
-// kernel's speedup inside one binary.
-func BenchmarkAgglomerateKernelOff(b *testing.B) {
-	s, ds := benchSpace(b, 2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Agglomerate(s, ds.Table, AggloOptions{K: 10, Distance: D3{}, Workers: 1, NoKernel: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDistKernel is the inner-loop microbenchmark: one dist(A, B)
 // evaluation through the flat kernel (fused-table loads over arena rows)
-// versus the reference path (LCA pointer walks over heap GenRecords plus
-// interface dispatch).
+// versus the naive evaluation (LCA pointer walks over heap GenRecords plus
+// interface dispatch). The reference leg is cmd/benchgate's denominator: a
+// pure, machine-speed measure of the LCA walk, immune to engine changes.
 func BenchmarkDistKernel(b *testing.B) {
 	s, ds := benchSpace(b, 200)
 	ca := s.NewCluster(ds.Table, []int{0, 1, 2, 3, 4, 5, 6, 7})

@@ -322,9 +322,9 @@ func TestConstraintEngineSatisfaction(t *testing.T) {
 	}
 }
 
-// TestConstraintKernelEquivalence verifies kernel-on and kernel-off runs
-// agree for every constraint notion, across worker counts — the
-// determinism contract extended to the new constraints.
+// TestConstraintKernelEquivalence verifies the engine matches the naive
+// oracle for every constraint notion, across worker counts — the
+// determinism contract extended to the constraints.
 func TestConstraintKernelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	s, tbl := randomSpace(t, rng, 80)
@@ -337,26 +337,16 @@ func TestConstraintKernelEquivalence(t *testing.T) {
 		EntropyLDiversity(2),
 		RecursiveCL(3, 2),
 		TCloseness(0.5),
+		// Tight enough that the guarded absorb passes over the nearest
+		// final cluster for a satisfying one.
+		TCloseness(0.3),
 	}
 	for _, c := range cases {
 		for _, modified := range []bool{false, true} {
-			ref, err := Agglomerate(s, tbl, AggloOptions{
+			assertMatchesOracle(t, fmt.Sprintf("%s modified=%v", c, modified), s, tbl, AggloOptions{
 				K: 4, Distance: D3{}, Modified: modified,
-				Constraints: []Constraint{c}, Sensitive: sens, Workers: 1, NoKernel: true,
+				Constraints: []Constraint{c}, Sensitive: sens,
 			})
-			if err != nil {
-				t.Fatalf("%s reference modified=%v: %v", c, modified, err)
-			}
-			for _, workers := range []int{1, 4} {
-				got, err := Agglomerate(s, tbl, AggloOptions{
-					K: 4, Distance: D3{}, Modified: modified,
-					Constraints: []Constraint{c}, Sensitive: sens, Workers: workers,
-				})
-				if err != nil {
-					t.Fatalf("%s kernel modified=%v workers=%d: %v", c, modified, workers, err)
-				}
-				assertSameClustering(t, fmt.Sprintf("%s modified=%v workers=%d", c, modified, workers), ref, got)
-			}
 		}
 	}
 }

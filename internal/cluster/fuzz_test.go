@@ -55,9 +55,9 @@ func fuzzTable(data []byte) (*table.Table, []int) {
 // input, the engine must not panic, must either reject the options
 // identically at every worker count or return a clustering satisfying the
 // structural invariants, the parallel clustering must equal the sequential
-// one exactly, and the lazy-heap kernel path must equal the reference
-// (NoKernel) sweep exactly — including under ℓ-diversity and t-closeness
-// constraints (mode bits 2 and 4).
+// one exactly, and the engine must equal the naive oracle (oracle_test.go)
+// exactly — including under ℓ-diversity and t-closeness constraints (mode
+// bits 2 and 4).
 func FuzzAgglomerate(f *testing.F) {
 	f.Add([]byte{0x00}, uint8(2), uint8(0), uint8(0))
 	f.Add([]byte{0x01, 0x02, 0x13, 0x24, 0x35, 0x46, 0x57, 0x68, 0x79, 0x8a}, uint8(3), uint8(2), uint8(1))
@@ -96,19 +96,14 @@ func FuzzAgglomerate(f *testing.F) {
 			}
 			assertSameClustering(t, "fuzz", seq, par)
 		}
-		optRef := opt
-		optRef.Workers = 1
-		optRef.NoKernel = true
-		ref, refErr := Agglomerate(s, tbl, optRef)
+		ref, refErr := oracleAgglomerate(s, tbl, opt)
 		if (seqErr == nil) != (refErr == nil) {
-			t.Fatalf("kernel err=%v, reference err=%v", seqErr, refErr)
-		}
-		if seqErr == nil {
-			assertSameClustering(t, "fuzz kernel vs reference", seq, ref)
+			t.Fatalf("engine err=%v, oracle err=%v", seqErr, refErr)
 		}
 		if seqErr != nil {
 			return
 		}
+		assertSameClustering(t, "fuzz engine vs oracle", ref, seq)
 		minSize := opt.K
 		if minSize < 1 {
 			minSize = 1
@@ -132,7 +127,7 @@ func FuzzAgglomerate(f *testing.F) {
 // reference evaluation (per-attribute LCA walk + Distance.Eval through the
 // interface) over random cluster pairs, for all five built-in distances:
 // the results must be bit-equal float64s, both argument orders. It then
-// replays the whole engine kernel-on vs kernel-off on the same table.
+// replays the whole engine against the naive oracle on the same table.
 func FuzzDistKernelEquivalence(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x13, 0x24, 0x35, 0x46}, uint8(2), uint8(3))
 	f.Add([]byte{0xff, 0xfe, 0xfd, 0xfc, 0x01, 0x02, 0x03, 0x04}, uint8(5), uint8(2))
@@ -158,7 +153,7 @@ func FuzzDistKernelEquivalence(f *testing.F) {
 		r := s.NumAttrs()
 		row := make([]int32, r)
 		for _, d := range AllDistances() {
-			// Reference: the NoKernel engine's dist body, verbatim.
+			// Reference: the per-attribute LCA walk plus Distance.Eval.
 			sum := 0.0
 			for j := 0; j < r; j++ {
 				node := s.Hiers[j].LCA(ca.Closure[j], cb.Closure[j])
@@ -194,7 +189,7 @@ func FuzzDistKernelEquivalence(f *testing.F) {
 				t.Errorf("%s: kernel dist(b,a) = %v, reference = %v", d.Name(), got, want)
 			}
 		}
-		// Whole-engine replay: kernel-on must reproduce the reference
+		// Whole-engine replay: the engine must reproduce the oracle's
 		// clustering on the same input, both algorithms.
 		dists := AllDistances()
 		opt := AggloOptions{
@@ -203,15 +198,13 @@ func FuzzDistKernelEquivalence(f *testing.F) {
 			Modified: kb&1 != 0,
 			Workers:  1,
 		}
-		optRef := opt
-		optRef.NoKernel = true
-		ref, refErr := Agglomerate(s, tbl, optRef)
+		ref, refErr := oracleAgglomerate(s, tbl, opt)
 		got, gotErr := Agglomerate(s, tbl, opt)
 		if (refErr == nil) != (gotErr == nil) {
-			t.Fatalf("reference err=%v, kernel err=%v", refErr, gotErr)
+			t.Fatalf("oracle err=%v, engine err=%v", refErr, gotErr)
 		}
 		if refErr == nil {
-			assertSameClustering(t, "kernel vs reference", ref, got)
+			assertSameClustering(t, "engine vs oracle", ref, got)
 		}
 	})
 }

@@ -7,11 +7,11 @@ import (
 )
 
 // This file implements the flat distance kernel of the agglomerative
-// engine (DESIGN.md §12). The reference engine evaluates dist(A, B) by
-// walking per-attribute LCA pointer chains over one heap-allocated
-// GenRecord per live cluster and dispatching through the Distance
-// interface — three indirections per attribute on a path executed millions
-// of times. The kernel removes all of them:
+// engine (DESIGN.md §12). Evaluated naively, dist(A, B) walks
+// per-attribute LCA pointer chains over one heap-allocated GenRecord per
+// live cluster and dispatches through the Distance interface — three
+// indirections per attribute on a path executed millions of times. The
+// kernel removes all of them:
 //
 //   - per-attribute LCA and cost resolution collapse into one load from a
 //     fused table fused[j][u*nn+v] = cost(LCA(u, v)), precomputed once per
@@ -26,12 +26,11 @@ import (
 //     a distKind, and eval switches on it with the inlined formulas of
 //     distance.go — user-supplied distances fall back to the interface.
 //
-// The kernel is byte-exact against the reference path: every float64 sum
-// runs in the same (ascending-attribute) order, the fused tables are built
-// from the same CostAt/LCA functions the reference calls, and the eval
-// switch repeats the Eval expressions verbatim, so kernel-on and
-// kernel-off clusterings are identical (see kernel_test.go and
-// FuzzDistKernelEquivalence).
+// The kernel is byte-exact against the naive evaluation: every float64
+// sum runs in the same (ascending-attribute) order, the fused tables are
+// built from the same CostAt/LCA functions, and the eval switch repeats
+// the Eval expressions verbatim (see FuzzDistKernelEquivalence and the
+// naive Algorithm 1/2 oracle of oracle_test.go).
 //
 // Concurrency: the arena is mutated (add/kill) only on the engine's
 // driving goroutine, between pool calls; pool workers only read rows of
@@ -232,8 +231,7 @@ func (k *kernel) lcaCost(j, u, v int) float64 {
 	return k.s.costs[j][k.s.Hiers[j].LCA(u, v)]
 }
 
-// costAt is the per-node cost lookup (same table the reference CostAt
-// reads).
+// costAt is the per-node cost lookup (the table Space.CostAt reads).
 func (k *kernel) costAt(j, node int) float64 { return k.s.costs[j][node] }
 
 // mergeScratch computes the merge of live clusters a and b into the
@@ -281,7 +279,7 @@ func (k *kernel) dist(a, b int) float64 {
 // leaving only the two cheap eval combinations. Each result is bit-identical
 // to the corresponding dist() call: dU is the same ascending-attribute sum
 // and eval repeats the same expression, so the lazy engine's pair-at-once
-// passes (DESIGN.md §17) cannot drift from the reference path.
+// passes (DESIGN.md §17) cannot drift from single-orientation scans.
 func (k *kernel) distPair(a, b int) (dab, dba float64) {
 	ra, rb := k.row(a), k.row(b)
 	sum := 0.0
@@ -302,251 +300,6 @@ func (k *kernel) distPair(a, b int) (dab, dba float64) {
 	sa, sb := int(k.size[a]), int(k.size[b])
 	ca, cb := k.cost[a], k.cost[b]
 	return k.eval(sa, sb, sa+sb, ca, cb, dU), k.eval(sb, sa, sb+sa, cb, ca, dU)
-}
-
-// pushSingletonK pushes record i as a singleton cluster in kernel mode:
-// its closure row (the record's leaves) and cost go straight into the
-// arena with no per-cluster heap allocation, and its member chain is the
-// single record.
-func (e *aggloEngine) pushSingletonK(i int) int {
-	id := e.push(nil)
-	e.kern.addSingleton(id, e.tbl.Records[i])
-	e.mHead = append(e.mHead, int32(i))
-	e.mTail = append(e.mTail, int32(i))
-	e.mNext[i] = -1
-	return id
-}
-
-// mergeK is the kernel-mode merge step: it stages the merged closure in
-// the kernel's scratch row, concatenates the member chains in O(1), kills
-// a and b, and then either finalizes the merged cluster (materializing the
-// one *Cluster the output needs, with the Algorithm 2 shrink when
-// enabled) or pushes it as a new live id — reusing a freed arena slot. It
-// returns the newborn ids appended to added, plus the merged size.
-func (e *aggloEngine) mergeK(a, b int, added []int) ([]int, int) {
-	row, cost, size := e.kern.mergeScratch(a, b)
-	head, tail := e.mHead[a], e.mTail[b]
-	e.mNext[e.mTail[a]] = e.mHead[b]
-	e.kill(a)
-	e.kill(b)
-	if size >= e.opt.K && e.constraintsOKChain(head) {
-		c := e.materializeK(row, cost, head, size)
-		if e.opt.Modified && size > e.opt.K {
-			removed := e.shrinkK(c)
-			for _, ri := range removed {
-				added = append(added, e.pushSingletonK(ri))
-			}
-		}
-		e.final = append(e.final, c)
-	} else {
-		id := e.push(nil)
-		e.kern.addMerged(id, row, cost, size)
-		e.mHead = append(e.mHead, head)
-		e.mTail = append(e.mTail, tail)
-		added = append(added, id)
-	}
-	return added, size
-}
-
-// materializeK builds the one heap *Cluster a final cluster needs from a
-// staged closure row and a member chain.
-func (e *aggloEngine) materializeK(row []int32, cost float64, head int32, size int) *Cluster {
-	members := make([]int, 0, size)
-	for ri := head; ri >= 0; ri = e.mNext[ri] {
-		members = append(members, int(ri))
-	}
-	cl := make(table.GenRecord, e.kern.r)
-	for j, node := range row {
-		cl[j] = int(node)
-	}
-	return &Cluster{Closure: cl, Members: members, Cost: cost}
-}
-
-// constraintsOKChain is constraintsOK over a member chain.
-func (e *aggloEngine) constraintsOKChain(head int32) bool {
-	for _, b := range e.cons {
-		b.Reset()
-		sat := false
-		for ri := head; ri >= 0; ri = e.mNext[ri] {
-			b.Add(int(ri))
-			if b.Decided() {
-				sat = true
-				break
-			}
-		}
-		if !sat && !b.Satisfied() {
-			return false
-		}
-	}
-	return true
-}
-
-// shrinkK is the kernel-mode Algorithm 2 shrink. The reference shrink
-// rebuilds a fresh rest-cluster per candidate eviction — O(|c|²·r) per
-// round with a NewCluster allocation per candidate. Here each round
-// precomputes prefix and suffix closures over the member list into two
-// reusable scratch slabs (closure is a semilattice join, so
-// prefix[i] ∨ suffix[i+1] is exactly the closure of the rest set), making
-// a round O(|c|·r) with zero allocations. Candidate order, the strict
-// d > bestD tie-break, the constraint-skip condition and every float64
-// summation order match the reference bit for bit: both paths drive the
-// same Bound accumulators (beginShrink/canEvict/commitEvict), loaded once
-// here and updated incrementally across rounds.
-func (e *aggloEngine) shrinkK(c *Cluster) []int {
-	k := e.kern
-	r := k.r
-	var removed []int
-	e.beginShrink(c.Members)
-	// Same singleton floor as the reference shrink: constrained runs admit
-	// K ≤ 1, and a cluster cannot shrink below one member.
-	for len(c.Members) > max(e.opt.K, 1) {
-		m := len(c.Members)
-		need := (m + 1) * r
-		if cap(e.shrinkPre) < need {
-			e.shrinkPre = make([]int32, need)
-			e.shrinkSuf = make([]int32, need)
-		}
-		pre := e.shrinkPre[:need]
-		suf := e.shrinkSuf[:need]
-		// pre[i·r..] is the closure of members[0..i) (defined for i ≥ 1),
-		// suf[i·r..] the closure of members[i..m) (defined for i ≤ m−1);
-		// the join has no identity element, so the boundaries are explicit.
-		rec := e.tbl.Records[c.Members[0]]
-		for j := 0; j < r; j++ {
-			pre[r+j] = int32(rec[j])
-		}
-		for i := 2; i <= m; i++ {
-			rec := e.tbl.Records[c.Members[i-1]]
-			prev, cur := pre[(i-1)*r:i*r], pre[i*r:(i+1)*r]
-			for j := 0; j < r; j++ {
-				cur[j] = int32(k.lcaNode(j, int(prev[j]), rec[j]))
-			}
-		}
-		rec = e.tbl.Records[c.Members[m-1]]
-		for j := 0; j < r; j++ {
-			suf[(m-1)*r+j] = int32(rec[j])
-		}
-		for i := m - 2; i >= 0; i-- {
-			rec := e.tbl.Records[c.Members[i]]
-			next, cur := suf[(i+1)*r:(i+2)*r], suf[i*r:(i+1)*r]
-			for j := 0; j < r; j++ {
-				cur[j] = int32(k.lcaNode(j, rec[j], int(next[j])))
-			}
-		}
-
-		bestIdx, bestD := -1, math.Inf(-1)
-		evals := int64(0)
-		for mi := 0; mi < m; mi++ {
-			if len(e.cons) > 0 && !e.canEvict(c.Members[mi]) {
-				continue
-			}
-			sum := 0.0
-			switch {
-			case mi == 0:
-				for j := 0; j < r; j++ {
-					sum += k.costAt(j, int(suf[r+j]))
-				}
-			case mi == m-1:
-				for j := 0; j < r; j++ {
-					sum += k.costAt(j, int(pre[(m-1)*r+j]))
-				}
-			default:
-				for j := 0; j < r; j++ {
-					sum += k.lcaCost(j, int(pre[mi*r+j]), int(suf[(mi+1)*r+j]))
-				}
-			}
-			restCost := sum / float64(r)
-			// dist(Ŝ, Ŝ\{R̂_i}): the union of the two sets is Ŝ itself.
-			d := k.eval(m, m-1, m, c.Cost, restCost, c.Cost)
-			evals++
-			if d > bestD {
-				bestIdx, bestD = mi, d
-			}
-		}
-		e.distEvals.Add(evals)
-		e.shrinkEvals += evals
-		if bestIdx < 0 {
-			break // every eviction would break a constraint
-		}
-		evicted := c.Members[bestIdx]
-		removed = append(removed, evicted)
-		e.commitEvict(evicted)
-		// Commit the winning rest set: its closure replaces c's, its cost
-		// is the same ascending-attribute sum s.Cost computes.
-		switch {
-		case bestIdx == 0:
-			for j := 0; j < r; j++ {
-				c.Closure[j] = int(suf[r+j])
-			}
-		case bestIdx == m-1:
-			for j := 0; j < r; j++ {
-				c.Closure[j] = int(pre[(m-1)*r+j])
-			}
-		default:
-			for j := 0; j < r; j++ {
-				c.Closure[j] = k.lcaNode(j, int(pre[bestIdx*r+j]), int(suf[(bestIdx+1)*r+j]))
-			}
-		}
-		sum := 0.0
-		for j := 0; j < r; j++ {
-			sum += k.costAt(j, c.Closure[j])
-		}
-		c.Cost = sum / float64(r)
-		c.Members = append(c.Members[:bestIdx], c.Members[bestIdx+1:]...)
-	}
-	return removed
-}
-
-// absorbK is the kernel-mode leftover absorption: the candidate sweep over
-// the final clusters runs through the fused tables and the devirtualized
-// eval, with no singleton construction.
-func (e *aggloEngine) absorbK(ri int) {
-	k := e.kern
-	r := k.r
-	rec := e.tbl.Records[ri]
-	sum := 0.0
-	for j := 0; j < r; j++ {
-		sum += k.costAt(j, rec[j])
-	}
-	sCost := sum / float64(r)
-	bestIdx, bestD := -1, math.Inf(1)
-	okIdx, okD := -1, math.Inf(1)
-	for fi, f := range e.final {
-		sum := 0.0
-		for j := 0; j < r; j++ {
-			sum += k.lcaCost(j, rec[j], f.Closure[j])
-		}
-		dU := sum / float64(r)
-		d := k.eval(1, f.Size(), 1+f.Size(), sCost, f.Cost, dU)
-		if d < bestD {
-			bestIdx, bestD = fi, d
-		}
-		if e.guardAbsorb && d < okD && e.absorbAllowed(f, ri) {
-			okIdx, okD = fi, d
-		}
-	}
-	e.distEvals.Add(int64(len(e.final)))
-	if okIdx >= 0 {
-		bestIdx = okIdx
-	}
-	if bestIdx < 0 {
-		// No final cluster exists (excluded by the k ≤ n guard, but stay
-		// safe): promote the singleton.
-		cl := make(table.GenRecord, r)
-		copy(cl, rec)
-		e.final = append(e.final, &Cluster{Closure: cl, Members: []int{ri}, Cost: sCost})
-		return
-	}
-	f := e.final[bestIdx]
-	f.Members = append(f.Members, ri)
-	for j := 0; j < r; j++ {
-		f.Closure[j] = k.lcaNode(j, f.Closure[j], rec[j])
-	}
-	sum = 0.0
-	for j := 0; j < r; j++ {
-		sum += k.costAt(j, f.Closure[j])
-	}
-	f.Cost = sum / float64(r)
 }
 
 // eval is the devirtualized Distance.Eval: a switch over the built-in

@@ -13,7 +13,7 @@ import (
 	"kanon/internal/table"
 )
 
-// kernelEquivalenceN sizes the kernel-vs-reference matrix; the full size
+// kernelEquivalenceN sizes the engine-vs-oracle matrix; the full size
 // dominates the test's runtime, so -short trims it.
 func kernelEquivalenceN(t *testing.T) int {
 	if testing.Short() {
@@ -22,32 +22,17 @@ func kernelEquivalenceN(t *testing.T) int {
 	return 300
 }
 
-// TestKernelEquivalenceMatrix is the PR's central acceptance check: for
-// every built-in distance, both algorithms and both worker counts, the
-// flat-kernel engine must produce the byte-identical clustering of the
-// reference (NoKernel) engine — same clusters, members, closures and
-// bit-equal float64 costs.
+// TestKernelEquivalenceMatrix is the engine's central acceptance check:
+// for every built-in distance, both algorithms and workers {1, 4}, the
+// engine must produce the naive oracle's clustering — same clusters,
+// members, closures and bit-equal float64 costs.
 func TestKernelEquivalenceMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s, tbl := randomSpace(t, rng, kernelEquivalenceN(t))
 	for _, d := range AllDistances() {
 		for _, modified := range []bool{false, true} {
-			ref, err := Agglomerate(s, tbl, AggloOptions{
-				K: 5, Distance: d, Modified: modified, Workers: 1, NoKernel: true,
-			})
-			if err != nil {
-				t.Fatalf("%s reference: %v", d.Name(), err)
-			}
-			for _, workers := range []int{1, 4} {
-				label := fmt.Sprintf("%s modified=%v workers=%d", d.Name(), modified, workers)
-				got, err := Agglomerate(s, tbl, AggloOptions{
-					K: 5, Distance: d, Modified: modified, Workers: workers,
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				assertSameClustering(t, label, ref, got)
-			}
+			assertMatchesOracle(t, fmt.Sprintf("%s modified=%v", d.Name(), modified), s, tbl,
+				AggloOptions{K: 5, Distance: d, Modified: modified})
 		}
 	}
 }
@@ -59,29 +44,15 @@ func TestKernelEquivalenceAdult(t *testing.T) {
 	s, tbl := adultSpace(t, kernelEquivalenceN(t))
 	for _, d := range []Distance{D1{}, D3{}, D4{Epsilon: 0.25}} {
 		for _, modified := range []bool{false, true} {
-			ref, err := Agglomerate(s, tbl, AggloOptions{
-				K: 10, Distance: d, Modified: modified, Workers: 1, NoKernel: true,
-			})
-			if err != nil {
-				t.Fatalf("%s reference: %v", d.Name(), err)
-			}
-			for _, workers := range []int{1, 4} {
-				label := fmt.Sprintf("adult %s modified=%v workers=%d", d.Name(), modified, workers)
-				got, err := Agglomerate(s, tbl, AggloOptions{
-					K: 10, Distance: d, Modified: modified, Workers: workers,
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				assertSameClustering(t, label, ref, got)
-			}
+			assertMatchesOracle(t, fmt.Sprintf("adult %s modified=%v", d.Name(), modified), s, tbl,
+				AggloOptions{K: 10, Distance: d, Modified: modified})
 		}
 	}
 }
 
-// TestKernelEquivalenceDiverse exercises the kernel's diversity legs: the
-// member-chain diversity gate of mergeK and the incremental distinct-count
-// bookkeeping of shrinkK must reproduce the reference's decisions exactly.
+// TestKernelEquivalenceDiverse exercises the engine's diversity legs: the
+// member-chain diversity gate of merge and the incremental distinct-count
+// bookkeeping of shrink must reproduce the oracle's from-scratch decisions.
 func TestKernelEquivalenceDiverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	s, tbl := randomSpace(t, rng, kernelEquivalenceN(t))
@@ -90,32 +61,18 @@ func TestKernelEquivalenceDiverse(t *testing.T) {
 		sensitive[i] = rng.Intn(4)
 	}
 	for _, modified := range []bool{false, true} {
-		ref, err := Agglomerate(s, tbl, AggloOptions{
+		assertMatchesOracle(t, fmt.Sprintf("diverse modified=%v", modified), s, tbl, AggloOptions{
 			K: 6, Distance: D3{}, Modified: modified,
-			Constraints: []Constraint{DistinctLDiversity(3)}, Sensitive: sensitive, Workers: 1, NoKernel: true,
+			Constraints: []Constraint{DistinctLDiversity(3)}, Sensitive: sensitive,
 		})
-		if err != nil {
-			t.Fatalf("reference modified=%v: %v", modified, err)
-		}
-		for _, workers := range []int{1, 4} {
-			label := fmt.Sprintf("diverse modified=%v workers=%d", modified, workers)
-			got, err := Agglomerate(s, tbl, AggloOptions{
-				K: 6, Distance: D3{}, Modified: modified,
-				Constraints: []Constraint{DistinctLDiversity(3)}, Sensitive: sensitive, Workers: workers,
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			assertSameClustering(t, label, ref, got)
-		}
 	}
 }
 
 // TestKernelEquivalenceTCloseness runs the matrix under t-closeness — a
-// non-addition-safe constraint, so the guarded absorb path runs too. With
-// the lazy heap selection this is the constraint leg of the DESIGN.md §17
-// oracle: ripe-shrink re-seeds singletons into the heap and the clustering
-// must still match the reference sweep byte for byte.
+// non-addition-safe constraint, so the guarded absorb path runs too. This
+// is the constraint leg of the DESIGN.md §17 oracle: ripe-shrink re-seeds
+// singletons into the heap and the clustering must still match the
+// oracle's byte for byte.
 func TestKernelEquivalenceTCloseness(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	s, tbl := randomSpace(t, rng, kernelEquivalenceN(t))
@@ -124,24 +81,10 @@ func TestKernelEquivalenceTCloseness(t *testing.T) {
 		sensitive[i] = rng.Intn(5)
 	}
 	for _, modified := range []bool{false, true} {
-		ref, err := Agglomerate(s, tbl, AggloOptions{
+		assertMatchesOracle(t, fmt.Sprintf("t-close modified=%v", modified), s, tbl, AggloOptions{
 			K: 6, Distance: D3{}, Modified: modified,
-			Constraints: []Constraint{TCloseness(0.4)}, Sensitive: sensitive, Workers: 1, NoKernel: true,
+			Constraints: []Constraint{TCloseness(0.4)}, Sensitive: sensitive,
 		})
-		if err != nil {
-			t.Fatalf("reference modified=%v: %v", modified, err)
-		}
-		for _, workers := range []int{1, 4} {
-			label := fmt.Sprintf("t-close modified=%v workers=%d", modified, workers)
-			got, err := Agglomerate(s, tbl, AggloOptions{
-				K: 6, Distance: D3{}, Modified: modified,
-				Constraints: []Constraint{TCloseness(0.4)}, Sensitive: sensitive, Workers: workers,
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			assertSameClustering(t, label, ref, got)
-		}
 	}
 }
 
@@ -307,7 +250,7 @@ func TestLCABoundRow(t *testing.T) {
 
 // TestKernelForcedFallback forces the over-budget walk-up path: the wide
 // attribute gets no fused table, so the kernel runs mixed tabled/walked —
-// and must still match the reference exactly.
+// and must still match the oracle exactly.
 func TestKernelForcedFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s, tbl := overBudgetSpace(t, rng, 150)
@@ -316,28 +259,14 @@ func TestKernelForcedFallback(t *testing.T) {
 		t.Fatalf("kernel shape: walked=%d tabled=%d allTabled=%v, want 1/1/false", k.walked, k.tabled, k.allTabled)
 	}
 	for _, modified := range []bool{false, true} {
-		ref, err := Agglomerate(s, tbl, AggloOptions{
-			K: 5, Distance: D3{}, Modified: modified, Workers: 1, NoKernel: true,
-		})
-		if err != nil {
-			t.Fatalf("reference modified=%v: %v", modified, err)
-		}
-		for _, workers := range []int{1, 4} {
-			label := fmt.Sprintf("fallback modified=%v workers=%d", modified, workers)
-			got, err := Agglomerate(s, tbl, AggloOptions{
-				K: 5, Distance: D3{}, Modified: modified, Workers: workers,
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			assertSameClustering(t, label, ref, got)
-		}
+		assertMatchesOracle(t, fmt.Sprintf("fallback modified=%v", modified), s, tbl,
+			AggloOptions{K: 5, Distance: D3{}, Modified: modified})
 	}
 }
 
 // slowD2 is a user-supplied distance (numerically D2) that the kernel
 // cannot devirtualize: it must take the distCustom interface path and still
-// agree with the reference engine.
+// agree with the oracle.
 type slowD2 struct{}
 
 func (slowD2) Name() string { return "slow-d2" }
@@ -354,21 +283,17 @@ func TestKernelCustomDistance(t *testing.T) {
 	if kind, _ := resolveDistKind(slowD2{}); kind != distCustom {
 		t.Fatalf("resolveDistKind(slowD2) = %d, want distCustom", kind)
 	}
-	ref, err := Agglomerate(s, tbl, AggloOptions{K: 5, Distance: slowD2{}, Workers: 1, NoKernel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Agglomerate(s, tbl, AggloOptions{K: 5, Distance: slowD2{}, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameClustering(t, "custom distance", ref, got)
+	assertMatchesOracle(t, "custom distance", s, tbl, AggloOptions{K: 5, Distance: slowD2{}})
 	// And the numerically-equal built-in must agree with it too.
+	custom, err := Agglomerate(s, tbl, AggloOptions{K: 5, Distance: slowD2{}, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	builtin, err := Agglomerate(s, tbl, AggloOptions{K: 5, Distance: D2{}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameClustering(t, "custom vs builtin d2", ref, builtin)
+	assertSameClustering(t, "custom vs builtin d2", custom, builtin)
 }
 
 // TestResolveDistKind pins the distance → kind mapping, including the D4
@@ -395,23 +320,19 @@ func TestResolveDistKind(t *testing.T) {
 	}
 }
 
-// TestKernelCounters checks the kernel's observability: a kernel run
-// reports its table-hit/walk split, arena occupancy peak and slot reuses;
-// a NoKernel run reports none of them.
+// TestKernelCounters checks the kernel's observability: a run reports its
+// table-hit/walk split, arena occupancy peak and slot reuses.
 func TestKernelCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s, tbl := randomSpace(t, rng, 200)
-	run := func(noKernel bool) obs.RunStats {
-		met := obs.NewMetrics()
-		ctx := obs.With(context.Background(), met)
-		if _, err := AgglomerateCtx(ctx, s, tbl, AggloOptions{
-			K: 5, Distance: D3{}, Modified: true, Workers: 2, NoKernel: noKernel,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return met.Snapshot()
+	met := obs.NewMetrics()
+	ctx := obs.With(context.Background(), met)
+	if _, err := AgglomerateCtx(ctx, s, tbl, AggloOptions{
+		K: 5, Distance: D3{}, Modified: true, Workers: 2,
+	}); err != nil {
+		t.Fatal(err)
 	}
-	st := run(false)
+	st := met.Snapshot()
 	if st.Counter(obs.CounterKernelTableHits) == 0 {
 		t.Errorf("kernel run reported no table hits: %v", st.Counters)
 	}
@@ -423,12 +344,6 @@ func TestKernelCounters(t *testing.T) {
 	}
 	if st.Counter(obs.CounterKernelArenaReuses) == 0 {
 		t.Errorf("merge-heavy run reused no arena slots: %v", st.Counters)
-	}
-	off := run(true)
-	for _, name := range []string{obs.CounterKernelTableHits, obs.CounterKernelFallbackWalks, obs.CounterKernelArenaReuses} {
-		if off.Counter(name) != 0 {
-			t.Errorf("NoKernel run reported kernel counter %s = %d", name, off.Counter(name))
-		}
 	}
 }
 

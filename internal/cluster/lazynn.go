@@ -7,11 +7,11 @@ import (
 	"kanon/internal/obs"
 )
 
-// This file implements the lazy NN-heap merge selection of the kernel-mode
-// agglomerative engine (DESIGN.md §17). The legacy engine pays three
-// O(arena) passes on every merge — the bestLive selection scan, the repair
-// sweep (which re-offers the newborn to every live cluster) and the newborn
-// wide-scan. Here a merge touches no existing cluster at all:
+// This file implements the lazy NN-heap merge selection of the
+// agglomerative engine (DESIGN.md §17). A per-cluster nearest-neighbour
+// sweep pays three O(arena) passes on every merge — the selection scan,
+// the repair sweep (which re-offers the newborn to every live cluster) and
+// the newborn scan. Here a merge touches no existing cluster at all:
 //
 //   - every cluster owns two fixed-capacity nearest-neighbour caches, built
 //     once at birth and never updated by later merges. Its ROW list caches
@@ -25,8 +25,8 @@ import (
 //     minimum over live candidates, no matter how many entries died;
 //   - a min-heap holds (at most) one entry per list: the list's head at
 //     push time, keyed by the full lexicographic selection key
-//     (d, row, wit) — the reference engine's argmin over (d1[i], i) with
-//     the (d, j) neighbour tie-break, flattened into one total order.
+//     (d, row, wit) — Algorithm 1's argmin over ordered live pairs, ties
+//     going to the lowest row id and then the lowest partner id.
 //     Generation tags (rowGen/colGen, bumped on every re-push and on
 //     death) let stale entries be discarded O(1) at pop;
 //   - a popped fresh entry whose partner died heals lazily: prune the
@@ -53,8 +53,9 @@ import (
 // or dead-referencing entries are lower bounds for their list's current
 // key (a list's minimum only grows between pushes: entries only die), so
 // discarding or healing them never skips the true minimum, and the first
-// valid pop is exactly the reference engine's (d1, id, nn) argmin —
-// clusterings are byte-identical.
+// valid pop is exactly the lexicographic (d, i, j) minimum over ordered
+// live pairs that the naive oracle of oracle_test.go scans for —
+// clusterings are byte-identical to it.
 
 // Tile geometry of the lazy path. nnTile is the candidate-tile width of
 // the initial build, the newborn pass and single-cluster rescans: 512
@@ -93,7 +94,7 @@ const (
 )
 
 // entLess orders entries by the total key (d, row, wit, kind, gen). The
-// (d, row, wit) prefix is the reference selection order — cheapest merge,
+// (d, row, wit) prefix is the selection order — cheapest merge,
 // lowest cluster id, lowest neighbour id. kind and gen never decide a
 // selection (two fresh entries can share (d, row, wit) only when a rescan
 // widened a row's coverage over a pair a column also covers, and then both
@@ -116,7 +117,7 @@ func entLess(a, b heapEnt) bool {
 }
 
 // lexLess is the (distance, id) lexicographic candidate order shared by the
-// lists, their discard bounds and the reference engine's strict-< scans.
+// lists and their discard bounds.
 func lexLess(d1 float64, i1 int32, d2 float64, i2 int32) bool {
 	return d1 < d2 || (d1 == d2 && i1 < i2)
 }
@@ -237,8 +238,7 @@ func (e *aggloEngine) pushRowHead(id int) {
 
 // pushColHead is pushRowHead for the column list: the entry's merge pair
 // puts the cached argmin in the row seat and the owning cluster in the
-// witness seat, keeping the heap key aligned with the reference selection
-// order.
+// witness seat, keeping the heap key aligned with the selection order.
 func (e *aggloEngine) pushColHead(id int) {
 	l := &e.colNN[id]
 	if l.n == 0 {
@@ -305,9 +305,9 @@ func (e *aggloEngine) heapMaybeCompact() {
 	}
 }
 
-// buildNNTiled is the lazy-path initial build. All n singletons are born
-// together, so the birth-order coverage rule degenerates: every row list
-// caches the lex top-nnListCap over ALL other clusters — both
+// buildNNTiled is the initial nearest-neighbour build. All n singletons
+// are born together, so the birth-order coverage rule degenerates: every
+// row list caches the lex top-nnListCap over ALL other clusters — both
 // orientations of every pair land in a row — and no initial cluster has a
 // column list. (Init columns would be redundant, and worse: under a hub
 // distance every column's argmin collapses onto the lowest live ids, so
@@ -316,17 +316,17 @@ func (e *aggloEngine) heapMaybeCompact() {
 // narrow.)
 //
 // The strict lower triangle is walked once — one distPair per unordered
-// pair, half the reference build's evaluations of the shared LCA-cost sum
-// — in initBlock-row blocks sweeping the candidate ids in ascending
-// nnTile-wide tiles, so a tile's arena rows and fused-table lines are
-// reused across the whole block. For a pair (i, j), j < i, dist(i, j)
-// feeds row[i], owned by the block's worker; dist(j, i) feeds row[j],
-// written directly when j is inside the worker's own span and folded into
-// a span-local partial list otherwise. The partials are merged and the
-// heap seeded on the driving goroutine afterwards; lists are fold-order
-// independent, so any span geometry yields identical lists. Each tile
-// polls ctx; each record is a SiteInitScan checkpoint as on the reference
-// path, with SiteInitTile marking the tile boundaries.
+// pair, half the evaluations of the shared LCA-cost sum that one scan per
+// ordered pair would spend — in initBlock-row blocks sweeping the
+// candidate ids in ascending nnTile-wide tiles, so a tile's arena rows and
+// fused-table lines are reused across the whole block. For a pair (i, j),
+// j < i, dist(i, j) feeds row[i], owned by the block's worker; dist(j, i)
+// feeds row[j], written directly when j is inside the worker's own span
+// and folded into a span-local partial list otherwise. The partials are
+// merged and the heap seeded on the driving goroutine afterwards; lists
+// are fold-order independent, so any span geometry yields identical
+// lists. Each tile polls ctx; each record is a SiteInitScan checkpoint,
+// with SiteInitTile marking the tile boundaries.
 func (e *aggloEngine) buildNNTiled(n int) error {
 	numBlocks := (n + initBlock - 1) / initBlock
 	for bi := 0; bi < numBlocks; bi++ {
@@ -390,54 +390,38 @@ func (e *aggloEngine) buildNNTiled(n int) error {
 	return nil
 }
 
-// selectPairHeap pops the heap down to the current best merge pair — the
-// lex-least (d, row, wit) over all ordered live pairs, exactly the
-// reference engine's argmin over (d1[i], i) with its (d, j) neighbour
-// tie-break. Stale entries (generation mismatch) are discarded O(1); a
-// fresh entry whose partner died heals here, lazily: prune the list's dead
-// prefix and either re-push its still-exact head or run the rare full
-// rescan. The winner's partner and distance are recorded in nn1/d1 for the
-// merge step. Returns -1 only on cancellation or an empty heap (single
-// live cluster).
-func (e *aggloEngine) selectPairHeap() int {
+// selectPairHeap pops the heap down to the current best merge pair (a, b)
+// — the lex-least (d, row, wit) over all ordered live pairs. Stale entries
+// (generation mismatch) are discarded O(1); a fresh entry whose partner
+// died heals here, lazily: prune the list's dead prefix and either re-push
+// its still-exact head or run the rare full rescan. Returns a = -1 only on
+// cancellation or an empty heap (single live cluster).
+func (e *aggloEngine) selectPairHeap() (a, b int) {
 	for {
 		ent, ok := e.heapPop()
 		if !ok {
-			return -1
+			return -1, -1
 		}
-		if ent.kind == entRow {
-			i := int(ent.row)
-			if ent.gen != e.rowGen[i] {
-				e.stats.StalePops++
-				continue
-			}
-			// A fresh generation implies i is alive (death bumps it) and the
-			// entry is i's current head: a live witness settles the pop.
-			if w := int(ent.wit); e.alive[w] {
-				e.nn1[i], e.d1[i] = w, ent.d
-				return i
-			}
-			fault.Inject(SiteHeapRepair)
-			if e.cancelled() {
-				return -1
-			}
-			e.healList(&e.rowNN[i], i, entRow)
-		} else {
-			c := int(ent.wit)
-			if ent.gen != e.colGen[c] {
-				e.stats.StalePops++
-				continue
-			}
-			if r := int(ent.row); e.alive[r] {
-				e.nn1[r], e.d1[r] = c, ent.d
-				return r
-			}
-			fault.Inject(SiteHeapRepair)
-			if e.cancelled() {
-				return -1
-			}
-			e.healList(&e.colNN[c], c, entCol)
+		// A fresh generation implies the owner is alive (death bumps it)
+		// and the entry is the owner's current head: a live partner
+		// settles the pop.
+		row, wit := int(ent.row), int(ent.wit)
+		owner, partner, gen, list := row, wit, e.rowGen, &e.rowNN[row]
+		if ent.kind == entCol {
+			owner, partner, gen, list = wit, row, e.colGen, &e.colNN[wit]
 		}
+		if ent.gen != gen[owner] {
+			e.stats.StalePops++
+			continue
+		}
+		if e.alive[partner] {
+			return row, wit
+		}
+		fault.Inject(SiteHeapRepair)
+		if e.cancelled() {
+			return -1, -1
+		}
+		e.healList(list, owner, ent.kind)
 	}
 }
 
@@ -450,7 +434,6 @@ func (e *aggloEngine) healList(l *nnList, owner int, kind uint8) {
 	l.pruneDead(e.alive)
 	if !l.headExact() {
 		e.stats.DeadNNRescans++
-		e.stats.RepairScans++
 		e.rescanList(owner, l, kind)
 	}
 	if kind == entRow {

@@ -119,7 +119,7 @@ func TestNNListOrderIndependent(t *testing.T) {
 // hubSpace builds the known worst case of the NN cache: one flat attribute
 // with all-distinct values makes every pairwise distance identical under
 // D2, so the lowest live id is everyone's nearest neighbour and every
-// merge kills the cached nn1 AND nn2 of every live cluster.
+// merge kills the cached nearest neighbour of every live cluster.
 func hubSpace(t *testing.T, n int) (*Space, *table.Table) {
 	t.Helper()
 	names := make([]string, n)
@@ -140,26 +140,22 @@ func hubSpace(t *testing.T, n int) (*Space, *table.Table) {
 }
 
 // TestLazyHubWorstCase seeds the adversarial hub regime and asserts the
-// lazy path's cost bound: the reference sweep rescans every live cluster
-// on every merge here (Θ(live²) per merge, Θ(n³) total distance
-// evaluations), while the lazy path heals exactly the one cluster it pops
-// — merge cost O(live·r), total O(n²) — and still returns the
-// byte-identical clustering.
+// lazy path's cost bound: a per-cluster nearest-neighbour sweep would
+// rescan every live cluster on every merge here (Θ(live²) per merge, Θ(n³)
+// total distance evaluations), while the lazy path heals exactly the one
+// cluster it pops — merge cost O(live·r), total O(n²) — and still returns
+// the naive oracle's clustering.
 func TestLazyHubWorstCase(t *testing.T) {
 	const n = 300
 	s, tbl := hubSpace(t, n)
-	opt := AggloOptions{K: 2, Distance: D2{}, Workers: 1}
-	ref, refStats, err := AgglomerateStats(s, tbl, AggloOptions{K: 2, Distance: D2{}, Workers: 1, NoKernel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := AggloOptions{K: 2, Distance: D2{}}
+	assertMatchesOracle(t, "hub", s, tbl, opt)
 	for _, workers := range []int{1, 4} {
 		opt.Workers = workers
-		got, st, err := AgglomerateStats(s, tbl, opt)
+		_, st, err := AgglomerateStats(s, tbl, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameClustering(t, fmt.Sprintf("hub workers=%d", workers), ref, got)
 		// O(live·r) per merge: the init costs n(n−1) evaluations, and each
 		// merge at most one O(live) rescan plus O(1) heap work.
 		if limit := int64(3 * n * n); st.DistEvals > limit {
@@ -169,14 +165,5 @@ func TestLazyHubWorstCase(t *testing.T) {
 			t.Errorf("workers=%d: %d dead-NN rescans for %d merges, want ≤ 1 per merge",
 				workers, st.DeadNNRescans, st.Merges)
 		}
-		if st.RepairScans > st.Merges+1 {
-			t.Errorf("workers=%d: RepairScans = %d for %d merges", workers, st.RepairScans, st.Merges)
-		}
-	}
-	// The reference sweep really is quadratic-per-merge on this input —
-	// the separation the lazy path exists for.
-	if refStats.DistEvals < int64(6*n*n) {
-		t.Errorf("reference DistEvals = %d: hub input no longer adversarial (want ≫ n² = %d)",
-			refStats.DistEvals, n*n)
 	}
 }

@@ -139,8 +139,9 @@ func Make1KConstrainedCtx(ctx context.Context, s *cluster.Space, tbl *table.Tabl
 			// constraint is violated, restrict to records that improve one,
 			// and prefer them (the −1e9 bias) even when counts are also
 			// short. This reproduces the diversity-aware heuristic of the
-			// legacy Make1KDiverse exactly for DistinctLDiversity, where
-			// Improves(j) ⟺ the candidate carries a new sensitive value.
+			// retired distinct-ℓ Make1K pass exactly for
+			// DistinctLDiversity, where Improves(j) ⟺ the candidate carries
+			// a new sensitive value.
 			cands = appendClear(cands[:0], consistent, n)
 			bestJ, bestDelta := -1, math.Inf(1)
 			for _, j := range cands {

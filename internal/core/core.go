@@ -77,10 +77,6 @@ type KAnonOptions struct {
 	// sequential path, 0 sizes the pool to the machine. Any worker count
 	// produces the identical output.
 	Workers int
-	// NoKernel disables the engine's flat distance kernel, forcing the
-	// reference evaluation path (see cluster.AggloOptions.NoKernel). The
-	// output is identical either way.
-	NoKernel bool
 	// Constraints, when non-empty, requires every equivalence class of the
 	// output to satisfy each privacy constraint over Sensitive (see
 	// cluster.Constraint: distinct/entropy/recursive ℓ-diversity,
@@ -125,7 +121,6 @@ func KAnonymizeStatsCtx(ctx context.Context, s *cluster.Space, tbl *table.Table,
 		Distance:    dist,
 		Modified:    opt.Modified,
 		Workers:     opt.Workers,
-		NoKernel:    opt.NoKernel,
 		Constraints: opt.Constraints,
 		Sensitive:   opt.Sensitive,
 	})

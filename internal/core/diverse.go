@@ -1,129 +1,12 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"kanon/internal/cluster"
 	"kanon/internal/table"
 )
-
-// This file keeps the legacy distinct ℓ-diversity entry points as thin
-// wrappers over the constraint-parameterized pipelines (constrained.go)
-// with Constraints = [cluster.DistinctLDiversity(l)]. The wrappers
-// preserve the legacy validation errors verbatim; their outputs are pinned
-// byte-for-byte against the pre-constraint implementations by the
-// constraint-equivalence harness.
-
-// KAnonymizeDiverse runs the agglomerative algorithm with the distinct
-// ℓ-diversity constraint of Machanavajjhala et al. layered on top of
-// k-anonymity — the extension Section II of the paper points at. Every
-// equivalence class of the output has size ≥ k and contains at least l
-// distinct values of sensitive.
-//
-// Deprecated: set KAnonOptions.Constraints to
-// [cluster.DistinctLDiversity(l)] with KAnonOptions.Sensitive and call
-// KAnonymize instead, which also admits the other constraint notions.
-func KAnonymizeDiverse(s *cluster.Space, tbl *table.Table, opt KAnonOptions, l int, sensitive []int) (*table.GenTable, []*cluster.Cluster, error) {
-	return KAnonymizeDiverseCtx(nil, s, tbl, opt, l, sensitive)
-}
-
-// KAnonymizeDiverseCtx is KAnonymizeDiverse under a context (see
-// KAnonymizeCtx). A nil ctx disables cancellation.
-//
-// Deprecated: see KAnonymizeDiverse.
-func KAnonymizeDiverseCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, opt KAnonOptions, l int, sensitive []int) (*table.GenTable, []*cluster.Cluster, error) {
-	if opt.K < 1 {
-		return nil, nil, fmt.Errorf("core: k must be ≥ 1, got %d", opt.K)
-	}
-	if l < 1 {
-		return nil, nil, fmt.Errorf("core: l must be ≥ 1, got %d", l)
-	}
-	opt.Constraints = []cluster.Constraint{cluster.DistinctLDiversity(l)}
-	opt.Sensitive = sensitive
-	return KAnonymizeCtx(ctx, s, tbl, opt)
-}
-
-// Make1KDiverse extends Algorithm 5 with a diversity requirement on
-// candidate sets: after the pass, every original record R_i is consistent
-// with at least k generalized records carrying at least l distinct
-// sensitive values. This bounds what the first adversary of Section IV-A
-// learns about the target's sensitive attribute: her candidate set is
-// never homogeneous (for l ≥ 2).
-//
-// As in Make1K, records of g are only ever widened, so a (k,1) input keeps
-// its (k,1) property and the coupling yields a diverse
-// (k,k)-anonymization. g is modified in place and returned.
-//
-// Deprecated: use Make1KConstrained with
-// [cluster.DistinctLDiversity(l)], which also admits the other constraint
-// notions.
-func Make1KDiverse(s *cluster.Space, tbl *table.Table, g *table.GenTable, k, l int, sensitive []int) (*table.GenTable, error) {
-	return Make1KDiverseCtx(nil, s, tbl, g, k, l, sensitive)
-}
-
-// Make1KDiverseCtx is Make1KDiverse under a context: the per-record
-// widening loop stops at the next record boundary once ctx is done and
-// ctx.Err() is returned. As with Make1KCtx, a cancelled call leaves g
-// partially widened — discard g on error. A nil ctx disables cancellation.
-//
-// Deprecated: see Make1KDiverse.
-func Make1KDiverseCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g *table.GenTable, k, l int, sensitive []int) (*table.GenTable, error) {
-	n := tbl.Len()
-	if g == nil || g.Len() != n {
-		return nil, fmt.Errorf("core: generalized table missing or wrong length (original has %d records)", n)
-	}
-	if err := checkK1Args(n, k); err != nil {
-		return nil, err
-	}
-	if l < 1 {
-		return nil, fmt.Errorf("core: l must be ≥ 1, got %d", l)
-	}
-	if len(sensitive) != n {
-		return nil, fmt.Errorf("core: %d sensitive values for %d records", len(sensitive), n)
-	}
-	distinctAll := make(map[int]bool)
-	for _, v := range sensitive {
-		distinctAll[v] = true
-	}
-	if len(distinctAll) < l {
-		return nil, fmt.Errorf("core: table has %d distinct sensitive values, %d-diversity unattainable", len(distinctAll), l)
-	}
-	return Make1KConstrainedCtx(ctx, s, tbl, g, k, []cluster.Constraint{cluster.DistinctLDiversity(l)}, sensitive)
-}
-
-// KKAnonymizeDiverse couples a (k,1)-anonymizer with Make1KDiverse: the
-// result is a (k,k)-anonymization whose per-record candidate sets are
-// distinct l-diverse.
-//
-// Deprecated: use KKAnonymizeConstrained with
-// [cluster.DistinctLDiversity(l)].
-func KKAnonymizeDiverse(s *cluster.Space, tbl *table.Table, k, l int, alg K1Algorithm, sensitive []int) (*table.GenTable, error) {
-	return KKAnonymizeDiverseWorkers(s, tbl, k, l, alg, sensitive, 0)
-}
-
-// KKAnonymizeDiverseWorkers is KKAnonymizeDiverse with the (k,1) stage
-// running on a pool of Workers(workers) workers; the output is identical at
-// any worker count.
-//
-// Deprecated: see KKAnonymizeDiverse.
-func KKAnonymizeDiverseWorkers(s *cluster.Space, tbl *table.Table, k, l int, alg K1Algorithm, sensitive []int, workers int) (*table.GenTable, error) {
-	return KKAnonymizeDiverseCtx(nil, s, tbl, k, l, alg, sensitive, workers)
-}
-
-// KKAnonymizeDiverseCtx is KKAnonymizeDiverseWorkers under a context: both
-// stages check for cancellation at record boundaries and return ctx.Err()
-// with no partial output. A nil ctx disables cancellation.
-//
-// Deprecated: see KKAnonymizeDiverse.
-func KKAnonymizeDiverseCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, l int, alg K1Algorithm, sensitive []int, workers int) (*table.GenTable, error) {
-	g, err := runK1Ctx(ctx, s, tbl, k, alg, workers)
-	if err != nil {
-		return nil, err
-	}
-	return Make1KDiverseCtx(ctx, s, tbl, g, k, l, sensitive)
-}
 
 // CandidateDiversity returns, for every original record, the number of
 // distinct sensitive values among the generalized records consistent with

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"kanon/internal/anonymity"
@@ -20,13 +21,18 @@ func sensitiveFor(rng *rand.Rand, n, v int) []int {
 	return out
 }
 
+// distinctL is the distinct ℓ-diversity constraint list of the tests below.
+func distinctL(l int) []cluster.Constraint {
+	return []cluster.Constraint{cluster.DistinctLDiversity(l)}
+}
+
 func TestKAnonymizeDiversePostcondition(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	for _, l := range []int{2, 3} {
 		s, tbl := testSpace(t, rng, 60, "entropy")
 		sens := sensitiveFor(rng, tbl.Len(), 4)
 		const k = 4
-		g, clusters, err := KAnonymizeDiverse(s, tbl, KAnonOptions{K: k}, l, sens)
+		g, clusters, err := KAnonymize(s, tbl, KAnonOptions{K: k, Constraints: distinctL(l), Sensitive: sens})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +63,7 @@ func TestKAnonymizeDiverseModified(t *testing.T) {
 	s, tbl := testSpace(t, rng, 50, "lm")
 	sens := sensitiveFor(rng, tbl.Len(), 3)
 	const k, l = 3, 2
-	g, _, err := KAnonymizeDiverse(s, tbl, KAnonOptions{K: k, Modified: true}, l, sens)
+	g, _, err := KAnonymize(s, tbl, KAnonOptions{K: k, Modified: true, Constraints: distinctL(l), Sensitive: sens})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,37 +80,45 @@ func TestKAnonymizeDiverseUnattainable(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	s, tbl := testSpace(t, rng, 20, "lm")
 	sens := make([]int, tbl.Len()) // all identical
-	if _, _, err := KAnonymizeDiverse(s, tbl, KAnonOptions{K: 2}, 2, sens); err == nil {
-		t.Error("expected unattainable-diversity error")
+	_, _, err := KAnonymize(s, tbl, KAnonOptions{K: 2, Constraints: distinctL(2), Sensitive: sens})
+	if err == nil || !strings.Contains(err.Error(), "unattainable") {
+		t.Errorf("uniform sensitive column: err = %v, want an unattainable-diversity error", err)
 	}
-	if _, _, err := KAnonymizeDiverse(s, tbl, KAnonOptions{K: 2}, 0, sens); err == nil {
-		t.Error("expected l < 1 error")
+	// l < 1 is no error on the constraint path: the constraint is trivial
+	// and dropped before binding, so even a uniform column runs plain.
+	if !cluster.DistinctLDiversity(0).Trivial() {
+		t.Error("DistinctLDiversity(0) is not trivial")
 	}
-	if _, _, err := KAnonymizeDiverse(s, tbl, KAnonOptions{K: 0}, 2, sens); err == nil {
+	if _, _, err := KAnonymize(s, tbl, KAnonOptions{K: 2, Constraints: distinctL(0), Sensitive: sens}); err != nil {
+		t.Errorf("l=0: %v, want the plain run", err)
+	}
+	if _, _, err := KAnonymize(s, tbl, KAnonOptions{K: 0, Constraints: distinctL(2), Sensitive: sens}); err == nil {
 		t.Error("expected k < 1 error")
 	}
 	short := []int{1, 2}
-	if _, _, err := KAnonymizeDiverse(s, tbl, KAnonOptions{K: 2}, 2, short); err == nil {
+	if _, _, err := KAnonymize(s, tbl, KAnonOptions{K: 2, Constraints: distinctL(2), Sensitive: short}); err == nil {
 		t.Error("expected sensitive-length error")
 	}
 }
 
 func TestKAnonymizeDiverseLOneIsPlain(t *testing.T) {
-	// l=1 must behave exactly like the plain algorithm.
+	// l ≤ 1 must behave exactly like the plain algorithm.
 	rng1 := rand.New(rand.NewSource(43))
 	s1, tbl1 := testSpace(t, rng1, 40, "entropy")
 	sens := sensitiveFor(rand.New(rand.NewSource(1)), tbl1.Len(), 3)
-	gd, _, err := KAnonymizeDiverse(s1, tbl1, KAnonOptions{K: 4}, 1, sens)
-	if err != nil {
-		t.Fatal(err)
-	}
 	gp, _, err := KAnonymize(s1, tbl1, KAnonOptions{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range gd.Records {
-		if !gd.Records[i].Equal(gp.Records[i]) {
-			t.Fatalf("l=1 diverse differs from plain at record %d", i)
+	for _, l := range []int{0, 1} {
+		gd, _, err := KAnonymize(s1, tbl1, KAnonOptions{K: 4, Constraints: distinctL(l), Sensitive: sens})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range gd.Records {
+			if !gd.Records[i].Equal(gp.Records[i]) {
+				t.Fatalf("l=%d diverse differs from plain at record %d", l, i)
+			}
 		}
 	}
 }
@@ -118,7 +132,7 @@ func TestMake1KDiversePostcondition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Make1KDiverse(s, tbl, g, k, l, sens); err != nil {
+	if _, err := Make1KConstrained(s, tbl, g, k, distinctL(l), sens); err != nil {
 		t.Fatal(err)
 	}
 	if !anonymity.IsKK(s, tbl, g, k) {
@@ -144,7 +158,7 @@ func TestKKAnonymizeDiverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k, l = 4, 2
-	g, err := KKAnonymizeDiverse(s, ds.Table, k, l, K1ByExpansion, ds.Sensitive)
+	g, err := KKAnonymizeConstrained(s, ds.Table, k, K1ByExpansion, distinctL(l), ds.Sensitive, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,13 +189,14 @@ func TestKKAnonymizeDiverseErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	s, tbl := testSpace(t, rng, 10, "lm")
 	sens := sensitiveFor(rng, tbl.Len(), 2)
-	if _, err := KKAnonymizeDiverse(s, tbl, 2, 2, K1Algorithm(9), sens); err == nil {
+	if _, err := KKAnonymizeConstrained(s, tbl, 2, K1Algorithm(9), distinctL(2), sens, 0); err == nil {
 		t.Error("expected unknown algorithm error")
 	}
-	if _, err := KKAnonymizeDiverse(s, tbl, 2, 3, K1ByExpansion, sens); err == nil {
-		t.Error("expected unattainable diversity error")
+	_, err := KKAnonymizeConstrained(s, tbl, 2, K1ByExpansion, distinctL(3), sens, 0)
+	if err == nil || !strings.Contains(err.Error(), "unattainable") {
+		t.Errorf("two sensitive values, l=3: err = %v, want an unattainable-diversity error", err)
 	}
-	if _, err := Make1KDiverse(s, tbl, nil, 2, 2, sens); err == nil {
+	if _, err := Make1KConstrained(s, tbl, nil, 2, distinctL(2), sens); err == nil {
 		t.Error("expected nil/length error")
 	}
 }

@@ -25,9 +25,6 @@ type PartitionedOptions struct {
 	MaxChunk int
 	// Workers caps each chunk engine's worker pool (see KAnonOptions.Workers).
 	Workers int
-	// NoKernel disables the chunk engines' flat distance kernel (see
-	// cluster.AggloOptions.NoKernel).
-	NoKernel bool
 	// Resilience configures the shard supervisor (DESIGN.md §14); nil
 	// selects resilient.DefaultPolicy (3 attempts, deterministic backoff,
 	// degraded fallback enabled).
@@ -69,8 +66,8 @@ func KAnonymizePartitionedCtx(ctx context.Context, s *cluster.Space, tbl *table.
 
 // partitionSignature binds a shard checkpoint to the run parameters that
 // shaped its clusters: everything that changes the per-chunk engine's
-// output (not Workers/NoKernel — those are proven output-neutral by the
-// equivalence harness, so a checkpoint survives a worker-count change).
+// output (not Workers — the engine's output is the same at every worker
+// count, so a checkpoint survives a worker-count change).
 func partitionSignature(opt PartitionedOptions, dist cluster.Distance, n int) string {
 	return fmt.Sprintf("k=%d|dist=%s|mod=%t|n=%d", opt.K, dist.Name(), opt.Modified, n)
 }
@@ -78,12 +75,11 @@ func partitionSignature(opt PartitionedOptions, dist cluster.Distance, n int) st
 // KAnonymizePartitionedReportCtx is the resilient partitioned pipeline
 // (DESIGN.md §14): every chunk runs as a supervised shard — contained,
 // retried with deterministic backoff on transient failures, quarantined
-// and completed by the reference (kernel-off, single-worker) engine after
+// and completed by a single-worker re-run of the same engine after
 // exhausting its budget — and the returned RunReport records each shard's
 // attempt history. The report is non-nil whenever supervision started,
 // including on error, so callers can checkpoint partial progress; the
-// merged output still satisfies every k-anonymity invariant because both
-// engines produce k-respecting clusters over the same chunks.
+// merged output is the same whichever attempt completed a shard.
 func KAnonymizePartitionedReportCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, opt PartitionedOptions) (*table.GenTable, []*cluster.Cluster, *resilient.RunReport, error) {
 	n := tbl.Len()
 	if opt.K < 1 {
@@ -164,19 +160,17 @@ func KAnonymizePartitionedReportCtx(ctx context.Context, s *cluster.Space, tbl *
 					Distance: dist,
 					Modified: opt.Modified,
 					Workers:  opt.Workers,
-					NoKernel: opt.NoKernel,
 				})(actx)
 			},
-			// The degraded fallback is the reference engine — kernel off,
-			// single worker, no fault hooks — proven byte-identical to the
-			// primary path by the kernel equivalence harness, so degraded
-			// completion changes reliability, never output.
+			// The degraded fallback re-runs the same engine on one worker,
+			// without the shard's fault hook. The engine's output does not
+			// depend on the worker count, so degraded completion changes
+			// reliability, never output.
 			Degraded: run(cluster.AggloOptions{
 				K:        opt.K,
 				Distance: dist,
 				Modified: opt.Modified,
 				Workers:  1,
-				NoKernel: true,
 			}),
 		}
 		if ck, ok := opt.CompletedShards[i]; ok && ck.Sig == resilient.Signature(sig, chunk) {

@@ -73,8 +73,8 @@ func TestPartitionFaultRetrySameOutput(t *testing.T) {
 
 // TestPartitionQuarantineDegradedCompletes exhausts shard 0's retry budget
 // (panics at hits 1, 2, 3) and requires the run to complete via the
-// degraded reference engine with output byte-identical to a clean run and
-// all anonymity invariants intact.
+// degraded single-worker re-run with output byte-identical to a clean run
+// and all anonymity invariants intact.
 func TestPartitionQuarantineDegradedCompletes(t *testing.T) {
 	s, tbl := partitionFixture(t)
 	opt := PartitionedOptions{K: 5, MaxChunk: 30, Resilience: fastResilience()}

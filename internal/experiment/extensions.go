@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"kanon/internal/cluster"
 	"kanon/internal/core"
 	"kanon/internal/datagen"
 	"kanon/internal/loss"
@@ -277,7 +278,8 @@ func (c Config) RunDiversity(dataset string, l int) ([]DiversityResult, error) {
 			return nil, err
 		}
 		res.PlainKAnonLoss = loss.TableLoss(meas, gP)
-		gD, _, err := core.KAnonymizeDiverse(s, ds.Table, core.KAnonOptions{K: k}, l, ds.Sensitive)
+		diverse := []cluster.Constraint{cluster.DistinctLDiversity(l)}
+		gD, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: k, Constraints: diverse, Sensitive: ds.Sensitive})
 		if err != nil {
 			return nil, err
 		}
@@ -291,7 +293,7 @@ func (c Config) RunDiversity(dataset string, l int) ([]DiversityResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		gKKD, err := core.KKAnonymizeDiverse(s, ds.Table, k, l, core.K1ByExpansion, ds.Sensitive)
+		gKKD, err := core.KKAnonymizeConstrained(s, ds.Table, k, core.K1ByExpansion, diverse, ds.Sensitive, 0)
 		if err != nil {
 			return nil, err
 		}

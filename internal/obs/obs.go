@@ -184,7 +184,7 @@ const (
 	// optimizing engine.
 	CounterResilientQuarantined = "resilient.quarantined"
 	// CounterResilientDegraded counts quarantined shards completed by the
-	// degraded (reference kernel-off, single-worker) engine.
+	// degraded (single-worker) re-run of the engine.
 	CounterResilientDegraded = "resilient.degraded_shards"
 	// CounterResilientCheckpointHits counts shards skipped because a shard
 	// checkpoint already held their completed clusters.

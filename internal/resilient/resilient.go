@@ -74,8 +74,8 @@ type Policy struct {
 	// fallback runs without a deadline: it must terminate.
 	ShardDeadline time.Duration
 	// NoDegraded disables degraded-mode completion: a shard that exhausts
-	// its retry budget fails the run instead of falling back to the
-	// reference engine.
+	// its retry budget fails the run instead of falling back to the unit's
+	// Degraded run (the partitioned pipeline's single-worker re-run).
 	NoDegraded bool
 }
 

@@ -285,11 +285,6 @@ type Options struct {
 	// the sequential paths, 0 (the default) sizes the pools to the machine.
 	// The output is identical at any worker count.
 	Workers int
-	// NoKernel disables the flat distance kernel of the agglomerative
-	// engine (the `-kernel=off` escape hatch of cmd/kanon), forcing the
-	// reference evaluation path. The output is identical either way; only
-	// speed differs.
-	NoKernel bool
 	// Observer, when non-nil, receives the run's structured event stream
 	// (phase boundaries, merges, scans, augmentations, chunks — see the
 	// Event* constants). It must be safe for concurrent use: the parallel
@@ -337,11 +332,11 @@ type RetryPolicy struct {
 	// Seed drives the deterministic backoff jitter.
 	Seed int64
 	// DegradedFallback completes shards that exhaust their retry budget
-	// with the reference (kernel-off, single-worker) engine instead of
-	// failing the run. The reference engine is proven byte-identical to
-	// the primary path, so degradation never changes output — only the
-	// RunReport records it. False fails the run with a *ShardError-style
-	// error once any shard quarantines.
+	// by re-running the same engine on one worker instead of failing the
+	// run. The engine's output does not depend on the worker count, so
+	// degradation never changes output — only the RunReport records it.
+	// False fails the run with a *ShardError-style error once any shard
+	// quarantines.
 	DegradedFallback bool
 }
 
@@ -389,8 +384,8 @@ type ShardOutcome struct {
 	// successful (or terminal) one.
 	Attempts int
 	// Quarantined marks a shard that exhausted its retry budget on the
-	// primary engine; Degraded marks it completed by the reference engine,
-	// with DegradedReason saying why.
+	// primary engine; Degraded marks it completed by the single-worker
+	// degraded re-run, with DegradedReason saying why.
 	Quarantined    bool
 	Degraded       bool
 	DegradedReason string
@@ -523,7 +518,7 @@ func AnonymizeContext(ctx context.Context, t *Table, opt Options) (*Result, erro
 			distName = "d3"
 		}
 		dist := cluster.DistanceByName(distName)
-		kopt := core.KAnonOptions{K: opt.K, Distance: dist, Modified: opt.Modified, Workers: opt.Workers, NoKernel: opt.NoKernel}
+		kopt := core.KAnonOptions{K: opt.K, Distance: dist, Modified: opt.Modified, Workers: opt.Workers}
 		var g *table.GenTable
 		switch {
 		case len(clusterCons) > 0:
@@ -533,7 +528,7 @@ func AnonymizeContext(ctx context.Context, t *Table, opt Options) (*Result, erro
 		case opt.MaxChunk > 0:
 			popt := core.PartitionedOptions{
 				K: opt.K, Distance: dist, Modified: opt.Modified, MaxChunk: opt.MaxChunk,
-				Workers: opt.Workers, NoKernel: opt.NoKernel,
+				Workers: opt.Workers,
 			}
 			if opt.RetryPolicy != nil || opt.ShardDeadline > 0 {
 				rp := opt.RetryPolicy
