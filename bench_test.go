@@ -218,7 +218,7 @@ func BenchmarkScalability(b *testing.B) {
 	b.Run("partitioned", func(b *testing.B) {
 		var l float64
 		for i := 0; i < b.N; i++ {
-			g, _, err := core.KAnonymizePartitioned(s, ds.Table, core.PartitionedOptions{K: k, MaxChunk: 400})
+			g, _, _, err := core.KAnonymizePartitionedReportCtx(nil, s, ds.Table, core.PartitionedOptions{K: k, MaxChunk: 400})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -299,7 +299,11 @@ func BenchmarkPipelines(b *testing.B) {
 	})
 	b.Run("global", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.GlobalAnonymize(s, ds.Table, k); err != nil {
+			g, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := core.MakeGlobal1KCtx(nil, s, ds.Table, g, k); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -55,11 +55,7 @@ func main() {
 		stats      = flag.Bool("stats", false, "print the run's statistics (phases, counters, peaks) as JSON on stderr")
 		profile    = flag.String("profile", "", "write cpu.pprof, heap.pprof and trace.out into this directory")
 		maxChunk   = flag.Int("max-chunk", 0, "switch notion=k to the sharded partitioned pipeline with chunks of at most this many records (0 = off)")
-		retries    = flag.Int("retries", 0, "shard attempts per partitioned shard, including the first (0 = default 3; needs -max-chunk)")
-		degraded   = flag.Bool("degraded", true, "complete shards that exhaust their retry budget by a single-worker re-run instead of failing the run (needs -max-chunk)")
-		retrySeed  = flag.Int64("retry-seed", 0, "seed of the deterministic shard-retry backoff schedule (needs -max-chunk)")
-		shardDL    = flag.Duration("shard-deadline", 0, "per-attempt deadline for each partitioned shard (e.g. 30s; 0 = no limit; needs -max-chunk)")
-		shardCkpt  = flag.String("shard-checkpoint", "", "JSONL file of completed-shard checkpoints: existing entries resume the run, new shards are appended (needs -max-chunk)")
+		shardCkpt  = flag.String("shard-checkpoint", "", "JSONL file of completed-shard checkpoints: existing entries resume a failed or killed run, new shards are appended (needs -max-chunk)")
 	)
 	flag.Parse()
 
@@ -88,16 +84,6 @@ func main() {
 		cons = append(cons, kanon.Closeness(*tFlag))
 	}
 	opt.Constraints = cons
-	if *retries > 0 || !*degraded || *retrySeed != 0 {
-		rp := kanon.DefaultRetryPolicy()
-		if *retries > 0 {
-			rp.MaxAttempts = *retries
-		}
-		rp.Seed = *retrySeed
-		rp.DegradedFallback = *degraded
-		opt.RetryPolicy = rp
-	}
-	opt.ShardDeadline = *shardDL
 	if *shardCkpt != "" && *maxChunk <= 0 {
 		fmt.Fprintln(os.Stderr, "kanon: bad -shard-checkpoint: requires -max-chunk > 0")
 		os.Exit(2)
@@ -149,10 +135,6 @@ func flagFor(field string) string {
 		return "full-domain"
 	case "MaxChunk":
 		return "max-chunk"
-	case "RetryPolicy":
-		return "retries"
-	case "ShardDeadline":
-		return "shard-deadline"
 	case "OnShard", "CompletedShards":
 		return "shard-checkpoint"
 	case "Constraints":
@@ -180,8 +162,10 @@ type runConfig struct {
 	// heap.pprof and trace.out captures bracketing the anonymization.
 	Profile string
 	// ShardCkpt, when non-empty, is a JSONL shard-checkpoint file: existing
-	// entries seed Options.CompletedShards (resuming a killed partitioned
-	// run), and every newly completed shard is appended durably.
+	// entries seed Options.CompletedShards (resuming a failed or killed
+	// partitioned run), and every newly completed shard is appended as one
+	// line, which survives a killed process (not a power loss: the file is
+	// never synced).
 	ShardCkpt string
 }
 
@@ -277,7 +261,9 @@ func run(ctx context.Context, c runConfig) error {
 		defer f.Close()
 		enc := json.NewEncoder(f)
 		// Shards complete sequentially on the driving goroutine, so the
-		// append needs no locking; each line is durable once written.
+		// append needs no locking. Each line reaches the OS when written, so
+		// it survives a killed process; it is not synced, so a power loss
+		// may drop it.
 		opt.OnShard = func(ck kanon.ShardCheckpoint) {
 			if err := enc.Encode(ck); err != nil {
 				fmt.Fprintln(os.Stderr, "kanon: shard checkpoint write:", err)
@@ -331,13 +317,7 @@ func run(ctx context.Context, c runConfig) error {
 		tbl.Len(), opt.K, opt.Notion, opt.Measure, res.Loss(), res.Discernibility())
 	st := res.Stats()
 	if rr := res.Resilience(); rr != nil {
-		fmt.Fprintf(os.Stderr, "shards=%d retries=%d quarantined=%d degraded=%d checkpoint_hits=%d\n",
-			len(rr.Shards), rr.Retries, rr.Quarantined, rr.Degraded, rr.CheckpointHits)
-		for _, sh := range rr.Shards {
-			if sh.Degraded {
-				fmt.Fprintf(os.Stderr, "  shard %d (%d records) degraded: %s\n", sh.Shard, sh.Records, sh.DegradedReason)
-			}
-		}
+		fmt.Fprintf(os.Stderr, "shards=%d checkpoint_hits=%d\n", len(rr.Shards), rr.CheckpointHits)
 	}
 	report, err := res.ConstraintReport()
 	if err != nil {

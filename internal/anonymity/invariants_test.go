@@ -100,14 +100,14 @@ func TestInvariantsK1(t *testing.T) {
 		s, tbl := invariantSpace(t, seed, 60)
 		for _, k := range []int{2, 5} {
 			for _, workers := range []int{1, 4} {
-				gn, err := core.K1NearestWorkers(s, tbl, k, workers)
+				gn, err := core.K1NearestCtx(nil, s, tbl, k, workers)
 				if err != nil {
 					t.Fatalf("nearest seed=%d k=%d workers=%d: %v", seed, k, workers, err)
 				}
 				if err := VerifyClaim(s, tbl, gn, k, ClaimK1); err != nil {
 					t.Errorf("nearest seed=%d k=%d workers=%d: %v", seed, k, workers, err)
 				}
-				ge, err := core.K1ExpandWorkers(s, tbl, k, workers)
+				ge, err := core.K1ExpandCtx(nil, s, tbl, k, workers)
 				if err != nil {
 					t.Fatalf("expand seed=%d k=%d workers=%d: %v", seed, k, workers, err)
 				}
@@ -126,7 +126,7 @@ func TestInvariantsKK(t *testing.T) {
 		for _, k := range []int{2, 5} {
 			for _, alg := range []core.K1Algorithm{core.K1ByNearest, core.K1ByExpansion} {
 				for _, workers := range []int{1, 4} {
-					g, err := core.KKAnonymizeWorkers(s, tbl, k, alg, workers)
+					g, err := core.KKAnonymizeCtx(nil, s, tbl, k, alg, workers)
 					if err != nil {
 						t.Fatalf("%s seed=%d k=%d workers=%d: %v", alg, seed, k, workers, err)
 					}

@@ -12,12 +12,9 @@ import (
 	"kanon/internal/table"
 )
 
-// This file generalizes the diversity-aware pipelines of diverse.go to the
-// pluggable constraint surface of internal/cluster/constraint.go. The
-// *Diverse* family remains as thin deprecated wrappers over these
-// functions with Constraints = [DistinctLDiversity(l)]; the
-// constraint-equivalence harness pins that mapping byte-for-byte against
-// the legacy implementations.
+// This file holds the constrained (k,k) pipeline: Algorithm 5 and its
+// (k,1) front end under the pluggable privacy constraints of
+// internal/cluster/constraint.go (DESIGN.md §15).
 
 // activeConstraints drops nil and trivially-satisfied constraints,
 // mirroring the engine's own filtering so the pipelines agree on whether a

@@ -36,10 +36,10 @@ const (
 	SiteForestRound = "core.forest.round"
 	// SiteGlobalStep fires once per widening step of Algorithm 6.
 	SiteGlobalStep = "core.global.step"
-	// SitePartitionChunk fires at the start of every primary attempt of a
-	// partitioned-pipeline shard, inside the shard supervisor's containment
-	// scope (see internal/resilient): a rule armed here exercises
-	// retry/quarantine/degraded handling rather than aborting the run.
+	// SitePartitionChunk fires once at the start of every partitioned-
+	// pipeline shard, inside the shard supervisor's containment scope (see
+	// internal/resilient): a panic armed here fails that shard, and the run
+	// stops with a *resilient.ShardError, resumable from the shards before.
 	SitePartitionChunk = "core.partition.chunk"
 )
 

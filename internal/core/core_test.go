@@ -429,11 +429,15 @@ func TestMakeGlobal1KErrors(t *testing.T) {
 	}
 }
 
-func TestGlobalAnonymizePipeline(t *testing.T) {
+func TestGlobal1KPipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	s, tbl := testSpace(t, rng, 35, "entropy")
 	const k = 3
-	g, stats, err := GlobalAnonymize(s, tbl, k)
+	gkk, err := KKAnonymizeCtx(nil, s, tbl, k, K1ByExpansion, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, stats, err := MakeGlobal1KCtx(nil, s, tbl, gkk, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,8 +516,8 @@ func TestK1WorkersEquivalence(t *testing.T) {
 		name string
 		run  func(workers int) (*table.GenTable, error)
 	}{
-		{"nearest", func(w int) (*table.GenTable, error) { return K1NearestWorkers(s, tbl, k, w) }},
-		{"expand", func(w int) (*table.GenTable, error) { return K1ExpandWorkers(s, tbl, k, w) }},
+		{"nearest", func(w int) (*table.GenTable, error) { return K1NearestCtx(nil, s, tbl, k, w) }},
+		{"expand", func(w int) (*table.GenTable, error) { return K1ExpandCtx(nil, s, tbl, k, w) }},
 	} {
 		seq, err := tc.run(1)
 		if err != nil {
@@ -562,7 +566,11 @@ func TestMakeGlobal1KIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	s, tbl := testSpace(t, rng, 30, "entropy")
 	const k = 3
-	g, _, err := GlobalAnonymize(s, tbl, k)
+	gkk, err := KKAnonymizeCtx(nil, s, tbl, k, K1ByExpansion, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := MakeGlobal1KCtx(nil, s, tbl, gkk, k)
 	if err != nil {
 		t.Fatal(err)
 	}

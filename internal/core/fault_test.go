@@ -74,7 +74,7 @@ func TestK1InjectedPanicIsContained(t *testing.T) {
 			t.Fatalf("panic value %v does not carry the injection", tp.Value)
 		}
 	}()
-	_, _ = K1NearestWorkers(s, tbl, 4, 4)
+	_, _ = K1NearestCtx(nil, s, tbl, 4, 4)
 }
 
 // TestMake1KCancelAtRecordSite injects a cancellation into Algorithm 5's

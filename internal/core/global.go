@@ -169,20 +169,3 @@ func MakeGlobal1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g 
 	}
 	return g, stats, nil
 }
-
-// GlobalAnonymize is the full global (1,k) pipeline of the paper: a
-// (k,k)-anonymization (Algorithm 4 + Algorithm 5) upgraded by Algorithm 6.
-func GlobalAnonymize(s *cluster.Space, tbl *table.Table, k int) (*table.GenTable, Global1KStats, error) {
-	return GlobalAnonymizeCtx(nil, s, tbl, k, 0)
-}
-
-// GlobalAnonymizeCtx is GlobalAnonymize under a context, with the (k,k)
-// stage running on a pool of Workers(workers) workers. A nil ctx disables
-// cancellation.
-func GlobalAnonymizeCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, workers int) (*table.GenTable, Global1KStats, error) {
-	g, err := KKAnonymizeCtx(ctx, s, tbl, k, K1ByExpansion, workers)
-	if err != nil {
-		return nil, Global1KStats{}, err
-	}
-	return MakeGlobal1KCtx(ctx, s, tbl, g, k)
-}

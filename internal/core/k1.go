@@ -17,21 +17,16 @@ import (
 // k−1 records closest to it under the pair cost d({R_i, R_j}). The output
 // approximates the optimal (k,1)-anonymization within a factor of k−1
 // (Proposition 5.1). Records are processed independently in parallel on a
-// machine-sized pool; K1NearestWorkers controls the pool size.
+// machine-sized pool; K1NearestCtx controls the pool size.
 func K1Nearest(s *cluster.Space, tbl *table.Table, k int) (*table.GenTable, error) {
-	return K1NearestWorkers(s, tbl, k, 0)
+	return K1NearestCtx(nil, s, tbl, k, 0)
 }
 
-// K1NearestWorkers is K1Nearest on a pool of Workers(workers) workers.
-// Every record's neighbourhood is computed independently, so the worker
-// count never changes the output.
-func K1NearestWorkers(s *cluster.Space, tbl *table.Table, k, workers int) (*table.GenTable, error) {
-	return K1NearestCtx(nil, s, tbl, k, workers)
-}
-
-// K1NearestCtx is K1NearestWorkers under a context: record scans stop at
-// the next record boundary once ctx is done and ctx.Err() is returned with
-// no partial output. A nil ctx disables cancellation.
+// K1NearestCtx is K1Nearest under a context, on a pool of
+// Workers(workers) workers. Every record's neighbourhood is computed
+// independently, so the worker count never changes the output. Record
+// scans stop at the next record boundary once ctx is done and ctx.Err() is
+// returned with no partial output. A nil ctx disables cancellation.
 func K1NearestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, workers int) (*table.GenTable, error) {
 	n := tbl.Len()
 	if err := checkK1Args(n, k); err != nil {
@@ -74,21 +69,16 @@ func K1NearestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, wo
 // until |S_i| = k; R̄_i is the closure of S_i. In the paper's experiments
 // this consistently beats Algorithm 3 despite lacking its approximation
 // guarantee. Records are processed independently in parallel on a
-// machine-sized pool; K1ExpandWorkers controls the pool size.
+// machine-sized pool; K1ExpandCtx controls the pool size.
 func K1Expand(s *cluster.Space, tbl *table.Table, k int) (*table.GenTable, error) {
-	return K1ExpandWorkers(s, tbl, k, 0)
+	return K1ExpandCtx(nil, s, tbl, k, 0)
 }
 
-// K1ExpandWorkers is K1Expand on a pool of Workers(workers) workers.
-// Every record's cluster is grown independently, so the worker count never
-// changes the output.
-func K1ExpandWorkers(s *cluster.Space, tbl *table.Table, k, workers int) (*table.GenTable, error) {
-	return K1ExpandCtx(nil, s, tbl, k, workers)
-}
-
-// K1ExpandCtx is K1ExpandWorkers under a context: record scans stop at the
-// next record boundary once ctx is done and ctx.Err() is returned with no
-// partial output. A nil ctx disables cancellation.
+// K1ExpandCtx is K1Expand under a context, on a pool of Workers(workers)
+// workers. Every record's cluster is grown independently, so the worker
+// count never changes the output. Record scans stop at the next record
+// boundary once ctx is done and ctx.Err() is returned with no partial
+// output. A nil ctx disables cancellation.
 //
 // Each growth step picks the least (dist, j), exactly as a full sweep in
 // ascending j would, but prices only the candidates that can still win:

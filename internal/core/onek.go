@@ -104,21 +104,15 @@ func (a K1Algorithm) String() string {
 // (k,1)-anonymizer (Algorithm 3 or 4) with the (1,k)-anonymizer
 // (Algorithm 5), as prescribed in Section V-B.
 func KKAnonymize(s *cluster.Space, tbl *table.Table, k int, alg K1Algorithm) (*table.GenTable, error) {
-	return KKAnonymizeWorkers(s, tbl, k, alg, 0)
+	return KKAnonymizeCtx(nil, s, tbl, k, alg, 0)
 }
 
-// KKAnonymizeWorkers is KKAnonymize with the (k,1) stage running on a pool
-// of Workers(workers) workers. The Algorithm 5 post-pass is sequential (its
-// in-place widenings are order-dependent), so the output is identical at
-// any worker count.
-func KKAnonymizeWorkers(s *cluster.Space, tbl *table.Table, k int, alg K1Algorithm, workers int) (*table.GenTable, error) {
-	return KKAnonymizeCtx(nil, s, tbl, k, alg, workers)
-}
-
-// KKAnonymizeCtx is KKAnonymizeWorkers under a context: both the (k,1)
-// stage and the Algorithm 5 post-pass check for cancellation at record
-// boundaries and return ctx.Err() with no partial output. A nil ctx
-// disables cancellation.
+// KKAnonymizeCtx is KKAnonymize under a context, with the (k,1) stage
+// running on a pool of Workers(workers) workers. The Algorithm 5 post-pass
+// is sequential (its in-place widenings are order-dependent), so the
+// output is identical at any worker count. Both stages check for
+// cancellation at record boundaries and return ctx.Err() with no partial
+// output. A nil ctx disables cancellation.
 func KKAnonymizeCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k int, alg K1Algorithm, workers int) (*table.GenTable, error) {
 	g, err := runK1Ctx(ctx, s, tbl, k, alg, workers)
 	if err != nil {

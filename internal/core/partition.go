@@ -25,43 +25,16 @@ type PartitionedOptions struct {
 	MaxChunk int
 	// Workers caps each chunk engine's worker pool (see KAnonOptions.Workers).
 	Workers int
-	// Resilience configures the shard supervisor (DESIGN.md §14); nil
-	// selects resilient.DefaultPolicy (3 attempts, deterministic backoff,
-	// degraded fallback enabled).
-	Resilience *resilient.Policy
 	// OnShard, when set, is invoked on the driving goroutine after each
-	// shard completes (primary or degraded), with a checkpoint from which
-	// the shard's clusters can be rebuilt without recomputation. Callers
-	// persist these to make a killed run resumable at shard granularity.
+	// shard completes, with a checkpoint from which the shard's clusters
+	// can be rebuilt without recomputation. Callers persist these to make a
+	// failed or killed run resumable at shard granularity.
 	OnShard func(resilient.ShardCheckpoint)
 	// CompletedShards holds shard checkpoints from a previous run, keyed by
 	// shard index. A shard whose checkpoint signature matches the current
 	// parameters and record set is restored instead of recomputed; a stale
 	// signature is ignored and the shard recomputed.
 	CompletedShards map[int]resilient.ShardCheckpoint
-}
-
-// KAnonymizePartitioned addresses the paper's Section VII call for "more
-// scalable algorithms": it recursively partitions the records top-down
-// along the generalization hierarchies — Mondrian-style, but splitting
-// only into permissible subsets so every part remains describable — until
-// chunks fit MaxChunk, then runs the (quadratic) agglomerative algorithm
-// within each chunk. Total cost drops from O(n²) to
-// O(n·log n + Σ chunk²) with a modest utility penalty (quantified by the
-// E19 benchmark), because records in different chunks already disagree on
-// some attribute and would rarely share a cluster anyway.
-func KAnonymizePartitioned(s *cluster.Space, tbl *table.Table, opt PartitionedOptions) (*table.GenTable, []*cluster.Cluster, error) {
-	return KAnonymizePartitionedCtx(nil, s, tbl, opt)
-}
-
-// KAnonymizePartitionedCtx is KAnonymizePartitioned under a context: the
-// per-chunk engines run with the context (cancelling at their scan/merge
-// boundaries) and the shard supervisor checks it between attempts,
-// returning ctx.Err() with no partial output. A nil ctx disables
-// cancellation.
-func KAnonymizePartitionedCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, opt PartitionedOptions) (*table.GenTable, []*cluster.Cluster, error) {
-	g, cs, _, err := KAnonymizePartitionedReportCtx(ctx, s, tbl, opt)
-	return g, cs, err
 }
 
 // partitionSignature binds a shard checkpoint to the run parameters that
@@ -72,14 +45,23 @@ func partitionSignature(opt PartitionedOptions, dist cluster.Distance, n int) st
 	return fmt.Sprintf("k=%d|dist=%s|mod=%t|n=%d", opt.K, dist.Name(), opt.Modified, n)
 }
 
-// KAnonymizePartitionedReportCtx is the resilient partitioned pipeline
-// (DESIGN.md §14): every chunk runs as a supervised shard — contained,
-// retried with deterministic backoff on transient failures, quarantined
-// and completed by a single-worker re-run of the same engine after
-// exhausting its budget — and the returned RunReport records each shard's
-// attempt history. The report is non-nil whenever supervision started,
-// including on error, so callers can checkpoint partial progress; the
-// merged output is the same whichever attempt completed a shard.
+// KAnonymizePartitionedReportCtx addresses the paper's Section VII call for
+// "more scalable algorithms": it recursively partitions the records
+// top-down along the generalization hierarchies — Mondrian-style, but
+// splitting only into permissible subsets so every part remains
+// describable — until chunks fit MaxChunk, then runs the (quadratic)
+// agglomerative algorithm within each chunk. Total cost drops from O(n²)
+// to O(n·log n + Σ chunk²) with a modest utility penalty (quantified by
+// the E19 benchmark), because records in different chunks already
+// disagree on some attribute and would rarely share a cluster anyway.
+//
+// Every chunk runs once as a supervised shard (DESIGN.md §14). A shard
+// that panics or errors stops the run with a *resilient.ShardError, a done
+// ctx stops it with ctx.Err(); either way no table is returned. The
+// RunReport is non-nil whenever supervision started, including on error,
+// and every shard before the one that stopped the run was passed to
+// OnShard, so a rerun with CompletedShards resumes from there. A nil ctx
+// disables cancellation.
 func KAnonymizePartitionedReportCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, opt PartitionedOptions) (*table.GenTable, []*cluster.Cluster, *resilient.RunReport, error) {
 	n := tbl.Len()
 	if opt.K < 1 {
@@ -100,10 +82,6 @@ func KAnonymizePartitionedReportCtx(ctx context.Context, s *cluster.Space, tbl *
 		// Chunks below 2k leave the engine no freedom; clamp.
 		maxChunk = 2 * opt.K
 	}
-	policy := resilient.DefaultPolicy()
-	if opt.Resilience != nil {
-		policy = *opt.Resilience
-	}
 
 	o := obs.From(ctx)
 	endSplit := o.Phase(PhasePartition)
@@ -118,14 +96,22 @@ func KAnonymizePartitionedReportCtx(ctx context.Context, s *cluster.Space, tbl *
 	results := make([][]*cluster.Cluster, len(chunks))
 	units := make([]resilient.Unit, len(chunks))
 	for i, chunk := range chunks {
-		run := func(aggOpt cluster.AggloOptions) func(context.Context) error {
-			return func(actx context.Context) error {
+		units[i] = resilient.Unit{
+			Index:   i,
+			Records: len(chunk),
+			Run: func(actx context.Context) error {
+				fault.InjectCtx(actx, SitePartitionChunk)
 				o.Event(obs.KindChunk, PhasePartition, int64(len(chunk)))
 				sub := table.New(tbl.Schema)
 				for _, gi := range chunk {
 					sub.Records = append(sub.Records, tbl.Records[gi])
 				}
-				cs, err := cluster.AgglomerateCtx(actx, s, sub, aggOpt)
+				cs, err := cluster.AgglomerateCtx(actx, s, sub, cluster.AggloOptions{
+					K:        opt.K,
+					Distance: dist,
+					Modified: opt.Modified,
+					Workers:  opt.Workers,
+				})
 				if err != nil {
 					return err
 				}
@@ -148,30 +134,7 @@ func KAnonymizePartitionedReportCtx(ctx context.Context, s *cluster.Space, tbl *
 					})
 				}
 				return nil
-			}
-		}
-		units[i] = resilient.Unit{
-			Index:   i,
-			Records: len(chunk),
-			Run: func(actx context.Context) error {
-				fault.InjectCtx(actx, SitePartitionChunk)
-				return run(cluster.AggloOptions{
-					K:        opt.K,
-					Distance: dist,
-					Modified: opt.Modified,
-					Workers:  opt.Workers,
-				})(actx)
 			},
-			// The degraded fallback re-runs the same engine on one worker,
-			// without the shard's fault hook. The engine's output does not
-			// depend on the worker count, so degraded completion changes
-			// reliability, never output.
-			Degraded: run(cluster.AggloOptions{
-				K:        opt.K,
-				Distance: dist,
-				Modified: opt.Modified,
-				Workers:  1,
-			}),
 		}
 		if ck, ok := opt.CompletedShards[i]; ok && ck.Sig == resilient.Signature(sig, chunk) {
 			// Restore the shard from its checkpoint: closures and costs are
@@ -187,7 +150,7 @@ func KAnonymizePartitionedReportCtx(ctx context.Context, s *cluster.Space, tbl *
 		}
 	}
 
-	rep, err := resilient.Supervise(ctx, units, policy, o)
+	rep, err := resilient.Supervise(ctx, units, o)
 	if err != nil {
 		return nil, nil, rep, err
 	}

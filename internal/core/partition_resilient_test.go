@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -36,165 +37,56 @@ func genEqual(t *testing.T, a, b *table.GenTable) bool {
 	return true
 }
 
-// fastResilience is a test policy with microsecond backoffs.
-func fastResilience() *resilient.Policy {
-	return &resilient.Policy{MaxAttempts: 3, BackoffBase: 10 * time.Microsecond, BackoffMax: 100 * time.Microsecond, Seed: 7}
-}
-
-// TestPartitionFaultRetrySameOutput injects a panic at the first shard
-// attempt and requires the retried run to complete with output
-// byte-identical to a clean run: a transient shard failure must be
-// invisible in the data.
-func TestPartitionFaultRetrySameOutput(t *testing.T) {
+// TestPartitionFaultSurfacesShardError pins the failure contract: a
+// shard that panics is not retried or completed some other way. The run
+// stops with a typed *resilient.ShardError naming the shard, returns no
+// table, and reports the shards up to the failed one, of which exactly the
+// earlier ones reached OnShard.
+func TestPartitionFaultSurfacesShardError(t *testing.T) {
 	s, tbl := partitionFixture(t)
-	opt := PartitionedOptions{K: 5, MaxChunk: 30, Resilience: fastResilience()}
-	gClean, _, err := KAnonymizePartitioned(s, tbl, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var checkpointed []int
+	opt := PartitionedOptions{K: 5, MaxChunk: 30, OnShard: func(ck resilient.ShardCheckpoint) {
+		checkpointed = append(checkpointed, ck.Shard)
+	}}
 
-	in := fault.NewInjector(fault.Rule{Site: SitePartitionChunk, Hit: 1, Action: fault.Panic})
-	deactivate := fault.Activate(in)
-	g, _, rep, err := KAnonymizePartitionedReportCtx(nil, s, tbl, opt)
-	deactivate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.Hits(SitePartitionChunk) < 2 {
-		t.Fatalf("chunk site hit %d times, retry never happened", in.Hits(SitePartitionChunk))
-	}
-	if rep.Retries != 1 || rep.Quarantined != 0 {
-		t.Fatalf("report = %s, want exactly 1 retry", rep)
-	}
-	if !genEqual(t, g, gClean) {
-		t.Fatal("faulted run output differs from clean run")
-	}
-}
-
-// TestPartitionQuarantineDegradedCompletes exhausts shard 0's retry budget
-// (panics at hits 1, 2, 3) and requires the run to complete via the
-// degraded single-worker re-run with output byte-identical to a clean run
-// and all anonymity invariants intact.
-func TestPartitionQuarantineDegradedCompletes(t *testing.T) {
-	s, tbl := partitionFixture(t)
-	opt := PartitionedOptions{K: 5, MaxChunk: 30, Resilience: fastResilience()}
-	gClean, _, err := KAnonymizePartitioned(s, tbl, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	in := fault.NewInjector(
-		fault.Rule{Site: SitePartitionChunk, Hit: 1, Action: fault.Panic},
-		fault.Rule{Site: SitePartitionChunk, Hit: 2, Action: fault.Panic},
-		fault.Rule{Site: SitePartitionChunk, Hit: 3, Action: fault.Panic},
-	)
+	in := fault.NewInjector(fault.Rule{Site: SitePartitionChunk, Hit: 2, Action: fault.Panic})
 	deactivate := fault.Activate(in)
 	g, clusters, rep, err := KAnonymizePartitionedReportCtx(nil, s, tbl, opt)
 	deactivate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Quarantined != 1 || rep.Degraded != 1 {
-		t.Fatalf("report = %s, want 1 quarantined + 1 degraded shard", rep)
-	}
-	if !rep.Shards[0].Degraded {
-		t.Fatalf("shard 0 = %+v, want degraded", rep.Shards[0])
-	}
-	if !genEqual(t, g, gClean) {
-		t.Fatal("degraded output differs from clean run: the fallback must be output-neutral")
-	}
-	if !anonymity.IsKAnonymous(g, 5) {
-		t.Fatal("degraded output not k-anonymous")
-	}
-	if !anonymity.IsGeneralizationOf(s, tbl, g) {
-		t.Fatal("degraded output not a generalization of the input")
-	}
-	total := 0
-	for _, c := range clusters {
-		total += c.Size()
-	}
-	if total != tbl.Len() {
-		t.Fatalf("record count %d after degradation, want %d", total, tbl.Len())
-	}
-}
-
-// TestPartitionNoDegradedSurfacesShardError pins the opt-out: with the
-// fallback disabled, a quarantined shard fails the run with a typed
-// *resilient.ShardError and a report covering the failure.
-func TestPartitionNoDegradedSurfacesShardError(t *testing.T) {
-	s, tbl := partitionFixture(t)
-	p := fastResilience()
-	p.NoDegraded = true
-	opt := PartitionedOptions{K: 5, MaxChunk: 30, Resilience: p}
-
-	in := fault.NewInjector(
-		fault.Rule{Site: SitePartitionChunk, Hit: 1, Action: fault.Panic},
-		fault.Rule{Site: SitePartitionChunk, Hit: 2, Action: fault.Panic},
-		fault.Rule{Site: SitePartitionChunk, Hit: 3, Action: fault.Panic},
-	)
-	deactivate := fault.Activate(in)
-	g, _, rep, err := KAnonymizePartitionedReportCtx(nil, s, tbl, opt)
-	deactivate()
 	var se *resilient.ShardError
-	if !errors.As(err, &se) || se.Stage != "quarantined" {
-		t.Fatalf("err = %v, want quarantined *resilient.ShardError", err)
+	if !errors.As(err, &se) || se.Shard != 1 {
+		t.Fatalf("err = %v, want *resilient.ShardError for shard 1", err)
 	}
-	if g != nil {
-		t.Fatal("failed run returned a table")
+	var pe *resilient.PanicError
+	var inj *fault.Injected
+	if !errors.As(err, &pe) || !errors.As(err, &inj) {
+		t.Fatalf("err = %v does not reach the contained panic and the injected fault", err)
 	}
-	if rep == nil || rep.Quarantined != 1 {
-		t.Fatalf("report = %v, want the quarantined shard recorded", rep)
+	if strings.Contains(err.Error(), inj.Error()) {
+		t.Fatalf("err = %q carries the raw panic payload", err)
 	}
-}
-
-// TestPartitionDelayDeadlineRetry arms a long Delay at the chunk site and
-// bounds attempts with a ShardDeadline: the delayed attempt must expire as
-// a transient deadline failure and the retry must complete the shard.
-func TestPartitionDelayDeadlineRetry(t *testing.T) {
-	s, tbl := partitionFixture(t)
-	p := fastResilience()
-	p.ShardDeadline = 50 * time.Millisecond
-	opt := PartitionedOptions{K: 5, MaxChunk: 30, Resilience: p}
-	gClean, _, err := KAnonymizePartitioned(s, tbl, opt)
-	if err != nil {
-		t.Fatal(err)
+	if g != nil || clusters != nil {
+		t.Fatal("failed run returned a release")
 	}
-
-	in := fault.NewInjector(fault.Rule{Site: SitePartitionChunk, Hit: 1, Action: fault.Delay, Delay: 10 * time.Second})
-	deactivate := fault.Activate(in)
-	start := time.Now()
-	g, _, rep, err := KAnonymizePartitionedReportCtx(context.Background(), s, tbl, opt)
-	elapsed := time.Since(start)
-	deactivate()
-	if err != nil {
-		t.Fatal(err)
+	if in.Hits(SitePartitionChunk) != 2 {
+		t.Fatalf("chunk site hit %d times, want 2: a failed shard must not run again", in.Hits(SitePartitionChunk))
 	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("delayed shard blocked the run for %v: the Delay did not respect the attempt deadline", elapsed)
+	if rep == nil || len(rep.Shards) != 2 || rep.Shards[1].Outcome != resilient.OutcomeFailed {
+		t.Fatalf("report = %v, want shard 0 ok and shard 1 failed", rep)
 	}
-	sh := rep.Shards[0]
-	if len(sh.Attempts) < 2 || sh.Attempts[0].Outcome != resilient.OutcomeDeadline {
-		t.Fatalf("shard 0 attempts = %+v, want a deadline expiry then a retry", sh.Attempts)
-	}
-	if !genEqual(t, g, gClean) {
-		t.Fatal("post-deadline output differs from clean run")
+	if len(checkpointed) != 1 || checkpointed[0] != 0 {
+		t.Fatalf("OnShard saw shards %v, want [0]", checkpointed)
 	}
 }
 
 // TestPartitionReportWorkerInvariant pins the determinism acceptance
-// criterion: the same seeded fault rules produce byte-identical RunReport
-// JSON and identical output at Workers 1 and 4.
+// criterion: a run produces byte-identical RunReport JSON and identical
+// output at Workers 1 and 4.
 func TestPartitionReportWorkerInvariant(t *testing.T) {
 	run := func(workers int) ([]byte, *table.GenTable) {
 		s, tbl := partitionFixture(t)
-		opt := PartitionedOptions{K: 5, MaxChunk: 30, Workers: workers, Resilience: fastResilience()}
-		in := fault.NewInjector(
-			fault.Rule{Site: SitePartitionChunk, Hit: 2, Action: fault.Panic},
-			fault.Rule{Site: SitePartitionChunk, Hit: 3, Action: fault.Panic},
-		)
-		deactivate := fault.Activate(in)
+		opt := PartitionedOptions{K: 5, MaxChunk: 30, Workers: workers}
 		g, _, rep, err := KAnonymizePartitionedReportCtx(nil, s, tbl, opt)
-		deactivate()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +98,7 @@ func TestPartitionReportWorkerInvariant(t *testing.T) {
 		t.Fatalf("RunReport differs between Workers 1 and 4:\n%s\n%s", j1, j4)
 	}
 	if !genEqual(t, g1, g4) {
-		t.Fatal("output differs between Workers 1 and 4 under identical faults")
+		t.Fatal("output differs between Workers 1 and 4")
 	}
 	// And across two identical runs at the same worker count.
 	j1b, _ := run(1)
@@ -221,8 +113,8 @@ func TestPartitionReportWorkerInvariant(t *testing.T) {
 // byte-identical to an uninterrupted run.
 func TestPartitionCheckpointResume(t *testing.T) {
 	s, tbl := partitionFixture(t)
-	base := PartitionedOptions{K: 5, MaxChunk: 30, Resilience: fastResilience()}
-	gClean, _, err := KAnonymizePartitioned(s, tbl, base)
+	base := PartitionedOptions{K: 5, MaxChunk: 30}
+	gClean, _, _, err := KAnonymizePartitionedReportCtx(nil, s, tbl, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +165,7 @@ func TestPartitionCheckpointResume(t *testing.T) {
 // silently reused.
 func TestPartitionStaleCheckpointRecomputed(t *testing.T) {
 	s, tbl := partitionFixture(t)
-	base := PartitionedOptions{K: 5, MaxChunk: 30, Resilience: fastResilience()}
+	base := PartitionedOptions{K: 5, MaxChunk: 30}
 
 	collected := map[int]resilient.ShardCheckpoint{}
 	opt1 := base
@@ -292,7 +184,7 @@ func TestPartitionStaleCheckpointRecomputed(t *testing.T) {
 	if rep.CheckpointHits != 0 {
 		t.Fatalf("CheckpointHits = %d, want 0: stale checkpoints must be recomputed", rep.CheckpointHits)
 	}
-	gClean, _, err := KAnonymizePartitioned(s, tbl, base)
+	gClean, _, _, err := KAnonymizePartitionedReportCtx(nil, s, tbl, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,51 +193,84 @@ func TestPartitionStaleCheckpointRecomputed(t *testing.T) {
 	}
 }
 
-// TestPartitionSeededFaultSweep is the acceptance sweep: seeded panic
-// rules at every shard site plus a delay, across several seeds. Every run
-// must complete with the correct record count and k-anonymous output
-// byte-identical to the clean run, and a same-seed rerun must reproduce
-// the identical RunReport.
+// TestPartitionSeededFaultSweep is the acceptance sweep over seeded panic
+// rules at the shard site, plus a delay, across several seeds at Workers 1
+// and 4. A run whose seeded hit lands on a shard fails with a
+// *resilient.ShardError naming that shard, returns no table, and has
+// checkpointed exactly the shards before it; a hit past the last shard
+// leaves the run clean. A same-seed rerun reproduces the identical
+// RunReport, and resuming from the checkpoints without faults releases
+// k-anonymous output byte-identical to the clean run.
 func TestPartitionSeededFaultSweep(t *testing.T) {
 	s, tbl := partitionFixture(t)
-	opt := PartitionedOptions{K: 5, MaxChunk: 30, Resilience: fastResilience()}
-	gClean, _, err := KAnonymizePartitioned(s, tbl, opt)
+	gClean, _, repClean, err := KAnonymizePartitionedReportCtx(nil, s, tbl, PartitionedOptions{K: 5, MaxChunk: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, seed := range []int64{1, 2, 3} {
-		run := func() ([]byte, *table.GenTable) {
-			rules := fault.Seeded(seed, 6, SitePartitionChunk, resilient.SiteShardRetry)
-			rules = append(rules, fault.Rule{Site: SitePartitionChunk, Hit: 5, Action: fault.Delay, Delay: time.Millisecond})
-			in := fault.NewInjector(rules...)
-			deactivate := fault.Activate(in)
-			defer deactivate()
-			g, clusters, rep, err := KAnonymizePartitionedReportCtx(nil, s, tbl, opt)
+	shards := len(repClean.Shards)
+	if shards < 2 {
+		t.Fatalf("fixture has %d shards, want ≥ 2", shards)
+	}
+	for _, workers := range []int{1, 4} {
+		for _, seed := range []int64{1, 2, 3} {
+			rules := fault.Seeded(seed, 6, SitePartitionChunk)
+			hit := int(rules[0].Hit)
+			rules = append([]fault.Rule{{Site: SitePartitionChunk, Hit: 1, Action: fault.Delay, Delay: time.Millisecond}}, rules...)
+			run := func() (*table.GenTable, []byte, map[int]resilient.ShardCheckpoint, error) {
+				collected := map[int]resilient.ShardCheckpoint{}
+				opt := PartitionedOptions{K: 5, MaxChunk: 30, Workers: workers,
+					OnShard: func(ck resilient.ShardCheckpoint) { collected[ck.Shard] = ck }}
+				deactivate := fault.Activate(fault.NewInjector(rules...))
+				defer deactivate()
+				g, _, rep, err := KAnonymizePartitionedReportCtx(nil, s, tbl, opt)
+				if rep == nil {
+					t.Fatalf("workers %d seed %d: run returned no report", workers, seed)
+				}
+				return g, rep.JSON(), collected, err
+			}
+			g1, j1, ck1, err1 := run()
+			_, j2, _, err2 := run()
+			if !bytes.Equal(j1, j2) {
+				t.Fatalf("workers %d seed %d: RunReport not reproducible:\n%s\n%s", workers, seed, j1, j2)
+			}
+			if (err1 == nil) != (err2 == nil) {
+				t.Fatalf("workers %d seed %d: reruns disagree: %v vs %v", workers, seed, err1, err2)
+			}
+
+			if hit > shards {
+				if err1 != nil {
+					t.Fatalf("workers %d seed %d: hit %d past %d shards failed the run: %v", workers, seed, hit, shards, err1)
+				}
+				if !genEqual(t, g1, gClean) {
+					t.Fatalf("workers %d seed %d: unfaulted output differs from clean run", workers, seed)
+				}
+				continue
+			}
+			var se *resilient.ShardError
+			if !errors.As(err1, &se) || se.Shard != hit-1 {
+				t.Fatalf("workers %d seed %d: err = %v, want *resilient.ShardError for shard %d", workers, seed, err1, hit-1)
+			}
+			if g1 != nil {
+				t.Fatalf("workers %d seed %d: failed run returned a table", workers, seed)
+			}
+			if len(ck1) != hit-1 {
+				t.Fatalf("workers %d seed %d: %d shards checkpointed, want %d", workers, seed, len(ck1), hit-1)
+			}
+
+			resumed := PartitionedOptions{K: 5, MaxChunk: 30, Workers: workers, CompletedShards: ck1}
+			g, _, rep, err := KAnonymizePartitionedReportCtx(nil, s, tbl, resumed)
 			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
+				t.Fatalf("workers %d seed %d: resume: %v", workers, seed, err)
 			}
-			total := 0
-			for _, c := range clusters {
-				total += c.Size()
+			if rep.CheckpointHits != hit-1 {
+				t.Fatalf("workers %d seed %d: CheckpointHits = %d, want %d", workers, seed, rep.CheckpointHits, hit-1)
 			}
-			if total != tbl.Len() {
-				t.Fatalf("seed %d: record count %d, want %d", seed, total, tbl.Len())
+			if !genEqual(t, g, gClean) {
+				t.Fatalf("workers %d seed %d: resumed output differs from clean run", workers, seed)
 			}
-			return rep.JSON(), g
-		}
-		j1, g1 := run()
-		j2, g2 := run()
-		if !bytes.Equal(j1, j2) {
-			t.Fatalf("seed %d: RunReport not reproducible:\n%s\n%s", seed, j1, j2)
-		}
-		if !genEqual(t, g1, g2) {
-			t.Fatalf("seed %d: output not reproducible", seed)
-		}
-		if !genEqual(t, g1, gClean) {
-			t.Fatalf("seed %d: faulted output differs from clean run", seed)
-		}
-		if !anonymity.IsKAnonymous(g1, 5) {
-			t.Fatalf("seed %d: output not k-anonymous", seed)
+			if !anonymity.IsKAnonymous(g, 5) {
+				t.Fatalf("workers %d seed %d: resumed output not k-anonymous", workers, seed)
+			}
 		}
 	}
 }

@@ -16,7 +16,7 @@ func TestPartitionedPostcondition(t *testing.T) {
 	for _, maxChunk := range []int{16, 64, 1 << 20} {
 		s, tbl := testSpace(t, rng, 120, "entropy")
 		const k = 5
-		g, clusters, err := KAnonymizePartitioned(s, tbl, PartitionedOptions{K: k, MaxChunk: maxChunk})
+		g, clusters, _, err := KAnonymizePartitionedReportCtx(nil, s, tbl, PartitionedOptions{K: k, MaxChunk: maxChunk})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestPartitionedHugeChunkEqualsPlain(t *testing.T) {
 	// With MaxChunk ≥ n the partitioned variant degenerates to Algorithm 1.
 	rng1 := rand.New(rand.NewSource(51))
 	s1, tbl1 := testSpace(t, rng1, 60, "lm")
-	gP, _, err := KAnonymizePartitioned(s1, tbl1, PartitionedOptions{K: 4, MaxChunk: 1 << 20})
+	gP, _, _, err := KAnonymizePartitionedReportCtx(nil, s1, tbl1, PartitionedOptions{K: 4, MaxChunk: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestPartitionedUtilityPenaltyBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 10
-	gP, _, err := KAnonymizePartitioned(s, ds.Table, PartitionedOptions{K: k, MaxChunk: 100})
+	gP, _, _, err := KAnonymizePartitionedReportCtx(nil, s, ds.Table, PartitionedOptions{K: k, MaxChunk: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestPartitionedScales(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	g, _, err := KAnonymizePartitioned(s, ds.Table, PartitionedOptions{K: 10, MaxChunk: 400})
+	g, _, _, err := KAnonymizePartitionedReportCtx(nil, s, ds.Table, PartitionedOptions{K: 10, MaxChunk: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +123,14 @@ func TestPartitionedScales(t *testing.T) {
 func TestPartitionedGuards(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	s, tbl := testSpace(t, rng, 10, "lm")
-	if _, _, err := KAnonymizePartitioned(s, tbl, PartitionedOptions{K: 0}); err == nil {
+	if _, _, _, err := KAnonymizePartitionedReportCtx(nil, s, tbl, PartitionedOptions{K: 0}); err == nil {
 		t.Error("expected k < 1 error")
 	}
-	if _, _, err := KAnonymizePartitioned(s, tbl, PartitionedOptions{K: 11}); err == nil {
+	if _, _, _, err := KAnonymizePartitionedReportCtx(nil, s, tbl, PartitionedOptions{K: 11}); err == nil {
 		t.Error("expected k > n error")
 	}
 	// Tiny MaxChunk is clamped to 2k and still works.
-	g, _, err := KAnonymizePartitioned(s, tbl, PartitionedOptions{K: 3, MaxChunk: 1})
+	g, _, _, err := KAnonymizePartitionedReportCtx(nil, s, tbl, PartitionedOptions{K: 3, MaxChunk: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

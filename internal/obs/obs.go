@@ -169,23 +169,12 @@ const (
 )
 
 // Counter names emitted by the shard supervisor of the partitioned pipeline
-// (internal/resilient, DESIGN.md §14). All are worker-count invariant:
-// shards are supervised sequentially on the driving goroutine and the
-// retry/quarantine decisions are pure functions of (policy, fault rules).
+// (internal/resilient, DESIGN.md §14). Both are worker-count invariant:
+// shards are supervised sequentially on the driving goroutine.
 const (
-	// CounterResilientShards counts shards supervised (including cached and
-	// quarantined ones).
+	// CounterResilientShards counts shards supervised, including cached
+	// ones and the one that stopped a failed run.
 	CounterResilientShards = "resilient.shards"
-	// CounterResilientRetries counts retry attempts scheduled after
-	// transient shard failures.
-	CounterResilientRetries = "resilient.retries"
-	// CounterResilientQuarantined counts shards that exhausted their retry
-	// budget (or failed deterministically) and were quarantined from the
-	// optimizing engine.
-	CounterResilientQuarantined = "resilient.quarantined"
-	// CounterResilientDegraded counts quarantined shards completed by the
-	// degraded (single-worker) re-run of the engine.
-	CounterResilientDegraded = "resilient.degraded_shards"
 	// CounterResilientCheckpointHits counts shards skipped because a shard
 	// checkpoint already held their completed clusters.
 	CounterResilientCheckpointHits = "resilient.checkpoint_hits"

@@ -16,9 +16,8 @@
 //
 // Digests are FNV-1a 64: stable across processes and platforms (no map
 // iteration, no randomized seed), cheap, and collision-safe enough for
-// their two jobs — letting an operator correlate repeated failures on the
-// same value without learning the value, and letting the shard supervisor
-// detect a repeated panic message deterministically.
+// their job: letting an operator correlate repeated failures on the same
+// value without learning the value.
 package redact
 
 import (
@@ -27,7 +26,7 @@ import (
 )
 
 // Uint64 returns the FNV-1a 64-bit digest of s, for callers that need the
-// raw hash (checkpoint signatures, repeat detection).
+// raw hash.
 func Uint64(s string) uint64 {
 	h := fnv.New64a()
 	// Write on fnv never fails.
@@ -43,10 +42,10 @@ func Value(s string) string {
 
 // Panic renders a contained panic payload as its dynamic type plus the
 // digest of its rendered form: "*errors.errorString(fnv1a:…)". The type
-// name localizes the failure class for an operator; the digest lets the
-// supervisor (and a human reading a RunReport) recognize the *same*
-// panic recurring without the payload — which may embed record values —
-// ever reaching a diagnostic channel.
+// name localizes the failure class for an operator; the digest lets a
+// human reading a ShardError or RunReport recognize the *same* panic
+// recurring without the payload — which may embed record values — ever
+// reaching a diagnostic channel.
 func Panic(v interface{}) string {
 	if v == nil {
 		return "<nil>"

@@ -8,7 +8,7 @@ import (
 	"io"
 )
 
-// ShardCheckpoint is the durable record of one completed shard: enough to
+// ShardCheckpoint is the persistable record of one completed shard: enough to
 // rebuild the shard's clusters without recomputing them. Sig binds the
 // checkpoint to the exact run parameters and record set, so a checkpoint
 // written under different options (or after the input changed) is detected

@@ -4,87 +4,47 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"time"
 )
 
-// Outcome is the terminal state of one supervised attempt.
+// Outcome is the terminal state of one supervised shard.
 type Outcome string
 
-// The attempt outcomes.
+// The shard outcomes.
 const (
-	// OutcomeOK: the attempt completed the shard.
+	// OutcomeOK: the shard ran and completed.
 	OutcomeOK Outcome = "ok"
-	// OutcomeFault: the attempt died on an injected fault (*fault.Injected).
-	OutcomeFault Outcome = "fault"
-	// OutcomePanic: the attempt panicked and the panic was contained.
-	OutcomePanic Outcome = "panic"
-	// OutcomeDeadline: the attempt exceeded Policy.ShardDeadline.
-	OutcomeDeadline Outcome = "deadline"
-	// OutcomeError: the engine returned a plain error.
-	OutcomeError Outcome = "error"
-	// OutcomeAborted: the run-level context was done; the shard was not
-	// failed, the whole run stopped (resumable from a checkpoint).
+	// OutcomeFailed: the shard panicked (contained) or its engine returned
+	// an error; the run stopped with a *ShardError.
+	OutcomeFailed Outcome = "failed"
+	// OutcomeAborted: the run-level context was done; the shard did not
+	// fail, the whole run stopped (resumable from a checkpoint).
 	OutcomeAborted Outcome = "aborted"
 	// OutcomeCheckpoint: the shard was skipped — a checkpoint already held
 	// its completed clusters.
 	OutcomeCheckpoint Outcome = "checkpoint"
 )
 
-// Class is the supervisor's transient-vs-deterministic verdict on a failed
-// attempt: transient failures are worth retrying, deterministic ones will
-// fail the same way on the same input and go straight to quarantine.
-type Class string
-
-// The failure classes.
-const (
-	ClassTransient     Class = "transient"
-	ClassDeterministic Class = "deterministic"
-)
-
-// Attempt records one supervised attempt of a shard: its outcome, the
-// failure class (empty for ok/aborted/checkpoint), the failure message and
-// the backoff scheduled before the next attempt (zero when none followed).
-// Backoff is the scheduled delay, never a measured one, so the trace is
-// deterministic.
-type Attempt struct {
-	Outcome Outcome       `json:"outcome"`
-	Class   Class         `json:"class,omitempty"`
-	Err     string        `json:"err,omitempty"`
-	Backoff time.Duration `json:"backoff,omitempty"`
-}
-
-// ShardReport is the full supervision history of one shard.
+// ShardReport is the outcome of one shard.
 type ShardReport struct {
 	// Shard is the shard's index in the run.
 	Shard int `json:"shard"`
 	// Records is the shard's record count.
 	Records int `json:"records"`
-	// Attempts lists every attempt in order, including the terminal one.
-	Attempts []Attempt `json:"attempts"`
-	// Quarantined marks a shard that exhausted its retry budget (or failed
-	// deterministically) on the primary engine.
-	Quarantined bool `json:"quarantined,omitempty"`
-	// Degraded marks a quarantined shard completed by the degraded engine.
-	Degraded bool `json:"degraded,omitempty"`
-	// DegradedReason says why the shard was degraded, e.g.
-	// "panic after 3 attempts (deterministic)".
-	DegradedReason string `json:"degraded_reason,omitempty"`
+	// Outcome is the branch the shard took.
+	Outcome Outcome `json:"outcome"`
+	// Err is the failure or abort message (redacted for a contained
+	// panic); empty for ok and checkpoint.
+	Err string `json:"err,omitempty"`
 	// FromCheckpoint marks a shard restored from a shard checkpoint.
 	FromCheckpoint bool `json:"from_checkpoint,omitempty"`
 }
 
 // RunReport aggregates the per-shard outcomes of one supervised run. It is
-// a pure function of (policy, fault rules, input): same seed, same rules →
-// byte-identical JSON, at any worker count.
+// a pure function of (fault rules, input, checkpoints): the same inputs
+// give byte-identical JSON at any worker count.
 type RunReport struct {
 	// Shards holds one report per supervised shard, in shard order.
 	Shards []ShardReport `json:"shards"`
-	// Retries is the total number of retry attempts scheduled.
-	Retries int `json:"retries"`
-	// Quarantined is the number of quarantined shards.
-	Quarantined int `json:"quarantined"`
-	// Degraded is the number of shards completed in degraded mode.
-	Degraded int `json:"degraded"`
 	// CheckpointHits is the number of shards restored from checkpoints.
 	CheckpointHits int `json:"checkpoint_hits"`
 }
@@ -92,26 +52,9 @@ type RunReport struct {
 // add folds one shard report into the totals.
 func (r *RunReport) add(sr ShardReport) {
 	r.Shards = append(r.Shards, sr)
-	for _, a := range sr.Attempts {
-		if a.Backoff > 0 {
-			r.Retries++
-		}
-	}
-	if sr.Quarantined {
-		r.Quarantined++
-	}
-	if sr.Degraded {
-		r.Degraded++
-	}
 	if sr.FromCheckpoint {
 		r.CheckpointHits++
 	}
-}
-
-// Clean reports whether every shard completed on the primary engine at the
-// first attempt (no retries, no quarantine, no degradation, no cache).
-func (r *RunReport) Clean() bool {
-	return r != nil && r.Retries == 0 && r.Quarantined == 0 && r.Degraded == 0 && r.CheckpointHits == 0
 }
 
 // JSON renders the report as deterministic, indent-free JSON.
@@ -124,33 +67,21 @@ func (r *RunReport) JSON() []byte {
 	return b
 }
 
-// String renders a one-line human summary plus one line per non-clean
-// shard.
+// String renders a one-line human summary plus one line per shard that
+// did not simply run ok.
 func (r *RunReport) String() string {
 	if r == nil {
 		return "resilient: no report"
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "shards=%d retries=%d quarantined=%d degraded=%d checkpoint_hits=%d",
-		len(r.Shards), r.Retries, r.Quarantined, r.Degraded, r.CheckpointHits)
+	fmt.Fprintf(&b, "shards=%d checkpoint_hits=%d", len(r.Shards), r.CheckpointHits)
 	for _, s := range r.Shards {
-		if len(s.Attempts) == 1 && s.Attempts[0].Outcome == OutcomeOK {
+		if s.Outcome == OutcomeOK {
 			continue
 		}
-		fmt.Fprintf(&b, "\n  shard %d (%d records):", s.Shard, s.Records)
-		for i, a := range s.Attempts {
-			fmt.Fprintf(&b, " #%d %s", i+1, a.Outcome)
-			if a.Class != "" {
-				fmt.Fprintf(&b, "(%s)", a.Class)
-			}
-			if a.Backoff > 0 {
-				fmt.Fprintf(&b, "+%s", a.Backoff)
-			}
-		}
-		if s.Degraded {
-			fmt.Fprintf(&b, " → degraded: %s", s.DegradedReason)
-		} else if s.Quarantined {
-			b.WriteString(" → quarantined")
+		fmt.Fprintf(&b, "\n  shard %d (%d records): %s", s.Shard, s.Records, s.Outcome)
+		if s.Err != "" {
+			fmt.Fprintf(&b, ": %s", s.Err)
 		}
 	}
 	return b.String()

@@ -5,213 +5,110 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
-	"time"
 
 	"kanon/internal/fault"
 	"kanon/internal/obs"
+	"kanon/internal/par"
 )
 
-// fastPolicy keeps test backoffs in the microsecond range.
-func fastPolicy() Policy {
-	return Policy{MaxAttempts: 3, BackoffBase: 10 * time.Microsecond, BackoffMax: 100 * time.Microsecond, Seed: 42}
-}
-
-// failingUnit returns a unit whose Run fails (via fail) for the first
-// failures calls and then succeeds, counting calls into *calls.
-func failingUnit(idx int, failures int, calls *int, fail func()) Unit {
+// countingUnit returns a unit whose Run counts its calls into *calls and
+// then calls fail (nil: succeed).
+func countingUnit(idx int, calls *int, fail func() error) Unit {
 	return Unit{
 		Index:   idx,
 		Records: 10,
 		Run: func(ctx context.Context) error {
 			*calls++
-			if *calls <= failures {
-				fail()
-			}
-			return nil
-		},
-		Degraded: func(ctx context.Context) error { return nil },
-	}
-}
-
-// injectedFault panics with a *fault.Injected, the transient-by-definition
-// failure.
-func injectedFault() { panic(&fault.Injected{Site: "test.site", Hit: 1}) }
-
-func TestRetryTransientFaultSucceeds(t *testing.T) {
-	var calls int
-	u := failingUnit(0, 1, &calls, injectedFault)
-	rep, err := Supervise(nil, []Unit{u}, fastPolicy(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Fatalf("Run called %d times, want 2", calls)
-	}
-	if rep.Retries != 1 || rep.Quarantined != 0 || rep.Degraded != 0 {
-		t.Fatalf("totals = %+v, want 1 retry only", rep)
-	}
-	sr := rep.Shards[0]
-	if len(sr.Attempts) != 2 {
-		t.Fatalf("attempts = %d, want 2", len(sr.Attempts))
-	}
-	if sr.Attempts[0].Outcome != OutcomeFault || sr.Attempts[0].Class != ClassTransient {
-		t.Errorf("attempt 1 = %+v, want transient fault", sr.Attempts[0])
-	}
-	if sr.Attempts[0].Backoff <= 0 {
-		t.Error("no backoff recorded before the retry")
-	}
-	if sr.Attempts[1].Outcome != OutcomeOK {
-		t.Errorf("attempt 2 = %+v, want ok", sr.Attempts[1])
-	}
-}
-
-func TestRepeatedPanicClassifiedDeterministic(t *testing.T) {
-	// A panic with an identical message on consecutive attempts is
-	// reclassified deterministic, short-circuiting the remaining budget:
-	// with MaxAttempts 3 the shard quarantines after 2 attempts.
-	var calls int
-	u := Unit{
-		Index: 0,
-		Run: func(ctx context.Context) error {
-			calls++
-			panic("index out of range [7]")
-		},
-		Degraded: func(ctx context.Context) error { return nil },
-	}
-	rep, err := Supervise(nil, []Unit{u}, fastPolicy(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Fatalf("Run called %d times, want 2 (early quarantine)", calls)
-	}
-	sr := rep.Shards[0]
-	if !sr.Quarantined || !sr.Degraded {
-		t.Fatalf("shard = %+v, want quarantined+degraded", sr)
-	}
-	if sr.Attempts[0].Class != ClassTransient || sr.Attempts[1].Class != ClassDeterministic {
-		t.Errorf("classes = %s, %s; want transient then deterministic",
-			sr.Attempts[0].Class, sr.Attempts[1].Class)
-	}
-	if sr.DegradedReason == "" {
-		t.Error("no degradation reason recorded")
-	}
-}
-
-func TestEngineErrorQuarantinesImmediately(t *testing.T) {
-	// A plain engine error is deterministic: same input, same failure —
-	// retrying is wasted work.
-	var calls, degraded int
-	u := Unit{
-		Index:    3,
-		Run:      func(ctx context.Context) error { calls++; return errors.New("bad input") },
-		Degraded: func(ctx context.Context) error { degraded++; return nil },
-	}
-	rep, err := Supervise(nil, []Unit{u}, fastPolicy(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 || degraded != 1 {
-		t.Fatalf("calls=%d degraded=%d, want 1/1", calls, degraded)
-	}
-	sr := rep.Shards[0]
-	if sr.Attempts[0].Outcome != OutcomeError || sr.Attempts[0].Class != ClassDeterministic {
-		t.Errorf("attempt = %+v, want deterministic error", sr.Attempts[0])
-	}
-	if rep.Retries != 0 {
-		t.Errorf("retries = %d, want 0", rep.Retries)
-	}
-}
-
-func TestNoDegradedFailsRun(t *testing.T) {
-	p := fastPolicy()
-	p.NoDegraded = true
-	u := Unit{
-		Index:    2,
-		Run:      func(ctx context.Context) error { panic(injectedErr()) },
-		Degraded: func(ctx context.Context) error { t.Fatal("degraded ran despite NoDegraded"); return nil },
-	}
-	rep, err := Supervise(nil, []Unit{u}, p, nil)
-	var se *ShardError
-	if !errors.As(err, &se) || se.Shard != 2 || se.Stage != "quarantined" {
-		t.Fatalf("err = %v, want *ShardError{Shard:2, Stage:quarantined}", err)
-	}
-	if rep == nil || len(rep.Shards) != 1 || !rep.Shards[0].Quarantined {
-		t.Fatalf("report = %+v, want the quarantined shard recorded", rep)
-	}
-	if rep.Retries != 2 {
-		t.Errorf("retries = %d, want 2 (budget 3)", rep.Retries)
-	}
-}
-
-// injectedErr builds a fresh injected-fault panic value.
-func injectedErr() *fault.Injected { return &fault.Injected{Site: "test.site", Hit: 1} }
-
-func TestNilDegradedActsAsNoDegraded(t *testing.T) {
-	u := Unit{Index: 0, Run: func(ctx context.Context) error { return errors.New("x") }}
-	_, err := Supervise(nil, []Unit{u}, fastPolicy(), nil)
-	var se *ShardError
-	if !errors.As(err, &se) || se.Stage != "quarantined" {
-		t.Fatalf("err = %v, want quarantined ShardError", err)
-	}
-}
-
-func TestDegradedFailureSurfaces(t *testing.T) {
-	u := Unit{
-		Index:    1,
-		Run:      func(ctx context.Context) error { return errors.New("primary down") },
-		Degraded: func(ctx context.Context) error { return errors.New("fallback down too") },
-	}
-	_, err := Supervise(nil, []Unit{u}, fastPolicy(), nil)
-	var se *ShardError
-	if !errors.As(err, &se) || se.Stage != "degraded" {
-		t.Fatalf("err = %v, want degraded-stage ShardError", err)
-	}
-}
-
-func TestDegradedPanicContained(t *testing.T) {
-	u := Unit{
-		Index:    0,
-		Run:      func(ctx context.Context) error { return errors.New("primary down") },
-		Degraded: func(ctx context.Context) error { panic("fallback bug") },
-	}
-	_, err := Supervise(nil, []Unit{u}, fastPolicy(), nil)
-	var se *ShardError
-	if !errors.As(err, &se) || se.Stage != "degraded" {
-		t.Fatalf("err = %v, want degraded-stage ShardError", err)
-	}
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("cause %v does not carry the contained panic", err)
-	}
-}
-
-func TestShardDeadlineRetries(t *testing.T) {
-	p := fastPolicy()
-	p.ShardDeadline = 5 * time.Millisecond
-	var calls int
-	u := Unit{
-		Index: 0,
-		Run: func(ctx context.Context) error {
-			calls++
-			if calls == 1 {
-				<-ctx.Done() // simulate a stuck attempt: blocks until the deadline
-				return ctx.Err()
+			if fail != nil {
+				return fail()
 			}
 			return nil
 		},
 	}
-	rep, err := Supervise(context.Background(), []Unit{u}, p, nil)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// injectedFault panics with a *fault.Injected, as an armed fault site does.
+func injectedFault() error { panic(&fault.Injected{Site: "test.site", Hit: 1}) }
+
+// TestFaultedShardFailsRun: a shard that dies on an injected fault runs once
+// and stops the run with a *ShardError naming it. There is no retry and no
+// fallback, and the shards after it never run.
+func TestFaultedShardFailsRun(t *testing.T) {
+	var calls [3]int
+	units := []Unit{
+		countingUnit(0, &calls[0], nil),
+		countingUnit(1, &calls[1], injectedFault),
+		countingUnit(2, &calls[2], nil),
 	}
-	sr := rep.Shards[0]
-	if sr.Attempts[0].Outcome != OutcomeDeadline || sr.Attempts[0].Class != ClassTransient {
-		t.Fatalf("attempt 1 = %+v, want transient deadline", sr.Attempts[0])
+	rep, err := Supervise(nil, units, nil)
+	var se *ShardError
+	if !errors.As(err, &se) || se.Shard != 1 {
+		t.Fatalf("err = %v, want *ShardError{Shard: 1}", err)
 	}
-	if sr.Attempts[1].Outcome != OutcomeOK {
-		t.Fatalf("attempt 2 = %+v, want ok", sr.Attempts[1])
+	var inj *fault.Injected
+	if !errors.As(err, &inj) {
+		t.Fatalf("err = %v does not reach the *fault.Injected", err)
+	}
+	if calls != [3]int{1, 1, 0} {
+		t.Fatalf("Run calls = %v, want [1 1 0]", calls)
+	}
+	if len(rep.Shards) != 2 || rep.Shards[0].Outcome != OutcomeOK || rep.Shards[1].Outcome != OutcomeFailed {
+		t.Fatalf("report = %s, want shard 0 ok and shard 1 failed", rep)
+	}
+}
+
+// TestEngineErrorFailsRun: an engine error stops the run the same way, with
+// the error reachable through the *ShardError.
+func TestEngineErrorFailsRun(t *testing.T) {
+	bad := errors.New("bad input")
+	var calls int
+	u := countingUnit(3, &calls, func() error { return bad })
+	rep, err := Supervise(nil, []Unit{u}, nil)
+	var se *ShardError
+	if !errors.As(err, &se) || se.Shard != 3 || !errors.Is(err, bad) {
+		t.Fatalf("err = %v, want *ShardError{Shard: 3} wrapping the engine error", err)
+	}
+	if calls != 1 {
+		t.Fatalf("Run called %d times, want 1", calls)
+	}
+	if got := rep.Shards[0]; got.Outcome != OutcomeFailed || got.Err != bad.Error() {
+		t.Fatalf("shard report = %+v, want failed with the engine error", got)
+	}
+}
+
+// TestPanicContainedAsShardError: a panic, on the driving goroutine or
+// inside a worker pool, is contained into a *PanicError under the
+// *ShardError, and no message carries the payload (DESIGN.md §16).
+func TestPanicContainedAsShardError(t *testing.T) {
+	const secret = "secret-diagnosis"
+	for _, tc := range []struct {
+		name  string
+		panic func()
+	}{
+		{"direct", func() { panic(secret) }},
+		{"pool", func() { panic(&par.TaskPanic{Value: secret}) }},
+	} {
+		var calls int
+		u := countingUnit(0, &calls, func() error { tc.panic(); return nil })
+		rep, err := Supervise(nil, []Unit{u}, nil)
+		var se *ShardError
+		var pe *PanicError
+		if !errors.As(err, &se) || !errors.As(err, &pe) {
+			t.Fatalf("%s: err = %v, want *ShardError over *PanicError", tc.name, err)
+		}
+		if pe.Value != secret {
+			t.Errorf("%s: panic value = %v, want the original payload", tc.name, pe.Value)
+		}
+		if calls != 1 {
+			t.Errorf("%s: Run called %d times, want 1", tc.name, calls)
+		}
+		for _, msg := range []string{err.Error(), rep.String(), string(rep.JSON())} {
+			if strings.Contains(msg, secret) {
+				t.Errorf("%s: %q carries the panic payload", tc.name, msg)
+			}
+		}
 	}
 }
 
@@ -224,7 +121,7 @@ func TestParentCancelAborts(t *testing.T) {
 		{Index: 1, Run: func(context.Context) error { calls[1]++; cancel(); return nil }},
 		{Index: 2, Run: func(context.Context) error { calls[2]++; return nil }},
 	}
-	rep, err := Supervise(ctx, units, fastPolicy(), nil)
+	rep, err := Supervise(ctx, units, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -232,30 +129,30 @@ func TestParentCancelAborts(t *testing.T) {
 		t.Error("shard after the cancellation still ran")
 	}
 	// Shard 1 completed (its Run returned nil before the done-check on
-	// shard 2), so the abort lands on shard 2's first attempt.
-	last := rep.Shards[len(rep.Shards)-1]
-	if last.Attempts[len(last.Attempts)-1].Outcome != OutcomeAborted {
-		t.Fatalf("last attempt = %+v, want aborted", last.Attempts[len(last.Attempts)-1])
+	// shard 2), so the abort lands on shard 2.
+	if last := rep.Shards[len(rep.Shards)-1]; last.Shard != 2 || last.Outcome != OutcomeAborted {
+		t.Fatalf("last shard = %+v, want shard 2 aborted", last)
 	}
 }
 
 func TestParentCancelDuringAttemptAborts(t *testing.T) {
 	// A failure observed while the run-level context is already done is an
-	// abort, not a shard failure: the run is resumable, nothing quarantines.
+	// abort, not a shard failure: the run is resumable.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	u := Unit{Index: 0, Run: func(context.Context) error {
 		cancel()
 		return fmt.Errorf("engine saw: %w", context.Canceled)
 	}}
-	rep, err := Supervise(ctx, []Unit{u}, fastPolicy(), nil)
+	rep, err := Supervise(ctx, []Unit{u}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if rep.Quarantined != 0 || rep.Degraded != 0 {
-		t.Fatalf("report = %+v, want no quarantine on abort", rep)
+	var se *ShardError
+	if errors.As(err, &se) {
+		t.Fatalf("err = %v, want a cancellation, not a shard failure", err)
 	}
-	if got := rep.Shards[0].Attempts[0].Outcome; got != OutcomeAborted {
+	if got := rep.Shards[0].Outcome; got != OutcomeAborted {
 		t.Fatalf("outcome = %s, want aborted", got)
 	}
 }
@@ -266,12 +163,12 @@ func TestCachedShardSkipsRun(t *testing.T) {
 		Cached: true,
 		Run:    func(context.Context) error { t.Fatal("cached shard ran"); return nil },
 	}
-	rep, err := Supervise(nil, []Unit{u}, fastPolicy(), nil)
+	rep, err := Supervise(nil, []Unit{u}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sr := rep.Shards[0]
-	if !sr.FromCheckpoint || sr.Attempts[0].Outcome != OutcomeCheckpoint {
+	if !sr.FromCheckpoint || sr.Outcome != OutcomeCheckpoint {
 		t.Fatalf("shard = %+v, want checkpoint restore", sr)
 	}
 	if rep.CheckpointHits != 1 {
@@ -279,71 +176,17 @@ func TestCachedShardSkipsRun(t *testing.T) {
 	}
 }
 
-func TestShardRetrySiteInjection(t *testing.T) {
-	// Arm a panic at SiteShardRetry: the supervisor's own retry path fires
-	// the site inside containment, so the injected panic consumes budget
-	// like any transient failure and the shard still completes.
-	in := fault.NewInjector(fault.Rule{Site: SiteShardRetry, Hit: 1, Action: fault.Panic})
-	defer fault.Activate(in)()
-	var calls int
-	u := failingUnit(0, 1, &calls, injectedFault)
-	p := fastPolicy()
-	p.MaxAttempts = 4
-	rep, err := Supervise(nil, []Unit{u}, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.Hits(SiteShardRetry) < 1 {
-		t.Fatal("retry site never fired")
-	}
-	sr := rep.Shards[0]
-	// Attempt 1: unit's own injected fault. Attempt 2: SiteShardRetry panic
-	// (hit 1). Attempt 3: site hit 2 (no rule) → unit succeeds.
-	if len(sr.Attempts) != 3 || sr.Attempts[2].Outcome != OutcomeOK {
-		t.Fatalf("attempts = %+v, want fault, fault, ok", sr.Attempts)
-	}
-}
-
-func TestBackoffDeterministicAndBounded(t *testing.T) {
-	p := fastPolicy()
-	for shard := 0; shard < 50; shard++ {
-		for attempt := 1; attempt <= 5; attempt++ {
-			d1 := p.Backoff(shard, attempt)
-			d2 := p.Backoff(shard, attempt)
-			if d1 != d2 {
-				t.Fatalf("Backoff(%d,%d) not deterministic: %v vs %v", shard, attempt, d1, d2)
-			}
-			if d1 <= 0 || d1 > p.BackoffMax {
-				t.Fatalf("Backoff(%d,%d) = %v outside (0, %v]", shard, attempt, d1, p.BackoffMax)
-			}
-		}
-	}
-	// Different seeds must spread: at least one shard/attempt pair differs.
-	q := p
-	q.Seed = 43
-	same := true
-	for shard := 0; shard < 8 && same; shard++ {
-		if p.Backoff(shard, 2) != q.Backoff(shard, 2) {
-			same = false
-		}
-	}
-	if same {
-		t.Error("seeds 42 and 43 produce identical schedules over 8 shards")
-	}
-}
-
 func TestReportByteIdenticalAcrossRuns(t *testing.T) {
 	run := func() []byte {
-		var c0, c1 int
+		var c0, c2 int
 		units := []Unit{
-			failingUnit(0, 2, &c0, injectedFault),
-			failingUnit(1, 0, &c1, nil),
-			{Index: 2, Run: func(context.Context) error { return errors.New("det") },
-				Degraded: func(context.Context) error { return nil }},
+			countingUnit(0, &c0, nil),
+			{Index: 1, Records: 7, Cached: true},
+			countingUnit(2, &c2, func() error { panic("shard bug") }),
 		}
-		rep, err := Supervise(nil, units, fastPolicy(), nil)
-		if err != nil {
-			t.Fatal(err)
+		rep, err := Supervise(nil, units, nil)
+		if err == nil {
+			t.Fatal("a panicking shard did not fail the run")
 		}
 		return rep.JSON()
 	}
@@ -359,22 +202,18 @@ func TestReportByteIdenticalAcrossRuns(t *testing.T) {
 func TestSuperviseEmitsCounters(t *testing.T) {
 	m := obs.NewMetrics()
 	o := obs.NewRun(m)
-	var c0, c1 int
+	var c0, c2 int
 	units := []Unit{
-		failingUnit(0, 1, &c0, injectedFault),
-		{Index: 1, Run: func(context.Context) error { c1++; return errors.New("det") },
-			Degraded: func(context.Context) error { return nil }},
-		{Index: 2, Cached: true},
+		countingUnit(0, &c0, nil),
+		{Index: 1, Cached: true},
+		countingUnit(2, &c2, func() error { return errors.New("det") }),
 	}
-	if _, err := Supervise(nil, units, fastPolicy(), o); err != nil {
-		t.Fatal(err)
+	if _, err := Supervise(nil, units, o); err == nil {
+		t.Fatal("a failing shard did not fail the run")
 	}
 	st := m.Snapshot()
 	want := map[string]int64{
 		obs.CounterResilientShards:         3,
-		obs.CounterResilientRetries:        1,
-		obs.CounterResilientQuarantined:    1,
-		obs.CounterResilientDegraded:       1,
 		obs.CounterResilientCheckpointHits: 1,
 	}
 	for name, n := range want {
@@ -386,18 +225,15 @@ func TestSuperviseEmitsCounters(t *testing.T) {
 
 func TestReportString(t *testing.T) {
 	var calls int
-	units := []Unit{failingUnit(0, 1, &calls, injectedFault)}
-	rep, err := Supervise(nil, units, fastPolicy(), nil)
-	if err != nil {
-		t.Fatal(err)
+	units := []Unit{
+		{Index: 0, Records: 4, Cached: true},
+		countingUnit(1, &calls, func() error { return errors.New("bad input") }),
 	}
+	rep, _ := Supervise(nil, units, nil)
 	s := rep.String()
-	for _, frag := range []string{"shards=1", "retries=1", "shard 0", "fault(transient)"} {
-		if !bytes.Contains([]byte(s), []byte(frag)) {
+	for _, frag := range []string{"shards=2", "checkpoint_hits=1", "shard 0 (4 records): checkpoint", "shard 1 (10 records): failed: bad input"} {
+		if !strings.Contains(s, frag) {
 			t.Errorf("String() = %q lacks %q", s, frag)
 		}
-	}
-	if rep.Clean() {
-		t.Error("a retried run reported Clean")
 	}
 }

@@ -408,7 +408,9 @@ func (f auditFixture) release(t testing.TB, notion string, k int) *table.GenTabl
 	case "kk":
 		g, err = core.KKAnonymize(f.s, f.ds.Table, k, core.K1ByExpansion)
 	case "global":
-		g, _, err = core.GlobalAnonymize(f.s, f.ds.Table, k)
+		if g, err = core.KKAnonymizeCtx(nil, f.s, f.ds.Table, k, core.K1ByExpansion, 0); err == nil {
+			g, _, err = core.MakeGlobal1KCtx(nil, f.s, f.ds.Table, g, k)
+		}
 	}
 	if err != nil {
 		t.Fatal(err)

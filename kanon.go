@@ -28,7 +28,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"kanon/internal/anonymity"
 	"kanon/internal/cluster"
@@ -292,62 +291,20 @@ type Options struct {
 	// Observer, every run's aggregated metrics are available from
 	// Result.Stats().
 	Observer Observer
-	// RetryPolicy overrides the shard supervisor of the partitioned
-	// pipeline (NotionK with MaxChunk > 0). nil selects the defaults: 3
-	// attempts per shard, deterministic 5ms–250ms backoff, degraded
-	// fallback enabled. Setting a policy makes the configuration fully
-	// explicit — in particular DegradedFallback must be set to true to keep
-	// the fallback. Requires MaxChunk > 0.
-	RetryPolicy *RetryPolicy
-	// ShardDeadline bounds each primary shard attempt of the partitioned
-	// pipeline; an attempt exceeding it counts as a transient failure and
-	// is retried. 0 means unbounded. Requires MaxChunk > 0.
-	ShardDeadline time.Duration
 	// OnShard, when non-nil, is invoked after each partitioned shard
 	// completes, with a checkpoint from which the shard can be restored.
-	// Persist these (e.g. as JSONL) to make a killed run resumable at
-	// shard granularity. Requires MaxChunk > 0.
+	// Persist these (e.g. as JSONL) to make a failed or killed run
+	// resumable at shard granularity. Requires MaxChunk > 0.
 	OnShard func(ShardCheckpoint)
 	// CompletedShards seeds a partitioned run with shard checkpoints from
-	// a previous (killed) run: shards whose checkpoint signature matches
-	// the current parameters and records are restored byte-identically
-	// instead of recomputed; stale checkpoints are ignored. Requires
-	// MaxChunk > 0.
+	// a previous (failed or killed) run: shards whose checkpoint signature
+	// matches the current parameters and records are restored
+	// byte-identically instead of recomputed; stale checkpoints are
+	// ignored. Requires MaxChunk > 0.
 	CompletedShards []ShardCheckpoint
 }
 
-// RetryPolicy configures the shard supervisor of the partitioned pipeline
-// (DESIGN.md §14). The schedule it induces is deterministic: same Seed,
-// same faults → the same backoff trace and the same RunReport, bit for
-// bit.
-type RetryPolicy struct {
-	// MaxAttempts is the number of primary-engine attempts per shard,
-	// including the first; ≤ 0 selects 3.
-	MaxAttempts int
-	// Backoff is the delay before the second attempt of a shard, doubling
-	// per further attempt; ≤ 0 selects 5ms.
-	Backoff time.Duration
-	// BackoffMax caps the exponential backoff; ≤ 0 selects 250ms.
-	BackoffMax time.Duration
-	// Seed drives the deterministic backoff jitter.
-	Seed int64
-	// DegradedFallback completes shards that exhaust their retry budget
-	// by re-running the same engine on one worker instead of failing the
-	// run. The engine's output does not depend on the worker count, so
-	// degradation never changes output — only the RunReport records it.
-	// False fails the run with a *ShardError-style error once any shard
-	// quarantines.
-	DegradedFallback bool
-}
-
-// DefaultRetryPolicy returns the supervisor defaults used when
-// Options.RetryPolicy is nil: 3 attempts, 5ms–250ms backoff, degraded
-// fallback enabled.
-func DefaultRetryPolicy() *RetryPolicy {
-	return &RetryPolicy{MaxAttempts: 3, Backoff: 5 * time.Millisecond, BackoffMax: 250 * time.Millisecond, DegradedFallback: true}
-}
-
-// ShardCheckpoint is the durable record of one completed partitioned
+// ShardCheckpoint is the persistable record of one completed partitioned
 // shard: the shard index, a signature binding it to the run parameters and
 // record set, and the shard's clusters as record-index sets. Marshal as
 // JSON for persistence; feed back via Options.CompletedShards to resume.
@@ -375,42 +332,32 @@ type Result struct {
 // and the Sched gauges are the timing-dependent remainder.
 func (r *Result) Stats() RunStats { return r.stats }
 
-// ShardOutcome summarizes the supervision of one partitioned shard.
+// ShardOutcome summarizes one shard of a partitioned run. Each shard runs
+// once; a shard that fails stops the run with an error and no Result, so
+// every shard of a returned report either ran or was restored.
 type ShardOutcome struct {
 	// Shard is the shard's index; Records its record count.
 	Shard   int
 	Records int
-	// Attempts is the number of supervised attempts, including the
-	// successful (or terminal) one.
-	Attempts int
-	// Quarantined marks a shard that exhausted its retry budget on the
-	// primary engine; Degraded marks it completed by the single-worker
-	// degraded re-run, with DegradedReason saying why.
-	Quarantined    bool
-	Degraded       bool
-	DegradedReason string
 	// FromCheckpoint marks a shard restored from Options.CompletedShards.
 	FromCheckpoint bool
 }
 
-// ResilienceReport aggregates the shard supervisor's outcomes for a
-// partitioned run. It is deterministic: same input, same faults, same
+// ResilienceReport is the shard supervisor's report for a completed
+// partitioned run. It is deterministic: same input, same checkpoints, same
 // report at any worker count.
 type ResilienceReport struct {
 	// Shards holds one outcome per shard, in shard order.
 	Shards []ShardOutcome
-	// Retries, Quarantined, Degraded and CheckpointHits are the run totals
-	// (also emitted as resilient.* counters in Stats()).
-	Retries        int
-	Quarantined    int
-	Degraded       int
+	// CheckpointHits is the number of shards restored from checkpoints
+	// (also the resilient.checkpoint_hits counter in Stats()).
 	CheckpointHits int
 }
 
-// Clean reports whether every shard completed on the primary engine at
-// the first attempt.
+// Clean reports whether every shard was computed in this run, none
+// restored from a checkpoint.
 func (r *ResilienceReport) Clean() bool {
-	return r != nil && r.Retries == 0 && r.Quarantined == 0 && r.Degraded == 0 && r.CheckpointHits == 0
+	return r != nil && r.CheckpointHits == 0
 }
 
 // Resilience returns the shard supervisor's report for a partitioned run
@@ -424,21 +371,10 @@ func facadeResilience(rep *resilient.RunReport) *ResilienceReport {
 	}
 	out := &ResilienceReport{
 		Shards:         make([]ShardOutcome, len(rep.Shards)),
-		Retries:        rep.Retries,
-		Quarantined:    rep.Quarantined,
-		Degraded:       rep.Degraded,
 		CheckpointHits: rep.CheckpointHits,
 	}
 	for i, s := range rep.Shards {
-		out.Shards[i] = ShardOutcome{
-			Shard:          s.Shard,
-			Records:        s.Records,
-			Attempts:       len(s.Attempts),
-			Quarantined:    s.Quarantined,
-			Degraded:       s.Degraded,
-			DegradedReason: s.DegradedReason,
-			FromCheckpoint: s.FromCheckpoint,
-		}
+		out.Shards[i] = ShardOutcome{Shard: s.Shard, Records: s.Records, FromCheckpoint: s.FromCheckpoint}
 	}
 	return out
 }
@@ -529,20 +465,6 @@ func AnonymizeContext(ctx context.Context, t *Table, opt Options) (*Result, erro
 			popt := core.PartitionedOptions{
 				K: opt.K, Distance: dist, Modified: opt.Modified, MaxChunk: opt.MaxChunk,
 				Workers: opt.Workers,
-			}
-			if opt.RetryPolicy != nil || opt.ShardDeadline > 0 {
-				rp := opt.RetryPolicy
-				if rp == nil {
-					rp = DefaultRetryPolicy()
-				}
-				popt.Resilience = &resilient.Policy{
-					MaxAttempts:   rp.MaxAttempts,
-					BackoffBase:   rp.Backoff,
-					BackoffMax:    rp.BackoffMax,
-					Seed:          rp.Seed,
-					ShardDeadline: opt.ShardDeadline,
-					NoDegraded:    !rp.DegradedFallback,
-				}
 			}
 			if opt.OnShard != nil {
 				onShard := opt.OnShard

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // captureObserver records every event it sees; safe for concurrent use as
@@ -204,9 +203,6 @@ func TestValidateOptions(t *testing.T) {
 		{K: 3, Notion: NotionK, MaxChunk: 100, Workers: 4},
 		{K: 3, Notion: NotionK, Forest: true},
 		{K: 3, Notion: NotionKK, Diversity: 2},
-		{K: 3, MaxChunk: 100, RetryPolicy: DefaultRetryPolicy()},
-		{K: 3, MaxChunk: 100, RetryPolicy: &RetryPolicy{MaxAttempts: 5, Backoff: time.Millisecond, BackoffMax: time.Second}},
-		{K: 3, MaxChunk: 100, ShardDeadline: time.Minute},
 		{K: 3, MaxChunk: 100, OnShard: func(ShardCheckpoint) {}},
 		{K: 3, MaxChunk: 100, CompletedShards: []ShardCheckpoint{{Shard: 0}}},
 	}
@@ -228,14 +224,8 @@ func TestValidateOptions(t *testing.T) {
 		{Options{K: 2, Forest: true, Diversity: 2}, "Diversity"},
 		{Options{K: 2, FullDomain: true, Diversity: 2}, "Diversity"},
 		{Options{K: 2, MaxChunk: 50, Diversity: 2}, "Diversity"},
-		{Options{K: 2, ShardDeadline: -time.Second}, "ShardDeadline"},
-		{Options{K: 2, RetryPolicy: DefaultRetryPolicy()}, "RetryPolicy"},
-		{Options{K: 2, ShardDeadline: time.Minute}, "ShardDeadline"},
 		{Options{K: 2, OnShard: func(ShardCheckpoint) {}}, "OnShard"},
 		{Options{K: 2, CompletedShards: []ShardCheckpoint{{Shard: 0}}}, "CompletedShards"},
-		{Options{K: 2, MaxChunk: 50, RetryPolicy: &RetryPolicy{MaxAttempts: -1}}, "RetryPolicy"},
-		{Options{K: 2, MaxChunk: 50, RetryPolicy: &RetryPolicy{Backoff: -time.Second}}, "RetryPolicy"},
-		{Options{K: 2, MaxChunk: 50, RetryPolicy: &RetryPolicy{Backoff: time.Second, BackoffMax: time.Millisecond}}, "RetryPolicy"},
 	}
 	for _, tc := range invalid {
 		err := tc.opt.Validate()

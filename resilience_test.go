@@ -3,24 +3,14 @@ package kanon
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
-	"time"
 
 	"kanon/internal/core"
 	"kanon/internal/fault"
 	"kanon/internal/resilient"
 )
-
-// fastRetryPolicy keeps the supervisor's backoff out of test wall time.
-func fastRetryPolicy() *RetryPolicy {
-	return &RetryPolicy{
-		MaxAttempts:      3,
-		Backoff:          10 * time.Microsecond,
-		BackoffMax:       100 * time.Microsecond,
-		Seed:             99,
-		DegradedFallback: true,
-	}
-}
 
 // resilienceCSV runs one partitioned anonymization and returns the result
 // plus its serialized output bytes.
@@ -38,9 +28,9 @@ func resilienceCSV(t *testing.T, tbl *Table, opt Options) (*Result, []byte) {
 }
 
 // TestFacadeResilienceReport pins the facade surface on a fault-free run:
-// a partitioned run carries a clean ResilienceReport whose totals agree
-// with the resilient.* counters in Stats(), and a non-partitioned run
-// carries none.
+// a partitioned run carries a clean ResilienceReport whose shard count
+// agrees with the resilient.shards counter in Stats(), and a
+// non-partitioned run carries none.
 func TestFacadeResilienceReport(t *testing.T) {
 	tbl := Adult(240, 11)
 	res, _ := resilienceCSV(t, tbl, Options{K: 4, Notion: NotionK, MaxChunk: 64})
@@ -74,108 +64,102 @@ func TestFacadeResilienceReport(t *testing.T) {
 	}
 }
 
-// TestFacadeFaultedRunSafeAndByteIdentical is the acceptance scenario of
-// the resilience work: with seeded faults firing at every shard site, a
-// partitioned run must still complete with the full record count, produce
-// output byte-identical to the fault-free run, satisfy the k-anonymity
-// verifier, and score identically under the adversarial attack suite.
+// TestFacadeFaultedRunSafeAndByteIdentical is the fault contract of the
+// partitioned pipeline (DESIGN.md §14), at 1 and 4 workers: under seeded
+// faults at the shard site, and under a storm that poisons every shard, a
+// run returns no Result and a *resilient.ShardError naming the first
+// faulted shard, with the panic payload redacted. OnShard has seen exactly
+// the shards before it, and resuming from those checkpoints without faults
+// releases the fault-free bytes with the fault-free attack evaluation.
 func TestFacadeFaultedRunSafeAndByteIdentical(t *testing.T) {
 	tbl := Adult(300, 99)
-	opt := Options{K: 6, Notion: NotionK, MaxChunk: 80, RetryPolicy: fastRetryPolicy()}
-
-	_, cleanCSV := resilienceCSV(t, tbl, opt)
-	cleanRes, err := Anonymize(tbl, opt)
-	if err != nil {
-		t.Fatal(err)
+	type scenario struct {
+		name  string
+		rules []fault.Rule
 	}
-	cleanAttack, err := cleanRes.AttackEvaluation(opt.K)
-	if err != nil {
-		t.Fatal(err)
+	var scenarios []scenario
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, maxHit := range []int64{4, 8} {
+			scenarios = append(scenarios, scenario{
+				fmt.Sprintf("seed=%d/maxHit=%d", seed, maxHit),
+				fault.Seeded(seed, maxHit, core.SitePartitionChunk),
+			})
+		}
 	}
+	scenarios = append(scenarios, scenario{"storm", []fault.Rule{{Site: core.SitePartitionChunk, Hit: 0, Action: fault.Panic}}})
 
-	for _, seed := range []int64{1, 2, 3} {
-		in := fault.NewInjector(fault.Seeded(seed, 4, core.SitePartitionChunk, resilient.SiteShardRetry)...)
-		deactivate := fault.Activate(in)
-		res, faultedCSV := resilienceCSV(t, tbl, opt)
-		deactivate()
-
-		if res.Len() != tbl.Len() {
-			t.Fatalf("seed %d: faulted run lost records: %d of %d", seed, res.Len(), tbl.Len())
-		}
-		if !bytes.Equal(faultedCSV, cleanCSV) {
-			t.Errorf("seed %d: faulted output differs from the fault-free run", seed)
-		}
-		if rep := res.Verify(opt.K); !rep.KAnonymous {
-			t.Errorf("seed %d: faulted output is not %d-anonymous: %+v", seed, opt.K, rep)
+	var cleanCSV []byte
+	var cleanAttack AttackSummary
+	for _, workers := range []int{1, 4} {
+		opt := Options{K: 4, Notion: NotionK, MaxChunk: 30, Workers: workers}
+		res, csv := resilienceCSV(t, tbl, opt)
+		if shards := len(res.Resilience().Shards); shards < 8 {
+			t.Fatalf("fixture has %d shards; every seeded fault (hit ≤ 8) must land on a shard", shards)
 		}
 		attack, err := res.AttackEvaluation(opt.K)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if attack != cleanAttack {
-			t.Errorf("seed %d: attack evaluation drifted under faults\n  got  %+v\n  want %+v", seed, attack, cleanAttack)
+		if cleanCSV == nil {
+			cleanCSV, cleanAttack = csv, attack
+		} else if !bytes.Equal(csv, cleanCSV) || attack != cleanAttack {
+			t.Fatalf("workers=%d: fault-free release differs from workers=1", workers)
 		}
-		if in.Hits(core.SitePartitionChunk) == 0 {
-			t.Errorf("seed %d: no faults actually fired at the shard site", seed)
+
+		for _, sc := range scenarios {
+			name := fmt.Sprintf("workers=%d/%s", workers, sc.name)
+			want := int(sc.rules[0].Hit) - 1 // each shard fires the site once
+			if want < 0 {
+				want = 0
+			}
+			var checkpoints []ShardCheckpoint
+			faulted := opt
+			faulted.OnShard = func(ck ShardCheckpoint) { checkpoints = append(checkpoints, ck) }
+			deactivate := fault.Activate(fault.NewInjector(sc.rules...))
+			res, err := Anonymize(tbl, faulted)
+			deactivate()
+
+			if res != nil {
+				t.Fatalf("%s: faulted run returned a Result", name)
+			}
+			var se *resilient.ShardError
+			var pe *resilient.PanicError
+			var inj *fault.Injected
+			if !errors.As(err, &se) || !errors.As(err, &pe) || !errors.As(err, &inj) {
+				t.Fatalf("%s: err = %v (%T), want *ShardError over a contained *fault.Injected", name, err, err)
+			}
+			if se.Shard != want {
+				t.Errorf("%s: failed shard = %d, want %d", name, se.Shard, want)
+			}
+			if strings.Contains(err.Error(), inj.Error()) {
+				t.Errorf("%s: error %q carries the raw panic payload", name, err)
+			}
+			if len(checkpoints) != want {
+				t.Fatalf("%s: %d shards checkpointed before shard %d", name, len(checkpoints), want)
+			}
+			for i, ck := range checkpoints {
+				if ck.Shard != i {
+					t.Fatalf("%s: checkpoint %d is shard %d", name, i, ck.Shard)
+				}
+			}
+
+			resumed := opt
+			resumed.CompletedShards = checkpoints
+			res, csv := resilienceCSV(t, tbl, resumed)
+			if !bytes.Equal(csv, cleanCSV) {
+				t.Errorf("%s: resumed release differs from the fault-free run", name)
+			}
+			if hits := res.Resilience().CheckpointHits; hits != want {
+				t.Errorf("%s: resumed run restored %d shards, want %d", name, hits, want)
+			}
+			attack, err := res.AttackEvaluation(opt.K)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if attack != cleanAttack {
+				t.Errorf("%s: attack evaluation of the resumed release drifted\n  got  %+v\n  want %+v", name, attack, cleanAttack)
+			}
 		}
-	}
-}
-
-// TestFacadeDegradedCompletionKeepsGuarantee drives a shard past its
-// entire retry budget so it quarantines and completes on the degraded
-// (reference) engine — and proves the k-guarantee and the output bytes
-// survive the degradation.
-func TestFacadeDegradedCompletionKeepsGuarantee(t *testing.T) {
-	tbl := Adult(240, 11)
-	opt := Options{K: 4, Notion: NotionK, MaxChunk: 64}
-	_, cleanCSV := resilienceCSV(t, tbl, opt)
-
-	opt.RetryPolicy = fastRetryPolicy()
-	in := fault.NewInjector(
-		fault.Rule{Site: core.SitePartitionChunk, Hit: 1, Action: fault.Panic},
-		fault.Rule{Site: core.SitePartitionChunk, Hit: 2, Action: fault.Panic},
-		fault.Rule{Site: core.SitePartitionChunk, Hit: 3, Action: fault.Panic},
-	)
-	deactivate := fault.Activate(in)
-	res, degradedCSV := resilienceCSV(t, tbl, opt)
-	deactivate()
-
-	rep := res.Resilience()
-	if rep == nil || rep.Degraded != 1 || rep.Quarantined != 1 {
-		t.Fatalf("expected exactly one quarantined+degraded shard, got %+v", rep)
-	}
-	if out := rep.Shards[0]; !out.Degraded || out.DegradedReason == "" || out.Attempts != opt.RetryPolicy.MaxAttempts {
-		t.Errorf("shard 0 outcome %+v: want degraded after %d attempts with a reason", out, opt.RetryPolicy.MaxAttempts)
-	}
-	if !bytes.Equal(degradedCSV, cleanCSV) {
-		t.Error("degraded completion changed the output bytes")
-	}
-	if vr := res.Verify(opt.K); !vr.KAnonymous {
-		t.Errorf("degraded output is not %d-anonymous: %+v", opt.K, vr)
-	}
-}
-
-// TestFacadeNoDegradedFallbackFailsRun pins the strict mode: with
-// DegradedFallback off, a quarantined shard fails the whole run instead of
-// completing degraded.
-func TestFacadeNoDegradedFallbackFailsRun(t *testing.T) {
-	tbl := Adult(240, 11)
-	rp := fastRetryPolicy()
-	rp.MaxAttempts = 1
-	rp.DegradedFallback = false
-	in := fault.NewInjector(fault.Rule{Site: core.SitePartitionChunk, Hit: 1, Action: fault.Panic})
-	deactivate := fault.Activate(in)
-	defer deactivate()
-	_, err := Anonymize(tbl, Options{K: 4, Notion: NotionK, MaxChunk: 64, RetryPolicy: rp})
-	if err == nil {
-		t.Fatal("expected the run to fail without the degraded fallback")
-	}
-	var se *resilient.ShardError
-	if !errors.As(err, &se) {
-		t.Fatalf("error %v (%T) does not unwrap to *resilient.ShardError", err, err)
-	}
-	if se.Shard != 0 {
-		t.Errorf("failing shard = %d, want 0", se.Shard)
 	}
 }
 

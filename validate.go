@@ -112,34 +112,14 @@ func (opt Options) Validate() error {
 				"not supported with NotionGlobal1K (the global pipeline ignores constraints; it would silently weaken the guarantee)")
 		}
 	}
-	if opt.ShardDeadline < 0 {
-		return optErr("ShardDeadline", opt.ShardDeadline, "must be ≥ 0")
-	}
 	if opt.MaxChunk <= 0 {
-		// The resilience surface configures the shard supervisor of the
-		// partitioned pipeline; without MaxChunk there are no shards.
-		if opt.RetryPolicy != nil {
-			return optErr("RetryPolicy", opt.RetryPolicy, "requires the partitioned pipeline (set MaxChunk > 0)")
-		}
-		if opt.ShardDeadline > 0 {
-			return optErr("ShardDeadline", opt.ShardDeadline, "requires the partitioned pipeline (set MaxChunk > 0)")
-		}
+		// Shard checkpoints belong to the partitioned pipeline; without
+		// MaxChunk there are no shards.
 		if opt.OnShard != nil {
 			return optErr("OnShard", "func", "requires the partitioned pipeline (set MaxChunk > 0)")
 		}
 		if len(opt.CompletedShards) > 0 {
 			return optErr("CompletedShards", len(opt.CompletedShards), "requires the partitioned pipeline (set MaxChunk > 0)")
-		}
-	}
-	if rp := opt.RetryPolicy; rp != nil {
-		if rp.MaxAttempts < 0 {
-			return optErr("RetryPolicy", rp.MaxAttempts, "MaxAttempts must be ≥ 0 (0 selects the default)")
-		}
-		if rp.Backoff < 0 || rp.BackoffMax < 0 {
-			return optErr("RetryPolicy", rp.Backoff, "backoff durations must be ≥ 0")
-		}
-		if rp.Backoff > 0 && rp.BackoffMax > 0 && rp.BackoffMax < rp.Backoff {
-			return optErr("RetryPolicy", rp.BackoffMax, "BackoffMax below Backoff")
 		}
 	}
 	return nil
