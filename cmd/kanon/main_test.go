@@ -164,18 +164,36 @@ func TestRunFullDomain(t *testing.T) {
 }
 
 // TestRunStatsAndProfile exercises the -stats and -profile plumbing: the
-// run must succeed, and the profile directory must hold non-empty capture
-// files afterwards.
+// run must succeed, its stats on stderr must carry Algorithm 4's work
+// counters, and the profile directory must hold non-empty capture files
+// afterwards.
 func TestRunStatsAndProfile(t *testing.T) {
 	dir := t.TempDir()
 	in := writeFile(t, dir, "in.csv", testCSV)
 	hier := writeFile(t, dir, "hier.json", testHier)
 	out := filepath.Join(dir, "out.csv")
 	prof := filepath.Join(dir, "prof")
-	err := run(nil, runConfig{In: in, Hier: hier, Out: out, Header: true, Stats: true, Profile: prof,
+	stderr, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	saved := os.Stderr
+	os.Stderr = stderr
+	err = run(nil, runConfig{In: in, Hier: hier, Out: out, Header: true, Stats: true, Profile: prof,
 		Opt: kanon.Options{K: 3, Notion: kanon.NotionKK}})
+	os.Stderr = saved
 	if err != nil {
 		t.Fatalf("stats+profile run: %v", err)
+	}
+	logged, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, counter := range []string{`"core.k1.scan_evals"`, `"core.k1.trie_visits"`} {
+		if !strings.Contains(string(logged), counter) {
+			t.Errorf("-stats output lacks %s:\n%s", counter, logged)
+		}
 	}
 	for _, name := range []string{"cpu.pprof", "heap.pprof", "trace.out"} {
 		fi, err := os.Stat(filepath.Join(prof, name))

@@ -46,7 +46,10 @@ type Space struct {
 }
 
 // NewSpace validates that the hierarchies and measure agree on the number
-// of attributes and precomputes the per-node cost tables.
+// of attributes and that every node cost is ≥ 0 and not NaN, and
+// precomputes the per-node cost tables. The cost-bound scans (LCABoundRow
+// and its users) add costs in a fixed order and rely on every partial sum
+// being at most the whole; a NaN would make every comparison false.
 func NewSpace(hiers []*hierarchy.Hierarchy, m loss.Measure) (*Space, error) {
 	if len(hiers) == 0 {
 		return nil, fmt.Errorf("cluster: no hierarchies")
@@ -58,7 +61,11 @@ func NewSpace(hiers []*hierarchy.Hierarchy, m loss.Measure) (*Space, error) {
 	for j, h := range hiers {
 		costs[j] = make([]float64, h.NumNodes())
 		for u := 0; u < h.NumNodes(); u++ {
-			costs[j][u] = m.Cost(j, u)
+			c := m.Cost(j, u)
+			if !(c >= 0) {
+				return nil, fmt.Errorf("cluster: attribute %d node %d costs %v; costs must be ≥ 0 and not NaN", j, u, c)
+			}
+			costs[j][u] = c
 		}
 	}
 	return &Space{Hiers: hiers, Measure: m, costs: costs}, nil

@@ -46,6 +46,31 @@ func TestNewSpaceValidation(t *testing.T) {
 	if _, err := NewSpace(hiers, wrong); err == nil {
 		t.Error("expected attr-count mismatch error")
 	}
+	lm := loss.NewLM(hiers)
+	for _, c := range []float64{-1e-300, -1, math.NaN(), math.Inf(-1)} {
+		if _, err := NewSpace(hiers, rootCost{lm, hiers[0].Root(), c}); err == nil {
+			t.Errorf("expected an error for a node cost of %v", c)
+		}
+	}
+	for _, c := range []float64{0, math.Copysign(0, -1), 2} {
+		if _, err := NewSpace(hiers, rootCost{lm, hiers[0].Root(), c}); err != nil {
+			t.Errorf("node cost %v rejected: %v", c, err)
+		}
+	}
+}
+
+// rootCost is a measure whose root nodes cost c.
+type rootCost struct {
+	loss.Measure
+	root int
+	c    float64
+}
+
+func (m rootCost) Cost(j, node int) float64 {
+	if node == m.root {
+		return m.c
+	}
+	return m.Measure.Cost(j, node)
 }
 
 func TestLeafClosureAndConsistency(t *testing.T) {

@@ -77,6 +77,49 @@ func BenchmarkK1Expand2500Ref(b *testing.B) {
 	}
 }
 
+// BenchmarkK1ExpandART3000 is Algorithm 4 on ART n=3000, k=5 under the
+// entropy measure, one worker: the (k,1) stage of the global-art3k
+// workload of bench/. BenchmarkK1ExpandART3000Ref runs the LCA-walk oracle
+// of ref_test.go on the same input.
+func BenchmarkK1ExpandART3000(b *testing.B) {
+	benchK1ExpandART3000(b, func(s *cluster.Space, tbl *table.Table) error {
+		_, err := K1ExpandCtx(nil, s, tbl, 5, 1)
+		return err
+	})
+}
+
+func BenchmarkK1ExpandART3000Ref(b *testing.B) {
+	benchK1ExpandART3000(b, func(s *cluster.Space, tbl *table.Table) error {
+		_, err := refK1Expand(nil, s, tbl, 5)
+		return err
+	})
+}
+
+func benchK1ExpandART3000(b *testing.B, run func(*cluster.Space, *table.Table) error) {
+	s, ds := artSpace(b, 3000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := run(s, ds.Table); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// artSpace is benchSpace over ART (seed 42), the global-art3k input.
+func artSpace(b *testing.B, n int) (*cluster.Space, *datagen.Dataset) {
+	b.Helper()
+	ds := datagen.ART(n, 42)
+	em, err := loss.NewEntropy(ds.Table, ds.Hiers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := cluster.NewSpace(ds.Hiers, em)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s, ds
+}
+
 func BenchmarkMake1K500(b *testing.B) {
 	s, ds := benchSpace(b, 500)
 	seed, err := K1Expand(s, ds.Table, 10)
@@ -132,15 +175,7 @@ func BenchmarkMakeGlobal1KART3000Ref(b *testing.B) {
 }
 
 func benchGlobal1KART3000(b *testing.B, run func(*cluster.Space, *table.Table, *table.GenTable) error) {
-	ds := datagen.ART(3000, 42)
-	em, err := loss.NewEntropy(ds.Table, ds.Hiers)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := cluster.NewSpace(ds.Hiers, em)
-	if err != nil {
-		b.Fatal(err)
-	}
+	s, ds := artSpace(b, 3000)
 	gkk, err := KKAnonymize(s, ds.Table, 5, K1ByExpansion)
 	if err != nil {
 		b.Fatal(err)

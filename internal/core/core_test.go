@@ -175,6 +175,37 @@ func TestK1NearestPostcondition(t *testing.T) {
 	}
 }
 
+// TestK1ScansAllocatePerSpan checks that Algorithms 3 and 4 allocate
+// nothing per record but the output: their scratch lives per worker span,
+// so one more record costs exactly one more allocation, its generalized
+// record.
+func TestK1ScansAllocatePerSpan(t *testing.T) {
+	algs := map[string]func(*cluster.Space, *table.Table) error{
+		"alg3": func(s *cluster.Space, tbl *table.Table) error {
+			_, err := K1NearestCtx(nil, s, tbl, 5, 1)
+			return err
+		},
+		"alg4": func(s *cluster.Space, tbl *table.Table) error {
+			_, err := K1ExpandCtx(nil, s, tbl, 5, 1)
+			return err
+		},
+	}
+	for name, run := range algs {
+		var allocs [2]float64
+		for x, n := range []int{100, 200} {
+			s, tbl := testSpace(t, rand.New(rand.NewSource(10)), n, "lm")
+			allocs[x] = testing.AllocsPerRun(5, func() {
+				if err := run(s, tbl); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if extra := allocs[1] - allocs[0]; extra != 100 {
+			t.Errorf("%s: %v allocations at n=100, %v at n=200: %v for 100 more records, want 100", name, allocs[0], allocs[1], extra)
+		}
+	}
+}
+
 func TestK1ExpandPostcondition(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s, tbl := testSpace(t, rng, 30, "entropy")

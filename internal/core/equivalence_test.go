@@ -125,14 +125,52 @@ func dipSpace(t testing.TB, rng *rand.Rand, n int, measure string) (*cluster.Spa
 	return s, tbl
 }
 
+// distinctSpace builds a table whose first attribute is a distinct id per
+// record (in shuffled order), so Algorithm 4's trie has depth 0: no prefix
+// is shared, and every record is finished by a flat row sum.
+func distinctSpace(t testing.TB, rng *rand.Rand, n int, measure string) (*cluster.Space, *table.Table) {
+	t.Helper()
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprint(i)
+	}
+	schema := table.MustSchema(
+		table.MustAttribute("id", ids),
+		table.MustAttribute("b", []string{"x", "y", "z", "w"}),
+		table.MustAttribute("c", []string{"p", "q", "r"}),
+	)
+	tbl := table.New(schema)
+	for _, id := range rng.Perm(n) {
+		tbl.MustAppend(table.Record{id, rng.Intn(4), rng.Intn(3)})
+	}
+	hid, err := hierarchy.Intervals(n, []int{4, 16}, "*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, err := hierarchy.FromSubsets(4, []hierarchy.Subset{{Values: []int{0, 1}}, {Values: []int{2, 3}}}, "*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return measureSpace(t, tbl, []*hierarchy.Hierarchy{hid, hb, hierarchy.Flat(3)}, measure), tbl
+}
+
 // equivInput builds one dataset of the matrix: "adt", "art", "test" (the
-// 3-attribute testSpace), "dip" (dipSpace, under dipMeasure) or "wide"
-// (over the LCA-table budget).
+// 3-attribute testSpace), "dip" (dipSpace, under dipMeasure), "wide" (over
+// the LCA-table budget), "distinct" (distinctSpace) or "dups" (testSpace
+// with every record a copy of the first).
 func equivInput(t *testing.T, dataset, measure string, n int, seed int64) (*cluster.Space, *table.Table) {
 	t.Helper()
 	switch dataset {
 	case "dip":
 		return dipSpace(t, rand.New(rand.NewSource(seed)), n, measure)
+	case "distinct":
+		return distinctSpace(t, rand.New(rand.NewSource(seed)), n, measure)
+	case "dups":
+		s, tbl := testSpace(t, rand.New(rand.NewSource(seed)), n, measure)
+		for i := range tbl.Records {
+			copy(tbl.Records[i], tbl.Records[0])
+		}
+		return measureSpace(t, tbl, s.Hiers, measure), tbl
 	case "adt", "art":
 		ds := datagen.Adult(n, seed)
 		if dataset == "art" {
@@ -175,25 +213,31 @@ func assertSameCounters(t *testing.T, label string, want, got obs.RunStats) {
 	}
 }
 
-// assertBoundedEvals checks Algorithm 4's core.k1.scan_evals, the one
-// counter that is not oracle-equal: the bound-ordered scan adds n−1 bound
-// sums per record and prices exactly only the candidates that can still
-// win, so it must stay within k/(k−1) of the oracle's full sweeps. Both
-// counters are removed from the maps so the rest compare exactly.
+// assertBoundedEvals checks Algorithm 4's work counters, the ones that are
+// not oracle-equal: core.k1.scan_evals (bound sums of the records reached
+// plus exact prices) and core.k1.trie_visits (trie nodes reached), which
+// the oracle has not. Together they must stay within k/(k−1) of the
+// oracle's full sweeps, the k·(n−1) row sums per record of a bound pass
+// plus k−1 full sweeps. Both counters are removed from the maps so the
+// rest compare exactly.
 func assertBoundedEvals(t *testing.T, label string, k int, want, got obs.RunStats) {
 	t.Helper()
-	const name = PhaseK1 + ".scan_evals"
-	w, g := want.Counters[name], got.Counters[name]
+	const name, visits = PhaseK1 + ".scan_evals", PhaseK1 + ".trie_visits"
+	w, g, v := want.Counters[name], got.Counters[name], got.Counters[visits]
+	if _, ok := got.Counters[visits]; !ok {
+		t.Fatalf("%s: no %s counter", label, visits)
+	}
 	delete(want.Counters, name)
 	delete(got.Counters, name)
+	delete(got.Counters, visits)
 	if k == 1 {
-		if g != w {
-			t.Fatalf("%s: %s = %d at k=1, oracle %d", label, name, g, w)
+		if g != w || v != 0 {
+			t.Fatalf("%s: %s = %d, %s = %d at k=1, oracle %d and 0", label, name, g, visits, v, w)
 		}
 		return
 	}
-	if float64(g) > float64(k)/float64(k-1)*float64(w) {
-		t.Fatalf("%s: %s = %d, above k/(k−1) × the oracle's %d", label, name, g, w)
+	if float64(g+v) > float64(k)/float64(k-1)*float64(w) {
+		t.Fatalf("%s: %s + %s = %d + %d, above k/(k−1) × the oracle's %d", label, name, visits, g, v, w)
 	}
 }
 
@@ -308,17 +352,28 @@ func checkCoreEquivalence(t *testing.T, label string, s *cluster.Space, tbl *tab
 	})
 }
 
+// trieDepth returns the depth L of Algorithm 4's prefix trie over tbl: 0
+// when the distinct first values number more than n/4, r for a table of
+// duplicates (at n ≥ 4).
+func trieDepth(tbl *table.Table) int { return newK1Trie(tbl).depth }
+
 // TestCoreScansMatchOracle is the equivalence matrix: datasets {ADT, ART,
-// testSpace, testSpace with a cost dip} × measures {entropy, LM} ×
-// k {2, 5, 10} × workers {1, 4}.
+// testSpace, testSpace with a cost dip, distinct first attribute, all
+// duplicates} × measures {entropy, LM} × k {2, 5, 10} × workers {1, 4}.
+// The datasets span Algorithm 4's trie depths, from 0 to r.
 func TestCoreScansMatchOracle(t *testing.T) {
 	n := 200
+	depths := map[string]int{"adt": 0, "art": 3, "test": 2, "dip": 1, "distinct": 0, "dups": 3}
 	if testing.Short() {
 		n = 80
+		depths["art"], depths["test"] = 2, 1
 	}
-	for _, dataset := range []string{"adt", "art", "test", "dip"} {
+	for _, dataset := range []string{"adt", "art", "test", "dip", "distinct", "dups"} {
 		for _, measure := range []string{"entropy", "lm"} {
 			s, tbl := equivInput(t, dataset, measure, n, 5)
+			if got := trieDepth(tbl); got != depths[dataset] {
+				t.Fatalf("%s n=%d: trie depth %d, want %d", dataset, n, got, depths[dataset])
+			}
 			for _, k := range []int{2, 5, 10} {
 				for _, workers := range []int{1, 4} {
 					label := fmt.Sprintf("%s/%s k=%d workers=%d", dataset, measure, k, workers)
@@ -345,7 +400,7 @@ func TestCoreScansMatchOracleOverBudget(t *testing.T) {
 // all-duplicate records (every bound and cost equal) and single-level
 // hierarchies (bounds and costs in {0, 1/r, …, 1}, heavily tied). The
 // output must still match the oracle, and no record may take more than
-// k·(n−1) row sums, the bound pass included.
+// k·(n−1) row sums and trie visits together, the bound sums included.
 func TestK1ExpandFlatBound(t *testing.T) {
 	const n = 60
 	rng := rand.New(rand.NewSource(8))
@@ -383,16 +438,52 @@ func TestK1ExpandFlatBound(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertSameGen(t, label, want, got)
-			sc := newExpandScan(c.s, n)
+			sc := newExpandScan(c.s, newK1Trie(c.tbl), n)
 			out := make(table.GenRecord, c.s.NumAttrs())
 			for i := 0; i < n; i++ {
-				if evals := sc.grow(c.tbl, i, k, out); evals > int64(k*(n-1)) {
-					t.Fatalf("%s: record %d took %d row sums, above k·(n−1) = %d", label, i, evals, k*(n-1))
+				if evals, visits := sc.grow(c.tbl, i, k, out); evals+visits > int64(k*(n-1)) {
+					t.Fatalf("%s: record %d took %d row sums and %d trie visits, above k·(n−1) = %d", label, i, evals, visits, k*(n-1))
 				}
 				if !out.Equal(want.Records[i]) {
 					t.Fatalf("%s: record %d is %v, oracle %v", label, i, out, want.Records[i])
 				}
 			}
+		}
+	}
+}
+
+// TestK1ExpandCountersWorkerInvariant checks Algorithm 4's work counters
+// at workers {1, 4}: core.k1.scan_evals (bound sums plus exact prices) and
+// core.k1.trie_visits (trie nodes reached) are per-record sums, so they
+// must not depend on the worker count. A depth-0 trie reaches no node.
+func TestK1ExpandCountersWorkerInvariant(t *testing.T) {
+	const evals, visits = PhaseK1 + ".scan_evals", PhaseK1 + ".trie_visits"
+	for _, dataset := range []string{"art", "test", "distinct", "dups"} {
+		s, tbl := equivInput(t, dataset, "entropy", 150, 3)
+		var runs []obs.RunStats
+		for _, workers := range []int{1, 4} {
+			st, err := observe(func(ctx context.Context) error {
+				_, err := K1ExpandCtx(ctx, s, tbl, 5, workers)
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs = append(runs, st)
+		}
+		for _, name := range []string{evals, visits} {
+			if a, b := runs[0].Counter(name), runs[1].Counter(name); a != b {
+				t.Errorf("%s: %s = %d at workers 1, %d at workers 4", dataset, name, a, b)
+			}
+		}
+		if runs[0].Events != runs[1].Events {
+			t.Errorf("%s: %d events at workers 1, %d at workers 4", dataset, runs[0].Events, runs[1].Events)
+		}
+		if v := runs[0].Counter(visits); (v == 0) != (trieDepth(tbl) == 0) {
+			t.Errorf("%s: %s = %d at trie depth %d", dataset, visits, v, trieDepth(tbl))
+		}
+		if runs[0].Counter(evals) == 0 {
+			t.Errorf("%s: no %s", dataset, evals)
 		}
 	}
 }
@@ -441,15 +532,22 @@ func FuzzCoreEquivalence(f *testing.F) {
 	f.Add(int64(3), uint8(25), uint8(2), uint8(2), true, uint8(2))
 	f.Add(int64(4), uint8(30), uint8(5), uint8(3), false, uint8(3))
 	f.Add(int64(5), uint8(198), uint8(4), uint8(4), true, uint8(1))
+	f.Add(int64(6), uint8(120), uint8(6), uint8(5), false, uint8(4))
+	f.Add(int64(7), uint8(60), uint8(3), uint8(6), true, uint8(2))
 	f.Fuzz(func(t *testing.T, seed int64, nb, kb, dsb uint8, lm bool, wb uint8) {
 		n := 2 + int(nb)%199
 		k := 1 + int(kb)%min(n, 12)
-		dataset := []string{"adt", "art", "test", "wide", "dip"}[int(dsb)%5]
+		dataset := []string{"adt", "art", "test", "wide", "dip", "distinct", "dups"}[int(dsb)%7]
 		measure := "entropy"
 		if lm {
 			measure = "lm"
 		}
 		s, tbl := equivInput(t, dataset, measure, n, seed)
+		if want, ok := map[string]int{"distinct": 0, "dups": s.NumAttrs()}[dataset]; ok && n >= 4 {
+			if got := trieDepth(tbl); got != want {
+				t.Fatalf("%s n=%d: trie depth %d, want %d", dataset, n, got, want)
+			}
+		}
 		checkCoreEquivalence(t, fmt.Sprintf("%s/%s n=%d k=%d", dataset, measure, n, k), s, tbl, k, 1+int(wb)%4)
 	})
 }
