@@ -273,13 +273,27 @@ type aggloEngine struct {
 	livePos  []int32
 
 	// Per-span scratch of the sharded list builds (one pool call in flight
-	// at a time): the initial build's cross-span partial rows, one
-	// row/column partial list per span for newborn passes and rescans, and
-	// per-span distance-evaluation counts.
+	// at a time), allocated once per run: the initial build's cross-span
+	// partial rows, one row/column partial list per span for newborn passes
+	// and rescans, per-span distance-evaluation counts, per-span strip slabs
+	// of the initial build (initBlock anchor strips each) and per-span
+	// price sums (nnTile each).
 	spanInitPart [][]nnList
 	spanRowList  []nnList
 	spanColList  []nnList
 	spanEvals    []int64
+	spanStrips   [][]float64
+	spanSums     [][]float64
+
+	// The anchor of the current newborn pass or rescan, its list kind (a
+	// rescan's) and its cost strip, set on the driving goroutine before
+	// the pool call and read-only in the workers. The span functions are
+	// bound once per run, so a pass allocates nothing.
+	anchor       int
+	anchorKind   uint8
+	anchorStrip  []float64
+	repairSpanFn func(lo, hi, sp int)
+	rescanSpanFn func(lo, hi, sp int)
 
 	// Scratch reused across merges: the newborn-id list of each merge and
 	// the shrink prefix/suffix closure slabs.
@@ -298,9 +312,9 @@ type aggloEngine struct {
 
 	distEvals atomic.Int64
 	// shrinkEvals counts the distance evaluations of the Algorithm 2
-	// shrink step, which evaluate no LCAs; subtracting them from DistEvals
-	// yields the kernel's per-attribute resolution count for the
-	// table-hit/fallback-walk counters. Driving goroutine only.
+	// shrink step, which the table-hit counter leaves out: subtracting
+	// them from DistEvals yields the evaluations behind it. Driving
+	// goroutine only.
 	shrinkEvals int64
 	stats       AggloStats
 
@@ -321,6 +335,16 @@ func (e *aggloEngine) run() error {
 	e.spanInitPart = make([][]nnList, w)
 	e.spanRowList = make([]nnList, w)
 	e.spanColList = make([]nnList, w)
+	sl := e.kern.stripLen()
+	e.spanStrips = make([][]float64, w)
+	e.spanSums = make([][]float64, w)
+	for sp := range w {
+		e.spanStrips[sp] = make([]float64, initBlock*sl)
+		e.spanSums[sp] = make([]float64, nnTile)
+	}
+	e.anchorStrip = make([]float64, sl)
+	e.repairSpanFn = e.repairSpan
+	e.rescanSpanFn = e.rescanSpan
 
 	t0 := time.Now() //kanon:allow determinism -- phase wall-clock feeds Stats timing only, never engine output
 	endInit := e.o.Phase(PhaseInit)
@@ -336,6 +360,8 @@ func (e *aggloEngine) run() error {
 	e.mHead = make([]int32, 0, 2*n)
 	e.mTail = make([]int32, 0, 2*n)
 	e.mNext = make([]int32, n)
+	// Final clusters hold ≥ max(K, 1) records each.
+	e.final = make([]*Cluster, 0, n/max(e.opt.K, 1))
 	for i := 0; i < n; i++ {
 		e.pushSingleton(i)
 	}
@@ -411,13 +437,15 @@ func (e *aggloEngine) run() error {
 		e.o.Counter(obs.CounterStalePops, e.stats.StalePops)
 		e.o.Counter(obs.CounterDeadNNRescans, e.stats.DeadNNRescans)
 		e.o.Counter(obs.CounterTilesScanned, e.stats.TilesScanned)
-		// Every non-shrink distance evaluation resolves r per-attribute LCA
-		// costs, each served by a fused table or a fallback walk; both
-		// derived counts are worker-count invariant because DistEvals is.
+		// Every non-shrink distance evaluation reads r per-attribute LCA
+		// costs; the tabled ones come from a fused table row (through a
+		// strip in the pair passes), a count worker-invariant because
+		// DistEvals is. Walk-ups are counted where they happen: a fixed
+		// number per strip fill, and strips are filled once per anchor.
 		k := e.kern
 		lcaEvals := e.stats.DistEvals - e.shrinkEvals
 		e.o.Counter(obs.CounterKernelTableHits, lcaEvals*int64(k.tabled))
-		e.o.Counter(obs.CounterKernelFallbackWalks, lcaEvals*int64(k.walked))
+		e.o.Counter(obs.CounterKernelFallbackWalks, k.walks.Load())
 		e.o.Counter(obs.CounterKernelArenaReuses, k.reuses)
 		e.o.Peak(obs.PeakKernelArenaRows, int64(k.peakRows))
 		ps := e.pool.Stats()

@@ -13,7 +13,7 @@ import (
 
 // randomSpace builds a random table (n records, 3 attributes) and an LM
 // space over interval hierarchies.
-func randomSpace(t *testing.T, rng *rand.Rand, n int) (*Space, *table.Table) {
+func randomSpace(t testing.TB, rng *rand.Rand, n int) (*Space, *table.Table) {
 	t.Helper()
 	schema := table.MustSchema(
 		table.MustAttribute("a", []string{"0", "1", "2", "3", "4", "5", "6", "7"}),
@@ -268,5 +268,37 @@ func TestAgglomerateMatchesBruteForceNN(t *testing.T) {
 				assertMatchesOracle(t, label, s, tbl, AggloOptions{K: 3, Distance: dist, Modified: modified})
 			}
 		}
+	}
+}
+
+// TestMergeLoopAllocatesNothingPerMerge pins the engine's allocation
+// profile: its scratch — arena, lists, heap, anchor strips, price sums and
+// the bound span functions — is allocated once per run, so a run at 2n
+// records makes only the allocations its larger output needs. Each final
+// cluster costs three (its members, its closure and the *Cluster), plus
+// one regrow of its members when the absorb pass appended a leftover
+// record (visible as spare capacity). Whatever is left must not depend on
+// n: a per-pass make in a newborn pass or rescan would add one per merge.
+func TestMergeLoopAllocatesNothingPerMerge(t *testing.T) {
+	var rest [2]float64
+	for x, n := range []int{100, 200} {
+		s, tbl := randomSpace(t, rand.New(rand.NewSource(12)), n)
+		var out []*Cluster
+		allocs := testing.AllocsPerRun(5, func() {
+			var err error
+			if out, err = Agglomerate(s, tbl, AggloOptions{K: 5, Distance: D3{}, Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		made := 3 * len(out)
+		for _, c := range out {
+			if cap(c.Members) > len(c.Members) {
+				made++
+			}
+		}
+		rest[x] = allocs - float64(made)
+	}
+	if rest[0] != rest[1] {
+		t.Errorf("%v allocations beyond the output at n=100, %v at n=200: the engine allocates per merge", rest[0], rest[1])
 	}
 }

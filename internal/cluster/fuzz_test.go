@@ -123,15 +123,22 @@ func FuzzAgglomerate(f *testing.F) {
 	})
 }
 
-// FuzzDistKernelEquivalence pits the flat kernel's dist against the
-// reference evaluation (per-attribute LCA walk + Distance.Eval through the
-// interface) over random cluster pairs, for all five built-in distances:
-// the results must be bit-equal float64s, both argument orders. It then
-// replays the whole engine against the naive oracle on the same table.
+// FuzzDistKernelEquivalence pits the flat kernel's strip pricing against
+// the reference evaluation (per-attribute LCA walk + Distance.Eval through
+// the interface) over random clusters, for all built-in distances: every
+// anchor's strip prices one candidate, and an odd run of candidates that
+// takes the two-at-a-time loop and its one-candidate tail, and each
+// priced sum must give bit-equal float64s in both orientations, through
+// evalSum and evalPair alike. The same clusters are priced on the fuzz
+// space and, mapped onto it, on a space with an over-budget attribute
+// whose cost rows are filled by walk-up. It then replays the whole engine
+// against the naive oracle on the same table.
 func FuzzDistKernelEquivalence(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x13, 0x24, 0x35, 0x46}, uint8(2), uint8(3))
 	f.Add([]byte{0xff, 0xfe, 0xfd, 0xfc, 0x01, 0x02, 0x03, 0x04}, uint8(5), uint8(2))
 	f.Add([]byte{0xaa, 0x55, 0xaa, 0x55, 0x11, 0x22, 0x33, 0x44}, uint8(1), uint8(7))
+	// The over-budget space is immutable and slow to build: share it.
+	ws, wempty := overBudgetSpace(f, nil, 0)
 	f.Fuzz(func(t *testing.T, data []byte, split, kb uint8) {
 		s := fuzzSpace(t)
 		tbl, _ := fuzzTable(data)
@@ -139,56 +146,28 @@ func FuzzDistKernelEquivalence(f *testing.F) {
 		if n < 2 {
 			return
 		}
-		// Split the records into two non-empty member sets and build the
-		// pair of clusters both paths will measure.
+		// Split the records into two non-empty member sets, plus a third
+		// set (the even records) overlapping both: three clusters, so every
+		// anchor has two other candidates.
 		cut := 1 + int(split)%(n-1)
-		var ma, mb []int
-		for i := 0; i < cut; i++ {
-			ma = append(ma, i)
-		}
-		for i := cut; i < n; i++ {
-			mb = append(mb, i)
-		}
-		ca, cb := s.NewCluster(tbl, ma), s.NewCluster(tbl, mb)
-		r := s.NumAttrs()
-		row := make([]int32, r)
-		for _, d := range AllDistances() {
-			// Reference: the per-attribute LCA walk plus Distance.Eval.
-			sum := 0.0
-			for j := 0; j < r; j++ {
-				node := s.Hiers[j].LCA(ca.Closure[j], cb.Closure[j])
-				sum += s.CostAt(j, node)
+		var sets [3][]int
+		for i := 0; i < n; i++ {
+			if i < cut {
+				sets[0] = append(sets[0], i)
+			} else {
+				sets[1] = append(sets[1], i)
 			}
-			dU := sum / float64(r)
-			want := d.Eval(ca.Size(), cb.Size(), ca.Size()+cb.Size(), ca.Cost, cb.Cost, dU)
+			if i%2 == 0 {
+				sets[2] = append(sets[2], i)
+			}
+		}
+		checkStripPricing(t, "fuzz space", s, tbl, sets[:])
+		wtbl := table.New(wempty.Schema)
+		for _, rec := range tbl.Records {
+			wtbl.MustAppend(table.Record{(rec[0]*4+rec[1])*65 + rec[2]*31, rec[1]})
+		}
+		checkStripPricing(t, "over-budget space", ws, wtbl, sets[:])
 
-			k := newKernel(s, d)
-			k.reserve(2, n)
-			for j, node := range ca.Closure {
-				row[j] = int32(node)
-			}
-			k.addMerged(0, row, ca.Cost, ca.Size())
-			for j, node := range cb.Closure {
-				row[j] = int32(node)
-			}
-			k.addMerged(1, row, cb.Cost, cb.Size())
-			if got := k.dist(0, 1); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-				t.Errorf("%s: kernel dist = %v (%x), reference = %v (%x)",
-					d.Name(), got, math.Float64bits(got), want, math.Float64bits(want))
-			}
-			// The reverse order too: NC is asymmetric, and the engine
-			// evaluates both orientations across a run.
-			sum = 0.0
-			for j := 0; j < r; j++ {
-				node := s.Hiers[j].LCA(cb.Closure[j], ca.Closure[j])
-				sum += s.CostAt(j, node)
-			}
-			dU = sum / float64(r)
-			want = d.Eval(cb.Size(), ca.Size(), cb.Size()+ca.Size(), cb.Cost, ca.Cost, dU)
-			if got := k.dist(1, 0); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-				t.Errorf("%s: kernel dist(b,a) = %v, reference = %v", d.Name(), got, want)
-			}
-		}
 		// Whole-engine replay: the engine must reproduce the oracle's
 		// clustering on the same input, both algorithms.
 		dists := AllDistances()
@@ -207,4 +186,65 @@ func FuzzDistKernelEquivalence(f *testing.F) {
 			assertSameClustering(t, "engine vs oracle", ref, got)
 		}
 	})
+}
+
+// checkStripPricing builds one cluster per member set in a kernel arena and
+// checks, for every distance and every anchor, that strip pricing gives
+// the reference distance bit for bit in both orientations.
+func checkStripPricing(t *testing.T, label string, s *Space, tbl *table.Table, sets [][]int) {
+	t.Helper()
+	r := s.NumAttrs()
+	cls := make([]*Cluster, len(sets))
+	for c, m := range sets {
+		cls[c] = s.NewCluster(tbl, m)
+	}
+	ref := func(d Distance, a, b *Cluster) float64 {
+		sum := 0.0
+		for j := 0; j < r; j++ {
+			sum += s.CostAt(j, s.Hiers[j].LCA(a.Closure[j], b.Closure[j]))
+		}
+		return d.Eval(a.Size(), b.Size(), a.Size()+b.Size(), a.Cost, b.Cost, sum/float64(r))
+	}
+	same := func(got, want float64) bool {
+		return math.Float64bits(got) == math.Float64bits(want) || (math.IsNaN(got) && math.IsNaN(want))
+	}
+	row := make([]int32, r)
+	for _, d := range AllDistances() {
+		k := newKernel(s, d)
+		k.reserve(len(cls), tbl.Len())
+		for id, c := range cls {
+			for j, node := range c.Closure {
+				row[j] = int32(node)
+			}
+			k.addMerged(id, row, c.Cost, c.Size())
+		}
+		strip := make([]float64, k.stripLen())
+		for a := range cls {
+			var others []int32
+			for b := range cls {
+				if b != a {
+					others = append(others, int32(b))
+				}
+			}
+			k.loadStrip(strip, a)
+			// One candidate alone, then an odd run: pairs plus the tail.
+			for _, cands := range [][]int32{others[:1], append(append(others, others...), others[0])} {
+				sums := make([]float64, len(cands))
+				k.price(strip, cands, sums)
+				for q, b32 := range cands {
+					b := int(b32)
+					wantAB, wantBA := ref(d, cls[a], cls[b]), ref(d, cls[b], cls[a])
+					gotAB, gotBA := k.evalPair(a, b, sums[q])
+					if !same(gotAB, wantAB) || !same(k.evalSum(a, b, sums[q]), wantAB) {
+						t.Errorf("%s %s: %d candidates, dist(%d, %d) = %v (%x), reference %v (%x)",
+							label, d.Name(), len(cands), a, b, gotAB, math.Float64bits(gotAB), wantAB, math.Float64bits(wantAB))
+					}
+					if !same(gotBA, wantBA) || !same(k.evalSum(b, a, sums[q]), wantBA) {
+						t.Errorf("%s %s: %d candidates, dist(%d, %d) = %v, reference %v",
+							label, d.Name(), len(cands), b, a, gotBA, wantBA)
+					}
+				}
+			}
+		}
+	}
 }

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"math"
+	"slices"
+	"sync/atomic"
 
 	"kanon/internal/table"
 )
@@ -13,29 +15,35 @@ import (
 // indirections per attribute on a path executed millions of times. The
 // kernel removes all of them:
 //
-//   - per-attribute LCA and cost resolution collapse into one load from a
-//     fused table fused[j][u*nn+v] = cost(LCA(u, v)), precomputed once per
-//     Space (cluster.go fusedTables) from the hierarchy's dense LCA table
-//     (hierarchy.LCATable). Attributes whose nodes² exceeds
-//     hierarchy.LCATableBudget keep the walk-up path, per attribute;
+//   - every pair pass of the engine fixes one side, the anchor, for the
+//     whole pass. loadStrip copies the anchor's r cost rows
+//     (Space.LCACostRow: cost(LCA(u, v)) for every node v) end to end into
+//     one contiguous strip, and price sums a candidate's cost as
+//     Σ_j strip[off[j]+row[j]]: one load per attribute, with no table
+//     stride, no per-attribute slice header and no tabled/walked branch.
+//     An attribute whose nodes² exceeds hierarchy.LCATableBudget has no
+//     fused table; its row is filled by walk-up, once per anchor;
 //   - live-cluster closures live in one struct-of-arrays arena
-//     (rows []int32, stride NumAttrs) with slot reuse on kill/push, so
-//     dist streams two contiguous rows instead of chasing two heap
-//     GenRecords; per-id costs and sizes sit in parallel flat arrays;
+//     (rows []int32, stride NumAttrs) with slot reuse on kill/push, so a
+//     candidate streams one contiguous row instead of chasing a heap
+//     GenRecord; per-id costs and sizes sit in parallel flat arrays;
 //   - the Distance interface is resolved once at kernel construction into
 //     a distKind, and eval switches on it with the inlined formulas of
 //     distance.go — user-supplied distances fall back to the interface.
 //
 // The kernel is byte-exact against the naive evaluation: every float64
-// sum runs in the same (ascending-attribute) order, the fused tables are
-// built from the same CostAt/LCA functions, and the eval switch repeats
-// the Eval expressions verbatim (see FuzzDistKernelEquivalence and the
-// naive Algorithm 1/2 oracle of oracle_test.go).
+// sum runs in the same (ascending-attribute) order over the same cells
+// cost(LCA(u, v)), the cost rows come from the same CostAt/LCA functions,
+// and the eval switch repeats the Eval expressions verbatim (see
+// FuzzDistKernelEquivalence and the naive Algorithm 1/2 oracle of
+// oracle_test.go).
 //
 // Concurrency: the arena is mutated (add/kill) only on the engine's
 // driving goroutine, between pool calls; pool workers only read rows of
-// live ids, which are immutable while the workers run. Counters are plain
-// ints maintained on the driving goroutine.
+// live ids, which are immutable while the workers run, and write only
+// strips and sums of their own span. Counters are plain ints maintained
+// on the driving goroutine, except walks, which strip fills in pool
+// workers add to atomically.
 
 // distKind enumerates the built-in distances for devirtualized evaluation.
 type distKind uint8
@@ -84,17 +92,28 @@ type kernel struct {
 
 	// Per-attribute fused LCA-cost tables and raw LCA tables (shared,
 	// read-only; nil entries fall back to walk-up) and node counts (the
-	// table row stride).
-	fused     [][]float64
-	lcaTabs   [][]int32
-	nn        []int
-	tabled    int  // attributes served by a fused table
-	walked    int  // attributes on the walk-up fallback
-	allTabled bool // tabled == r: the branch-free inner loop applies
+	// table row stride), read by the per-merge closure and absorb paths.
+	fused   [][]float64
+	lcaTabs [][]int32
+	nn      []int
+	tabled  int // attributes served by a fused table
+
+	// off[j] is where attribute j's cost row starts in a strip; off[r] is
+	// the strip length, Σ_j NumNodes. fillWalks is the number of LCA
+	// walk-ups one strip fill performs: the node counts of the walked
+	// attributes.
+	off       []int
+	fillWalks int64
+
+	// walks counts the LCA walk-ups actually performed: fillWalks per
+	// strip fill plus one per walked attribute in the closure, shrink and
+	// absorb paths. Strip fills run in pool workers, hence atomic.
+	walks atomic.Int64
 
 	// Closure arena: rows holds one stride-r row per slot; rowOf maps a
-	// cluster id to its slot offset (id*0 — slots are recycled, ids are
-	// not). cost and size are per-id flat arrays.
+	// cluster id to its slot index (slots are recycled, ids are not), so
+	// id's row starts at rows[rowOf[id]*r]. cost and size are per-id flat
+	// arrays.
 	rows  []int32
 	rowOf []int32
 	cost  []float64
@@ -124,16 +143,17 @@ func newKernel(s *Space, d Distance) *kernel {
 	k.fused = s.fusedTables()
 	k.lcaTabs = make([][]int32, k.r)
 	k.nn = make([]int, k.r)
+	k.off = make([]int, k.r+1)
 	for j, h := range s.Hiers {
 		k.lcaTabs[j] = h.LCATable()
 		k.nn[j] = h.NumNodes()
+		k.off[j+1] = k.off[j] + k.nn[j]
 		if k.fused[j] != nil {
 			k.tabled++
 		} else {
-			k.walked++
+			k.fillWalks += int64(k.nn[j])
 		}
 	}
-	k.allTabled = k.tabled == k.r
 	k.scratch = make([]int32, k.r)
 	return k
 }
@@ -147,6 +167,7 @@ func (k *kernel) reserve(ids, n int) {
 		k.cost = make([]float64, 0, ids)
 		k.size = make([]int32, 0, ids)
 		k.rows = make([]int32, 0, ids*k.r)
+		k.free = make([]int32, 0, n)
 	}
 	if len(k.logTab) < n+1 {
 		k.logTab = make([]float64, n+1)
@@ -169,8 +190,12 @@ func (k *kernel) alloc(id int, cost float64, size int32) []int32 {
 		k.free = k.free[:n-1]
 		k.reuses++
 	} else {
-		slot = int32(len(k.rows) / k.r)
-		k.rows = append(k.rows, make([]int32, k.r)...)
+		base := len(k.rows)
+		slot = int32(base / k.r)
+		// The caller fills the whole row. (append of a make'd slice is
+		// allocation-free only when the compiler elides the make, which
+		// -race builds do not.)
+		k.rows = slices.Grow(k.rows, k.r)[:base+k.r]
 		if rows := len(k.rows) / k.r; rows > k.peakRows {
 			k.peakRows = rows
 		}
@@ -219,6 +244,7 @@ func (k *kernel) lcaNode(j, u, v int) int {
 	if t := k.lcaTabs[j]; t != nil {
 		return int(t[u*k.nn[j]+v])
 	}
+	k.walks.Add(1)
 	return k.s.Hiers[j].LCA(u, v)
 }
 
@@ -228,6 +254,7 @@ func (k *kernel) lcaCost(j, u, v int) float64 {
 	if t := k.fused[j]; t != nil {
 		return t[u*k.nn[j]+v]
 	}
+	k.walks.Add(1)
 	return k.s.costs[j][k.s.Hiers[j].LCA(u, v)]
 }
 
@@ -248,54 +275,74 @@ func (k *kernel) mergeScratch(a, b int) (row []int32, cost float64, size int) {
 	return k.scratch, sum / float64(k.r), int(k.size[a]) + int(k.size[b])
 }
 
-// dist evaluates dist(A, B) for live cluster ids a and b: two contiguous
-// arena rows, one fused-table load per attribute, and the devirtualized
-// eval. It reads only immutable-while-scanning state and is safe to call
-// from pool workers.
-func (k *kernel) dist(a, b int) float64 {
-	ra, rb := k.row(a), k.row(b)
-	sum := 0.0
-	if k.allTabled {
-		for j, t := range k.fused {
-			sum += t[int(ra[j])*k.nn[j]+int(rb[j])]
-		}
-	} else {
-		for j := 0; j < k.r; j++ {
-			if t := k.fused[j]; t != nil {
-				sum += t[int(ra[j])*k.nn[j]+int(rb[j])]
-			} else {
-				sum += k.s.costs[j][k.s.Hiers[j].LCA(int(ra[j]), int(rb[j]))]
-			}
+// stripLen is the length of one anchor strip: every attribute's cost row,
+// end to end.
+func (k *kernel) stripLen() int { return k.off[k.r] }
+
+// loadStrip fills strip (stripLen long) with live cluster a's cost rows:
+// strip[off[j]+v] = cost(LCA(row_a[j], v)) for every node v of attribute
+// j. A tabled attribute's row is copied from its fused table; an
+// over-budget attribute's row is filled by walk-up, counted in walks. Safe
+// to call from pool workers on distinct strips.
+func (k *kernel) loadStrip(strip []float64, a int) {
+	ra := k.row(a)
+	for j := 0; j < k.r; j++ {
+		seg := strip[k.off[j]:k.off[j+1]:k.off[j+1]]
+		if row := k.s.LCACostRow(j, int(ra[j]), seg); k.fused[j] != nil {
+			copy(seg, row)
 		}
 	}
-	dU := sum / float64(k.r)
-	sa, sb := int(k.size[a]), int(k.size[b])
-	return k.eval(sa, sb, sa+sb, k.cost[a], k.cost[b], dU)
+	if k.fillWalks > 0 {
+		k.walks.Add(k.fillWalks)
+	}
 }
 
-// distPair evaluates dist(A, B) and dist(B, A) together. Both orientations
-// share the expensive part — the per-attribute LCA-cost sum is symmetric
-// (LCA(u, v) = LCA(v, u), so the fused-table loads hit the same cells) —
-// leaving only the two cheap eval combinations. Each result is bit-identical
-// to the corresponding dist() call: dU is the same ascending-attribute sum
-// and eval repeats the same expression, so the lazy engine's pair-at-once
-// passes (DESIGN.md §17) cannot drift from single-orientation scans.
-func (k *kernel) distPair(a, b int) (dab, dba float64) {
-	ra, rb := k.row(a), k.row(b)
-	sum := 0.0
-	if k.allTabled {
-		for j, t := range k.fused {
-			sum += t[int(ra[j])*k.nn[j]+int(rb[j])]
+// price sets sums[q] to the LCA-cost sum of live cluster ids[q] against a
+// loaded anchor strip, Σ_j strip[off[j]+row[j]] in ascending attribute
+// order — bit for bit the sum a per-pair evaluation of dist(anchor, ids[q])
+// or dist(ids[q], anchor) adds, since cost(LCA(u, v)) is symmetric.
+// Candidates go two per iteration with independent sums, an odd last one
+// alone. sums must be at least len(ids) long. It reads only
+// immutable-while-scanning state and is safe to call from pool workers.
+func (k *kernel) price(strip []float64, ids []int32, sums []float64) {
+	r, rows, rowOf := k.r, k.rows, k.rowOf
+	off := k.off[:r]
+	sums = sums[:len(ids)]
+	q := 0
+	for ; q+1 < len(ids); q += 2 {
+		b0, b1 := int(rowOf[ids[q]])*r, int(rowOf[ids[q+1]])*r
+		r0, r1 := rows[b0:b0+r], rows[b1:b1+r]
+		s0, s1 := 0.0, 0.0
+		for j, o := range off {
+			s0 += strip[o+int(r0[j])]
+			s1 += strip[o+int(r1[j])]
 		}
-	} else {
-		for j := 0; j < k.r; j++ {
-			if t := k.fused[j]; t != nil {
-				sum += t[int(ra[j])*k.nn[j]+int(rb[j])]
-			} else {
-				sum += k.s.costs[j][k.s.Hiers[j].LCA(int(ra[j]), int(rb[j]))]
-			}
-		}
+		sums[q], sums[q+1] = s0, s1
 	}
+	if q < len(ids) {
+		b := int(rowOf[ids[q]]) * r
+		rb := rows[b : b+r]
+		s := 0.0
+		for j, o := range off {
+			s += strip[o+int(rb[j])]
+		}
+		sums[q] = s
+	}
+}
+
+// evalSum returns dist(A, B) for live clusters a and b from their priced
+// LCA-cost sum.
+func (k *kernel) evalSum(a, b int, sum float64) float64 {
+	sa, sb := int(k.size[a]), int(k.size[b])
+	return k.eval(sa, sb, sa+sb, k.cost[a], k.cost[b], sum/float64(k.r))
+}
+
+// evalPair returns dist(A, B) and dist(B, A) from one priced sum: both
+// orientations share dU, leaving only the two cheap eval combinations.
+// Each result is bit-identical to the corresponding evalSum, so the lazy
+// engine's pair-at-once passes (DESIGN.md §17) cannot drift from
+// single-orientation scans.
+func (k *kernel) evalPair(a, b int, sum float64) (dab, dba float64) {
 	dU := sum / float64(k.r)
 	sa, sb := int(k.size[a]), int(k.size[b])
 	ca, cb := k.cost[a], k.cost[b]

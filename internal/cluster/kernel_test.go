@@ -92,7 +92,7 @@ func TestKernelEquivalenceTCloseness(t *testing.T) {
 // the dense-table budget admits (NumNodes² > hierarchy.LCATableBudget), so
 // the kernel must keep the walk-up path for it, alongside a small tabled
 // attribute.
-func overBudgetSpace(t *testing.T, rng *rand.Rand, n int) (*Space, *table.Table) {
+func overBudgetSpace(t testing.TB, rng *rand.Rand, n int) (*Space, *table.Table) {
 	t.Helper()
 	const wide = 2080 // 2080 leaves + 1040 intervals + root = 3121 nodes; 3121² > 1<<22
 	hw, err := hierarchy.Intervals(wide, []int{2}, "*")
@@ -255,8 +255,8 @@ func TestKernelForcedFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s, tbl := overBudgetSpace(t, rng, 150)
 	k := newKernel(s, D3{})
-	if k.walked != 1 || k.tabled != 1 || k.allTabled {
-		t.Fatalf("kernel shape: walked=%d tabled=%d allTabled=%v, want 1/1/false", k.walked, k.tabled, k.allTabled)
+	if k.tabled != 1 || k.fillWalks != int64(s.Hiers[0].NumNodes()) {
+		t.Fatalf("kernel shape: tabled=%d fillWalks=%d, want 1/%d", k.tabled, k.fillWalks, s.Hiers[0].NumNodes())
 	}
 	for _, modified := range []bool{false, true} {
 		assertMatchesOracle(t, fmt.Sprintf("fallback modified=%v", modified), s, tbl,
@@ -321,29 +321,48 @@ func TestResolveDistKind(t *testing.T) {
 }
 
 // TestKernelCounters checks the kernel's observability: a run reports its
-// table-hit/walk split, arena occupancy peak and slot reuses.
+// table-hit/walk split, arena occupancy peak and slot reuses. Walk-ups are
+// counted where they happen — once per strip fill, not per pair — so the
+// over-budget space reports some and the tabled space none, and both
+// counters read the same at every worker count.
 func TestKernelCounters(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	s, tbl := randomSpace(t, rng, 200)
-	met := obs.NewMetrics()
-	ctx := obs.With(context.Background(), met)
-	if _, err := AgglomerateCtx(ctx, s, tbl, AggloOptions{
-		K: 5, Distance: D3{}, Modified: true, Workers: 2,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	st := met.Snapshot()
-	if st.Counter(obs.CounterKernelTableHits) == 0 {
-		t.Errorf("kernel run reported no table hits: %v", st.Counters)
-	}
-	if st.Counter(obs.CounterKernelFallbackWalks) != 0 {
-		t.Errorf("fully-tabled space reported fallback walks: %v", st.Counters)
-	}
-	if peak := st.Peaks[obs.PeakKernelArenaRows]; peak == 0 || peak > int64(2*tbl.Len()) {
-		t.Errorf("arena peak %d out of range (0, %d]", peak, 2*tbl.Len())
-	}
-	if st.Counter(obs.CounterKernelArenaReuses) == 0 {
-		t.Errorf("merge-heavy run reused no arena slots: %v", st.Counters)
+	spaces := []struct {
+		name  string
+		build func(testing.TB, *rand.Rand, int) (*Space, *table.Table)
+	}{{"tabled", randomSpace}, {"over-budget", overBudgetSpace}}
+	for _, sp := range spaces {
+		s, tbl := sp.build(t, rand.New(rand.NewSource(5)), 200)
+		var hits, walks [2]int64
+		for x, workers := range []int{1, 4} {
+			met := obs.NewMetrics()
+			ctx := obs.With(context.Background(), met)
+			if _, err := AgglomerateCtx(ctx, s, tbl, AggloOptions{
+				K: 5, Distance: D3{}, Modified: true, Workers: workers,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			st := met.Snapshot()
+			hits[x] = st.Counter(obs.CounterKernelTableHits)
+			walks[x] = st.Counter(obs.CounterKernelFallbackWalks)
+			if peak := st.Peaks[obs.PeakKernelArenaRows]; peak == 0 || peak > int64(2*tbl.Len()) {
+				t.Errorf("%s: arena peak %d out of range (0, %d]", sp.name, peak, 2*tbl.Len())
+			}
+			if st.Counter(obs.CounterKernelArenaReuses) == 0 {
+				t.Errorf("%s: merge-heavy run reused no arena slots: %v", sp.name, st.Counters)
+			}
+		}
+		if hits[0] == 0 {
+			t.Errorf("%s: kernel run reported no table hits", sp.name)
+		}
+		if sp.name == "tabled" && walks[0] != 0 {
+			t.Errorf("fully-tabled space reported %d fallback walks", walks[0])
+		}
+		if sp.name == "over-budget" && walks[0] <= 0 {
+			t.Errorf("over-budget space reported %d fallback walks, want > 0", walks[0])
+		}
+		if hits[0] != hits[1] || walks[0] != walks[1] {
+			t.Errorf("%s: counters differ across workers {1, 4}: table hits %v, fallback walks %v", sp.name, hits, walks)
+		}
 	}
 }
 

@@ -35,13 +35,14 @@ import (
 //     cluster rescans over the dense live list (the rare DeadNNRescans
 //     path, sharded in nnTile-sized tiles);
 //   - a merge that bears newborns runs one pass per newborn over the live
-//     list — distPair evaluates each (newborn, live) pair once for both
-//     orientations — building the newborn's row and column lists; a merge
-//     that finalizes its cluster (Algorithm 1 absorbing a ripe cluster)
-//     does no pass at all;
+//     list, anchored on the newborn's cost strip (kernel.go) — one priced
+//     sum per (newborn, live) pair serves both orientations — building the
+//     newborn's row and column lists; a merge that finalizes its cluster
+//     (Algorithm 1 absorbing a ripe cluster) does no pass at all;
 //   - the initial build walks the strict lower triangle in
-//     initBlock×nnTile tiles, one distPair per unordered pair, feeding
-//     row[i] and column[i] which only block-owner workers write.
+//     initBlock×nnTile tiles, each block row anchored on its own strip,
+//     one priced sum per unordered pair, feeding row[i] and column[i]
+//     which only block-owner workers write.
 //
 // Determinism: heap keys are unique — (kind, owner, gen) never repeats
 // because the owner's generation is bumped before every re-push — so the
@@ -152,7 +153,26 @@ func (l *nnList) reset() {
 // rejected candidate into the discard bound. The resulting (set, bound)
 // pair is offer-order independent: the set is the lex top-n of everything
 // offered since reset, the bound the lex-min of the rest.
+//
+// The guard, small enough to inline, rejects most candidates of a long
+// scan with two comparisons: a full list leaves list and bound as they are
+// for a candidate farther than both the bound and the tail (it is
+// lex-below neither), and for a NaN, which is never lex-below anything.
+// Without NaN distances the bound's distance is never below the tail's —
+// the bound starts at +Inf and only ever takes a candidate that was not
+// lex-below the tail, or the evicted tail itself — so the bound alone
+// decides; the tail check keeps the guard exact when a user distance puts
+// a NaN in the list, which breaks its order. A candidate at either
+// distance takes the full path, which orders it by id.
 func (l *nnList) offer(d float64, id int32) {
+	if l.n < nnListCap || d <= l.ubD || d <= l.d[nnListCap-1] {
+		l.insert(d, id)
+	}
+}
+
+// insert is offer without the guard: the full top-n insertion with its
+// discard-bound update.
+func (l *nnList) insert(d float64, id int32) {
 	n := l.n
 	if n == nnListCap {
 		if !lexLess(d, id, l.d[nnListCap-1], l.id[nnListCap-1]) {
@@ -315,18 +335,20 @@ func (e *aggloEngine) heapMaybeCompact() {
 // cubic. Columns exist only for newborns, whose candidate range they keep
 // narrow.)
 //
-// The strict lower triangle is walked once — one distPair per unordered
-// pair, half the evaluations of the shared LCA-cost sum that one scan per
+// The strict lower triangle is walked once — one priced sum per unordered
+// pair serves both orientations, half the LCA-cost sums that one scan per
 // ordered pair would spend — in initBlock-row blocks sweeping the
-// candidate ids in ascending nnTile-wide tiles, so a tile's arena rows and
-// fused-table lines are reused across the whole block. For a pair (i, j),
-// j < i, dist(i, j) feeds row[i], owned by the block's worker; dist(j, i)
-// feeds row[j], written directly when j is inside the worker's own span
-// and folded into a span-local partial list otherwise. The partials are
-// merged and the heap seeded on the driving goroutine afterwards; lists
-// are fold-order independent, so any span geometry yields identical
-// lists. Each tile polls ctx; each record is a SiteInitScan checkpoint,
-// with SiteInitTile marking the tile boundaries.
+// candidate ids in ascending nnTile-wide tiles, so a tile's arena rows are
+// reused across the whole block. Each block row i is an anchor: its cost
+// strip is loaded once per block into the span's strip slab, and every
+// tile prices its candidates j < i against it. For a pair (i, j), j < i,
+// dist(i, j) feeds row[i], owned by the block's worker; dist(j, i) feeds
+// row[j], written directly when j is inside the worker's own span and
+// folded into a span-local partial list otherwise. The partials are merged
+// and the heap seeded on the driving goroutine afterwards; lists are
+// fold-order independent, so any span geometry yields identical lists.
+// Each tile polls ctx; each record is a SiteInitScan checkpoint, with
+// SiteInitTile marking the tile boundaries.
 func (e *aggloEngine) buildNNTiled(n int) error {
 	numBlocks := (n + initBlock - 1) / initBlock
 	for bi := 0; bi < numBlocks; bi++ {
@@ -334,6 +356,11 @@ func (e *aggloEngine) buildNNTiled(n int) error {
 			e.stats.TilesScanned += int64((t + nnTile - 1) / nnTile)
 		}
 	}
+	k := e.kern
+	sl := k.stripLen()
+	// No cluster has died yet, so the live list is the identity 0..n-1 and
+	// live[jLo:jHi] names the candidate ids of a tile.
+	live := e.liveList
 	spans, err := e.pool.ForSpansCtx(e.ctx, numBlocks, 1, func(bLo, bHi, sp int) {
 		floor := bLo * initBlock
 		var part []nnList
@@ -344,10 +371,14 @@ func (e *aggloEngine) buildNNTiled(n int) error {
 			}
 		}
 		e.spanInitPart[sp] = part
+		strips, sums := e.spanStrips[sp], e.spanSums[sp]
 		evals := int64(0)
 		for bi := bLo; bi < bHi && !e.cancelled(); bi++ {
 			iLo := bi * initBlock
 			iHi := min(iLo+initBlock, n)
+			for i := max(iLo, 1); i < iHi; i++ {
+				k.loadStrip(strips[(i-iLo)*sl:(i-iLo+1)*sl], i)
+			}
 			for jLo := 0; jLo < iHi-1; jLo += nnTile {
 				if e.cancelled() {
 					break
@@ -355,17 +386,20 @@ func (e *aggloEngine) buildNNTiled(n int) error {
 				fault.Inject(SiteInitTile)
 				jHi := min(jLo+nnTile, iHi-1)
 				for i := max(iLo, jLo+1); i < iHi; i++ {
+					cands := live[jLo:min(jHi, i)]
+					k.price(strips[(i-iLo)*sl:(i-iLo+1)*sl], cands, sums)
 					row := &e.rowNN[i]
-					for j := jLo; j < min(jHi, i); j++ {
-						dij, dji := e.kern.distPair(i, j)
+					for q, s := range sums[:len(cands)] {
+						j := jLo + q
+						dij, dji := k.evalPair(i, j, s)
 						row.offer(dij, int32(j))
 						if j >= floor {
 							e.rowNN[j].offer(dji, int32(i))
 						} else {
 							part[j].offer(dji, int32(i))
 						}
-						evals += 2
 					}
+					evals += 2 * int64(len(cands))
 				}
 			}
 			for i := iLo; i < iHi && !e.cancelled(); i++ {
@@ -446,37 +480,18 @@ func (e *aggloEngine) healList(l *nnList, owner int, kind uint8) {
 }
 
 // rescanList rebuilds one list exactly over the dense live list, sharded
-// into nnTile-sized tiles: dist(owner, y) for a row list, dist(y, owner)
-// for a column list. A rescan widens the list's coverage from its
-// birth-order range to every current live cluster — pairs a newer
-// cluster's column also covers — which is harmless: both covering entries
-// demand the identical merge.
+// into nnTile-sized tiles and anchored on the owner's cost strip, loaded
+// once on the driving goroutine: dist(owner, y) for a row list,
+// dist(y, owner) for a column list. A rescan widens the list's coverage
+// from its birth-order range to every current live cluster — pairs a
+// newer cluster's column also covers — which is harmless: both covering
+// entries demand the identical merge.
 func (e *aggloEngine) rescanList(owner int, dst *nnList, kind uint8) {
-	live := e.liveList
-	numTiles := (len(live) + nnTile - 1) / nnTile
+	numTiles := (len(e.liveList) + nnTile - 1) / nnTile
 	e.stats.TilesScanned += int64(numTiles)
-	spans := e.pool.ForSpans(numTiles, 1, func(tLo, tHi, sp int) {
-		l := &e.spanRowList[sp]
-		l.reset()
-		evals := int64(0)
-		for t := tLo; t < tHi; t++ {
-			hi := min((t+1)*nnTile, len(live))
-			for _, y := range live[t*nnTile : hi] {
-				if int(y) == owner {
-					continue
-				}
-				var d float64
-				if kind == entRow {
-					d = e.kern.dist(owner, int(y))
-				} else {
-					d = e.kern.dist(int(y), owner)
-				}
-				l.offer(d, y)
-				evals++
-			}
-		}
-		e.spanEvals[sp] = evals
-	})
+	e.kern.loadStrip(e.anchorStrip, owner)
+	e.anchor, e.anchorKind = owner, kind
+	spans := e.pool.ForSpans(numTiles, 1, e.rescanSpanFn)
 	dst.reset()
 	evals := int64(0)
 	for sp := 0; sp < spans; sp++ {
@@ -487,49 +502,56 @@ func (e *aggloEngine) rescanList(owner int, dst *nnList, kind uint8) {
 	e.o.Event(obs.KindScan, PhaseMerge, evals)
 }
 
+// rescanSpan is one span of rescanList: tiles [tLo, tHi) of the live list,
+// priced against the anchor strip into the span's row partial.
+func (e *aggloEngine) rescanSpan(tLo, tHi, sp int) {
+	k, live, owner := e.kern, e.liveList, e.anchor
+	l := &e.spanRowList[sp]
+	l.reset()
+	sums := e.spanSums[sp]
+	evals := int64(0)
+	for t := tLo; t < tHi; t++ {
+		tile := live[t*nnTile : min((t+1)*nnTile, len(live))]
+		k.price(e.anchorStrip, tile, sums)
+		for q, y := range tile {
+			if int(y) == owner {
+				continue
+			}
+			var d float64
+			if e.anchorKind == entRow {
+				d = k.evalSum(owner, int(y), sums[q])
+			} else {
+				d = k.evalSum(int(y), owner, sums[q])
+			}
+			l.offer(d, y)
+			evals++
+		}
+	}
+	e.spanEvals[sp] = evals
+}
+
 // repairHeap restores the lazy-path invariants after a merge. A merge that
 // finalized its cluster (no newborn) does nothing — no existing list
 // references change meaning, and survivors whose cached partner died heal
 // at pop time. A merge that bore newborns runs one pass per newborn over
 // the live list (newborns sit at the list's tail; candidates are the
-// clusters born before it, i.e. lower ids): each candidate pair is
-// evaluated once via distPair, feeding the newborn's row and column lists,
-// which are then sealed with one heap entry each. Workers write only
-// span-local scratch; list merges, pushes and counters happen on the
-// driving goroutine in span order.
+// clusters born before it, i.e. lower ids), anchored on the newborn's cost
+// strip, loaded once on the driving goroutine: each candidate pair is
+// priced once, feeding the newborn's row and column lists, which are then
+// sealed with one heap entry each. Workers write only span-local scratch;
+// list merges, pushes and counters happen on the driving goroutine in span
+// order.
 func (e *aggloEngine) repairHeap(added []int) {
 	if len(added) == 0 {
 		e.heapMaybeCompact()
 		return
 	}
-	live := e.liveList
-	numTiles := (len(live) + nnTile - 1) / nnTile
+	numTiles := (len(e.liveList) + nnTile - 1) / nnTile
 	for _, nb := range added {
 		e.stats.TilesScanned += int64(numTiles)
-		nb32 := int32(nb)
-		spans := e.pool.ForSpans(numTiles, 1, func(tLo, tHi, sp int) {
-			rl := &e.spanRowList[sp]
-			cl := &e.spanColList[sp]
-			rl.reset()
-			cl.reset()
-			evals := int64(0)
-			for t := tLo; t < tHi; t++ {
-				if e.cancelled() {
-					break
-				}
-				hi := min((t+1)*nnTile, len(live))
-				for _, y := range live[t*nnTile : hi] {
-					if y >= nb32 {
-						continue
-					}
-					dny, dyn := e.kern.distPair(nb, int(y))
-					rl.offer(dny, y)
-					cl.offer(dyn, y)
-					evals += 2
-				}
-			}
-			e.spanEvals[sp] = evals
-		})
+		e.kern.loadStrip(e.anchorStrip, nb)
+		e.anchor = nb
+		spans := e.pool.ForSpans(numTiles, 1, e.repairSpanFn)
 		row := &e.rowNN[nb]
 		col := &e.colNN[nb]
 		row.reset()
@@ -546,4 +568,36 @@ func (e *aggloEngine) repairHeap(added []int) {
 		e.pushColHead(nb)
 	}
 	e.heapMaybeCompact()
+}
+
+// repairSpan is one span of a newborn pass: tiles [tLo, tHi) of the live
+// list, priced against the newborn's strip into the span's row and column
+// partials. Candidates born after the newborn (its siblings of the same
+// merge) and the newborn itself are priced with their tile and skipped.
+func (e *aggloEngine) repairSpan(tLo, tHi, sp int) {
+	k, live, nb := e.kern, e.liveList, e.anchor
+	nb32 := int32(nb)
+	rl := &e.spanRowList[sp]
+	cl := &e.spanColList[sp]
+	rl.reset()
+	cl.reset()
+	sums := e.spanSums[sp]
+	evals := int64(0)
+	for t := tLo; t < tHi; t++ {
+		if e.cancelled() {
+			break
+		}
+		tile := live[t*nnTile : min((t+1)*nnTile, len(live))]
+		k.price(e.anchorStrip, tile, sums)
+		for q, y := range tile {
+			if y >= nb32 {
+				continue
+			}
+			dny, dyn := k.evalPair(nb, int(y), sums[q])
+			rl.offer(dny, y)
+			cl.offer(dyn, y)
+			evals += 2
+		}
+	}
+	e.spanEvals[sp] = evals
 }

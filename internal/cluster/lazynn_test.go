@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -111,6 +112,73 @@ func TestNNListOrderIndependent(t *testing.T) {
 			}
 			if got != want {
 				t.Fatalf("trial %d fold %d: order changed the list: %v vs %v", trial, p, got, want)
+			}
+		}
+	}
+}
+
+// TestNNListFastRejectExact replays random operation sequences through
+// offer, whose inlined guard returns early, and through insert, the full
+// path alone: offers drawn from few distances (ties) with ±Inf among them,
+// and NaN in every other trial, and mergeFrom folds of partials built the
+// same way. After every step both lists must hold the same (set, bound),
+// bit for bit, and in a NaN-free trial the bound's distance must not be
+// below the tail's, which makes the bound alone decide the guard. (The
+// engine offers to a list only between its reset and its first pruneDead:
+// a pruned list heals by a rescan from a reset.)
+func TestNNListFastRejectExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	vals := []float64{0, 1, 1, 2, 3, math.Inf(1), math.Inf(-1), math.Copysign(0, -1), math.NaN()}
+	slowMerge := func(l, o *nnList) {
+		for k := int32(0); k < o.n; k++ {
+			l.insert(o.d[k], o.id[k])
+		}
+		if lexLess(o.ubD, o.ubID, l.ubD, l.ubID) {
+			l.ubD, l.ubID = o.ubD, o.ubID
+		}
+	}
+	bits := func(l *nnList) []uint64 {
+		out := []uint64{uint64(l.n), math.Float64bits(l.ubD), uint64(l.ubID)}
+		for k := int32(0); k < l.n; k++ {
+			out = append(out, math.Float64bits(l.d[k]), uint64(l.id[k]))
+		}
+		return out
+	}
+	for trial := 0; trial < 400; trial++ {
+		withNaN := trial%2 == 1
+		cand := func() (float64, int32) {
+			nv := len(vals) - 1
+			if withNaN {
+				nv++
+			}
+			return vals[rng.Intn(nv)], int32(rng.Intn(24))
+		}
+		var fast, slow nnList
+		fast.reset()
+		slow.reset()
+		for step := 0; step < 60; step++ {
+			if rng.Intn(4) != 0 {
+				d, id := cand()
+				fast.offer(d, id)
+				slow.insert(d, id)
+			} else {
+				var pf, ps nnList
+				pf.reset()
+				ps.reset()
+				for m := rng.Intn(3 * nnListCap); m > 0; m-- {
+					d, id := cand()
+					pf.offer(d, id)
+					ps.insert(d, id)
+				}
+				fast.mergeFrom(&pf)
+				slowMerge(&slow, &ps)
+			}
+			if n := fast.n; !withNaN && n > 0 && fast.ubD < fast.d[n-1] {
+				t.Fatalf("trial %d step %d: bound (%v, %d) below tail (%v, %d)",
+					trial, step, fast.ubD, fast.ubID, fast.d[n-1], fast.id[n-1])
+			}
+			if f, sl := bits(&fast), bits(&slow); !slices.Equal(f, sl) {
+				t.Fatalf("trial %d step %d: guarded list %v, full path %v", trial, step, f, sl)
 			}
 		}
 	}

@@ -108,16 +108,22 @@ func (k Kind) String() string {
 
 // Counter and gauge names emitted by the flat distance kernel of the
 // agglomerative engine (internal/cluster, DESIGN.md §12). All four are
-// worker-count invariant: table hits and fallback walks are derived from
-// the deterministic distance-evaluation count, and the arena is mutated
-// only on the engine's driving goroutine.
+// worker-count invariant: table hits are derived from the deterministic
+// distance-evaluation count, fallback walks are counted where they happen
+// (a fixed number per anchor strip fill, and the anchors are fixed by the
+// algorithm, not the sharding), and the arena is mutated only on the
+// engine's driving goroutine.
 const (
-	// CounterKernelTableHits counts per-attribute LCA-cost resolutions
-	// served by the precomputed fused tables (one memory load each).
+	// CounterKernelTableHits counts per-attribute LCA costs read from the
+	// precomputed fused tables — through the anchor's cost strip in the
+	// pair passes: one per tabled attribute per distance evaluation
+	// outside the Algorithm 2 shrink.
 	CounterKernelTableHits = "cluster.kernel.table_hits"
-	// CounterKernelFallbackWalks counts per-attribute LCA-cost resolutions
-	// that fell back to the walk-up path because the attribute's hierarchy
-	// exceeded the LCA-table memory budget.
+	// CounterKernelFallbackWalks counts the LCA walk-ups performed for
+	// attributes whose hierarchy exceeded the LCA-table memory budget: one
+	// per node of such an attribute each time an anchor's cost strip is
+	// filled, plus one per such attribute in the per-merge closure, shrink
+	// and absorb paths.
 	CounterKernelFallbackWalks = "cluster.kernel.fallback_walks"
 	// CounterKernelArenaReuses counts closure-arena slots recycled from
 	// killed clusters by later pushes.
