@@ -79,7 +79,7 @@ func BenchmarkAblationDistances(b *testing.B) {
 	results := make(map[string]float64)
 	for i := 0; i < b.N; i++ {
 		for _, d := range cluster.PaperDistances() {
-			g, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: k, Distance: d})
+			g, _, _, err := core.KAnonymizeStatsCtx(nil, s, ds.Table, cluster.AggloOptions{K: k, Distance: d})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -106,12 +106,12 @@ func BenchmarkAblationK1(b *testing.B) {
 	const k = 10
 	var lNearest, lExpand float64
 	for i := 0; i < b.N; i++ {
-		gn, err := core.KKAnonymize(s, ds.Table, k, core.K1ByNearest)
+		gn, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByNearest, nil, nil, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
 		lNearest = loss.TableLoss(em, gn)
-		ge, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+		ge, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func BenchmarkAblationModified(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, d := range []cluster.Distance{cluster.D1{}, cluster.D3{}} {
 			for _, mod := range []bool{false, true} {
-				g, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: k, Distance: d, Modified: mod})
+				g, _, _, err := core.KAnonymizeStatsCtx(nil, s, ds.Table, cluster.AggloOptions{K: k, Distance: d, Modified: mod})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -168,7 +168,7 @@ func BenchmarkGlobalUpgrade(b *testing.B) {
 		b.Fatal(err)
 	}
 	const k = 10
-	gkk, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+	gkk, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func BenchmarkGlobalUpgrade(b *testing.B) {
 	var deficient int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, stats, err := core.MakeGlobal1K(s, ds.Table, gkk.Clone(), k)
+		g, stats, err := core.MakeGlobal1KCtx(nil, s, ds.Table, gkk.Clone(), k)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func BenchmarkScalability(b *testing.B) {
 	b.Run("agglomerative", func(b *testing.B) {
 		var l float64
 		for i := 0; i < b.N; i++ {
-			g, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: k})
+			g, _, _, err := core.KAnonymizeStatsCtx(nil, s, ds.Table, cluster.AggloOptions{K: k})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -248,7 +248,7 @@ func BenchmarkObserverOverhead(b *testing.B) {
 	const k = 10
 	b.Run("disabled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: k}); err != nil {
+			if _, _, _, err := core.KAnonymizeStatsCtx(nil, s, ds.Table, cluster.AggloOptions{K: k}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -256,7 +256,7 @@ func BenchmarkObserverOverhead(b *testing.B) {
 	b.Run("metrics", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ctx := obs.With(context.Background(), obs.NewMetrics())
-			if _, _, err := core.KAnonymizeCtx(ctx, s, ds.Table, core.KAnonOptions{K: k}); err != nil {
+			if _, _, _, err := core.KAnonymizeStatsCtx(ctx, s, ds.Table, cluster.AggloOptions{K: k}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -278,28 +278,28 @@ func BenchmarkPipelines(b *testing.B) {
 	const k = 10
 	b.Run("agglomerative", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: k}); err != nil {
+			if _, _, _, err := core.KAnonymizeStatsCtx(nil, s, ds.Table, cluster.AggloOptions{K: k}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("forest", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.Forest(s, ds.Table, k); err != nil {
+			if _, _, err := core.ForestCtx(nil, s, ds.Table, k); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("kk-expand", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion); err != nil {
+			if _, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("global", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			g, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, 0)
+			g, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -60,25 +60,25 @@ func main() {
 			return g
 		}},
 		{"k-anonymity (agglomerative)", func() *table.GenTable {
-			g, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: k})
+			g, _, _, err := core.KAnonymizeStatsCtx(nil, s, ds.Table, cluster.AggloOptions{K: k})
 			if err != nil {
 				log.Fatal(err)
 			}
 			return g
 		}},
 		{"(k,k)-anonymity", func() *table.GenTable {
-			g, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+			g, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 			if err != nil {
 				log.Fatal(err)
 			}
 			return g
 		}},
 		{"global (1,k)-anonymity", func() *table.GenTable {
-			g, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+			g, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 			if err != nil {
 				log.Fatal(err)
 			}
-			g, _, err = core.MakeGlobal1K(s, ds.Table, g, k)
+			g, _, err = core.MakeGlobal1KCtx(nil, s, ds.Table, g, k)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -30,7 +30,7 @@ func TestIntegrationAllDatasetsAllNotions(t *testing.T) {
 			t.Fatalf("%s: %v", ds.Name, err)
 		}
 
-		gK, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: k})
+		gK, _, _, err := core.KAnonymizeStatsCtx(nil, s, ds.Table, cluster.AggloOptions{K: k})
 		if err != nil {
 			t.Fatalf("%s agglo: %v", ds.Name, err)
 		}
@@ -38,7 +38,7 @@ func TestIntegrationAllDatasetsAllNotions(t *testing.T) {
 			t.Errorf("%s: agglomerative output invalid", ds.Name)
 		}
 
-		gF, _, err := core.Forest(s, ds.Table, k)
+		gF, _, err := core.ForestCtx(nil, s, ds.Table, k)
 		if err != nil {
 			t.Fatalf("%s forest: %v", ds.Name, err)
 		}
@@ -46,7 +46,7 @@ func TestIntegrationAllDatasetsAllNotions(t *testing.T) {
 			t.Errorf("%s: forest output not k-anonymous", ds.Name)
 		}
 
-		gKK, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+		gKK, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 		if err != nil {
 			t.Fatalf("%s kk: %v", ds.Name, err)
 		}
@@ -54,7 +54,7 @@ func TestIntegrationAllDatasetsAllNotions(t *testing.T) {
 			t.Errorf("%s: (k,k) output invalid", ds.Name)
 		}
 
-		gG, _, err := core.MakeGlobal1K(s, ds.Table, gKK.Clone(), k)
+		gG, _, err := core.MakeGlobal1KCtx(nil, s, ds.Table, gKK.Clone(), k)
 		if err != nil {
 			t.Fatalf("%s global: %v", ds.Name, err)
 		}
@@ -96,7 +96,7 @@ func TestIntegrationRelaxationStrict(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 5
-	gKK, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+	gKK, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +122,11 @@ func TestIntegrationMeasureConsistency(t *testing.T) {
 	lm := loss.NewLM(ds.Hiers)
 	sEM, _ := cluster.NewSpace(ds.Hiers, em)
 	sLM, _ := cluster.NewSpace(ds.Hiers, lm)
-	gEM, _, err := core.KAnonymize(sEM, ds.Table, core.KAnonOptions{K: k})
+	gEM, _, _, err := core.KAnonymizeStatsCtx(nil, sEM, ds.Table, cluster.AggloOptions{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gLM, _, err := core.KAnonymize(sLM, ds.Table, core.KAnonOptions{K: k})
+	gLM, _, _, err := core.KAnonymizeStatsCtx(nil, sLM, ds.Table, cluster.AggloOptions{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,8 @@ import (
 )
 
 // VerifyClustering checks the structural invariants every clustering-based
-// anonymizer (Agglomerate, Forest, the partitioned variant) must establish:
+// anonymizer (AgglomerateStatsCtx, ForestCtx, the partitioned variant) must
+// establish:
 //
 //   - the clusters partition the record set (disjoint cover of [0, n));
 //   - every cluster has at least k members;

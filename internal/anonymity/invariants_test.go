@@ -53,7 +53,7 @@ func TestInvariantsAgglomerate(t *testing.T) {
 			for _, k := range []int{2, 7} {
 				for _, modified := range []bool{false, true} {
 					for _, workers := range []int{1, 4} {
-						clusters, err := cluster.Agglomerate(s, tbl, cluster.AggloOptions{
+						clusters, _, err := cluster.AgglomerateStatsCtx(nil, s, tbl, cluster.AggloOptions{
 							K: k, Distance: cluster.D3{}, Modified: modified, Workers: workers,
 						})
 						if err != nil {
@@ -79,7 +79,7 @@ func TestInvariantsForest(t *testing.T) {
 	for _, seed := range []int64{4, 5} {
 		s, tbl := invariantSpace(t, seed, 80)
 		for _, k := range []int{2, 5} {
-			g, clusters, err := core.Forest(s, tbl, k)
+			g, clusters, err := core.ForestCtx(nil, s, tbl, k)
 			if err != nil {
 				t.Fatalf("seed=%d k=%d: %v", seed, k, err)
 			}
@@ -126,7 +126,7 @@ func TestInvariantsKK(t *testing.T) {
 		for _, k := range []int{2, 5} {
 			for _, alg := range []core.K1Algorithm{core.K1ByNearest, core.K1ByExpansion} {
 				for _, workers := range []int{1, 4} {
-					g, err := core.KKAnonymizeCtx(nil, s, tbl, k, alg, workers)
+					g, err := core.KKAnonymizeCtx(nil, s, tbl, k, alg, nil, nil, workers)
 					if err != nil {
 						t.Fatalf("%s seed=%d k=%d workers=%d: %v", alg, seed, k, workers, err)
 					}
@@ -144,7 +144,7 @@ func TestInvariantsKK(t *testing.T) {
 // stale closures and stale costs.
 func TestVerifyClusteringRejects(t *testing.T) {
 	s, tbl := invariantSpace(t, 10, 20)
-	good, err := cluster.Agglomerate(s, tbl, cluster.AggloOptions{K: 4, Distance: cluster.D3{}})
+	good, _, err := cluster.AgglomerateStatsCtx(nil, s, tbl, cluster.AggloOptions{K: 4, Distance: cluster.D3{}})
 	if err != nil {
 		t.Fatal(err)
 	}

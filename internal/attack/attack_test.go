@@ -93,7 +93,7 @@ func TestKKSafeFromFirstAdversary(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 4
-	g, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+	g, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +123,11 @@ func TestGlobalSafeFromBothAdversaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 4
-	g, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+	g, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err = core.MakeGlobal1K(s, ds.Table, g, k)
+	g, _, err = core.MakeGlobal1KCtx(nil, s, ds.Table, g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestSecondAdversaryStrictlyStronger(t *testing.T) {
 			t.Fatal(err)
 		}
 		const k = 4
-		g, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+		g, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestCandidateCountsMatchVerifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := core.KKAnonymize(s, ds.Table, 3, core.K1ByExpansion)
+	g, err := core.KKAnonymizeCtx(nil, s, ds.Table, 3, core.K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestInformedNoKnowledgeEqualsSecondAdversary(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 4
-	g, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+	g, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,11 @@ func TestInformedKnowledgeOnlyShrinksCandidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 4
-	g, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+	g, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err = core.MakeGlobal1K(s, ds.Table, g, k)
+	g, _, err = core.MakeGlobal1KCtx(nil, s, ds.Table, g, k)
 	if err != nil {
 		t.Fatal(err)
 	}

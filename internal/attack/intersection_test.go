@@ -124,7 +124,7 @@ func TestIntersectionOverlappingWindowsKK(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 3
-	g, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+	g, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func TestRefinementContainsMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 4
-	g, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+	g, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +142,11 @@ func TestRefinementRespectsGlobal1K(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 3
-	g, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+	g, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err = core.MakeGlobal1K(s, ds.Table, g, k)
+	g, _, err = core.MakeGlobal1KCtx(nil, s, ds.Table, g, k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,34 +120,17 @@ func (st AggloStats) TotalNanos() int64 {
 	return st.InitNanos + st.SelectNanos + st.RepairNanos + st.AbsorbNanos
 }
 
-// Agglomerate runs the basic agglomerative algorithm (Algorithm 1) — or,
-// when opt.Modified is set, the modified agglomerative algorithm
-// (Algorithm 2) — and returns the final clustering γ: disjoint clusters
-// covering all records, each of size ≥ K (exactly K for all but the
-// leftover-absorbing clusters in the modified variant).
-func Agglomerate(s *Space, tbl *table.Table, opt AggloOptions) ([]*Cluster, error) {
-	clusters, _, err := AgglomerateStats(s, tbl, opt)
-	return clusters, err
-}
-
-// AgglomerateCtx is Agglomerate under a context. The engine polls ctx at
-// every scan, merge and absorb boundary (the Site* constants); once ctx is
-// done it stops promptly, drains its worker pool, and returns ctx.Err()
-// with a nil clustering — never partial output.
-func AgglomerateCtx(ctx context.Context, s *Space, tbl *table.Table, opt AggloOptions) ([]*Cluster, error) {
-	clusters, _, err := AgglomerateStatsCtx(ctx, s, tbl, opt)
-	return clusters, err
-}
-
-// AgglomerateStats is Agglomerate returning the engine's work counters and
-// phase timings alongside the clustering.
-func AgglomerateStats(s *Space, tbl *table.Table, opt AggloOptions) ([]*Cluster, AggloStats, error) {
-	return AgglomerateStatsCtx(nil, s, tbl, opt)
-}
-
-// AgglomerateStatsCtx is AgglomerateCtx returning the engine's work
-// counters and phase timings alongside the clustering. A nil ctx disables
-// cancellation.
+// AgglomerateStatsCtx runs the basic agglomerative algorithm
+// (Algorithm 1) — or, when opt.Modified is set, the modified agglomerative
+// algorithm (Algorithm 2) — and returns the final clustering γ: disjoint
+// clusters covering all records, each of size ≥ K (exactly K for all but
+// the leftover-absorbing clusters in the modified variant), with the
+// engine's work counters and phase timings.
+//
+// The engine polls ctx at every scan, merge and absorb boundary (the Site*
+// constants); once ctx is done it stops promptly, drains its worker pool,
+// and returns ctx.Err() with a nil clustering — never partial output. A
+// nil ctx disables cancellation.
 func AgglomerateStatsCtx(ctx context.Context, s *Space, tbl *table.Table, opt AggloOptions) ([]*Cluster, AggloStats, error) {
 	stats := AggloStats{Workers: par.Workers(opt.Workers)}
 	n := tbl.Len()

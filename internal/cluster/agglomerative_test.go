@@ -76,7 +76,7 @@ func TestAgglomerateInvariantsAllDistances(t *testing.T) {
 		for _, modified := range []bool{false, true} {
 			for _, k := range []int{2, 3, 5} {
 				s, tbl := randomSpace(t, rng, 40)
-				clusters, err := Agglomerate(s, tbl, AggloOptions{K: k, Distance: dist, Modified: modified})
+				clusters, _, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: k, Distance: dist, Modified: modified})
 				if err != nil {
 					t.Fatalf("%s modified=%v k=%d: %v", dist.Name(), modified, k, err)
 				}
@@ -90,7 +90,7 @@ func TestAgglomerateModifiedPrefersExactK(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	s, tbl := randomSpace(t, rng, 60)
 	const k = 4
-	clusters, err := Agglomerate(s, tbl, AggloOptions{K: k, Distance: D3{}, Modified: true})
+	clusters, _, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: k, Distance: D3{}, Modified: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestAgglomerateModifiedPrefersExactK(t *testing.T) {
 func TestAgglomerateKEqualsN(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	s, tbl := randomSpace(t, rng, 7)
-	clusters, err := Agglomerate(s, tbl, AggloOptions{K: 7, Distance: D2{}})
+	clusters, _, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 7, Distance: D2{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestAgglomerateKEqualsN(t *testing.T) {
 func TestAgglomerateKTooLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	s, tbl := randomSpace(t, rng, 5)
-	if _, err := Agglomerate(s, tbl, AggloOptions{K: 6, Distance: D2{}}); err == nil {
+	if _, _, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 6, Distance: D2{}}); err == nil {
 		t.Error("expected error for k > n")
 	}
 }
@@ -131,7 +131,7 @@ func TestAgglomerateKTooLarge(t *testing.T) {
 func TestAgglomerateNilDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	s, tbl := randomSpace(t, rng, 5)
-	if _, err := Agglomerate(s, tbl, AggloOptions{K: 2}); err == nil {
+	if _, _, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 2}); err == nil {
 		t.Error("expected error for nil distance")
 	}
 }
@@ -139,7 +139,7 @@ func TestAgglomerateNilDistance(t *testing.T) {
 func TestAgglomerateKOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	s, tbl := randomSpace(t, rng, 9)
-	clusters, err := Agglomerate(s, tbl, AggloOptions{K: 1, Distance: D2{}})
+	clusters, _, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 1, Distance: D2{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestAgglomerateKOne(t *testing.T) {
 func TestAgglomerateEmptyTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	s, tbl := randomSpace(t, rng, 0)
-	clusters, err := Agglomerate(s, tbl, AggloOptions{K: 0, Distance: D2{}})
+	clusters, _, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 0, Distance: D2{}})
 	if err != nil || clusters != nil {
 		t.Errorf("empty table: %v, %v", clusters, err)
 	}
@@ -166,13 +166,13 @@ func TestAgglomerateDeterminism(t *testing.T) {
 	for _, dist := range []Distance{D1{}, D3{}} {
 		rng1 := rand.New(rand.NewSource(61))
 		s1, tbl1 := randomSpace(t, rng1, 50)
-		c1, err := Agglomerate(s1, tbl1, AggloOptions{K: 5, Distance: dist})
+		c1, _, err := AgglomerateStatsCtx(nil, s1, tbl1, AggloOptions{K: 5, Distance: dist})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng2 := rand.New(rand.NewSource(61))
 		s2, tbl2 := randomSpace(t, rng2, 50)
-		c2, err := Agglomerate(s2, tbl2, AggloOptions{K: 5, Distance: dist})
+		c2, _, err := AgglomerateStatsCtx(nil, s2, tbl2, AggloOptions{K: 5, Distance: dist})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestAgglomerateDiversityRipeness(t *testing.T) {
 	}
 	const k, l = 3, 2
 	for _, modified := range []bool{false, true} {
-		clusters, err := Agglomerate(s, tbl, AggloOptions{
+		clusters, _, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{
 			K: k, Distance: D3{}, Modified: modified,
 			Constraints: []Constraint{DistinctLDiversity(l)}, Sensitive: sens,
 		})
@@ -221,11 +221,11 @@ func TestAgglomerateDiversityValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(68))
 	s, tbl := randomSpace(t, rng, 10)
 	diverse2 := []Constraint{DistinctLDiversity(2)}
-	if _, err := Agglomerate(s, tbl, AggloOptions{K: 2, Distance: D3{}, Constraints: diverse2, Sensitive: []int{1}}); err == nil {
+	if _, _, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 2, Distance: D3{}, Constraints: diverse2, Sensitive: []int{1}}); err == nil {
 		t.Error("expected sensitive-length error")
 	}
 	uniform := make([]int, tbl.Len())
-	if _, err := Agglomerate(s, tbl, AggloOptions{K: 2, Distance: D3{}, Constraints: diverse2, Sensitive: uniform}); err == nil {
+	if _, _, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 2, Distance: D3{}, Constraints: diverse2, Sensitive: uniform}); err == nil {
 		t.Error("expected unattainable-diversity error")
 	}
 }
@@ -239,7 +239,7 @@ func TestAgglomerateDiversityWithKOne(t *testing.T) {
 	for i := range sens {
 		sens[i] = i % 2
 	}
-	clusters, err := Agglomerate(s, tbl, AggloOptions{K: 1, Distance: D2{}, Constraints: []Constraint{DistinctLDiversity(2)}, Sensitive: sens})
+	clusters, _, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 1, Distance: D2{}, Constraints: []Constraint{DistinctLDiversity(2)}, Sensitive: sens})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestMergeLoopAllocatesNothingPerMerge(t *testing.T) {
 		var out []*Cluster
 		allocs := testing.AllocsPerRun(5, func() {
 			var err error
-			if out, err = Agglomerate(s, tbl, AggloOptions{K: 5, Distance: D3{}, Workers: 1}); err != nil {
+			if out, _, err = AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 5, Distance: D3{}, Workers: 1}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -28,7 +28,7 @@ func BenchmarkAgglomerate500(b *testing.B) {
 	s, ds := benchSpace(b, 500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Agglomerate(s, ds.Table, AggloOptions{K: 10, Distance: D3{}}); err != nil {
+		if _, _, err := AgglomerateStatsCtx(nil, s, ds.Table, AggloOptions{K: 10, Distance: D3{}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -38,7 +38,7 @@ func BenchmarkAgglomerate2000(b *testing.B) {
 	s, ds := benchSpace(b, 2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Agglomerate(s, ds.Table, AggloOptions{K: 10, Distance: D3{}}); err != nil {
+		if _, _, err := AgglomerateStatsCtx(nil, s, ds.Table, AggloOptions{K: 10, Distance: D3{}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -48,7 +48,7 @@ func BenchmarkAgglomerateModified500(b *testing.B) {
 	s, ds := benchSpace(b, 500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Agglomerate(s, ds.Table, AggloOptions{K: 10, Distance: D3{}, Modified: true}); err != nil {
+		if _, _, err := AgglomerateStatsCtx(nil, s, ds.Table, AggloOptions{K: 10, Distance: D3{}, Modified: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -70,7 +70,7 @@ func BenchmarkAgglomerateWorkers(b *testing.B) {
 		for _, w := range workerCounts {
 			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := Agglomerate(s, ds.Table, AggloOptions{K: 10, Distance: D3{}, Workers: w}); err != nil {
+					if _, _, err := AgglomerateStatsCtx(nil, s, ds.Table, AggloOptions{K: 10, Distance: D3{}, Workers: w}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -92,7 +92,7 @@ func BenchmarkAgglomerateLarge(b *testing.B) {
 			var st AggloStats
 			for i := 0; i < b.N; i++ {
 				var err error
-				_, st, err = AgglomerateStats(s, ds.Table, AggloOptions{K: 10, Distance: D3{}, Workers: 1})
+				_, st, err = AgglomerateStatsCtx(nil, s, ds.Table, AggloOptions{K: 10, Distance: D3{}, Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -303,7 +303,7 @@ func TestConstraintEngineSatisfaction(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, modified := range []bool{false, true} {
-			clusters, err := Agglomerate(s, tbl, AggloOptions{
+			clusters, _, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{
 				K: 3, Distance: D3{}, Modified: modified,
 				Constraints: []Constraint{c}, Sensitive: sens,
 			})
@@ -358,7 +358,7 @@ func TestConstraintEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	s, tbl := randomSpace(t, rng, 1)
 	// Single record, trivially satisfiable constraint: one singleton out.
-	clusters, err := Agglomerate(s, tbl, AggloOptions{
+	clusters, _, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{
 		K: 1, Distance: D3{}, Constraints: []Constraint{TCloseness(0.5)}, Sensitive: []int{0},
 	})
 	if err != nil {
@@ -368,7 +368,7 @@ func TestConstraintEdgeCases(t *testing.T) {
 		t.Errorf("single record: got %d clusters", len(clusters))
 	}
 	// Single record, unattainable diversity: Bind-time error.
-	if _, err := Agglomerate(s, tbl, AggloOptions{
+	if _, _, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{
 		K: 1, Distance: D3{}, Constraints: []Constraint{DistinctLDiversity(2)}, Sensitive: []int{0},
 	}); err == nil {
 		t.Error("single record with l=2 must fail")
@@ -378,17 +378,17 @@ func TestConstraintEdgeCases(t *testing.T) {
 	uniform := make([]int, tbl10.Len())
 	// Uniform sensitive column: any diversity ≥ 2 unattainable; t-closeness
 	// trivially at EMD 0 for every cluster.
-	if _, err := Agglomerate(s10, tbl10, AggloOptions{
+	if _, _, err := AgglomerateStatsCtx(nil, s10, tbl10, AggloOptions{
 		K: 2, Distance: D3{}, Constraints: []Constraint{DistinctLDiversity(2)}, Sensitive: uniform,
 	}); err == nil {
 		t.Error("uniform column with distinct l=2 must fail")
 	}
-	if _, err := Agglomerate(s10, tbl10, AggloOptions{
+	if _, _, err := AgglomerateStatsCtx(nil, s10, tbl10, AggloOptions{
 		K: 2, Distance: D3{}, Constraints: []Constraint{EntropyLDiversity(2)}, Sensitive: uniform,
 	}); err == nil {
 		t.Error("uniform column with entropy l=2 must fail")
 	}
-	clusters, err = Agglomerate(s10, tbl10, AggloOptions{
+	clusters, _, err = AgglomerateStatsCtx(nil, s10, tbl10, AggloOptions{
 		K: 2, Distance: D3{}, Constraints: []Constraint{TCloseness(0)}, Sensitive: uniform,
 	})
 	if err != nil {
@@ -404,14 +404,14 @@ func TestConstraintEdgeCases(t *testing.T) {
 	for i := range sens {
 		sens[i] = i % 3
 	}
-	if _, err := Agglomerate(s10, tbl10, AggloOptions{
+	if _, _, err := AgglomerateStatsCtx(nil, s10, tbl10, AggloOptions{
 		K: 2, Distance: D3{}, Constraints: []Constraint{DistinctLDiversity(4)}, Sensitive: sens,
 	}); err == nil {
 		t.Error("l=4 over a 3-value domain must fail")
 	}
 	// t=1 is trivial: dropped before binding, so no sensitive column is
 	// required and k=1 takes the singleton fast path.
-	clusters, err = Agglomerate(s10, tbl10, AggloOptions{
+	clusters, _, err = AgglomerateStatsCtx(nil, s10, tbl10, AggloOptions{
 		K: 1, Distance: D3{}, Constraints: []Constraint{TCloseness(1)},
 	})
 	if err != nil {
@@ -421,7 +421,7 @@ func TestConstraintEdgeCases(t *testing.T) {
 		t.Errorf("trivial t=1 with k=1: got %d clusters, want %d singletons", len(clusters), tbl10.Len())
 	}
 	// Multiple constraints compose: all must hold.
-	multi, err := Agglomerate(s10, tbl10, AggloOptions{
+	multi, _, err := AgglomerateStatsCtx(nil, s10, tbl10, AggloOptions{
 		K: 2, Distance: D3{},
 		Constraints: []Constraint{DistinctLDiversity(2), TCloseness(0.9)},
 		Sensitive:   sens,

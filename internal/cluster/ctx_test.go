@@ -70,11 +70,11 @@ func TestAgglomerateCtxAlreadyCancelled(t *testing.T) {
 // identity: AgglomerateCtx(nil, ...) produces exactly Agglomerate(...).
 func TestAgglomerateCtxNilMatchesPlain(t *testing.T) {
 	s, tbl := randomSpace(t, rand.New(rand.NewSource(3)), 80)
-	a, err := Agglomerate(s, tbl, AggloOptions{K: 5, Distance: D3{}})
+	a, _, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 5, Distance: D3{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := AgglomerateCtx(nil, s, tbl, AggloOptions{K: 5, Distance: D3{}})
+	b, _, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 5, Distance: D3{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestAgglomerateInjectedPanicPropagates(t *testing.T) {
 			t.Fatalf("panic value %v does not carry the injection", tp.Value)
 		}
 	}()
-	_, _ = Agglomerate(s, tbl, AggloOptions{K: 5, Distance: D3{}, Workers: 4})
+	_, _, _ = AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 5, Distance: D3{}, Workers: 4})
 }
 
 // TestAgglomerateCancelLeaksNoGoroutines cancels mid-run and checks the

@@ -84,10 +84,10 @@ func FuzzAgglomerate(f *testing.F) {
 			opt.Constraints = append(opt.Constraints, TCloseness(0.5))
 			opt.Sensitive = sensitive
 		}
-		seq, seqErr := Agglomerate(s, tbl, opt)
+		seq, _, seqErr := AgglomerateStatsCtx(nil, s, tbl, opt)
 		for _, w := range []int{2, 4} {
 			opt.Workers = w
-			par, parErr := Agglomerate(s, tbl, opt)
+			par, _, parErr := AgglomerateStatsCtx(nil, s, tbl, opt)
 			if (seqErr == nil) != (parErr == nil) {
 				t.Fatalf("workers=%d: sequential err=%v, parallel err=%v", w, seqErr, parErr)
 			}
@@ -178,7 +178,7 @@ func FuzzDistKernelEquivalence(f *testing.F) {
 			Workers:  1,
 		}
 		ref, refErr := oracleAgglomerate(s, tbl, opt)
-		got, gotErr := Agglomerate(s, tbl, opt)
+		got, _, gotErr := AgglomerateStatsCtx(nil, s, tbl, opt)
 		if (refErr == nil) != (gotErr == nil) {
 			t.Fatalf("oracle err=%v, engine err=%v", refErr, gotErr)
 		}

@@ -285,11 +285,11 @@ func TestKernelCustomDistance(t *testing.T) {
 	}
 	assertMatchesOracle(t, "custom distance", s, tbl, AggloOptions{K: 5, Distance: slowD2{}})
 	// And the numerically-equal built-in must agree with it too.
-	custom, err := Agglomerate(s, tbl, AggloOptions{K: 5, Distance: slowD2{}, Workers: 1})
+	custom, _, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 5, Distance: slowD2{}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	builtin, err := Agglomerate(s, tbl, AggloOptions{K: 5, Distance: D2{}, Workers: 1})
+	builtin, _, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 5, Distance: D2{}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestKernelCounters(t *testing.T) {
 		for x, workers := range []int{1, 4} {
 			met := obs.NewMetrics()
 			ctx := obs.With(context.Background(), met)
-			if _, err := AgglomerateCtx(ctx, s, tbl, AggloOptions{
+			if _, _, err := AgglomerateStatsCtx(ctx, s, tbl, AggloOptions{
 				K: 5, Distance: D3{}, Modified: true, Workers: workers,
 			}); err != nil {
 				t.Fatal(err)

@@ -220,7 +220,7 @@ func TestLazyHubWorstCase(t *testing.T) {
 	assertMatchesOracle(t, "hub", s, tbl, opt)
 	for _, workers := range []int{1, 4} {
 		opt.Workers = workers
-		_, st, err := AgglomerateStats(s, tbl, opt)
+		_, st, err := AgglomerateStatsCtx(nil, s, tbl, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func TestObserverConsistentAcrossWorkers(t *testing.T) {
 	for i, workers := range []int{1, 2, 4, 8} {
 		met := obs.NewMetrics()
 		ctx := obs.With(context.Background(), met)
-		if _, err := AgglomerateCtx(ctx, s, ds.Table, AggloOptions{K: 10, Distance: D3{}, Workers: workers}); err != nil {
+		if _, _, err := AgglomerateStatsCtx(ctx, s, ds.Table, AggloOptions{K: 10, Distance: D3{}, Workers: workers}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		st := met.Snapshot()
@@ -75,7 +75,7 @@ func TestObserverPhaseBrackets(t *testing.T) {
 	}
 	met := obs.NewMetrics()
 	ctx := obs.With(context.Background(), met)
-	if _, err := AgglomerateCtx(ctx, s, ds.Table, AggloOptions{K: 5, Distance: D3{}, Workers: 2}); err != nil {
+	if _, _, err := AgglomerateStatsCtx(ctx, s, ds.Table, AggloOptions{K: 5, Distance: D3{}, Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	st := met.Snapshot()

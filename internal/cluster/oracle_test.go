@@ -202,7 +202,7 @@ func assertMatchesOracle(t *testing.T, label string, s *Space, tbl *table.Table,
 	}
 	for _, workers := range []int{1, 4} {
 		opt.Workers = workers
-		got, err := Agglomerate(s, tbl, opt)
+		got, _, err := AgglomerateStatsCtx(nil, s, tbl, opt)
 		if err != nil {
 			t.Fatalf("%s workers=%d: %v", label, workers, err)
 		}

@@ -69,14 +69,14 @@ func testParallelEquivalence(t *testing.T, modified bool) {
 		for _, dist := range PaperDistances() {
 			for _, k := range []int{2, 5, 10} {
 				opt := AggloOptions{K: k, Distance: dist, Modified: modified, Workers: 1}
-				seq, err := Agglomerate(s, tbl, opt)
+				seq, _, err := AgglomerateStatsCtx(nil, s, tbl, opt)
 				if err != nil {
 					t.Fatalf("n=%d %s k=%d: %v", n, dist.Name(), k, err)
 				}
 				checkClustering(t, s, tbl, seq, k)
 				for _, w := range equivalenceWorkers {
 					opt.Workers = w
-					par, err := Agglomerate(s, tbl, opt)
+					par, _, err := AgglomerateStatsCtx(nil, s, tbl, opt)
 					if err != nil {
 						t.Fatalf("n=%d %s k=%d workers=%d: %v", n, dist.Name(), k, w, err)
 					}
@@ -106,13 +106,13 @@ func TestParallelEquivalenceMinDiversity(t *testing.T) {
 						K: k, Distance: dist, Modified: modified,
 						Constraints: []Constraint{DistinctLDiversity(2)}, Sensitive: sens, Workers: 1,
 					}
-					seq, err := Agglomerate(s, tbl, opt)
+					seq, _, err := AgglomerateStatsCtx(nil, s, tbl, opt)
 					if err != nil {
 						t.Fatalf("n=%d %s k=%d modified=%v: %v", n, dist.Name(), k, modified, err)
 					}
 					for _, w := range equivalenceWorkers {
 						opt.Workers = w
-						par, err := Agglomerate(s, tbl, opt)
+						par, _, err := AgglomerateStatsCtx(nil, s, tbl, opt)
 						if err != nil {
 							t.Fatalf("n=%d %s k=%d modified=%v workers=%d: %v", n, dist.Name(), k, modified, w, err)
 						}
@@ -131,7 +131,7 @@ func TestParallelEquivalenceMinDiversity(t *testing.T) {
 func TestAgglomerateStatsCounters(t *testing.T) {
 	const n = 120
 	s, tbl := randomSpace(t, rand.New(rand.NewSource(90)), n)
-	_, seqStats, err := AgglomerateStats(s, tbl, AggloOptions{K: 5, Distance: D3{}, Workers: 1})
+	_, seqStats, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 5, Distance: D3{}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestAgglomerateStatsCounters(t *testing.T) {
 		t.Error("no phase wall time recorded")
 	}
 	for _, w := range []int{2, 4} {
-		_, parStats, err := AgglomerateStats(s, tbl, AggloOptions{K: 5, Distance: D3{}, Workers: w})
+		_, parStats, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 5, Distance: D3{}, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,13 +196,13 @@ func TestParallelEquivalenceADT(t *testing.T) {
 	s, tbl := adultSpace(t, 400)
 	for _, dist := range PaperDistances() {
 		opt := AggloOptions{K: 10, Distance: dist, Workers: 1}
-		seq, err := Agglomerate(s, tbl, opt)
+		seq, _, err := AgglomerateStatsCtx(nil, s, tbl, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range equivalenceWorkers {
 			opt.Workers = w
-			par, err := Agglomerate(s, tbl, opt)
+			par, _, err := AgglomerateStatsCtx(nil, s, tbl, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -27,7 +27,7 @@ func BenchmarkForest500(b *testing.B) {
 	s, ds := benchSpace(b, 500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Forest(s, ds.Table, 10); err != nil {
+		if _, _, err := ForestCtx(nil, s, ds.Table, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -37,7 +37,7 @@ func BenchmarkK1Nearest500(b *testing.B) {
 	s, ds := benchSpace(b, 500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := K1Nearest(s, ds.Table, 10); err != nil {
+		if _, err := K1NearestCtx(nil, s, ds.Table, 10, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -47,7 +47,7 @@ func BenchmarkK1Expand500(b *testing.B) {
 	s, ds := benchSpace(b, 500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := K1Expand(s, ds.Table, 10); err != nil {
+		if _, err := K1ExpandCtx(nil, s, ds.Table, 10, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -122,7 +122,7 @@ func artSpace(b *testing.B, n int) (*cluster.Space, *datagen.Dataset) {
 
 func BenchmarkMake1K500(b *testing.B) {
 	s, ds := benchSpace(b, 500)
-	seed, err := K1Expand(s, ds.Table, 10)
+	seed, err := K1ExpandCtx(nil, s, ds.Table, 10, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func BenchmarkMake1K500(b *testing.B) {
 		b.StopTimer()
 		g := seed.Clone()
 		b.StartTimer()
-		if _, err := Make1K(s, ds.Table, g, 10); err != nil {
+		if _, err := Make1KCtx(nil, s, ds.Table, g, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,7 +139,7 @@ func BenchmarkMake1K500(b *testing.B) {
 
 func BenchmarkMakeGlobal1K500(b *testing.B) {
 	s, ds := benchSpace(b, 500)
-	gkk, err := KKAnonymize(s, ds.Table, 10, K1ByExpansion)
+	gkk, err := KKAnonymizeCtx(nil, s, ds.Table, 10, K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func BenchmarkMakeGlobal1K500(b *testing.B) {
 		b.StopTimer()
 		g := gkk.Clone()
 		b.StartTimer()
-		if _, _, err := MakeGlobal1K(s, ds.Table, g, 10); err != nil {
+		if _, _, err := MakeGlobal1KCtx(nil, s, ds.Table, g, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -176,7 +176,7 @@ func BenchmarkMakeGlobal1KART3000Ref(b *testing.B) {
 
 func benchGlobal1KART3000(b *testing.B, run func(*cluster.Space, *table.Table, *table.GenTable) error) {
 	s, ds := artSpace(b, 3000)
-	gkk, err := KKAnonymize(s, ds.Table, 5, K1ByExpansion)
+	gkk, err := KKAnonymizeCtx(nil, s, ds.Table, 5, K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func constraintNames(cons []cluster.Constraint) string {
 	return strings.Join(names, ",")
 }
 
-// Make1KConstrained extends Algorithm 5 with privacy constraints on
+// make1KConstrained extends Algorithm 5 with privacy constraints on
 // candidate sets: after the pass, every original record R_i is consistent
 // with at least k generalized records whose sensitive values satisfy every
 // constraint. This bounds what the first adversary of Section IV-A learns
@@ -46,24 +46,18 @@ func constraintNames(cons []cluster.Constraint) string {
 // candidate set is never homogeneous, for t-closeness it stays within EMD
 // t of the table distribution.
 //
-// As in Make1K, records of g are only ever widened, so a (k,1) input keeps
-// its (k,1) property and the coupling yields a constrained
-// (k,k)-anonymization. g is modified in place and returned.
-func Make1KConstrained(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int, cons []cluster.Constraint, sensitive []int) (*table.GenTable, error) {
-	return Make1KConstrainedCtx(nil, s, tbl, g, k, cons, sensitive)
-}
-
-// Make1KConstrainedCtx is Make1KConstrained under a context: the
+// As in Make1KCtx, records of g are only ever widened, so a (k,1) input
+// keeps its (k,1) property and the coupling yields a constrained
+// (k,k)-anonymization. g is modified in place and returned. The
 // per-record widening loop stops at the next record boundary once ctx is
-// done and ctx.Err() is returned. As with Make1KCtx, a cancelled call
-// leaves g partially widened — discard g on error. A nil ctx disables
-// cancellation.
+// done and ctx.Err() is returned, leaving g partially widened — discard g
+// on error. A nil ctx disables cancellation.
 //
 // Termination: every iteration of a record's widening loop makes one more
 // generalized record consistent with it, and each Bind proved the whole
 // table satisfies its constraint, so the loop converges in at most n
 // widenings per record.
-func Make1KConstrainedCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g *table.GenTable, k int, cons []cluster.Constraint, sensitive []int) (*table.GenTable, error) {
+func make1KConstrained(ctx context.Context, s *cluster.Space, tbl *table.Table, g *table.GenTable, k int, cons []cluster.Constraint, sensitive []int) (*table.GenTable, error) {
 	n := tbl.Len()
 	if g == nil || g.Len() != n {
 		return nil, fmt.Errorf("core: generalized table missing or wrong length (original has %d records)", n)
@@ -182,22 +176,4 @@ func Make1KConstrainedCtx(ctx context.Context, s *cluster.Space, tbl *table.Tabl
 		}
 	}
 	return g, nil
-}
-
-// KKAnonymizeConstrained couples a (k,1)-anonymizer with Make1KConstrained:
-// the result is a (k,k)-anonymization whose per-record candidate sets
-// satisfy every constraint.
-func KKAnonymizeConstrained(s *cluster.Space, tbl *table.Table, k int, alg K1Algorithm, cons []cluster.Constraint, sensitive []int, workers int) (*table.GenTable, error) {
-	return KKAnonymizeConstrainedCtx(nil, s, tbl, k, alg, cons, sensitive, workers)
-}
-
-// KKAnonymizeConstrainedCtx is KKAnonymizeConstrained under a context:
-// both stages check for cancellation at record boundaries and return
-// ctx.Err() with no partial output. A nil ctx disables cancellation.
-func KKAnonymizeConstrainedCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k int, alg K1Algorithm, cons []cluster.Constraint, sensitive []int, workers int) (*table.GenTable, error) {
-	g, err := runK1Ctx(ctx, s, tbl, k, alg, workers)
-	if err != nil {
-		return nil, err
-	}
-	return Make1KConstrainedCtx(ctx, s, tbl, g, k, cons, sensitive)
 }

@@ -1,18 +1,26 @@
 // Package core implements the algorithms of "k-Anonymization Revisited"
-// (Gionis, Mazza, Tassa; ICDE 2008):
+// (Gionis, Mazza, Tassa; ICDE 2008), one entry point per algorithm, each
+// taking a context and returning its result in full:
 //
 //   - Algorithm 1, the basic agglomerative k-anonymizer, and Algorithm 2,
-//     its modified variant (KAnonymize, delegating to internal/cluster);
+//     its modified variant (KAnonymizeStatsCtx, delegating to
+//     internal/cluster), and their partitioned driver for large inputs
+//     (KAnonymizePartitionedReportCtx);
 //   - the forest algorithm of Aggarwal et al. (ICDT'05), the 3k−3
-//     approximation baseline the paper compares against (Forest);
-//   - Algorithm 3, (k,1)-anonymization by nearest neighbours (K1Nearest);
-//   - Algorithm 4, (k,1)-anonymization by greedy expansion (K1Expand);
-//   - Algorithm 5, the (1,k)-anonymizer post-pass (Make1K), whose coupling
-//     with Algorithm 3 or 4 yields a (k,k)-anonymizer (KKAnonymize);
+//     approximation baseline the paper compares against (ForestCtx);
+//   - Algorithm 3, (k,1)-anonymization by nearest neighbours
+//     (K1NearestCtx);
+//   - Algorithm 4, (k,1)-anonymization by greedy expansion (K1ExpandCtx);
+//   - Algorithm 5, the (1,k)-anonymizer post-pass (Make1KCtx), whose
+//     coupling with Algorithm 3 or 4 yields a (k,k)-anonymizer, optionally
+//     under privacy constraints (KKAnonymizeCtx);
 //   - Algorithm 6, upgrading a (k,k)-anonymization to a global
-//     (1,k)-anonymization via perfect-matching tests (MakeGlobal1K);
+//     (1,k)-anonymization via perfect-matching tests (MakeGlobal1KCtx);
+//   - the full-domain global-recoding baseline (FullDomainCtx);
 //   - brute-force optimal k- and (k,1)-anonymizers for tiny inputs, used
 //     as test oracles (OptimalKAnonymize, OptimalK1).
+//
+// A nil context disables cancellation.
 package core
 
 import (
@@ -63,67 +71,21 @@ const (
 // delegates to par.Done, the stack's single nil-context check.
 func ctxDone(ctx context.Context) bool { return par.Done(ctx) }
 
-// KAnonOptions configures the agglomerative k-anonymizers.
-type KAnonOptions struct {
-	// K is the anonymity parameter; every equivalence class of the output
-	// has size ≥ K.
-	K int
-	// Distance selects the inter-cluster distance of Section V-A.2;
-	// defaults to D3 (eq. 10) when nil.
-	Distance cluster.Distance
-	// Modified selects Algorithm 2 (shrink ripe clusters to exactly K).
-	Modified bool
-	// Workers caps the clustering engine's worker pool: 1 forces the
-	// sequential path, 0 sizes the pool to the machine. Any worker count
-	// produces the identical output.
-	Workers int
-	// Constraints, when non-empty, requires every equivalence class of the
-	// output to satisfy each privacy constraint over Sensitive (see
-	// cluster.Constraint: distinct/entropy/recursive ℓ-diversity,
-	// t-closeness). Sensitive must then hold one value id per record.
-	Constraints []cluster.Constraint
-	Sensitive   []int
-}
-
-// KAnonymize runs the (basic or modified) agglomerative algorithm and
-// returns the k-anonymized table together with the underlying clustering.
-func KAnonymize(s *cluster.Space, tbl *table.Table, opt KAnonOptions) (*table.GenTable, []*cluster.Cluster, error) {
-	g, clusters, _, err := KAnonymizeStats(s, tbl, opt)
-	return g, clusters, err
-}
-
-// KAnonymizeCtx is KAnonymize under a context: the engine stops at its
+// KAnonymizeStatsCtx runs the basic agglomerative algorithm (Algorithm 1)
+// or, when opt.Modified is set, the modified one (Algorithm 2), through
+// cluster.AgglomerateStatsCtx, and returns the k-anonymized table together
+// with the underlying clustering and the engine's work counters and phase
+// timings. A nil opt.Distance selects D3 (eq. 10). The engine stops at its
 // next scan/merge boundary once ctx is done and returns ctx.Err() with no
 // partial output. A nil ctx disables cancellation.
-func KAnonymizeCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, opt KAnonOptions) (*table.GenTable, []*cluster.Cluster, error) {
-	g, clusters, _, err := KAnonymizeStatsCtx(ctx, s, tbl, opt)
-	return g, clusters, err
-}
-
-// KAnonymizeStats is KAnonymize exposing the engine's work counters and
-// phase timings alongside the result.
-func KAnonymizeStats(s *cluster.Space, tbl *table.Table, opt KAnonOptions) (*table.GenTable, []*cluster.Cluster, cluster.AggloStats, error) {
-	return KAnonymizeStatsCtx(nil, s, tbl, opt)
-}
-
-// KAnonymizeStatsCtx is KAnonymizeCtx exposing the engine's work counters
-// and phase timings alongside the result.
-func KAnonymizeStatsCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, opt KAnonOptions) (*table.GenTable, []*cluster.Cluster, cluster.AggloStats, error) {
+func KAnonymizeStatsCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, opt cluster.AggloOptions) (*table.GenTable, []*cluster.Cluster, cluster.AggloStats, error) {
 	if opt.K < 1 {
 		return nil, nil, cluster.AggloStats{}, fmt.Errorf("core: k must be ≥ 1, got %d", opt.K)
 	}
-	dist := opt.Distance
-	if dist == nil {
-		dist = cluster.D3{}
+	if opt.Distance == nil {
+		opt.Distance = cluster.D3{}
 	}
-	clusters, stats, err := cluster.AgglomerateStatsCtx(ctx, s, tbl, cluster.AggloOptions{
-		K:           opt.K,
-		Distance:    dist,
-		Modified:    opt.Modified,
-		Workers:     opt.Workers,
-		Constraints: opt.Constraints,
-		Sensitive:   opt.Sensitive,
-	})
+	clusters, stats, err := cluster.AgglomerateStatsCtx(ctx, s, tbl, opt)
 	if err != nil {
 		return nil, nil, stats, err
 	}

@@ -59,7 +59,7 @@ func TestKAnonymizePostcondition(t *testing.T) {
 			for _, modified := range []bool{false, true} {
 				s, tbl := testSpace(t, rng, 50, measure)
 				const k = 4
-				g, clusters, err := KAnonymize(s, tbl, KAnonOptions{K: k, Distance: dist, Modified: modified})
+				g, clusters, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: k, Distance: dist, Modified: modified})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -84,14 +84,14 @@ func TestKAnonymizePostcondition(t *testing.T) {
 func TestKAnonymizeDefaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	s, tbl := testSpace(t, rng, 20, "lm")
-	g, _, err := KAnonymize(s, tbl, KAnonOptions{K: 3}) // nil Distance -> D3
+	g, _, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: 3}) // nil Distance -> D3
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !anonymity.IsKAnonymous(g, 3) {
 		t.Error("default distance run not 3-anonymous")
 	}
-	if _, _, err := KAnonymize(s, tbl, KAnonOptions{K: 0}); err == nil {
+	if _, _, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: 0}); err == nil {
 		t.Error("expected error for k < 1")
 	}
 }
@@ -100,7 +100,7 @@ func TestForestPostcondition(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, k := range []int{2, 4, 7} {
 		s, tbl := testSpace(t, rng, 45, "entropy")
-		g, clusters, err := Forest(s, tbl, k)
+		g, clusters, err := ForestCtx(nil, s, tbl, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestForestClusterSizeBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	s, tbl := testSpace(t, rng, 60, "lm")
 	const k = 3
-	_, clusters, err := Forest(s, tbl, k)
+	_, clusters, err := ForestCtx(nil, s, tbl, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +137,13 @@ func TestForestClusterSizeBound(t *testing.T) {
 func TestForestEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s, tbl := testSpace(t, rng, 5, "lm")
-	if _, _, err := Forest(s, tbl, 6); err == nil {
+	if _, _, err := ForestCtx(nil, s, tbl, 6); err == nil {
 		t.Error("expected k > n error")
 	}
-	if _, _, err := Forest(s, tbl, 0); err == nil {
+	if _, _, err := ForestCtx(nil, s, tbl, 0); err == nil {
 		t.Error("expected k < 1 error")
 	}
-	g, _, err := Forest(s, tbl, 5)
+	g, _, err := ForestCtx(nil, s, tbl, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestForestEdgeCases(t *testing.T) {
 	empty := table.New(tbl.Schema)
 	// k=0 invalid; k=1 on empty table still must not crash: k > n is the
 	// guard that fires (1 > 0).
-	if _, _, err := Forest(s, empty, 1); err == nil {
+	if _, _, err := ForestCtx(nil, s, empty, 1); err == nil {
 		t.Error("expected k > n error on empty table")
 	}
 }
@@ -162,7 +162,7 @@ func TestK1NearestPostcondition(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	s, tbl := testSpace(t, rng, 30, "entropy")
 	for _, k := range []int{2, 5} {
-		g, err := K1Nearest(s, tbl, k)
+		g, err := K1NearestCtx(nil, s, tbl, k, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestK1ExpandPostcondition(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s, tbl := testSpace(t, rng, 30, "entropy")
 	for _, k := range []int{2, 5} {
-		g, err := K1Expand(s, tbl, k)
+		g, err := K1ExpandCtx(nil, s, tbl, k, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,10 +226,10 @@ func TestK1ExpandPostcondition(t *testing.T) {
 func TestK1ArgChecks(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	s, tbl := testSpace(t, rng, 4, "lm")
-	if _, err := K1Nearest(s, tbl, 5); err == nil {
+	if _, err := K1NearestCtx(nil, s, tbl, 5, 0); err == nil {
 		t.Error("expected k > n error")
 	}
-	if _, err := K1Expand(s, tbl, 0); err == nil {
+	if _, err := K1ExpandCtx(nil, s, tbl, 0, 0); err == nil {
 		t.Error("expected k < 1 error")
 	}
 }
@@ -237,7 +237,7 @@ func TestK1ArgChecks(t *testing.T) {
 func TestK1OneIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	s, tbl := testSpace(t, rng, 10, "lm")
-	g, err := K1Expand(s, tbl, 1)
+	g, err := K1ExpandCtx(nil, s, tbl, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestProp51Approximation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gNN, err := K1Nearest(s, tbl, k)
+		gNN, err := K1NearestCtx(nil, s, tbl, k, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func TestOptimalK1IsOptimalPerRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gEx, err := K1Expand(s, tbl, k)
+	gEx, err := K1ExpandCtx(nil, s, tbl, k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,11 +300,11 @@ func TestMake1KPostcondition(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	s, tbl := testSpace(t, rng, 30, "entropy")
 	const k = 4
-	g, err := K1Expand(s, tbl, k)
+	g, err := K1ExpandCtx(nil, s, tbl, k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Make1K(s, tbl, g, k); err != nil {
+	if _, err := Make1KCtx(nil, s, tbl, g, k); err != nil {
 		t.Fatal(err)
 	}
 	if !anonymity.Is1K(s, tbl, g, k) {
@@ -328,7 +328,7 @@ func TestMake1KOnIdentity(t *testing.T) {
 	for i, r := range tbl.Records {
 		copy(g.Records[i], s.LeafClosure(r))
 	}
-	if _, err := Make1K(s, tbl, g, k); err != nil {
+	if _, err := Make1KCtx(nil, s, tbl, g, k); err != nil {
 		t.Fatal(err)
 	}
 	if !anonymity.Is1K(s, tbl, g, k) {
@@ -340,11 +340,11 @@ func TestMake1KErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	s, tbl := testSpace(t, rng, 5, "lm")
 	short := table.NewGen(tbl.Schema, 3)
-	if _, err := Make1K(s, tbl, short, 2); err == nil {
+	if _, err := Make1KCtx(nil, s, tbl, short, 2); err == nil {
 		t.Error("expected length mismatch error")
 	}
 	g := table.NewGen(tbl.Schema, 5)
-	if _, err := Make1K(s, tbl, g, 6); err == nil {
+	if _, err := Make1KCtx(nil, s, tbl, g, 6); err == nil {
 		t.Error("expected k > n error")
 	}
 }
@@ -354,7 +354,7 @@ func TestKKAnonymizeBothCouplings(t *testing.T) {
 	for _, alg := range []K1Algorithm{K1ByNearest, K1ByExpansion} {
 		s, tbl := testSpace(t, rng, 35, "entropy")
 		const k = 4
-		g, err := KKAnonymize(s, tbl, k, alg)
+		g, err := KKAnonymizeCtx(nil, s, tbl, k, alg, nil, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,7 +363,7 @@ func TestKKAnonymizeBothCouplings(t *testing.T) {
 		}
 	}
 	s, tbl := testSpace(t, rng, 10, "lm")
-	if _, err := KKAnonymize(s, tbl, 2, K1Algorithm(99)); err == nil {
+	if _, err := KKAnonymizeCtx(nil, s, tbl, 2, K1Algorithm(99), nil, nil, 0); err == nil {
 		t.Error("expected unknown-algorithm error")
 	}
 }
@@ -382,12 +382,12 @@ func TestMakeGlobal1KPostcondition(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		s, tbl := testSpace(t, rng, 40, "entropy")
 		const k = 4
-		g, err := KKAnonymize(s, tbl, k, K1ByExpansion)
+		g, err := KKAnonymizeCtx(nil, s, tbl, k, K1ByExpansion, nil, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		before := loss.TableLoss(s.Measure, g)
-		out, stats, err := MakeGlobal1K(s, tbl, g, k)
+		out, stats, err := MakeGlobal1KCtx(nil, s, tbl, g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,11 +412,11 @@ func TestMakeGlobal1KOnKAnonymous(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	s, tbl := testSpace(t, rng, 30, "lm")
 	const k = 3
-	g, _, err := KAnonymize(s, tbl, KAnonOptions{K: k})
+	g, _, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := MakeGlobal1K(s, tbl, g, k)
+	_, stats, err := MakeGlobal1KCtx(nil, s, tbl, g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestMakeGlobal1KRejectsNonPositional(t *testing.T) {
 	if !nonPositional {
 		t.Skip("random table degenerate (all records equal)")
 	}
-	if _, _, err := MakeGlobal1K(s, tbl, g, 2); err == nil {
+	if _, _, err := MakeGlobal1KCtx(nil, s, tbl, g, 2); err == nil {
 		t.Error("expected positionality rejection")
 	}
 }
@@ -455,7 +455,7 @@ func TestMakeGlobal1KErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	s, tbl := testSpace(t, rng, 5, "lm")
 	short := table.NewGen(tbl.Schema, 2)
-	if _, _, err := MakeGlobal1K(s, tbl, short, 2); err == nil {
+	if _, _, err := MakeGlobal1KCtx(nil, s, tbl, short, 2); err == nil {
 		t.Error("expected length mismatch error")
 	}
 }
@@ -464,7 +464,7 @@ func TestGlobal1KPipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	s, tbl := testSpace(t, rng, 35, "entropy")
 	const k = 3
-	gkk, err := KKAnonymizeCtx(nil, s, tbl, k, K1ByExpansion, 0)
+	gkk, err := KKAnonymizeCtx(nil, s, tbl, k, K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +493,7 @@ func TestOptimalKAnonymize(t *testing.T) {
 	}
 	// No heuristic may beat the optimum.
 	for _, dist := range cluster.PaperDistances() {
-		gh, _, err := KAnonymize(s, tbl, KAnonOptions{K: k, Distance: dist})
+		gh, _, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: k, Distance: dist})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -501,7 +501,7 @@ func TestOptimalKAnonymize(t *testing.T) {
 			t.Errorf("%s heuristic loss %v beats optimal %v", dist.Name(), got, avg)
 		}
 	}
-	gf, _, err := Forest(s, tbl, k)
+	gf, _, err := ForestCtx(nil, s, tbl, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,12 +576,12 @@ func TestMake1KIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	s, tbl := testSpace(t, rng, 30, "entropy")
 	const k = 4
-	g, err := KKAnonymize(s, tbl, k, K1ByExpansion)
+	g, err := KKAnonymizeCtx(nil, s, tbl, k, K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := g.Clone()
-	if _, err := Make1K(s, tbl, g, k); err != nil {
+	if _, err := Make1KCtx(nil, s, tbl, g, k); err != nil {
 		t.Fatal(err)
 	}
 	for i := range g.Records {
@@ -597,7 +597,7 @@ func TestMakeGlobal1KIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	s, tbl := testSpace(t, rng, 30, "entropy")
 	const k = 3
-	gkk, err := KKAnonymizeCtx(nil, s, tbl, k, K1ByExpansion, 0)
+	gkk, err := KKAnonymizeCtx(nil, s, tbl, k, K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,7 +606,7 @@ func TestMakeGlobal1KIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := g.Clone()
-	_, stats, err := MakeGlobal1K(s, tbl, g, k)
+	_, stats, err := MakeGlobal1KCtx(nil, s, tbl, g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -627,11 +627,11 @@ func TestK1Determinism(t *testing.T) {
 	rng2 := rand.New(rand.NewSource(24))
 	s2, tbl2 := testSpace(t, rng2, 40, "entropy")
 	for trial := 0; trial < 3; trial++ {
-		a, err := K1Expand(s1, tbl1, 5)
+		a, err := K1ExpandCtx(nil, s1, tbl1, 5, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := K1Expand(s2, tbl2, 5)
+		b, err := K1ExpandCtx(nil, s2, tbl2, 5, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -32,7 +33,7 @@ func TestKAnonymizeDiversePostcondition(t *testing.T) {
 		s, tbl := testSpace(t, rng, 60, "entropy")
 		sens := sensitiveFor(rng, tbl.Len(), 4)
 		const k = 4
-		g, clusters, err := KAnonymize(s, tbl, KAnonOptions{K: k, Constraints: distinctL(l), Sensitive: sens})
+		g, clusters, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: k, Constraints: distinctL(l), Sensitive: sens})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +64,7 @@ func TestKAnonymizeDiverseModified(t *testing.T) {
 	s, tbl := testSpace(t, rng, 50, "lm")
 	sens := sensitiveFor(rng, tbl.Len(), 3)
 	const k, l = 3, 2
-	g, _, err := KAnonymize(s, tbl, KAnonOptions{K: k, Modified: true, Constraints: distinctL(l), Sensitive: sens})
+	g, _, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: k, Modified: true, Constraints: distinctL(l), Sensitive: sens})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestKAnonymizeDiverseUnattainable(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	s, tbl := testSpace(t, rng, 20, "lm")
 	sens := make([]int, tbl.Len()) // all identical
-	_, _, err := KAnonymize(s, tbl, KAnonOptions{K: 2, Constraints: distinctL(2), Sensitive: sens})
+	_, _, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: 2, Constraints: distinctL(2), Sensitive: sens})
 	if err == nil || !strings.Contains(err.Error(), "unattainable") {
 		t.Errorf("uniform sensitive column: err = %v, want an unattainable-diversity error", err)
 	}
@@ -89,14 +90,14 @@ func TestKAnonymizeDiverseUnattainable(t *testing.T) {
 	if !cluster.DistinctLDiversity(0).Trivial() {
 		t.Error("DistinctLDiversity(0) is not trivial")
 	}
-	if _, _, err := KAnonymize(s, tbl, KAnonOptions{K: 2, Constraints: distinctL(0), Sensitive: sens}); err != nil {
+	if _, _, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: 2, Constraints: distinctL(0), Sensitive: sens}); err != nil {
 		t.Errorf("l=0: %v, want the plain run", err)
 	}
-	if _, _, err := KAnonymize(s, tbl, KAnonOptions{K: 0, Constraints: distinctL(2), Sensitive: sens}); err == nil {
+	if _, _, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: 0, Constraints: distinctL(2), Sensitive: sens}); err == nil {
 		t.Error("expected k < 1 error")
 	}
 	short := []int{1, 2}
-	if _, _, err := KAnonymize(s, tbl, KAnonOptions{K: 2, Constraints: distinctL(2), Sensitive: short}); err == nil {
+	if _, _, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: 2, Constraints: distinctL(2), Sensitive: short}); err == nil {
 		t.Error("expected sensitive-length error")
 	}
 }
@@ -106,12 +107,12 @@ func TestKAnonymizeDiverseLOneIsPlain(t *testing.T) {
 	rng1 := rand.New(rand.NewSource(43))
 	s1, tbl1 := testSpace(t, rng1, 40, "entropy")
 	sens := sensitiveFor(rand.New(rand.NewSource(1)), tbl1.Len(), 3)
-	gp, _, err := KAnonymize(s1, tbl1, KAnonOptions{K: 4})
+	gp, _, _, err := KAnonymizeStatsCtx(nil, s1, tbl1, cluster.AggloOptions{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, l := range []int{0, 1} {
-		gd, _, err := KAnonymize(s1, tbl1, KAnonOptions{K: 4, Constraints: distinctL(l), Sensitive: sens})
+		gd, _, _, err := KAnonymizeStatsCtx(nil, s1, tbl1, cluster.AggloOptions{K: 4, Constraints: distinctL(l), Sensitive: sens})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,16 +124,51 @@ func TestKAnonymizeDiverseLOneIsPlain(t *testing.T) {
 	}
 }
 
+// TestMake1KConstrainedTrivialIsPlain pins KKAnonymizeCtx's choice of
+// post-pass: with no non-trivial constraint it runs Make1KCtx instead of
+// the constrained loop, and the two release the same bytes. Widening R̄_j
+// changes only whether j is consistent with R_i, so the one-at-a-time
+// constrained loop picks the same records as the batch loop, ties going
+// to the lower j in both.
+func TestMake1KConstrainedTrivialIsPlain(t *testing.T) {
+	for _, dataset := range []string{"adt", "art"} {
+		for _, n := range []int{300, 1500} {
+			ds := datagen.Adult(n, 42)
+			if dataset == "art" {
+				ds = datagen.ART(n, 42)
+			}
+			s := measureSpace(t, ds.Table, ds.Hiers, "entropy")
+			for _, k := range []int{2, 5, 10} {
+				seed, err := K1ExpandCtx(nil, s, ds.Table, k, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := Make1KCtx(nil, s, ds.Table, seed.Clone(), k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, cons := range [][]cluster.Constraint{nil, distinctL(1)} {
+					got, err := make1KConstrained(nil, s, ds.Table, seed.Clone(), k, cons, ds.Sensitive)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameGen(t, fmt.Sprintf("%s n=%d k=%d cons=%d", dataset, n, k, len(cons)), want, got)
+				}
+			}
+		}
+	}
+}
+
 func TestMake1KDiversePostcondition(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	s, tbl := testSpace(t, rng, 40, "entropy")
 	sens := sensitiveFor(rng, tbl.Len(), 4)
 	const k, l = 4, 3
-	g, err := K1Expand(s, tbl, k)
+	g, err := K1ExpandCtx(nil, s, tbl, k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Make1KConstrained(s, tbl, g, k, distinctL(l), sens); err != nil {
+	if _, err := make1KConstrained(nil, s, tbl, g, k, distinctL(l), sens); err != nil {
 		t.Fatal(err)
 	}
 	if !anonymity.IsKK(s, tbl, g, k) {
@@ -158,7 +194,7 @@ func TestKKAnonymizeDiverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k, l = 4, 2
-	g, err := KKAnonymizeConstrained(s, ds.Table, k, K1ByExpansion, distinctL(l), ds.Sensitive, 0)
+	g, err := KKAnonymizeCtx(nil, s, ds.Table, k, K1ByExpansion, distinctL(l), ds.Sensitive, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +211,7 @@ func TestKKAnonymizeDiverse(t *testing.T) {
 	// Both post-passes are greedy, so neither strictly dominates; the
 	// diverse release should still be in the same cost regime as the
 	// unconstrained one (within 50%).
-	gp, err := KKAnonymize(s, ds.Table, k, K1ByExpansion)
+	gp, err := KKAnonymizeCtx(nil, s, ds.Table, k, K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,14 +225,14 @@ func TestKKAnonymizeDiverseErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	s, tbl := testSpace(t, rng, 10, "lm")
 	sens := sensitiveFor(rng, tbl.Len(), 2)
-	if _, err := KKAnonymizeConstrained(s, tbl, 2, K1Algorithm(9), distinctL(2), sens, 0); err == nil {
+	if _, err := KKAnonymizeCtx(nil, s, tbl, 2, K1Algorithm(9), distinctL(2), sens, 0); err == nil {
 		t.Error("expected unknown algorithm error")
 	}
-	_, err := KKAnonymizeConstrained(s, tbl, 2, K1ByExpansion, distinctL(3), sens, 0)
+	_, err := KKAnonymizeCtx(nil, s, tbl, 2, K1ByExpansion, distinctL(3), sens, 0)
 	if err == nil || !strings.Contains(err.Error(), "unattainable") {
 		t.Errorf("two sensitive values, l=3: err = %v, want an unattainable-diversity error", err)
 	}
-	if _, err := Make1KConstrained(s, tbl, nil, 2, distinctL(2), sens); err == nil {
+	if _, err := make1KConstrained(nil, s, tbl, nil, 2, distinctL(2), sens); err == nil {
 		t.Error("expected nil/length error")
 	}
 }
@@ -204,7 +240,7 @@ func TestKKAnonymizeDiverseErrors(t *testing.T) {
 func TestCandidateDiversityErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	s, tbl := testSpace(t, rng, 6, "lm")
-	g, err := K1Expand(s, tbl, 2)
+	g, err := K1ExpandCtx(nil, s, tbl, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -326,7 +326,7 @@ func checkCoreEquivalence(t *testing.T, label string, s *cluster.Space, tbl *tab
 			return refMake1KConstrained(ctx, s, tbl, k1.Clone(), k, cons, sensitive)
 		},
 		func(ctx context.Context) (*table.GenTable, error) {
-			return Make1KConstrainedCtx(ctx, s, tbl, k1.Clone(), k, cons, sensitive)
+			return make1KConstrained(ctx, s, tbl, k1.Clone(), k, cons, sensitive)
 		},
 	})
 	var wantStats, gotStats Global1KStats

@@ -81,7 +81,7 @@ func TestK1InjectedPanicIsContained(t *testing.T) {
 // per-record widening loop.
 func TestMake1KCancelAtRecordSite(t *testing.T) {
 	s, tbl := testSpace(t, rand.New(rand.NewSource(14)), 30, "lm")
-	g, err := K1Nearest(s, tbl, 3)
+	g, err := K1NearestCtx(nil, s, tbl, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestForestCancelAtRoundSite(t *testing.T) {
 // cancelling at the second step is strictly mid-loop.
 func TestGlobalCancelAtStepSite(t *testing.T) {
 	s, tbl := testSpace(t, rand.New(rand.NewSource(4)), 40, "lm")
-	g, err := KKAnonymize(s, tbl, 4, K1ByNearest)
+	g, err := KKAnonymizeCtx(nil, s, tbl, 4, K1ByNearest, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 	"kanon/internal/table"
 )
 
-// Forest runs the forest algorithm of Aggarwal et al. (ICDT'05), the
+// ForestCtx runs the forest algorithm of Aggarwal et al. (ICDT'05), the
 // practical 3k−3-approximation baseline of the paper's experiments, and
 // returns the k-anonymized table with its clustering.
 //
@@ -26,13 +26,10 @@ import (
 // greedy post-order traversal (a root remainder smaller than k is merged
 // into the last emitted part), keeping cluster sizes — and hence the
 // closure costs the approximation guarantee charges — bounded.
-func Forest(s *cluster.Space, tbl *table.Table, k int) (*table.GenTable, []*cluster.Cluster, error) {
-	return ForestCtx(nil, s, tbl, k)
-}
-
-// ForestCtx is Forest under a context: cancellation is checked at every
-// Borůvka round and at every outer row of the O(n²) edge pass, returning
-// ctx.Err() with no partial output. A nil ctx disables cancellation.
+//
+// Cancellation is checked at every Borůvka round and at every outer row of
+// the O(n²) edge pass, returning ctx.Err() with no partial output. A nil
+// ctx disables cancellation.
 func ForestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k int) (*table.GenTable, []*cluster.Cluster, error) {
 	n := tbl.Len()
 	if k < 1 {

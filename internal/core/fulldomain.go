@@ -10,7 +10,7 @@ import (
 	"kanon/internal/table"
 )
 
-// FullDomain computes an optimal full-domain k-anonymization in the style
+// FullDomainCtx computes an optimal full-domain k-anonymization in the style
 // of Incognito (LeFevre et al.) and the global-recoding model of
 // Bayardo–Agrawal, which Section II contrasts with this paper's local
 // recoding: a single generalization level is chosen per attribute and
@@ -29,14 +29,10 @@ import (
 // The function exists as a baseline: it demonstrates — and the
 // local-vs-global ablation (E15) quantifies — how much utility local
 // recoding buys.
-func FullDomain(s *cluster.Space, tbl *table.Table, k int) (*table.GenTable, []int, error) {
-	return FullDomainCtx(nil, s, tbl, k)
-}
-
-// FullDomainCtx is FullDomain under a context: cancellation is checked at
-// every popped lattice vector (the k-anonymity test is the O(n) unit of
-// work), returning ctx.Err() with no partial output. A nil ctx disables
-// cancellation.
+//
+// Cancellation is checked at every popped lattice vector (the k-anonymity
+// test is the O(n) unit of work), returning ctx.Err() with no partial
+// output. A nil ctx disables cancellation.
 func FullDomainCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k int) (*table.GenTable, []int, error) {
 	n := tbl.Len()
 	if k < 1 {

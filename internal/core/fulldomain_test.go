@@ -14,7 +14,7 @@ func TestFullDomainPostcondition(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	for _, k := range []int{2, 4, 8} {
 		s, tbl := testSpace(t, rng, 60, "entropy")
-		g, levels, err := FullDomain(s, tbl, k)
+		g, levels, err := FullDomainCtx(nil, s, tbl, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestFullDomainOptimalAmongVectors(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	s, tbl := testSpace(t, rng, 30, "lm")
 	const k = 3
-	g, bestLevels, err := FullDomain(s, tbl, k)
+	g, bestLevels, err := FullDomainCtx(nil, s, tbl, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,13 +107,13 @@ func TestFullDomainWorseOrEqualToLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	s, tbl := testSpace(t, rng, 80, "entropy")
 	const k = 4
-	gFD, _, err := FullDomain(s, tbl, k)
+	gFD, _, err := FullDomainCtx(nil, s, tbl, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	best := 1e18
 	for _, d := range cluster.PaperDistances() {
-		gL, _, err := KAnonymize(s, tbl, KAnonOptions{K: k, Distance: d})
+		gL, _, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: k, Distance: d})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,14 +129,14 @@ func TestFullDomainWorseOrEqualToLocal(t *testing.T) {
 func TestFullDomainGuards(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	s, tbl := testSpace(t, rng, 5, "lm")
-	if _, _, err := FullDomain(s, tbl, 0); err == nil {
+	if _, _, err := FullDomainCtx(nil, s, tbl, 0); err == nil {
 		t.Error("expected k < 1 error")
 	}
-	if _, _, err := FullDomain(s, tbl, 6); err == nil {
+	if _, _, err := FullDomainCtx(nil, s, tbl, 6); err == nil {
 		t.Error("expected k > n error")
 	}
 	// k = n forces heavy generalization but must succeed.
-	g, _, err := FullDomain(s, tbl, 5)
+	g, _, err := FullDomainCtx(nil, s, tbl, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +150,11 @@ func TestFullDomainDeterminism(t *testing.T) {
 	s1, tbl1 := testSpace(t, rng1, 40, "entropy")
 	rng2 := rand.New(rand.NewSource(34))
 	s2, tbl2 := testSpace(t, rng2, 40, "entropy")
-	_, l1, err := FullDomain(s1, tbl1, 4)
+	_, l1, err := FullDomainCtx(nil, s1, tbl1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, l2, err := FullDomain(s2, tbl2, 4)
+	_, l2, err := FullDomainCtx(nil, s2, tbl2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

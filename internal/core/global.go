@@ -30,9 +30,9 @@ type Global1KStats struct {
 	InitialMinMatches int
 }
 
-// MakeGlobal1K runs Algorithm 6: it upgrades a (k,k)-anonymization g of tbl
-// into a global (1,k)-anonymization. For every original record R_i whose
-// number of matches (edges of the consistency graph completable to a
+// MakeGlobal1KCtx runs Algorithm 6: it upgrades a (k,k)-anonymization g
+// of tbl into a global (1,k)-anonymization. For every original record R_i
+// whose number of matches (edges of the consistency graph completable to a
 // perfect matching, Definition 4.6) is below k, the algorithm selects the
 // non-match neighbour R̄_jh minimizing c(R̄_i + R_jh) − c(R̄_i), where R_jh
 // is the neighbour's *original* record, and widens R̄_i ← R̄_i + R_jh. The
@@ -41,14 +41,11 @@ type Global1KStats struct {
 //
 // g must be a positional generalization of tbl (R̄_i generalizes R_i); this
 // is verified. g is modified in place and returned alongside the stats.
-func MakeGlobal1K(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) (*table.GenTable, Global1KStats, error) {
-	return MakeGlobal1KCtx(nil, s, tbl, g, k)
-}
-
-// MakeGlobal1KCtx is MakeGlobal1K under a context: cancellation is checked
-// while the consistency graph is built and before every widening step,
-// returning ctx.Err(). Like Make1KCtx, a cancelled call leaves g partially
-// widened — discard g on error. A nil ctx disables cancellation.
+//
+// Cancellation is checked while the consistency graph is built and before
+// every widening step, returning ctx.Err(). Like Make1KCtx, a cancelled
+// call leaves g partially widened — discard g on error. A nil ctx disables
+// cancellation.
 //
 // The graph is built once, from a consIndex, and one Hopcroft–Karp pass
 // finds its perfect matching. Widening only adds edges, so that matching

@@ -14,21 +14,16 @@ import (
 	"kanon/internal/table"
 )
 
-// K1Nearest runs Algorithm 3: (k,1)-anonymization by nearest neighbours.
-// Every record R_i is replaced by the closure of {R_i} together with the
-// k−1 records closest to it under the pair cost d({R_i, R_j}). The output
-// approximates the optimal (k,1)-anonymization within a factor of k−1
-// (Proposition 5.1). Records are processed independently in parallel on a
-// machine-sized pool; K1NearestCtx controls the pool size.
-func K1Nearest(s *cluster.Space, tbl *table.Table, k int) (*table.GenTable, error) {
-	return K1NearestCtx(nil, s, tbl, k, 0)
-}
-
-// K1NearestCtx is K1Nearest under a context, on a pool of
-// Workers(workers) workers. Every record's neighbourhood is computed
-// independently, so the worker count never changes the output. Record
-// scans stop at the next record boundary once ctx is done and ctx.Err() is
-// returned with no partial output. A nil ctx disables cancellation.
+// K1NearestCtx runs Algorithm 3: (k,1)-anonymization by nearest
+// neighbours. Every record R_i is replaced by the closure of {R_i}
+// together with the k−1 records closest to it under the pair cost
+// d({R_i, R_j}). The output approximates the optimal (k,1)-anonymization
+// within a factor of k−1 (Proposition 5.1).
+//
+// Records are processed independently on a pool of Workers(workers)
+// workers, so the worker count never changes the output. Record scans stop
+// at the next record boundary once ctx is done and ctx.Err() is returned
+// with no partial output. A nil ctx disables cancellation.
 func K1NearestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, workers int) (*table.GenTable, error) {
 	n := tbl.Len()
 	if err := checkK1Args(n, k); err != nil {
@@ -69,22 +64,17 @@ func K1NearestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, wo
 	return g, nil
 }
 
-// K1Expand runs Algorithm 4: (k,1)-anonymization by greedy expansion.
+// K1ExpandCtx runs Algorithm 4: (k,1)-anonymization by greedy expansion.
 // For every record R_i, a cluster S_i = {R_i} is grown by repeatedly adding
 // the record R_j ∉ S_i minimizing dist(S_i, R_j) = d(S_i ∪ {R_j}) − d(S_i),
 // until |S_i| = k; R̄_i is the closure of S_i. In the paper's experiments
 // this consistently beats Algorithm 3 despite lacking its approximation
-// guarantee. Records are processed independently in parallel on a
-// machine-sized pool; K1ExpandCtx controls the pool size.
-func K1Expand(s *cluster.Space, tbl *table.Table, k int) (*table.GenTable, error) {
-	return K1ExpandCtx(nil, s, tbl, k, 0)
-}
-
-// K1ExpandCtx is K1Expand under a context, on a pool of Workers(workers)
-// workers. Every record's cluster is grown independently, so the worker
-// count never changes the output. Record scans stop at the next record
-// boundary once ctx is done and ctx.Err() is returned with no partial
-// output. A nil ctx disables cancellation.
+// guarantee.
+//
+// Records are processed independently on a pool of Workers(workers)
+// workers, so the worker count never changes the output. Record scans stop
+// at the next record boundary once ctx is done and ctx.Err() is returned
+// with no partial output. A nil ctx disables cancellation.
 //
 // Each growth step picks the least (dist, j), exactly as a full sweep in
 // ascending j would, but prices only the candidates that can still win:

@@ -10,27 +10,24 @@ import (
 	"kanon/internal/table"
 )
 
-// Make1K runs Algorithm 5, the (1,k)-anonymizer: it further generalizes
-// records of g until every original record R_i is consistent with at least
-// k generalized records. For each deficient R_i (consistent with ℓ < k
-// generalized records), the k−ℓ non-consistent generalized records R̄_j
-// minimizing the marginal cost c(R_i + R̄_j) − c(R̄_j) are replaced by
-// R_i + R̄_j, the minimal generalized record covering both.
+// Make1KCtx runs Algorithm 5, the (1,k)-anonymizer: it further
+// generalizes records of g until every original record R_i is consistent
+// with at least k generalized records. For each deficient R_i (consistent
+// with ℓ < k generalized records), the k−ℓ non-consistent generalized
+// records R̄_j minimizing the marginal cost c(R_i + R̄_j) − c(R̄_j) are
+// replaced by R_i + R̄_j, the minimal generalized record covering both.
 //
 // Applied to a (k,1)-anonymization (Algorithm 3 or 4), the result is a
 // (k,k)-anonymization: further generalization cannot reduce the number of
 // original records a generalized record is consistent with, so the (k,1)
 // property is preserved while (1,k) is established. g is modified in place
 // and also returned.
-func Make1K(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) (*table.GenTable, error) {
-	return Make1KCtx(nil, s, tbl, g, k)
-}
-
-// Make1KCtx is Make1K under a context: the per-record widening loop stops
-// at the next record boundary once ctx is done and ctx.Err() is returned.
-// Because Algorithm 5 widens g in place, a cancelled call leaves g
-// partially widened — callers wanting all-or-nothing semantics (such as
-// KKAnonymizeCtx) must discard g on error. A nil ctx disables cancellation.
+//
+// The per-record widening loop stops at the next record boundary once ctx
+// is done and ctx.Err() is returned. Because Algorithm 5 widens g in
+// place, a cancelled call leaves g partially widened — callers wanting
+// all-or-nothing semantics (such as KKAnonymizeCtx) must discard g on
+// error. A nil ctx disables cancellation.
 func Make1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) (*table.GenTable, error) {
 	n := tbl.Len()
 	if g.Len() != n {
@@ -100,35 +97,35 @@ func (a K1Algorithm) String() string {
 	}
 }
 
-// KKAnonymize produces a (k,k)-anonymization by coupling a
-// (k,1)-anonymizer (Algorithm 3 or 4) with the (1,k)-anonymizer
-// (Algorithm 5), as prescribed in Section V-B.
-func KKAnonymize(s *cluster.Space, tbl *table.Table, k int, alg K1Algorithm) (*table.GenTable, error) {
-	return KKAnonymizeCtx(nil, s, tbl, k, alg, 0)
-}
-
-// KKAnonymizeCtx is KKAnonymize under a context, with the (k,1) stage
-// running on a pool of Workers(workers) workers. The Algorithm 5 post-pass
-// is sequential (its in-place widenings are order-dependent), so the
-// output is identical at any worker count. Both stages check for
-// cancellation at record boundaries and return ctx.Err() with no partial
-// output. A nil ctx disables cancellation.
-func KKAnonymizeCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k int, alg K1Algorithm, workers int) (*table.GenTable, error) {
-	g, err := runK1Ctx(ctx, s, tbl, k, alg, workers)
-	if err != nil {
-		return nil, err
-	}
-	return Make1KCtx(ctx, s, tbl, g, k)
-}
-
-// runK1Ctx dispatches to the selected (k,1)-anonymizer.
-func runK1Ctx(ctx context.Context, s *cluster.Space, tbl *table.Table, k int, alg K1Algorithm, workers int) (*table.GenTable, error) {
+// KKAnonymizeCtx produces a (k,k)-anonymization by coupling a
+// (k,1)-anonymizer (Algorithm 3 or 4, selected by alg) with the
+// (1,k)-anonymizer (Algorithm 5), as prescribed in Section V-B. When cons
+// holds a non-trivial constraint, the post-pass is the constrained
+// Algorithm 5 (make1KConstrained) over the sensitive values, and every
+// record's candidate set satisfies each constraint; otherwise it is
+// Make1KCtx.
+//
+// The (k,1) stage runs on a pool of Workers(workers) workers. The
+// Algorithm 5 post-pass is sequential (its in-place widenings are
+// order-dependent), so the output is identical at any worker count. Both
+// stages check for cancellation at record boundaries and return ctx.Err()
+// with no partial output. A nil ctx disables cancellation.
+func KKAnonymizeCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k int, alg K1Algorithm, cons []cluster.Constraint, sensitive []int, workers int) (*table.GenTable, error) {
+	var g *table.GenTable
+	var err error
 	switch alg {
 	case K1ByNearest:
-		return K1NearestCtx(ctx, s, tbl, k, workers)
+		g, err = K1NearestCtx(ctx, s, tbl, k, workers)
 	case K1ByExpansion:
-		return K1ExpandCtx(ctx, s, tbl, k, workers)
+		g, err = K1ExpandCtx(ctx, s, tbl, k, workers)
 	default:
 		return nil, fmt.Errorf("core: unknown (k,1) algorithm %d", alg)
 	}
+	if err != nil {
+		return nil, err
+	}
+	if len(activeConstraints(cons)) > 0 {
+		return make1KConstrained(ctx, s, tbl, g, k, cons, sensitive)
+	}
+	return Make1KCtx(ctx, s, tbl, g, k)
 }

@@ -23,7 +23,8 @@ type PartitionedOptions struct {
 	// MaxChunk bounds the size of the chunks handed to the quadratic
 	// agglomerative engine; defaults to 512.
 	MaxChunk int
-	// Workers caps each chunk engine's worker pool (see KAnonOptions.Workers).
+	// Workers caps each chunk engine's worker pool (see
+	// cluster.AggloOptions.Workers).
 	Workers int
 	// OnShard, when set, is invoked on the driving goroutine after each
 	// shard completes, with a checkpoint from which the shard's clusters
@@ -106,7 +107,7 @@ func KAnonymizePartitionedReportCtx(ctx context.Context, s *cluster.Space, tbl *
 				for _, gi := range chunk {
 					sub.Records = append(sub.Records, tbl.Records[gi])
 				}
-				cs, err := cluster.AgglomerateCtx(actx, s, sub, cluster.AggloOptions{
+				cs, _, err := cluster.AgglomerateStatsCtx(actx, s, sub, cluster.AggloOptions{
 					K:        opt.K,
 					Distance: dist,
 					Modified: opt.Modified,

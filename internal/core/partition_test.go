@@ -54,7 +54,7 @@ func TestPartitionedHugeChunkEqualsPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gA, _, err := KAnonymize(s1, tbl1, KAnonOptions{K: 4})
+	gA, _, _, err := KAnonymizeStatsCtx(nil, s1, tbl1, cluster.AggloOptions{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestPartitionedUtilityPenaltyBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gA, _, err := KAnonymize(s, ds.Table, KAnonOptions{K: k})
+	gA, _, _, err := KAnonymizeStatsCtx(nil, s, ds.Table, cluster.AggloOptions{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}

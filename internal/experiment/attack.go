@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"kanon/internal/cluster"
 	"kanon/internal/core"
 	"kanon/internal/loss"
 	"kanon/internal/obs"
@@ -53,22 +54,22 @@ func (c Config) RunAttack(dataset string) ([]AttackResult, error) {
 	}
 	pipelines := []pipeline{
 		{"k-anon", func(k int) (*table.GenTable, error) {
-			g, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: k})
+			g, _, _, err := core.KAnonymizeStatsCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{K: k, Workers: c.Workers})
 			return g, err
 		}},
 		{"forest", func(k int) (*table.GenTable, error) {
-			g, _, err := core.Forest(s, ds.Table, k)
+			g, _, err := core.ForestCtx(c.Ctx, s, ds.Table, k)
 			return g, err
 		}},
 		{"kk", func(k int) (*table.GenTable, error) {
-			return core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+			return core.KKAnonymizeCtx(c.Ctx, s, ds.Table, k, core.K1ByExpansion, nil, nil, c.Workers)
 		}},
 		{"global", func(k int) (*table.GenTable, error) {
-			g, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+			g, err := core.KKAnonymizeCtx(c.Ctx, s, ds.Table, k, core.K1ByExpansion, nil, nil, c.Workers)
 			if err != nil {
 				return nil, err
 			}
-			g, _, err = core.MakeGlobal1K(s, ds.Table, g, k)
+			g, _, err = core.MakeGlobal1KCtx(c.Ctx, s, ds.Table, g, k)
 			return g, err
 		}},
 	}

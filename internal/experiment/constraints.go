@@ -78,17 +78,17 @@ func (c Config) RunConstraints(dataset string) ([]ConstraintResult, error) {
 				run  func() (*table.GenTable, error)
 			}{
 				{"alg1", func() (*table.GenTable, error) {
-					g, _, err := core.KAnonymizeCtx(c.Ctx, s, ds.Table, core.KAnonOptions{
+					g, _, _, err := core.KAnonymizeStatsCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{
 						K: k, Workers: c.Workers, Constraints: menu.cons, Sensitive: ds.Sensitive})
 					return g, err
 				}},
 				{"alg2", func() (*table.GenTable, error) {
-					g, _, err := core.KAnonymizeCtx(c.Ctx, s, ds.Table, core.KAnonOptions{
+					g, _, _, err := core.KAnonymizeStatsCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{
 						K: k, Modified: true, Workers: c.Workers, Constraints: menu.cons, Sensitive: ds.Sensitive})
 					return g, err
 				}},
 				{"kk", func() (*table.GenTable, error) {
-					return core.KKAnonymizeConstrainedCtx(c.Ctx, s, ds.Table, k,
+					return core.KKAnonymizeCtx(c.Ctx, s, ds.Table, k,
 						core.K1ByExpansion, menu.cons, ds.Sensitive, c.Workers)
 				}},
 			}

@@ -296,7 +296,7 @@ func (c Config) RunBlock(dataset string, m MeasureKind) (*Block, error) {
 		for _, k := range c.Ks {
 			k := k
 			jobs = append(jobs, job{v.name, k, func(ctx context.Context) (*table.GenTable, *cluster.AggloStats, error) {
-				g, _, st, err := core.KAnonymizeStatsCtx(ctx, s, ds.Table, core.KAnonOptions{
+				g, _, st, err := core.KAnonymizeStatsCtx(ctx, s, ds.Table, cluster.AggloOptions{
 					K: k, Distance: v.dist, Modified: v.modified, Workers: c.Workers,
 				})
 				return g, &st, err
@@ -310,11 +310,11 @@ func (c Config) RunBlock(dataset string, m MeasureKind) (*Block, error) {
 			return g, nil, err
 		}, verifyKAnon})
 		jobs = append(jobs, job{"kk-nearest", k, func(ctx context.Context) (*table.GenTable, *cluster.AggloStats, error) {
-			g, err := core.KKAnonymizeCtx(ctx, s, ds.Table, k, core.K1ByNearest, c.Workers)
+			g, err := core.KKAnonymizeCtx(ctx, s, ds.Table, k, core.K1ByNearest, nil, nil, c.Workers)
 			return g, nil, err
 		}, verifyKK})
 		jobs = append(jobs, job{"kk-expand", k, func(ctx context.Context) (*table.GenTable, *cluster.AggloStats, error) {
-			g, err := core.KKAnonymizeCtx(ctx, s, ds.Table, k, core.K1ByExpansion, c.Workers)
+			g, err := core.KKAnonymizeCtx(ctx, s, ds.Table, k, core.K1ByExpansion, nil, nil, c.Workers)
 			return g, nil, err
 		}, verifyKK})
 	}

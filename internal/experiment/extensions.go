@@ -49,17 +49,17 @@ func (c Config) RunRecoding(dataset string, m MeasureKind) ([]RecodingResult, er
 	var out []RecodingResult
 	for _, k := range c.Ks {
 		res := RecodingResult{Dataset: dataset, Measure: m, K: k}
-		gL, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: k})
+		gL, _, _, err := core.KAnonymizeStatsCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{K: k, Workers: c.Workers})
 		if err != nil {
 			return nil, err
 		}
 		res.LocalKAnon = loss.TableLoss(meas, gL)
-		gKK, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+		gKK, err := core.KKAnonymizeCtx(c.Ctx, s, ds.Table, k, core.K1ByExpansion, nil, nil, c.Workers)
 		if err != nil {
 			return nil, err
 		}
 		res.LocalKK = loss.TableLoss(meas, gKK)
-		gFD, levels, err := core.FullDomain(s, ds.Table, k)
+		gFD, levels, err := core.FullDomainCtx(c.Ctx, s, ds.Table, k)
 		if err != nil {
 			return nil, err
 		}
@@ -122,18 +122,18 @@ func (c Config) RunQueries(dataset string, numQueries int) ([]QueryResult, error
 	}
 	pipelines := []pipeline{
 		{"k-anon", func(k int) (*table.GenTable, error) {
-			g, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: k})
+			g, _, _, err := core.KAnonymizeStatsCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{K: k, Workers: c.Workers})
 			return g, err
 		}},
 		{"forest", func(k int) (*table.GenTable, error) {
-			g, _, err := core.Forest(s, ds.Table, k)
+			g, _, err := core.ForestCtx(c.Ctx, s, ds.Table, k)
 			return g, err
 		}},
 		{"kk", func(k int) (*table.GenTable, error) {
-			return core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+			return core.KKAnonymizeCtx(c.Ctx, s, ds.Table, k, core.K1ByExpansion, nil, nil, c.Workers)
 		}},
 		{"full-domain", func(k int) (*table.GenTable, error) {
-			g, _, err := core.FullDomain(s, ds.Table, k)
+			g, _, err := core.FullDomainCtx(c.Ctx, s, ds.Table, k)
 			return g, err
 		}},
 	}
@@ -199,7 +199,7 @@ func (c Config) RunScale(sizes []int, k, maxChunk, skipPlainAbove int) ([]ScaleR
 		}
 		if n <= skipPlainAbove {
 			start := nowMillis()
-			g, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: k})
+			g, _, _, err := core.KAnonymizeStatsCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{K: k, Workers: c.Workers})
 			if err != nil {
 				return nil, err
 			}
@@ -273,18 +273,18 @@ func (c Config) RunDiversity(dataset string, l int) ([]DiversityResult, error) {
 	var out []DiversityResult
 	for _, k := range c.Ks {
 		res := DiversityResult{Dataset: dataset, K: k, L: l}
-		gP, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: k})
+		gP, _, _, err := core.KAnonymizeStatsCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{K: k, Workers: c.Workers})
 		if err != nil {
 			return nil, err
 		}
 		res.PlainKAnonLoss = loss.TableLoss(meas, gP)
 		diverse := []cluster.Constraint{cluster.DistinctLDiversity(l)}
-		gD, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: k, Constraints: diverse, Sensitive: ds.Sensitive})
+		gD, _, _, err := core.KAnonymizeStatsCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{K: k, Workers: c.Workers, Constraints: diverse, Sensitive: ds.Sensitive})
 		if err != nil {
 			return nil, err
 		}
 		res.DiverseKAnonLoss = loss.TableLoss(meas, gD)
-		gKK, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+		gKK, err := core.KKAnonymizeCtx(c.Ctx, s, ds.Table, k, core.K1ByExpansion, nil, nil, c.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -293,7 +293,7 @@ func (c Config) RunDiversity(dataset string, l int) ([]DiversityResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		gKKD, err := core.KKAnonymizeConstrained(s, ds.Table, k, core.K1ByExpansion, diverse, ds.Sensitive, 0)
+		gKKD, err := core.KKAnonymizeCtx(c.Ctx, s, ds.Table, k, core.K1ByExpansion, diverse, ds.Sensitive, c.Workers)
 		if err != nil {
 			return nil, err
 		}

@@ -44,7 +44,7 @@ func (c Config) RunGlobal(dataset string, m MeasureKind, epsilons []float64) ([]
 	}
 	var out []GlobalResult
 	for _, k := range c.Ks {
-		gkk, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+		gkk, err := core.KKAnonymizeCtx(c.Ctx, s, ds.Table, k, core.K1ByExpansion, nil, nil, c.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: (k,k) at k=%d: %w", k, err)
 		}
@@ -55,7 +55,7 @@ func (c Config) RunGlobal(dataset string, m MeasureKind, epsilons []float64) ([]
 			KKLoss:    loss.TableLoss(meas, gkk),
 			EpsGlobal: make(map[float64]bool),
 		}
-		gGlobal, stats, err := core.MakeGlobal1K(s, ds.Table, gkk.Clone(), k)
+		gGlobal, stats, err := core.MakeGlobal1KCtx(c.Ctx, s, ds.Table, gkk.Clone(), k)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: global upgrade at k=%d: %w", k, err)
 		}
@@ -69,7 +69,7 @@ func (c Config) RunGlobal(dataset string, m MeasureKind, epsilons []float64) ([]
 			if kUp > ds.Table.Len() {
 				continue
 			}
-			gUp, err := core.KKAnonymize(s, ds.Table, kUp, core.K1ByExpansion)
+			gUp, err := core.KKAnonymizeCtx(c.Ctx, s, ds.Table, kUp, core.K1ByExpansion, nil, nil, c.Workers)
 			if err != nil {
 				return nil, fmt.Errorf("experiment: (k,k) at k=%d (ε=%.2f): %w", kUp, eps, err)
 			}

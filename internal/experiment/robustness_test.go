@@ -159,3 +159,28 @@ func TestRunBlockSuiteCancel(t *testing.T) {
 		}
 	}
 }
+
+// TestRunExtensionsCancel hands the attack (E20) and scale (E19)
+// experiments an already-cancelled Config.Ctx: each must stop with
+// context.Canceled and no rows, rather than run its pipelines to the end.
+func TestRunExtensionsCancel(t *testing.T) {
+	cfg := robustConfig()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg.Ctx = ctx
+
+	attack, err := cfg.RunAttack("ADT")
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("RunAttack: err = %v, want context.Canceled", err)
+	}
+	if len(attack) != 0 {
+		t.Errorf("RunAttack: %d rows from a cancelled run", len(attack))
+	}
+	scale, err := cfg.RunScale([]int{60}, 3, 30, 60)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("RunScale: err = %v, want context.Canceled", err)
+	}
+	if len(scale) != 0 {
+		t.Errorf("RunScale: %d rows from a cancelled run", len(scale))
+	}
+}

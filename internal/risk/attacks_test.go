@@ -25,12 +25,12 @@ func artSpace(t *testing.T, n int, seed int64, k int, global bool) (*cluster.Spa
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+	g, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if global {
-		g, _, err = core.MakeGlobal1K(s, ds.Table, g, k)
+		g, _, err = core.MakeGlobal1KCtx(nil, s, ds.Table, g, k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -404,11 +404,11 @@ func (f auditFixture) release(t testing.TB, notion string, k int) *table.GenTabl
 	var err error
 	switch notion {
 	case "k":
-		g, _, err = core.KAnonymize(f.s, f.ds.Table, core.KAnonOptions{K: k, Workers: 1})
+		g, _, _, err = core.KAnonymizeStatsCtx(nil, f.s, f.ds.Table, cluster.AggloOptions{K: k, Workers: 1})
 	case "kk":
-		g, err = core.KKAnonymize(f.s, f.ds.Table, k, core.K1ByExpansion)
+		g, err = core.KKAnonymizeCtx(nil, f.s, f.ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 	case "global":
-		if g, err = core.KKAnonymizeCtx(nil, f.s, f.ds.Table, k, core.K1ByExpansion, 0); err == nil {
+		if g, err = core.KKAnonymizeCtx(nil, f.s, f.ds.Table, k, core.K1ByExpansion, nil, nil, 0); err == nil {
 			g, _, err = core.MakeGlobal1KCtx(nil, f.s, f.ds.Table, g, k)
 		}
 	}

@@ -73,7 +73,7 @@ func TestAssessModelsOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 4
-	g, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+	g, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestAssessKAnonymousBoundsClassRisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 5
-	g, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: k})
+	g, _, _, err := core.KAnonymizeStatsCtx(nil, s, ds.Table, cluster.AggloOptions{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}

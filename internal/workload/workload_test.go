@@ -109,7 +109,7 @@ func TestEstimateMassConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: 5})
+	g, _, _, err := core.KAnonymizeStatsCtx(nil, s, ds.Table, cluster.AggloOptions{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +213,11 @@ func TestLessGeneralizationMoreAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 5
-	gKK, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+	gKK, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gF, _, err := core.Forest(s, ds.Table, k)
+	gF, _, err := core.ForestCtx(nil, s, ds.Table, k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -392,7 +392,7 @@ func Anonymize(t *Table, opt Options) (*Result, error) {
 //
 // Nil-context handling is defined here, once, for the whole stack: a nil
 // ctx is treated as context.Background(), i.e. cancellation disabled. The
-// internal *Ctx variants share that convention through a single check
+// internal entry points share that convention through a single check
 // (internal/par.Done), so passing nil to any layer is always equivalent to
 // passing a context that is never done.
 func AnonymizeContext(ctx context.Context, t *Table, opt Options) (*Result, error) {
@@ -434,89 +434,53 @@ func AnonymizeContext(ctx context.Context, t *Table, opt Options) (*Result, erro
 	ctx = obs.WithRun(ctx, obs.NewRun(obs.Tee(met, opt.Observer)))
 
 	res := &Result{table: t, space: s, measure: m, opt: opt}
-	switch opt.Notion {
-	case NotionK:
-		if opt.Forest || opt.FullDomain {
-			var g *table.GenTable
-			if opt.Forest {
-				g, _, err = core.ForestCtx(ctx, s, t.tbl, opt.K)
-			} else {
-				g, _, err = core.FullDomainCtx(ctx, s, t.tbl, opt.K)
+	alg := core.K1ByExpansion
+	if opt.UseNearest {
+		alg = core.K1ByNearest
+	}
+	// A nil distance selects D3 in both agglomerative entries.
+	dist := cluster.DistanceByName(opt.Distance)
+	switch {
+	case opt.Notion != NotionK:
+		// NotionKK, and NotionGlobal1K's (k,k) stage; Validate rejects
+		// constraints on the latter.
+		res.gen, err = core.KKAnonymizeCtx(ctx, s, t.tbl, opt.K, alg, clusterCons, t.sensitive, opt.Workers)
+		if err == nil && opt.Notion == NotionGlobal1K {
+			res.gen, _, err = core.MakeGlobal1KCtx(ctx, s, t.tbl, res.gen, opt.K)
+		}
+	case opt.Forest:
+		res.gen, _, err = core.ForestCtx(ctx, s, t.tbl, opt.K)
+	case opt.FullDomain:
+		res.gen, _, err = core.FullDomainCtx(ctx, s, t.tbl, opt.K)
+	case opt.MaxChunk > 0:
+		// Validate rejects constraints with MaxChunk.
+		popt := core.PartitionedOptions{
+			K: opt.K, Distance: dist, Modified: opt.Modified, MaxChunk: opt.MaxChunk,
+			Workers: opt.Workers,
+		}
+		if opt.OnShard != nil {
+			onShard := opt.OnShard
+			popt.OnShard = func(ck resilient.ShardCheckpoint) {
+				onShard(ShardCheckpoint(ck))
 			}
-			if err != nil {
-				return nil, err
+		}
+		if len(opt.CompletedShards) > 0 {
+			popt.CompletedShards = make(map[int]resilient.ShardCheckpoint, len(opt.CompletedShards))
+			for _, ck := range opt.CompletedShards {
+				popt.CompletedShards[ck.Shard] = resilient.ShardCheckpoint(ck)
 			}
-			res.gen = g
-			break
 		}
-		distName := opt.Distance
-		if distName == "" {
-			distName = "d3"
-		}
-		dist := cluster.DistanceByName(distName)
-		kopt := core.KAnonOptions{K: opt.K, Distance: dist, Modified: opt.Modified, Workers: opt.Workers}
-		var g *table.GenTable
-		switch {
-		case len(clusterCons) > 0:
-			kopt.Constraints = clusterCons
-			kopt.Sensitive = t.sensitive
-			g, _, err = core.KAnonymizeCtx(ctx, s, t.tbl, kopt)
-		case opt.MaxChunk > 0:
-			popt := core.PartitionedOptions{
-				K: opt.K, Distance: dist, Modified: opt.Modified, MaxChunk: opt.MaxChunk,
-				Workers: opt.Workers,
-			}
-			if opt.OnShard != nil {
-				onShard := opt.OnShard
-				popt.OnShard = func(ck resilient.ShardCheckpoint) {
-					onShard(ShardCheckpoint(ck))
-				}
-			}
-			if len(opt.CompletedShards) > 0 {
-				popt.CompletedShards = make(map[int]resilient.ShardCheckpoint, len(opt.CompletedShards))
-				for _, ck := range opt.CompletedShards {
-					popt.CompletedShards[ck.Shard] = resilient.ShardCheckpoint(ck)
-				}
-			}
-			var rep *resilient.RunReport
-			g, _, rep, err = core.KAnonymizePartitionedReportCtx(ctx, s, t.tbl, popt)
-			res.resilience = facadeResilience(rep)
-		default:
-			g, _, err = core.KAnonymizeCtx(ctx, s, t.tbl, kopt)
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.gen = g
-	case NotionKK:
-		alg := core.K1ByExpansion
-		if opt.UseNearest {
-			alg = core.K1ByNearest
-		}
-		var g *table.GenTable
-		if len(clusterCons) > 0 {
-			g, err = core.KKAnonymizeConstrainedCtx(ctx, s, t.tbl, opt.K, alg, clusterCons, t.sensitive, opt.Workers)
-		} else {
-			g, err = core.KKAnonymizeCtx(ctx, s, t.tbl, opt.K, alg, opt.Workers)
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.gen = g
-	case NotionGlobal1K:
-		alg := core.K1ByExpansion
-		if opt.UseNearest {
-			alg = core.K1ByNearest
-		}
-		g, err := core.KKAnonymizeCtx(ctx, s, t.tbl, opt.K, alg, opt.Workers)
-		if err != nil {
-			return nil, err
-		}
-		g, _, err = core.MakeGlobal1KCtx(ctx, s, t.tbl, g, opt.K)
-		if err != nil {
-			return nil, err
-		}
-		res.gen = g
+		var rep *resilient.RunReport
+		res.gen, _, rep, err = core.KAnonymizePartitionedReportCtx(ctx, s, t.tbl, popt)
+		res.resilience = facadeResilience(rep)
+	default:
+		res.gen, _, _, err = core.KAnonymizeStatsCtx(ctx, s, t.tbl, cluster.AggloOptions{
+			K: opt.K, Distance: dist, Modified: opt.Modified, Workers: opt.Workers,
+			Constraints: clusterCons, Sensitive: t.sensitive,
+		})
+	}
+	if err != nil {
+		return nil, err
 	}
 	res.stats = met.Snapshot()
 	res.stats.Notion = string(opt.Notion)
