@@ -13,8 +13,10 @@
 // component — a single Tarjan SCC pass, O(n + m) after the matching.
 //
 // Growing serves a graph that only gains edges, as Algorithm 6's does: it
-// keeps the one perfect matching of its first SCC pass and finds a node's
-// matches by a search from that node (growing.go).
+// keeps the one perfect matching of its first SCC pass, remembers which
+// left nodes that pass and later searches certified to share a component,
+// and finds a node's matches from those components or by a search from
+// that node (growing.go).
 package bipartite
 
 import (

@@ -27,9 +27,10 @@ func randomPerfect(rng *rand.Rand, n, deg int) [][]int {
 
 // checkGrowing compares gr, whose graph must equal ref, against
 // AllowedEdges on ref (and against AllowedEdgesNaive when naive is set):
-// an exhaustive search must return exactly the matches, and an early-stopped
-// one at least min(k, matches) distinct true matches, all of them when
-// there are fewer than k.
+// an early-stopped call must return at least min(k, matches) distinct true
+// matches, all of them when there are fewer than k; an exhaustive search
+// exactly the matches, after which all of them are certified and a call
+// for at most that many is answered without a search.
 func checkGrowing(t *testing.T, label string, gr *Growing, ref [][]int, naive bool, rng *rand.Rand) {
 	t.Helper()
 	n := len(ref)
@@ -52,14 +53,6 @@ func checkGrowing(t *testing.T, label string, gr *Growing, ref [][]int, naive bo
 		if !slices.Equal(gr.Neighbors(u), ref[u]) {
 			t.Fatalf("%s: node %d neighbours %v, want %v", label, u, gr.Neighbors(u), ref[u])
 		}
-		all, visits := gr.Matches(u, n+1)
-		got := sortedCopy(all)
-		if !slices.Equal(got, want[u]) {
-			t.Fatalf("%s: node %d matches %v, want %v", label, u, got, want[u])
-		}
-		if visits < 1 || visits > n {
-			t.Fatalf("%s: node %d search visited %d of %d left nodes", label, u, visits, n)
-		}
 		k := 1 + rng.Intn(len(want[u])+1)
 		some, _ := gr.Matches(u, k)
 		if len(some) < min(k, len(want[u])) {
@@ -76,6 +69,18 @@ func checkGrowing(t *testing.T, label string, gr *Growing, ref [][]int, naive bo
 		}
 		if len(want[u]) < k && !slices.Equal(sorted, want[u]) {
 			t.Fatalf("%s: node %d: %v at k=%d, want all of %v", label, u, sorted, k, want[u])
+		}
+		all, visits := gr.Matches(u, n+1)
+		got := sortedCopy(all)
+		if !slices.Equal(got, want[u]) {
+			t.Fatalf("%s: node %d matches %v, want %v", label, u, got, want[u])
+		}
+		if visits < 1 || visits > n {
+			t.Fatalf("%s: node %d search visited %d of %d left nodes", label, u, visits, n)
+		}
+		cert, visits := gr.Matches(u, len(want[u]))
+		if visits != 0 || !slices.Equal(sortedCopy(cert), want[u]) {
+			t.Fatalf("%s: node %d after a full search: %v with %d visits, want all of %v certified", label, u, sortedCopy(cert), visits, want[u])
 		}
 	}
 }

@@ -137,6 +137,42 @@ func BenchmarkMake1K500(b *testing.B) {
 	}
 }
 
+// BenchmarkMake1KART3000 is Algorithm 5 on the (k,1) release of ART
+// n=3000, k=5 under the entropy measure: the (1,k) stage of the
+// global-art3k workload of bench/. Its reference, BenchmarkMake1KART3000Ref,
+// runs the oracle of ref_test.go, which prices every candidate row by LCA
+// walks, on the same input.
+func BenchmarkMake1KART3000(b *testing.B) {
+	benchMake1KART3000(b, func(s *cluster.Space, tbl *table.Table, g *table.GenTable) error {
+		_, err := Make1KCtx(nil, s, tbl, g, 5)
+		return err
+	})
+}
+
+func BenchmarkMake1KART3000Ref(b *testing.B) {
+	benchMake1KART3000(b, func(s *cluster.Space, tbl *table.Table, g *table.GenTable) error {
+		_, err := refMake1K(nil, s, tbl, g, 5)
+		return err
+	})
+}
+
+func benchMake1KART3000(b *testing.B, run func(*cluster.Space, *table.Table, *table.GenTable) error) {
+	s, ds := artSpace(b, 3000)
+	seed, err := K1ExpandCtx(nil, s, ds.Table, 5, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		g := seed.Clone()
+		b.StartTimer()
+		if err := run(s, ds.Table, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkMakeGlobal1K500(b *testing.B) {
 	s, ds := benchSpace(b, 500)
 	gkk, err := KKAnonymizeCtx(nil, s, ds.Table, 10, K1ByExpansion, nil, nil, 0)

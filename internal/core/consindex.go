@@ -17,7 +17,8 @@ import (
 //
 // The audit keeps masks of its own over the row classes of a fixed release
 // (internal/anonymity/graph.go). This index changes under widening, and it
-// shares no code with the audit that checks its output.
+// shares no code with the audit that checks its output. recordMasks is the
+// same idea from the other side: static masks over the original records.
 type consIndex struct {
 	s        *cluster.Space
 	g        *table.GenTable
@@ -94,31 +95,26 @@ func (x *consIndex) set(j, a, node int) {
 // rowsOf returns the mask of the rows consistent with r. The mask is
 // scratch, valid until the next rowsOf.
 func (x *consIndex) rowsOf(r table.Record) []uint64 {
-	and := x.and
-	for i := range and {
-		and[i] = ^uint64(0)
-	}
-	if tail := x.n & 63; tail != 0 {
-		and[len(and)-1] = 1<<tail - 1
-	}
-	for a, v := range r {
-		m := x.masks[a][v*x.words : (v+1)*x.words]
-		for i := range and {
-			and[i] &= m[i]
-		}
-	}
-	return and
+	return andMasks(x.and, x.n, x.masks, r)
 }
 
-// has reports whether row j is consistent with r.
-func (x *consIndex) has(r table.Record, j int) bool {
-	w, bit := j>>6, uint64(1)<<(j&63)
-	for a, v := range r {
-		if x.masks[a][v*x.words+w]&bit == 0 {
-			return false
+// andMasks sets dst, an n-bit mask, to the AND over the attributes a of
+// the mask of key[a] in masks[a], each ⌈n/64⌉ words long, and returns it.
+func andMasks(dst []uint64, n int, masks [][]uint64, key []int) []uint64 {
+	for i := range dst {
+		dst[i] = ^uint64(0)
+	}
+	if tail := n & 63; tail != 0 {
+		dst[len(dst)-1] = 1<<tail - 1
+	}
+	words := len(dst)
+	for a, x := range key {
+		m := masks[a][x*words : (x+1)*words]
+		for i := range dst {
+			dst[i] &= m[i]
 		}
 	}
-	return true
+	return dst
 }
 
 // widen sets R̄_j ← R̄_j + rec in the indexed table, like widen, and
@@ -132,6 +128,42 @@ func (x *consIndex) widen(j int, rec table.Record) {
 			x.set(j, a, node)
 		}
 	}
+}
+
+// recordMasks answers which original records a generalized row is
+// consistent with (Definition 3.3), for Algorithm 6: the originals never
+// change, so neither do these masks. For each attribute a and node x it
+// keeps a bitmask over the n records whose value on a lies under x. The
+// records consistent with a row are then the AND of its A node masks. The
+// masks take Σ_a NumNodes_a·⌈n/64⌉ words.
+type recordMasks struct {
+	n int
+	// masks[a][x*words:(x+1)*words] holds the records under node x of a.
+	masks [][]uint64
+	and   []uint64 // scratch for recordsOf
+}
+
+func newRecordMasks(s *cluster.Space, tbl *table.Table) *recordMasks {
+	n, words := tbl.Len(), (tbl.Len()+63)/64
+	x := &recordMasks{n: n, masks: make([][]uint64, s.NumAttrs()), and: make([]uint64, words)}
+	for a, h := range s.Hiers {
+		x.masks[a] = make([]uint64, h.NumNodes()*words)
+	}
+	for u, rec := range tbl.Records {
+		w, bit := u>>6, uint64(1)<<(u&63)
+		for a, h := range s.Hiers {
+			for node := h.LeafOf(rec[a]); node >= 0; node = h.Parent(node) {
+				x.masks[a][node*words+w] |= bit
+			}
+		}
+	}
+	return x
+}
+
+// recordsOf returns the mask of the records consistent with row. The mask
+// is scratch, valid until the next recordsOf.
+func (x *recordMasks) recordsOf(row table.GenRecord) []uint64 {
+	return andMasks(x.and, x.n, x.masks, row)
 }
 
 // count returns the number of rows in mask.

@@ -139,9 +139,9 @@ func (c *costRows) pairCost(rec table.Record) float64 {
 
 // widenDelta returns Σ_a (row_a[v[a]] − CostAt(a, base[a])) / r: the
 // marginal cost c(base + v) − c(base) of widening base to cover v, each
-// per-attribute difference taken before it is summed. Algorithm 5 indexes
-// R_i's rows by a generalized record (v = base = R̄_j); Algorithm 6
-// indexes R̄_i's rows by an original record (v = R_j, base = R̄_i).
+// per-attribute difference taken before it is summed. Algorithm 6 indexes
+// R̄_i's rows by an original record (v = R_j, base = R̄_i); Algorithm 5
+// takes the same sum per class of rows (rowClasses.price).
 func (c *costRows) widenDelta(v, base []int) float64 {
 	sum := 0.0
 	for a, row := range c.rows {
@@ -162,11 +162,10 @@ type cand struct {
 	w float64
 }
 
-// cheapest is a bounded selection: it keeps the m least-weight candidates
-// offered, in ascending (w, j) order. Candidates must be offered in
-// ascending j, so a later candidate never wins a tie and the kept set is
-// exactly the first m entries of a full sort by weight, ties to the lower
-// index.
+// cheapest is a bounded selection: it keeps the m least candidates offered,
+// in ascending (w, j) order. Candidates may be offered in any order of j:
+// the kept set is exactly the first m entries of a full sort by weight,
+// ties to the lower index.
 type cheapest struct {
 	m    int
 	best []cand
@@ -178,20 +177,25 @@ func (c *cheapest) reset(m int) {
 	c.best = c.best[:0]
 }
 
-func (c *cheapest) offer(j int, w float64) {
+// sortsBefore reports whether (w, j) sorts before x.
+func sortsBefore(w float64, j int, x cand) bool { return w < x.w || (w == x.w && j < x.j) }
+
+// offer adds (w, j) to the selection and reports whether it was kept.
+func (c *cheapest) offer(j int, w float64) bool {
 	n := len(c.best)
 	if n == c.m {
-		if n == 0 || w >= c.best[n-1].w {
-			return
+		if n == 0 || !sortsBefore(w, j, c.best[n-1]) {
+			return false
 		}
 		n--
 		c.best = c.best[:n]
 	}
 	pos := n
-	for pos > 0 && w < c.best[pos-1].w {
+	for pos > 0 && sortsBefore(w, j, c.best[pos-1]) {
 		pos--
 	}
 	c.best = append(c.best, cand{})
 	copy(c.best[pos+1:], c.best[pos:n])
 	c.best[pos] = cand{j, w}
+	return true
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"kanon/internal/cluster"
@@ -241,6 +242,26 @@ func assertBoundedEvals(t *testing.T, label string, k int, want, got obs.RunStat
 	}
 }
 
+// assertBoundedPrices checks Algorithm 5's core.make1k.prices, the one
+// counter that is not oracle-equal: production prices each class of equal
+// rows once where the oracle prices every candidate row, so it may take
+// no more prices than the oracle. The counter is removed from both maps so
+// the rest compare exactly.
+func assertBoundedPrices(t *testing.T, label string, want, got obs.RunStats) {
+	t.Helper()
+	const name = PhaseMake1K + ".prices"
+	w, okW := want.Counters[name]
+	g, okG := got.Counters[name]
+	if !okW || !okG {
+		t.Fatalf("%s: %s missing (oracle %v, production %v)", label, name, okW, okG)
+	}
+	if g > w {
+		t.Fatalf("%s: %s = %d, above the oracle's %d", label, name, g, w)
+	}
+	delete(want.Counters, name)
+	delete(got.Counters, name)
+}
+
 // assertOneMatching checks Algorithm 6's matching counters, the ones that
 // differ from the oracle by design: production runs Hopcroft–Karp once per
 // release and then searches for matches (core.global.search_visits), while
@@ -266,7 +287,8 @@ func assertOneMatching(t *testing.T, label string, want, got obs.RunStats) {
 // checkCoreEquivalence runs Algorithms 3, 4, 5 (plain and constrained), 6
 // and the forest baseline on (s, tbl) and requires each to match the
 // oracle in output bytes, errors and counters (Algorithm 4's scan_evals
-// within assertBoundedEvals' bound, Algorithm 6's matching counters as
+// within assertBoundedEvals' bound, Algorithm 5's prices within
+// assertBoundedPrices', Algorithm 6's matching counters as
 // assertOneMatching requires).
 func checkCoreEquivalence(t *testing.T, label string, s *cluster.Space, tbl *table.Table, k, workers int) {
 	t.Helper()
@@ -297,6 +319,8 @@ func checkCoreEquivalence(t *testing.T, label string, s *cluster.Space, tbl *tab
 		switch st.name {
 		case "alg4":
 			assertBoundedEvals(t, l, k, wantStats, gotStats)
+		case "alg5":
+			assertBoundedPrices(t, l, wantStats, gotStats)
 		case "alg6":
 			assertOneMatching(t, l, wantStats, gotStats)
 		}
@@ -489,20 +513,25 @@ func TestK1ExpandCountersWorkerInvariant(t *testing.T) {
 }
 
 // TestCheapestMatchesSort checks the bounded selection against a full
-// sort by (w, j), with many tied weights.
+// sort by (w, j), with many tied weights, offered in ascending j and in
+// shuffled order (Algorithm 5 offers class by class).
 func TestCheapestMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 400; trial++ {
 		n := 1 + rng.Intn(40)
 		m := rng.Intn(n + 1)
 		w := make([]float64, n)
 		for j := range w {
 			w[j] = float64(rng.Intn(6))
 		}
+		order := rng.Perm(n)
+		if trial%2 == 0 {
+			slices.Sort(order)
+		}
 		var c cheapest
 		c.reset(m)
-		for j, x := range w {
-			c.offer(j, x)
+		for _, j := range order {
+			c.offer(j, w[j])
 		}
 		// Reference: repeatedly take the least (w, j) not yet taken.
 		taken := make([]bool, n)
@@ -521,6 +550,58 @@ func TestCheapestMatchesSort(t *testing.T) {
 		if len(c.best) != m {
 			t.Fatalf("trial %d: kept %d, want %d", trial, len(c.best), m)
 		}
+	}
+}
+
+// TestUpgradeCountersWorkerInvariant checks the work counters of
+// Algorithms 5 and 6, core.make1k.prices and core.global.search_visits,
+// at workers {1, 4}, through KKAnonymizeCtx and through the global
+// pipeline (KKAnonymizeCtx, then MakeGlobal1KCtx). Both stages run
+// sequentially on the same (k,1) release, so neither may depend on the
+// worker count.
+func TestUpgradeCountersWorkerInvariant(t *testing.T) {
+	const prices, visits = PhaseMake1K + ".prices", PhaseGlobal + ".search_visits"
+	var totals [2]int64
+	for _, dataset := range []string{"adt", "art", "test", "distinct"} {
+		s, tbl := equivInput(t, dataset, "entropy", 150, 3)
+		var kk, global []obs.RunStats
+		for _, workers := range []int{1, 4} {
+			st, err := observe(func(ctx context.Context) error {
+				_, err := KKAnonymizeCtx(ctx, s, tbl, 5, K1ByExpansion, nil, nil, workers)
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			kk = append(kk, st)
+			st, err = observe(func(ctx context.Context) error {
+				g, err := KKAnonymizeCtx(ctx, s, tbl, 5, K1ByExpansion, nil, nil, workers)
+				if err == nil {
+					_, _, err = MakeGlobal1KCtx(ctx, s, tbl, g, 5)
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			global = append(global, st)
+		}
+		if a, b := kk[0].Counter(prices), kk[1].Counter(prices); a != b {
+			t.Errorf("%s kk: %s = %d at workers 1, %d at workers 4", dataset, prices, a, b)
+		}
+		for _, name := range []string{prices, visits} {
+			if a, b := global[0].Counter(name), global[1].Counter(name); a != b {
+				t.Errorf("%s global: %s = %d at workers 1, %d at workers 4", dataset, name, a, b)
+			}
+		}
+		if kk[0].Counter(prices) != global[0].Counter(prices) {
+			t.Errorf("%s: %s = %d in kk, %d in the global pipeline", dataset, prices, kk[0].Counter(prices), global[0].Counter(prices))
+		}
+		totals[0] += global[0].Counter(prices)
+		totals[1] += global[0].Counter(visits)
+	}
+	if totals[0] == 0 || totals[1] == 0 {
+		t.Errorf("no work counted: %s %d, %s %d", prices, totals[0], visits, totals[1])
 	}
 }
 

@@ -47,11 +47,14 @@ type Global1KStats struct {
 // call leaves g partially widened — discard g on error. A nil ctx disables
 // cancellation.
 //
-// The graph is built once, from a consIndex, and one Hopcroft–Karp pass
-// finds its perfect matching. Widening only adds edges, so that matching
-// stays perfect and a match stays a match. Only records deficient at the
-// start are revisited, each by a match search of its own
-// (bipartite.Growing) rather than a new matching.
+// The graph is built once and one Hopcroft–Karp pass finds its perfect
+// matching. Widening only adds edges, so that matching stays perfect and a
+// match stays a match. Only records deficient at the start are revisited,
+// with no new matching: bipartite.Growing answers a record's matches from
+// the components it has certified, or else by a search of its own
+// (core.global.search_visits counts the searches' visits). The originals
+// never change, so static masks over them (recordMasks) give both the
+// graph and, after a widening of R̄_i, the records now consistent with it.
 func MakeGlobal1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) (*table.GenTable, Global1KStats, error) {
 	var stats Global1KStats
 	n := tbl.Len()
@@ -70,22 +73,35 @@ func MakeGlobal1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g 
 	o := obs.From(ctx)
 	defer o.Phase(PhaseGlobal)()
 	// adj[u] lists, ascending, the j with R_u consistent with R̄_j: the
-	// consistency graph. The lists share one exactly sized array until an
+	// consistency graph, read row by row off the static masks over the
+	// originals. The lists share one exactly sized array until an
 	// insertion moves a list to an array of its own.
-	x := newConsIndex(s, g)
-	edges := 0
-	for _, r := range tbl.Records {
-		edges += count(x.rowsOf(r))
+	x := newRecordMasks(s, tbl)
+	deg := make([]int, n)
+	under := make([]int, 0, n)
+	for _, row := range g.Records {
+		under = appendSet(under[:0], x.recordsOf(row))
+		for _, u := range under {
+			deg[u]++
+		}
 	}
 	adj := make([][]int, n)
-	buf := make([]int, 0, edges)
-	for u, r := range tbl.Records {
+	edges := 0
+	for _, d := range deg {
+		edges += d
+	}
+	buf := make([]int, edges)
+	for u, d := range deg {
+		adj[u], buf = buf[:0:d], buf[d:]
+	}
+	for j, row := range g.Records {
 		if ctxDone(ctx) {
 			return nil, stats, ctx.Err()
 		}
-		start := len(buf)
-		buf = appendSet(buf, x.rowsOf(r))
-		adj[u] = buf[start:len(buf):len(buf)]
+		under = appendSet(under[:0], x.recordsOf(row))
+		for _, u := range under {
+			adj[u] = append(adj[u], j)
+		}
 	}
 	graph, allowed, err := bipartite.NewGrowing(n, adj)
 	if err != nil {
@@ -142,12 +158,12 @@ func MakeGlobal1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g 
 			if bestJ < 0 {
 				return nil, stats, fmt.Errorf("core: record %d has no non-match neighbour to widen towards (matches %d < k=%d)", i, len(matches), k)
 			}
-			x.widen(i, tbl.Records[bestJ])
-			// Right node i of the consistency graph may gain neighbours.
-			for u, ru := range tbl.Records {
-				if x.has(ru, i) {
-					graph.AddEdge(u, i)
-				}
+			widen(s, gi, tbl.Records[bestJ])
+			// Right node i of the consistency graph may gain neighbours:
+			// the records under R̄_i's new nodes.
+			under = appendSet(under[:0], x.recordsOf(gi))
+			for _, u := range under {
+				graph.AddEdge(u, i)
 			}
 			steps++
 			stats.GeneralizationSteps++

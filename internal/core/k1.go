@@ -81,7 +81,8 @@ func K1NearestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, wo
 // the candidates are reached best-first through a prefix trie over the
 // records (k1Trie), in the order of a lower bound on their cost that holds
 // for all k−1 steps, and a step settles once every bound left exceeds the
-// best cost found (expandScan).
+// best cost found (expandScan). At k = n every S_i is the whole table, so
+// every R̄_i is the table's closure, found with no scan.
 func K1ExpandCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, workers int) (*table.GenTable, error) {
 	n := tbl.Len()
 	if err := checkK1Args(n, k); err != nil {
@@ -90,6 +91,13 @@ func K1ExpandCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, wor
 	o := obs.From(ctx)
 	defer o.Phase(PhaseK1)()
 	g := table.NewGen(tbl.Schema, n)
+	var whole table.GenRecord // every R̄_i at k = n
+	if k == n {
+		whole = s.LeafClosure(tbl.Records[0])
+		for _, rec := range tbl.Records[1:] {
+			widen(s, whole, rec)
+		}
+	}
 	t := newK1Trie(tbl)
 	p := par.New(workers)
 	defer p.Close()
@@ -98,6 +106,11 @@ func K1ExpandCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, wor
 		sc := newExpandScan(s, t, n)
 		for i := lo; i < hi && !ctxDone(ctx); i++ {
 			fault.Inject(SiteK1Record)
+			if whole != nil {
+				copy(g.Records[i], whole)
+				o.Event(obs.KindScan, PhaseK1, 0)
+				continue
+			}
 			evals, v := sc.grow(tbl, i, k, g.Records[i])
 			o.Event(obs.KindScan, PhaseK1, evals)
 			visits[span] += v

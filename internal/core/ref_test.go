@@ -117,7 +117,8 @@ func refK1Expand(ctx context.Context, s *cluster.Space, tbl *table.Table, k int)
 	return g, nil
 }
 
-// refMake1K is Algorithm 5 with the full candidate sort.
+// refMake1K is Algorithm 5 with the full candidate sort. It counts one
+// price per candidate row (core.make1k.prices).
 func refMake1K(ctx context.Context, s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) (*table.GenTable, error) {
 	n := tbl.Len()
 	if g.Len() != n {
@@ -129,6 +130,7 @@ func refMake1K(ctx context.Context, s *cluster.Space, tbl *table.Table, g *table
 	o := obs.From(ctx)
 	defer o.Phase(PhaseMake1K)()
 	r := s.NumAttrs()
+	prices := int64(0)
 	for i := 0; i < n; i++ {
 		ri := tbl.Records[i]
 		consistent := 0
@@ -158,6 +160,7 @@ func refMake1K(ctx context.Context, s *cluster.Space, tbl *table.Table, g *table
 			}
 			cands = append(cands, cand{j, sum / float64(r)})
 		}
+		prices += int64(len(cands))
 		sort.Slice(cands, func(a, b int) bool {
 			if cands[a].delta != cands[b].delta {
 				return cands[a].delta < cands[b].delta
@@ -175,6 +178,7 @@ func refMake1K(ctx context.Context, s *cluster.Space, tbl *table.Table, g *table
 		o.Event(obs.KindAugment, PhaseMake1K, int64(need))
 		o.Counter("core.make1k.deficient", 1)
 	}
+	o.Counter("core.make1k.prices", prices)
 	return g, nil
 }
 
