@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -113,6 +114,11 @@ func TestRunErrors(t *testing.T) {
 	short := writeFile(t, dir, "short-sens.txt", "a\nb\n")
 	if err := run(nil, runConfig{In: in, Sensitive: short, Header: true, Opt: kanon.Options{K: 2}}); err == nil {
 		t.Error("expected error for wrong sensitive length")
+	}
+	// -notion kk -max-chunk 30: only the k pipeline is sharded.
+	var oe *kanon.OptionsError
+	if err := run(nil, runConfig{In: in, AutoHier: 2, Header: true, Opt: kanon.Options{K: 2, Notion: kanon.NotionKK, MaxChunk: 30}}); !errors.As(err, &oe) || oe.Field != "MaxChunk" {
+		t.Errorf("-notion kk -max-chunk 30: err = %v, want *OptionsError on MaxChunk", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 // Command kanonlint runs the project's static-analysis suite
 // (internal/analysis/...): constraintpure, ctxflow, determinism,
-// faultsite, leakcheck, nogoroutine and obsphase, with //kanon:allow
-// suppression.
+// leakcheck, nogoroutine and obsphase, with //kanon:allow suppression.
 //
 // Standalone:
 //
@@ -10,7 +9,7 @@
 //	go run ./cmd/kanonlint -json ./...       # stable machine-readable findings
 //	go run ./cmd/kanonlint -run leakcheck ./... # run a subset of the suite
 //
-// As a go vet tool (per-package analyzers only — faultsite needs the
+// As a go vet tool (per-package analyzers only — leakcheck needs the
 // whole program and runs in standalone mode):
 //
 //	go build -o kanonlint ./cmd/kanonlint

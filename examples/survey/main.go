@@ -11,8 +11,6 @@ import (
 	"log"
 
 	"kanon"
-
-	"kanon/internal/anatomy"
 )
 
 func main() {
@@ -61,37 +59,4 @@ func main() {
 	for i := 0; i < 5; i++ {
 		fmt.Printf("  %v | %s\n", res.Row(i), tbl.SensitiveValue(i))
 	}
-
-	// The complementary design point (Xiao-Tao's Anatomy, cited in the
-	// paper's related work): publish the quasi-identifiers EXACTLY and
-	// bucketize the sensitive attribute instead. Perfect QI-query utility,
-	// bounded sensitive inference — but zero linkage protection.
-	sens := make([]int, tbl.Len())
-	seen := map[string]int{}
-	for i := 0; i < tbl.Len(); i++ {
-		v := tbl.SensitiveValue(i)
-		id, ok := seen[v]
-		if !ok {
-			id = len(seen)
-			seen[v] = id
-		}
-		sens[i] = id
-	}
-	rel, err := anatomy.Anatomize(sens, 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	risks, err := rel.InferenceRisk(sens)
-	if err != nil {
-		log.Fatal(err)
-	}
-	maxRisk := 0.0
-	for _, r := range risks {
-		if r > maxRisk {
-			maxRisk = r
-		}
-	}
-	fmt.Printf("\nAnatomy alternative (l=2): %d buckets, QI loss = 0.0000 (rows exact),\n", len(rel.Buckets))
-	fmt.Printf("max sensitive inference %.2f — but every row is trivially linkable,\n", maxRisk)
-	fmt.Println("which is exactly the exposure the paper's k-type notions prevent.")
 }

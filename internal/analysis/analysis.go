@@ -5,8 +5,8 @@
 //
 // The framework exists because the repository's correctness story — the
 // determinism, cancellation, panic-containment, observability and
-// fault-coverage invariants of DESIGN.md — must hold at compile time, not
-// only in tests and review. Five project-specific analyzers live under
+// no-leak invariants of DESIGN.md — must hold at compile time, not only in
+// tests and review. Six project-specific analyzers live under
 // internal/analysis/...; cmd/kanonlint drives them standalone or as a
 // `go vet -vettool`.
 //
@@ -34,8 +34,7 @@ import (
 // Analyzer is one named static check. Per-package analyzers receive each
 // target package in turn; whole-program analyzers (WholeProgram true)
 // receive a single Pass whose Program field carries every loaded package,
-// which is what lets faultsite cross-check constants, call sites and test
-// references across package boundaries.
+// which is what lets leakcheck follow taint across package boundaries.
 type Analyzer struct {
 	// Name is the analyzer's identifier, as used in //kanon:allow
 	// directives and diagnostic output.
@@ -57,9 +56,9 @@ type Package struct {
 	// Files are the parsed, type-checked non-test files.
 	Files []*ast.File
 	// TestFiles are the package's test files (in-package and external),
-	// parsed but NOT type-checked: analyzers may scan them syntactically
-	// (faultsite does, for test rules referencing Site constants) but must
-	// not rely on type information for them.
+	// parsed but NOT type-checked: they are read syntactically (the
+	// //kanon:allow directive index covers them) and carry no type
+	// information.
 	TestFiles []*ast.File
 	// Types and TypesInfo hold the go/types results for Files.
 	Types     *types.Package

@@ -55,8 +55,8 @@ func TestSuiteOverRepository(t *testing.T) {
 // registering it here (and in the docs) is a silent coverage gap.
 func TestSuiteRegistration(t *testing.T) {
 	want := []string{
-		"constraintpure", "ctxflow", "determinism", "faultsite",
-		"leakcheck", "nogoroutine", "obsphase",
+		"constraintpure", "ctxflow", "determinism", "leakcheck",
+		"nogoroutine", "obsphase",
 	}
 	got := suite.Analyzers()
 	if len(got) != len(want) {
@@ -73,8 +73,8 @@ func TestSuiteRegistration(t *testing.T) {
 			t.Errorf("PerPackage returned whole-program analyzer %s", a.Name)
 		}
 	}
-	if len(per) != len(want)-2 {
-		t.Errorf("PerPackage returned %d analyzers, want %d (all but faultsite and leakcheck)", len(per), len(want)-2)
+	if len(per) != len(want)-1 {
+		t.Errorf("PerPackage returned %d analyzers, want %d (all but leakcheck)", len(per), len(want)-1)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"kanon/internal/analysis/constraintpure"
 	"kanon/internal/analysis/ctxflow"
 	"kanon/internal/analysis/determinism"
-	"kanon/internal/analysis/faultsite"
 	"kanon/internal/analysis/leakcheck"
 	"kanon/internal/analysis/nogoroutine"
 	"kanon/internal/analysis/obsphase"
@@ -20,7 +19,6 @@ func Analyzers() []*analysis.Analyzer {
 		constraintpure.Analyzer,
 		ctxflow.Analyzer,
 		determinism.Analyzer,
-		faultsite.Analyzer,
 		leakcheck.Analyzer,
 		nogoroutine.Analyzer,
 		obsphase.Analyzer,
@@ -29,7 +27,7 @@ func Analyzers() []*analysis.Analyzer {
 
 // PerPackage returns only the analyzers that work one package at a time —
 // the set usable under go vet's per-unit protocol, where no whole-program
-// view exists (faultsite runs in standalone kanonlint and CI instead).
+// view exists (leakcheck runs in standalone kanonlint and CI instead).
 func PerPackage() []*analysis.Analyzer {
 	var out []*analysis.Analyzer
 	for _, a := range Analyzers() {

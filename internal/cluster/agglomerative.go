@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"kanon/internal/fault"
 	"kanon/internal/obs"
 	"kanon/internal/par"
 	"kanon/internal/table"
@@ -23,28 +22,6 @@ const (
 	PhaseMerge = "cluster.merge"
 	// PhaseAbsorb is the final leftover-absorption pass.
 	PhaseAbsorb = "cluster.absorb"
-)
-
-// Fault-injection sites of the engine (see internal/fault). Each doubles as
-// a cancellation checkpoint: the engine polls its context at exactly these
-// boundaries, so an injected Cancel at a site proves the corresponding
-// check.
-const (
-	// SiteInitScan fires once per record of the initial O(n²)
-	// nearest-neighbour build.
-	SiteInitScan = "cluster.agglo.init"
-	// SiteInitTile fires once per (record-block, candidate-tile) cell of the
-	// tiled initial build (DESIGN.md §17).
-	SiteInitTile = "cluster.agglo.init_tile"
-	// SiteMerge fires once per merge iteration of the main loop.
-	SiteMerge = "cluster.agglo.merge"
-	// SiteHeapRepair fires once per lazy pop-time heal: a heap entry popped
-	// fresh whose cached nearest neighbour has since died, forcing its
-	// owner's list to prune, possibly rescan, and re-push (DESIGN.md §17).
-	// Like every site it doubles as a cancellation poll.
-	SiteHeapRepair = "cluster.agglo.heap_repair"
-	// SiteAbsorb fires once per leftover record absorbed in the final pass.
-	SiteAbsorb = "cluster.agglo.absorb"
 )
 
 // AggloOptions configures the agglomerative engine.
@@ -127,8 +104,8 @@ func (st AggloStats) TotalNanos() int64 {
 // the leftover-absorbing clusters in the modified variant), with the
 // engine's work counters and phase timings.
 //
-// The engine polls ctx at every scan, merge and absorb boundary (the Site*
-// constants); once ctx is done it stops promptly, drains its worker pool,
+// The engine polls ctx at every scan tile, merge, heap repair and absorbed
+// record; once ctx is done it stops promptly, drains its worker pool,
 // and returns ctx.Err() with a nil clustering — never partial output. A
 // nil ctx disables cancellation.
 func AgglomerateStatsCtx(ctx context.Context, s *Space, tbl *table.Table, opt AggloOptions) ([]*Cluster, AggloStats, error) {
@@ -366,7 +343,6 @@ func (e *aggloEngine) run() error {
 			endMerge()
 			return e.ctx.Err()
 		}
-		fault.Inject(SiteMerge)
 		tSel := time.Now() //kanon:allow determinism -- phase wall-clock feeds Stats timing only, never engine output
 		a, b := e.selectPairHeap()
 		if e.cancelled() {
@@ -402,7 +378,6 @@ func (e *aggloEngine) run() error {
 				endAbsorb()
 				return e.ctx.Err()
 			}
-			fault.Inject(SiteAbsorb)
 			e.absorb(int(ri))
 			absorbed++
 		}

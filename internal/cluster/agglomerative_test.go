@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kanon/internal/hierarchy"
@@ -162,6 +163,8 @@ func TestAgglomerateEmptyTable(t *testing.T) {
 	}
 }
 
+// TestAgglomerateDeterminism runs each distance twice on the same input
+// and requires the same clusters: closures and member lists alike.
 func TestAgglomerateDeterminism(t *testing.T) {
 	for _, dist := range []Distance{D1{}, D3{}} {
 		rng1 := rand.New(rand.NewSource(61))
@@ -182,6 +185,9 @@ func TestAgglomerateDeterminism(t *testing.T) {
 		for i := range c1 {
 			if !c1[i].Closure.Equal(c2[i].Closure) {
 				t.Fatalf("non-deterministic closure at cluster %d", i)
+			}
+			if !slices.Equal(c1[i].Members, c2[i].Members) {
+				t.Fatalf("non-deterministic members at cluster %d: %v vs %v", i, c1[i].Members, c2[i].Members)
 			}
 		}
 	}

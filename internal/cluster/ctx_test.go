@@ -3,51 +3,112 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"kanon/internal/fault"
+	"kanon/internal/obs"
 	"kanon/internal/par"
 )
 
-// TestAgglomerateCtxCancelAtEverySite injects a context cancellation at
-// each of the engine's fault sites in turn and asserts a prompt ctx.Err()
-// with no partial output.
-func TestAgglomerateCtxCancelAtEverySite(t *testing.T) {
-	for _, tc := range []struct {
-		site string
-		hit  int64
-	}{
-		{SiteInitScan, 10},
-		{SiteInitTile, 2},
-		{SiteMerge, 5},
-		{SiteHeapRepair, 1},
-		{SiteAbsorb, 1},
-	} {
-		t.Run(tc.site, func(t *testing.T) {
-			s, tbl := randomSpace(t, rand.New(rand.NewSource(9)), 120)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			in := fault.NewInjector(fault.Rule{Site: tc.site, Hit: tc.hit, Action: fault.Cancel}).
-				OnCancel(cancel)
-			defer fault.Activate(in)()
+// pollCtx is a live context whose Err reports context.Canceled from its
+// cancelAt-th call on (0 never cancels). The engine polls for cancellation
+// through par.Done, which calls Err, so polls counts a run's cancellation
+// checks and cancelAt picks the check that first sees the cancellation.
+type pollCtx struct {
+	context.Context
+	cancelAt int64
+	polls    atomic.Int64
+	once     sync.Once
+	at       time.Time // when the cancelAt-th poll ran
+}
 
-			// Workers 1 keeps site hit counts deterministic; Modified shrinks
-			// clusters to exactly K, and 120 mod 7 != 0 leaves leftover
-			// records, which forces the absorb pass.
-			clusters, _, err := AgglomerateStatsCtx(ctx, s, tbl, AggloOptions{K: 7, Distance: D3{}, Workers: 1, Modified: true})
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
+func newPollCtx(cancelAt int64) *pollCtx {
+	return &pollCtx{Context: context.Background(), cancelAt: cancelAt}
+}
+
+// Err implements context.Context.
+func (c *pollCtx) Err() error {
+	if p := c.polls.Add(1); c.cancelAt > 0 && p >= c.cancelAt {
+		c.once.Do(func() { c.at = time.Now() })
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestAgglomerateCtxCancelAtEverySite cancels the engine at every
+// cancellation poll of a clean run in turn, scan tiles, merges, heap
+// repairs and absorbed records alike, and asserts ctx.Err() with no
+// partial output each time.
+func TestAgglomerateCtxCancelAtEverySite(t *testing.T) {
+	s, tbl := randomSpace(t, rand.New(rand.NewSource(9)), 120)
+	// Workers 1 keeps the poll order fixed; Modified shrinks clusters to
+	// exactly K, and 120 mod 7 != 0 leaves leftover records, which forces
+	// the absorb pass.
+	opt := AggloOptions{K: 7, Distance: D3{}, Workers: 1, Modified: true}
+	clean := newPollCtx(0)
+	met := obs.NewMetrics()
+	_, st, err := AgglomerateStatsCtx(obs.With(clean, met), s, tbl, opt)
+	if err != nil || st.Merges == 0 {
+		t.Fatalf("clean run: err = %v after %d merges", err, st.Merges)
+	}
+	// The sweep covers the rarest polls only if the clean run reaches
+	// them: a pop-time heal (every full rescan is one) and the absorb pass.
+	if st.DeadNNRescans == 0 {
+		t.Fatal("clean run healed no dead neighbour: the heap-repair poll is not swept")
+	}
+	if got := met.Snapshot().Counter("cluster.absorbs"); got == 0 {
+		t.Fatal("clean run absorbed no leftover record: the absorb poll is not swept")
+	}
+	polls := clean.polls.Load()
+	t.Logf("clean run: %d polls", polls)
+	for at := int64(1); at <= polls; at++ {
+		clusters, _, err := AgglomerateStatsCtx(newPollCtx(at), s, tbl, opt)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at poll %d of %d: err = %v, want context.Canceled", at, polls, err)
+		}
+		if clusters != nil {
+			t.Fatalf("cancelled at poll %d of %d: partial clusters returned", at, polls)
+		}
+	}
+}
+
+// TestAgglomerateCtxNilMatchesPlain asserts the nil-context path is the
+// identity: AgglomerateStatsCtx(nil, ...) produces exactly the clusters of
+// a run under a live context that is polled but never cancelled.
+func TestAgglomerateCtxNilMatchesPlain(t *testing.T) {
+	s, tbl := randomSpace(t, rand.New(rand.NewSource(3)), 80)
+	a, _, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 5, Distance: D3{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := newPollCtx(0)
+	b, _, err := AgglomerateStatsCtx(live, s, tbl, AggloOptions{K: 5, Distance: D3{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.polls.Load() == 0 {
+		t.Fatal("live run never polled its context")
+	}
+	if len(a) != len(b) {
+		t.Fatalf("%d vs %d clusters", len(a), len(b))
+	}
+	for i := range a {
+		if !a[i].Closure.Equal(b[i].Closure) {
+			t.Fatalf("cluster %d closure differs", i)
+		}
+		if len(a[i].Members) != len(b[i].Members) {
+			t.Fatalf("cluster %d differs", i)
+		}
+		for j := range a[i].Members {
+			if a[i].Members[j] != b[i].Members[j] {
+				t.Fatalf("cluster %d member %d differs", i, j)
 			}
-			if clusters != nil {
-				t.Fatal("cancelled run returned partial clusters")
-			}
-			if in.Hits(tc.site) < tc.hit {
-				t.Fatalf("site %s hit %d times, injection at %d never fired", tc.site, in.Hits(tc.site), tc.hit)
-			}
-		})
+		}
 	}
 }
 
@@ -66,56 +127,51 @@ func TestAgglomerateCtxAlreadyCancelled(t *testing.T) {
 	}
 }
 
-// TestAgglomerateCtxNilMatchesPlain asserts the nil-context path is the
-// identity: AgglomerateCtx(nil, ...) produces exactly Agglomerate(...).
-func TestAgglomerateCtxNilMatchesPlain(t *testing.T) {
-	s, tbl := randomSpace(t, rand.New(rand.NewSource(3)), 80)
-	a, _, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 5, Distance: D3{}})
-	if err != nil {
-		t.Fatal(err)
+// evalPanic is the panic value of panicAtEval.
+type evalPanic struct{ call int64 }
+
+func (e *evalPanic) Error() string { return fmt.Sprintf("distance evaluation %d panicked", e.call) }
+
+// panicAtEval is D3 as a custom distance whose at-th Eval panics. The
+// kernel cannot devirtualize it, so every pair of the initial build goes
+// through Eval on the pool's init workers.
+type panicAtEval struct {
+	at    int64
+	calls *atomic.Int64
+}
+
+func (panicAtEval) Name() string { return "panic-at-eval" }
+
+func (d panicAtEval) Eval(sa, sb, su int, dA, dB, dU float64) float64 {
+	if c := d.calls.Add(1); c == d.at {
+		panic(&evalPanic{call: c})
 	}
-	b, _, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 5, Distance: D3{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("%d vs %d clusters", len(a), len(b))
-	}
-	for i := range a {
-		if len(a[i].Members) != len(b[i].Members) {
-			t.Fatalf("cluster %d differs", i)
-		}
-		for j := range a[i].Members {
-			if a[i].Members[j] != b[i].Members[j] {
-				t.Fatalf("cluster %d member %d differs", i, j)
-			}
-		}
-	}
+	return D3{}.Eval(sa, sb, su, dA, dB, dU)
 }
 
 // TestAgglomerateInjectedPanicPropagates asserts a panic inside the
 // engine's parallel init scan arrives at the caller as a recoverable
-// *par.TaskPanic carrying the injected value — not a process abort.
+// *par.TaskPanic carrying the panic value — not a process abort.
 func TestAgglomerateInjectedPanicPropagates(t *testing.T) {
 	s, tbl := randomSpace(t, rand.New(rand.NewSource(4)), 100)
-	in := fault.NewInjector(fault.Rule{Site: SiteInitScan, Hit: 20, Action: fault.Panic})
-	defer fault.Activate(in)()
-
 	defer func() {
 		v := recover()
 		if v == nil {
-			t.Fatal("injected panic did not propagate")
+			t.Fatal("panic did not propagate")
 		}
 		tp, ok := v.(*par.TaskPanic)
 		if !ok {
 			t.Fatalf("recovered %T, want *par.TaskPanic", v)
 		}
-		var inj *fault.Injected
-		if !errors.As(tp, &inj) || inj.Site != SiteInitScan {
-			t.Fatalf("panic value %v does not carry the injection", tp.Value)
+		var ep *evalPanic
+		if !errors.As(tp, &ep) || ep.call != 2000 {
+			t.Fatalf("panic value %v does not carry the distance's panic", tp.Value)
 		}
 	}()
-	_, _, _ = AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 5, Distance: D3{}, Workers: 4})
+	// 100 records make 4 init blocks of 32, so Workers 4 splits the build
+	// over 4 spans; its 4950 pairs make 9900 evaluations.
+	d := panicAtEval{at: 2000, calls: new(atomic.Int64)}
+	_, _, _ = AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 5, Distance: d, Workers: 4})
 }
 
 // TestAgglomerateCancelLeaksNoGoroutines cancels mid-run and checks the
@@ -124,13 +180,12 @@ func TestAgglomerateCancelLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for trial := 0; trial < 3; trial++ {
 		s, tbl := randomSpace(t, rand.New(rand.NewSource(int64(trial))), 150)
-		ctx, cancel := context.WithCancel(context.Background())
-		in := fault.NewInjector(fault.Rule{Site: SiteMerge, Hit: 3, Action: fault.Cancel}).
-			OnCancel(cancel)
-		deactivate := fault.Activate(in)
-		_, _, err := AgglomerateStatsCtx(ctx, s, tbl, AggloOptions{K: 6, Distance: D3{}, Workers: 8})
-		deactivate()
-		cancel()
+		opt := AggloOptions{K: 6, Distance: D3{}, Workers: 8}
+		clean := newPollCtx(0)
+		if _, _, err := AgglomerateStatsCtx(clean, s, tbl, opt); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := AgglomerateStatsCtx(newPollCtx(clean.polls.Load()/2), s, tbl, opt)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("trial %d: err = %v", trial, err)
 		}
@@ -149,16 +204,16 @@ func TestAgglomerateCancelLeaksNoGoroutines(t *testing.T) {
 // latency of a cancellation landing inside the O(n²) init build.
 func TestAgglomerateCtxCancelDuringInitScanIsPrompt(t *testing.T) {
 	s, tbl := randomSpace(t, rand.New(rand.NewSource(5)), 400)
-	ctx, cancel := context.WithCancel(context.Background())
-	var cancelled time.Time
-	in := fault.NewInjector(fault.Rule{Site: SiteInitScan, Hit: 50, Action: fault.Cancel}).
-		OnCancel(func() { cancelled = time.Now(); cancel() })
-	defer fault.Activate(in)()
-
-	_, _, err := AgglomerateStatsCtx(ctx, s, tbl, AggloOptions{K: 10, Distance: D3{}, Workers: 2})
-	elapsed := time.Since(cancelled)
+	// The init build polls once per tile and once per record, so poll 50
+	// of 400 records falls inside it.
+	ctx := newPollCtx(50)
+	_, st, err := AgglomerateStatsCtx(ctx, s, tbl, AggloOptions{K: 10, Distance: D3{}, Workers: 2})
+	elapsed := time.Since(ctx.at)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
+	}
+	if st.Merges != 0 {
+		t.Fatalf("cancellation at poll 50 landed after the init build (%d merges)", st.Merges)
 	}
 	if elapsed > 500*time.Millisecond {
 		t.Fatalf("cancellation took %v, want < 500ms", elapsed)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"math"
 
-	"kanon/internal/fault"
 	"kanon/internal/obs"
 )
 
@@ -347,8 +346,7 @@ func (e *aggloEngine) heapMaybeCompact() {
 // folded into a span-local partial list otherwise. The partials are merged
 // and the heap seeded on the driving goroutine afterwards; lists are
 // fold-order independent, so any span geometry yields identical lists.
-// Each tile polls ctx; each record is a SiteInitScan checkpoint, with
-// SiteInitTile marking the tile boundaries.
+// Each tile and each record's scan event polls ctx.
 func (e *aggloEngine) buildNNTiled(n int) error {
 	numBlocks := (n + initBlock - 1) / initBlock
 	for bi := 0; bi < numBlocks; bi++ {
@@ -383,7 +381,6 @@ func (e *aggloEngine) buildNNTiled(n int) error {
 				if e.cancelled() {
 					break
 				}
-				fault.Inject(SiteInitTile)
 				jHi := min(jLo+nnTile, iHi-1)
 				for i := max(iLo, jLo+1); i < iHi; i++ {
 					cands := live[jLo:min(jHi, i)]
@@ -403,7 +400,6 @@ func (e *aggloEngine) buildNNTiled(n int) error {
 				}
 			}
 			for i := iLo; i < iHi && !e.cancelled(); i++ {
-				fault.Inject(SiteInitScan)
 				e.o.Event(obs.KindScan, PhaseInit, int64(n-1))
 			}
 		}
@@ -451,7 +447,6 @@ func (e *aggloEngine) selectPairHeap() (a, b int) {
 		if e.alive[partner] {
 			return row, wit
 		}
-		fault.Inject(SiteHeapRepair)
 		if e.cancelled() {
 			return -1, -1
 		}

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"kanon/internal/cluster"
-	"kanon/internal/fault"
 	"kanon/internal/obs"
 	"kanon/internal/table"
 )
@@ -102,7 +101,6 @@ func make1KConstrained(ctx context.Context, s *cluster.Space, tbl *table.Table, 
 		if ctxDone(ctx) {
 			return nil, ctx.Err()
 		}
-		fault.Inject(SiteMake1KRecord)
 		ri := tbl.Records[i]
 		// Every widening of this record is priced from R_i's cost rows.
 		rows.load(ri)

@@ -32,25 +32,6 @@ import (
 	"kanon/internal/table"
 )
 
-// Fault-injection sites of the core pipelines (see internal/fault). Each
-// doubles as a cancellation checkpoint of the corresponding *Ctx function.
-const (
-	// SiteK1Record fires once per record of Algorithms 3 and 4.
-	SiteK1Record = "core.k1.record"
-	// SiteMake1KRecord fires once per record of Algorithm 5 (plain and
-	// diverse).
-	SiteMake1KRecord = "core.make1k.record"
-	// SiteForestRound fires once per Borůvka round of the forest baseline.
-	SiteForestRound = "core.forest.round"
-	// SiteGlobalStep fires once per widening step of Algorithm 6.
-	SiteGlobalStep = "core.global.step"
-	// SitePartitionChunk fires once at the start of every partitioned-
-	// pipeline shard, inside the shard supervisor's containment scope (see
-	// internal/resilient): a panic armed here fails that shard, and the run
-	// stops with a *resilient.ShardError, resumable from the shards before.
-	SitePartitionChunk = "core.partition.chunk"
-)
-
 // Observability phases of the core pipelines (obs.KindPhaseStart/End).
 const (
 	// PhaseK1 is the per-record (k,1) stage (Algorithms 3 and 4).

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"kanon/internal/cluster"
-	"kanon/internal/fault"
 	"kanon/internal/obs"
 	"kanon/internal/table"
 )
@@ -67,7 +66,6 @@ func ForestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k int) (
 		if ctxDone(ctx) {
 			return nil, nil, ctx.Err()
 		}
-		fault.Inject(SiteForestRound)
 		// Collect components below size k.
 		small := make(map[int]bool)
 		for i := 0; i < n; i++ {

@@ -7,7 +7,6 @@ import (
 
 	"kanon/internal/bipartite"
 	"kanon/internal/cluster"
-	"kanon/internal/fault"
 	"kanon/internal/obs"
 	"kanon/internal/table"
 )
@@ -134,7 +133,6 @@ func MakeGlobal1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g 
 			if ctxDone(ctx) {
 				return nil, stats, ctx.Err()
 			}
-			fault.Inject(SiteGlobalStep)
 			// Non-match neighbours of R_i.
 			for _, v := range matches {
 				isMatch[v] = true

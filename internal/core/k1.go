@@ -8,7 +8,6 @@ import (
 	"slices"
 
 	"kanon/internal/cluster"
-	"kanon/internal/fault"
 	"kanon/internal/obs"
 	"kanon/internal/par"
 	"kanon/internal/table"
@@ -39,7 +38,6 @@ func K1NearestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, wo
 		rows := newCostRows(s)
 		near := cheapest{best: make([]cand, 0, k)}
 		for i := lo; i < hi && !ctxDone(ctx); i++ {
-			fault.Inject(SiteK1Record)
 			// One neighbourhood scan per record: n−1 pair-cost evaluations.
 			o.Event(obs.KindScan, PhaseK1, int64(n-1))
 			// Keep the k−1 smallest pair costs; ties broken by lower index.
@@ -105,7 +103,6 @@ func K1ExpandCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, wor
 	_, err := p.ForSpansCtx(ctx, n, 1, func(lo, hi, span int) {
 		sc := newExpandScan(s, t, n)
 		for i := lo; i < hi && !ctxDone(ctx); i++ {
-			fault.Inject(SiteK1Record)
 			if whole != nil {
 				copy(g.Records[i], whole)
 				o.Event(obs.KindScan, PhaseK1, 0)

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"kanon/internal/cluster"
-	"kanon/internal/fault"
 	"kanon/internal/obs"
 	"kanon/internal/table"
 )
@@ -56,7 +55,6 @@ func Make1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g *table
 		if ctxDone(ctx) {
 			return nil, ctx.Err()
 		}
-		fault.Inject(SiteMake1KRecord)
 		ri := tbl.Records[i]
 		consistent := x.rowsOf(ri)
 		have := count(consistent)

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"kanon/internal/cluster"
-	"kanon/internal/fault"
 	"kanon/internal/obs"
 	"kanon/internal/resilient"
 	"kanon/internal/table"
@@ -101,7 +100,6 @@ func KAnonymizePartitionedReportCtx(ctx context.Context, s *cluster.Space, tbl *
 			Index:   i,
 			Records: len(chunk),
 			Run: func(actx context.Context) error {
-				fault.InjectCtx(actx, SitePartitionChunk)
 				o.Event(obs.KindChunk, PhasePartition, int64(len(chunk)))
 				sub := table.New(tbl.Schema)
 				for _, gi := range chunk {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,7 +12,6 @@ import (
 
 	"kanon/internal/anonymity"
 	"kanon/internal/cluster"
-	"kanon/internal/fault"
 	"kanon/internal/resilient"
 	"kanon/internal/table"
 )
@@ -21,6 +21,24 @@ import (
 func partitionFixture(t *testing.T) (*cluster.Space, *table.Table) {
 	t.Helper()
 	return testSpace(t, rand.New(rand.NewSource(70)), 120, "lm")
+}
+
+// shardFault is the panic value of a shard these tests fail on purpose.
+type shardFault struct{ shard int }
+
+func (e *shardFault) Error() string { return fmt.Sprintf("test fault in shard %d", e.shard) }
+
+// seededShard spreads seed over [1, maxHit] with a splitmix64 hash: the
+// seeded sweeps fail the run at shard seededShard(seed, maxHit)-1, and the
+// fixed derivation keeps that shard reproducible per seed.
+func seededShard(seed, maxHit int64) int {
+	x := uint64(seed) + 0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return int(x%uint64(maxHit)) + 1
 }
 
 // genEqual compares two generalized tables record by record.
@@ -41,41 +59,44 @@ func genEqual(t *testing.T, a, b *table.GenTable) bool {
 // shard that panics is not retried or completed some other way. The run
 // stops with a typed *resilient.ShardError naming the shard, returns no
 // table, and reports the shards up to the failed one, of which exactly the
-// earlier ones reached OnShard.
+// earlier ones were checkpointed. The panic comes from OnShard, which runs
+// inside the shard's containment.
 func TestPartitionFaultSurfacesShardError(t *testing.T) {
 	s, tbl := partitionFixture(t)
 	var checkpointed []int
+	calls := 0
 	opt := PartitionedOptions{K: 5, MaxChunk: 30, OnShard: func(ck resilient.ShardCheckpoint) {
+		calls++
+		if ck.Shard == 1 {
+			panic(&shardFault{shard: ck.Shard})
+		}
 		checkpointed = append(checkpointed, ck.Shard)
 	}}
 
-	in := fault.NewInjector(fault.Rule{Site: SitePartitionChunk, Hit: 2, Action: fault.Panic})
-	deactivate := fault.Activate(in)
 	g, clusters, rep, err := KAnonymizePartitionedReportCtx(nil, s, tbl, opt)
-	deactivate()
 	var se *resilient.ShardError
 	if !errors.As(err, &se) || se.Shard != 1 {
 		t.Fatalf("err = %v, want *resilient.ShardError for shard 1", err)
 	}
 	var pe *resilient.PanicError
-	var inj *fault.Injected
-	if !errors.As(err, &pe) || !errors.As(err, &inj) {
-		t.Fatalf("err = %v does not reach the contained panic and the injected fault", err)
+	var sf *shardFault
+	if !errors.As(err, &pe) || !errors.As(err, &sf) {
+		t.Fatalf("err = %v does not reach the contained panic and its value", err)
 	}
-	if strings.Contains(err.Error(), inj.Error()) {
+	if strings.Contains(err.Error(), sf.Error()) {
 		t.Fatalf("err = %q carries the raw panic payload", err)
 	}
 	if g != nil || clusters != nil {
 		t.Fatal("failed run returned a release")
 	}
-	if in.Hits(SitePartitionChunk) != 2 {
-		t.Fatalf("chunk site hit %d times, want 2: a failed shard must not run again", in.Hits(SitePartitionChunk))
+	if calls != 2 {
+		t.Fatalf("OnShard ran %d times, want 2: a failed shard must not run again", calls)
 	}
 	if rep == nil || len(rep.Shards) != 2 || rep.Shards[1].Outcome != resilient.OutcomeFailed {
 		t.Fatalf("report = %v, want shard 0 ok and shard 1 failed", rep)
 	}
 	if len(checkpointed) != 1 || checkpointed[0] != 0 {
-		t.Fatalf("OnShard saw shards %v, want [0]", checkpointed)
+		t.Fatalf("checkpointed shards %v, want [0]", checkpointed)
 	}
 }
 
@@ -107,7 +128,7 @@ func TestPartitionReportWorkerInvariant(t *testing.T) {
 	}
 }
 
-// TestPartitionCheckpointResume kills a run mid-flight with an injected
+// TestPartitionCheckpointResume kills a run mid-flight with a
 // cancellation, then resumes from the collected shard checkpoints: the
 // resumed run must skip the completed shards and produce output
 // byte-identical to an uninterrupted run.
@@ -119,17 +140,17 @@ func TestPartitionCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Run 1: cancel at the second shard's first attempt; collect shard
-	// checkpoints as they complete.
+	// Run 1: collect shard checkpoints as they complete, and cancel once
+	// the first is in, so the run dies before the second shard.
 	collected := map[int]resilient.ShardCheckpoint{}
-	opt1 := base
-	opt1.OnShard = func(ck resilient.ShardCheckpoint) { collected[ck.Shard] = ck }
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	in := fault.NewInjector(fault.Rule{Site: SitePartitionChunk, Hit: 2, Action: fault.Cancel}).OnCancel(cancel)
-	deactivate := fault.Activate(in)
+	opt1 := base
+	opt1.OnShard = func(ck resilient.ShardCheckpoint) {
+		collected[ck.Shard] = ck
+		cancel()
+	}
 	_, _, rep1, err := KAnonymizePartitionedReportCtx(ctx, s, tbl, opt1)
-	deactivate()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -193,9 +214,10 @@ func TestPartitionStaleCheckpointRecomputed(t *testing.T) {
 	}
 }
 
-// TestPartitionSeededFaultSweep is the acceptance sweep over seeded panic
-// rules at the shard site, plus a delay, across several seeds at Workers 1
-// and 4. A run whose seeded hit lands on a shard fails with a
+// TestPartitionSeededFaultSweep is the acceptance sweep over seeded shard
+// panics, plus a delay in the first shard, across several seeds at Workers
+// 1 and 4. Both come from OnShard, inside the shard's containment. A run
+// whose seeded hit lands on a shard fails with a
 // *resilient.ShardError naming that shard, returns no table, and has
 // checkpointed exactly the shards before it; a hit past the last shard
 // leaves the run clean. A same-seed rerun reproduces the identical
@@ -213,15 +235,19 @@ func TestPartitionSeededFaultSweep(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		for _, seed := range []int64{1, 2, 3} {
-			rules := fault.Seeded(seed, 6, SitePartitionChunk)
-			hit := int(rules[0].Hit)
-			rules = append([]fault.Rule{{Site: SitePartitionChunk, Hit: 1, Action: fault.Delay, Delay: time.Millisecond}}, rules...)
+			hit := seededShard(seed, 6)
 			run := func() (*table.GenTable, []byte, map[int]resilient.ShardCheckpoint, error) {
 				collected := map[int]resilient.ShardCheckpoint{}
 				opt := PartitionedOptions{K: 5, MaxChunk: 30, Workers: workers,
-					OnShard: func(ck resilient.ShardCheckpoint) { collected[ck.Shard] = ck }}
-				deactivate := fault.Activate(fault.NewInjector(rules...))
-				defer deactivate()
+					OnShard: func(ck resilient.ShardCheckpoint) {
+						if ck.Shard == 0 {
+							time.Sleep(time.Millisecond)
+						}
+						if ck.Shard == hit-1 {
+							panic(&shardFault{shard: ck.Shard})
+						}
+						collected[ck.Shard] = ck
+					}}
 				g, _, rep, err := KAnonymizePartitionedReportCtx(nil, s, tbl, opt)
 				if rep == nil {
 					t.Fatalf("workers %d seed %d: run returned no report", workers, seed)

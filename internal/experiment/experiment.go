@@ -18,7 +18,6 @@ import (
 	"kanon/internal/cluster"
 	"kanon/internal/core"
 	"kanon/internal/datagen"
-	"kanon/internal/fault"
 	"kanon/internal/loss"
 	"kanon/internal/obs"
 	"kanon/internal/par"
@@ -27,11 +26,6 @@ import (
 	"kanon/internal/risk"
 	"kanon/internal/table"
 )
-
-// SiteRun is the fault-injection site fired once at the start of every
-// experiment run (see internal/fault); it lets tests fail one run of a
-// block and assert the rest complete untouched.
-const SiteRun = "experiment.run"
 
 // Config controls dataset sizes and the k sweep. The zero value is not
 // usable; call DefaultConfig or FullConfig.
@@ -464,7 +458,6 @@ func runRecovered(fn func() (*table.GenTable, *cluster.AggloStats, error)) (g *t
 			g, st, err = nil, nil, fmt.Errorf("run panicked: %s", redact.Panic(v))
 		}
 	}()
-	fault.Inject(SiteRun)
 	return fn()
 }
 

@@ -7,18 +7,25 @@ import (
 	"strings"
 	"testing"
 
-	"kanon/internal/fault"
+	"kanon/internal/obs"
 )
 
-// robustConfig is small and fully deterministic: Workers 1 serializes the
-// job hand-out so fault-site hit counts map to fixed jobs, and
-// Deterministic zeroes every wall-clock field.
+// robustConfig is small and fully deterministic: Workers 1 runs the jobs
+// one after another on one goroutine, so event counts map to fixed jobs,
+// and Deterministic zeroes every wall-clock field.
 func robustConfig() Config {
 	return Config{
 		NART: 60, NADT: 60, NCMC: 60, Seed: 7, Ks: []int{3},
 		Workers: 1, Verify: true, Deterministic: true,
 	}
 }
+
+// recordFunc adapts a function to obs.Recorder. Under Workers 1 a run's
+// engine events reach it on the goroutine executing the run, inside the
+// run's panic recovery.
+type recordFunc func(obs.Event)
+
+func (f recordFunc) Record(e obs.Event) { f(e) }
 
 func marshalRuns(t *testing.T, runs []Run) []string {
 	t.Helper()
@@ -34,8 +41,9 @@ func marshalRuns(t *testing.T, runs []Run) []string {
 }
 
 // TestRunBlockInjectedPanicIsolated is the fault-containment property:
-// a panic in one experiment run must surface as that run's Error field
-// while every other run stays byte-identical to the fault-free suite.
+// a panic in one experiment run, raised here by the Observer in the middle
+// of the block, must surface as that run's Error field while every other
+// run stays byte-identical to the fault-free suite.
 func TestRunBlockInjectedPanicIsolated(t *testing.T) {
 	cfg := robustConfig()
 	clean, err := cfg.RunBlock("ART", EM)
@@ -43,10 +51,19 @@ func TestRunBlockInjectedPanicIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	in := fault.NewInjector(fault.Rule{Site: SiteRun, Hit: 3, Action: fault.Panic})
-	deactivate := fault.Activate(in)
+	// Count the block's events, then panic at the middle one.
+	events := 0
+	cfg.Observer = recordFunc(func(obs.Event) { events++ })
+	if _, err := cfg.RunBlock("ART", EM); err != nil {
+		t.Fatal(err)
+	}
+	at, seen := events/2, 0
+	cfg.Observer = recordFunc(func(obs.Event) {
+		if seen++; seen == at {
+			panic("observer fault")
+		}
+	})
 	faulty, err := cfg.RunBlock("ART", EM)
-	deactivate()
 	if err != nil {
 		t.Fatalf("block with one panicking run must still complete: %v", err)
 	}
@@ -80,7 +97,7 @@ func TestRunBlockInjectedPanicIsolated(t *testing.T) {
 	// clean block chose must still carry finite losses.
 	for k, v := range faulty.BestKAnon.Losses {
 		if v <= 0 {
-			t.Errorf("BestKAnon loss at k=%d is %v after an injected panic", k, v)
+			t.Errorf("BestKAnon loss at k=%d is %v after a run panicked", k, v)
 		}
 	}
 }
@@ -130,9 +147,11 @@ func TestRunBlockCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunBlockSuiteCancel cancels the whole suite mid-block: RunBlock
-// must return ctx.Err() with no block at all, and the run interrupted by
-// the cancellation must not have been handed to OnRun as failed.
+// TestRunBlockSuiteCancel cancels the whole suite mid-block, at the first
+// engine event of the fourth run (not at the third run's checkpoint event,
+// which would stop the suite between runs): RunBlock must return ctx.Err()
+// with no block at all, and the run interrupted by the cancellation must
+// not have been handed to OnRun as failed.
 func TestRunBlockSuiteCancel(t *testing.T) {
 	cfg := robustConfig()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -140,18 +159,27 @@ func TestRunBlockSuiteCancel(t *testing.T) {
 	cfg.Ctx = ctx
 	var persisted []Run
 	cfg.OnRun = func(r Run) { persisted = append(persisted, r) }
+	fourthStarted := false
+	cfg.Observer = recordFunc(func(e obs.Event) {
+		if len(persisted) == 3 && e.Kind != obs.KindCheckpoint && !fourthStarted {
+			fourthStarted = true
+			cancel()
+		}
+	})
 
-	in := fault.NewInjector(fault.Rule{Site: SiteRun, Hit: 4, Action: fault.Cancel}).
-		OnCancel(cancel)
-	deactivate := fault.Activate(in)
 	blk, err := cfg.RunBlock("ADT", EM)
-	deactivate()
 
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if blk != nil {
 		t.Fatal("cancelled suite returned a partial block")
+	}
+	if !fourthStarted {
+		t.Fatal("the fourth run never started: the cancellation landed between runs")
+	}
+	if len(persisted) != 3 {
+		t.Fatalf("%d runs persisted, want the 3 before the cancellation", len(persisted))
 	}
 	for _, r := range persisted {
 		if r.Error != "" {

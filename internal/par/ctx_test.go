@@ -69,27 +69,55 @@ func TestForSpansCtxCancelMidSpan(t *testing.T) {
 	}
 }
 
+// TestPanicInTaskIsContained panics inside one task of each pool entry
+// and asserts the panic reaches the caller: raw on the sequential path,
+// as a *TaskPanic carrying the value once it crossed the pool. The span
+// input is the ForSpansCtx path of Algorithms 3 and 4, and its panic sits
+// in span 1, so it only fires when the range was split.
 func TestPanicInTaskIsContained(t *testing.T) {
 	p := New(4)
 	defer p.Close()
-	for _, n := range []int{1, 100} { // sequential and parallel paths
-		func() {
-			defer func() {
-				v := recover()
-				if v == nil {
-					t.Fatalf("n=%d: panic did not propagate to the caller", n)
-				}
-				if n > 1 {
-					if _, ok := v.(*TaskPanic); !ok {
-						t.Fatalf("n=%d: recovered %T, want *TaskPanic", n, v)
-					}
-				}
-			}()
+	each := func(n int) func() {
+		return func() {
 			p.Each(n, func(i int) {
 				if i == n/2 {
 					panic("boom")
 				}
 			})
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		crossed bool // the panic crossed the pool
+		run     func()
+	}{
+		{"Each/sequential", false, each(1)},
+		{"Each/parallel", true, each(100)},
+		{"ForSpansCtx/spans>1", true, func() {
+			_, _ = p.ForSpansCtx(context.Background(), 100, 1, func(lo, hi, span int) {
+				if span == 1 {
+					panic("boom")
+				}
+			})
+		}},
+	} {
+		func() {
+			defer func() {
+				v := recover()
+				if v == nil {
+					t.Fatalf("%s: panic did not propagate to the caller", tc.name)
+				}
+				if tc.crossed {
+					tp, ok := v.(*TaskPanic)
+					if !ok {
+						t.Fatalf("%s: recovered %T, want *TaskPanic", tc.name, v)
+					}
+					if tp.Value != "boom" {
+						t.Fatalf("%s: TaskPanic carries %v, want the task's panic value", tc.name, tp.Value)
+					}
+				}
+			}()
+			tc.run()
 		}()
 	}
 	// The pool must remain usable after containing a panic.

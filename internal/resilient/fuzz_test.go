@@ -6,12 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-
-	"kanon/internal/fault"
 )
 
 // FuzzSupervisorDeterminism drives the supervisor over a fuzzer-chosen
-// placement of failures — which shards fail and how (injected-fault panic,
+// placement of failures — which shards fail and how (error-valued panic,
 // plain panic, engine error) — and requires every run to end in one of two
 // ways: the fault-free release, or a typed *ShardError naming the first
 // failing shard with no release at all. A failed run must have run and
@@ -44,7 +42,7 @@ func FuzzSupervisorDeterminism(f *testing.F) {
 					if faulty {
 						switch mode {
 						case 0:
-							panic(&fault.Injected{Site: "fuzz.site", Hit: int64(i + 1)})
+							panic(&testFault{shard: i})
 						case 1:
 							panic("shard bug")
 						case 2:

@@ -40,8 +40,8 @@ type ShardReport struct {
 }
 
 // RunReport aggregates the per-shard outcomes of one supervised run. It is
-// a pure function of (fault rules, input, checkpoints): the same inputs
-// give byte-identical JSON at any worker count.
+// a pure function of (input, checkpoints, the shard that failed): the same
+// inputs give byte-identical JSON at any worker count.
 type RunReport struct {
 	// Shards holds one report per supervised shard, in shard order.
 	Shards []ShardReport `json:"shards"`

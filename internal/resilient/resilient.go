@@ -67,7 +67,7 @@ func (e *PanicError) Error() string {
 }
 
 // Unwrap exposes the panic value when it was an error (e.g. a
-// *fault.Injected), so errors.As reaches through.
+// runtime.Error), so errors.As reaches through.
 func (e *PanicError) Unwrap() error {
 	if err, ok := e.Value.(error); ok {
 		return err

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"kanon/internal/fault"
 	"kanon/internal/obs"
 	"kanon/internal/par"
 )
@@ -29,8 +28,14 @@ func countingUnit(idx int, calls *int, fail func() error) Unit {
 	}
 }
 
-// injectedFault panics with a *fault.Injected, as an armed fault site does.
-func injectedFault() error { panic(&fault.Injected{Site: "test.site", Hit: 1}) }
+// testFault is the panic value of the shards these tests fail on purpose,
+// an error so errors.As can reach it through the *PanicError.
+type testFault struct{ shard int }
+
+func (e *testFault) Error() string { return fmt.Sprintf("test fault in shard %d", e.shard) }
+
+// injectedFault panics with a *testFault, as a failing shard does.
+func injectedFault() error { panic(&testFault{shard: 1}) }
 
 // TestFaultedShardFailsRun: a shard that dies on an injected fault runs once
 // and stops the run with a *ShardError naming it. There is no retry and no
@@ -47,9 +52,9 @@ func TestFaultedShardFailsRun(t *testing.T) {
 	if !errors.As(err, &se) || se.Shard != 1 {
 		t.Fatalf("err = %v, want *ShardError{Shard: 1}", err)
 	}
-	var inj *fault.Injected
-	if !errors.As(err, &inj) {
-		t.Fatalf("err = %v does not reach the *fault.Injected", err)
+	var tf *testFault
+	if !errors.As(err, &tf) {
+		t.Fatalf("err = %v does not reach the *testFault", err)
 	}
 	if calls != [3]int{1, 1, 0} {
 		t.Fatalf("Run calls = %v, want [1 1 0]", calls)

@@ -278,7 +278,8 @@ type Options struct {
 	// MaxChunk, when > 0, switches NotionK to the scalable partitioned
 	// agglomerative algorithm: records are pre-partitioned along the
 	// hierarchies into chunks of at most MaxChunk before clustering,
-	// trading a small utility penalty for near-linear scaling.
+	// trading a small utility penalty for near-linear scaling. Requires
+	// NotionK without Forest or FullDomain.
 	MaxChunk int
 	// Workers caps the worker pools of the parallel anonymizers: 1 forces
 	// the sequential paths, 0 (the default) sizes the pools to the machine.

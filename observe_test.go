@@ -203,8 +203,8 @@ func TestValidateOptions(t *testing.T) {
 		{K: 3, Notion: NotionK, MaxChunk: 100, Workers: 4},
 		{K: 3, Notion: NotionK, Forest: true},
 		{K: 3, Notion: NotionKK, Diversity: 2},
-		{K: 3, MaxChunk: 100, OnShard: func(ShardCheckpoint) {}},
-		{K: 3, MaxChunk: 100, CompletedShards: []ShardCheckpoint{{Shard: 0}}},
+		{K: 3, Notion: NotionK, MaxChunk: 100, OnShard: func(ShardCheckpoint) {}},
+		{K: 3, Notion: NotionK, MaxChunk: 100, CompletedShards: []ShardCheckpoint{{Shard: 0}}},
 	}
 	for _, opt := range valid {
 		if err := opt.Validate(); err != nil {
@@ -226,6 +226,11 @@ func TestValidateOptions(t *testing.T) {
 		{Options{K: 2, MaxChunk: 50, Diversity: 2}, "Diversity"},
 		{Options{K: 2, OnShard: func(ShardCheckpoint) {}}, "OnShard"},
 		{Options{K: 2, CompletedShards: []ShardCheckpoint{{Shard: 0}}}, "CompletedShards"},
+		{Options{K: 2, Notion: NotionKK, MaxChunk: 30, OnShard: func(ShardCheckpoint) {}}, "MaxChunk"},
+		{Options{K: 2, Notion: NotionGlobal1K, MaxChunk: 30}, "MaxChunk"},
+		{Options{K: 2, Notion: NotionK, Forest: true, MaxChunk: 30}, "MaxChunk"},
+		{Options{K: 2, Notion: NotionK, FullDomain: true, MaxChunk: 30}, "MaxChunk"},
+		{Options{K: 2, MaxChunk: 30}, "MaxChunk"}, // the default notion is kk
 	}
 	for _, tc := range invalid {
 		err := tc.opt.Validate()

@@ -7,10 +7,27 @@ import (
 	"strings"
 	"testing"
 
-	"kanon/internal/core"
-	"kanon/internal/fault"
 	"kanon/internal/resilient"
 )
+
+// shardFault is the panic value of a shard these tests fail on purpose.
+type shardFault struct{ shard int }
+
+func (e *shardFault) Error() string { return fmt.Sprintf("test fault in shard %d", e.shard) }
+
+// seededShard spreads seed over [1, maxHit] with a splitmix64 hash: the
+// seeded scenarios fail the run at shard seededShard(seed, maxHit)-1, and
+// the fixed derivation keeps that shard reproducible per seed (EXPERIMENTS.md
+// E21 tabulates it).
+func seededShard(seed, maxHit int64) int {
+	x := uint64(seed) + 0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return int(x%uint64(maxHit)) + 1
+}
 
 // resilienceCSV runs one partitioned anonymization and returns the result
 // plus its serialized output bytes.
@@ -66,27 +83,30 @@ func TestFacadeResilienceReport(t *testing.T) {
 
 // TestFacadeFaultedRunSafeAndByteIdentical is the fault contract of the
 // partitioned pipeline (DESIGN.md §14), at 1 and 4 workers: under seeded
-// faults at the shard site, and under a storm that poisons every shard, a
-// run returns no Result and a *resilient.ShardError naming the first
-// faulted shard, with the panic payload redacted. OnShard has seen exactly
-// the shards before it, and resuming from those checkpoints without faults
+// shard panics, and under a storm that poisons every shard, a run returns
+// no Result and a *resilient.ShardError naming the first faulted shard,
+// with the panic payload redacted. The panics come from OnShard, which runs
+// inside each shard's containment; the shards before the faulted one were
+// checkpointed, and resuming from those checkpoints without faults
 // releases the fault-free bytes with the fault-free attack evaluation.
 func TestFacadeFaultedRunSafeAndByteIdentical(t *testing.T) {
 	tbl := Adult(300, 99)
 	type scenario struct {
 		name  string
-		rules []fault.Rule
+		fails func(shard int) bool
+		want  int // the shard that fails the run
 	}
 	var scenarios []scenario
 	for seed := int64(1); seed <= 5; seed++ {
 		for _, maxHit := range []int64{4, 8} {
+			want := seededShard(seed, maxHit) - 1
 			scenarios = append(scenarios, scenario{
 				fmt.Sprintf("seed=%d/maxHit=%d", seed, maxHit),
-				fault.Seeded(seed, maxHit, core.SitePartitionChunk),
+				func(shard int) bool { return shard == want }, want,
 			})
 		}
 	}
-	scenarios = append(scenarios, scenario{"storm", []fault.Rule{{Site: core.SitePartitionChunk, Hit: 0, Action: fault.Panic}}})
+	scenarios = append(scenarios, scenario{"storm", func(int) bool { return true }, 0})
 
 	var cleanCSV []byte
 	var cleanAttack AttackSummary
@@ -108,30 +128,30 @@ func TestFacadeFaultedRunSafeAndByteIdentical(t *testing.T) {
 
 		for _, sc := range scenarios {
 			name := fmt.Sprintf("workers=%d/%s", workers, sc.name)
-			want := int(sc.rules[0].Hit) - 1 // each shard fires the site once
-			if want < 0 {
-				want = 0
-			}
+			want := sc.want
 			var checkpoints []ShardCheckpoint
 			faulted := opt
-			faulted.OnShard = func(ck ShardCheckpoint) { checkpoints = append(checkpoints, ck) }
-			deactivate := fault.Activate(fault.NewInjector(sc.rules...))
+			faulted.OnShard = func(ck ShardCheckpoint) {
+				if sc.fails(ck.Shard) {
+					panic(&shardFault{shard: ck.Shard})
+				}
+				checkpoints = append(checkpoints, ck)
+			}
 			res, err := Anonymize(tbl, faulted)
-			deactivate()
 
 			if res != nil {
 				t.Fatalf("%s: faulted run returned a Result", name)
 			}
 			var se *resilient.ShardError
 			var pe *resilient.PanicError
-			var inj *fault.Injected
-			if !errors.As(err, &se) || !errors.As(err, &pe) || !errors.As(err, &inj) {
-				t.Fatalf("%s: err = %v (%T), want *ShardError over a contained *fault.Injected", name, err, err)
+			var sf *shardFault
+			if !errors.As(err, &se) || !errors.As(err, &pe) || !errors.As(err, &sf) {
+				t.Fatalf("%s: err = %v (%T), want *ShardError over a contained *shardFault", name, err, err)
 			}
 			if se.Shard != want {
 				t.Errorf("%s: failed shard = %d, want %d", name, se.Shard, want)
 			}
-			if strings.Contains(err.Error(), inj.Error()) {
+			if strings.Contains(err.Error(), sf.Error()) {
 				t.Errorf("%s: error %q carries the raw panic payload", name, err)
 			}
 			if len(checkpoints) != want {

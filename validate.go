@@ -112,7 +112,18 @@ func (opt Options) Validate() error {
 				"not supported with NotionGlobal1K (the global pipeline ignores constraints; it would silently weaken the guarantee)")
 		}
 	}
-	if opt.MaxChunk <= 0 {
+	if opt.MaxChunk > 0 {
+		// Only the agglomerative k pipeline is sharded; anywhere else
+		// MaxChunk, OnShard and CompletedShards would be silently ignored.
+		switch {
+		case opt.Notion != NotionK:
+			return optErr("MaxChunk", opt.MaxChunk, "requires NotionK (only the agglomerative k pipeline is sharded)")
+		case opt.Forest:
+			return optErr("MaxChunk", opt.MaxChunk, "not supported with the forest baseline")
+		case opt.FullDomain:
+			return optErr("MaxChunk", opt.MaxChunk, "not supported with the full-domain baseline")
+		}
+	} else {
 		// Shard checkpoints belong to the partitioned pipeline; without
 		// MaxChunk there are no shards.
 		if opt.OnShard != nil {
