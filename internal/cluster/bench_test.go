@@ -107,8 +107,9 @@ func BenchmarkAgglomerateLarge(b *testing.B) {
 
 // BenchmarkDistKernel is the inner-loop microbenchmark: one dist(A, B)
 // evaluation through the flat kernel (one candidate priced against A's
-// loaded cost strip, then the devirtualized eval; the strip load is per
-// pass, not per pair, and stays outside the loop) versus the naive
+// loaded cost strip, then evaluated and offered to a neighbour list by the
+// pair passes' offer helper; the strip load is per pass, not per pair, and
+// stays outside the loop) versus the naive
 // evaluation (LCA pointer walks over heap GenRecords plus interface
 // dispatch). The reference leg is cmd/benchgate's denominator: a pure,
 // machine-speed measure of the LCA walk, immune to engine changes.
@@ -134,11 +135,13 @@ func BenchmarkDistKernel(b *testing.B) {
 	strip := make([]float64, k.stripLen())
 	k.loadStrip(strip, 0)
 	cands, sums := []int32{1}, make([]float64, 1)
+	var l nnList
 	b.Run("kernel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
+			l.reset()
 			k.price(strip, cands, sums)
-			_ = k.evalSum(0, 1, sums[0])
+			k.offerRescan(0, cands, sums, &l, false)
 		}
 	})
 	b.Run("reference", func(b *testing.B) {

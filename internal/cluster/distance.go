@@ -27,7 +27,7 @@ func (D1) Name() string { return "d1" }
 
 // Eval implements Distance.
 func (D1) Eval(sa, sb, su int, dA, dB, dU float64) float64 {
-	return float64(su)*dU - float64(sa)*dA - float64(sb)*dB
+	return d1Eval(sa, sb, su, dA, dB, dU)
 }
 
 // D2 is distance function (9): dist(A,B) = d(A∪B) − d(A) − d(B).
@@ -40,7 +40,7 @@ func (D2) Name() string { return "d2" }
 
 // Eval implements Distance.
 func (D2) Eval(_, _, _ int, dA, dB, dU float64) float64 {
-	return dU - dA - dB
+	return d2Eval(dA, dB, dU)
 }
 
 // D3 is distance function (10):
@@ -56,13 +56,7 @@ func (D3) Name() string { return "d3" }
 
 // Eval implements Distance.
 func (D3) Eval(_, _, su int, dA, dB, dU float64) float64 {
-	den := math.Log(float64(su))
-	if den <= 0 {
-		// |A∪B| = 1 can only occur in degenerate shrink evaluations; fall
-		// back to the undivided difference.
-		return dU - dA - dB
-	}
-	return (dU - dA - dB) / den
+	return d3Eval(math.Log(float64(su)), dA, dB, dU)
 }
 
 // D4 is distance function (11): dist(A,B) = d(A∪B) / (d(A) + d(B) + ε),
@@ -83,7 +77,7 @@ func (d D4) Eval(_, _, _ int, dA, dB, dU float64) float64 {
 	if eps == 0 {
 		eps = 0.1
 	}
-	return dU / (dA + dB + eps)
+	return d4Eval(eps, dA, dB, dU)
 }
 
 // NC is the asymmetric distance of Nergiz and Clifton (ICDE Workshops'06)
@@ -95,8 +89,32 @@ func (NC) Name() string { return "nc" }
 
 // Eval implements Distance.
 func (NC) Eval(_, _, _ int, _, dB, dU float64) float64 {
-	return dU - dB
+	return ncEval(dB, dU)
 }
+
+// The formulas of the built-in distances, each small enough to inline.
+// The Eval methods above and the engine's kernel (kernel.go) both call
+// them, so the kernel's devirtualized evaluation is the interface's bit for
+// bit by construction.
+
+func d1Eval(sa, sb, su int, dA, dB, dU float64) float64 {
+	return float64(su)*dU - float64(sa)*dA - float64(sb)*dB
+}
+
+func d2Eval(dA, dB, dU float64) float64 { return dU - dA - dB }
+
+// d3Eval takes den = log|A∪B|. |A∪B| = 1 (den = 0) can only occur in
+// degenerate shrink evaluations; it falls back to the undivided difference.
+func d3Eval(den, dA, dB, dU float64) float64 {
+	if den <= 0 {
+		return dU - dA - dB
+	}
+	return (dU - dA - dB) / den
+}
+
+func d4Eval(eps, dA, dB, dU float64) float64 { return dU / (dA + dB + eps) }
+
+func ncEval(dB, dU float64) float64 { return dU - dB }
 
 // The package-level distance tables backing PaperDistances, AllDistances
 // and DistanceByName. The distances are stateless values, so sharing the

@@ -123,16 +123,17 @@ func FuzzAgglomerate(f *testing.F) {
 	})
 }
 
-// FuzzDistKernelEquivalence pits the flat kernel's strip pricing against
-// the reference evaluation (per-attribute LCA walk + Distance.Eval through
-// the interface) over random clusters, for all built-in distances: every
-// anchor's strip prices one candidate, and an odd run of candidates that
-// takes the two-at-a-time loop and its one-candidate tail, and each
-// priced sum must give bit-equal float64s in both orientations, through
-// evalSum and evalPair alike. The same clusters are priced on the fuzz
-// space and, mapped onto it, on a space with an over-budget attribute
-// whose cost rows are filled by walk-up. It then replays the whole engine
-// against the naive oracle on the same table.
+// FuzzDistKernelEquivalence pits the flat kernel's pair passes against the
+// reference evaluation (per-attribute LCA walk + Distance.Eval through the
+// interface) over random clusters, for every built-in distance and a
+// user-supplied one: every anchor's strip prices runs of 1 to 9
+// candidates, which take the four-wide loop and every tail length, and the
+// offer helpers of the initial build, the newborn pass and the rescan must
+// hand their lists bit-equal float64s in both orientations. The same
+// clusters are priced on the fuzz space and, mapped onto it, on a space
+// with an over-budget attribute whose cost rows are filled by walk-up. It
+// then replays the whole engine against the naive oracle on the same
+// table.
 func FuzzDistKernelEquivalence(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x13, 0x24, 0x35, 0x46}, uint8(2), uint8(3))
 	f.Add([]byte{0xff, 0xfe, 0xfd, 0xfc, 0x01, 0x02, 0x03, 0x04}, uint8(5), uint8(2))
@@ -146,27 +147,21 @@ func FuzzDistKernelEquivalence(f *testing.F) {
 		if n < 2 {
 			return
 		}
-		// Split the records into two non-empty member sets, plus a third
-		// set (the even records) overlapping both: three clusters, so every
-		// anchor has two other candidates.
-		cut := 1 + int(split)%(n-1)
-		var sets [3][]int
-		for i := 0; i < n; i++ {
-			if i < cut {
-				sets[0] = append(sets[0], i)
-			} else {
-				sets[1] = append(sets[1], i)
-			}
-			if i%2 == 0 {
-				sets[2] = append(sets[2], i)
+		// Ten overlapping windows of the records, of varying start and
+		// length: every anchor has nine other clusters as candidates.
+		sets := make([][]int, 10)
+		for c := range sets {
+			start, size := c*(1+int(split)), 1+(c+int(split))%n
+			for i := 0; i < size; i++ {
+				sets[c] = append(sets[c], (start+i)%n)
 			}
 		}
-		checkStripPricing(t, "fuzz space", s, tbl, sets[:])
+		checkStripPricing(t, "fuzz space", s, tbl, sets)
 		wtbl := table.New(wempty.Schema)
 		for _, rec := range tbl.Records {
 			wtbl.MustAppend(table.Record{(rec[0]*4+rec[1])*65 + rec[2]*31, rec[1]})
 		}
-		checkStripPricing(t, "over-budget space", ws, wtbl, sets[:])
+		checkStripPricing(t, "over-budget space", ws, wtbl, sets)
 
 		// Whole-engine replay: the engine must reproduce the oracle's
 		// clustering on the same input, both algorithms.
@@ -188,15 +183,28 @@ func FuzzDistKernelEquivalence(f *testing.F) {
 	})
 }
 
+// skewDist is a user-supplied distance, asymmetric in every argument, that
+// the kernel evaluates through the interface.
+type skewDist struct{}
+
+func (skewDist) Name() string { return "skew" }
+func (skewDist) Eval(sa, sb, su int, dA, dB, dU float64) float64 {
+	return float64(su)*dU - float64(sa)*dA*dA + dB/float64(2*sb+1)
+}
+
 // checkStripPricing builds one cluster per member set in a kernel arena and
-// checks, for every distance and every anchor, that strip pricing gives
-// the reference distance bit for bit in both orientations.
+// checks, for every distance and every anchor, that every run of 1 to
+// len(sets)−1 candidates priced against the anchor's strip gives, through
+// each pass's offer helper, the reference distance bit for bit in both
+// orientations.
 func checkStripPricing(t *testing.T, label string, s *Space, tbl *table.Table, sets [][]int) {
 	t.Helper()
 	r := s.NumAttrs()
 	cls := make([]*Cluster, len(sets))
+	total := 0
 	for c, m := range sets {
 		cls[c] = s.NewCluster(tbl, m)
+		total += len(m)
 	}
 	ref := func(d Distance, a, b *Cluster) float64 {
 		sum := 0.0
@@ -205,44 +213,106 @@ func checkStripPricing(t *testing.T, label string, s *Space, tbl *table.Table, s
 		}
 		return d.Eval(a.Size(), b.Size(), a.Size()+b.Size(), a.Cost, b.Cost, sum/float64(r))
 	}
-	same := func(got, want float64) bool {
-		return math.Float64bits(got) == math.Float64bits(want) || (math.IsNaN(got) && math.IsNaN(want))
+	// lookup returns the distance l holds for id, in its entries or its
+	// discard bound (a run of nine overflows a list by one).
+	lookup := func(l *nnList, id int32) (float64, bool) {
+		for i := int32(0); i < l.n; i++ {
+			if l.id[i] == id {
+				return l.d[i], true
+			}
+		}
+		return l.ubD, l.ubID == id && !math.IsInf(l.ubD, 1)
 	}
+	dists := append(append([]Distance{}, AllDistances()...), D4{Epsilon: 0.25}, skewDist{})
 	row := make([]int32, r)
-	for _, d := range AllDistances() {
+	for _, d := range dists {
 		k := newKernel(s, d)
-		k.reserve(len(cls), tbl.Len())
+		// Overlapping member sets can union past the record count: size the
+		// log table for the largest possible union.
+		k.reserve(len(cls), total)
 		for id, c := range cls {
 			for j, node := range c.Closure {
 				row[j] = int32(node)
 			}
 			k.addMerged(id, row, c.Cost, c.Size())
 		}
+		check := func(pass string, a, b int, l *nnList, key int32, want float64) {
+			t.Helper()
+			got, ok := lookup(l, key)
+			if !ok || math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s %s %s: dist(%d, %d) = %v (%x, found %v), reference %v (%x)",
+					label, d.Name(), pass, a, b, got, math.Float64bits(got), ok, want, math.Float64bits(want))
+			}
+		}
 		strip := make([]float64, k.stripLen())
+		sums := make([]float64, len(cls))
 		for a := range cls {
+			k.loadStrip(strip, a)
 			var others []int32
 			for b := range cls {
 				if b != a {
 					others = append(others, int32(b))
 				}
 			}
-			k.loadStrip(strip, a)
-			// One candidate alone, then an odd run: pairs plus the tail.
-			for _, cands := range [][]int32{others[:1], append(append(others, others...), others[0])} {
-				sums := make([]float64, len(cands))
+			for run := 1; run <= len(others); run++ {
+				cands := others[:run]
 				k.price(strip, cands, sums)
-				for q, b32 := range cands {
+				var rowL, colL, fwd, rev nnList
+				rowL.reset()
+				colL.reset()
+				fwd.reset()
+				rev.reset()
+				wantNew := int64(0)
+				for _, b := range cands {
+					if int(b) < a {
+						wantNew += 2
+					}
+				}
+				if got := k.offerNewborn(a, cands, sums, &rowL, &colL); got != wantNew {
+					t.Errorf("%s %s: offerNewborn counted %d evaluations, want %d", label, d.Name(), got, wantNew)
+				}
+				if got := k.offerRescan(a, cands, sums, &fwd, false) + k.offerRescan(a, cands, sums, &rev, true); got != 2*int64(run) {
+					t.Errorf("%s %s: offerRescan counted %d evaluations, want %d", label, d.Name(), got, 2*run)
+				}
+				for _, b32 := range cands {
 					b := int(b32)
 					wantAB, wantBA := ref(d, cls[a], cls[b]), ref(d, cls[b], cls[a])
-					gotAB, gotBA := k.evalPair(a, b, sums[q])
-					if !same(gotAB, wantAB) || !same(k.evalSum(a, b, sums[q]), wantAB) {
-						t.Errorf("%s %s: %d candidates, dist(%d, %d) = %v (%x), reference %v (%x)",
-							label, d.Name(), len(cands), a, b, gotAB, math.Float64bits(gotAB), wantAB, math.Float64bits(wantAB))
+					check("rescan", a, b, &fwd, b32, wantAB)
+					check("rescan", b, a, &rev, b32, wantBA)
+					if b < a {
+						check("newborn", a, b, &rowL, b32, wantAB)
+						check("newborn", b, a, &colL, b32, wantBA)
+					} else if _, ok := lookup(&rowL, b32); ok {
+						t.Errorf("%s %s: newborn pass of %d offered %d", label, d.Name(), a, b)
 					}
-					if !same(gotBA, wantBA) || !same(k.evalSum(b, a, sums[q]), wantBA) {
-						t.Errorf("%s %s: %d candidates, dist(%d, %d) = %v, reference %v",
-							label, d.Name(), len(cands), b, a, gotBA, wantBA)
-					}
+				}
+			}
+			// The initial build offers consecutive ids: those below the
+			// anchor, then those above it.
+			var buildRow nnList
+			buildRow.reset()
+			cols := make([]nnList, len(cls))
+			for i := range cols {
+				cols[i].reset()
+			}
+			for _, span := range [][2]int{{0, a}, {a + 1, len(cls)}} {
+				lo, hi := span[0], span[1]
+				if lo == hi {
+					continue
+				}
+				ids := make([]int32, 0, hi-lo)
+				for b := lo; b < hi; b++ {
+					ids = append(ids, int32(b))
+				}
+				k.price(strip, ids, sums)
+				if got := k.offerBuild(a, lo, sums[:hi-lo], &buildRow, cols[lo:hi]); got != 2*int64(hi-lo) {
+					t.Errorf("%s %s: offerBuild counted %d evaluations, want %d", label, d.Name(), got, 2*(hi-lo))
+				}
+			}
+			for b := range cls {
+				if b != a {
+					check("build", a, b, &buildRow, int32(b), ref(d, cls[a], cls[b]))
+					check("build", b, a, &cols[b], int32(a), ref(d, cls[b], cls[a]))
 				}
 			}
 		}

@@ -28,13 +28,18 @@ import (
 //     candidate streams one contiguous row instead of chasing a heap
 //     GenRecord; per-id costs and sizes sit in parallel flat arrays;
 //   - the Distance interface is resolved once at kernel construction into
-//     a distKind, and eval switches on it with the inlined formulas of
-//     distance.go — user-supplied distances fall back to the interface.
+//     a distKind. The pair passes' offer helpers (offerBuild, offerNewborn,
+//     offerRescan) switch on it once per priced run and evaluate the
+//     formula inline in the loop that offers each candidate to its
+//     neighbour lists, so a priced pair costs no function call; eval, the
+//     per-call form, serves the shrink and absorb paths. User-supplied
+//     distances go through the interface.
 //
 // The kernel is byte-exact against the naive evaluation: every float64
 // sum runs in the same (ascending-attribute) order over the same cells
 // cost(LCA(u, v)), the cost rows come from the same CostAt/LCA functions,
-// and the eval switch repeats the Eval expressions verbatim (see
+// and every evaluation calls the formula functions the Eval methods of
+// distance.go call, on the same operands in the same order (see
 // FuzzDistKernelEquivalence and the naive Algorithm 1/2 oracle of
 // oracle_test.go).
 //
@@ -301,27 +306,44 @@ func (k *kernel) loadStrip(strip []float64, a int) {
 // loaded anchor strip, Σ_j strip[off[j]+row[j]] in ascending attribute
 // order — bit for bit the sum a per-pair evaluation of dist(anchor, ids[q])
 // or dist(ids[q], anchor) adds, since cost(LCA(u, v)) is symmetric.
-// Candidates go two per iteration with independent sums, an odd last one
-// alone. sums must be at least len(ids) long. It reads only
-// immutable-while-scanning state and is safe to call from pool workers.
+// Candidates go four per iteration with independent sums, so four add
+// chains are in flight; a remainder of two or three takes one two-wide
+// step and an odd last one goes alone. sums must be at least len(ids)
+// long. It reads only immutable-while-scanning state and is safe to call
+// from pool workers.
 func (k *kernel) price(strip []float64, ids []int32, sums []float64) {
 	r, rows, rowOf := k.r, k.rows, k.rowOf
 	off := k.off[:r]
 	sums = sums[:len(ids)]
 	q := 0
-	for ; q+1 < len(ids); q += 2 {
+	for ; q+3 < len(ids); q += 4 {
 		b0, b1 := int(rowOf[ids[q]])*r, int(rowOf[ids[q+1]])*r
-		r0, r1 := rows[b0:b0+r], rows[b1:b1+r]
+		b2, b3 := int(rowOf[ids[q+2]])*r, int(rowOf[ids[q+3]])*r
+		r0, r1 := rows[b0:][:r], rows[b1:][:r]
+		r2, r3 := rows[b2:][:r], rows[b3:][:r]
+		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+		for j, o := range off {
+			s0 += strip[o+int(r0[j])]
+			s1 += strip[o+int(r1[j])]
+			s2 += strip[o+int(r2[j])]
+			s3 += strip[o+int(r3[j])]
+		}
+		sums[q], sums[q+1], sums[q+2], sums[q+3] = s0, s1, s2, s3
+	}
+	if q+1 < len(ids) {
+		b0, b1 := int(rowOf[ids[q]])*r, int(rowOf[ids[q+1]])*r
+		r0, r1 := rows[b0:][:r], rows[b1:][:r]
 		s0, s1 := 0.0, 0.0
 		for j, o := range off {
 			s0 += strip[o+int(r0[j])]
 			s1 += strip[o+int(r1[j])]
 		}
 		sums[q], sums[q+1] = s0, s1
+		q += 2
 	}
 	if q < len(ids) {
 		b := int(rowOf[ids[q]]) * r
-		rb := rows[b : b+r]
+		rb := rows[b:][:r]
 		s := 0.0
 		for j, o := range off {
 			s += strip[o+int(rb[j])]
@@ -330,35 +352,237 @@ func (k *kernel) price(strip []float64, ids []int32, sums []float64) {
 	}
 }
 
-// evalSum returns dist(A, B) for live clusters a and b from their priced
-// LCA-cost sum.
-func (k *kernel) evalSum(a, b int, sum float64) float64 {
-	sa, sb := int(k.size[a]), int(k.size[b])
-	return k.eval(sa, sb, sa+sb, k.cost[a], k.cost[b], sum/float64(k.r))
+// The offer helpers evaluate one priced run of a pair pass (DESIGN.md §17)
+// and offer the distances to neighbour lists. Each switches on the distance
+// kind once and runs the chosen formula inline in its candidate loop; the
+// union size of two live clusters never exceeds the table's record count,
+// so D3's log|A∪B| is always a logTab load. Both orientations of a pair
+// share dU = sum/r. Each helper returns the evaluations it made, the
+// engine's dist_evals.
+
+// offerBuild evaluates the initial build's pairs of anchor a with the
+// consecutive ids lo, lo+1, …, lo+len(sums)−1, priced in sums: dist(a, j)
+// goes to row under j, dist(j, a) to cols[j−lo] under a.
+func (k *kernel) offerBuild(a, lo int, sums []float64, row *nnList, cols []nnList) int64 {
+	fr, sa, ca, a32 := float64(k.r), int(k.size[a]), k.cost[a], int32(a)
+	size, cost := k.size[lo:lo+len(sums)], k.cost[lo:lo+len(sums)]
+	cols = cols[:len(sums)]
+	switch k.kind {
+	case distD1:
+		for q, s := range sums {
+			dU, sb, cb := s/fr, int(size[q]), cost[q]
+			row.offer(d1Eval(sa, sb, sa+sb, ca, cb, dU), int32(lo+q))
+			cols[q].offer(d1Eval(sb, sa, sb+sa, cb, ca, dU), a32)
+		}
+	case distD2:
+		for q, s := range sums {
+			dU, cb := s/fr, cost[q]
+			row.offer(d2Eval(ca, cb, dU), int32(lo+q))
+			cols[q].offer(d2Eval(cb, ca, dU), a32)
+		}
+	case distD3:
+		logTab := k.logTab
+		for q, s := range sums {
+			dU, cb, den := s/fr, cost[q], logTab[sa+int(size[q])]
+			row.offer(d3Eval(den, ca, cb, dU), int32(lo+q))
+			cols[q].offer(d3Eval(den, cb, ca, dU), a32)
+		}
+	case distD4:
+		eps := k.eps
+		for q, s := range sums {
+			dU, cb := s/fr, cost[q]
+			row.offer(d4Eval(eps, ca, cb, dU), int32(lo+q))
+			cols[q].offer(d4Eval(eps, cb, ca, dU), a32)
+		}
+	case distNC:
+		for q, s := range sums {
+			dU, cb := s/fr, cost[q]
+			row.offer(ncEval(cb, dU), int32(lo+q))
+			cols[q].offer(ncEval(ca, dU), a32)
+		}
+	default:
+		for q, s := range sums {
+			dU, sb, cb := s/fr, int(size[q]), cost[q]
+			row.offer(k.custom.Eval(sa, sb, sa+sb, ca, cb, dU), int32(lo+q))
+			cols[q].offer(k.custom.Eval(sb, sa, sb+sa, cb, ca, dU), a32)
+		}
+	}
+	return 2 * int64(len(sums))
 }
 
-// evalPair returns dist(A, B) and dist(B, A) from one priced sum: both
-// orientations share dU, leaving only the two cheap eval combinations.
-// Each result is bit-identical to the corresponding evalSum, so the lazy
-// engine's pair-at-once passes (DESIGN.md §17) cannot drift from
-// single-orientation scans.
-func (k *kernel) evalPair(a, b int, sum float64) (dab, dba float64) {
-	dU := sum / float64(k.r)
-	sa, sb := int(k.size[a]), int(k.size[b])
-	ca, cb := k.cost[a], k.cost[b]
-	return k.eval(sa, sb, sa+sb, ca, cb, dU), k.eval(sb, sa, sb+sa, cb, ca, dU)
+// offerNewborn evaluates a newborn pass's pairs of anchor a with the ids
+// priced in sums, skipping ids ≥ a (the anchor and its younger siblings):
+// dist(a, y) goes to row and dist(y, a) to col, both under y.
+func (k *kernel) offerNewborn(a int, ids []int32, sums []float64, row, col *nnList) int64 {
+	fr, sa, ca, a32 := float64(k.r), int(k.size[a]), k.cost[a], int32(a)
+	size, cost := k.size, k.cost
+	sums = sums[:len(ids)]
+	n := int64(0)
+	switch k.kind {
+	case distD1:
+		for q, y := range ids {
+			if y >= a32 {
+				continue
+			}
+			dU, sb, cb := sums[q]/fr, int(size[y]), cost[y]
+			row.offer(d1Eval(sa, sb, sa+sb, ca, cb, dU), y)
+			col.offer(d1Eval(sb, sa, sb+sa, cb, ca, dU), y)
+			n++
+		}
+	case distD2:
+		for q, y := range ids {
+			if y >= a32 {
+				continue
+			}
+			dU, cb := sums[q]/fr, cost[y]
+			row.offer(d2Eval(ca, cb, dU), y)
+			col.offer(d2Eval(cb, ca, dU), y)
+			n++
+		}
+	case distD3:
+		logTab := k.logTab
+		for q, y := range ids {
+			if y >= a32 {
+				continue
+			}
+			dU, cb, den := sums[q]/fr, cost[y], logTab[sa+int(size[y])]
+			row.offer(d3Eval(den, ca, cb, dU), y)
+			col.offer(d3Eval(den, cb, ca, dU), y)
+			n++
+		}
+	case distD4:
+		eps := k.eps
+		for q, y := range ids {
+			if y >= a32 {
+				continue
+			}
+			dU, cb := sums[q]/fr, cost[y]
+			row.offer(d4Eval(eps, ca, cb, dU), y)
+			col.offer(d4Eval(eps, cb, ca, dU), y)
+			n++
+		}
+	case distNC:
+		for q, y := range ids {
+			if y >= a32 {
+				continue
+			}
+			dU, cb := sums[q]/fr, cost[y]
+			row.offer(ncEval(cb, dU), y)
+			col.offer(ncEval(ca, dU), y)
+			n++
+		}
+	default:
+		for q, y := range ids {
+			if y >= a32 {
+				continue
+			}
+			dU, sb, cb := sums[q]/fr, int(size[y]), cost[y]
+			row.offer(k.custom.Eval(sa, sb, sa+sb, ca, cb, dU), y)
+			col.offer(k.custom.Eval(sb, sa, sb+sa, cb, ca, dU), y)
+			n++
+		}
+	}
+	return 2 * n
 }
 
-// eval is the devirtualized Distance.Eval: a switch over the built-in
-// distances repeating the distance.go formulas verbatim (so results are
-// bit-identical to the interface path), with the interface dispatch kept
-// only for user-supplied distances.
+// offerRescan evaluates a rescan's pairs of anchor a with the ids priced in
+// sums, skipping a itself, into l under each id: dist(a, y) for a row list,
+// dist(y, a) when rev (a column list).
+func (k *kernel) offerRescan(a int, ids []int32, sums []float64, l *nnList, rev bool) int64 {
+	fr, sa, ca, a32 := float64(k.r), int(k.size[a]), k.cost[a], int32(a)
+	size, cost := k.size, k.cost
+	sums = sums[:len(ids)]
+	n := int64(0)
+	switch k.kind {
+	case distD1:
+		for q, y := range ids {
+			if y == a32 {
+				continue
+			}
+			dU, sA, sB, dA, dB := sums[q]/fr, sa, int(size[y]), ca, cost[y]
+			if rev {
+				sA, sB, dA, dB = sB, sA, dB, dA
+			}
+			l.offer(d1Eval(sA, sB, sA+sB, dA, dB, dU), y)
+			n++
+		}
+	case distD2:
+		for q, y := range ids {
+			if y == a32 {
+				continue
+			}
+			dU, dA, dB := sums[q]/fr, ca, cost[y]
+			if rev {
+				dA, dB = dB, dA
+			}
+			l.offer(d2Eval(dA, dB, dU), y)
+			n++
+		}
+	case distD3:
+		logTab := k.logTab
+		for q, y := range ids {
+			if y == a32 {
+				continue
+			}
+			dU, dA, dB, den := sums[q]/fr, ca, cost[y], logTab[sa+int(size[y])]
+			if rev {
+				dA, dB = dB, dA
+			}
+			l.offer(d3Eval(den, dA, dB, dU), y)
+			n++
+		}
+	case distD4:
+		eps := k.eps
+		for q, y := range ids {
+			if y == a32 {
+				continue
+			}
+			dU, dA, dB := sums[q]/fr, ca, cost[y]
+			if rev {
+				dA, dB = dB, dA
+			}
+			l.offer(d4Eval(eps, dA, dB, dU), y)
+			n++
+		}
+	case distNC:
+		for q, y := range ids {
+			if y == a32 {
+				continue
+			}
+			dU, dB := sums[q]/fr, cost[y]
+			if rev {
+				dB = ca
+			}
+			l.offer(ncEval(dB, dU), y)
+			n++
+		}
+	default:
+		for q, y := range ids {
+			if y == a32 {
+				continue
+			}
+			dU, sA, sB, dA, dB := sums[q]/fr, sa, int(size[y]), ca, cost[y]
+			if rev {
+				sA, sB, dA, dB = sB, sA, dB, dA
+			}
+			l.offer(k.custom.Eval(sA, sB, sA+sB, dA, dB, dU), y)
+			n++
+		}
+	}
+	return n
+}
+
+// eval is the devirtualized Distance.Eval of one pair, for the shrink and
+// absorb paths: a switch over the built-in distances calling the
+// distance.go formulas (so results are bit-identical to the interface
+// path), with the interface dispatch kept only for user-supplied
+// distances.
 func (k *kernel) eval(sa, sb, su int, dA, dB, dU float64) float64 {
 	switch k.kind {
 	case distD1:
-		return float64(su)*dU - float64(sa)*dA - float64(sb)*dB
+		return d1Eval(sa, sb, su, dA, dB, dU)
 	case distD2:
-		return dU - dA - dB
+		return d2Eval(dA, dB, dU)
 	case distD3:
 		var den float64
 		if su >= 0 && su < len(k.logTab) {
@@ -366,14 +590,11 @@ func (k *kernel) eval(sa, sb, su int, dA, dB, dU float64) float64 {
 		} else {
 			den = math.Log(float64(su))
 		}
-		if den <= 0 {
-			return dU - dA - dB
-		}
-		return (dU - dA - dB) / den
+		return d3Eval(den, dA, dB, dU)
 	case distD4:
-		return dU / (dA + dB + k.eps)
+		return d4Eval(k.eps, dA, dB, dU)
 	case distNC:
-		return dU - dB
+		return ncEval(dB, dU)
 	default:
 		return k.custom.Eval(sa, sb, su, dA, dB, dU)
 	}

@@ -383,20 +383,18 @@ func (e *aggloEngine) buildNNTiled(n int) error {
 				}
 				jHi := min(jLo+nnTile, iHi-1)
 				for i := max(iLo, jLo+1); i < iHi; i++ {
-					cands := live[jLo:min(jHi, i)]
+					jEnd := min(jHi, i)
+					cands := live[jLo:jEnd]
 					k.price(strips[(i-iLo)*sl:(i-iLo+1)*sl], cands, sums)
-					row := &e.rowNN[i]
-					for q, s := range sums[:len(cands)] {
-						j := jLo + q
-						dij, dji := k.evalPair(i, j, s)
-						row.offer(dij, int32(j))
-						if j >= floor {
-							e.rowNN[j].offer(dji, int32(i))
-						} else {
-							part[j].offer(dji, int32(i))
-						}
+					// dist(j, i) goes to the span-local partial below the
+					// span's floor and to row j itself from there on.
+					row, mid := &e.rowNN[i], min(max(floor, jLo), jEnd)
+					if mid > jLo {
+						evals += k.offerBuild(i, jLo, sums[:mid-jLo], row, part[jLo:mid])
 					}
-					evals += 2 * int64(len(cands))
+					if mid < jEnd {
+						evals += k.offerBuild(i, mid, sums[mid-jLo:jEnd-jLo], row, e.rowNN[mid:jEnd])
+					}
 				}
 			}
 			for i := iLo; i < iHi && !e.cancelled(); i++ {
@@ -508,19 +506,7 @@ func (e *aggloEngine) rescanSpan(tLo, tHi, sp int) {
 	for t := tLo; t < tHi; t++ {
 		tile := live[t*nnTile : min((t+1)*nnTile, len(live))]
 		k.price(e.anchorStrip, tile, sums)
-		for q, y := range tile {
-			if int(y) == owner {
-				continue
-			}
-			var d float64
-			if e.anchorKind == entRow {
-				d = k.evalSum(owner, int(y), sums[q])
-			} else {
-				d = k.evalSum(int(y), owner, sums[q])
-			}
-			l.offer(d, y)
-			evals++
-		}
+		evals += k.offerRescan(owner, tile, sums, l, e.anchorKind == entCol)
 	}
 	e.spanEvals[sp] = evals
 }
@@ -571,7 +557,6 @@ func (e *aggloEngine) repairHeap(added []int) {
 // merge) and the newborn itself are priced with their tile and skipped.
 func (e *aggloEngine) repairSpan(tLo, tHi, sp int) {
 	k, live, nb := e.kern, e.liveList, e.anchor
-	nb32 := int32(nb)
 	rl := &e.spanRowList[sp]
 	cl := &e.spanColList[sp]
 	rl.reset()
@@ -584,15 +569,7 @@ func (e *aggloEngine) repairSpan(tLo, tHi, sp int) {
 		}
 		tile := live[t*nnTile : min((t+1)*nnTile, len(live))]
 		k.price(e.anchorStrip, tile, sums)
-		for q, y := range tile {
-			if y >= nb32 {
-				continue
-			}
-			dny, dyn := k.evalPair(nb, int(y), sums[q])
-			rl.offer(dny, y)
-			cl.offer(dyn, y)
-			evals += 2
-		}
+		evals += k.offerNewborn(nb, tile, sums, rl, cl)
 	}
 	e.spanEvals[sp] = evals
 }

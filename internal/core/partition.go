@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"kanon/internal/cluster"
@@ -184,43 +185,57 @@ func partitionRecords(s *cluster.Space, tbl *table.Table, records []int, k, maxC
 // folded together (they share the parent closure anyway, so the fold stays
 // describable). The attribute whose split minimizes the largest part is
 // chosen; nil means no attribute yields ≥ 2 parts of size ≥ k.
+//
+// The closure and the covering children are computed once per distinct
+// value of the chunk, not per record: part[v] is 1 + the index of the
+// child covering value v (0 while v is unseen). The records are then
+// counting-sorted by child, in record order within a child, into one
+// buffer per attribute; two buffers alternate, so the next attribute never
+// overwrites the best split's groups.
 func bestSplit(s *cluster.Space, tbl *table.Table, records []int, k int) [][]int {
 	var best [][]int
 	bestMax := len(records) + 1
+	var vals []int
+	buf, spare := make([]int, len(records)), make([]int, len(records))
 	for j, h := range s.Hiers {
-		// Closure node of the chunk on attribute j.
-		node := h.LeafOf(tbl.Records[records[0]][j])
-		for _, i := range records[1:] {
-			node = h.LCA(node, h.LeafOf(tbl.Records[i][j]))
+		part := make([]int32, h.NumValues())
+		vals = vals[:0]
+		for _, i := range records {
+			if v := tbl.Records[i][j]; part[v] == 0 {
+				part[v] = 1
+				vals = append(vals, v)
+			}
 		}
+		// Closure node of the chunk on attribute j.
+		node := h.Closure(vals)
 		children := h.Children(node)
 		if len(children) < 2 {
 			continue
 		}
-		childIdx := make(map[int]int, len(children))
-		for ci, c := range children {
-			childIdx[c] = ci
-		}
-		groups := make([][]int, len(children))
-		ok := true
-		for _, i := range records {
-			leaf := h.LeafOf(tbl.Records[i][j])
-			// Walk up to the child of node covering this leaf.
-			u := leaf
+		for _, v := range vals {
+			// Walk up to the child of node covering this leaf; node is an
+			// ancestor of every leaf of the chunk.
+			u := h.LeafOf(v)
 			for h.Parent(u) != node {
 				u = h.Parent(u)
-				if u < 0 {
-					ok = false
-					break
-				}
 			}
-			if !ok {
-				break
-			}
-			groups[childIdx[u]] = append(groups[childIdx[u]], i)
+			part[v] = int32(slices.Index(children, u)) + 1
 		}
-		if !ok {
-			continue
+		// start[c] is where child c's group begins in buf.
+		start := make([]int, len(children)+1)
+		for _, i := range records {
+			start[part[tbl.Records[i][j]]]++
+		}
+		for c := 1; c < len(start); c++ {
+			start[c] += start[c-1]
+		}
+		groups := make([][]int, len(children))
+		for c := range groups {
+			groups[c] = buf[start[c]:start[c]:start[c+1]]
+		}
+		for _, i := range records {
+			c := part[tbl.Records[i][j]] - 1
+			groups[c] = append(groups[c], i)
 		}
 		parts := foldSmall(groups, k)
 		if len(parts) < 2 {
@@ -235,6 +250,7 @@ func bestSplit(s *cluster.Space, tbl *table.Table, records []int, k int) [][]int
 		if maxPart < bestMax {
 			bestMax = maxPart
 			best = parts
+			buf, spare = spare, buf
 		}
 	}
 	return best

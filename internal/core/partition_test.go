@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"kanon/internal/cluster"
 	"kanon/internal/datagen"
 	"kanon/internal/loss"
+	"kanon/internal/table"
 )
 
 func TestPartitionedPostcondition(t *testing.T) {
@@ -163,5 +166,109 @@ func TestFoldSmall(t *testing.T) {
 	// Smalls together reach k: they become their own part.
 	if got := foldSmall([][]int{{1, 2, 3}, {4}, {5}}, 2); len(got) != 2 {
 		t.Errorf("smalls-combined = %v", got)
+	}
+}
+
+// refBestSplit is the per-record bestSplit the production one replaced,
+// kept as its oracle: it folds LCA over every record, walks every record's
+// leaf up to the closure's child and looks that child up in a map.
+func refBestSplit(s *cluster.Space, tbl *table.Table, records []int, k int) [][]int {
+	var best [][]int
+	bestMax := len(records) + 1
+	for j, h := range s.Hiers {
+		// Closure node of the chunk on attribute j.
+		node := h.LeafOf(tbl.Records[records[0]][j])
+		for _, i := range records[1:] {
+			node = h.LCA(node, h.LeafOf(tbl.Records[i][j]))
+		}
+		children := h.Children(node)
+		if len(children) < 2 {
+			continue
+		}
+		childIdx := make(map[int]int, len(children))
+		for ci, c := range children {
+			childIdx[c] = ci
+		}
+		groups := make([][]int, len(children))
+		ok := true
+		for _, i := range records {
+			leaf := h.LeafOf(tbl.Records[i][j])
+			// Walk up to the child of node covering this leaf.
+			u := leaf
+			for h.Parent(u) != node {
+				u = h.Parent(u)
+				if u < 0 {
+					ok = false
+					break
+				}
+			}
+			if !ok {
+				break
+			}
+			groups[childIdx[u]] = append(groups[childIdx[u]], i)
+		}
+		if !ok {
+			continue
+		}
+		parts := foldSmall(groups, k)
+		if len(parts) < 2 {
+			continue
+		}
+		maxPart := 0
+		for _, p := range parts {
+			if len(p) > maxPart {
+				maxPart = len(p)
+			}
+		}
+		if maxPart < bestMax {
+			bestMax = maxPart
+			best = parts
+		}
+	}
+	return best
+}
+
+// refPartitionRecords is partitionRecords over refBestSplit.
+func refPartitionRecords(s *cluster.Space, tbl *table.Table, records []int, k, maxChunk int) [][]int {
+	if len(records) <= maxChunk {
+		return [][]int{records}
+	}
+	parts := refBestSplit(s, tbl, records, k)
+	if parts == nil {
+		return [][]int{records}
+	}
+	var out [][]int
+	for _, p := range parts {
+		out = append(out, refPartitionRecords(s, tbl, p, k, maxChunk)...)
+	}
+	return out
+}
+
+// TestPartitionMatchesPerRecordSplit checks that the per-distinct-value
+// split yields exactly the chunks of the per-record oracle, in order, on
+// ADT and ART at several (k, maxChunk) pairs.
+func TestPartitionMatchesPerRecordSplit(t *testing.T) {
+	for _, ds := range []*datagen.Dataset{datagen.Adult(4000, 61), datagen.ART(4000, 62)} {
+		s, err := cluster.NewSpace(ds.Hiers, loss.NewLM(ds.Hiers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := make([]int, ds.Table.Len())
+		for i := range all {
+			all[i] = i
+		}
+		for _, kc := range [][2]int{{2, 8}, {3, 40}, {5, 100}, {10, 500}, {25, 1000}} {
+			k, maxChunk := kc[0], kc[1]
+			t.Run(fmt.Sprintf("%s/k=%d/max=%d", ds.Name, k, maxChunk), func(t *testing.T) {
+				got := partitionRecords(s, ds.Table, all, k, maxChunk)
+				want := refPartitionRecords(s, ds.Table, all, k, maxChunk)
+				if len(want) < 2 {
+					t.Fatalf("oracle made %d chunks: the case does not split", len(want))
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%d chunks, oracle %d; chunks differ", len(got), len(want))
+				}
+			})
+		}
 	}
 }

@@ -105,6 +105,15 @@ type Metrics struct {
 	sched    map[string]int64
 	events   int64
 	maxT     time.Duration
+	// names caches each event phase's counter names (see phaseNames).
+	names map[string]*phaseNames
+}
+
+// phaseNames holds the counter names that one phase's merge, scan,
+// augment and chunk events feed, built once per phase so that recording an
+// event concatenates no strings and allocates nothing.
+type phaseNames struct {
+	merges, scans, scanEvals, augments, chunks, chunkRecords string
 }
 
 // NewMetrics returns an empty aggregator.
@@ -114,6 +123,7 @@ func NewMetrics() *Metrics {
 		counters: make(map[string]int64),
 		peaks:    make(map[string]int64),
 		sched:    make(map[string]int64),
+		names:    make(map[string]*phaseNames),
 	}
 }
 
@@ -137,15 +147,17 @@ func (m *Metrics) Record(e Event) {
 			p.open = p.open[:n-1]
 		}
 	case KindMerge:
-		m.counters[e.Phase+".merges"]++
+		m.counters[m.namesOf(e.Phase).merges]++
 	case KindScan:
-		m.counters[e.Phase+".scans"]++
-		m.counters[e.Phase+".scan_evals"] += e.N
+		n := m.namesOf(e.Phase)
+		m.counters[n.scans]++
+		m.counters[n.scanEvals] += e.N
 	case KindAugment:
-		m.counters[e.Phase+".augments"] += e.N
+		m.counters[m.namesOf(e.Phase).augments] += e.N
 	case KindChunk:
-		m.counters[e.Phase+".chunks"]++
-		m.counters[e.Phase+".chunk_records"] += e.N
+		n := m.namesOf(e.Phase)
+		m.counters[n.chunks]++
+		m.counters[n.chunkRecords] += e.N
 	case KindCheckpoint:
 		m.counters["checkpoint.writes"]++
 	case KindCounter:
@@ -169,6 +181,24 @@ func (m *Metrics) phase(name string) *phaseAgg {
 		m.order = append(m.order, name)
 	}
 	return p
+}
+
+// namesOf returns (building on first use) the counter names of a phase.
+// Callers hold m.mu.
+func (m *Metrics) namesOf(phase string) *phaseNames {
+	n, ok := m.names[phase]
+	if !ok {
+		n = &phaseNames{
+			merges:       phase + ".merges",
+			scans:        phase + ".scans",
+			scanEvals:    phase + ".scan_evals",
+			augments:     phase + ".augments",
+			chunks:       phase + ".chunks",
+			chunkRecords: phase + ".chunk_records",
+		}
+		m.names[phase] = n
+	}
+	return n
 }
 
 // Snapshot folds the events observed so far into a RunStats. It may be

@@ -238,6 +238,49 @@ func TestMetricsAggregation(t *testing.T) {
 	}
 }
 
+// TestMetricsRecordAllocatesNothing pins the per-phase counter-name cache:
+// once a phase's names exist, scan, merge, augment and chunk events
+// allocate nothing, and they still add up to the same counters.
+func TestMetricsRecordAllocatesNothing(t *testing.T) {
+	m := NewMetrics()
+	events := []Event{
+		{Kind: KindScan, Phase: "cluster.init", N: 3},
+		{Kind: KindScan, Phase: "cluster.merge", N: 5},
+		{Kind: KindMerge, Phase: "cluster.merge", N: 2},
+		{Kind: KindAugment, Phase: "core.make1k", N: 4},
+		{Kind: KindChunk, Phase: "core.partition", N: 7},
+	}
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, func() {
+		for _, e := range events {
+			m.Record(e)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Record allocates %v times per batch of %d events, want 0", allocs, len(events))
+	}
+	// AllocsPerRun makes one warm-up call before its runs.
+	const calls = runs + 1
+	s := m.Snapshot()
+	for name, want := range map[string]int64{
+		"cluster.init.scans":           calls,
+		"cluster.init.scan_evals":      3 * calls,
+		"cluster.merge.scans":          calls,
+		"cluster.merge.scan_evals":     5 * calls,
+		"cluster.merge.merges":         calls,
+		"core.make1k.augments":         4 * calls,
+		"core.partition.chunks":        calls,
+		"core.partition.chunk_records": 7 * calls,
+	} {
+		if got := s.Counter(name); got != want {
+			t.Errorf("counter %s = %d, want %d", name, got, want)
+		}
+	}
+	if len(s.Counters) != 8 {
+		t.Errorf("counters = %v, want the 8 above", s.Counters)
+	}
+}
+
 func TestMetricsConcurrentRecord(t *testing.T) {
 	m := NewMetrics()
 	r := NewRun(m)

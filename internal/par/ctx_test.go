@@ -37,22 +37,29 @@ func TestForCtxAlreadyCancelled(t *testing.T) {
 }
 
 func TestEachCtxStopsHandingOutIndices(t *testing.T) {
-	p := New(4)
+	const workers = 4
+	p := New(workers)
 	defer p.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
 	err := p.EachCtx(ctx, 10000, func(i int) {
-		if ran.Add(1) == 5 {
+		// The 5th task cancels; every later one blocks until the cancel,
+		// so no worker can finish a task after the 5th before the context
+		// is done, however the scheduler interleaves them.
+		switch c := ran.Add(1); {
+		case c == 5:
 			cancel()
+		case c > 5:
+			<-ctx.Done()
 		}
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// At most the indices already running on the workers may complete
-	// after the cancel; with 4 workers that is a handful, not 10000.
-	if ran.Load() > 100 {
-		t.Fatalf("%d indices ran after cancellation", ran.Load())
+	// Each worker sees the cancel before taking another index once its
+	// task after the 5th returns, so at most one such task per worker runs.
+	if got := ran.Load(); got > 5+workers {
+		t.Fatalf("%d indices ran, want at most %d", got, 5+workers)
 	}
 }
 
