@@ -5,9 +5,11 @@
 //
 //	kanon -in data.csv -hier hierarchies.json -k 10 -notion kk -out anon.csv
 //
-// Notions: k (classical k-anonymity via the agglomerative algorithm, or
-// -forest for the Aggarwal et al. baseline), kk ((k,k)-anonymity, the
-// paper's practical recommendation), global (global (1,k)-anonymity).
+// Notions: k (classical k-anonymity), kk ((k,k)-anonymity, the paper's
+// practical recommendation), global (global (1,k)-anonymity). -alg picks
+// the notion's algorithm: agglomerative (the default), modified, forest (the
+// Aggarwal et al. baseline) or full-domain for k; expand (the default) or
+// nearest for kk and global.
 // The hierarchy spec is optional; without it every attribute may only be
 // kept or fully suppressed.
 package main
@@ -36,54 +38,38 @@ func main() {
 		k          = flag.Int("k", 10, "anonymity parameter k")
 		notion     = flag.String("notion", "kk", "anonymity notion: k, kk, global")
 		measure    = flag.String("measure", "entropy", "loss measure: entropy, monotone-entropy, lm, tree, suppression")
-		distance   = flag.String("distance", "d3", "agglomerative distance (notion=k): d1..d4, nc")
-		modified   = flag.Bool("modified", false, "use the modified agglomerative algorithm (notion=k)")
-		forest     = flag.Bool("forest", false, "use the forest baseline algorithm (notion=k)")
-		fullDom    = flag.Bool("full-domain", false, "use optimal full-domain (global recoding) generalization (notion=k)")
-		nearest    = flag.Bool("nearest", false, "seed (k,k)/global with Algorithm 3 instead of Algorithm 4")
+		alg        = flag.String("alg", "", "algorithm: agglomerative (default), modified, forest, full-domain for notion=k; expand (default), nearest for kk and global")
+		distance   = flag.String("distance", "", "distance of -alg agglomerative or modified: d1..d4, nc (default d3)")
 		verify     = flag.Bool("verify", false, "verify the output against all notions (quadratic)")
 		attackRpt  = flag.Bool("attack", false, "run the adversarial evaluation suite against the output and print the risk report (quadratic)")
-		diversity  = flag.Int("diversity", 0, "require distinct ℓ-diversity of the sensitive attribute (needs -sensitive)")
 		constraint = flag.String("constraint", "", "privacy constraints on the sensitive attribute, comma-separated name=value specs: distinct=L, entropy=L, recursive=C/L, tclose=T (needs -sensitive)")
-		lFlag      = flag.Int("l", 0, "shorthand for -constraint distinct=L")
-		tFlag      = flag.Float64("t", -1, "shorthand for -constraint tclose=T")
-		sensPath   = flag.String("sensitive", "", "file with one sensitive value per record (enables -diversity and -constraint)")
+		sensPath   = flag.String("sensitive", "", "file with one sensitive value per record (enables -constraint)")
 		autoHier   = flag.Int("auto-hier", 0, "infer interval hierarchies for numeric attributes (base bucket width, 0=off)")
 		workers    = flag.Int("workers", 0, "worker pool size for the parallel anonymizers (0 = all CPUs, 1 = sequential; output is identical)")
 		timeout    = flag.Duration("timeout", 0, "abort the run after this duration (e.g. 30s; 0 = no limit)")
 		maxRec     = flag.Int("max-records", 0, "fail fast when the input has more than this many records (0 = no limit)")
 		stats      = flag.Bool("stats", false, "print the run's statistics (phases, counters, peaks) as JSON on stderr")
 		profile    = flag.String("profile", "", "write cpu.pprof, heap.pprof and trace.out into this directory")
-		maxChunk   = flag.Int("max-chunk", 0, "switch notion=k to the sharded partitioned pipeline with chunks of at most this many records (0 = off)")
+		maxChunk   = flag.Int("max-chunk", 0, "switch -alg agglomerative or modified to the sharded partitioned pipeline with chunks of at most this many records (0 = off)")
 		shardCkpt  = flag.String("shard-checkpoint", "", "JSONL file of completed-shard checkpoints: existing entries resume a failed or killed run, new shards are appended (needs -max-chunk)")
 	)
 	flag.Parse()
 
-	opt := kanon.Options{
-		K:          *k,
-		Notion:     kanon.Notion(*notion),
-		Measure:    kanon.MeasureName(*measure),
-		Distance:   *distance,
-		Modified:   *modified,
-		Forest:     *forest,
-		FullDomain: *fullDom,
-		UseNearest: *nearest,
-		Diversity:  *diversity,
-		Workers:    *workers,
-		MaxChunk:   *maxChunk,
-	}
 	cons, err := kanon.ParseConstraints(*constraint)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "kanon: bad -constraint: %v\n", err)
 		os.Exit(2)
 	}
-	if *lFlag > 0 {
-		cons = append(cons, kanon.DistinctDiversity(*lFlag))
+	opt := kanon.Options{
+		K:           *k,
+		Notion:      kanon.Notion(*notion),
+		Algorithm:   kanon.Algorithm(*alg),
+		Measure:     kanon.MeasureName(*measure),
+		Distance:    *distance,
+		Constraints: cons,
+		Workers:     *workers,
+		MaxChunk:    *maxChunk,
 	}
-	if *tFlag >= 0 {
-		cons = append(cons, kanon.Closeness(*tFlag))
-	}
-	opt.Constraints = cons
 	if *shardCkpt != "" && *maxChunk <= 0 {
 		fmt.Fprintln(os.Stderr, "kanon: bad -shard-checkpoint: requires -max-chunk > 0")
 		os.Exit(2)
@@ -131,8 +117,8 @@ func flagFor(field string) string {
 	switch field {
 	case "K":
 		return "k"
-	case "FullDomain":
-		return "full-domain"
+	case "Algorithm":
+		return "alg"
 	case "MaxChunk":
 		return "max-chunk"
 	case "OnShard", "CompletedShards":

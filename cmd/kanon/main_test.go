@@ -45,7 +45,7 @@ func TestRunEndToEnd(t *testing.T) {
 	for _, notion := range []kanon.Notion{kanon.NotionK, kanon.NotionKK, kanon.NotionGlobal1K} {
 		err := run(nil, runConfig{
 			In: in, Hier: hier, Out: out, Header: true, Verify: true,
-			Opt: kanon.Options{K: 3, Notion: notion, Measure: kanon.MeasureEntropy, Distance: "d3"},
+			Opt: kanon.Options{K: 3, Notion: notion, Measure: kanon.MeasureEntropy},
 		})
 		if err != nil {
 			t.Fatalf("notion %s: %v", notion, err)
@@ -69,11 +69,11 @@ func TestRunForestAndVariants(t *testing.T) {
 	in := writeFile(t, dir, "in.csv", testCSV)
 	out := filepath.Join(dir, "out.csv")
 	if err := run(nil, runConfig{In: in, Out: out, Header: true,
-		Opt: kanon.Options{K: 2, Notion: kanon.NotionK, Forest: true, Measure: kanon.MeasureLM}}); err != nil {
+		Opt: kanon.Options{K: 2, Notion: kanon.NotionK, Algorithm: kanon.AlgForest, Measure: kanon.MeasureLM}}); err != nil {
 		t.Fatalf("forest: %v", err)
 	}
 	if err := run(nil, runConfig{In: in, Out: out, Header: true,
-		Opt: kanon.Options{K: 2, Notion: kanon.NotionKK, UseNearest: true, Measure: kanon.MeasureLM}}); err != nil {
+		Opt: kanon.Options{K: 2, Notion: kanon.NotionKK, Algorithm: kanon.AlgNearest, Measure: kanon.MeasureLM}}); err != nil {
 		t.Fatalf("nearest: %v", err)
 	}
 }
@@ -151,7 +151,7 @@ func TestRunDiversity(t *testing.T) {
 	sens := writeFile(t, dir, "sens.txt", "flu\ncancer\nflu\ncancer\nflu\ncancer\n")
 	out := filepath.Join(dir, "out.csv")
 	err := run(nil, runConfig{In: in, Hier: hier, Out: out, Sensitive: sens, Header: true, Verify: true,
-		Opt: kanon.Options{K: 2, Notion: kanon.NotionKK, Diversity: 2}})
+		Opt: kanon.Options{K: 2, Notion: kanon.NotionKK, Constraints: []kanon.Constraint{kanon.DistinctDiversity(2)}}})
 	if err != nil {
 		t.Fatalf("diversity run: %v", err)
 	}
@@ -163,7 +163,7 @@ func TestRunFullDomain(t *testing.T) {
 	hier := writeFile(t, dir, "hier.json", testHier)
 	out := filepath.Join(dir, "out.csv")
 	err := run(nil, runConfig{In: in, Hier: hier, Out: out, Header: true, Verify: true,
-		Opt: kanon.Options{K: 3, Notion: kanon.NotionK, FullDomain: true}})
+		Opt: kanon.Options{K: 3, Notion: kanon.NotionK, Algorithm: kanon.AlgFullDomain}})
 	if err != nil {
 		t.Fatalf("full-domain run: %v", err)
 	}
@@ -215,9 +215,9 @@ func TestRunStatsAndProfile(t *testing.T) {
 // early-validation error message.
 func TestFlagFor(t *testing.T) {
 	for field, flag := range map[string]string{
-		"K": "k", "Notion": "notion", "Measure": "measure",
-		"Distance": "distance", "Forest": "forest",
-		"FullDomain": "full-domain", "Diversity": "diversity",
+		"K": "k", "Notion": "notion", "Algorithm": "alg", "Measure": "measure",
+		"Distance": "distance", "Constraints": "constraint",
+		"MaxChunk": "max-chunk", "OnShard": "shard-checkpoint",
 	} {
 		if got := flagFor(field); got != flag {
 			t.Errorf("flagFor(%q) = %q, want %q", field, got, flag)

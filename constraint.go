@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"kanon/internal/cluster"
-	"kanon/internal/table"
 )
 
 // Constraint is a privacy constraint on the sensitive attribute, enforced
@@ -14,9 +13,8 @@ import (
 // the release, and for NotionKK every record's candidate set, must satisfy
 // it. Construct constraints with DistinctDiversity, EntropyDiversity,
 // RecursiveDiversity and Closeness (or parse CLI specs with
-// ParseConstraints) and set Options.Constraints; Options.Diversity remains
-// sugar for a single DistinctDiversity. The interface is sealed — the
-// engine-level evaluation contract lives in internal/cluster.
+// ParseConstraints) and set Options.Constraints. The interface is sealed —
+// the engine-level evaluation contract lives in internal/cluster.
 type Constraint interface {
 	// String names the constraint with its parameters (e.g. "distinct=3"),
 	// for reports, error messages and the -constraint CLI flag syntax.
@@ -31,8 +29,6 @@ type Constraint interface {
 
 // DistinctDiversity returns distinct ℓ-diversity: at least l distinct
 // sensitive values per equivalence class (Machanavajjhala et al.).
-// Options.Constraints = [DistinctDiversity(l)] is exactly equivalent to
-// Options.Diversity = l, byte for byte.
 func DistinctDiversity(l int) Constraint { return distinctC{l} }
 
 // EntropyDiversity returns entropy ℓ-diversity: the Shannon entropy of
@@ -192,17 +188,6 @@ func ParseConstraints(spec string) ([]Constraint, error) {
 	return out, nil
 }
 
-// effectiveConstraints resolves the run's constraint list: the Diversity
-// sugar (a single DistinctDiversity) followed by Options.Constraints.
-// Validate rejects setting both.
-func effectiveConstraints(opt Options) []Constraint {
-	var cons []Constraint
-	if opt.Diversity >= 2 {
-		cons = append(cons, DistinctDiversity(opt.Diversity))
-	}
-	return append(cons, opt.Constraints...)
-}
-
 // buildConstraints binds the facade constraints to the table, yielding the
 // engine-level constraint list.
 func buildConstraints(t *Table, cons []Constraint) ([]cluster.Constraint, error) {
@@ -238,9 +223,9 @@ type ConstraintStatus struct {
 }
 
 // ConstraintReport audits the release's equivalence classes against the
-// run's constraints (the Diversity sugar included), returning one status
-// per constraint in option order. Classes are the groups of identical
-// generalized records, in first-appearance order.
+// run's constraints, returning one status per constraint in option order.
+// Classes are the groups of identical generalized records, in
+// first-appearance order.
 //
 // For NotionK the engine enforces constraints per equivalence class, so
 // every status reports Satisfied (leftover absorption under a
@@ -250,7 +235,7 @@ type ConstraintStatus struct {
 // this report is the stricter class-level audit and may count violations
 // even though every candidate set satisfies the constraint.
 func (r *Result) ConstraintReport() ([]ConstraintStatus, error) {
-	cons := effectiveConstraints(r.opt)
+	cons := r.opt.Constraints
 	if len(cons) == 0 {
 		return nil, nil
 	}
@@ -261,7 +246,7 @@ func (r *Result) ConstraintReport() ([]ConstraintStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	classes := equivalenceClasses(r.gen)
+	classes := r.gen.Classes()
 	out := make([]ConstraintStatus, 0, len(built))
 	for _, cc := range built {
 		st := ConstraintStatus{Constraint: cc.String(), Satisfied: true, Classes: len(classes)}
@@ -293,27 +278,4 @@ func (r *Result) ConstraintReport() ([]ConstraintStatus, error) {
 		out = append(out, st)
 	}
 	return out, nil
-}
-
-// equivalenceClasses groups record indices by identical generalized
-// records, in first-appearance order.
-func equivalenceClasses(g *table.GenTable) [][]int {
-	index := make(map[string]int)
-	var classes [][]int
-	var key strings.Builder
-	for i, rec := range g.Records {
-		key.Reset()
-		for _, node := range rec {
-			fmt.Fprintf(&key, "%d,", node)
-		}
-		k := key.String()
-		ci, ok := index[k]
-		if !ok {
-			ci = len(classes)
-			index[k] = ci
-			classes = append(classes, nil)
-		}
-		classes[ci] = append(classes[ci], i)
-	}
-	return classes
 }

@@ -49,17 +49,16 @@ func TestConstraintOptionsValidation(t *testing.T) {
 		opt   Options
 		field string
 	}{
-		{Options{K: 2, Diversity: 2, Constraints: []Constraint{Closeness(0.3)}}, "Constraints"},
 		{Options{K: 2, Constraints: []Constraint{nil}}, "Constraints"},
 		{Options{K: 2, Constraints: []Constraint{DistinctDiversity(1)}}, "Constraints"},
 		{Options{K: 2, Constraints: []Constraint{EntropyDiversity(1)}}, "Constraints"},
 		{Options{K: 2, Constraints: []Constraint{RecursiveDiversity(0, 2)}}, "Constraints"},
 		{Options{K: 2, Constraints: []Constraint{Closeness(1.5)}}, "Constraints"},
-		{Options{K: 2, Forest: true, Constraints: []Constraint{Closeness(0.3)}}, "Constraints"},
-		{Options{K: 2, FullDomain: true, Constraints: []Constraint{Closeness(0.3)}}, "Constraints"},
-		{Options{K: 2, MaxChunk: 50, Constraints: []Constraint{Closeness(0.3)}}, "Constraints"},
+		{Options{K: 2, Notion: NotionK, Algorithm: AlgForest, Constraints: []Constraint{Closeness(0.3)}}, "Constraints"},
+		{Options{K: 2, Notion: NotionK, Algorithm: AlgFullDomain, Constraints: []Constraint{Closeness(0.3)}}, "Constraints"},
+		{Options{K: 2, Notion: NotionK, MaxChunk: 50, Constraints: []Constraint{Closeness(0.3)}}, "Constraints"},
 		{Options{K: 2, Notion: NotionGlobal1K, Constraints: []Constraint{Closeness(0.3)}}, "Constraints"},
-		{Options{K: 2, Notion: NotionGlobal1K, Diversity: 2}, "Diversity"},
+		{Options{K: 2, Notion: NotionGlobal1K, Algorithm: AlgNearest, Constraints: []Constraint{DistinctDiversity(2)}}, "Constraints"},
 	}
 	for _, tc := range cases {
 		err := tc.opt.Validate()
@@ -75,7 +74,7 @@ func TestConstraintOptionsValidation(t *testing.T) {
 	good := []Options{
 		{K: 2, Constraints: []Constraint{DistinctDiversity(2), Closeness(0.4)}},
 		{K: 2, Notion: NotionKK, Constraints: []Constraint{EntropyDiversity(1.5)}},
-		{K: 2, Diversity: 2}, // sugar alone stays valid
+		{K: 2, Notion: NotionKK, Algorithm: AlgNearest, Constraints: []Constraint{DistinctDiversity(2)}},
 	}
 	for _, opt := range good {
 		if err := opt.Validate(); err != nil {

@@ -47,10 +47,10 @@ func TestAnonymizeContextPreCancelled(t *testing.T) {
 	cancel()
 	for _, opt := range []Options{
 		{K: 5, Notion: NotionK},
-		{K: 5, Notion: NotionK, Forest: true},
-		{K: 5, Notion: NotionK, FullDomain: true},
+		{K: 5, Notion: NotionK, Algorithm: AlgForest},
+		{K: 5, Notion: NotionK, Algorithm: AlgFullDomain},
 		{K: 5, Notion: NotionKK},
-		{K: 5, Notion: NotionKK, UseNearest: true},
+		{K: 5, Notion: NotionKK, Algorithm: AlgNearest},
 		{K: 5, Notion: NotionGlobal1K},
 		{K: 5, Notion: NotionK, MaxChunk: 64},
 	} {

@@ -68,7 +68,8 @@ func ExampleTable_SetSensitive() {
 	if err := tbl.SetSensitive("diagnosis", []string{"flu", "cancer", "flu", "cancer", "flu", "cancer"}); err != nil {
 		log.Fatal(err)
 	}
-	res, err := kanon.Anonymize(tbl, kanon.Options{K: 2, Notion: kanon.NotionKK, Diversity: 2})
+	res, err := kanon.Anonymize(tbl, kanon.Options{K: 2, Notion: kanon.NotionKK,
+		Constraints: []kanon.Constraint{kanon.DistinctDiversity(2)}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -139,5 +139,5 @@ reading the table:
 	fmt.Printf("\ninformed adversary (knows %d private values) vs the GLOBAL release:\n", len(known))
 	fmt.Printf("  %d of %d records now link to fewer than k rows (min candidates %d)\n", below, n, minC)
 	fmt.Println("  no k-type notion bounds an adversary with private-value knowledge —")
-	fmt.Println("  that threat needs l-diversity (see Options.Diversity) or stronger.")
+	fmt.Println("  that threat needs l-diversity (see Options.Constraints) or stronger.")
 }

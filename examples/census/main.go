@@ -39,7 +39,7 @@ func main() {
 	pipelines := []pipeline{
 		{"k-anonymity (agglomerative)", kanon.Options{K: k, Notion: kanon.NotionK},
 			"classical guarantee: every released record identical to ≥ k-1 others"},
-		{"k-anonymity (forest baseline)", kanon.Options{K: k, Notion: kanon.NotionK, Forest: true},
+		{"k-anonymity (forest baseline)", kanon.Options{K: k, Notion: kanon.NotionK, Algorithm: kanon.AlgForest},
 			"the Aggarwal et al. 3k-3 approximation the paper compares against"},
 		{"(k,k)-anonymity", kanon.Options{K: k, Notion: kanon.NotionKK},
 			"adversary knowing anyone's public data still sees ≥ k candidate records"},

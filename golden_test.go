@@ -19,8 +19,8 @@ func TestGoldenLosses(t *testing.T) {
 	}{
 		{"ART-k", Options{K: 5, Notion: NotionK}, 1.301150036218732},
 		{"ART-k-d1", Options{K: 5, Notion: NotionK, Distance: "d1"}, 1.358423583898939},
-		{"ART-k-modified", Options{K: 5, Notion: NotionK, Modified: true}, 1.29737322056905},
-		{"ART-forest", Options{K: 5, Notion: NotionK, Forest: true}, 1.654079643961463},
+		{"ART-k-modified", Options{K: 5, Notion: NotionK, Algorithm: AlgModified}, 1.29737322056905},
+		{"ART-forest", Options{K: 5, Notion: NotionK, Algorithm: AlgForest}, 1.654079643961463},
 		{"ART-kk", Options{K: 5, Notion: NotionKK}, 1.128033542597594},
 		{"ART-global", Options{K: 5, Notion: NotionGlobal1K}, 1.148957646009122},
 		{"ART-k-lm", Options{K: 5, Notion: NotionK, Measure: MeasureLM}, 0.3390092592592592},

@@ -16,7 +16,6 @@ import (
 
 	"kanon/internal/bipartite"
 	"kanon/internal/cluster"
-	"kanon/internal/loss"
 	"kanon/internal/table"
 )
 
@@ -111,7 +110,7 @@ func IsDistinctLDiverse(g *table.GenTable, sensitive []int, l int) (bool, error)
 	if len(sensitive) != g.Len() {
 		return false, fmt.Errorf("anonymity: %d sensitive values for %d records", len(sensitive), g.Len())
 	}
-	for _, grp := range loss.GroupsOf(g) {
+	for _, grp := range g.Classes() {
 		distinct := make(map[int]bool)
 		for _, i := range grp {
 			distinct[sensitive[i]] = true
@@ -130,7 +129,7 @@ func IsEntropyLDiverse(g *table.GenTable, sensitive []int, l int) (bool, error) 
 		return false, fmt.Errorf("anonymity: %d sensitive values for %d records", len(sensitive), g.Len())
 	}
 	threshold := math.Log2(float64(l))
-	for _, grp := range loss.GroupsOf(g) {
+	for _, grp := range g.Classes() {
 		counts := make(map[int]int)
 		for _, i := range grp {
 			counts[sensitive[i]]++

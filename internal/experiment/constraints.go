@@ -129,7 +129,7 @@ func classesSatisfy(g *table.GenTable, cons []cluster.Constraint, sensitive []in
 	if len(cons) == 0 {
 		return true, nil
 	}
-	classes := genClasses(g)
+	classes := g.Classes()
 	for _, cc := range cons {
 		if cc.Trivial() {
 			continue
@@ -149,29 +149,6 @@ func classesSatisfy(g *table.GenTable, cons []cluster.Constraint, sensitive []in
 		}
 	}
 	return true, nil
-}
-
-// genClasses groups record indices by identical generalized records, in
-// first-appearance order.
-func genClasses(g *table.GenTable) [][]int {
-	index := make(map[string]int)
-	var classes [][]int
-	var key strings.Builder
-	for i, rec := range g.Records {
-		key.Reset()
-		for _, node := range rec {
-			fmt.Fprintf(&key, "%d,", node)
-		}
-		k := key.String()
-		ci, ok := index[k]
-		if !ok {
-			ci = len(classes)
-			index[k] = ci
-			classes = append(classes, nil)
-		}
-		classes[ci] = append(classes[ci], i)
-	}
-	return classes
 }
 
 // FormatConstraints renders E22.

@@ -36,22 +36,6 @@ func BenchmarkTableLoss(b *testing.B) {
 	}
 }
 
-func BenchmarkGroupsOf(b *testing.B) {
-	ds := datagen.Adult(2000, 1)
-	g := table.NewGen(ds.Table.Schema, ds.Table.Len())
-	for i, r := range ds.Table.Records {
-		for j, v := range r {
-			// Group at the parent level to create nontrivial classes.
-			g.Records[i][j] = ds.Hiers[j].Parent(ds.Hiers[j].LeafOf(v))
-		}
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = GroupsOf(g)
-	}
-}
-
 func BenchmarkDiscernibility(b *testing.B) {
 	ds := datagen.CMC(1473, 1)
 	g := table.NewGen(ds.Table.Schema, ds.Table.Len())

@@ -2,35 +2,9 @@ package loss
 
 import (
 	"fmt"
-	"strings"
 
 	"kanon/internal/table"
 )
-
-// GroupsOf partitions the generalized table into equivalence classes of
-// identical generalized records and returns the record indices of each
-// class. The classes are ordered by first appearance, and indices within a
-// class are ascending, so the result is deterministic.
-func GroupsOf(g *table.GenTable) [][]int {
-	index := make(map[string]int)
-	var groups [][]int
-	var key strings.Builder
-	for i, r := range g.Records {
-		key.Reset()
-		for _, v := range r {
-			fmt.Fprintf(&key, "%d|", v)
-		}
-		k := key.String()
-		gi, ok := index[k]
-		if !ok {
-			gi = len(groups)
-			index[k] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], i)
-	}
-	return groups
-}
 
 // Discernibility computes the DM metric of Bayardo–Agrawal over the
 // generalized table: Σ over equivalence classes |G|², i.e. each record is
@@ -39,7 +13,7 @@ func GroupsOf(g *table.GenTable) [][]int {
 // classes of size exactly k).
 func Discernibility(g *table.GenTable) int {
 	sum := 0
-	for _, grp := range GroupsOf(g) {
+	for _, grp := range g.Classes() {
 		sum += len(grp) * len(grp)
 	}
 	return sum
@@ -57,7 +31,7 @@ func Classification(g *table.GenTable, labels []int) (float64, error) {
 		return 0, nil
 	}
 	penalty := 0
-	for _, grp := range GroupsOf(g) {
+	for _, grp := range g.Classes() {
 		counts := make(map[int]int)
 		for _, i := range grp {
 			counts[labels[i]]++

@@ -13,33 +13,6 @@ func metricSchema() *table.Schema {
 	)
 }
 
-func TestGroupsOf(t *testing.T) {
-	g := table.NewGen(metricSchema(), 5)
-	g.Records[0] = table.GenRecord{0, 0}
-	g.Records[1] = table.GenRecord{1, 1}
-	g.Records[2] = table.GenRecord{0, 0}
-	g.Records[3] = table.GenRecord{1, 1}
-	g.Records[4] = table.GenRecord{0, 0}
-	groups := GroupsOf(g)
-	if len(groups) != 2 {
-		t.Fatalf("got %d groups, want 2", len(groups))
-	}
-	// First-appearance order: group 0 holds records 0,2,4.
-	if len(groups[0]) != 3 || groups[0][0] != 0 || groups[0][1] != 2 || groups[0][2] != 4 {
-		t.Errorf("group 0 = %v, want [0 2 4]", groups[0])
-	}
-	if len(groups[1]) != 2 || groups[1][0] != 1 || groups[1][1] != 3 {
-		t.Errorf("group 1 = %v, want [1 3]", groups[1])
-	}
-}
-
-func TestGroupsOfEmpty(t *testing.T) {
-	g := table.NewGen(metricSchema(), 0)
-	if groups := GroupsOf(g); len(groups) != 0 {
-		t.Errorf("groups of empty table = %v", groups)
-	}
-}
-
 func TestDiscernibility(t *testing.T) {
 	g := table.NewGen(metricSchema(), 5)
 	g.Records[0] = table.GenRecord{0, 0}

@@ -41,23 +41,14 @@ func Signature(params string, records []int) uint64 {
 	return h.Sum64()
 }
 
-// LoadLog reads a JSONL stream of ShardCheckpoint lines (one object per
+// ParseLog reads a JSONL log of ShardCheckpoint lines (one object per
 // line) into a shard-indexed map. A torn trailing line — the signature of
-// a run killed mid-write — is dropped, mirroring the run-level checkpoint
-// loader; a torn line anywhere else is an error. Later lines for the same
-// shard win, so an appended log self-compacts on load.
-func LoadLog(r io.Reader) (map[int]ShardCheckpoint, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("resilient: shard checkpoint read: %w", err)
-	}
-	out, _, err := ParseLog(data)
-	return out, err
-}
-
-// ParseLog is LoadLog over bytes, additionally returning the length of the
-// valid prefix: everything up to (and excluding) a torn trailing line. A
-// resuming writer MUST truncate the log to that length before appending —
+// a run killed mid-write — is dropped; a torn line anywhere else is an
+// error. Later lines for the same shard win, so an appended log
+// self-compacts on load.
+//
+// ParseLog also returns the length of the valid prefix: everything up to
+// (and excluding) a torn trailing line. A resuming writer MUST truncate the log to that length before appending —
 // appending after a torn tail without a newline would glue the new line
 // onto the partial one, corrupting both for the next resume.
 func ParseLog(data []byte) (map[int]ShardCheckpoint, int64, error) {

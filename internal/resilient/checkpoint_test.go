@@ -2,7 +2,6 @@ package resilient
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -33,41 +32,48 @@ func TestLoadLog(t *testing.T) {
 
 	t.Run("later-line-wins", func(t *testing.T) {
 		log := line(a) + "\n" + line(b) + "\n" + line(a2) + "\n"
-		got, err := LoadLog(strings.NewReader(log))
+		got, valid, err := ParseLog([]byte(log))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != 2 || got[0].Sig != 9 || got[1].Sig != 8 {
 			t.Fatalf("loaded %+v", got)
 		}
+		if valid != int64(len(log)) {
+			t.Errorf("valid prefix %d, want the whole log (%d)", valid, len(log))
+		}
 	})
 	t.Run("torn-tail-dropped", func(t *testing.T) {
 		full := line(a) + "\n" + line(b)
 		torn := full[:len(full)-4] // cut mid-object, no trailing newline
-		got, err := LoadLog(strings.NewReader(torn))
+		got, valid, err := ParseLog([]byte(torn))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != 1 || got[0].Sig != 7 {
 			t.Fatalf("loaded %+v, want only shard 0", got)
 		}
+		if want := int64(len(line(a)) + 1); valid != want {
+			t.Errorf("valid prefix %d, want %d (up to the torn line)", valid, want)
+		}
 	})
 	t.Run("torn-middle-errors", func(t *testing.T) {
 		log := line(a) + "\n{garbage\n" + line(b) + "\n"
-		if _, err := LoadLog(strings.NewReader(log)); err == nil {
-			t.Fatal("corruption before valid data not reported")
+		if _, valid, err := ParseLog([]byte(log)); err == nil || valid != 0 {
+			t.Fatalf("corruption before valid data: valid=%d err=%v, want 0 and an error", valid, err)
 		}
 	})
 	t.Run("empty", func(t *testing.T) {
-		got, err := LoadLog(strings.NewReader(""))
-		if err != nil || len(got) != 0 {
-			t.Fatalf("got %v, %v", got, err)
+		got, valid, err := ParseLog(nil)
+		if err != nil || len(got) != 0 || valid != 0 {
+			t.Fatalf("got %v, %d, %v", got, valid, err)
 		}
 	})
 	t.Run("blank-lines-skipped", func(t *testing.T) {
-		got, err := LoadLog(strings.NewReader("\n" + line(a) + "\n\n"))
-		if err != nil || len(got) != 1 {
-			t.Fatalf("got %v, %v", got, err)
+		log := "\n" + line(a) + "\n\n"
+		got, valid, err := ParseLog([]byte(log))
+		if err != nil || len(got) != 1 || valid != int64(len(log)) {
+			t.Fatalf("got %v, %d, %v", got, valid, err)
 		}
 	})
 }

@@ -535,7 +535,7 @@ func TestAuditWordBoundaries(t *testing.T) {
 	for _, classes := range []int{63, 64, 65, 129} {
 		rng := rand.New(rand.NewSource(int64(classes)))
 		s, tbl, g, sensitive := randomAudit(rng, 4, classes, classes+classes/2)
-		if got := len(loss.GroupsOf(g)); got != classes {
+		if got := len(g.Classes()); got != classes {
 			t.Fatalf("release has %d row classes, want %d", got, classes)
 		}
 		assertAuditMatchesOracle(t, fmt.Sprintf("classes=%d", classes), s, tbl, g, 2, sensitive)

@@ -21,7 +21,6 @@ import (
 
 	"kanon/internal/anonymity"
 	"kanon/internal/cluster"
-	"kanon/internal/loss"
 	"kanon/internal/table"
 )
 
@@ -81,7 +80,7 @@ func Assess(s *cluster.Space, tbl *table.Table, g *table.GenTable, model Model) 
 	counts := make([]int, n)
 	switch model {
 	case ByClass:
-		for _, grp := range loss.GroupsOf(g) {
+		for _, grp := range g.Classes() {
 			for _, i := range grp {
 				counts[i] = len(grp)
 			}

@@ -12,6 +12,7 @@
 package table
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -316,23 +317,53 @@ func (g *GenTable) Clone() *GenTable {
 	return c
 }
 
+// Classes partitions the generalized table into equivalence classes of
+// identical generalized records and returns the record indices of each
+// class. The classes are ordered by first appearance, and indices within a
+// class are ascending, so the result is deterministic. The classes share
+// one backing array, each capped at its own length.
+func (g *GenTable) Classes() [][]int {
+	index := make(map[string]int)
+	class := make([]int, len(g.Records))
+	var sizes []int
+	var key []byte
+	for i, r := range g.Records {
+		// Varints are prefix-free, so the key is injective.
+		key = key[:0]
+		for _, v := range r {
+			key = binary.AppendVarint(key, int64(v))
+		}
+		c, ok := index[string(key)]
+		if !ok {
+			c = len(sizes)
+			index[string(key)] = c
+			sizes = append(sizes, 0)
+		}
+		class[i] = c
+		sizes[c]++
+	}
+	groups := make([][]int, len(sizes))
+	members := make([]int, len(g.Records))
+	off := 0
+	for c, size := range sizes {
+		groups[c] = members[off : off : off+size]
+		off += size
+	}
+	for i, c := range class {
+		groups[c] = append(groups[c], i)
+	}
+	return groups
+}
+
 // GroupSizes returns the multiset of equivalence-class sizes of the
 // generalized table: records with identical generalized values form one
 // class. The result is sorted ascending. k-anonymity of the generalized
 // table alone is equivalent to every class having size ≥ k.
 func (g *GenTable) GroupSizes() []int {
-	groups := make(map[string]int)
-	var key strings.Builder
-	for _, r := range g.Records {
-		key.Reset()
-		for _, v := range r {
-			fmt.Fprintf(&key, "%d|", v)
-		}
-		groups[key.String()]++
-	}
-	sizes := make([]int, 0, len(groups))
-	for _, c := range groups {
-		sizes = append(sizes, c)
+	classes := g.Classes()
+	sizes := make([]int, len(classes))
+	for i, c := range classes {
+		sizes[i] = len(c)
 	}
 	sort.Ints(sizes)
 	return sizes

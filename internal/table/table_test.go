@@ -243,6 +243,33 @@ func TestGenTableClone(t *testing.T) {
 	}
 }
 
+func TestClasses(t *testing.T) {
+	g := NewGen(testSchema(t), 5)
+	g.Records[0] = GenRecord{0, 0}
+	g.Records[1] = GenRecord{1, 1}
+	g.Records[2] = GenRecord{0, 0}
+	g.Records[3] = GenRecord{1, 1}
+	g.Records[4] = GenRecord{0, 0}
+	groups := g.Classes()
+	if len(groups) != 2 {
+		t.Fatalf("got %d groups, want 2", len(groups))
+	}
+	// First-appearance order: group 0 holds records 0,2,4.
+	if len(groups[0]) != 3 || groups[0][0] != 0 || groups[0][1] != 2 || groups[0][2] != 4 {
+		t.Errorf("group 0 = %v, want [0 2 4]", groups[0])
+	}
+	if len(groups[1]) != 2 || groups[1][0] != 1 || groups[1][1] != 3 {
+		t.Errorf("group 1 = %v, want [1 3]", groups[1])
+	}
+}
+
+func TestClassesEmpty(t *testing.T) {
+	g := NewGen(testSchema(t), 0)
+	if groups := g.Classes(); len(groups) != 0 {
+		t.Errorf("classes of empty table = %v", groups)
+	}
+}
+
 func TestGroupSizes(t *testing.T) {
 	g := NewGen(testSchema(t), 5)
 	g.Records[0] = GenRecord{1, 1}

@@ -208,7 +208,7 @@ func (t *Table) SensitiveValue(i int) string {
 
 // SetSensitive attaches a sensitive (private) attribute to the table: one
 // value per record, in record order. The sensitive attribute is never part
-// of the anonymized schema; it powers the Diversity option, ℓ-diversity
+// of the anonymized schema; it powers Options.Constraints, ℓ-diversity
 // checks, and candidate-diversity reporting.
 func (t *Table) SetSensitive(name string, values []string) error {
 	if len(values) != t.tbl.Len() {
@@ -235,51 +235,54 @@ func (t *Table) SetSensitive(name string, values []string) error {
 // WriteCSV writes the original table as CSV.
 func (t *Table) WriteCSV(w io.Writer) error { return dataio.WriteCSV(w, t.tbl) }
 
+// Algorithm selects the anonymizer that establishes a notion.
+type Algorithm string
+
+// The supported algorithms. NotionK is established by the agglomerative
+// algorithm (Algorithm 1, the default), its modified variant (Algorithm 2),
+// the forest baseline of Aggarwal et al., or the optimal full-domain
+// (global-recoding) generalization — the Incognito-style baseline the
+// paper's Section II contrasts local recoding with. NotionKK and
+// NotionGlobal1K seed their (k,k) stage with Algorithm 4 (greedy expansion,
+// the default) or Algorithm 3 (nearest neighbours).
+const (
+	AlgAgglomerative Algorithm = "agglomerative"
+	AlgModified      Algorithm = "modified"
+	AlgForest        Algorithm = "forest"
+	AlgFullDomain    Algorithm = "full-domain"
+	AlgExpand        Algorithm = "expand"
+	AlgNearest       Algorithm = "nearest"
+)
+
 // Options configures Anonymize.
 type Options struct {
 	// K is the anonymity parameter; required, ≥ 2 for any useful guarantee.
 	K int
 	// Notion is the guarantee to establish; default NotionKK.
 	Notion Notion
+	// Algorithm is the anonymizer for the notion; default AlgAgglomerative
+	// for NotionK and AlgExpand for the others. An algorithm of another
+	// notion is rejected.
+	Algorithm Algorithm
 	// Measure is the loss measure to optimize; default MeasureEntropy.
 	Measure MeasureName
-	// Distance names the agglomerative inter-cluster distance for NotionK
-	// ("d1".."d4", "nc"); default "d3". Ignored for the other notions.
+	// Distance names the inter-cluster distance of AlgAgglomerative and
+	// AlgModified ("d1".."d4", "nc"); default "d3". Rejected with any other
+	// algorithm.
 	Distance string
-	// Modified selects the modified agglomerative algorithm (Algorithm 2)
-	// for NotionK.
-	Modified bool
-	// UseNearest seeds the (k,k) pipeline with Algorithm 3 (nearest
-	// neighbours) instead of the default Algorithm 4 (greedy expansion).
-	UseNearest bool
-	// Forest replaces the agglomerative k-anonymizer with the Aggarwal et
-	// al. forest baseline for NotionK.
-	Forest bool
-	// FullDomain replaces local recoding with the optimal full-domain
-	// (global-recoding) generalization for NotionK — the Incognito-style
-	// baseline the paper's Section II contrasts local recoding with.
-	FullDomain bool
-	// Diversity, when ≥ 2, additionally enforces distinct ℓ-diversity of
-	// the sensitive attribute: for NotionK every equivalence class, and for
-	// NotionKK every record's candidate set, carries at least Diversity
-	// distinct sensitive values. The table must have a sensitive attribute
-	// (the built-in benchmark datasets do; SetSensitive attaches one).
-	// Diversity is sugar for a single DistinctDiversity constraint; use
-	// Constraints for the other notions. Setting both is rejected.
-	Diversity int
 	// Constraints enforces privacy constraints on the sensitive attribute —
 	// DistinctDiversity, EntropyDiversity, RecursiveDiversity, Closeness —
 	// on top of the anonymity notion: for NotionK every equivalence class,
 	// and for NotionKK every record's candidate set, must satisfy each of
-	// them. The table must have a sensitive attribute. Supported for
-	// NotionK (agglomerative) and NotionKK; audit the release with
-	// Result.ConstraintReport.
+	// them. The table must have a sensitive attribute. Supported by
+	// AlgAgglomerative and AlgModified without MaxChunk, and by NotionKK;
+	// audit the release with Result.ConstraintReport.
 	Constraints []Constraint
-	// MaxChunk, when > 0, switches NotionK to the scalable partitioned
-	// agglomerative algorithm: records are pre-partitioned along the
+	// MaxChunk, when > 0, switches AlgAgglomerative or AlgModified to the
+	// scalable partitioned pipeline: records are pre-partitioned along the
 	// hierarchies into chunks of at most MaxChunk before clustering,
-	// trading a small utility penalty for near-linear scaling. Requires
-	// NotionK without Forest or FullDomain.
+	// trading a small utility penalty for near-linear scaling. Rejected
+	// with any other algorithm.
 	MaxChunk int
 	// Workers caps the worker pools of the parallel anonymizers: 1 forces
 	// the sequential paths, 0 (the default) sizes the pools to the machine.
@@ -403,20 +406,11 @@ func AnonymizeContext(ctx context.Context, t *Table, opt Options) (*Result, erro
 	if ctx == nil {
 		ctx = context.Background() //kanon:allow ctxflow -- THE canonical nil-ctx definition site (see doc comment above)
 	}
-	if opt.Notion == "" {
-		opt.Notion = NotionKK
-	}
-	if opt.Measure == "" {
-		opt.Measure = MeasureEntropy
-	}
-	cons := effectiveConstraints(opt)
-	if len(cons) > 0 && t.sensitive == nil {
-		if opt.Diversity >= 2 {
-			return nil, optErr("Diversity", opt.Diversity, "requires a table with a sensitive attribute")
-		}
+	opt = opt.withDefaults()
+	if len(opt.Constraints) > 0 && t.sensitive == nil {
 		return nil, optErr("Constraints", constraintString(opt.Constraints), "requires a table with a sensitive attribute")
 	}
-	clusterCons, err := buildConstraints(t, cons)
+	clusterCons, err := buildConstraints(t, opt.Constraints)
 	if err != nil {
 		return nil, err
 	}
@@ -435,28 +429,28 @@ func AnonymizeContext(ctx context.Context, t *Table, opt Options) (*Result, erro
 	ctx = obs.WithRun(ctx, obs.NewRun(obs.Tee(met, opt.Observer)))
 
 	res := &Result{table: t, space: s, measure: m, opt: opt}
-	alg := core.K1ByExpansion
-	if opt.UseNearest {
-		alg = core.K1ByNearest
-	}
 	// A nil distance selects D3 in both agglomerative entries.
 	dist := cluster.DistanceByName(opt.Distance)
 	switch {
-	case opt.Notion != NotionK:
+	case opt.Algorithm == AlgExpand || opt.Algorithm == AlgNearest:
 		// NotionKK, and NotionGlobal1K's (k,k) stage; Validate rejects
 		// constraints on the latter.
-		res.gen, err = core.KKAnonymizeCtx(ctx, s, t.tbl, opt.K, alg, clusterCons, t.sensitive, opt.Workers)
+		k1 := core.K1ByExpansion
+		if opt.Algorithm == AlgNearest {
+			k1 = core.K1ByNearest
+		}
+		res.gen, err = core.KKAnonymizeCtx(ctx, s, t.tbl, opt.K, k1, clusterCons, t.sensitive, opt.Workers)
 		if err == nil && opt.Notion == NotionGlobal1K {
 			res.gen, _, err = core.MakeGlobal1KCtx(ctx, s, t.tbl, res.gen, opt.K)
 		}
-	case opt.Forest:
+	case opt.Algorithm == AlgForest:
 		res.gen, _, err = core.ForestCtx(ctx, s, t.tbl, opt.K)
-	case opt.FullDomain:
+	case opt.Algorithm == AlgFullDomain:
 		res.gen, _, err = core.FullDomainCtx(ctx, s, t.tbl, opt.K)
 	case opt.MaxChunk > 0:
 		// Validate rejects constraints with MaxChunk.
 		popt := core.PartitionedOptions{
-			K: opt.K, Distance: dist, Modified: opt.Modified, MaxChunk: opt.MaxChunk,
+			K: opt.K, Distance: dist, Modified: opt.Algorithm == AlgModified, MaxChunk: opt.MaxChunk,
 			Workers: opt.Workers,
 		}
 		if opt.OnShard != nil {
@@ -476,7 +470,7 @@ func AnonymizeContext(ctx context.Context, t *Table, opt Options) (*Result, erro
 		res.resilience = facadeResilience(rep)
 	default:
 		res.gen, _, _, err = core.KAnonymizeStatsCtx(ctx, s, t.tbl, cluster.AggloOptions{
-			K: opt.K, Distance: dist, Modified: opt.Modified, Workers: opt.Workers,
+			K: opt.K, Distance: dist, Modified: opt.Algorithm == AlgModified, Workers: opt.Workers,
 			Constraints: clusterCons, Sensitive: t.sensitive,
 		})
 	}
@@ -506,8 +500,8 @@ func (r *Result) LossUnder(name MeasureName) (float64, error) {
 // CandidateDiversity returns the minimum, over all original records, of
 // the number of distinct sensitive values among the released records
 // consistent with it — the first adversary's residual uncertainty about
-// the target's sensitive attribute (≥ Options.Diversity when that was
-// requested).
+// the target's sensitive attribute (≥ l when DistinctDiversity(l) was
+// among Options.Constraints).
 func (r *Result) CandidateDiversity() (int, error) {
 	if r.table.sensitive == nil {
 		return 0, fmt.Errorf("kanon: table has no sensitive attribute")

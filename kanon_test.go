@@ -131,16 +131,16 @@ func TestAnonymizeMeasuresAndVariants(t *testing.T) {
 			t.Errorf("distance %s: not 2-anonymous", d)
 		}
 	}
-	if _, err := Anonymize(tbl, Options{K: 2, Notion: NotionK, Modified: true}); err != nil {
+	if _, err := Anonymize(tbl, Options{K: 2, Notion: NotionK, Algorithm: AlgModified}); err != nil {
 		t.Errorf("modified: %v", err)
 	}
-	if _, err := Anonymize(tbl, Options{K: 2, Notion: NotionK, Forest: true}); err != nil {
+	if _, err := Anonymize(tbl, Options{K: 2, Notion: NotionK, Algorithm: AlgForest}); err != nil {
 		t.Errorf("forest: %v", err)
 	}
-	if _, err := Anonymize(tbl, Options{K: 2, Notion: NotionKK, UseNearest: true}); err != nil {
+	if _, err := Anonymize(tbl, Options{K: 2, Notion: NotionKK, Algorithm: AlgNearest}); err != nil {
 		t.Errorf("nearest coupling: %v", err)
 	}
-	if _, err := Anonymize(tbl, Options{K: 2, Notion: NotionGlobal1K, UseNearest: true}); err != nil {
+	if _, err := Anonymize(tbl, Options{K: 2, Notion: NotionGlobal1K, Algorithm: AlgNearest}); err != nil {
 		t.Errorf("nearest global: %v", err)
 	}
 }
@@ -309,7 +309,7 @@ func TestResultAttackEvaluation(t *testing.T) {
 
 func TestAnonymizeFullDomain(t *testing.T) {
 	tbl := loadFacadeTable(t)
-	res, err := Anonymize(tbl, Options{K: 3, Notion: NotionK, FullDomain: true})
+	res, err := Anonymize(tbl, Options{K: 3, Notion: NotionK, Algorithm: AlgFullDomain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,8 +325,8 @@ func TestAnonymizeFullDomain(t *testing.T) {
 	if res.Loss() < local.Loss()-1e-9 {
 		t.Logf("note: full-domain %.4f beat local heuristic %.4f on this instance", res.Loss(), local.Loss())
 	}
-	if _, err := Anonymize(tbl, Options{K: 3, Notion: NotionK, FullDomain: true, Forest: true}); err == nil {
-		t.Error("expected mutual-exclusion error")
+	if _, err := Anonymize(tbl, Options{K: 3, Notion: NotionKK, Algorithm: AlgFullDomain}); err == nil {
+		t.Error("expected an error for full-domain under the (k,k) notion")
 	}
 }
 
@@ -334,7 +334,7 @@ func TestAnonymizeDiversity(t *testing.T) {
 	tbl := ART(120, 9)
 	const k, l = 4, 2
 	for _, notion := range []Notion{NotionK, NotionKK} {
-		res, err := Anonymize(tbl, Options{K: k, Notion: notion, Diversity: l})
+		res, err := Anonymize(tbl, Options{K: k, Notion: notion, Constraints: []Constraint{DistinctDiversity(l)}})
 		if err != nil {
 			t.Fatalf("%s: %v", notion, err)
 		}
@@ -352,12 +352,12 @@ func TestAnonymizeDiversity(t *testing.T) {
 			}
 		}
 	}
-	// Diversity without a sensitive attribute is an error.
+	// A constraint without a sensitive attribute is an error.
 	plain := loadFacadeTable(t)
-	if _, err := Anonymize(plain, Options{K: 2, Diversity: 2}); err == nil {
+	if _, err := Anonymize(plain, Options{K: 2, Constraints: []Constraint{DistinctDiversity(2)}}); err == nil {
 		t.Error("expected sensitive-attribute error")
 	}
-	if _, err := Anonymize(tbl, Options{K: 2, Notion: NotionK, Forest: true, Diversity: 2}); err == nil {
+	if _, err := Anonymize(tbl, Options{K: 2, Notion: NotionK, Algorithm: AlgForest, Constraints: []Constraint{DistinctDiversity(2)}}); err == nil {
 		t.Error("expected diversity-with-baseline error")
 	}
 }
@@ -372,8 +372,8 @@ func TestAnonymizePartitioned(t *testing.T) {
 	if !res.Verify(k).KAnonymous {
 		t.Error("partitioned output not k-anonymous")
 	}
-	if _, err := Anonymize(tbl, Options{K: k, Notion: NotionK, MaxChunk: 80, Diversity: 2}); err == nil {
-		t.Error("expected MaxChunk+Diversity exclusion error")
+	if _, err := Anonymize(tbl, Options{K: k, Notion: NotionK, MaxChunk: 80, Constraints: []Constraint{DistinctDiversity(2)}}); err == nil {
+		t.Error("expected MaxChunk+Constraints exclusion error")
 	}
 }
 

@@ -199,10 +199,10 @@ func TestGlobalCountersSurvivedDeprecation(t *testing.T) {
 func TestValidateOptions(t *testing.T) {
 	valid := []Options{
 		{K: 1},
-		{K: 2, Notion: NotionKK, Measure: MeasureLM, Distance: "d1"},
+		{K: 2, Notion: NotionK, Measure: MeasureLM, Distance: "d1"},
 		{K: 3, Notion: NotionK, MaxChunk: 100, Workers: 4},
-		{K: 3, Notion: NotionK, Forest: true},
-		{K: 3, Notion: NotionKK, Diversity: 2},
+		{K: 3, Notion: NotionK, Algorithm: AlgForest},
+		{K: 3, Notion: NotionKK, Constraints: []Constraint{DistinctDiversity(2)}},
 		{K: 3, Notion: NotionK, MaxChunk: 100, OnShard: func(ShardCheckpoint) {}},
 		{K: 3, Notion: NotionK, MaxChunk: 100, CompletedShards: []ShardCheckpoint{{Shard: 0}}},
 	}
@@ -218,18 +218,17 @@ func TestValidateOptions(t *testing.T) {
 		{Options{K: 0}, "K"},
 		{Options{K: -3}, "K"},
 		{Options{K: 2, Notion: "bogus"}, "Notion"},
+		{Options{K: 2, Algorithm: "bogus"}, "Algorithm"},
 		{Options{K: 2, Measure: "bogus"}, "Measure"},
 		{Options{K: 2, Distance: "bogus"}, "Distance"},
-		{Options{K: 2, Forest: true, FullDomain: true}, "Forest"},
-		{Options{K: 2, Forest: true, Diversity: 2}, "Diversity"},
-		{Options{K: 2, FullDomain: true, Diversity: 2}, "Diversity"},
-		{Options{K: 2, MaxChunk: 50, Diversity: 2}, "Diversity"},
+		{Options{K: 2, Notion: NotionKK, Measure: MeasureLM, Distance: "d1"}, "Distance"},
+		{Options{K: 2, Notion: NotionK, Algorithm: AlgForest, Distance: "d3"}, "Distance"},
 		{Options{K: 2, OnShard: func(ShardCheckpoint) {}}, "OnShard"},
 		{Options{K: 2, CompletedShards: []ShardCheckpoint{{Shard: 0}}}, "CompletedShards"},
 		{Options{K: 2, Notion: NotionKK, MaxChunk: 30, OnShard: func(ShardCheckpoint) {}}, "MaxChunk"},
 		{Options{K: 2, Notion: NotionGlobal1K, MaxChunk: 30}, "MaxChunk"},
-		{Options{K: 2, Notion: NotionK, Forest: true, MaxChunk: 30}, "MaxChunk"},
-		{Options{K: 2, Notion: NotionK, FullDomain: true, MaxChunk: 30}, "MaxChunk"},
+		{Options{K: 2, Notion: NotionK, Algorithm: AlgForest, MaxChunk: 30}, "MaxChunk"},
+		{Options{K: 2, Notion: NotionK, Algorithm: AlgFullDomain, MaxChunk: 30}, "MaxChunk"},
 		{Options{K: 2, MaxChunk: 30}, "MaxChunk"}, // the default notion is kk
 	}
 	for _, tc := range invalid {
@@ -250,6 +249,54 @@ func TestValidateOptions(t *testing.T) {
 			t.Errorf("error text %q does not name the field", oe.Error())
 		}
 	}
+
+	// The notion → algorithm table, and what each algorithm accepts:
+	// Distance and MaxChunk only the agglomerative ones; Constraints the
+	// agglomerative ones without MaxChunk, and both algorithms of (k,k).
+	// Everything else must come back as an *OptionsError naming the field.
+	extras := []struct {
+		field string
+		set   func(*Options)
+	}{
+		{"", func(*Options) {}},
+		{"Distance", func(o *Options) { o.Distance = "d1" }},
+		{"MaxChunk", func(o *Options) { o.MaxChunk = 100 }},
+		{"Constraints", func(o *Options) { o.Constraints = []Constraint{DistinctDiversity(2)} }},
+	}
+	for _, notion := range []Notion{"", NotionK, NotionKK, NotionGlobal1K} {
+		for _, alg := range []Algorithm{"", AlgAgglomerative, AlgModified, AlgForest, AlgFullDomain, AlgExpand, AlgNearest} {
+			var ofNotion, agglomerative bool
+			if notion == NotionK {
+				ofNotion = alg != AlgExpand && alg != AlgNearest
+				agglomerative = alg == "" || alg == AlgAgglomerative || alg == AlgModified
+			} else {
+				ofNotion = alg == "" || alg == AlgExpand || alg == AlgNearest
+			}
+			kk := notion == "" || notion == NotionKK
+			for _, x := range extras {
+				opt := Options{K: 2, Notion: notion, Algorithm: alg}
+				x.set(&opt)
+				want := ""
+				switch {
+				case !ofNotion:
+					want = "Algorithm"
+				case (x.field == "Distance" || x.field == "MaxChunk") && !agglomerative:
+					want = x.field
+				case x.field == "Constraints" && !agglomerative && !kk:
+					want = x.field
+				}
+				err := opt.Validate()
+				var oe *OptionsError
+				switch {
+				case want == "" && err != nil:
+					t.Errorf("notion %q alg %q %s: Validate = %v, want nil", notion, alg, x.field, err)
+				case want != "" && (!errors.As(err, &oe) || oe.Field != want):
+					t.Errorf("notion %q alg %q %s: Validate = %v, want *OptionsError on %s", notion, alg, x.field, err, want)
+				}
+			}
+		}
+	}
+
 	// Anonymize surfaces the same typed error.
 	tbl := loadFacadeTable(t)
 	_, err := Anonymize(tbl, Options{K: 0})

@@ -2,6 +2,7 @@ package kanon
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"kanon/internal/cluster"
@@ -43,51 +44,68 @@ func constraintString(cons []Constraint) string {
 	return strings.Join(parts, ",")
 }
 
+// algorithms lists, per notion, the algorithms that establish it; the
+// first is the notion's default.
+var algorithms = map[Notion][]Algorithm{
+	NotionK:        {AlgAgglomerative, AlgModified, AlgForest, AlgFullDomain},
+	NotionKK:       {AlgExpand, AlgNearest},
+	NotionGlobal1K: {AlgExpand, AlgNearest},
+}
+
+// withDefaults fills a zero Notion, Algorithm and Measure with their
+// defaults.
+func (opt Options) withDefaults() Options {
+	if opt.Notion == "" {
+		opt.Notion = NotionKK
+	}
+	if algs := algorithms[opt.Notion]; opt.Algorithm == "" && len(algs) > 0 {
+		opt.Algorithm = algs[0]
+	}
+	if opt.Measure == "" {
+		opt.Measure = MeasureEntropy
+	}
+	return opt
+}
+
 // Validate checks the options without running anything, returning a typed
 // *OptionsError for the first problem found (nil when the options are
-// usable). Zero values that select a documented default ("" Notion/Measure/
-// Distance, 0 Workers/MaxChunk/Diversity) are valid. Anonymize and
+// usable). Zero values that select a documented default ("" Notion/
+// Algorithm/Measure/Distance, 0 Workers/MaxChunk) are valid; every other
+// option either takes effect or is rejected. Anonymize and
 // AnonymizeContext call Validate themselves; calling it separately lets a
 // CLI reject a flag before loading any data.
 func (opt Options) Validate() error {
 	if opt.K < 1 {
 		return optErr("K", opt.K, "the anonymity parameter must be ≥ 1")
 	}
-	switch opt.Notion {
-	case "", NotionK, NotionKK, NotionGlobal1K:
-	default:
+	d := opt.withDefaults()
+	algs, ok := algorithms[d.Notion]
+	if !ok {
 		return optErr("Notion", opt.Notion, `unknown notion (want "k", "kk" or "global")`)
 	}
-	switch opt.Measure {
-	case "", MeasureEntropy, MeasureMonotoneEntropy, MeasureLM, MeasureTree, MeasureSuppression:
+	if !slices.Contains(algs, d.Algorithm) {
+		return optErr("Algorithm", opt.Algorithm, fmt.Sprintf("not an algorithm of notion %q (want one of %q)", d.Notion, algs))
+	}
+	switch d.Measure {
+	case MeasureEntropy, MeasureMonotoneEntropy, MeasureLM, MeasureTree, MeasureSuppression:
 	default:
 		return optErr("Measure", opt.Measure,
 			`unknown measure (want "entropy", "monotone-entropy", "lm", "tree" or "suppression")`)
 	}
-	if opt.Distance != "" && cluster.DistanceByName(opt.Distance) == nil {
-		return optErr("Distance", opt.Distance, `unknown distance (want "d1".."d4" or "nc")`)
+	// Only the agglomerative algorithms take a distance or are sharded;
+	// anywhere else Distance, MaxChunk, OnShard and CompletedShards would be
+	// silently ignored.
+	agglomerative := d.Algorithm == AlgAgglomerative || d.Algorithm == AlgModified
+	if opt.Distance != "" {
+		if cluster.DistanceByName(opt.Distance) == nil {
+			return optErr("Distance", opt.Distance, `unknown distance (want "d1".."d4" or "nc")`)
+		}
+		if !agglomerative {
+			return optErr("Distance", opt.Distance, fmt.Sprintf("only the agglomerative algorithms take a distance, not %q", d.Algorithm))
+		}
 	}
-	if opt.Forest && opt.FullDomain {
-		return optErr("Forest", opt.Forest, "mutually exclusive with FullDomain")
-	}
-	if opt.Diversity >= 2 {
-		if opt.Forest {
-			return optErr("Diversity", opt.Diversity, "not supported with the forest baseline")
-		}
-		if opt.FullDomain {
-			return optErr("Diversity", opt.Diversity, "not supported with the full-domain baseline")
-		}
-		if opt.MaxChunk > 0 {
-			return optErr("Diversity", opt.Diversity, "cannot be combined with MaxChunk")
-		}
-		if opt.Notion == NotionGlobal1K {
-			return optErr("Diversity", opt.Diversity,
-				"not supported with NotionGlobal1K (the global pipeline ignores constraints; it would silently weaken the guarantee)")
-		}
-		if len(opt.Constraints) > 0 {
-			return optErr("Constraints", constraintString(opt.Constraints),
-				"conflicts with Diversity (its DistinctDiversity sugar); set one or the other")
-		}
+	if opt.MaxChunk > 0 && !agglomerative {
+		return optErr("MaxChunk", opt.MaxChunk, fmt.Sprintf("only the agglomerative algorithms are sharded, not %q", d.Algorithm))
 	}
 	if len(opt.Constraints) > 0 {
 		for i, c := range opt.Constraints {
@@ -98,32 +116,17 @@ func (opt Options) Validate() error {
 				return optErr("Constraints", c.String(), err.Error())
 			}
 		}
-		if opt.Forest {
-			return optErr("Constraints", constraintString(opt.Constraints), "not supported with the forest baseline")
-		}
-		if opt.FullDomain {
-			return optErr("Constraints", constraintString(opt.Constraints), "not supported with the full-domain baseline")
-		}
-		if opt.MaxChunk > 0 {
+		switch {
+		case agglomerative && opt.MaxChunk > 0:
 			return optErr("Constraints", constraintString(opt.Constraints), "cannot be combined with MaxChunk")
-		}
-		if opt.Notion == NotionGlobal1K {
+		case !agglomerative && d.Notion != NotionKK:
+			// The forest, full-domain and global pipelines ignore
+			// constraints; running them would silently weaken the guarantee.
 			return optErr("Constraints", constraintString(opt.Constraints),
-				"not supported with NotionGlobal1K (the global pipeline ignores constraints; it would silently weaken the guarantee)")
+				fmt.Sprintf("not supported by %q under notion %q", d.Algorithm, d.Notion))
 		}
 	}
-	if opt.MaxChunk > 0 {
-		// Only the agglomerative k pipeline is sharded; anywhere else
-		// MaxChunk, OnShard and CompletedShards would be silently ignored.
-		switch {
-		case opt.Notion != NotionK:
-			return optErr("MaxChunk", opt.MaxChunk, "requires NotionK (only the agglomerative k pipeline is sharded)")
-		case opt.Forest:
-			return optErr("MaxChunk", opt.MaxChunk, "not supported with the forest baseline")
-		case opt.FullDomain:
-			return optErr("MaxChunk", opt.MaxChunk, "not supported with the full-domain baseline")
-		}
-	} else {
+	if opt.MaxChunk <= 0 {
 		// Shard checkpoints belong to the partitioned pipeline; without
 		// MaxChunk there are no shards.
 		if opt.OnShard != nil {
