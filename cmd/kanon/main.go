@@ -22,11 +22,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"kanon"
-	"kanon/internal/resilient"
+	"kanon/internal/core"
 )
 
 func main() {
@@ -60,29 +59,32 @@ func main() {
 		fmt.Fprintf(os.Stderr, "kanon: bad -constraint: %v\n", err)
 		os.Exit(2)
 	}
-	opt := kanon.Options{
-		K:           *k,
-		Notion:      kanon.Notion(*notion),
-		Algorithm:   kanon.Algorithm(*alg),
-		Measure:     kanon.MeasureName(*measure),
-		Distance:    *distance,
-		Constraints: cons,
-		Workers:     *workers,
-		MaxChunk:    *maxChunk,
+	cfg := runConfig{
+		In:         *inPath,
+		Hier:       *hierPath,
+		Out:        *outPath,
+		Sensitive:  *sensPath,
+		AutoHier:   *autoHier,
+		MaxRecords: *maxRec,
+		Header:     !*noHeader,
+		Opt: kanon.Options{
+			K:           *k,
+			Notion:      kanon.Notion(*notion),
+			Algorithm:   kanon.Algorithm(*alg),
+			Measure:     kanon.MeasureName(*measure),
+			Distance:    *distance,
+			Constraints: cons,
+			Workers:     *workers,
+			MaxChunk:    *maxChunk,
+		},
+		Verify:    *verify,
+		Attack:    *attackRpt,
+		Stats:     *stats,
+		Profile:   *profile,
+		ShardCkpt: *shardCkpt,
 	}
-	if *shardCkpt != "" && *maxChunk <= 0 {
-		fmt.Fprintln(os.Stderr, "kanon: bad -shard-checkpoint: requires -max-chunk > 0")
-		os.Exit(2)
-	}
-	// Reject bad option combinations before touching any data, naming the
-	// offending flag.
-	if err := opt.Validate(); err != nil {
-		var oe *kanon.OptionsError
-		if errors.As(err, &oe) {
-			fmt.Fprintf(os.Stderr, "kanon: bad -%s: %s (value %v)\n", flagFor(oe.Field), oe.Reason, oe.Value)
-		} else {
-			fmt.Fprintln(os.Stderr, "kanon:", err)
-		}
+	if err := checkFlags(cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "kanon:", err)
 		os.Exit(2)
 	}
 
@@ -92,24 +94,29 @@ func main() {
 		defer cancel()
 		ctx = c
 	}
-	if err := run(ctx, runConfig{
-		In:         *inPath,
-		Hier:       *hierPath,
-		Out:        *outPath,
-		Sensitive:  *sensPath,
-		AutoHier:   *autoHier,
-		MaxRecords: *maxRec,
-		Header:     !*noHeader,
-		Opt:        opt,
-		Verify:     *verify,
-		Attack:     *attackRpt,
-		Stats:      *stats,
-		Profile:    *profile,
-		ShardCkpt:  *shardCkpt,
-	}); err != nil {
+	if err := run(ctx, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "kanon:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects bad flag combinations before any file is opened,
+// naming the offending flag.
+func checkFlags(c runConfig) error {
+	if c.ShardCkpt != "" && c.Opt.MaxChunk <= 0 {
+		return errors.New("bad -shard-checkpoint: requires -max-chunk > 0")
+	}
+	if c.Hier != "" && c.AutoHier > 0 {
+		return errors.New("bad -auto-hier: -hier and -auto-hier are mutually exclusive")
+	}
+	if err := c.Opt.Validate(); err != nil {
+		var oe *kanon.OptionsError
+		if errors.As(err, &oe) {
+			return fmt.Errorf("bad -%s: %s (value %v)", flagFor(oe.Field), oe.Reason, oe.Value)
+		}
+		return err
+	}
+	return nil
 }
 
 // flagFor maps an OptionsError field to the CLI flag that feeds it.
@@ -156,37 +163,29 @@ type runConfig struct {
 }
 
 // loadShardCheckpoints reads a JSONL shard-checkpoint file, tolerating a
-// missing file (fresh run) and a torn trailing line (killed run). If the
-// file carries a torn tail it is truncated away, so the appends of the
-// resumed run start on a clean line boundary.
+// missing file (fresh run) and a torn trailing line (killed run), which is
+// truncated away so the appends of the resumed run start on a clean line
+// boundary. A later line for a shard overrides an earlier one.
 func loadShardCheckpoints(path string) ([]kanon.ShardCheckpoint, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
+	var out []kanon.ShardCheckpoint
+	at := make(map[int]int) // shard → its index in out
+	dropped, err := core.LoadLog(path, func(line []byte) error {
+		var ck kanon.ShardCheckpoint
+		if err := json.Unmarshal(line, &ck); err != nil {
+			return err
 		}
-		return nil, err
-	}
-	m, valid, err := resilient.ParseLog(data)
-	if err != nil {
-		return nil, err
-	}
-	if valid < int64(len(data)) {
-		fmt.Fprintf(os.Stderr, "kanon: dropping torn tail of %s (%d bytes)\n", path, int64(len(data))-valid)
-		if err := os.Truncate(path, valid); err != nil {
-			return nil, err
+		if j, ok := at[ck.Shard]; ok {
+			out[j] = ck
+			return nil
 		}
+		at[ck.Shard] = len(out)
+		out = append(out, ck)
+		return nil
+	})
+	if dropped > 0 {
+		fmt.Fprintf(os.Stderr, "kanon: dropping torn tail of %s (%d bytes)\n", path, dropped)
 	}
-	shards := make([]int, 0, len(m))
-	for i := range m {
-		shards = append(shards, i)
-	}
-	sort.Ints(shards)
-	out := make([]kanon.ShardCheckpoint, len(shards))
-	for j, i := range shards {
-		out[j] = kanon.ShardCheckpoint(m[i])
-	}
-	return out, nil
+	return out, err
 }
 
 func run(ctx context.Context, c runConfig) error {
@@ -202,9 +201,6 @@ func run(ctx context.Context, c runConfig) error {
 	tbl, err := kanon.LoadCSVLimit(in, c.Header, c.MaxRecords)
 	if err != nil {
 		return err
-	}
-	if c.Hier != "" && c.AutoHier > 0 {
-		return fmt.Errorf("-hier and -auto-hier are mutually exclusive")
 	}
 	if c.AutoHier > 0 {
 		if err := tbl.AutoHierarchies(c.AutoHier); err != nil {
@@ -302,8 +298,9 @@ func run(ctx context.Context, c runConfig) error {
 	fmt.Fprintf(os.Stderr, "n=%d k=%d notion=%s measure=%s loss=%.4f discernibility=%d\n",
 		tbl.Len(), opt.K, opt.Notion, opt.Measure, res.Loss(), res.Discernibility())
 	st := res.Stats()
-	if rr := res.Resilience(); rr != nil {
-		fmt.Fprintf(os.Stderr, "shards=%d checkpoint_hits=%d\n", len(rr.Shards), rr.CheckpointHits)
+	if opt.MaxChunk > 0 {
+		fmt.Fprintf(os.Stderr, "shards=%d checkpoint_hits=%d\n",
+			st.Counter("resilient.shards"), st.Counter("resilient.checkpoint_hits"))
 	}
 	report, err := res.ConstraintReport()
 	if err != nil {

@@ -138,9 +138,35 @@ func TestRunAutoHier(t *testing.T) {
 		t.Errorf("auto-hier output shows no generalization: %s", data)
 	}
 	hier := writeFile(t, dir, "hier.json", testHier)
-	if err := run(nil, runConfig{In: in, Hier: hier, Out: out, AutoHier: 3, Header: true,
+	if err := checkFlags(runConfig{In: in, Hier: hier, Out: out, AutoHier: 3, Header: true,
 		Opt: kanon.Options{K: 3}}); err == nil {
 		t.Error("expected -hier/-auto-hier exclusion error")
+	}
+}
+
+// TestCheckFlags pins the flag checks main runs before any file is opened:
+// each bad combination names its flag (and main exits 2), even when the
+// input file does not exist.
+func TestCheckFlags(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.csv")
+	for _, tc := range []struct {
+		name string
+		c    runConfig
+		want string // "" = accepted
+	}{
+		{"valid", runConfig{In: missing, Opt: kanon.Options{K: 2}}, ""},
+		{"hier and auto-hier", runConfig{In: missing, Hier: "h.json", AutoHier: 2, Opt: kanon.Options{K: 2}}, "bad -auto-hier"},
+		{"shard checkpoint without chunks", runConfig{In: missing, ShardCkpt: "s.jsonl", Opt: kanon.Options{K: 2, Notion: kanon.NotionK}}, "bad -shard-checkpoint"},
+		{"foreign algorithm", runConfig{In: missing, Opt: kanon.Options{K: 2, Algorithm: kanon.AlgForest}}, "bad -alg"},
+	} {
+		err := checkFlags(tc.c)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: %v, want accepted", tc.name, err)
+			}
+		} else if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -91,7 +91,7 @@ func TestSetupCheckpointRefusesOverwrite(t *testing.T) {
 }
 
 // TestLoadCheckpointMissingAndTorn covers the two forgiving paths: a
-// missing file is an empty checkpoint, and a corrupt line stops the scan
+// missing file is an empty checkpoint, and a torn last line is dropped
 // without failing the resume.
 func TestLoadCheckpointMissingAndTorn(t *testing.T) {
 	completed, _, _, err := loadCheckpoint(filepath.Join(t.TempDir(), "nope.jsonl"))
@@ -115,6 +115,32 @@ func TestLoadCheckpointMissingAndTorn(t *testing.T) {
 	}
 	if _, ok := completed["ART|EM|forest|3"]; !ok {
 		t.Fatalf("unexpected keys: %v", completed)
+	}
+}
+
+// TestResumeRefusesCorruptMiddle: an unreadable line with completed runs
+// after it is not a torn write. The resume must fail and leave the log
+// byte for byte as it was, not cut it to the lines before the bad one.
+func TestResumeRefusesCorruptMiddle(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	log := []byte(`{"Dataset":"ART","Measure":"EM","Algorithm":"forest","K":3,"Loss":1.5}
+{garbage
+{"Dataset":"ART","Measure":"EM","Algorithm":"kk-expand","K":3,"Loss":1.25}
+{"Dataset":"ART","Measure":"EM","Algorithm":"kk-nearest","K":3,"Loss":1.75}
+`)
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := ckptConfig()
+	if _, err := setupCheckpoint(&cfg, path, true); err == nil {
+		t.Fatal("resume over a corrupt middle line succeeded")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, log) {
+		t.Fatalf("checkpoint changed to %q, want it untouched", after)
 	}
 }
 

@@ -14,10 +14,8 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,9 +24,9 @@ import (
 	"sync"
 	"time"
 
+	"kanon/internal/core"
 	"kanon/internal/experiment"
 	"kanon/internal/plot"
-	"kanon/internal/resilient"
 )
 
 func main() {
@@ -104,8 +102,8 @@ func main() {
 // scale_run discriminator never appears in a Run, so a loader can tell the
 // two apart from the bytes alone.
 type shardLine struct {
-	ScaleRun string                    `json:"scale_run"`
-	Shard    resilient.ShardCheckpoint `json:"shard"`
+	ScaleRun string               `json:"scale_run"`
+	Shard    core.ShardCheckpoint `json:"shard"`
 }
 
 // setupCheckpoint wires -checkpoint/-resume into the config: completed
@@ -117,18 +115,12 @@ type shardLine struct {
 func setupCheckpoint(cfg *experiment.Config, path string, resume bool) (func(), error) {
 	cfg.Deterministic = true
 	if resume {
-		completed, shards, valid, err := loadCheckpoint(path)
+		completed, shards, dropped, err := loadCheckpoint(path)
 		if err != nil {
 			return nil, err
 		}
-		if fi, err := os.Stat(path); err == nil && valid < fi.Size() {
-			// A torn tail from a mid-write kill: truncate it away so the
-			// appends below start on a clean line boundary instead of
-			// gluing onto the partial line.
-			fmt.Fprintf(os.Stderr, "kanonbench: dropping torn tail of %s (%d bytes)\n", path, fi.Size()-valid)
-			if err := os.Truncate(path, valid); err != nil {
-				return nil, err
-			}
+		if dropped > 0 {
+			fmt.Fprintf(os.Stderr, "kanonbench: dropping torn tail of %s (%d bytes)\n", path, dropped)
 		}
 		cfg.Completed = completed
 		cfg.CompletedShards = shards
@@ -148,7 +140,7 @@ func setupCheckpoint(cfg *experiment.Config, path string, resume bool) (func(), 
 		return nil, err
 	}
 	// OnRun calls are serialized by experiment.Config, and OnShard fires on
-	// the sequential shard supervisor, but the two surfaces can interleave
+	// the sequential shard loop, but the two surfaces can interleave
 	// in principle — one mutex keeps every Encode an atomic line append.
 	var mu sync.Mutex
 	enc := json.NewEncoder(f)
@@ -159,7 +151,7 @@ func setupCheckpoint(cfg *experiment.Config, path string, resume bool) (func(), 
 			fmt.Fprintln(os.Stderr, "kanonbench: checkpoint write:", err)
 		}
 	}
-	cfg.OnShard = func(runKey string, ck resilient.ShardCheckpoint) {
+	cfg.OnShard = func(runKey string, ck core.ShardCheckpoint) {
 		mu.Lock()
 		defer mu.Unlock()
 		if err := enc.Encode(shardLine{ScaleRun: runKey, Shard: ck}); err != nil {
@@ -170,64 +162,39 @@ func setupCheckpoint(cfg *experiment.Config, path string, resume bool) (func(), 
 }
 
 // loadCheckpoint parses a JSONL checkpoint into a Run map keyed by
-// Run.Key() plus a shard map keyed by scale-run key, and returns the byte
-// length of the valid prefix (everything before a torn line). A missing
-// file is an empty checkpoint; a torn trailing line (from a mid-write
-// kill) is dropped with a warning, and the caller truncates it away before
-// appending.
-func loadCheckpoint(path string) (map[string]experiment.Run, map[string]map[int]resilient.ShardCheckpoint, int64, error) {
+// Run.Key() plus a shard map keyed by scale-run key. A missing file is an
+// empty checkpoint. A torn trailing line (from a mid-write kill) is
+// truncated away, so the appends of the resumed suite start on a clean line
+// boundary, and its length returned; an unreadable line with more data
+// after it is an error and leaves the file untouched.
+func loadCheckpoint(path string) (map[string]experiment.Run, map[string]map[int]core.ShardCheckpoint, int64, error) {
 	completed := make(map[string]experiment.Run)
-	shards := make(map[string]map[int]resilient.ShardCheckpoint)
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return completed, shards, 0, nil
-	}
+	shards := make(map[string]map[int]core.ShardCheckpoint)
+	dropped, err := core.LoadLog(path, func(b []byte) error {
+		var sl shardLine
+		if err := json.Unmarshal(b, &sl); err != nil {
+			return err
+		}
+		if sl.ScaleRun != "" {
+			m := shards[sl.ScaleRun]
+			if m == nil {
+				m = make(map[int]core.ShardCheckpoint)
+				shards[sl.ScaleRun] = m
+			}
+			m[sl.Shard.Shard] = sl.Shard
+			return nil
+		}
+		var r experiment.Run
+		if err := json.Unmarshal(b, &r); err != nil {
+			return err
+		}
+		completed[r.Key()] = r
+		return nil
+	})
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	var valid int64
-	off, line := 0, 0
-	for off < len(data) {
-		line++
-		end, next := len(data), len(data)
-		if nl := bytes.IndexByte(data[off:], '\n'); nl >= 0 {
-			end = off + nl
-			next = end + 1
-		}
-		if b := data[off:end]; len(b) > 0 {
-			if !parseCheckpointLine(b, completed, shards) {
-				fmt.Fprintf(os.Stderr, "kanonbench: checkpoint %s line %d unreadable (torn write?), dropping it and the rest\n", path, line)
-				return completed, shards, valid, nil
-			}
-		}
-		off = next
-		valid = int64(off)
-	}
-	return completed, shards, valid, nil
-}
-
-// parseCheckpointLine decodes one checkpoint line into the run or shard
-// map, reporting whether the line was readable.
-func parseCheckpointLine(b []byte, completed map[string]experiment.Run, shards map[string]map[int]resilient.ShardCheckpoint) bool {
-	var sl shardLine
-	if err := json.Unmarshal(b, &sl); err != nil {
-		return false
-	}
-	if sl.ScaleRun != "" {
-		m := shards[sl.ScaleRun]
-		if m == nil {
-			m = make(map[int]resilient.ShardCheckpoint)
-			shards[sl.ScaleRun] = m
-		}
-		m[sl.Shard.Shard] = sl.Shard
-		return true
-	}
-	var r experiment.Run
-	if err := json.Unmarshal(b, &r); err != nil {
-		return false
-	}
-	completed[r.Key()] = r
-	return true
+	return completed, shards, dropped, nil
 }
 
 // runner memoizes dataset × measure blocks so `-exp all` computes each of

@@ -24,7 +24,6 @@ var Paths = []string{
 	"kanon/internal/loss",
 	"kanon/internal/attack",
 	"kanon/internal/risk",
-	"kanon/internal/resilient",
 }
 
 // Analyzer flags time.Now, unseeded math/rand use and map iteration in

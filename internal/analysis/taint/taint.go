@@ -31,9 +31,9 @@
 // global field-taint relation keyed by (package, type, field). Storing a
 // source-derived value into a field taints every read of that field,
 // program-wide — coarse, but sound for the store-then-format chains this
-// engine exists to catch (PanicError.Value, Attempt.Err), and precise
-// enough that reading a *clean* field of a struct whose sibling field is
-// tainted stays clean. Declared clean fields (the sanitizer set's "schema
+// engine exists to catch (a panic payload stored in par.TaskPanic.Value,
+// then rendered into an error), and precise enough that reading a *clean*
+// field of a struct whose sibling field is tainted stays clean. Declared clean fields (the sanitizer set's "schema
 // names") never become tainted.
 //
 // # Approximations

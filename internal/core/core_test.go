@@ -14,7 +14,7 @@ import (
 
 // testSpace builds a 3-attribute random table with interval/subset
 // hierarchies and the requested measure ("lm" or "entropy").
-func testSpace(t *testing.T, rng *rand.Rand, n int, measure string) (*cluster.Space, *table.Table) {
+func testSpace(t testing.TB, rng *rand.Rand, n int, measure string) (*cluster.Space, *table.Table) {
 	t.Helper()
 	schema := table.MustSchema(
 		table.MustAttribute("a", []string{"0", "1", "2", "3", "4", "5", "6", "7"}),

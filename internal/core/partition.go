@@ -1,14 +1,20 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/fnv"
+	"io"
+	"os"
 	"slices"
 	"sort"
 
 	"kanon/internal/cluster"
 	"kanon/internal/obs"
-	"kanon/internal/resilient"
+	"kanon/internal/par"
 	"kanon/internal/table"
 )
 
@@ -29,13 +35,60 @@ type PartitionedOptions struct {
 	// OnShard, when set, is invoked on the driving goroutine after each
 	// shard completes, with a checkpoint from which the shard's clusters
 	// can be rebuilt without recomputation. Callers persist these to make a
-	// failed or killed run resumable at shard granularity.
-	OnShard func(resilient.ShardCheckpoint)
+	// failed or killed run resumable at shard granularity. It runs inside
+	// the shard's containment: a panic in it fails the shard.
+	OnShard func(ShardCheckpoint)
 	// CompletedShards holds shard checkpoints from a previous run, keyed by
 	// shard index. A shard whose checkpoint signature matches the current
 	// parameters and record set is restored instead of recomputed; a stale
 	// signature is ignored and the shard recomputed.
-	CompletedShards map[int]resilient.ShardCheckpoint
+	CompletedShards map[int]ShardCheckpoint
+}
+
+// ShardCheckpoint is the persistable record of one completed shard: enough
+// to rebuild the shard's clusters without recomputing them. Sig binds the
+// checkpoint to the exact run parameters and record set, so a checkpoint
+// written under different options (or after the input changed) is detected
+// as stale and recomputed rather than silently reused.
+type ShardCheckpoint struct {
+	// Shard is the shard's index in the run.
+	Shard int `json:"shard"`
+	// Sig is Signature(params, records) at write time.
+	Sig uint64 `json:"sig"`
+	// Clusters holds the shard's clusters as global record-index sets; the
+	// closures and costs are recomputed on load (they are pure functions of
+	// the members).
+	Clusters [][]int `json:"clusters"`
+}
+
+// ShardError reports the shard that failed a partitioned run. Cause is the
+// engine's error, or the *par.TaskPanic of a contained panic, whose message
+// carries only the payload's type and digest (DESIGN.md §16).
+type ShardError struct {
+	Shard int
+	Cause error
+}
+
+// Error implements error.
+func (e *ShardError) Error() string {
+	return fmt.Sprintf("core: shard %d failed: %v", e.Shard, e.Cause)
+}
+
+// Unwrap exposes the underlying failure.
+func (e *ShardError) Unwrap() error { return e.Cause }
+
+// Signature hashes the run parameters and the shard's global record
+// indices (FNV-1a) into the checkpoint signature. Deterministic across
+// processes — no map iteration, no pointers.
+func Signature(params string, records []int) uint64 {
+	h := fnv.New64a()
+	io.WriteString(h, params)
+	var buf [8]byte
+	for _, r := range records {
+		binary.LittleEndian.PutUint64(buf[:], uint64(r))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
 }
 
 // partitionSignature binds a shard checkpoint to the run parameters that
@@ -56,14 +109,26 @@ func partitionSignature(opt PartitionedOptions, dist cluster.Distance, n int) st
 // the E19 benchmark), because records in different chunks already
 // disagree on some attribute and would rarely share a cluster anyway.
 //
-// Every chunk runs once as a supervised shard (DESIGN.md §14). A shard
-// that panics or errors stops the run with a *resilient.ShardError, a done
-// ctx stops it with ctx.Err(); either way no table is returned. The
-// RunReport is non-nil whenever supervision started, including on error,
-// and every shard before the one that stopped the run was passed to
-// OnShard, so a rerun with CompletedShards resumes from there. A nil ctx
-// disables cancellation.
-func KAnonymizePartitionedReportCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, opt PartitionedOptions) (*table.GenTable, []*cluster.Cluster, *resilient.RunReport, error) {
+// Every chunk is one shard, run in order on the calling goroutine
+// (DESIGN.md §14), and takes exactly one of three paths:
+//
+//	checkpoint signature matches ──────▶ restored, not run
+//	parent ctx done ───────────────────▶ run stops: ctx.Err()
+//	run once, contained ──ok───────────▶ OnShard checkpoint
+//	                    └─panic / error─▶ run stops: *ShardError
+//
+// A shard that fails while ctx is done stops the run with ctx.Err(), not a
+// *ShardError: the run was cancelled, no shard is blamed. Either way no
+// table is returned, and every shard before the one that stopped the run
+// was passed to OnShard, so a rerun with CompletedShards resumes from
+// there. There is no retry: a shard is a deterministic engine over a fixed
+// chunk, so a second attempt would fail the same way.
+//
+// The third result holds the shards' record sets (global record indices,
+// in shard order), also on error once the split ran. The
+// resilient.shards and resilient.checkpoint_hits counters count the shards
+// visited and restored. A nil ctx disables cancellation.
+func KAnonymizePartitionedReportCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, opt PartitionedOptions) (*table.GenTable, []*cluster.Cluster, [][]int, error) {
 	n := tbl.Len()
 	if opt.K < 1 {
 		return nil, nil, nil, fmt.Errorf("core: k must be ≥ 1, got %d", opt.K)
@@ -94,72 +159,100 @@ func KAnonymizePartitionedReportCtx(ctx context.Context, s *cluster.Space, tbl *
 	endSplit()
 
 	sig := partitionSignature(opt, dist, n)
-	results := make([][]*cluster.Cluster, len(chunks))
-	units := make([]resilient.Unit, len(chunks))
-	for i, chunk := range chunks {
-		units[i] = resilient.Unit{
-			Index:   i,
-			Records: len(chunk),
-			Run: func(actx context.Context) error {
-				o.Event(obs.KindChunk, PhasePartition, int64(len(chunk)))
-				sub := table.New(tbl.Schema)
-				for _, gi := range chunk {
-					sub.Records = append(sub.Records, tbl.Records[gi])
-				}
-				cs, _, err := cluster.AgglomerateStatsCtx(actx, s, sub, cluster.AggloOptions{
-					K:        opt.K,
-					Distance: dist,
-					Modified: opt.Modified,
-					Workers:  opt.Workers,
-				})
-				if err != nil {
-					return err
-				}
-				// Translate chunk-local member indices back to global ones.
-				for _, c := range cs {
-					for mi, local := range c.Members {
-						c.Members[mi] = chunk[local]
-					}
-				}
-				results[i] = cs
-				if opt.OnShard != nil {
-					members := make([][]int, len(cs))
-					for ci, c := range cs {
-						members[ci] = c.Members
-					}
-					opt.OnShard(resilient.ShardCheckpoint{
-						Shard:    i,
-						Sig:      resilient.Signature(sig, chunk),
-						Clusters: members,
-					})
-				}
-				return nil
-			},
-		}
-		if ck, ok := opt.CompletedShards[i]; ok && ck.Sig == resilient.Signature(sig, chunk) {
-			// Restore the shard from its checkpoint: closures and costs are
-			// pure functions of the member sets, so the rebuilt clusters are
-			// byte-identical to the computed ones. A stale signature (other
-			// parameters, other records) falls through to recomputation.
-			cs := make([]*cluster.Cluster, len(ck.Clusters))
-			for ci, members := range ck.Clusters {
-				cs[ci] = s.NewCluster(tbl, members)
-			}
-			results[i] = cs
-			units[i].Cached = true
-		}
-	}
-
-	rep, err := resilient.Supervise(ctx, units, o)
-	if err != nil {
-		return nil, nil, rep, err
-	}
 	var clusters []*cluster.Cluster
-	for _, cs := range results {
+	for i, chunk := range chunks {
+		o.Counter(obs.CounterResilientShards, 1)
+		if ck, ok := opt.CompletedShards[i]; ok && ck.Sig == Signature(sig, chunk) {
+			// Closures and costs are pure functions of the member sets, so
+			// the rebuilt clusters are byte-identical to the computed ones.
+			o.Counter(obs.CounterResilientCheckpointHits, 1)
+			for _, members := range ck.Clusters {
+				clusters = append(clusters, s.NewCluster(tbl, members))
+			}
+			continue
+		}
+		if par.Done(ctx) {
+			return nil, nil, chunks, ctx.Err()
+		}
+		var cs []*cluster.Cluster
+		err := par.Recover(func() (err error) {
+			cs, err = runShard(ctx, s, tbl, chunk, opt, dist)
+			if err == nil && opt.OnShard != nil {
+				members := make([][]int, len(cs))
+				for ci, c := range cs {
+					members[ci] = c.Members
+				}
+				opt.OnShard(ShardCheckpoint{Shard: i, Sig: Signature(sig, chunk), Clusters: members})
+			}
+			return err
+		})
+		if err != nil {
+			if par.Done(ctx) {
+				return nil, nil, chunks, ctx.Err()
+			}
+			return nil, nil, chunks, &ShardError{Shard: i, Cause: err}
+		}
 		clusters = append(clusters, cs...)
 	}
 	g := cluster.ToGenTable(tbl.Schema, n, clusters)
-	return g, clusters, rep, nil
+	return g, clusters, chunks, nil
+}
+
+// runShard runs the agglomerative engine over one chunk and returns its
+// clusters with global member indices.
+func runShard(ctx context.Context, s *cluster.Space, tbl *table.Table, chunk []int, opt PartitionedOptions, dist cluster.Distance) ([]*cluster.Cluster, error) {
+	obs.From(ctx).Event(obs.KindChunk, PhasePartition, int64(len(chunk)))
+	sub := table.New(tbl.Schema)
+	for _, gi := range chunk {
+		sub.Records = append(sub.Records, tbl.Records[gi])
+	}
+	cs, _, err := cluster.AgglomerateStatsCtx(ctx, s, sub, cluster.AggloOptions{
+		K:        opt.K,
+		Distance: dist,
+		Modified: opt.Modified,
+		Workers:  opt.Workers,
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Translate chunk-local member indices back to global ones.
+	for _, c := range cs {
+		for mi, local := range c.Members {
+			c.Members[mi] = chunk[local]
+		}
+	}
+	return cs, nil
+}
+
+// LoadLog reads a JSONL log, handing each non-blank line to decode in file
+// order; a missing file is an empty log. A line decode rejects is a torn
+// write. As the last line — the signature of a run killed mid-write — it is
+// dropped and truncated away from the file, so the appends of a resumed run
+// start on a clean line boundary instead of gluing onto the partial line;
+// LoadLog returns the number of bytes it dropped. Anywhere else it is an
+// error, and the file is left untouched.
+func LoadLog(path string, decode func(line []byte) error) (dropped int64, err error) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	for off, line := 0, 1; off < len(data); line++ {
+		end, next := len(data), len(data)
+		if nl := bytes.IndexByte(data[off:], '\n'); nl >= 0 {
+			end, next = off+nl, off+nl+1
+		}
+		if b := data[off:end]; len(b) > 0 && decode(b) != nil {
+			if next < len(data) {
+				return 0, fmt.Errorf("core: %s line %d: undecodable line followed by more data", path, line)
+			}
+			return int64(len(data) - off), os.Truncate(path, int64(off))
+		}
+		off = next
+	}
+	return 0, nil
 }
 
 // partitionRecords recursively splits the index set along hierarchy

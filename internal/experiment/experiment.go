@@ -22,7 +22,6 @@ import (
 	"kanon/internal/obs"
 	"kanon/internal/par"
 	"kanon/internal/redact"
-	"kanon/internal/resilient"
 	"kanon/internal/risk"
 	"kanon/internal/table"
 )
@@ -84,11 +83,11 @@ type Config struct {
 	// to — the persistence half of shard-granular checkpointing (the run
 	// level Completed/OnRun pair resumes whole runs; this pair resumes
 	// inside a killed partitioned run). Excluded from JSON output.
-	OnShard func(runKey string, ck resilient.ShardCheckpoint) `json:"-"`
+	OnShard func(runKey string, ck core.ShardCheckpoint) `json:"-"`
 	// CompletedShards pre-seeds partitioned shards by scale-run key: shards
 	// whose checkpoint signature still matches are restored instead of
 	// recomputed. Excluded from JSON output.
-	CompletedShards map[string]map[int]resilient.ShardCheckpoint `json:"-"`
+	CompletedShards map[string]map[int]core.ShardCheckpoint `json:"-"`
 }
 
 // DefaultConfig sizes the datasets so the full suite finishes in a few
@@ -443,22 +442,21 @@ func (c Config) RunBlock(dataset string, m MeasureKind) (*Block, error) {
 // delegates to par.Done, the stack's single nil-context check.
 func ctxDone(ctx context.Context) bool { return par.Done(ctx) }
 
-// runRecovered invokes one run, converting a panic — including panics
-// raised inside the run's own pool helpers, which arrive as *par.TaskPanic
-// — into an error, so a single failing run cannot kill the block.
+// runRecovered invokes one run under par.Recover, converting a panic —
+// including panics raised inside the run's own pool helpers — into an
+// error, so a single failing run cannot kill the block.
 func runRecovered(fn func() (*table.GenTable, *cluster.AggloStats, error)) (g *table.GenTable, st *cluster.AggloStats, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			if tp, ok := v.(*par.TaskPanic); ok {
-				v = tp.Value
-			}
-			// The redacted form keeps the panic payload — which may embed
-			// record values — out of Run.Error, which is checkpointed as
-			// JSONL and printed by the CLIs (DESIGN.md §16).
-			g, st, err = nil, nil, fmt.Errorf("run panicked: %s", redact.Panic(v))
-		}
-	}()
-	return fn()
+	err = par.Recover(func() error {
+		g, st, err = fn()
+		return err
+	})
+	if tp, ok := err.(*par.TaskPanic); ok {
+		// The redacted form keeps the panic payload — which may embed
+		// record values — out of Run.Error, which is checkpointed as
+		// JSONL and printed by the CLIs (DESIGN.md §16).
+		return nil, nil, fmt.Errorf("run panicked: %s", redact.Panic(tp.Value))
+	}
+	return g, st, err
 }
 
 // complete reports whether the series has a loss for every k — a series

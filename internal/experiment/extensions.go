@@ -10,7 +10,6 @@ import (
 	"kanon/internal/core"
 	"kanon/internal/datagen"
 	"kanon/internal/loss"
-	"kanon/internal/resilient"
 	"kanon/internal/table"
 	"kanon/internal/workload"
 )
@@ -184,9 +183,9 @@ func ScaleRunKey(n, k, maxChunk int, seed int64) string {
 
 // RunScale runs E19 on Adult-like data for the given sizes. The plain
 // algorithm is skipped above skipPlainAbove records to keep the experiment
-// bounded. The partitioned runs execute under the resilient shard
-// supervisor; with Config.OnShard/CompletedShards wired a killed run
-// resumes at shard granularity. Under Config.Deterministic the wall-clock
+// bounded. The partitioned runs run each shard once, contained (DESIGN.md
+// §14); with Config.OnShard/CompletedShards wired a killed run resumes at
+// shard granularity. Under Config.Deterministic the wall-clock
 // columns are zeroed so resumed and uninterrupted suites serialize
 // byte-identically.
 func (c Config) RunScale(sizes []int, k, maxChunk, skipPlainAbove int) ([]ScaleResult, error) {
@@ -210,7 +209,7 @@ func (c Config) RunScale(sizes []int, k, maxChunk, skipPlainAbove int) ([]ScaleR
 		popt := core.PartitionedOptions{K: k, MaxChunk: maxChunk, Workers: c.Workers}
 		if c.OnShard != nil {
 			onShard := c.OnShard
-			popt.OnShard = func(ck resilient.ShardCheckpoint) { onShard(key, ck) }
+			popt.OnShard = func(ck core.ShardCheckpoint) { onShard(key, ck) }
 		}
 		if len(c.CompletedShards[key]) > 0 {
 			popt.CompletedShards = c.CompletedShards[key]

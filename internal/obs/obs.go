@@ -174,11 +174,11 @@ const (
 	CounterAttackVulnUnion = "attack.vulnerable.union"
 )
 
-// Counter names emitted by the shard supervisor of the partitioned pipeline
-// (internal/resilient, DESIGN.md §14). Both are worker-count invariant:
-// shards are supervised sequentially on the driving goroutine.
+// Counter names emitted by the shard loop of the partitioned pipeline
+// (core.KAnonymizePartitionedReportCtx, DESIGN.md §14). Both are
+// worker-count invariant: shards run sequentially on the driving goroutine.
 const (
-	// CounterResilientShards counts shards supervised, including cached
+	// CounterResilientShards counts shards visited, including restored
 	// ones and the one that stopped a failed run.
 	CounterResilientShards = "resilient.shards"
 	// CounterResilientCheckpointHits counts shards skipped because a shard

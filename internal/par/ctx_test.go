@@ -152,6 +152,37 @@ func TestTaskPanicUnwrap(t *testing.T) {
 	p.ForSpans(100, 1, func(lo, hi, span int) { panic(sentinel) })
 }
 
+// TestRecoverPanic pins the containment helper outside the pool: an error
+// passes through, a panic on the calling goroutine becomes a *TaskPanic
+// carrying its value, and a *TaskPanic re-raised by a pool keeps its value
+// and stack, not wrapped a second time.
+func TestRecoverPanic(t *testing.T) {
+	sentinel := errors.New("sentinel")
+	if err := Recover(func() error { return sentinel }); err != sentinel {
+		t.Fatalf("error return: got %v, want the sentinel", err)
+	}
+	err := Recover(func() error { panic(sentinel) })
+	tp, ok := err.(*TaskPanic)
+	if !ok || tp.Value != sentinel || len(tp.Stack) == 0 || !errors.Is(err, sentinel) {
+		t.Fatalf("direct panic: got %#v, want a *TaskPanic over the sentinel with a stack", err)
+	}
+	p := New(4)
+	defer p.Close()
+	var inner *TaskPanic
+	err = Recover(func() error {
+		defer func() {
+			inner, _ = recover().(*TaskPanic)
+			panic(inner)
+		}()
+		p.ForSpans(8, 1, func(lo, hi, span int) { panic("pool fault") })
+		return nil
+	})
+	tp, ok = err.(*TaskPanic)
+	if inner == nil || !ok || tp.Value != "pool fault" || &tp.Stack[0] != &inner.Stack[0] {
+		t.Fatalf("pool panic: got %#v, want the pool's own value and stack %#v", err, inner)
+	}
+}
+
 func TestPanicDoesNotWedgeForSpans(t *testing.T) {
 	p := New(8)
 	defer p.Close()

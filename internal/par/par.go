@@ -35,10 +35,10 @@ import (
 	"kanon/internal/redact"
 )
 
-// TaskPanic wraps a panic captured inside a pool task; the pool re-raises
-// it on the goroutine that submitted the work once all in-flight tasks
-// drained. Value is the original panic value and Stack the stack of the
-// panicking task.
+// TaskPanic wraps a panic captured inside a pool task, which the pool
+// re-raises on the goroutine that submitted the work once all in-flight
+// tasks drained, or contained by Recover. Value is the original panic value
+// and Stack the stack of the panicking goroutine.
 type TaskPanic struct {
 	Value interface{}
 	Stack []byte
@@ -50,7 +50,7 @@ type TaskPanic struct {
 // message flows into logs and reports (DESIGN.md §16). Inspect Value or
 // Unwrap for the payload itself.
 func (t *TaskPanic) Error() string {
-	return "par: panic in pool task: " + redact.Panic(t.Value)
+	return "par: contained panic: " + redact.Panic(t.Value)
 }
 
 // Unwrap exposes the original panic value when it was an error, so
@@ -147,18 +147,39 @@ type panicBox struct {
 }
 
 // run executes fn, converting a panic into a stored TaskPanic (first one
-// wins; nested TaskPanics are not double-wrapped).
+// wins).
 func (b *panicBox) run(fn func()) {
 	defer func() {
 		if v := recover(); v != nil {
-			tp, ok := v.(*TaskPanic)
-			if !ok {
-				tp = &TaskPanic{Value: v, Stack: debug.Stack()}
-			}
-			b.tp.CompareAndSwap(nil, tp)
+			b.tp.CompareAndSwap(nil, asTaskPanic(v))
 		}
 	}()
 	fn()
+}
+
+// asTaskPanic wraps a recovered panic value with the stack of the
+// recovering goroutine. A *TaskPanic, re-raised by a pool on its submitting
+// goroutine, keeps its own value and stack, so nested containment never
+// wraps one TaskPanic in another. It is copied rather than returned: only
+// the Value field of a fresh TaskPanic holds the payload, which is what
+// lets the leakcheck analyzer prove the error chain payload-free.
+func asTaskPanic(v interface{}) *TaskPanic {
+	if tp, ok := v.(*TaskPanic); ok {
+		return &TaskPanic{Value: tp.Value, Stack: tp.Stack}
+	}
+	return &TaskPanic{Value: v, Stack: debug.Stack()}
+}
+
+// Recover runs fn on the calling goroutine and returns its error, or a
+// *TaskPanic if it panics: the containment of one unit of work outside the
+// pool, such as one shard of a partitioned run or one experiment run.
+func Recover(fn func() error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = asTaskPanic(v)
+		}
+	}()
+	return fn()
 }
 
 // tripped reports whether a task already panicked (pending re-raise).

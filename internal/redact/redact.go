@@ -5,7 +5,7 @@
 //
 // The invariant it serves: the only place a quasi-identifier or sensitive
 // value may appear is the anonymized release itself. Everything else —
-// typed errors, RunReport attempts, JSONL checkpoints, obs events, CLI
+// typed errors, contained shard panics, JSONL checkpoints, obs events, CLI
 // stderr — is a side channel an adversary can compound with the release
 // (Bettini et al.; the combinatorial-refinement attack of arXiv
 // 2509.03350), so diagnostics must carry only positional facts (record
@@ -43,9 +43,9 @@ func Value(s string) string {
 // Panic renders a contained panic payload as its dynamic type plus the
 // digest of its rendered form: "*errors.errorString(fnv1a:…)". The type
 // name localizes the failure class for an operator; the digest lets a
-// human reading a ShardError or RunReport recognize the *same* panic
-// recurring without the payload — which may embed record values — ever
-// reaching a diagnostic channel.
+// human reading a core.ShardError or a failed experiment Run recognize the
+// *same* panic recurring without the payload — which may embed record
+// values — ever reaching a diagnostic channel.
 func Panic(v interface{}) string {
 	if v == nil {
 		return "<nil>"

@@ -40,7 +40,7 @@ func TestUint64MatchesReference(t *testing.T) {
 
 // TestPanicRedactsPayload checks the type-plus-digest form: the dynamic
 // type is visible, the payload content is not, and identical payloads
-// render identically (the supervisor's repeat detection).
+// render identically (an operator recognizes a recurring panic).
 func TestPanicRedactsPayload(t *testing.T) {
 	v := errors.New("cell value leaked: zipcode 90210")
 	got := Panic(v)

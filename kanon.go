@@ -38,7 +38,6 @@ import (
 	"kanon/internal/loss"
 	"kanon/internal/obs"
 	"kanon/internal/par"
-	"kanon/internal/resilient"
 	"kanon/internal/risk"
 	"kanon/internal/table"
 )
@@ -312,76 +311,26 @@ type Options struct {
 // shard: the shard index, a signature binding it to the run parameters and
 // record set, and the shard's clusters as record-index sets. Marshal as
 // JSON for persistence; feed back via Options.CompletedShards to resume.
-type ShardCheckpoint struct {
-	Shard    int     `json:"shard"`
-	Sig      uint64  `json:"sig"`
-	Clusters [][]int `json:"clusters"`
-}
+type ShardCheckpoint = core.ShardCheckpoint
 
 // Result is an anonymized table plus the context needed to inspect it.
 type Result struct {
-	table      *Table
-	gen        *table.GenTable
-	space      *cluster.Space
-	measure    loss.Measure
-	opt        Options
-	stats      RunStats
-	resilience *ResilienceReport
+	table   *Table
+	gen     *table.GenTable
+	space   *cluster.Space
+	measure loss.Measure
+	opt     Options
+	stats   RunStats
 }
 
 // Stats returns the run's unified observability statistics: per-phase wall
 // times, counter totals (merges, distance evaluations, scans, widening
 // steps, chunks, …), peak gauges and scheduler gauges. Counter totals and
 // peaks are identical at every worker count for the same input; wall times
-// and the Sched gauges are the timing-dependent remainder.
+// and the Sched gauges are the timing-dependent remainder. A partitioned
+// run (MaxChunk > 0) counts its shards in resilient.shards and those
+// restored from Options.CompletedShards in resilient.checkpoint_hits.
 func (r *Result) Stats() RunStats { return r.stats }
-
-// ShardOutcome summarizes one shard of a partitioned run. Each shard runs
-// once; a shard that fails stops the run with an error and no Result, so
-// every shard of a returned report either ran or was restored.
-type ShardOutcome struct {
-	// Shard is the shard's index; Records its record count.
-	Shard   int
-	Records int
-	// FromCheckpoint marks a shard restored from Options.CompletedShards.
-	FromCheckpoint bool
-}
-
-// ResilienceReport is the shard supervisor's report for a completed
-// partitioned run. It is deterministic: same input, same checkpoints, same
-// report at any worker count.
-type ResilienceReport struct {
-	// Shards holds one outcome per shard, in shard order.
-	Shards []ShardOutcome
-	// CheckpointHits is the number of shards restored from checkpoints
-	// (also the resilient.checkpoint_hits counter in Stats()).
-	CheckpointHits int
-}
-
-// Clean reports whether every shard was computed in this run, none
-// restored from a checkpoint.
-func (r *ResilienceReport) Clean() bool {
-	return r != nil && r.CheckpointHits == 0
-}
-
-// Resilience returns the shard supervisor's report for a partitioned run
-// (NotionK with MaxChunk > 0), and nil for every other pipeline.
-func (r *Result) Resilience() *ResilienceReport { return r.resilience }
-
-// facadeResilience converts the internal RunReport to the facade mirror.
-func facadeResilience(rep *resilient.RunReport) *ResilienceReport {
-	if rep == nil {
-		return nil
-	}
-	out := &ResilienceReport{
-		Shards:         make([]ShardOutcome, len(rep.Shards)),
-		CheckpointHits: rep.CheckpointHits,
-	}
-	for i, s := range rep.Shards {
-		out.Shards[i] = ShardOutcome{Shard: s.Shard, Records: s.Records, FromCheckpoint: s.FromCheckpoint}
-	}
-	return out
-}
 
 // Anonymize generalizes the table until it satisfies the requested notion,
 // minimizing the requested information-loss measure heuristically. It is
@@ -451,23 +400,16 @@ func AnonymizeContext(ctx context.Context, t *Table, opt Options) (*Result, erro
 		// Validate rejects constraints with MaxChunk.
 		popt := core.PartitionedOptions{
 			K: opt.K, Distance: dist, Modified: opt.Algorithm == AlgModified, MaxChunk: opt.MaxChunk,
-			Workers: opt.Workers,
-		}
-		if opt.OnShard != nil {
-			onShard := opt.OnShard
-			popt.OnShard = func(ck resilient.ShardCheckpoint) {
-				onShard(ShardCheckpoint(ck))
-			}
+			Workers: opt.Workers, OnShard: opt.OnShard,
 		}
 		if len(opt.CompletedShards) > 0 {
-			popt.CompletedShards = make(map[int]resilient.ShardCheckpoint, len(opt.CompletedShards))
+			// Later checkpoints of a shard win, as in an appended log.
+			popt.CompletedShards = make(map[int]ShardCheckpoint, len(opt.CompletedShards))
 			for _, ck := range opt.CompletedShards {
-				popt.CompletedShards[ck.Shard] = resilient.ShardCheckpoint(ck)
+				popt.CompletedShards[ck.Shard] = ck
 			}
 		}
-		var rep *resilient.RunReport
-		res.gen, _, rep, err = core.KAnonymizePartitionedReportCtx(ctx, s, t.tbl, popt)
-		res.resilience = facadeResilience(rep)
+		res.gen, _, _, err = core.KAnonymizePartitionedReportCtx(ctx, s, t.tbl, popt)
 	default:
 		res.gen, _, _, err = core.KAnonymizeStatsCtx(ctx, s, t.tbl, cluster.AggloOptions{
 			K: opt.K, Distance: dist, Modified: opt.Algorithm == AlgModified, Workers: opt.Workers,

@@ -7,7 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"kanon/internal/resilient"
+	"kanon/internal/core"
+	"kanon/internal/par"
 )
 
 // shardFault is the panic value of a shard these tests fail on purpose.
@@ -44,47 +45,17 @@ func resilienceCSV(t *testing.T, tbl *Table, opt Options) (*Result, []byte) {
 	return res, buf.Bytes()
 }
 
-// TestFacadeResilienceReport pins the facade surface on a fault-free run:
-// a partitioned run carries a clean ResilienceReport whose shard count
-// agrees with the resilient.shards counter in Stats(), and a
-// non-partitioned run carries none.
-func TestFacadeResilienceReport(t *testing.T) {
-	tbl := Adult(240, 11)
-	res, _ := resilienceCSV(t, tbl, Options{K: 4, Notion: NotionK, MaxChunk: 64})
-	rep := res.Resilience()
-	if rep == nil {
-		t.Fatal("partitioned run returned a nil ResilienceReport")
-	}
-	if !rep.Clean() {
-		t.Errorf("fault-free run not clean: %+v", rep)
-	}
-	if len(rep.Shards) < 2 {
-		t.Fatalf("expected ≥ 2 shards at MaxChunk 64 over 240 records, got %d", len(rep.Shards))
-	}
-	if got := res.Stats().Counter("resilient.shards"); got != int64(len(rep.Shards)) {
-		t.Errorf("resilient.shards counter = %d, report has %d shards", got, len(rep.Shards))
-	}
-	records := 0
-	for _, s := range rep.Shards {
-		records += s.Records
-	}
-	if records != tbl.Len() {
-		t.Errorf("shard records sum to %d, table has %d", records, tbl.Len())
-	}
-
-	plain, err := Anonymize(tbl, Options{K: 4, Notion: NotionK})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Resilience() != nil {
-		t.Error("non-partitioned run returned a ResilienceReport")
-	}
+// shardCounters returns a partitioned run's resilient.shards and
+// resilient.checkpoint_hits counters.
+func shardCounters(res *Result) (shards, hits int) {
+	st := res.Stats()
+	return int(st.Counter("resilient.shards")), int(st.Counter("resilient.checkpoint_hits"))
 }
 
 // TestFacadeFaultedRunSafeAndByteIdentical is the fault contract of the
 // partitioned pipeline (DESIGN.md §14), at 1 and 4 workers: under seeded
 // shard panics, and under a storm that poisons every shard, a run returns
-// no Result and a *resilient.ShardError naming the first faulted shard,
+// no Result and a *core.ShardError naming the first faulted shard,
 // with the panic payload redacted. The panics come from OnShard, which runs
 // inside each shard's containment; the shards before the faulted one were
 // checkpointed, and resuming from those checkpoints without faults
@@ -113,7 +84,7 @@ func TestFacadeFaultedRunSafeAndByteIdentical(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		opt := Options{K: 4, Notion: NotionK, MaxChunk: 30, Workers: workers}
 		res, csv := resilienceCSV(t, tbl, opt)
-		if shards := len(res.Resilience().Shards); shards < 8 {
+		if shards, _ := shardCounters(res); shards < 8 {
 			t.Fatalf("fixture has %d shards; every seeded fault (hit ≤ 8) must land on a shard", shards)
 		}
 		attack, err := res.AttackEvaluation(opt.K)
@@ -142,10 +113,10 @@ func TestFacadeFaultedRunSafeAndByteIdentical(t *testing.T) {
 			if res != nil {
 				t.Fatalf("%s: faulted run returned a Result", name)
 			}
-			var se *resilient.ShardError
-			var pe *resilient.PanicError
+			var se *core.ShardError
+			var tp *par.TaskPanic
 			var sf *shardFault
-			if !errors.As(err, &se) || !errors.As(err, &pe) || !errors.As(err, &sf) {
+			if !errors.As(err, &se) || !errors.As(err, &tp) || !errors.As(err, &sf) {
 				t.Fatalf("%s: err = %v (%T), want *ShardError over a contained *shardFault", name, err, err)
 			}
 			if se.Shard != want {
@@ -169,7 +140,7 @@ func TestFacadeFaultedRunSafeAndByteIdentical(t *testing.T) {
 			if !bytes.Equal(csv, cleanCSV) {
 				t.Errorf("%s: resumed release differs from the fault-free run", name)
 			}
-			if hits := res.Resilience().CheckpointHits; hits != want {
+			if _, hits := shardCounters(res); hits != want {
 				t.Errorf("%s: resumed run restored %d shards, want %d", name, hits, want)
 			}
 			attack, err := res.AttackEvaluation(opt.K)
@@ -193,21 +164,15 @@ func TestFacadeCheckpointResume(t *testing.T) {
 	var collected []ShardCheckpoint
 	opt.OnShard = func(ck ShardCheckpoint) { collected = append(collected, ck) }
 	res, firstCSV := resilienceCSV(t, tbl, opt)
-	if len(collected) != len(res.Resilience().Shards) {
-		t.Fatalf("OnShard fired %d times for %d shards", len(collected), len(res.Resilience().Shards))
+	if shards, hits := shardCounters(res); len(collected) != shards || shards < 2 || hits != 0 {
+		t.Fatalf("OnShard fired %d times for %d shards (%d restored), want ≥ 2 and none restored", len(collected), shards, hits)
 	}
 
 	opt.OnShard = nil
 	opt.CompletedShards = collected
 	resumed, resumedCSV := resilienceCSV(t, tbl, opt)
-	rep := resumed.Resilience()
-	if rep.CheckpointHits != len(collected) {
-		t.Errorf("CheckpointHits = %d, want %d", rep.CheckpointHits, len(collected))
-	}
-	for _, s := range rep.Shards {
-		if !s.FromCheckpoint {
-			t.Errorf("shard %d was recomputed despite a valid checkpoint", s.Shard)
-		}
+	if _, hits := shardCounters(resumed); hits != len(collected) {
+		t.Errorf("%d shards restored, want all %d: a shard was recomputed despite a valid checkpoint", hits, len(collected))
 	}
 	if !bytes.Equal(resumedCSV, firstCSV) {
 		t.Error("resumed output differs from the original run")
@@ -220,7 +185,7 @@ func TestFacadeCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := staleRes.Resilience().CheckpointHits; hits != 0 {
+	if _, hits := shardCounters(staleRes); hits != 0 {
 		t.Errorf("stale checkpoints scored %d hits, want 0", hits)
 	}
 	if vr := staleRes.Verify(5); !vr.KAnonymous {
