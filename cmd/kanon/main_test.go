@@ -2,7 +2,9 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -378,5 +380,47 @@ func TestRunShardCheckpointStaleParams(t *testing.T) {
 	if err := run(nil, runConfig{In: in, Out: out, Header: true, ShardCkpt: ckpt, Verify: true,
 		Opt: kanon.Options{K: 3, Notion: kanon.NotionK, MaxChunk: 3}}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunShardedStatsPoolSize checks that a sharded -stats run reports one
+// worker pool, the run's: pool.size reads the worker count, not the worker
+// count times the number of shards.
+func TestRunShardedStatsPoolSize(t *testing.T) {
+	dir := t.TempDir()
+	in := writeFile(t, dir, "in.csv", testCSV)
+	hier := writeFile(t, dir, "hier.json", testHier)
+	for _, workers := range []int{1, 2} {
+		stderr, err := os.Create(filepath.Join(dir, fmt.Sprintf("stderr%d", workers)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved := os.Stderr
+		os.Stderr = stderr
+		err = run(nil, runConfig{In: in, Hier: hier, Out: filepath.Join(dir, "out.csv"), Header: true, Stats: true,
+			Opt: kanon.Options{K: 2, Notion: kanon.NotionK, MaxChunk: 4, Workers: workers}})
+		os.Stderr = saved
+		stderr.Close()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		logged, err := os.ReadFile(stderr.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats kanon.RunStats
+		for _, line := range strings.Split(string(logged), "\n") {
+			if strings.HasPrefix(line, "{") {
+				if err := json.Unmarshal([]byte(line), &stats); err != nil {
+					t.Fatalf("workers=%d: stats line %q: %v", workers, line, err)
+				}
+			}
+		}
+		if shards := stats.Counters["resilient.shards"]; shards < 2 {
+			t.Fatalf("workers=%d: %d shards, want ≥ 2:\n%s", workers, shards, logged)
+		}
+		if got := stats.Sched["pool.size"]; got != int64(workers) {
+			t.Errorf("workers=%d: pool.size = %d, want %d", workers, got, workers)
+		}
 	}
 }

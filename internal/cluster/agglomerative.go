@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -102,73 +103,20 @@ func (st AggloStats) TotalNanos() int64 {
 // algorithm (Algorithm 2) — and returns the final clustering γ: disjoint
 // clusters covering all records, each of size ≥ K (exactly K for all but
 // the leftover-absorbing clusters in the modified variant), with the
-// engine's work counters and phase timings.
+// engine's work counters and phase timings. It is one Run of a fresh
+// Engine.
 //
 // The engine polls ctx at every scan tile, merge, heap repair and absorbed
 // record; once ctx is done it stops promptly, drains its worker pool,
 // and returns ctx.Err() with a nil clustering — never partial output. A
 // nil ctx disables cancellation.
 func AgglomerateStatsCtx(ctx context.Context, s *Space, tbl *table.Table, opt AggloOptions) ([]*Cluster, AggloStats, error) {
-	stats := AggloStats{Workers: par.Workers(opt.Workers)}
-	n := tbl.Len()
-	if opt.Distance == nil {
-		return nil, stats, fmt.Errorf("cluster: nil distance")
-	}
-	if opt.K > n {
-		return nil, stats, fmt.Errorf("cluster: k=%d exceeds table size n=%d", opt.K, n)
-	}
-	active := opt.Constraints[:0:0]
-	for _, c := range opt.Constraints {
-		if c != nil && !c.Trivial() {
-			active = append(active, c)
-		}
-	}
-	var bound []Bound
-	if len(active) > 0 {
-		if len(opt.Sensitive) != n {
-			return nil, stats, fmt.Errorf("cluster: %d sensitive values for %d records", len(opt.Sensitive), n)
-		}
-		bound = make([]Bound, len(active))
-		for i, c := range active {
-			b, err := c.Bind(opt.Sensitive)
-			if err != nil {
-				return nil, stats, err
-			}
-			bound[i] = b
-		}
-	}
-	if n == 0 {
-		return nil, stats, nil
-	}
-	if opt.K <= 1 && len(bound) == 0 {
-		// Every singleton already satisfies the size constraint; the optimal
-		// clustering is the identity.
-		out := make([]*Cluster, n)
-		for i := 0; i < n; i++ {
-			out[i] = s.NewSingleton(tbl, i)
-		}
-		return out, stats, nil
-	}
-
-	if par.Done(ctx) {
-		return nil, stats, ctx.Err()
-	}
-	e := &aggloEngine{s: s, tbl: tbl, opt: opt, ctx: ctx, o: obs.From(ctx), cons: bound,
-		kern: newKernel(s, opt.Distance)}
-	for _, b := range bound {
-		if !b.AdditionSafe() {
-			e.guardAbsorb = true
-		}
-	}
-	if err := e.run(); err != nil {
-		e.stats.Workers = stats.Workers
-		return nil, e.stats, err
-	}
-	e.stats.Workers = stats.Workers
-	return e.final, e.stats, nil
+	e := NewEngine(s, opt, tbl.Len())
+	defer e.Close(obs.From(ctx))
+	return e.Run(ctx, tbl)
 }
 
-// aggloEngine runs Algorithms 1 and 2 over the flat distance kernel
+// Engine runs Algorithms 1 and 2 over the flat distance kernel
 // (kernel.go) with the lazy NN-heap merge selection of lazynn.go
 // (DESIGN.md §12, §17). Cluster closures live in the kernel's arena and
 // are immutable once formed, so distances between untouched clusters never
@@ -186,10 +134,25 @@ func AgglomerateStatsCtx(ctx context.Context, s *Space, tbl *table.Table, opt Ag
 // span results in a fixed order into lists whose contents are fold-order
 // independent, so any worker count reproduces the sequential clustering
 // exactly.
-type aggloEngine struct {
+//
+// An Engine keeps its state between runs: the worker pool, the kernel with
+// its closure arena and log table, the neighbour lists, generations, live
+// lists, heap and member chains, and the span strips and sums. The first
+// run makes them, sized for the larger of its table and the records hint
+// of NewEngine; later runs empty them and grow them only for a larger
+// table. The partitioned pipeline runs all its shards on one Engine, so a
+// shard allocates little beyond its output. An Engine is not safe for
+// concurrent use; engines share nothing, so separate engines may run
+// concurrently.
+type Engine struct {
 	s   *Space
-	tbl *table.Table
 	opt AggloOptions
+	// records is the table size the state is first sized for, and depth
+	// the neighbour-cache depth it selects (nnDepth).
+	records int
+	depth   int32
+
+	tbl *table.Table
 
 	// ctx, when non-nil, is polled at scan/merge/absorb boundaries; a done
 	// context makes run return ctx.Err() with no partial output.
@@ -233,11 +196,11 @@ type aggloEngine struct {
 	livePos  []int32
 
 	// Per-span scratch of the sharded list builds (one pool call in flight
-	// at a time), allocated once per run: the initial build's cross-span
-	// partial rows, one row/column partial list per span for newborn passes
-	// and rescans, per-span distance-evaluation counts, per-span strip slabs
-	// of the initial build (initBlock anchor strips each) and per-span
-	// price sums (nnTile each).
+	// at a time): the initial build's cross-span partial rows, one
+	// row/column partial list per span for newborn passes and rescans,
+	// per-span distance-evaluation counts, per-span strip slabs of the
+	// initial build (initBlock anchor strips each) and per-span price sums
+	// (nnTile each).
 	spanInitPart [][]nnList
 	spanRowList  []nnList
 	spanColList  []nnList
@@ -248,7 +211,7 @@ type aggloEngine struct {
 	// The anchor of the current newborn pass or rescan, its list kind (a
 	// rescan's) and its cost strip, set on the driving goroutine before
 	// the pool call and read-only in the workers. The span functions are
-	// bound once per run, so a pass allocates nothing.
+	// bound once per engine, so a pass allocates nothing.
 	anchor       int
 	anchorKind   uint8
 	anchorStrip  []float64
@@ -281,47 +244,154 @@ type aggloEngine struct {
 	final []*Cluster
 }
 
+// NewEngine returns an engine for Algorithms 1 and 2 over s with the
+// options opt, made for tables of up to records records: its state is
+// first sized for them, and its neighbour caches are nnDepth(records)
+// deep. Nothing is allocated until the first Run.
+func NewEngine(s *Space, opt AggloOptions, records int) *Engine {
+	return &Engine{s: s, opt: opt, records: records, depth: nnDepth(records)}
+}
+
+// Run clusters tbl as AgglomerateStatsCtx does, on the engine's state.
+func (e *Engine) Run(ctx context.Context, tbl *table.Table) ([]*Cluster, AggloStats, error) {
+	opt := e.opt
+	stats := AggloStats{Workers: par.Workers(opt.Workers)}
+	n := tbl.Len()
+	if opt.Distance == nil {
+		return nil, stats, fmt.Errorf("cluster: nil distance")
+	}
+	if opt.K > n {
+		return nil, stats, fmt.Errorf("cluster: k=%d exceeds table size n=%d", opt.K, n)
+	}
+	active := opt.Constraints[:0:0]
+	for _, c := range opt.Constraints {
+		if c != nil && !c.Trivial() {
+			active = append(active, c)
+		}
+	}
+	var bound []Bound
+	if len(active) > 0 {
+		if len(opt.Sensitive) != n {
+			return nil, stats, fmt.Errorf("cluster: %d sensitive values for %d records", len(opt.Sensitive), n)
+		}
+		bound = make([]Bound, len(active))
+		for i, c := range active {
+			b, err := c.Bind(opt.Sensitive)
+			if err != nil {
+				return nil, stats, err
+			}
+			bound[i] = b
+		}
+	}
+	if n == 0 {
+		return nil, stats, nil
+	}
+	if opt.K <= 1 && len(bound) == 0 {
+		// Every singleton already satisfies the size constraint; the optimal
+		// clustering is the identity.
+		out := make([]*Cluster, n)
+		for i := 0; i < n; i++ {
+			out[i] = e.s.NewSingleton(tbl, i)
+		}
+		return out, stats, nil
+	}
+
+	if par.Done(ctx) {
+		return nil, stats, ctx.Err()
+	}
+	e.tbl, e.ctx, e.o, e.cons, e.guardAbsorb = tbl, ctx, obs.From(ctx), bound, false
+	for _, b := range bound {
+		if !b.AdditionSafe() {
+			e.guardAbsorb = true
+		}
+	}
+	err := e.run()
+	e.stats.Workers = stats.Workers
+	final := e.final
+	// The output is the caller's; nothing else of the run stays reachable.
+	e.tbl, e.ctx, e.o, e.cons, e.final = nil, nil, nil, nil, nil
+	if err != nil {
+		return nil, e.stats, err
+	}
+	return final, e.stats, nil
+}
+
+// Close releases the engine's worker pool and reports the pool's
+// scheduler gauges, summed over every run, to o. An engine that never ran
+// reports nothing.
+func (e *Engine) Close(o *obs.Run) {
+	if e.pool == nil {
+		return
+	}
+	if o.Enabled() {
+		ps := e.pool.Stats()
+		o.Sched("pool.size", int64(e.pool.Size()))
+		o.Sched("pool.spans", ps.Spans)
+		o.Sched("pool.helper_tasks", ps.HelperTasks)
+		o.Sched("pool.inline_tasks", ps.InlineTasks)
+	}
+	e.pool.Close()
+	e.pool = nil
+}
+
 // cancelled reports whether the engine's context is done.
-func (e *aggloEngine) cancelled() bool {
+func (e *Engine) cancelled() bool {
 	return par.Done(e.ctx)
 }
 
-func (e *aggloEngine) run() error {
-	n := e.tbl.Len()
-	e.pool = par.New(e.opt.Workers)
-	defer e.pool.Close()
-	w := e.pool.Size()
-	e.spanEvals = make([]int64, w)
-	e.spanInitPart = make([][]nnList, w)
-	e.spanRowList = make([]nnList, w)
-	e.spanColList = make([]nnList, w)
-	sl := e.kern.stripLen()
-	e.spanStrips = make([][]float64, w)
-	e.spanSums = make([][]float64, w)
-	for sp := range w {
-		e.spanStrips[sp] = make([]float64, initBlock*sl)
-		e.spanSums[sp] = make([]float64, nnTile)
+// prepare readies the engine's state for a run over n records. The first
+// run makes the pool, the kernel and the span scratch; every run empties
+// the per-cluster arrays, growing them only past what earlier runs needed.
+// They start with room for 2n ids, n singletons plus at most n−1 merged
+// clusters; Algorithm 2's re-seeded singletons take ids past that, and the
+// arrays keep what they grew to.
+func (e *Engine) prepare(n int) {
+	if e.pool == nil {
+		e.pool = par.New(e.opt.Workers)
+		e.kern = newKernel(e.s, e.opt.Distance)
+		w := e.pool.Size()
+		e.spanEvals = make([]int64, w)
+		e.spanInitPart = make([][]nnList, w)
+		e.spanRowList = make([]nnList, w)
+		e.spanColList = make([]nnList, w)
+		sl := e.kern.stripLen()
+		e.spanStrips = make([][]float64, w)
+		e.spanSums = make([][]float64, w)
+		for sp := range w {
+			e.spanStrips[sp] = make([]float64, initBlock*sl)
+			e.spanSums[sp] = make([]float64, nnTile)
+		}
+		e.anchorStrip = make([]float64, sl)
+		e.repairSpanFn = e.repairSpan
+		e.rescanSpanFn = e.rescanSpan
 	}
-	e.anchorStrip = make([]float64, sl)
-	e.repairSpanFn = e.repairSpan
-	e.rescanSpanFn = e.rescanSpan
+	m := max(n, e.records)
+	e.alive = slices.Grow(e.alive[:0], 2*m)
+	e.rowNN = slices.Grow(e.rowNN[:0], 2*m)
+	e.colNN = slices.Grow(e.colNN[:0], 2*m)
+	e.rowGen = slices.Grow(e.rowGen[:0], 2*m)
+	e.colGen = slices.Grow(e.colGen[:0], 2*m)
+	e.livePos = slices.Grow(e.livePos[:0], 2*m)
+	e.liveList = slices.Grow(e.liveList[:0], m)
+	e.nnHeap = slices.Grow(e.nnHeap[:0], 2*m)
+	e.mHead = slices.Grow(e.mHead[:0], 2*m)
+	e.mTail = slices.Grow(e.mTail[:0], 2*m)
+	e.mNext = slices.Grow(e.mNext[:0], m)[:n]
+	e.kern.reset(2*m, m)
+	e.nLive = 0
+	e.distEvals.Store(0)
+	e.shrinkEvals = 0
+	e.stats = AggloStats{}
+	// Final clusters hold ≥ max(K, 1) records each.
+	e.final = make([]*Cluster, 0, n/max(e.opt.K, 1))
+}
+
+func (e *Engine) run() error {
+	n := e.tbl.Len()
+	e.prepare(n)
 
 	t0 := time.Now() //kanon:allow determinism -- phase wall-clock feeds Stats timing only, never engine output
 	endInit := e.o.Phase(PhaseInit)
-	e.alive = make([]bool, 0, 2*n)
-	e.rowNN = make([]nnList, 0, 2*n)
-	e.colNN = make([]nnList, 0, 2*n)
-	e.rowGen = make([]uint32, 0, 2*n)
-	e.colGen = make([]uint32, 0, 2*n)
-	e.livePos = make([]int32, 0, 2*n)
-	e.liveList = make([]int32, 0, n)
-	e.nnHeap = make([]heapEnt, 0, 2*n)
-	e.kern.reserve(2*n, n)
-	e.mHead = make([]int32, 0, 2*n)
-	e.mTail = make([]int32, 0, 2*n)
-	e.mNext = make([]int32, n)
-	// Final clusters hold ≥ max(K, 1) records each.
-	e.final = make([]*Cluster, 0, n/max(e.opt.K, 1))
 	for i := 0; i < n; i++ {
 		e.pushSingleton(i)
 	}
@@ -406,11 +476,6 @@ func (e *aggloEngine) run() error {
 		e.o.Counter(obs.CounterKernelFallbackWalks, k.walks.Load())
 		e.o.Counter(obs.CounterKernelArenaReuses, k.reuses)
 		e.o.Peak(obs.PeakKernelArenaRows, int64(k.peakRows))
-		ps := e.pool.Stats()
-		e.o.Sched("pool.size", int64(e.pool.Size()))
-		e.o.Sched("pool.spans", ps.Spans)
-		e.o.Sched("pool.helper_tasks", ps.HelperTasks)
-		e.o.Sched("pool.inline_tasks", ps.InlineTasks)
 	}
 	if e.cancelled() {
 		return e.ctx.Err()
@@ -420,14 +485,14 @@ func (e *aggloEngine) run() error {
 
 // push appends a live cluster id with empty neighbour lists and returns
 // it; the caller fills its arena row and member chain.
-func (e *aggloEngine) push() int {
+func (e *Engine) push() int {
 	id := len(e.alive)
 	e.alive = append(e.alive, true)
 	e.nLive++
 	e.rowNN = append(e.rowNN, nnList{})
 	e.colNN = append(e.colNN, nnList{})
-	e.rowNN[id].reset()
-	e.colNN[id].reset()
+	e.rowNN[id].reset(e.depth)
+	e.colNN[id].reset(e.depth)
 	e.rowGen = append(e.rowGen, 0)
 	e.colGen = append(e.colGen, 0)
 	e.livePos = append(e.livePos, int32(len(e.liveList)))
@@ -435,7 +500,7 @@ func (e *aggloEngine) push() int {
 	return id
 }
 
-func (e *aggloEngine) kill(id int) {
+func (e *Engine) kill(id int) {
 	if !e.alive[id] {
 		return
 	}
@@ -459,7 +524,7 @@ func (e *aggloEngine) kill(id int) {
 // pushSingleton pushes record i as a singleton cluster: its closure row
 // (the record's leaves) and cost go straight into the arena with no
 // per-cluster heap allocation, and its member chain is the single record.
-func (e *aggloEngine) pushSingleton(i int) int {
+func (e *Engine) pushSingleton(i int) int {
 	id := e.push()
 	e.kern.addSingleton(id, e.tbl.Records[i])
 	e.mHead = append(e.mHead, int32(i))
@@ -474,7 +539,7 @@ func (e *aggloEngine) pushSingleton(i int) int {
 // one *Cluster the output needs, with the Algorithm 2 shrink when enabled)
 // or pushes it as a new live id — reusing a freed arena slot. It returns
 // the newborn ids appended to added, plus the merged size.
-func (e *aggloEngine) merge(a, b int, added []int) ([]int, int) {
+func (e *Engine) merge(a, b int, added []int) ([]int, int) {
 	row, cost, size := e.kern.mergeScratch(a, b)
 	head, tail := e.mHead[a], e.mTail[b]
 	e.mNext[e.mTail[a]] = e.mHead[b]
@@ -501,7 +566,7 @@ func (e *aggloEngine) merge(a, b int, added []int) ([]int, int) {
 
 // materialize builds the one heap *Cluster a final cluster needs from a
 // staged closure row and a member chain.
-func (e *aggloEngine) materialize(row []int32, cost float64, head int32, size int) *Cluster {
+func (e *Engine) materialize(row []int32, cost float64, head int32, size int) *Cluster {
 	members := make([]int, 0, size)
 	for ri := head; ri >= 0; ri = e.mNext[ri] {
 		members = append(members, int(ri))
@@ -517,7 +582,7 @@ func (e *aggloEngine) materialize(row []int32, cost float64, head int32, size in
 // satisfies every bound constraint. Each bound accumulates the members in
 // order, stopping early once the constraint is Decided (monotone
 // constraints only). Driving goroutine only.
-func (e *aggloEngine) constraintsOK(head int32) bool {
+func (e *Engine) constraintsOK(head int32) bool {
 	for _, b := range e.cons {
 		b.Reset()
 		sat := false
@@ -538,7 +603,7 @@ func (e *aggloEngine) constraintsOK(head int32) bool {
 // beginShrink loads the ripe cluster's members into every bound, arming
 // the canEvict/commitEvict gates of the Algorithm 2 shrink. The bounds
 // then track the shrinking member set incrementally across rounds.
-func (e *aggloEngine) beginShrink(members []int) {
+func (e *Engine) beginShrink(members []int) {
 	for _, b := range e.cons {
 		b.Reset()
 		for _, ri := range members {
@@ -548,7 +613,7 @@ func (e *aggloEngine) beginShrink(members []int) {
 }
 
 // canEvict reports whether evicting ri keeps every constraint satisfied.
-func (e *aggloEngine) canEvict(ri int) bool {
+func (e *Engine) canEvict(ri int) bool {
 	for _, b := range e.cons {
 		if !b.CanEvict(ri) {
 			return false
@@ -558,7 +623,7 @@ func (e *aggloEngine) canEvict(ri int) bool {
 }
 
 // commitEvict records ri's eviction in every bound.
-func (e *aggloEngine) commitEvict(ri int) {
+func (e *Engine) commitEvict(ri int) {
 	for _, b := range e.cons {
 		b.Evict(ri)
 	}
@@ -568,7 +633,7 @@ func (e *aggloEngine) commitEvict(ri int) {
 // every non-addition-safe constraint satisfied. Addition-safe constraints
 // (distinct ℓ-diversity) need no check — a satisfying cluster stays
 // satisfying under any addition.
-func (e *aggloEngine) absorbAllowed(f *Cluster, ri int) bool {
+func (e *Engine) absorbAllowed(f *Cluster, ri int) bool {
 	for _, b := range e.cons {
 		if b.AdditionSafe() {
 			continue
@@ -596,7 +661,7 @@ func (e *aggloEngine) absorbAllowed(f *Cluster, ri int) bool {
 // prefix[i] ∨ suffix[i+1] is exactly the closure of the rest set), making
 // a round O(|c|·r) with zero allocations. The Bound accumulators are
 // loaded once and updated incrementally across rounds.
-func (e *aggloEngine) shrink(c *Cluster) []int {
+func (e *Engine) shrink(c *Cluster) []int {
 	k := e.kern
 	r := k.r
 	var removed []int
@@ -710,7 +775,7 @@ func (e *aggloEngine) shrink(c *Cluster) []int {
 // constraint the nearest cluster that stays satisfying wins instead; if
 // none does, the unconstrained nearest takes the record — absorption is
 // best-effort (ConstraintReport on the facade audits the final release).
-func (e *aggloEngine) absorb(ri int) {
+func (e *Engine) absorb(ri int) {
 	k := e.kern
 	r := k.r
 	rec := e.tbl.Records[ri]

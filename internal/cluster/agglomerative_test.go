@@ -1,14 +1,17 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"kanon/internal/hierarchy"
 	"kanon/internal/loss"
+	"kanon/internal/obs"
 	"kanon/internal/table"
 )
 
@@ -306,5 +309,83 @@ func TestMergeLoopAllocatesNothingPerMerge(t *testing.T) {
 	}
 	if rest[0] != rest[1] {
 		t.Errorf("%v allocations beyond the output at n=100, %v at n=200: the engine allocates per merge", rest[0], rest[1])
+	}
+}
+
+// TestEngineReuseMatchesFresh runs one Engine over tables that grow and
+// shrink, as the shards of a partitioned run do, and requires every run to
+// give a fresh engine's clustering, work counters and observed counters
+// and peaks: no state of a run
+// may leak into the next. A warm engine then allocates, beyond its output,
+// two objects per run at any table size.
+func TestEngineReuseMatchesFresh(t *testing.T) {
+	s, all := adultSpace(t, 600)
+	sub := func(lo, hi int) *table.Table {
+		tb := table.New(all.Schema)
+		tb.Records = all.Records[lo:hi]
+		return tb
+	}
+	tables := []*table.Table{sub(0, 300), sub(300, 420), sub(0, 600), sub(550, 600)}
+	work := func(st AggloStats) AggloStats {
+		st.InitNanos, st.SelectNanos, st.RepairNanos, st.AbsorbNanos = 0, 0, 0, 0
+		return st
+	}
+	for _, modified := range []bool{false, true} {
+		opt := AggloOptions{K: 5, Distance: D3{}, Modified: modified, Workers: 2}
+		// Made for fewer records than two of the tables hold: those runs
+		// grow the state, and the runs after them keep it.
+		e := NewEngine(s, opt, 150)
+		for i, tb := range tables {
+			label := fmt.Sprintf("modified=%v run %d (n=%d)", modified, i, tb.Len())
+			gotMet := obs.NewMetrics()
+			got, gotSt, err := e.Run(obs.With(context.Background(), gotMet), tb)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			fresh := NewEngine(s, opt, tb.Len())
+			fresh.depth = e.depth
+			wantMet := obs.NewMetrics()
+			want, wantSt, err := fresh.Run(obs.With(context.Background(), wantMet), tb)
+			fresh.Close(nil)
+			if err != nil {
+				t.Fatalf("%s fresh: %v", label, err)
+			}
+			assertSameClustering(t, label, want, got)
+			if work(gotSt) != work(wantSt) {
+				t.Errorf("%s: counters %+v, fresh engine %+v", label, work(gotSt), work(wantSt))
+			}
+			g, w := gotMet.Snapshot(), wantMet.Snapshot()
+			if !reflect.DeepEqual(g.Counters, w.Counters) || !reflect.DeepEqual(g.Peaks, w.Peaks) {
+				t.Errorf("%s: observed counters %v and peaks %v, fresh engine %v and %v", label, g.Counters, g.Peaks, w.Counters, w.Peaks)
+			}
+		}
+		e.Close(nil)
+	}
+
+	e := NewEngine(s, AggloOptions{K: 5, Distance: D3{}, Workers: 1}, all.Len())
+	defer e.Close(nil)
+	var rest [2]float64
+	for x, tb := range []*table.Table{tables[1], tables[2]} {
+		if _, _, err := e.Run(nil, tb); err != nil {
+			t.Fatal(err)
+		}
+		var out []*Cluster
+		allocs := testing.AllocsPerRun(3, func() {
+			var err error
+			if out, _, err = e.Run(nil, tb); err != nil {
+				t.Fatal(err)
+			}
+		})
+		made := 3 * len(out)
+		for _, c := range out {
+			if cap(c.Members) > len(c.Members) {
+				made++
+			}
+		}
+		rest[x] = allocs - float64(made)
+	}
+	// The two are the output slice and the initial build's span function.
+	if rest[0] != rest[1] || rest[0] > 2 {
+		t.Errorf("a warm engine allocates %v objects beyond the output at n=120, %v at n=600; want the same ≤ 2", rest[0], rest[1])
 	}
 }

@@ -139,7 +139,7 @@ func BenchmarkDistKernel(b *testing.B) {
 	b.Run("kernel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			l.reset()
+			l.reset(nnListCap)
 			k.price(strip, cands, sums)
 			k.offerRescan(0, cands, sums, &l, false)
 		}

@@ -54,8 +54,9 @@ func fuzzTable(data []byte) (*table.Table, []int) {
 // FuzzAgglomerate drives the engine over small random tables: whatever the
 // input, the engine must not panic, must either reject the options
 // identically at every worker count or return a clustering satisfying the
-// structural invariants, the parallel clustering must equal the sequential
-// one exactly, and the engine must equal the naive oracle (oracle_test.go)
+// structural invariants, the parallel clustering and the one with the full
+// neighbour-cache depth must equal the sequential one exactly, and the
+// engine must equal the naive oracle (oracle_test.go)
 // exactly — including under ℓ-diversity and t-closeness constraints (mode
 // bits 2 and 4).
 func FuzzAgglomerate(f *testing.F) {
@@ -95,6 +96,16 @@ func FuzzAgglomerate(f *testing.F) {
 				continue
 			}
 			assertSameClustering(t, "fuzz", seq, par)
+		}
+		// The fuzz tables are small enough for the shallow depth; the
+		// full one must cluster the same.
+		opt.Workers = 1
+		deep, _, deepErr := runAtDepth(s, tbl, opt, nnListCap)
+		if (seqErr == nil) != (deepErr == nil) {
+			t.Fatalf("depth=%d: err=%v, sequential err=%v", nnListCap, deepErr, seqErr)
+		}
+		if seqErr == nil {
+			assertSameClustering(t, "fuzz deep", seq, deep)
 		}
 		ref, refErr := oracleAgglomerate(s, tbl, opt)
 		if (seqErr == nil) != (refErr == nil) {
@@ -214,7 +225,7 @@ func checkStripPricing(t *testing.T, label string, s *Space, tbl *table.Table, s
 		return d.Eval(a.Size(), b.Size(), a.Size()+b.Size(), a.Cost, b.Cost, sum/float64(r))
 	}
 	// lookup returns the distance l holds for id, in its entries or its
-	// discard bound (a run of nine overflows a list by one).
+	// discard bound (a window of depth+1 overflows a list by one).
 	lookup := func(l *nnList, id int32) (float64, bool) {
 		for i := int32(0); i < l.n; i++ {
 			if l.id[i] == id {
@@ -254,65 +265,85 @@ func checkStripPricing(t *testing.T, label string, s *Space, tbl *table.Table, s
 					others = append(others, int32(b))
 				}
 			}
-			for run := 1; run <= len(others); run++ {
-				cands := others[:run]
-				k.price(strip, cands, sums)
-				var rowL, colL, fwd, rev nnList
-				rowL.reset()
-				colL.reset()
-				fwd.reset()
-				rev.reset()
-				wantNew := int64(0)
-				for _, b := range cands {
-					if int(b) < a {
-						wantNew += 2
+			// The offer helpers run at both depths an engine uses; the
+			// shallow one splits the longer runs into several windows.
+			for _, depth := range []int32{nnShallowDepth, nnListCap} {
+				w := int(depth) + 1
+				for run := 1; run <= len(others); run++ {
+					cands := others[:run]
+					// One price call per run, so the four-wide loop and every
+					// tail stay covered. The priced sums go to fresh lists in
+					// windows of at most depth+1 candidates: a list keeps depth
+					// of them and its discard bound the last one, so every
+					// value can be read back.
+					k.price(strip, cands, sums)
+					for lo := 0; lo < run; lo += w {
+						win := cands[lo:min(lo+w, run)]
+						wsums := sums[lo : lo+len(win)]
+						var rowL, colL, fwd, rev nnList
+						rowL.reset(depth)
+						colL.reset(depth)
+						fwd.reset(depth)
+						rev.reset(depth)
+						wantNew := int64(0)
+						for _, b := range win {
+							if int(b) < a {
+								wantNew += 2
+							}
+						}
+						if got := k.offerNewborn(a, win, wsums, &rowL, &colL); got != wantNew {
+							t.Errorf("%s %s: offerNewborn counted %d evaluations, want %d", label, d.Name(), got, wantNew)
+						}
+						if got := k.offerRescan(a, win, wsums, &fwd, false) + k.offerRescan(a, win, wsums, &rev, true); got != 2*int64(len(win)) {
+							t.Errorf("%s %s: offerRescan counted %d evaluations, want %d", label, d.Name(), got, 2*len(win))
+						}
+						for _, b32 := range win {
+							b := int(b32)
+							wantAB, wantBA := ref(d, cls[a], cls[b]), ref(d, cls[b], cls[a])
+							check("rescan", a, b, &fwd, b32, wantAB)
+							check("rescan", b, a, &rev, b32, wantBA)
+							if b < a {
+								check("newborn", a, b, &rowL, b32, wantAB)
+								check("newborn", b, a, &colL, b32, wantBA)
+							} else if _, ok := lookup(&rowL, b32); ok {
+								t.Errorf("%s %s: newborn pass of %d offered %d", label, d.Name(), a, b)
+							}
+						}
 					}
 				}
-				if got := k.offerNewborn(a, cands, sums, &rowL, &colL); got != wantNew {
-					t.Errorf("%s %s: offerNewborn counted %d evaluations, want %d", label, d.Name(), got, wantNew)
+				// The initial build offers consecutive ids: those below the
+				// anchor, then those above it, each span priced in one call and
+				// offered in windows as above.
+				cols := make([]nnList, len(cls))
+				for i := range cols {
+					cols[i].reset(depth)
 				}
-				if got := k.offerRescan(a, cands, sums, &fwd, false) + k.offerRescan(a, cands, sums, &rev, true); got != 2*int64(run) {
-					t.Errorf("%s %s: offerRescan counted %d evaluations, want %d", label, d.Name(), got, 2*run)
-				}
-				for _, b32 := range cands {
-					b := int(b32)
-					wantAB, wantBA := ref(d, cls[a], cls[b]), ref(d, cls[b], cls[a])
-					check("rescan", a, b, &fwd, b32, wantAB)
-					check("rescan", b, a, &rev, b32, wantBA)
-					if b < a {
-						check("newborn", a, b, &rowL, b32, wantAB)
-						check("newborn", b, a, &colL, b32, wantBA)
-					} else if _, ok := lookup(&rowL, b32); ok {
-						t.Errorf("%s %s: newborn pass of %d offered %d", label, d.Name(), a, b)
+				for _, span := range [][2]int{{0, a}, {a + 1, len(cls)}} {
+					lo, hi := span[0], span[1]
+					if lo == hi {
+						continue
+					}
+					ids := make([]int32, 0, hi-lo)
+					for b := lo; b < hi; b++ {
+						ids = append(ids, int32(b))
+					}
+					k.price(strip, ids, sums)
+					for wlo := lo; wlo < hi; wlo += w {
+						whi := min(wlo+w, hi)
+						var buildRow nnList
+						buildRow.reset(depth)
+						if got := k.offerBuild(a, wlo, sums[wlo-lo:whi-lo], &buildRow, cols[wlo:whi]); got != 2*int64(whi-wlo) {
+							t.Errorf("%s %s: offerBuild counted %d evaluations, want %d", label, d.Name(), got, 2*(whi-wlo))
+						}
+						for b := wlo; b < whi; b++ {
+							check("build", a, b, &buildRow, int32(b), ref(d, cls[a], cls[b]))
+						}
 					}
 				}
-			}
-			// The initial build offers consecutive ids: those below the
-			// anchor, then those above it.
-			var buildRow nnList
-			buildRow.reset()
-			cols := make([]nnList, len(cls))
-			for i := range cols {
-				cols[i].reset()
-			}
-			for _, span := range [][2]int{{0, a}, {a + 1, len(cls)}} {
-				lo, hi := span[0], span[1]
-				if lo == hi {
-					continue
-				}
-				ids := make([]int32, 0, hi-lo)
-				for b := lo; b < hi; b++ {
-					ids = append(ids, int32(b))
-				}
-				k.price(strip, ids, sums)
-				if got := k.offerBuild(a, lo, sums[:hi-lo], &buildRow, cols[lo:hi]); got != 2*int64(hi-lo) {
-					t.Errorf("%s %s: offerBuild counted %d evaluations, want %d", label, d.Name(), got, 2*(hi-lo))
-				}
-			}
-			for b := range cls {
-				if b != a {
-					check("build", a, b, &buildRow, int32(b), ref(d, cls[a], cls[b]))
-					check("build", b, a, &cols[b], int32(a), ref(d, cls[b], cls[a]))
+				for b := range cls {
+					if b != a {
+						check("build", b, a, &cols[b], int32(a), ref(d, cls[b], cls[a]))
+					}
 				}
 			}
 		}

@@ -182,6 +182,17 @@ func (k *kernel) reserve(ids, n int) {
 	}
 }
 
+// reset empties the arena and zeroes its counters for the next run of the
+// engine, keeping every array's capacity and the log table, then reserves
+// as reserve does.
+func (k *kernel) reset(ids, n int) {
+	k.rowOf, k.cost, k.size = k.rowOf[:0], k.cost[:0], k.size[:0]
+	k.rows, k.free = k.rows[:0], k.free[:0]
+	k.walks.Store(0)
+	k.reuses, k.peakRows = 0, 0
+	k.reserve(ids, n)
+}
+
 // alloc appends the per-id entries for id (which must be len(rowOf), the
 // engine's next push id) and returns its row, recycling a freed slot when
 // one exists.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 
 	"kanon/internal/obs"
 )
@@ -12,9 +13,9 @@ import (
 // the repair sweep (which re-offers the newborn to every live cluster) and
 // the newborn scan. Here a merge touches no existing cluster at all:
 //
-//   - every cluster owns two fixed-capacity nearest-neighbour caches, built
+//   - every cluster owns two fixed-depth nearest-neighbour caches, built
 //     once at birth and never updated by later merges. Its ROW list caches
-//     the lex top-nnListCap of dist(c, y) over the clusters y born before
+//     the lex top-depth of dist(c, y) over the clusters y born before
 //     c; its COLUMN list caches the top of dist(y, c) over the same set.
 //     Birth order is id order, so together the two lists of the younger
 //     endpoint cover every ordered pair of live clusters exactly once;
@@ -69,12 +70,31 @@ const (
 	initBlock = 32
 )
 
-// nnListCap is the depth of the per-cluster neighbour caches. Depth trades
-// memory (two caches per cluster) against rescan frequency: a cache only
-// forces a rescan once all its entries died with the discard bound
-// undercutting the survivors, which at depth 8 makes full rescans rare even
-// under distances (10)/(11) where everyone chases the same big cluster.
-const nnListCap = 8
+// Depth of the per-cluster neighbour caches. A list's arrays hold
+// nnListCap entries; its depth, the number it keeps, is fixed per engine by
+// nnDepth. The engine is exact at any depth: depth trades the inserts of a
+// pass against the rescans of lists whose entries all died. A pass over L
+// candidates makes about c + c·ln(L/c) inserts into a depth-c list, which
+// is heavy in a ~250-record shard (a shard's records share hierarchy
+// subtrees, so distances crowd) and a rounding error at L = 10000, where
+// the rescans cost more: on ADT (EXPERIMENTS.md, "Sharded k at 100k") depth
+// 4 made the 400 shards of n=100000 faster at every distance, and d1 at
+// n=10000 unsharded 6–15% slower, with 7% more distance evaluations.
+const (
+	nnListCap        = 8
+	nnShallowDepth   = 4
+	nnShallowRecords = 512
+)
+
+// nnDepth is the neighbour-cache depth of an engine made for the given
+// number of records: nnShallowDepth up to nnShallowRecords (the shards of
+// a partitioned run at the default MaxChunk), nnListCap above.
+func nnDepth(records int) int32 {
+	if records <= nnShallowRecords {
+		return nnShallowDepth
+	}
+	return nnListCap
+}
 
 // heapEnt is one lazy selection candidate: the merge pair (row, wit) at
 // distance d = dist(row, wit), owned by either row's row list (entRow,
@@ -122,7 +142,7 @@ func lexLess(d1 float64, i1 int32, d2 float64, i2 int32) bool {
 	return d1 < d2 || (d1 == d2 && i1 < i2)
 }
 
-// nnList is one fixed-capacity nearest-neighbour cache: the lex top-n
+// nnList is one fixed-depth nearest-neighbour cache: the lex top-c
 // candidates seen since the last full build, sorted ascending, plus the
 // discard bound (ubD, ubID) — the lex-least candidate rejected or evicted
 // since then (+Inf when none was). Every live candidate outside the list
@@ -134,15 +154,19 @@ type nnList struct {
 	d    [nnListCap]float64
 	id   [nnListCap]int32
 	n    int32
+	c    int32 // the depth, 1 ≤ c ≤ nnListCap
+	tail float64
 	ubD  float64
 	ubID int32
 	hd   float64
 	hw   int32
 }
 
-// reset empties the list and lifts the discard bound.
-func (l *nnList) reset() {
+// reset empties the list, sets its depth to c and lifts the discard bound.
+func (l *nnList) reset(c int32) {
 	l.n = 0
+	l.c = c
+	l.tail = math.Inf(1)
 	l.ubD = math.Inf(1)
 	l.ubID = 0
 	l.hw = -1
@@ -150,38 +174,42 @@ func (l *nnList) reset() {
 
 // offer folds candidate (d, id) into the list, demoting the evicted or
 // rejected candidate into the discard bound. The resulting (set, bound)
-// pair is offer-order independent: the set is the lex top-n of everything
+// pair is offer-order independent: the set is the lex top-c of everything
 // offered since reset, the bound the lex-min of the rest.
 //
 // The guard, small enough to inline, rejects most candidates of a long
-// scan with two comparisons: a full list leaves list and bound as they are
-// for a candidate farther than both the bound and the tail (it is
-// lex-below neither), and for a NaN, which is never lex-below anything.
-// Without NaN distances the bound's distance is never below the tail's —
-// the bound starts at +Inf and only ever takes a candidate that was not
-// lex-below the tail, or the evicted tail itself — so the bound alone
-// decides; the tail check keeps the guard exact when a user distance puts
-// a NaN in the list, which breaks its order. A candidate at either
-// distance takes the full path, which orders it by id.
+// scan with two comparisons. tail is the tail's distance once the list is
+// full and +Inf while it has room, so a list with room takes every
+// candidate, a NaN included (NaN > +Inf is false). A full list skips a
+// candidate farther than both the tail and the bound, which insert would
+// leave out of list and bound (it is lex-below neither). Every other
+// candidate takes the full path, which is exact on its own and orders ties
+// by id: a NaN offered to a full list, never lex-below anything, changes
+// nothing there, and a NaN tail (a user distance put a NaN in the list,
+// which breaks its order) lets every candidate through. Without NaN
+// distances the bound's distance is never below the tail's — the bound
+// starts at +Inf and only ever takes a candidate that was not lex-below the
+// tail, or the evicted tail itself.
 func (l *nnList) offer(d float64, id int32) {
-	if l.n < nnListCap || d <= l.ubD || d <= l.d[nnListCap-1] {
+	if !(d > l.tail) || d <= l.ubD {
 		l.insert(d, id)
 	}
 }
 
-// insert is offer without the guard: the full top-n insertion with its
+// insert is offer without the guard: the full top-c insertion with its
 // discard-bound update.
 func (l *nnList) insert(d float64, id int32) {
 	n := l.n
-	if n == nnListCap {
-		if !lexLess(d, id, l.d[nnListCap-1], l.id[nnListCap-1]) {
+	if n == l.c {
+		t := n - 1
+		if !lexLess(d, id, l.d[t], l.id[t]) {
 			if lexLess(d, id, l.ubD, l.ubID) {
 				l.ubD, l.ubID = d, id
 			}
 			return
 		}
-		if lexLess(l.d[nnListCap-1], l.id[nnListCap-1], l.ubD, l.ubID) {
-			l.ubD, l.ubID = l.d[nnListCap-1], l.id[nnListCap-1]
+		if lexLess(l.d[t], l.id[t], l.ubD, l.ubID) {
+			l.ubD, l.ubID = l.d[t], l.id[t]
 		}
 		n--
 	}
@@ -192,13 +220,16 @@ func (l *nnList) insert(d float64, id int32) {
 	}
 	l.d[i], l.id[i] = d, id
 	l.n = n + 1
+	if l.n == l.c {
+		l.tail = l.d[n]
+	}
 }
 
-// mergeFrom folds another list (a span-local partial over a disjoint
-// candidate range) into l. Discards recorded by either side stay valid
-// for the union: a candidate discarded from a partial already had
-// nnListCap lex-smaller candidates there, so it cannot re-enter the
-// merged top-n.
+// mergeFrom folds another list of the same depth (a span-local partial
+// over a disjoint candidate range) into l. Discards recorded by either side
+// stay valid for the union: a candidate discarded from a partial already
+// had c lex-smaller candidates there, so it cannot re-enter the merged
+// top-c.
 func (l *nnList) mergeFrom(o *nnList) {
 	for k := int32(0); k < o.n; k++ {
 		l.offer(o.d[k], o.id[k])
@@ -216,6 +247,7 @@ func (l *nnList) pruneDead(alive []bool) {
 		copy(l.d[:n-1], l.d[1:n])
 		copy(l.id[:n-1], l.id[1:n])
 		l.n = n - 1
+		l.tail = math.Inf(1)
 	}
 }
 
@@ -227,7 +259,7 @@ func (l *nnList) headExact() bool {
 }
 
 // heapPushEnt pushes one candidate entry.
-func (e *aggloEngine) heapPushEnt(ent heapEnt) {
+func (e *Engine) heapPushEnt(ent heapEnt) {
 	e.stats.HeapPushes++
 	e.nnHeap = append(e.nnHeap, ent)
 	h := e.nnHeap
@@ -245,7 +277,7 @@ func (e *aggloEngine) heapPushEnt(ent heapEnt) {
 // pushRowHead pushes cluster id's current row head (which the caller has
 // established is exact) under id's current row generation. An empty list
 // (cluster 0 at init, or a rescan with no live partner) pushes nothing.
-func (e *aggloEngine) pushRowHead(id int) {
+func (e *Engine) pushRowHead(id int) {
 	l := &e.rowNN[id]
 	if l.n == 0 {
 		l.hw = -1
@@ -258,7 +290,7 @@ func (e *aggloEngine) pushRowHead(id int) {
 // pushColHead is pushRowHead for the column list: the entry's merge pair
 // puts the cached argmin in the row seat and the owning cluster in the
 // witness seat, keeping the heap key aligned with the selection order.
-func (e *aggloEngine) pushColHead(id int) {
+func (e *Engine) pushColHead(id int) {
 	l := &e.colNN[id]
 	if l.n == 0 {
 		l.hw = -1
@@ -269,7 +301,7 @@ func (e *aggloEngine) pushColHead(id int) {
 }
 
 // heapPop removes and returns the minimum entry.
-func (e *aggloEngine) heapPop() (heapEnt, bool) {
+func (e *Engine) heapPop() (heapEnt, bool) {
 	h := e.nnHeap
 	if len(h) == 0 {
 		return heapEnt{}, false
@@ -305,7 +337,7 @@ func siftDown(h []heapEnt, i int) {
 // (hd, hw), so the rebuild reproduces the fresh entry set exactly — no list
 // is pruned or healed, and generations are untouched. The threshold and the
 // rebuild are functions of worker-invariant state only.
-func (e *aggloEngine) heapMaybeCompact() {
+func (e *Engine) heapMaybeCompact() {
 	if len(e.nnHeap) <= 4*e.nLive+64 {
 		return
 	}
@@ -326,7 +358,7 @@ func (e *aggloEngine) heapMaybeCompact() {
 
 // buildNNTiled is the initial nearest-neighbour build. All n singletons
 // are born together, so the birth-order coverage rule degenerates: every
-// row list caches the lex top-nnListCap over ALL other clusters — both
+// row list caches the lex top-depth over ALL other clusters — both
 // orientations of every pair land in a row — and no initial cluster has a
 // column list. (Init columns would be redundant, and worse: under a hub
 // distance every column's argmin collapses onto the lowest live ids, so
@@ -347,7 +379,7 @@ func (e *aggloEngine) heapMaybeCompact() {
 // and the heap seeded on the driving goroutine afterwards; lists are
 // fold-order independent, so any span geometry yields identical lists.
 // Each tile and each record's scan event polls ctx.
-func (e *aggloEngine) buildNNTiled(n int) error {
+func (e *Engine) buildNNTiled(n int) error {
 	numBlocks := (n + initBlock - 1) / initBlock
 	for bi := 0; bi < numBlocks; bi++ {
 		if t := min((bi+1)*initBlock, n) - 1; t > 0 {
@@ -361,12 +393,9 @@ func (e *aggloEngine) buildNNTiled(n int) error {
 	live := e.liveList
 	spans, err := e.pool.ForSpansCtx(e.ctx, numBlocks, 1, func(bLo, bHi, sp int) {
 		floor := bLo * initBlock
-		var part []nnList
-		if floor > 0 {
-			part = make([]nnList, floor)
-			for j := range part {
-				part[j].reset()
-			}
+		part := slices.Grow(e.spanInitPart[sp][:0], floor)[:floor]
+		for j := range part {
+			part[j].reset(e.depth)
 		}
 		e.spanInitPart[sp] = part
 		strips, sums := e.spanStrips[sp], e.spanSums[sp]
@@ -410,7 +439,7 @@ func (e *aggloEngine) buildNNTiled(n int) error {
 		for j := range e.spanInitPart[sp] {
 			e.rowNN[j].mergeFrom(&e.spanInitPart[sp][j])
 		}
-		e.spanInitPart[sp] = nil
+		e.spanInitPart[sp] = e.spanInitPart[sp][:0]
 	}
 	for i := 0; i < n; i++ {
 		e.pushRowHead(i)
@@ -424,7 +453,7 @@ func (e *aggloEngine) buildNNTiled(n int) error {
 // died heals here, lazily: prune the list's dead prefix and either re-push
 // its still-exact head or run the rare full rescan. Returns a = -1 only on
 // cancellation or an empty heap (single live cluster).
-func (e *aggloEngine) selectPairHeap() (a, b int) {
+func (e *Engine) selectPairHeap() (a, b int) {
 	for {
 		ent, ok := e.heapPop()
 		if !ok {
@@ -457,7 +486,7 @@ func (e *aggloEngine) selectPairHeap() (a, b int) {
 // have exposed the discard bound) rebuild the list by a full rescan over
 // the live list. Either way the owner's generation advances and the new
 // head is pushed.
-func (e *aggloEngine) healList(l *nnList, owner int, kind uint8) {
+func (e *Engine) healList(l *nnList, owner int, kind uint8) {
 	l.pruneDead(e.alive)
 	if !l.headExact() {
 		e.stats.DeadNNRescans++
@@ -479,13 +508,13 @@ func (e *aggloEngine) healList(l *nnList, owner int, kind uint8) {
 // from its birth-order range to every current live cluster — pairs a
 // newer cluster's column also covers — which is harmless: both covering
 // entries demand the identical merge.
-func (e *aggloEngine) rescanList(owner int, dst *nnList, kind uint8) {
+func (e *Engine) rescanList(owner int, dst *nnList, kind uint8) {
 	numTiles := (len(e.liveList) + nnTile - 1) / nnTile
 	e.stats.TilesScanned += int64(numTiles)
 	e.kern.loadStrip(e.anchorStrip, owner)
 	e.anchor, e.anchorKind = owner, kind
 	spans := e.pool.ForSpans(numTiles, 1, e.rescanSpanFn)
-	dst.reset()
+	dst.reset(e.depth)
 	evals := int64(0)
 	for sp := 0; sp < spans; sp++ {
 		evals += e.spanEvals[sp]
@@ -497,10 +526,10 @@ func (e *aggloEngine) rescanList(owner int, dst *nnList, kind uint8) {
 
 // rescanSpan is one span of rescanList: tiles [tLo, tHi) of the live list,
 // priced against the anchor strip into the span's row partial.
-func (e *aggloEngine) rescanSpan(tLo, tHi, sp int) {
+func (e *Engine) rescanSpan(tLo, tHi, sp int) {
 	k, live, owner := e.kern, e.liveList, e.anchor
 	l := &e.spanRowList[sp]
-	l.reset()
+	l.reset(e.depth)
 	sums := e.spanSums[sp]
 	evals := int64(0)
 	for t := tLo; t < tHi; t++ {
@@ -522,7 +551,7 @@ func (e *aggloEngine) rescanSpan(tLo, tHi, sp int) {
 // sealed with one heap entry each. Workers write only span-local scratch;
 // list merges, pushes and counters happen on the driving goroutine in span
 // order.
-func (e *aggloEngine) repairHeap(added []int) {
+func (e *Engine) repairHeap(added []int) {
 	if len(added) == 0 {
 		e.heapMaybeCompact()
 		return
@@ -535,8 +564,8 @@ func (e *aggloEngine) repairHeap(added []int) {
 		spans := e.pool.ForSpans(numTiles, 1, e.repairSpanFn)
 		row := &e.rowNN[nb]
 		col := &e.colNN[nb]
-		row.reset()
-		col.reset()
+		row.reset(e.depth)
+		col.reset(e.depth)
 		evals := int64(0)
 		for sp := 0; sp < spans; sp++ {
 			evals += e.spanEvals[sp]
@@ -555,12 +584,12 @@ func (e *aggloEngine) repairHeap(added []int) {
 // list, priced against the newborn's strip into the span's row and column
 // partials. Candidates born after the newborn (its siblings of the same
 // merge) and the newborn itself are priced with their tile and skipped.
-func (e *aggloEngine) repairSpan(tLo, tHi, sp int) {
+func (e *Engine) repairSpan(tLo, tHi, sp int) {
 	k, live, nb := e.kern, e.liveList, e.anchor
 	rl := &e.spanRowList[sp]
 	cl := &e.spanColList[sp]
-	rl.reset()
-	cl.reset()
+	rl.reset(e.depth)
+	cl.reset(e.depth)
 	sums := e.spanSums[sp]
 	evals := int64(0)
 	for t := tLo; t < tHi; t++ {

@@ -16,6 +16,10 @@ import (
 // TestHeapPopTotalOrder pins the determinism core of DESIGN.md §17: the
 // pop sequence is the sorted (d, row, wit, kind, gen) order of the pushed
 // entries, whatever the push order.
+
+// depths are the neighbour-cache depths nnDepth can pick.
+var depths = [2]int32{nnShallowDepth, nnListCap}
+
 func TestHeapPopTotalOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	ents := make([]heapEnt, 0, 64)
@@ -31,7 +35,7 @@ func TestHeapPopTotalOrder(t *testing.T) {
 	want := append([]heapEnt(nil), ents...)
 	sort.Slice(want, func(i, j int) bool { return entLess(want[i], want[j]) })
 	for trial := 0; trial < 10; trial++ {
-		e := &aggloEngine{}
+		e := &Engine{}
 		for _, pi := range rng.Perm(len(ents)) {
 			e.nnHeap = append(e.nnHeap, ents[pi])
 			h := e.nnHeap
@@ -60,7 +64,8 @@ func TestHeapPopTotalOrder(t *testing.T) {
 // sharded scans: an nnList's top-k set AND its discard bound must not
 // depend on the order candidates are offered in, nor on how the candidate
 // set is partitioned into span-local partials merged afterwards — the two
-// invariants worker-count invariance rides on.
+// invariants worker-count invariance rides on. Both depths an engine can
+// pick are exercised.
 func TestNNListOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	snapshot := func(l *nnList) [2*nnListCap + 2]float64 {
@@ -74,7 +79,8 @@ func TestNNListOrderIndependent(t *testing.T) {
 		s[2*nnListCap], s[2*nnListCap+1] = l.ubD, float64(l.ubID)
 		return s
 	}
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 400; trial++ {
+		depth := depths[trial%2]
 		n := 1 + rng.Intn(3*nnListCap)
 		ids := rng.Perm(64)[:n]
 		ds := make([]float64, n)
@@ -84,7 +90,7 @@ func TestNNListOrderIndependent(t *testing.T) {
 		var want [2*nnListCap + 2]float64
 		for p := 0; p < 20; p++ {
 			var l nnList
-			l.reset()
+			l.reset(depth)
 			if p%2 == 0 {
 				// Flat fold in a random order.
 				for _, i := range rng.Perm(n) {
@@ -96,7 +102,7 @@ func TestNNListOrderIndependent(t *testing.T) {
 				perm := rng.Perm(n)
 				parts := make([]nnList, 1+rng.Intn(4))
 				for pi := range parts {
-					parts[pi].reset()
+					parts[pi].reset(depth)
 				}
 				for _, i := range perm {
 					parts[rng.Intn(len(parts))].offer(ds[i], int32(ids[i]))
@@ -125,7 +131,8 @@ func TestNNListOrderIndependent(t *testing.T) {
 // bit for bit, and in a NaN-free trial the bound's distance must not be
 // below the tail's, which makes the bound alone decide the guard. (The
 // engine offers to a list only between its reset and its first pruneDead:
-// a pruned list heals by a rescan from a reset.)
+// a pruned list heals by a rescan from a reset.) Both depths an engine can
+// pick are exercised.
 func TestNNListFastRejectExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	vals := []float64{0, 1, 1, 2, 3, math.Inf(1), math.Inf(-1), math.Copysign(0, -1), math.NaN()}
@@ -144,8 +151,8 @@ func TestNNListFastRejectExact(t *testing.T) {
 		}
 		return out
 	}
-	for trial := 0; trial < 400; trial++ {
-		withNaN := trial%2 == 1
+	for trial := 0; trial < 800; trial++ {
+		withNaN, depth := trial%2 == 1, depths[trial/2%2]
 		cand := func() (float64, int32) {
 			nv := len(vals) - 1
 			if withNaN {
@@ -154,8 +161,8 @@ func TestNNListFastRejectExact(t *testing.T) {
 			return vals[rng.Intn(nv)], int32(rng.Intn(24))
 		}
 		var fast, slow nnList
-		fast.reset()
-		slow.reset()
+		fast.reset(depth)
+		slow.reset(depth)
 		for step := 0; step < 60; step++ {
 			if rng.Intn(4) != 0 {
 				d, id := cand()
@@ -163,8 +170,8 @@ func TestNNListFastRejectExact(t *testing.T) {
 				slow.insert(d, id)
 			} else {
 				var pf, ps nnList
-				pf.reset()
-				ps.reset()
+				pf.reset(depth)
+				ps.reset(depth)
 				for m := rng.Intn(3 * nnListCap); m > 0; m-- {
 					d, id := cand()
 					pf.offer(d, id)

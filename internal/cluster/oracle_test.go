@@ -191,7 +191,8 @@ func oracleAgglomerate(s *Space, tbl *table.Table, opt AggloOptions) ([]*Cluster
 	return final, nil
 }
 
-// assertMatchesOracle runs the engine at workers 1 and 4 and requires each
+// assertMatchesOracle runs the engine at workers 1 and 4, and at workers 1
+// with each neighbour-cache depth an engine can pick, and requires each
 // clustering to equal the oracle's: the same clusters and members in the
 // same order, the same closures and bit-equal costs.
 func assertMatchesOracle(t *testing.T, label string, s *Space, tbl *table.Table, opt AggloOptions) {
@@ -208,4 +209,21 @@ func assertMatchesOracle(t *testing.T, label string, s *Space, tbl *table.Table,
 		}
 		assertSameClustering(t, fmt.Sprintf("%s workers=%d", label, workers), want, got)
 	}
+	opt.Workers = 1
+	for _, depth := range depths {
+		got, _, err := runAtDepth(s, tbl, opt, depth)
+		if err != nil {
+			t.Fatalf("%s depth=%d: %v", label, depth, err)
+		}
+		assertSameClustering(t, fmt.Sprintf("%s depth=%d", label, depth), want, got)
+	}
+}
+
+// runAtDepth runs the engine on tbl with neighbour caches depth deep,
+// whatever depth the table's size selects.
+func runAtDepth(s *Space, tbl *table.Table, opt AggloOptions, depth int32) ([]*Cluster, AggloStats, error) {
+	e := NewEngine(s, opt, tbl.Len())
+	e.depth = depth
+	defer e.Close(nil)
+	return e.Run(nil, tbl)
 }

@@ -23,6 +23,22 @@ func benchSpace(b *testing.B, n int) (*cluster.Space, *datagen.Dataset) {
 	return s, ds
 }
 
+// BenchmarkPartitioned20000 is the sharded Algorithm 1 on ADT n=20000,
+// k=10, MaxChunk 500, one worker: the k-sharded-adt100k pipeline on a
+// fifth of its records, ~70 shards. Its allocs/op (-benchmem) counts what
+// the shards allocate besides their output; they all run on one engine
+// state.
+func BenchmarkPartitioned20000(b *testing.B) {
+	s, ds := benchSpace(b, 20000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := KAnonymizePartitionedReportCtx(nil, s, ds.Table, PartitionedOptions{K: 10, MaxChunk: 500, Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkForest500(b *testing.B) {
 	s, ds := benchSpace(b, 500)
 	b.ResetTimer()

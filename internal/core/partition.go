@@ -159,6 +159,22 @@ func KAnonymizePartitionedReportCtx(ctx context.Context, s *cluster.Space, tbl *
 	endSplit()
 
 	sig := partitionSignature(opt, dist, n)
+	// One engine, with its worker pool, serves every shard the run
+	// computes: its state is made for the first such shard, sized by the
+	// largest chunk (not by maxChunk, which may far exceed the table), and
+	// reset for each later one. Close reports the pool's scheduler gauges
+	// once for the run.
+	largest := 0
+	for _, chunk := range chunks {
+		largest = max(largest, len(chunk))
+	}
+	var eng *cluster.Engine
+	defer func() {
+		if eng != nil {
+			eng.Close(o)
+		}
+	}()
+	sub := table.New(tbl.Schema)
 	var clusters []*cluster.Cluster
 	for i, chunk := range chunks {
 		o.Counter(obs.CounterResilientShards, 1)
@@ -174,9 +190,17 @@ func KAnonymizePartitionedReportCtx(ctx context.Context, s *cluster.Space, tbl *
 		if par.Done(ctx) {
 			return nil, nil, chunks, ctx.Err()
 		}
+		if eng == nil {
+			eng = cluster.NewEngine(s, cluster.AggloOptions{
+				K:        opt.K,
+				Distance: dist,
+				Modified: opt.Modified,
+				Workers:  opt.Workers,
+			}, largest)
+		}
 		var cs []*cluster.Cluster
 		err := par.Recover(func() (err error) {
-			cs, err = runShard(ctx, s, tbl, chunk, opt, dist)
+			cs, err = runShard(ctx, eng, sub, tbl, chunk)
 			if err == nil && opt.OnShard != nil {
 				members := make([][]int, len(cs))
 				for ci, c := range cs {
@@ -198,20 +222,15 @@ func KAnonymizePartitionedReportCtx(ctx context.Context, s *cluster.Space, tbl *
 	return g, clusters, chunks, nil
 }
 
-// runShard runs the agglomerative engine over one chunk and returns its
+// runShard runs the engine over one chunk, loaded into sub, and returns its
 // clusters with global member indices.
-func runShard(ctx context.Context, s *cluster.Space, tbl *table.Table, chunk []int, opt PartitionedOptions, dist cluster.Distance) ([]*cluster.Cluster, error) {
+func runShard(ctx context.Context, eng *cluster.Engine, sub, tbl *table.Table, chunk []int) ([]*cluster.Cluster, error) {
 	obs.From(ctx).Event(obs.KindChunk, PhasePartition, int64(len(chunk)))
-	sub := table.New(tbl.Schema)
+	sub.Records = sub.Records[:0]
 	for _, gi := range chunk {
 		sub.Records = append(sub.Records, tbl.Records[gi])
 	}
-	cs, _, err := cluster.AgglomerateStatsCtx(ctx, s, sub, cluster.AggloOptions{
-		K:        opt.K,
-		Distance: dist,
-		Modified: opt.Modified,
-		Workers:  opt.Workers,
-	})
+	cs, _, err := eng.Run(ctx, sub)
 	if err != nil {
 		return nil, err
 	}
@@ -259,16 +278,47 @@ func LoadLog(path string, decode func(line []byte) error) (dropped int64, err er
 // children until every chunk is ≤ maxChunk or no admissible split exists.
 // Every produced chunk has ≥ k records.
 func partitionRecords(s *cluster.Space, tbl *table.Table, records []int, k, maxChunk int) [][]int {
-	if len(records) <= maxChunk {
-		return [][]int{records}
+	return newSplitter(s, tbl, k, maxChunk).partition(records, nil)
+}
+
+// splitter holds the scratch of one partitionRecords call, reused down the
+// recursion: a split materializes its parts before any of them is split
+// again, so one buffer of chunk codes serves every level.
+type splitter struct {
+	s           *cluster.Space
+	tbl         *table.Table
+	k, maxChunk int
+
+	// codes holds a chunk's value codes column by column: attribute j's
+	// code of records[q] at codes[j·len(records)+q]. Scoring an attribute
+	// overwrites its column with each record's child index.
+	codes []int32
+	// part[v] is 1 + the index of the child covering value v, 0 while v is
+	// unseen; it is cleared after each attribute.
+	part []int32
+	vals []int
+	cnt  []int
+}
+
+func newSplitter(s *cluster.Space, tbl *table.Table, k, maxChunk int) *splitter {
+	maxValues := 0
+	for _, h := range s.Hiers {
+		maxValues = max(maxValues, h.NumValues())
 	}
-	parts := bestSplit(s, tbl, records, k)
+	return &splitter{s: s, tbl: tbl, k: k, maxChunk: maxChunk, part: make([]int32, maxValues)}
+}
+
+// partition appends the chunks of records to out.
+func (sp *splitter) partition(records []int, out [][]int) [][]int {
+	if len(records) <= sp.maxChunk {
+		return append(out, records)
+	}
+	parts := sp.bestSplit(records)
 	if parts == nil {
-		return [][]int{records}
+		return append(out, records)
 	}
-	var out [][]int
 	for _, p := range parts {
-		out = append(out, partitionRecords(s, tbl, p, k, maxChunk)...)
+		out = sp.partition(p, out)
 	}
 	return out
 }
@@ -277,76 +327,113 @@ func partitionRecords(s *cluster.Space, tbl *table.Table, records []int, k, maxC
 // chunk's closure node that covers their value; undersized groups are
 // folded together (they share the parent closure anyway, so the fold stays
 // describable). The attribute whose split minimizes the largest part is
-// chosen; nil means no attribute yields ≥ 2 parts of size ≥ k.
+// chosen, the first one on a tie; nil means no attribute yields ≥ 2 parts
+// of size ≥ k.
 //
-// The closure and the covering children are computed once per distinct
-// value of the chunk, not per record: part[v] is 1 + the index of the
-// child covering value v (0 while v is unseen). The records are then
-// counting-sorted by child, in record order within a child, into one
-// buffer per attribute; two buffers alternate, so the next attribute never
-// overwrites the best split's groups.
-func bestSplit(s *cluster.Space, tbl *table.Table, records []int, k int) [][]int {
-	var best [][]int
-	bestMax := len(records) + 1
-	var vals []int
-	buf, spare := make([]int, len(records)), make([]int, len(records))
-	for j, h := range s.Hiers {
-		part := make([]int32, h.NumValues())
-		vals = vals[:0]
-		for _, i := range records {
-			if v := tbl.Records[i][j]; part[v] == 0 {
-				part[v] = 1
-				vals = append(vals, v)
-			}
-		}
-		// Closure node of the chunk on attribute j.
-		node := h.Closure(vals)
-		children := h.Children(node)
-		if len(children) < 2 {
-			continue
-		}
-		for _, v := range vals {
-			// Walk up to the child of node covering this leaf; node is an
-			// ancestor of every leaf of the chunk.
-			u := h.LeafOf(v)
-			for h.Parent(u) != node {
-				u = h.Parent(u)
-			}
-			part[v] = int32(slices.Index(children, u)) + 1
-		}
-		// start[c] is where child c's group begins in buf.
-		start := make([]int, len(children)+1)
-		for _, i := range records {
-			start[part[tbl.Records[i][j]]]++
-		}
-		for c := 1; c < len(start); c++ {
-			start[c] += start[c-1]
-		}
-		groups := make([][]int, len(children))
-		for c := range groups {
-			groups[c] = buf[start[c]:start[c]:start[c+1]]
-		}
-		for _, i := range records {
-			c := part[tbl.Records[i][j]] - 1
-			groups[c] = append(groups[c], i)
-		}
-		parts := foldSmall(groups, k)
-		if len(parts) < 2 {
-			continue
-		}
-		maxPart := 0
-		for _, p := range parts {
-			if len(p) > maxPart {
-				maxPart = len(p)
-			}
-		}
-		if maxPart < bestMax {
-			bestMax = maxPart
-			best = parts
-			buf, spare = spare, buf
+// The chunk's codes are gathered once, record by record, into one column
+// per attribute. An attribute is scored from its child counts alone
+// (foldedMax); the closure and the covering children are computed once
+// per distinct value, not per record. Only the winning attribute's records
+// are counting-sorted into groups, by child and in record order within a
+// child, and folded by foldSmall.
+func (sp *splitter) bestSplit(records []int) [][]int {
+	n, r := len(records), sp.s.NumAttrs()
+	sp.codes = slices.Grow(sp.codes[:0], n*r)[:n*r]
+	codes := sp.codes
+	for q, i := range records {
+		for j, v := range sp.tbl.Records[i][:r] {
+			codes[j*n+q] = int32(v)
 		}
 	}
-	return best
+	bestJ, bestMax, bestKids := -1, n+1, 0
+	for j, h := range sp.s.Hiers {
+		col, part := codes[j*n:(j+1)*n], sp.part
+		vals := sp.vals[:0]
+		for _, v := range col {
+			if part[v] == 0 {
+				part[v] = 1
+				vals = append(vals, int(v))
+			}
+		}
+		sp.vals = vals
+		// Closure node of the chunk on attribute j.
+		node := h.Closure(vals)
+		if children := h.Children(node); len(children) >= 2 {
+			for _, v := range vals {
+				// Walk up to the child of node covering this leaf; node is
+				// an ancestor of every leaf of the chunk.
+				u := h.LeafOf(v)
+				for h.Parent(u) != node {
+					u = h.Parent(u)
+				}
+				part[v] = int32(slices.Index(children, u)) + 1
+			}
+			cnt := append(sp.cnt[:0], make([]int, len(children))...)
+			sp.cnt = cnt
+			for q, v := range col {
+				c := part[v] - 1
+				col[q] = c
+				cnt[c]++
+			}
+			if m, ok := foldedMax(cnt, sp.k); ok && m < bestMax {
+				bestJ, bestMax, bestKids = j, m, len(children)
+			}
+		}
+		for _, v := range vals {
+			part[v] = 0
+		}
+	}
+	if bestJ < 0 {
+		return nil
+	}
+	col := codes[bestJ*n : (bestJ+1)*n]
+	// start[c] is where child c's group begins in buf.
+	start := make([]int, bestKids+1)
+	for _, c := range col {
+		start[c+1]++
+	}
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	buf := make([]int, n)
+	groups := make([][]int, bestKids)
+	for c := range groups {
+		groups[c] = buf[start[c]:start[c]:start[c+1]]
+	}
+	for q, i := range records {
+		c := col[q]
+		groups[c] = append(groups[c], i)
+	}
+	return foldSmall(groups, sp.k)
+}
+
+// foldedMax returns the largest part foldSmall makes of groups with the
+// given sizes, and whether it makes at least two parts.
+func foldedMax(sizes []int, k int) (int, bool) {
+	parts, smalls, largest, smallest := 0, 0, 0, 0
+	for _, c := range sizes {
+		switch {
+		case c == 0:
+		case c >= k:
+			if parts == 0 || c < smallest {
+				smallest = c
+			}
+			largest = max(largest, c)
+			parts++
+		default:
+			smalls += c
+		}
+	}
+	switch {
+	case smalls == 0:
+	case smalls >= k:
+		largest = max(largest, smalls)
+		parts++
+	default:
+		// The leftovers attach to a smallest part (none: one part in all).
+		largest = max(largest, smallest+smalls)
+	}
+	return largest, parts >= 2
 }
 
 // foldSmall merges groups smaller than k into the smallest groups until

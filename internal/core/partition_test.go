@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,7 +12,9 @@ import (
 	"kanon/internal/anonymity"
 	"kanon/internal/cluster"
 	"kanon/internal/datagen"
+	"kanon/internal/hierarchy"
 	"kanon/internal/loss"
+	"kanon/internal/obs"
 	"kanon/internal/table"
 )
 
@@ -50,20 +54,38 @@ func TestPartitionedPostcondition(t *testing.T) {
 }
 
 func TestPartitionedHugeChunkEqualsPlain(t *testing.T) {
-	// With MaxChunk ≥ n the partitioned variant degenerates to Algorithm 1.
+	// With MaxChunk ≥ n the partitioned variant degenerates to Algorithm 1:
+	// the same clusters, and the same engine counters, since its engine is
+	// sized by the one chunk it runs, not by MaxChunk. A MaxChunk far past
+	// any table (up to MaxInt) must neither allocate for it nor overflow.
 	rng1 := rand.New(rand.NewSource(51))
 	s1, tbl1 := testSpace(t, rng1, 60, "lm")
-	gP, _, _, err := KAnonymizePartitionedReportCtx(nil, s1, tbl1, PartitionedOptions{K: 4, MaxChunk: 1 << 20})
+	var gA *table.GenTable
+	plain, err := observe(func(ctx context.Context) (err error) {
+		gA, _, _, err = KAnonymizeStatsCtx(ctx, s1, tbl1, cluster.AggloOptions{K: 4})
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gA, _, _, err := KAnonymizeStatsCtx(nil, s1, tbl1, cluster.AggloOptions{K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range gP.Records {
-		if !gP.Records[i].Equal(gA.Records[i]) {
-			t.Fatalf("record %d differs from plain agglomerative", i)
+	for _, maxChunk := range []int{1 << 20, 1 << 40, math.MaxInt} {
+		var gP *table.GenTable
+		part, err := observe(func(ctx context.Context) (err error) {
+			gP, _, _, err = KAnonymizePartitionedReportCtx(ctx, s1, tbl1, PartitionedOptions{K: 4, MaxChunk: maxChunk})
+			return err
+		})
+		if err != nil {
+			t.Fatalf("MaxChunk=%d: %v", maxChunk, err)
+		}
+		for i := range gP.Records {
+			if !gP.Records[i].Equal(gA.Records[i]) {
+				t.Fatalf("MaxChunk=%d: record %d differs from plain agglomerative", maxChunk, i)
+			}
+		}
+		for _, c := range []string{"cluster.dist_evals", obs.CounterDeadNNRescans, obs.CounterTilesScanned} {
+			if got, want := part.Counter(c), plain.Counter(c); got != want {
+				t.Errorf("MaxChunk=%d: %s = %d, plain %d", maxChunk, c, got, want)
+			}
 		}
 	}
 }
@@ -271,4 +293,104 @@ func TestPartitionMatchesPerRecordSplit(t *testing.T) {
 			})
 		}
 	}
+}
+
+// splitCase builds a table of two attributes over six values each from the
+// given (a, b) pairs: a's hierarchy has the children {0,1,2} and {3,4,5},
+// b's the children {0,1}, {2,3} and {4,5}.
+func splitCase(t *testing.T, pairs [][2]int) (*cluster.Space, *table.Table) {
+	t.Helper()
+	vals := []string{"0", "1", "2", "3", "4", "5"}
+	tbl := table.New(table.MustSchema(table.MustAttribute("a", vals), table.MustAttribute("b", vals)))
+	for _, p := range pairs {
+		tbl.MustAppend(table.Record{p[0], p[1]})
+	}
+	ha := hierarchy.MustFromSubsets(6, []hierarchy.Subset{{Values: []int{0, 1, 2}}, {Values: []int{3, 4, 5}}}, "*")
+	hb := hierarchy.MustFromSubsets(6, []hierarchy.Subset{{Values: []int{0, 1}}, {Values: []int{2, 3}}, {Values: []int{4, 5}}}, "*")
+	hiers := []*hierarchy.Hierarchy{ha, hb}
+	s, err := cluster.NewSpace(hiers, loss.NewLM(hiers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, tbl
+}
+
+// TestBestSplitEdgeCases checks the count-scored split against the
+// per-record oracle where the scores tie and where leftovers fold.
+func TestBestSplitEdgeCases(t *testing.T) {
+	all := func(n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = i
+		}
+		return out
+	}
+	t.Run("tie on the largest part", func(t *testing.T) {
+		// a splits 6 | 6, b splits 6 | 3 | 3: both largest parts hold six
+		// records, and the first attribute wins.
+		var pairs [][2]int
+		for i := 0; i < 12; i++ {
+			pairs = append(pairs, [2]int{(i % 2) * 3, []int{0, 0, 2, 4}[i%4]})
+		}
+		s, tbl := splitCase(t, pairs)
+		got := newSplitter(s, tbl, 3, 6).bestSplit(all(12))
+		want := refBestSplit(s, tbl, all(12), 3)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("split %v, oracle %v", got, want)
+		}
+		for _, p := range got {
+			for _, i := range p {
+				if tbl.Records[i][0]/3 != tbl.Records[p[0]][0]/3 {
+					t.Fatalf("split %v is not attribute a's", got)
+				}
+			}
+		}
+	})
+	t.Run("leftovers attach to the smallest part", func(t *testing.T) {
+		// a groups the records 6, 4 and 2 (by leaf), b 5, 5 and 2 (by
+		// pair). At k=3 the two leftovers join the smallest part: a folds
+		// to 6 | 6 and b to 5 | 7, so a wins; counting the leftovers as a
+		// part of their own would score b at 5 and pick it.
+		var pairs [][2]int
+		for i := 0; i < 12; i++ {
+			a, b := 0, 0
+			switch {
+			case i >= 10:
+				a = 2
+			case i >= 6:
+				a = 1
+			}
+			switch {
+			case i >= 10:
+				b = 4
+			case i >= 5:
+				b = 2
+			}
+			pairs = append(pairs, [2]int{a, b})
+		}
+		s, tbl := splitCase(t, pairs)
+		got := newSplitter(s, tbl, 3, 6).bestSplit(all(12))
+		want := refBestSplit(s, tbl, all(12), 3)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("split %v, oracle %v", got, want)
+		}
+		if len(got) != 2 || !reflect.DeepEqual(got[0], []int{6, 7, 8, 9, 10, 11}) {
+			t.Fatalf("split %v, want a's leaves 1 and 2 folded into one part", got)
+		}
+		for _, c := range []struct {
+			sizes    []int
+			max      int
+			twoParts bool
+		}{
+			{[]int{6, 4, 2}, 6, true},
+			{[]int{5, 5, 2}, 7, true},
+			{[]int{7, 4, 1}, 7, true},
+			{[]int{4, 1}, 5, false},    // one part of four plus a leftover is one part
+			{[]int{2, 2, 0}, 4, false}, // two leftovers reaching k are one part
+		} {
+			if m, ok := foldedMax(c.sizes, 3); m != c.max || ok != c.twoParts {
+				t.Errorf("foldedMax(%v, 3) = %d, %v; want %d, %v", c.sizes, m, ok, c.max, c.twoParts)
+			}
+		}
+	})
 }

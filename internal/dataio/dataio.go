@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -108,13 +109,32 @@ func ReadCSV(r io.Reader, header bool) (*table.Table, error) {
 // ReadCSVOptions is ReadCSV with explicit options. Malformed input is
 // reported through typed errors carrying positions: *RaggedRowError,
 // *DuplicateColumnError, *EmptyTableError, *TooManyRecordsError.
+//
+// The stream is read in one pass: each field is trimmed once and interned
+// with one map lookup into its column's domain, ids in first-appearance
+// order, and the records are capped subslices of one flat id array.
+// Every row is read before the field counts are checked, so a CSV syntax
+// error or the record limit anywhere in the stream wins over a ragged row.
 func ReadCSVOptions(r io.Reader, opt ReadOptions) (*table.Table, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
 	// Field counts are validated here (with our own row numbering), not by
 	// encoding/csv.
 	cr.FieldsPerRecord = -1
-	var rows [][]string
+	cr.ReuseRecord = true
+	limit := opt.MaxRecords
+	if opt.Header {
+		limit++
+	}
+	var (
+		names   []string
+		domains [][]string
+		ids     []map[string]int
+		flat    []int
+		kept    int // rows kept so far, the header included
+		ragged  *RaggedRowError
+		trimmed []string
+	)
 	for {
 		row, err := cr.Read()
 		if err == io.EOF {
@@ -126,70 +146,79 @@ func ReadCSVOptions(r io.Reader, opt ReadOptions) (*table.Table, error) {
 		// Drop rows whose every field is blank after trimming: encoding/csv
 		// skips truly blank lines itself, and an all-whitespace row could
 		// not round-trip through WriteCSV anyway.
+		trimmed = trimmed[:0]
 		empty := true
 		for _, v := range row {
-			if strings.TrimSpace(v) != "" {
+			v = strings.TrimSpace(v)
+			trimmed = append(trimmed, v)
+			if v != "" {
 				empty = false
-				break
 			}
 		}
 		if empty {
 			continue
 		}
-		rows = append(rows, row)
-		if opt.MaxRecords > 0 {
-			limit := opt.MaxRecords
+		kept++
+		if opt.MaxRecords > 0 && kept > limit {
+			return nil, &TooManyRecordsError{Limit: opt.MaxRecords, Row: opt.MaxRecords + 1}
+		}
+		if names == nil {
 			if opt.Header {
-				limit++
+				names = slices.Clone(trimmed)
+			} else {
+				names = make([]string, len(trimmed))
+				for j := range names {
+					names[j] = fmt.Sprintf("col%d", j+1)
+				}
 			}
-			if len(rows) > limit {
-				return nil, &TooManyRecordsError{Limit: opt.MaxRecords, Row: opt.MaxRecords + 1}
+			domains = make([][]string, len(names))
+			ids = make([]map[string]int, len(names))
+			for j := range ids {
+				ids[j] = make(map[string]int)
+			}
+			if opt.Header {
+				continue
 			}
 		}
+		if ragged != nil {
+			continue
+		}
+		if len(trimmed) != len(names) {
+			ragged = &RaggedRowError{Row: len(flat)/len(names) + 1, Fields: len(trimmed), Want: len(names)}
+			continue
+		}
+		for j, v := range trimmed {
+			id, ok := ids[j][v]
+			if !ok {
+				// The domain keeps its own copy: v shares its bytes with
+				// the whole line encoding/csv read.
+				v = strings.Clone(v)
+				id = len(domains[j])
+				ids[j][v] = id
+				domains[j] = append(domains[j], v)
+			}
+			flat = append(flat, id)
+		}
 	}
-	if len(rows) == 0 {
+	if kept == 0 {
 		return nil, &EmptyTableError{}
 	}
-	var names []string
 	if opt.Header {
-		names = rows[0]
-		rows = rows[1:]
-		if len(rows) == 0 {
+		if kept == 1 {
 			return nil, &EmptyTableError{HeaderOnly: true}
 		}
 		seenName := make(map[string]int, len(names))
-		for j := range names {
-			names[j] = strings.TrimSpace(names[j])
-			if first, dup := seenName[names[j]]; dup {
-				return nil, &DuplicateColumnError{Name: names[j], Column: j + 1, First: first + 1}
+		for j, name := range names {
+			if first, dup := seenName[name]; dup {
+				return nil, &DuplicateColumnError{Name: name, Column: j + 1, First: first + 1}
 			}
-			seenName[names[j]] = j
+			seenName[name] = j
 		}
-	} else {
-		names = make([]string, len(rows[0]))
-		for j := range names {
-			names[j] = fmt.Sprintf("col%d", j+1)
-		}
+	}
+	if ragged != nil {
+		return nil, ragged
 	}
 	nAttrs := len(names)
-	// Collect domains in first-appearance order.
-	domains := make([][]string, nAttrs)
-	seen := make([]map[string]bool, nAttrs)
-	for j := range seen {
-		seen[j] = make(map[string]bool)
-	}
-	for ri, row := range rows {
-		if len(row) != nAttrs {
-			return nil, &RaggedRowError{Row: ri + 1, Fields: len(row), Want: nAttrs}
-		}
-		for j, v := range row {
-			v = strings.TrimSpace(v)
-			if !seen[j][v] {
-				seen[j][v] = true
-				domains[j] = append(domains[j], v)
-			}
-		}
-	}
 	attrs := make([]*table.Attribute, nAttrs)
 	for j := range attrs {
 		//kanon:allow leakcheck -- names[j] is a schema name from the CSV header; attribute names are released in the output header by design (the duplicate-domain error formats the name, never a cell value)
@@ -204,14 +233,9 @@ func ReadCSVOptions(r io.Reader, opt ReadOptions) (*table.Table, error) {
 		return nil, err
 	}
 	tbl := table.New(schema)
-	for _, row := range rows {
-		vals := make([]string, nAttrs)
-		for j, v := range row {
-			vals[j] = strings.TrimSpace(v)
-		}
-		if err := tbl.AppendValues(vals...); err != nil {
-			return nil, err
-		}
+	tbl.Records = make([]table.Record, len(flat)/nAttrs)
+	for i := range tbl.Records {
+		tbl.Records[i] = flat[i*nAttrs : (i+1)*nAttrs : (i+1)*nAttrs]
 	}
 	return tbl, nil
 }

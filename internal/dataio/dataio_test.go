@@ -2,6 +2,7 @@ package dataio
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -260,5 +261,24 @@ func TestWriteGenCSV(t *testing.T) {
 	}
 	if err := WriteGenCSV(&buf, g, hiers[:1]); err == nil {
 		t.Error("expected hierarchy-count mismatch error")
+	}
+}
+
+// TestReadCSVRecordsIndependent checks that the records of a loaded table,
+// which share one backing array, are capped: appending to one leaves the
+// next unchanged.
+func TestReadCSVRecordsIndependent(t *testing.T) {
+	tbl, err := ReadCSV(strings.NewReader("a,b\nx,y\nz,w\nx,w\n"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := slices.Clone(tbl.Records[1])
+	grown := append(tbl.Records[0], 7)
+	grown[0] = 9
+	if !tbl.Records[1].Equal(next) {
+		t.Errorf("appending to record 0 changed record 1: %v, was %v", tbl.Records[1], next)
+	}
+	if tbl.Records[0][0] != 0 {
+		t.Errorf("writing through the grown copy changed record 0: %v", tbl.Records[0])
 	}
 }
