@@ -79,7 +79,7 @@ func BenchmarkAblationDistances(b *testing.B) {
 	results := make(map[string]float64)
 	for i := 0; i < b.N; i++ {
 		for _, d := range cluster.PaperDistances() {
-			g, _, _, err := core.KAnonymizeStatsCtx(nil, s, ds.Table, cluster.AggloOptions{K: k, Distance: d})
+			g, err := core.KAnonymizeCtx(nil, s, ds.Table, cluster.AggloOptions{K: k, Distance: d})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -138,7 +138,7 @@ func BenchmarkAblationModified(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, d := range []cluster.Distance{cluster.D1{}, cluster.D3{}} {
 			for _, mod := range []bool{false, true} {
-				g, _, _, err := core.KAnonymizeStatsCtx(nil, s, ds.Table, cluster.AggloOptions{K: k, Distance: d, Modified: mod})
+				g, err := core.KAnonymizeCtx(nil, s, ds.Table, cluster.AggloOptions{K: k, Distance: d, Modified: mod})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -207,7 +207,7 @@ func BenchmarkScalability(b *testing.B) {
 	b.Run("agglomerative", func(b *testing.B) {
 		var l float64
 		for i := 0; i < b.N; i++ {
-			g, _, _, err := core.KAnonymizeStatsCtx(nil, s, ds.Table, cluster.AggloOptions{K: k})
+			g, err := core.KAnonymizeCtx(nil, s, ds.Table, cluster.AggloOptions{K: k})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -248,7 +248,7 @@ func BenchmarkObserverOverhead(b *testing.B) {
 	const k = 10
 	b.Run("disabled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := core.KAnonymizeStatsCtx(nil, s, ds.Table, cluster.AggloOptions{K: k}); err != nil {
+			if _, err := core.KAnonymizeCtx(nil, s, ds.Table, cluster.AggloOptions{K: k}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -256,7 +256,7 @@ func BenchmarkObserverOverhead(b *testing.B) {
 	b.Run("metrics", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ctx := obs.With(context.Background(), obs.NewMetrics())
-			if _, _, _, err := core.KAnonymizeStatsCtx(ctx, s, ds.Table, cluster.AggloOptions{K: k}); err != nil {
+			if _, err := core.KAnonymizeCtx(ctx, s, ds.Table, cluster.AggloOptions{K: k}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -278,7 +278,7 @@ func BenchmarkPipelines(b *testing.B) {
 	const k = 10
 	b.Run("agglomerative", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := core.KAnonymizeStatsCtx(nil, s, ds.Table, cluster.AggloOptions{K: k}); err != nil {
+			if _, err := core.KAnonymizeCtx(nil, s, ds.Table, cluster.AggloOptions{K: k}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -45,7 +45,6 @@ func main() {
 		timeout = flag.Duration("timeout", 0, "abort the suite after this duration (e.g. 10m; 0 = no limit)")
 		ckpt    = flag.String("checkpoint", "", "JSONL file persisting each completed run; implies deterministic output (timing fields zeroed)")
 		resume  = flag.Bool("resume", false, "skip runs already recorded in the -checkpoint file")
-		metrics = flag.Bool("metrics", false, "attach per-run engine metrics (phase walls, counters, peaks) to every output row")
 	)
 	flag.Parse()
 
@@ -56,7 +55,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Verify = *verify
 	cfg.Workers = *workers
-	cfg.Metrics = *metrics
 	if *nART > 0 {
 		cfg.NART = *nART
 	}
@@ -198,11 +196,19 @@ func loadCheckpoint(path string) (map[string]experiment.Run, map[string]map[int]
 }
 
 // runner memoizes dataset × measure blocks so `-exp all` computes each of
-// the six expensive blocks exactly once.
+// the six expensive blocks exactly once, and each dataset's E15/E16 pass so
+// `recoding` and `queries` share one set of releases.
 type runner struct {
-	cfg    experiment.Config
-	blocks map[string]*experiment.Block
-	svgDir string
+	cfg       experiment.Config
+	blocks    map[string]*experiment.Block
+	recodings map[string]recodingPass
+	svgDir    string
+}
+
+// recodingPass is one dataset's E15 and E16 rows, from one RunRecoding pass.
+type recodingPass struct {
+	rec []experiment.RecodingResult
+	qs  []experiment.QueryResult
 }
 
 func (r *runner) block(dataset string, m experiment.MeasureKind) (*experiment.Block, error) {
@@ -216,6 +222,22 @@ func (r *runner) block(dataset string, m experiment.MeasureKind) (*experiment.Bl
 	}
 	r.blocks[key] = b
 	return b, nil
+}
+
+func (r *runner) recoding(dataset string) (recodingPass, error) {
+	if rc, ok := r.recodings[dataset]; ok {
+		return rc, nil
+	}
+	rec, qs, err := r.cfg.RunRecoding(dataset, 300)
+	if err != nil {
+		return recodingPass{}, err
+	}
+	if r.recodings == nil {
+		r.recodings = make(map[string]recodingPass)
+	}
+	rc := recodingPass{rec, qs}
+	r.recodings[dataset] = rc
+	return rc, nil
 }
 
 func (r *runner) allBlocks() ([]*experiment.Block, error) {
@@ -285,26 +307,21 @@ func (r *runner) collect(exp string) (interface{}, string, error) {
 			all = append(all, res...)
 		}
 		return all, experiment.FormatGlobal(all), nil
-	case "recoding":
-		var all []experiment.RecodingResult
+	case "recoding", "queries":
+		var rec []experiment.RecodingResult
+		var qs []experiment.QueryResult
 		for _, d := range []string{"ART", "ADT", "CMC"} {
-			res, err := r.cfg.RunRecoding(d, experiment.EM)
+			rc, err := r.recoding(d)
 			if err != nil {
 				return nil, "", err
 			}
-			all = append(all, res...)
+			rec = append(rec, rc.rec...)
+			qs = append(qs, rc.qs...)
 		}
-		return all, experiment.FormatRecoding(all), nil
-	case "queries":
-		var all []experiment.QueryResult
-		for _, d := range []string{"ART", "ADT", "CMC"} {
-			res, err := r.cfg.RunQueries(d, 300)
-			if err != nil {
-				return nil, "", err
-			}
-			all = append(all, res...)
+		if exp == "recoding" {
+			return rec, experiment.FormatRecoding(rec), nil
 		}
-		return all, experiment.FormatQueries(all), nil
+		return qs, experiment.FormatQueries(qs), nil
 	case "scale":
 		sizes := []int{1000, 2000, 4000}
 		skipPlainAbove := 4000

@@ -1,13 +1,17 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"kanon/internal/core"
 	"kanon/internal/experiment"
+	"kanon/internal/obs"
 )
 
 func tinyRunner() *runner {
@@ -158,5 +162,90 @@ func TestRunnerBlockMemoization(t *testing.T) {
 	}
 	if b1 != b2 {
 		t.Error("block not memoized")
+	}
+}
+
+// TestRunnerRecodingGolden pins the text of E15 and E16 for tinyRunner's
+// config. testdata/recoding_queries.golden was recorded when each
+// experiment still built its own releases, so it also shows that sharing
+// one pass between them changed no figure.
+func TestRunnerRecodingGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/recoding_queries.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := tinyRunner()
+	var sb strings.Builder
+	for _, exp := range []string{"recoding", "queries"} {
+		if err := r.run(&sb, exp, false); err != nil {
+			t.Fatalf("%s: %v", exp, err)
+		}
+	}
+	if got := sb.String(); got != string(want) {
+		t.Errorf("recoding/queries text differs from the golden file:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestRunnerRecodingMemoization serves recoding and then queries from one
+// runner: the second reuses the first's releases, so the full-domain
+// search runs once per dataset and k, not once per experiment.
+func TestRunnerRecodingMemoization(t *testing.T) {
+	r := tinyRunner()
+	met := obs.NewMetrics()
+	r.cfg.Ctx = obs.With(context.Background(), met)
+	var sb strings.Builder
+	for _, exp := range []string{"recoding", "queries"} {
+		if err := r.run(&sb, exp, false); err != nil {
+			t.Fatalf("%s: %v", exp, err)
+		}
+	}
+	want := int64(3 * len(r.cfg.Ks))
+	for _, phase := range []string{core.PhaseFullDomain, core.PhaseForest} {
+		if got := met.Snapshot().Phase(phase).Starts; got != want {
+			t.Errorf("%s ran %d times for 3 datasets × %d k, want %d", phase, got, len(r.cfg.Ks), want)
+		}
+	}
+}
+
+// TestRunnerJSONRowsCarryObs: with -json every Table I row carries its
+// observability stats, and the counters and peaks, which do not depend on
+// the pool, read the same at 1 and 2 workers.
+func TestRunnerJSONRowsCarryObs(t *testing.T) {
+	table1 := func(workers int) []experiment.Block {
+		r := tinyRunner()
+		r.cfg.Workers = workers
+		var sb strings.Builder
+		if err := r.run(&sb, "table1", true); err != nil {
+			t.Fatal(err)
+		}
+		var envelope struct {
+			Data []experiment.Block `json:"data"`
+		}
+		if err := json.Unmarshal([]byte(sb.String()), &envelope); err != nil {
+			t.Fatalf("JSON output does not parse: %v", err)
+		}
+		return envelope.Data
+	}
+	seq, two := table1(1), table1(2)
+	if len(seq) != 6 || len(two) != 6 {
+		t.Fatalf("%d and %d blocks, want 6", len(seq), len(two))
+	}
+	for b := range seq {
+		if len(seq[b].Runs) == 0 || len(seq[b].Runs) != len(two[b].Runs) {
+			t.Fatalf("block %d: %d vs %d runs", b, len(seq[b].Runs), len(two[b].Runs))
+		}
+		for i, r := range seq[b].Runs {
+			o := two[b].Runs[i]
+			if r.Obs == nil || o.Obs == nil {
+				t.Fatalf("run %s carries no Obs", r.Key())
+			}
+			if len(r.Obs.Counters) == 0 || r.Obs.Records == 0 {
+				t.Errorf("run %s: empty stats %+v", r.Key(), r.Obs)
+			}
+			if !reflect.DeepEqual(r.Obs.Counters, o.Obs.Counters) || !reflect.DeepEqual(r.Obs.Peaks, o.Obs.Peaks) {
+				t.Errorf("run %s: counters differ across workers:\n  w=1: %v %v\n  w=2: %v %v",
+					r.Key(), r.Obs.Counters, r.Obs.Peaks, o.Obs.Counters, o.Obs.Peaks)
+			}
+		}
 	}
 }

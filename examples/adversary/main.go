@@ -60,7 +60,7 @@ func main() {
 			return g
 		}},
 		{"k-anonymity (agglomerative)", func() *table.GenTable {
-			g, _, _, err := core.KAnonymizeStatsCtx(nil, s, ds.Table, cluster.AggloOptions{K: k})
+			g, err := core.KAnonymizeCtx(nil, s, ds.Table, cluster.AggloOptions{K: k})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -30,7 +30,7 @@ func TestIntegrationAllDatasetsAllNotions(t *testing.T) {
 			t.Fatalf("%s: %v", ds.Name, err)
 		}
 
-		gK, _, _, err := core.KAnonymizeStatsCtx(nil, s, ds.Table, cluster.AggloOptions{K: k})
+		gK, err := core.KAnonymizeCtx(nil, s, ds.Table, cluster.AggloOptions{K: k})
 		if err != nil {
 			t.Fatalf("%s agglo: %v", ds.Name, err)
 		}
@@ -122,11 +122,11 @@ func TestIntegrationMeasureConsistency(t *testing.T) {
 	lm := loss.NewLM(ds.Hiers)
 	sEM, _ := cluster.NewSpace(ds.Hiers, em)
 	sLM, _ := cluster.NewSpace(ds.Hiers, lm)
-	gEM, _, _, err := core.KAnonymizeStatsCtx(nil, sEM, ds.Table, cluster.AggloOptions{K: k})
+	gEM, err := core.KAnonymizeCtx(nil, sEM, ds.Table, cluster.AggloOptions{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gLM, _, _, err := core.KAnonymizeStatsCtx(nil, sLM, ds.Table, cluster.AggloOptions{K: k})
+	gLM, err := core.KAnonymizeCtx(nil, sLM, ds.Table, cluster.AggloOptions{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // taking a context and returning its result in full:
 //
 //   - Algorithm 1, the basic agglomerative k-anonymizer, and Algorithm 2,
-//     its modified variant (KAnonymizeStatsCtx, delegating to
+//     its modified variant (KAnonymizeCtx, delegating to
 //     internal/cluster), and their partitioned driver for large inputs
 //     (KAnonymizePartitionedReportCtx);
 //   - the forest algorithm of Aggarwal et al. (ICDT'05), the 3k−3
@@ -52,26 +52,24 @@ const (
 // delegates to par.Done, the stack's single nil-context check.
 func ctxDone(ctx context.Context) bool { return par.Done(ctx) }
 
-// KAnonymizeStatsCtx runs the basic agglomerative algorithm (Algorithm 1)
-// or, when opt.Modified is set, the modified one (Algorithm 2), through
-// cluster.AgglomerateStatsCtx, and returns the k-anonymized table together
-// with the underlying clustering and the engine's work counters and phase
-// timings. A nil opt.Distance selects D3 (eq. 10). The engine stops at its
-// next scan/merge boundary once ctx is done and returns ctx.Err() with no
+// KAnonymizeCtx runs the basic agglomerative algorithm (Algorithm 1) or,
+// when opt.Modified is set, the modified one (Algorithm 2), through
+// cluster.AgglomerateStatsCtx, and returns the k-anonymized table. A nil
+// opt.Distance selects D3 (eq. 10). The engine stops at its next
+// scan/merge boundary once ctx is done and returns ctx.Err() with no
 // partial output. A nil ctx disables cancellation.
-func KAnonymizeStatsCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, opt cluster.AggloOptions) (*table.GenTable, []*cluster.Cluster, cluster.AggloStats, error) {
+func KAnonymizeCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, opt cluster.AggloOptions) (*table.GenTable, error) {
 	if opt.K < 1 {
-		return nil, nil, cluster.AggloStats{}, fmt.Errorf("core: k must be ≥ 1, got %d", opt.K)
+		return nil, fmt.Errorf("core: k must be ≥ 1, got %d", opt.K)
 	}
 	if opt.Distance == nil {
 		opt.Distance = cluster.D3{}
 	}
-	clusters, stats, err := cluster.AgglomerateStatsCtx(ctx, s, tbl, opt)
+	clusters, _, err := cluster.AgglomerateStatsCtx(ctx, s, tbl, opt)
 	if err != nil {
-		return nil, nil, stats, err
+		return nil, err
 	}
-	g := cluster.ToGenTable(tbl.Schema, tbl.Len(), clusters)
-	return g, clusters, stats, nil
+	return cluster.ToGenTable(tbl.Schema, tbl.Len(), clusters), nil
 }
 
 // costRows is the one cost-evaluation layer of the core scans. It holds,

@@ -59,7 +59,7 @@ func TestKAnonymizePostcondition(t *testing.T) {
 			for _, modified := range []bool{false, true} {
 				s, tbl := testSpace(t, rng, 50, measure)
 				const k = 4
-				g, clusters, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: k, Distance: dist, Modified: modified})
+				g, err := KAnonymizeCtx(nil, s, tbl, cluster.AggloOptions{K: k, Distance: dist, Modified: modified})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -69,12 +69,8 @@ func TestKAnonymizePostcondition(t *testing.T) {
 				if !anonymity.IsGeneralizationOf(s, tbl, g) {
 					t.Errorf("%s/%s: output not a positional generalization", measure, dist.Name())
 				}
-				total := 0
-				for _, c := range clusters {
-					total += c.Size()
-				}
-				if total != tbl.Len() {
-					t.Errorf("clusters cover %d of %d records", total, tbl.Len())
+				if g.Len() != tbl.Len() {
+					t.Errorf("release covers %d of %d records", g.Len(), tbl.Len())
 				}
 			}
 		}
@@ -84,14 +80,14 @@ func TestKAnonymizePostcondition(t *testing.T) {
 func TestKAnonymizeDefaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	s, tbl := testSpace(t, rng, 20, "lm")
-	g, _, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: 3}) // nil Distance -> D3
+	g, err := KAnonymizeCtx(nil, s, tbl, cluster.AggloOptions{K: 3}) // nil Distance -> D3
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !anonymity.IsKAnonymous(g, 3) {
 		t.Error("default distance run not 3-anonymous")
 	}
-	if _, _, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: 0}); err == nil {
+	if _, err := KAnonymizeCtx(nil, s, tbl, cluster.AggloOptions{K: 0}); err == nil {
 		t.Error("expected error for k < 1")
 	}
 }
@@ -176,9 +172,9 @@ func TestK1NearestPostcondition(t *testing.T) {
 }
 
 // TestK1ScansAllocatePerSpan checks that Algorithms 3 and 4 allocate
-// nothing per record but the output: their scratch lives per worker span,
-// so one more record costs exactly one more allocation, its generalized
-// record.
+// nothing per record: their scratch lives per worker span and the output's
+// generalized records share one backing array (table.NewGen), so one more
+// record costs no more allocations.
 func TestK1ScansAllocatePerSpan(t *testing.T) {
 	algs := map[string]func(*cluster.Space, *table.Table) error{
 		"alg3": func(s *cluster.Space, tbl *table.Table) error {
@@ -200,8 +196,8 @@ func TestK1ScansAllocatePerSpan(t *testing.T) {
 				}
 			})
 		}
-		if extra := allocs[1] - allocs[0]; extra != 100 {
-			t.Errorf("%s: %v allocations at n=100, %v at n=200: %v for 100 more records, want 100", name, allocs[0], allocs[1], extra)
+		if extra := allocs[1] - allocs[0]; extra != 0 {
+			t.Errorf("%s: %v allocations at n=100, %v at n=200: %v for 100 more records, want 0", name, allocs[0], allocs[1], extra)
 		}
 	}
 }
@@ -412,7 +408,7 @@ func TestMakeGlobal1KOnKAnonymous(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	s, tbl := testSpace(t, rng, 30, "lm")
 	const k = 3
-	g, _, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: k})
+	g, err := KAnonymizeCtx(nil, s, tbl, cluster.AggloOptions{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +489,7 @@ func TestOptimalKAnonymize(t *testing.T) {
 	}
 	// No heuristic may beat the optimum.
 	for _, dist := range cluster.PaperDistances() {
-		gh, _, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: k, Distance: dist})
+		gh, err := KAnonymizeCtx(nil, s, tbl, cluster.AggloOptions{K: k, Distance: dist})
 		if err != nil {
 			t.Fatal(err)
 		}

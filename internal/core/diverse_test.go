@@ -33,10 +33,13 @@ func TestKAnonymizeDiversePostcondition(t *testing.T) {
 		s, tbl := testSpace(t, rng, 60, "entropy")
 		sens := sensitiveFor(rng, tbl.Len(), 4)
 		const k = 4
-		g, clusters, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: k, Constraints: distinctL(l), Sensitive: sens})
+		// The clustering itself, so every cluster's diversity is checked,
+		// not only that of the classes the release merges them into.
+		clusters, _, err := cluster.AgglomerateStatsCtx(nil, s, tbl, cluster.AggloOptions{K: k, Distance: cluster.D3{}, Constraints: distinctL(l), Sensitive: sens})
 		if err != nil {
 			t.Fatal(err)
 		}
+		g := cluster.ToGenTable(tbl.Schema, tbl.Len(), clusters)
 		if !anonymity.IsKAnonymous(g, k) {
 			t.Errorf("l=%d: not k-anonymous", l)
 		}
@@ -64,7 +67,7 @@ func TestKAnonymizeDiverseModified(t *testing.T) {
 	s, tbl := testSpace(t, rng, 50, "lm")
 	sens := sensitiveFor(rng, tbl.Len(), 3)
 	const k, l = 3, 2
-	g, _, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: k, Modified: true, Constraints: distinctL(l), Sensitive: sens})
+	g, err := KAnonymizeCtx(nil, s, tbl, cluster.AggloOptions{K: k, Modified: true, Constraints: distinctL(l), Sensitive: sens})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +84,7 @@ func TestKAnonymizeDiverseUnattainable(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	s, tbl := testSpace(t, rng, 20, "lm")
 	sens := make([]int, tbl.Len()) // all identical
-	_, _, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: 2, Constraints: distinctL(2), Sensitive: sens})
+	_, err := KAnonymizeCtx(nil, s, tbl, cluster.AggloOptions{K: 2, Constraints: distinctL(2), Sensitive: sens})
 	if err == nil || !strings.Contains(err.Error(), "unattainable") {
 		t.Errorf("uniform sensitive column: err = %v, want an unattainable-diversity error", err)
 	}
@@ -90,14 +93,14 @@ func TestKAnonymizeDiverseUnattainable(t *testing.T) {
 	if !cluster.DistinctLDiversity(0).Trivial() {
 		t.Error("DistinctLDiversity(0) is not trivial")
 	}
-	if _, _, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: 2, Constraints: distinctL(0), Sensitive: sens}); err != nil {
+	if _, err := KAnonymizeCtx(nil, s, tbl, cluster.AggloOptions{K: 2, Constraints: distinctL(0), Sensitive: sens}); err != nil {
 		t.Errorf("l=0: %v, want the plain run", err)
 	}
-	if _, _, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: 0, Constraints: distinctL(2), Sensitive: sens}); err == nil {
+	if _, err := KAnonymizeCtx(nil, s, tbl, cluster.AggloOptions{K: 0, Constraints: distinctL(2), Sensitive: sens}); err == nil {
 		t.Error("expected k < 1 error")
 	}
 	short := []int{1, 2}
-	if _, _, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: 2, Constraints: distinctL(2), Sensitive: short}); err == nil {
+	if _, err := KAnonymizeCtx(nil, s, tbl, cluster.AggloOptions{K: 2, Constraints: distinctL(2), Sensitive: short}); err == nil {
 		t.Error("expected sensitive-length error")
 	}
 }
@@ -107,12 +110,12 @@ func TestKAnonymizeDiverseLOneIsPlain(t *testing.T) {
 	rng1 := rand.New(rand.NewSource(43))
 	s1, tbl1 := testSpace(t, rng1, 40, "entropy")
 	sens := sensitiveFor(rand.New(rand.NewSource(1)), tbl1.Len(), 3)
-	gp, _, _, err := KAnonymizeStatsCtx(nil, s1, tbl1, cluster.AggloOptions{K: 4})
+	gp, err := KAnonymizeCtx(nil, s1, tbl1, cluster.AggloOptions{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, l := range []int{0, 1} {
-		gd, _, _, err := KAnonymizeStatsCtx(nil, s1, tbl1, cluster.AggloOptions{K: 4, Constraints: distinctL(l), Sensitive: sens})
+		gd, err := KAnonymizeCtx(nil, s1, tbl1, cluster.AggloOptions{K: 4, Constraints: distinctL(l), Sensitive: sens})
 		if err != nil {
 			t.Fatal(err)
 		}

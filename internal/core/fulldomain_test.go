@@ -113,7 +113,7 @@ func TestFullDomainWorseOrEqualToLocal(t *testing.T) {
 	}
 	best := 1e18
 	for _, d := range cluster.PaperDistances() {
-		gL, _, _, err := KAnonymizeStatsCtx(nil, s, tbl, cluster.AggloOptions{K: k, Distance: d})
+		gL, err := KAnonymizeCtx(nil, s, tbl, cluster.AggloOptions{K: k, Distance: d})
 		if err != nil {
 			t.Fatal(err)
 		}

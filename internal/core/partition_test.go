@@ -62,7 +62,7 @@ func TestPartitionedHugeChunkEqualsPlain(t *testing.T) {
 	s1, tbl1 := testSpace(t, rng1, 60, "lm")
 	var gA *table.GenTable
 	plain, err := observe(func(ctx context.Context) (err error) {
-		gA, _, _, err = KAnonymizeStatsCtx(ctx, s1, tbl1, cluster.AggloOptions{K: 4})
+		gA, err = KAnonymizeCtx(ctx, s1, tbl1, cluster.AggloOptions{K: 4})
 		return err
 	})
 	if err != nil {
@@ -106,7 +106,7 @@ func TestPartitionedUtilityPenaltyBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gA, _, _, err := KAnonymizeStatsCtx(nil, s, ds.Table, cluster.AggloOptions{K: k})
+	gA, err := KAnonymizeCtx(nil, s, ds.Table, cluster.AggloOptions{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func (c Config) RunAttack(dataset string) ([]AttackResult, error) {
 	}
 	pipelines := []pipeline{
 		{"k-anon", func(k int) (*table.GenTable, error) {
-			g, _, _, err := core.KAnonymizeStatsCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{K: k, Workers: c.Workers})
+			g, err := core.KAnonymizeCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{K: k, Workers: c.Workers})
 			return g, err
 		}},
 		{"forest", func(k int) (*table.GenTable, error) {

@@ -65,14 +65,13 @@ func TestRunAttackLadder(t *testing.T) {
 }
 
 // TestRunBlockAttackWorkerInvariance is the satellite determinism
-// guarantee: with Attack and Metrics on, the serialized runs of a block —
+// guarantee: with Attack on, the serialized runs of a block —
 // including every risk report and every attack.* counter — are
 // byte-identical at 1 and 4 workers.
 func TestRunBlockAttackWorkerInvariance(t *testing.T) {
 	cfg := attackConfig()
 	cfg.NART = 40
 	cfg.Attack = true
-	cfg.Metrics = true
 
 	cfg.Workers = 1
 	seq, err := cfg.RunBlock("ART", EM)
@@ -84,9 +83,8 @@ func TestRunBlockAttackWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// RunStats.Workers and AggloStats.Workers record the configured pool
-	// size — the only fields that legitimately differ between the two
-	// suites. Blank them so the byte comparison covers everything else
+	// RunStats.Workers records the configured pool size — the only field
+	// that legitimately differs between the two suites. Blank them so the byte comparison covers everything else
 	// (counters, risk reports, losses) at full strength.
 	blankWorkers := func(runs []Run) []Run {
 		out := make([]Run, len(runs))
@@ -95,11 +93,6 @@ func TestRunBlockAttackWorkerInvariance(t *testing.T) {
 				st := *r.Obs
 				st.Workers = 0
 				r.Obs = &st
-			}
-			if r.Engine != nil {
-				e := *r.Engine
-				e.Workers = 0
-				r.Engine = &e
 			}
 			out[i] = r
 		}
@@ -124,7 +117,7 @@ func TestRunBlockAttackWorkerInvariance(t *testing.T) {
 			t.Fatalf("run %s has no risk report with Config.Attack on", r.Key())
 		}
 		if r.Obs == nil {
-			t.Fatalf("run %s has no obs stats with Config.Metrics on", r.Key())
+			t.Fatalf("run %s has no obs stats", r.Key())
 		}
 		// The attack counters in the observability stream must equal the
 		// report they were derived from.

@@ -78,12 +78,12 @@ func (c Config) RunConstraints(dataset string) ([]ConstraintResult, error) {
 				run  func() (*table.GenTable, error)
 			}{
 				{"alg1", func() (*table.GenTable, error) {
-					g, _, _, err := core.KAnonymizeStatsCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{
+					g, err := core.KAnonymizeCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{
 						K: k, Workers: c.Workers, Constraints: menu.cons, Sensitive: ds.Sensitive})
 					return g, err
 				}},
 				{"alg2", func() (*table.GenTable, error) {
-					g, _, _, err := core.KAnonymizeStatsCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{
+					g, err := core.KAnonymizeCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{
 						K: k, Modified: true, Workers: c.Workers, Constraints: menu.cons, Sensitive: ds.Sensitive})
 					return g, err
 				}},

@@ -63,10 +63,6 @@ type Config struct {
 	// run — not for runs replayed from Completed — as the persistence half
 	// of checkpointing. Excluded from JSON output.
 	OnRun func(Run) `json:"-"`
-	// Metrics attaches a fresh obs.Metrics aggregator to every run and
-	// stores its snapshot in Run.Obs (normalized under Deterministic, so
-	// checkpointed and uninterrupted suites still serialize identically).
-	Metrics bool
 	// Attack evaluates the adversarial suite (matching, refinement and
 	// intersection attacks — DESIGN.md §13) against every run's release,
 	// stores the report in Run.Risk and emits the attack.* counters into
@@ -123,11 +119,10 @@ type Run struct {
 	Verified bool
 	// Millis is the run's wall time.
 	Millis int64
-	// Engine carries the clustering engine's work counters and phase
-	// timings for the agglomerative runs (nil for the other algorithms).
-	Engine *cluster.AggloStats `json:",omitempty"`
-	// Obs carries the run's aggregated observability stats when
-	// Config.Metrics is on (nil otherwise).
+	// Obs carries the run's aggregated observability stats: the engine's
+	// counters, peaks and phase walls (normalized under
+	// Config.Deterministic, so checkpointed and uninterrupted suites still
+	// serialize identically). Nil for a failed run.
 	Obs *obs.RunStats `json:",omitempty"`
 	// Risk carries the adversarial evaluation of the run's release when
 	// Config.Attack is on (nil otherwise).
@@ -179,7 +174,7 @@ type Block struct {
 	BestKK    Series
 
 	// Runs holds every individual run of the block (with per-run timings
-	// and engine counters); Millis is the block's total wall time.
+	// and observability stats); Millis is the block's total wall time.
 	Runs   []Run
 	Millis int64
 }
@@ -277,7 +272,7 @@ func (c Config) RunBlock(dataset string, m MeasureKind) (*Block, error) {
 	type job struct {
 		algorithm string
 		k         int
-		run       func(ctx context.Context) (*table.GenTable, *cluster.AggloStats, error)
+		run       func(ctx context.Context) (*table.GenTable, error)
 		verify    func(g *table.GenTable, k int) bool
 	}
 	var jobs []job
@@ -288,27 +283,24 @@ func (c Config) RunBlock(dataset string, m MeasureKind) (*Block, error) {
 		v := v
 		for _, k := range c.Ks {
 			k := k
-			jobs = append(jobs, job{v.name, k, func(ctx context.Context) (*table.GenTable, *cluster.AggloStats, error) {
-				g, _, st, err := core.KAnonymizeStatsCtx(ctx, s, ds.Table, cluster.AggloOptions{
+			jobs = append(jobs, job{v.name, k, func(ctx context.Context) (*table.GenTable, error) {
+				return core.KAnonymizeCtx(ctx, s, ds.Table, cluster.AggloOptions{
 					K: k, Distance: v.dist, Modified: v.modified, Workers: c.Workers,
 				})
-				return g, &st, err
 			}, verifyKAnon})
 		}
 	}
 	for _, k := range c.Ks {
 		k := k
-		jobs = append(jobs, job{"forest", k, func(ctx context.Context) (*table.GenTable, *cluster.AggloStats, error) {
+		jobs = append(jobs, job{"forest", k, func(ctx context.Context) (*table.GenTable, error) {
 			g, _, err := core.ForestCtx(ctx, s, ds.Table, k)
-			return g, nil, err
+			return g, err
 		}, verifyKAnon})
-		jobs = append(jobs, job{"kk-nearest", k, func(ctx context.Context) (*table.GenTable, *cluster.AggloStats, error) {
-			g, err := core.KKAnonymizeCtx(ctx, s, ds.Table, k, core.K1ByNearest, nil, nil, c.Workers)
-			return g, nil, err
+		jobs = append(jobs, job{"kk-nearest", k, func(ctx context.Context) (*table.GenTable, error) {
+			return core.KKAnonymizeCtx(ctx, s, ds.Table, k, core.K1ByNearest, nil, nil, c.Workers)
 		}, verifyKK})
-		jobs = append(jobs, job{"kk-expand", k, func(ctx context.Context) (*table.GenTable, *cluster.AggloStats, error) {
-			g, err := core.KKAnonymizeCtx(ctx, s, ds.Table, k, core.K1ByExpansion, nil, nil, c.Workers)
-			return g, nil, err
+		jobs = append(jobs, job{"kk-expand", k, func(ctx context.Context) (*table.GenTable, error) {
+			return core.KKAnonymizeCtx(ctx, s, ds.Table, k, core.K1ByExpansion, nil, nil, c.Workers)
 		}, verifyKK})
 	}
 
@@ -329,20 +321,10 @@ func (c Config) RunBlock(dataset string, m MeasureKind) (*Block, error) {
 			c.logf("skip %-8s %-2s %-16s k=%-3d (checkpointed)", dataset, m, j.algorithm, j.k)
 			return
 		}
-		var met *obs.Metrics
-		rec := c.Observer
-		if c.Metrics {
-			met = obs.NewMetrics()
-			rec = obs.Tee(met, c.Observer)
-		}
-		runCtx := c.Ctx
-		if rec != nil {
-			runCtx = obs.With(c.Ctx, rec)
-		}
+		met := obs.NewMetrics()
+		runCtx := obs.With(c.Ctx, obs.Tee(met, c.Observer))
 		start := time.Now()
-		g, engine, err := runRecovered(func() (*table.GenTable, *cluster.AggloStats, error) {
-			return j.run(runCtx)
-		})
+		g, err := runRecovered(func() (*table.GenTable, error) { return j.run(runCtx) })
 		switch {
 		case err != nil && ctxDone(c.Ctx):
 			// The suite itself is being cancelled; EachCtx surfaces
@@ -353,7 +335,6 @@ func (c Config) RunBlock(dataset string, m MeasureKind) (*Block, error) {
 			r.Error = err.Error()
 		default:
 			r.Loss = loss.TableLoss(meas, g)
-			r.Engine = engine
 			if c.Verify {
 				r.Verified = j.verify(g, j.k)
 				if !r.Verified {
@@ -371,7 +352,7 @@ func (c Config) RunBlock(dataset string, m MeasureKind) (*Block, error) {
 			}
 		}
 		r.Millis = time.Since(start).Milliseconds()
-		if met != nil && r.Error == "" {
+		if r.Error == "" {
 			st := met.Snapshot()
 			st.Notion = j.algorithm
 			st.Workers = par.Workers(c.Workers)
@@ -380,11 +361,6 @@ func (c Config) RunBlock(dataset string, m MeasureKind) (*Block, error) {
 		}
 		if c.Deterministic {
 			r.Millis = 0
-			if r.Engine != nil {
-				e := *r.Engine
-				e.InitNanos, e.SelectNanos, e.RepairNanos, e.AbsorbNanos = 0, 0, 0, 0
-				r.Engine = &e
-			}
 			if r.Obs != nil {
 				r.Obs.Normalize()
 			}
@@ -445,18 +421,18 @@ func ctxDone(ctx context.Context) bool { return par.Done(ctx) }
 // runRecovered invokes one run under par.Recover, converting a panic —
 // including panics raised inside the run's own pool helpers — into an
 // error, so a single failing run cannot kill the block.
-func runRecovered(fn func() (*table.GenTable, *cluster.AggloStats, error)) (g *table.GenTable, st *cluster.AggloStats, err error) {
+func runRecovered(fn func() (*table.GenTable, error)) (g *table.GenTable, err error) {
 	err = par.Recover(func() error {
-		g, st, err = fn()
+		g, err = fn()
 		return err
 	})
 	if tp, ok := err.(*par.TaskPanic); ok {
 		// The redacted form keeps the panic payload — which may embed
 		// record values — out of Run.Error, which is checkpointed as
 		// JSONL and printed by the CLIs (DESIGN.md §16).
-		return nil, nil, fmt.Errorf("run panicked: %s", redact.Panic(tp.Value))
+		return nil, fmt.Errorf("run panicked: %s", redact.Panic(tp.Value))
 	}
-	return g, st, err
+	return g, err
 }
 
 // complete reports whether the series has a loss for every k — a series

@@ -219,41 +219,3 @@ func TestLogOutput(t *testing.T) {
 		t.Error("no progress lines logged")
 	}
 }
-
-// TestMetricsAttached checks the Config.Metrics plumbing: with it set,
-// every successful run row carries its engine RunStats; without it, rows
-// stay lean.
-func TestMetricsAttached(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Verify = false
-	cfg.Metrics = true
-	blk, err := cfg.RunBlock("ART", EM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blk.Runs) == 0 {
-		t.Fatal("no runs")
-	}
-	for _, r := range blk.Runs {
-		if r.Error != "" {
-			continue
-		}
-		if r.Obs == nil {
-			t.Fatalf("run %s/k=%d has no metrics", r.Algorithm, r.K)
-		}
-		if len(r.Obs.Counters) == 0 || r.Obs.Records == 0 {
-			t.Errorf("run %s/k=%d metrics empty: %+v", r.Algorithm, r.K, r.Obs)
-		}
-	}
-
-	cfg.Metrics = false
-	blk2, err := cfg.RunBlock("ART", EM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range blk2.Runs {
-		if r.Obs != nil {
-			t.Fatalf("run %s/k=%d carries metrics without Config.Metrics", r.Algorithm, r.K)
-		}
-	}
-}

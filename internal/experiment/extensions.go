@@ -21,9 +21,9 @@ func datagenAdult(n int, seed int64) *datagen.Dataset { return datagen.Adult(n, 
 func nowMillis() int64 { return time.Now().UnixMilli() }
 
 // RecodingResult is one row of the local-vs-global recoding ablation
-// (E15): the loss of local-recoding pipelines against the optimal
-// full-domain (global-recoding) generalization, quantifying the utility
-// argument of Section III for local recoding.
+// (E15, built by RunRecoding): the loss of local-recoding pipelines
+// against the optimal full-domain (global-recoding) generalization,
+// quantifying the utility argument of Section III for local recoding.
 type RecodingResult struct {
 	Dataset string
 	Measure MeasureKind
@@ -35,40 +35,69 @@ type RecodingResult struct {
 	Levels     []int   // the chosen full-domain level vector
 }
 
-// RunRecoding runs E15 on one dataset.
-func (c Config) RunRecoding(dataset string, m MeasureKind) ([]RecodingResult, error) {
+// queryReleases names E16's releases in the order RunRecoding evaluates
+// them.
+var queryReleases = [...]string{"k-anon", "forest", "kk", "full-domain"}
+
+// RunRecoding runs E15 and E16 on one dataset under the entropy measure.
+// Both contrast local with full-domain recoding on the same releases, so
+// one pass builds the d3 agglomerative, forest, Algorithm 4+5 and
+// full-domain releases once per k, and returns E15's loss rows and E16's
+// query-error rows for a fixed random workload of numQueries COUNT
+// queries.
+func (c Config) RunRecoding(dataset string, numQueries int) ([]RecodingResult, []QueryResult, error) {
 	ds, err := c.dataset(dataset)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	s, meas, err := newSpace(ds, m)
+	s, meas, err := newSpace(ds, EM)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var out []RecodingResult
+	rng := rand.New(rand.NewSource(c.Seed + 1000))
+	queries, err := workload.Generate(rng, ds.Hiers, numQueries, 2)
+	if err != nil {
+		return nil, nil, err
+	}
+	var recs []RecodingResult
+	var qs []QueryResult
 	for _, k := range c.Ks {
-		res := RecodingResult{Dataset: dataset, Measure: m, K: k}
-		gL, _, _, err := core.KAnonymizeStatsCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{K: k, Workers: c.Workers})
-		if err != nil {
-			return nil, err
+		wrap := func(name string, err error) error {
+			return fmt.Errorf("experiment: %s at k=%d: %w", name, k, err)
 		}
-		res.LocalKAnon = loss.TableLoss(meas, gL)
+		gK, err := core.KAnonymizeCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{K: k, Workers: c.Workers})
+		if err != nil {
+			return nil, nil, wrap("k-anon", err)
+		}
+		gF, _, err := core.ForestCtx(c.Ctx, s, ds.Table, k)
+		if err != nil {
+			return nil, nil, wrap("forest", err)
+		}
 		gKK, err := core.KKAnonymizeCtx(c.Ctx, s, ds.Table, k, core.K1ByExpansion, nil, nil, c.Workers)
 		if err != nil {
-			return nil, err
+			return nil, nil, wrap("kk", err)
 		}
-		res.LocalKK = loss.TableLoss(meas, gKK)
 		gFD, levels, err := core.FullDomainCtx(c.Ctx, s, ds.Table, k)
 		if err != nil {
-			return nil, err
+			return nil, nil, wrap("full-domain", err)
 		}
-		res.FullDomain = loss.TableLoss(meas, gFD)
-		res.Levels = levels
+		res := RecodingResult{Dataset: dataset, Measure: EM, K: k,
+			LocalKAnon: loss.TableLoss(meas, gK),
+			LocalKK:    loss.TableLoss(meas, gKK),
+			FullDomain: loss.TableLoss(meas, gFD),
+			Levels:     levels,
+		}
+		recs = append(recs, res)
 		c.logf("done %-8s %-2s recoding          k=%-3d local=%.4f kk=%.4f full-domain=%.4f",
-			dataset, m, k, res.LocalKAnon, res.LocalKK, res.FullDomain)
-		out = append(out, res)
+			dataset, EM, k, res.LocalKAnon, res.LocalKK, res.FullDomain)
+		for i, g := range []*table.GenTable{gK, gF, gKK, gFD} {
+			name := queryReleases[i]
+			acc := workload.Evaluate(ds.Table, g, ds.Hiers, queries)
+			qs = append(qs, QueryResult{Dataset: dataset, K: k, Algorithm: name, Accuracy: acc})
+			c.logf("done %-8s %-2s queries:%-10s k=%-3d meanerr=%.4f", dataset, EM, name, k, acc.MeanRelError)
+		}
 	}
-	return out, nil
+	return recs, qs, nil
 }
 
 // FormatRecoding renders E15.
@@ -88,67 +117,14 @@ func FormatRecoding(results []RecodingResult) string {
 	return b.String()
 }
 
-// QueryResult is one row of the workload-accuracy experiment (E16): the
-// relative error of COUNT queries answered from each release.
+// QueryResult is one row of the workload-accuracy experiment (E16, built
+// by RunRecoding): the relative error of COUNT queries answered from each
+// release.
 type QueryResult struct {
 	Dataset   string
 	K         int
 	Algorithm string
 	Accuracy  workload.Accuracy
-}
-
-// RunQueries runs E16 on one dataset: a fixed random workload of count
-// queries evaluated against every pipeline's release under the entropy
-// measure.
-func (c Config) RunQueries(dataset string, numQueries int) ([]QueryResult, error) {
-	ds, err := c.dataset(dataset)
-	if err != nil {
-		return nil, err
-	}
-	s, _, err := newSpace(ds, EM)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(c.Seed + 1000))
-	queries, err := workload.Generate(rng, ds.Hiers, numQueries, 2)
-	if err != nil {
-		return nil, err
-	}
-
-	type pipeline struct {
-		name string
-		gen  func(k int) (*table.GenTable, error)
-	}
-	pipelines := []pipeline{
-		{"k-anon", func(k int) (*table.GenTable, error) {
-			g, _, _, err := core.KAnonymizeStatsCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{K: k, Workers: c.Workers})
-			return g, err
-		}},
-		{"forest", func(k int) (*table.GenTable, error) {
-			g, _, err := core.ForestCtx(c.Ctx, s, ds.Table, k)
-			return g, err
-		}},
-		{"kk", func(k int) (*table.GenTable, error) {
-			return core.KKAnonymizeCtx(c.Ctx, s, ds.Table, k, core.K1ByExpansion, nil, nil, c.Workers)
-		}},
-		{"full-domain", func(k int) (*table.GenTable, error) {
-			g, _, err := core.FullDomainCtx(c.Ctx, s, ds.Table, k)
-			return g, err
-		}},
-	}
-	var out []QueryResult
-	for _, k := range c.Ks {
-		for _, p := range pipelines {
-			g, err := p.gen(k)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: %s at k=%d: %w", p.name, k, err)
-			}
-			acc := workload.Evaluate(ds.Table, g, ds.Hiers, queries)
-			out = append(out, QueryResult{Dataset: dataset, K: k, Algorithm: p.name, Accuracy: acc})
-			c.logf("done %-8s %-2s queries:%-10s k=%-3d meanerr=%.4f", dataset, "EM", p.name, k, acc.MeanRelError)
-		}
-	}
-	return out, nil
 }
 
 // FormatQueries renders E16.
@@ -198,7 +174,7 @@ func (c Config) RunScale(sizes []int, k, maxChunk, skipPlainAbove int) ([]ScaleR
 		}
 		if n <= skipPlainAbove {
 			start := nowMillis()
-			g, _, _, err := core.KAnonymizeStatsCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{K: k, Workers: c.Workers})
+			g, err := core.KAnonymizeCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{K: k, Workers: c.Workers})
 			if err != nil {
 				return nil, err
 			}
@@ -272,13 +248,13 @@ func (c Config) RunDiversity(dataset string, l int) ([]DiversityResult, error) {
 	var out []DiversityResult
 	for _, k := range c.Ks {
 		res := DiversityResult{Dataset: dataset, K: k, L: l}
-		gP, _, _, err := core.KAnonymizeStatsCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{K: k, Workers: c.Workers})
+		gP, err := core.KAnonymizeCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{K: k, Workers: c.Workers})
 		if err != nil {
 			return nil, err
 		}
 		res.PlainKAnonLoss = loss.TableLoss(meas, gP)
 		diverse := []cluster.Constraint{cluster.DistinctLDiversity(l)}
-		gD, _, _, err := core.KAnonymizeStatsCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{K: k, Workers: c.Workers, Constraints: diverse, Sensitive: ds.Sensitive})
+		gD, err := core.KAnonymizeCtx(c.Ctx, s, ds.Table, cluster.AggloOptions{K: k, Workers: c.Workers, Constraints: diverse, Sensitive: ds.Sensitive})
 		if err != nil {
 			return nil, err
 		}

@@ -8,7 +8,7 @@ import (
 func TestRunRecoding(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Ks = []int{3}
-	results, err := cfg.RunRecoding("ART", EM)
+	results, _, err := cfg.RunRecoding("ART", 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestRunRecoding(t *testing.T) {
 func TestRunQueries(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Ks = []int{3}
-	results, err := cfg.RunQueries("CMC", 50)
+	_, results, err := cfg.RunRecoding("CMC", 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +108,7 @@ func TestRunScale(t *testing.T) {
 
 func TestRunExtensionsUnknownDataset(t *testing.T) {
 	cfg := tinyConfig()
-	if _, err := cfg.RunRecoding("NOPE", EM); err == nil {
-		t.Error("expected unknown dataset error")
-	}
-	if _, err := cfg.RunQueries("NOPE", 10); err == nil {
+	if _, _, err := cfg.RunRecoding("NOPE", 10); err == nil {
 		t.Error("expected unknown dataset error")
 	}
 	if _, err := cfg.RunDiversity("NOPE", 2); err == nil {

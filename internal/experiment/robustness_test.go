@@ -188,8 +188,8 @@ func TestRunBlockSuiteCancel(t *testing.T) {
 	}
 }
 
-// TestRunExtensionsCancel hands the attack (E20) and scale (E19)
-// experiments an already-cancelled Config.Ctx: each must stop with
+// TestRunExtensionsCancel hands the attack (E20), scale (E19) and
+// recoding (E15/E16) experiments an already-cancelled Config.Ctx: each must stop with
 // context.Canceled and no rows, rather than run its pipelines to the end.
 func TestRunExtensionsCancel(t *testing.T) {
 	cfg := robustConfig()
@@ -210,5 +210,12 @@ func TestRunExtensionsCancel(t *testing.T) {
 	}
 	if len(scale) != 0 {
 		t.Errorf("RunScale: %d rows from a cancelled run", len(scale))
+	}
+	rec, qs, err := cfg.RunRecoding("ART", 10)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("RunRecoding: err = %v, want context.Canceled", err)
+	}
+	if len(rec)+len(qs) != 0 {
+		t.Errorf("RunRecoding: %d rows from a cancelled run", len(rec)+len(qs))
 	}
 }

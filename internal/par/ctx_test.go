@@ -9,30 +9,37 @@ import (
 	"time"
 )
 
-func TestForCtxNilContextRunsEverything(t *testing.T) {
+// TestEachCtxNilContextRunsEverything: a nil context never reports done,
+// so both entries run every index and return nil.
+func TestEachCtxNilContextRunsEverything(t *testing.T) {
 	p := New(4)
 	defer p.Close()
 	var ran atomic.Int64
-	if err := p.ForCtx(nil, 1000, 1, func(i int) { ran.Add(1) }); err != nil {
-		t.Fatalf("ForCtx(nil ctx) = %v", err)
+	if err := p.EachCtx(nil, 1000, func(i int) { ran.Add(1) }); err != nil {
+		t.Fatalf("EachCtx(nil ctx) = %v", err)
 	}
-	if ran.Load() != 1000 {
-		t.Fatalf("ran %d of 1000", ran.Load())
+	if _, err := p.ForSpansCtx(nil, 1000, 1, func(lo, hi, _ int) { ran.Add(int64(hi - lo)) }); err != nil {
+		t.Fatalf("ForSpansCtx(nil ctx) = %v", err)
+	}
+	if ran.Load() != 2000 {
+		t.Fatalf("ran %d of 2000", ran.Load())
 	}
 }
 
-func TestForCtxAlreadyCancelled(t *testing.T) {
+func TestEachCtxAlreadyCancelled(t *testing.T) {
 	p := New(4)
 	defer p.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var ran atomic.Int64
-	err := p.ForCtx(ctx, 1000, 1, func(i int) { ran.Add(1) })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran.Load() != 0 {
-		t.Fatalf("%d indices ran under a pre-cancelled context", ran.Load())
+	for _, n := range []int{1, 1000} {
+		var ran atomic.Int64
+		err := p.EachCtx(ctx, n, func(i int) { ran.Add(1) })
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("n=%d: err = %v, want context.Canceled", n, err)
+		}
+		if ran.Load() != 0 {
+			t.Fatalf("n=%d: %d indices ran under a pre-cancelled context", n, ran.Load())
+		}
 	}
 }
 
@@ -86,7 +93,7 @@ func TestPanicInTaskIsContained(t *testing.T) {
 	defer p.Close()
 	each := func(n int) func() {
 		return func() {
-			p.Each(n, func(i int) {
+			_ = p.EachCtx(context.Background(), n, func(i int) {
 				if i == n/2 {
 					panic("boom")
 				}
@@ -98,8 +105,8 @@ func TestPanicInTaskIsContained(t *testing.T) {
 		crossed bool // the panic crossed the pool
 		run     func()
 	}{
-		{"Each/sequential", false, each(1)},
-		{"Each/parallel", true, each(100)},
+		{"EachCtx/sequential", false, each(1)},
+		{"EachCtx/parallel", true, each(100)},
 		{"ForSpansCtx/spans>1", true, func() {
 			_, _ = p.ForSpansCtx(context.Background(), 100, 1, func(lo, hi, span int) {
 				if span == 1 {
@@ -129,7 +136,7 @@ func TestPanicInTaskIsContained(t *testing.T) {
 	}
 	// The pool must remain usable after containing a panic.
 	var ran atomic.Int64
-	p.Each(100, func(i int) { ran.Add(1) })
+	_ = p.EachCtx(nil, 100, func(i int) { ran.Add(1) })
 	if ran.Load() != 100 {
 		t.Fatalf("pool broken after panic: ran %d of 100", ran.Load())
 	}
@@ -207,10 +214,10 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for trial := 0; trial < 3; trial++ {
 		p := New(8)
-		p.Each(100, func(i int) {})
+		_ = p.EachCtx(nil, 100, func(i int) {})
 		func() {
 			defer func() { recover() }()
-			p.Each(100, func(i int) {
+			_ = p.EachCtx(nil, 100, func(i int) {
 				if i == 50 {
 					panic("boom")
 				}

@@ -4,11 +4,11 @@
 //
 // The pool offers two scheduling disciplines:
 //
-//   - For / ForSpans shard an index range into contiguous spans whose
+//   - ForSpans shards an index range into contiguous spans whose
 //     boundaries depend only on (n, grain, Size()) — never on scheduling —
 //     so deterministic engines can fan out work and still produce
 //     bit-identical results at any worker count;
-//   - Each hands out indices dynamically (an atomic cursor), which suits
+//   - EachCtx hands out indices dynamically (an atomic cursor), which suits
 //     heterogeneous tasks such as whole experiment cells. Callers must
 //     confine writes per index, which also keeps results deterministic.
 //
@@ -75,7 +75,7 @@ func Workers(requested int) int {
 // between helper and inline execution depends on timing, so these are
 // observability gauges (obs.KindSched), not deterministic totals.
 type PoolStats struct {
-	// Spans counts spans handed out by For/ForSpans (including the single
+	// Spans counts spans handed out by ForSpans (including the single
 	// span of sequential fallbacks).
 	Spans int64
 	// HelperTasks counts tasks that ran on a helper goroutine.
@@ -278,45 +278,13 @@ func (p *Pool) forSpans(ctx context.Context, n, grain int, fn func(lo, hi, span 
 	return spans, nil
 }
 
-// For runs fn(i) for every i in [0, n), sharded into contiguous spans of at
-// least grain indices. fn must confine its writes to per-index state.
-func (p *Pool) For(n, grain int, fn func(i int)) {
-	p.ForSpans(n, grain, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
-
-// ForCtx is For under a context: the per-span index loops stop handing fn
-// new indices once ctx is done, and the call returns ctx.Err().
-func (p *Pool) ForCtx(ctx context.Context, n, grain int, fn func(i int)) error {
-	_, err := p.forSpans(ctx, n, grain, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			if done(ctx) {
-				return
-			}
-			fn(i)
-		}
-	})
-	return err
-}
-
-// Each runs fn(i) for every i in [0, n) with dynamic scheduling: workers
+// EachCtx runs fn(i) for every i in [0, n) with dynamic scheduling: workers
 // pull the next index from a shared atomic cursor, so long tasks do not
 // stall a whole span. Use for heterogeneous task durations. fn must confine
 // its writes to per-index state, which also keeps results deterministic.
-func (p *Pool) Each(n int, fn func(i int)) {
-	p.each(nil, n, fn)
-}
-
-// EachCtx is Each under a context: once ctx is done no further indices are
-// handed out, indices already running drain, and ctx.Err() is returned.
+// Once ctx is done no further indices are handed out, indices already
+// running drain, and ctx.Err() is returned; a nil ctx runs every index.
 func (p *Pool) EachCtx(ctx context.Context, n int, fn func(i int)) error {
-	return p.each(ctx, n, fn)
-}
-
-func (p *Pool) each(ctx context.Context, n int, fn func(i int)) error {
 	if n <= 0 || done(ctx) {
 		if ctx != nil {
 			return ctx.Err()

@@ -404,7 +404,7 @@ func (f auditFixture) release(t testing.TB, notion string, k int) *table.GenTabl
 	var err error
 	switch notion {
 	case "k":
-		g, _, _, err = core.KAnonymizeStatsCtx(nil, f.s, f.ds.Table, cluster.AggloOptions{K: k, Workers: 1})
+		g, err = core.KAnonymizeCtx(nil, f.s, f.ds.Table, cluster.AggloOptions{K: k, Workers: 1})
 	case "kk":
 		g, err = core.KKAnonymizeCtx(nil, f.s, f.ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 	case "global":

@@ -108,7 +108,7 @@ func TestAssessKAnonymousBoundsClassRisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 5
-	g, _, _, err := core.KAnonymizeStatsCtx(nil, s, ds.Table, cluster.AggloOptions{K: k})
+	g, err := core.KAnonymizeCtx(nil, s, ds.Table, cluster.AggloOptions{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}

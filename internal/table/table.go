@@ -296,11 +296,15 @@ type GenTable struct {
 }
 
 // NewGen creates a generalized table with n all-zero records (node id 0 per
-// attribute); callers fill the records in.
+// attribute); callers fill the records in. The records share one backing
+// array, each capped at its own length, so appending to one reallocates it
+// rather than overwrite its neighbour.
 func NewGen(s *Schema, n int) *GenTable {
+	r := s.NumAttrs()
+	flat := make([]int, n*r)
 	g := &GenTable{Schema: s, Records: make([]GenRecord, n)}
 	for i := range g.Records {
-		g.Records[i] = make(GenRecord, s.NumAttrs())
+		g.Records[i] = flat[i*r : (i+1)*r : (i+1)*r]
 	}
 	return g
 }

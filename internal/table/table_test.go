@@ -233,6 +233,25 @@ func TestNewGen(t *testing.T) {
 	}
 }
 
+// TestNewGenRowsIsolated: the rows share one backing array, so each must
+// be capped at its own length — an append to one row may not write into
+// the next.
+func TestNewGenRowsIsolated(t *testing.T) {
+	g := NewGen(testSchema(t), 3)
+	g.Records[1][0], g.Records[1][1] = 4, 5
+	grown := append(g.Records[0], 9)
+	grown[0] = 6
+	if !g.Records[1].Equal(GenRecord{4, 5}) {
+		t.Errorf("append to row 0 overwrote row 1: %v", g.Records[1])
+	}
+	if !g.Records[0].Equal(GenRecord{0, 0}) {
+		t.Errorf("append to row 0 wrote through to it: %v", g.Records[0])
+	}
+	if !grown.Equal(GenRecord{6, 0, 9}) {
+		t.Errorf("grown row = %v", grown)
+	}
+}
+
 func TestGenTableClone(t *testing.T) {
 	g := NewGen(testSchema(t), 1)
 	g.Records[0][0] = 7

@@ -109,7 +109,7 @@ func TestEstimateMassConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, _, err := core.KAnonymizeStatsCtx(nil, s, ds.Table, cluster.AggloOptions{K: 5})
+	g, err := core.KAnonymizeCtx(nil, s, ds.Table, cluster.AggloOptions{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -411,7 +411,7 @@ func AnonymizeContext(ctx context.Context, t *Table, opt Options) (*Result, erro
 		}
 		res.gen, _, _, err = core.KAnonymizePartitionedReportCtx(ctx, s, t.tbl, popt)
 	default:
-		res.gen, _, _, err = core.KAnonymizeStatsCtx(ctx, s, t.tbl, cluster.AggloOptions{
+		res.gen, err = core.KAnonymizeCtx(ctx, s, t.tbl, cluster.AggloOptions{
 			K: opt.K, Distance: dist, Modified: opt.Algorithm == AlgModified, Workers: opt.Workers,
 			Constraints: clusterCons, Sensitive: t.sensitive,
 		})
