@@ -16,8 +16,8 @@ import (
 // Observability phases of the engine (obs.KindPhaseStart/End); the
 // partitioned pipeline re-enters them once per chunk.
 const (
-	// PhaseInit is singleton construction plus the initial O(n²)
-	// nearest-neighbour build.
+	// PhaseInit is singleton construction plus the initial
+	// nearest-neighbour build (buildNN: trie search or tiled).
 	PhaseInit = "cluster.init"
 	// PhaseMerge is the main merge loop, including nearest-neighbour repair.
 	PhaseMerge = "cluster.merge"
@@ -81,7 +81,7 @@ type AggloStats struct {
 	// Worker-invariant (tile geometry depends only on sizes, not sharding).
 	TilesScanned int64 `json:"tiles_scanned"`
 	// InitNanos is the wall time of singleton construction plus the initial
-	// O(n²) nearest-neighbour build.
+	// nearest-neighbour build.
 	InitNanos int64 `json:"init_ns"`
 	// SelectNanos is the wall time of best-pair selection and merge/shrink
 	// bookkeeping across all iterations.
@@ -395,11 +395,11 @@ func (e *Engine) run() error {
 	for i := 0; i < n; i++ {
 		e.pushSingleton(i)
 	}
-	// Initial nearest-neighbour build, blocked into cache-sized tiles over
-	// the kernel arena; it seeds the selection heap. Every record is a
-	// cancellation checkpoint, bounding the engine's reaction latency to
-	// one block per worker.
-	err := e.buildNNTiled(n)
+	// Initial nearest-neighbour build (buildNN: trie search or tiled);
+	// it seeds the selection heap. Every record is a cancellation
+	// checkpoint, bounding the engine's reaction latency to one block per
+	// worker.
+	err := e.buildNN(n)
 	e.stats.InitNanos = time.Since(t0).Nanoseconds()
 	endInit()
 	if err != nil {

@@ -105,6 +105,42 @@ func BenchmarkAgglomerateLarge(b *testing.B) {
 	}
 }
 
+// BenchmarkNNInit times the two initial neighbour builds alone on ADT
+// (entropy, d3, one worker): the trie search (buildNNTrie) and the tiled
+// all-pairs build (buildNNTiled), each called directly whatever the
+// crossover picks. The state before the build (singletons pushed) is set
+// up outside the timer.
+func BenchmarkNNInit(b *testing.B) {
+	for _, n := range []int{5000, 10000} {
+		s, ds := benchSpace(b, n)
+		for _, path := range []string{"trie", "tiled"} {
+			b.Run(fmt.Sprintf("%s/n=%d", path, n), func(b *testing.B) {
+				e := NewEngine(s, AggloOptions{K: 10, Distance: D3{}, Workers: 1}, n)
+				defer e.Close(nil)
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					e.tbl = ds.Table
+					e.prepare(n)
+					for r := 0; r < n; r++ {
+						e.pushSingleton(r)
+					}
+					cmax, _ := e.kern.trieBound(n)
+					b.StartTimer()
+					var err error
+					if path == "trie" {
+						err = e.buildNNTrie(n, cmax)
+					} else {
+						err = e.buildNNTiled(n)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkDistKernel is the inner-loop microbenchmark: one dist(A, B)
 // evaluation through the flat kernel (one candidate priced against A's
 // loaded cost strip, then evaluated and offered to a neighbour list by the

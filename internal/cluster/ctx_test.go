@@ -219,3 +219,23 @@ func TestAgglomerateCtxCancelDuringInitScanIsPrompt(t *testing.T) {
 		t.Fatalf("cancellation took %v, want < 500ms", elapsed)
 	}
 }
+
+// TestTrieInitCancel cancels a run above the crossover, whose initial
+// lists come from the trie search, at polls spread over that search (one
+// per record) and right after it, at workers 1 and 2: each run must
+// return context.Canceled with no clusters.
+func TestTrieInitCancel(t *testing.T) {
+	n := nnTrieRecords
+	s, tbl := adultSpace(t, n)
+	for _, w := range []int{1, 2} {
+		for _, at := range []int64{1, 2, int64(n / 2), int64(n), int64(n + 3)} {
+			clusters, _, err := AgglomerateStatsCtx(newPollCtx(at), s, tbl, AggloOptions{K: 10, Distance: D3{}, Workers: w})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d cancelled at poll %d: err = %v, want context.Canceled", w, at, err)
+			}
+			if clusters != nil {
+				t.Fatalf("workers=%d cancelled at poll %d: partial clusters returned", w, at)
+			}
+		}
+	}
+}

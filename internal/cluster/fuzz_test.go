@@ -58,7 +58,8 @@ func fuzzTable(data []byte) (*table.Table, []int) {
 // neighbour-cache depth must equal the sequential one exactly, and the
 // engine must equal the naive oracle (oracle_test.go)
 // exactly — including under ℓ-diversity and t-closeness constraints (mode
-// bits 2 and 4).
+// bits 2 and 4) — and the trie-searched initial lists must equal the tiled
+// build's.
 func FuzzAgglomerate(f *testing.F) {
 	f.Add([]byte{0x00}, uint8(2), uint8(0), uint8(0))
 	f.Add([]byte{0x01, 0x02, 0x13, 0x24, 0x35, 0x46, 0x57, 0x68, 0x79, 0x8a}, uint8(3), uint8(2), uint8(1))
@@ -115,6 +116,11 @@ func FuzzAgglomerate(f *testing.F) {
 			return
 		}
 		assertSameClustering(t, "fuzz engine vs oracle", ref, seq)
+		// The tables are below the crossover; the trie search, called
+		// directly, must build the tiled build's lists.
+		if tbl.Len() >= 2 {
+			checkInitLists(t, "fuzz trie", s, tbl, opt.Distance, []int{2}, []int{1, 2})
+		}
 		minSize := opt.K
 		if minSize < 1 {
 			minSize = 1

@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"kanon/internal/datagen"
 	"kanon/internal/loss"
+	"kanon/internal/obs"
 	"kanon/internal/table"
 )
 
@@ -182,6 +185,43 @@ func TestAgglomerateStatsCounters(t *testing.T) {
 	}
 	if seqStats.TilesScanned == 0 {
 		t.Error("TilesScanned = 0 on the lazy path")
+	}
+}
+
+// TestTrieInitCountersWorkerInvariant runs the engine above the crossover,
+// where the initial lists come from the trie search, at workers 1 and 4:
+// the clusterings and every observed counter must agree, the trie's
+// cluster.init.bound_sums included, and the initial scans must have priced
+// fewer than the n·(n−1) ordered pairs the tiled build evaluates.
+func TestTrieInitCountersWorkerInvariant(t *testing.T) {
+	n := nnTrieRecords
+	s, tbl := adultSpace(t, n)
+	var base obs.RunStats
+	var seq []*Cluster
+	for _, w := range []int{1, 4} {
+		met := obs.NewMetrics()
+		got, st, err := AgglomerateStatsCtx(obs.With(context.Background(), met), s, tbl, AggloOptions{K: 10, Distance: D3{}, Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := met.Snapshot()
+		if w == 1 {
+			base, seq = snap, got
+			if snap.Counter(obs.CounterInitBoundSums) == 0 {
+				t.Fatalf("no %s: the run did not take the trie search", obs.CounterInitBoundSums)
+			}
+			if ev := snap.Counter(PhaseInit + ".scan_evals"); ev <= 0 || ev >= int64(n)*int64(n-1) {
+				t.Errorf("%s.scan_evals = %d, want in (0, n(n−1) = %d)", PhaseInit, ev, n*(n-1))
+			}
+			if st.DistEvals != snap.Counter("cluster.dist_evals") {
+				t.Errorf("DistEvals %d, observed %d", st.DistEvals, snap.Counter("cluster.dist_evals"))
+			}
+			continue
+		}
+		assertSameClustering(t, fmt.Sprintf("workers=%d", w), seq, got)
+		if !reflect.DeepEqual(snap.Counters, base.Counters) {
+			t.Errorf("workers=%d: counters differ from the sequential run:\n  seq: %v\n  got: %v", w, base.Counters, snap.Counters)
+		}
 	}
 }
 

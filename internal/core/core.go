@@ -96,15 +96,6 @@ func (c *costRows) load(u []int) {
 	}
 }
 
-// loadBound points the rows at the root-path cost envelopes of closure u
-// (cluster.Space.LCABoundRow). pairCost then returns a lower bound on
-// c(w + rec) for every closure w that generalizes u.
-func (c *costRows) loadBound(u []int) {
-	for a, row := range c.rows {
-		c.rows[a] = c.s.LCABoundRow(a, u[a], row)
-	}
-}
-
 // pairCost returns c(u + rec), the generalization cost of the closure
 // covering u and the record. With u = R_i it is d({R_i, R_j}), the edge
 // weight of the forest algorithm and of Algorithm 3.

@@ -379,7 +379,7 @@ func checkCoreEquivalence(t *testing.T, label string, s *cluster.Space, tbl *tab
 // trieDepth returns the depth L of Algorithm 4's prefix trie over tbl: 0
 // when the distinct first values number more than n/4, r for a table of
 // duplicates (at n ≥ 4).
-func trieDepth(tbl *table.Table) int { return newK1Trie(tbl).depth }
+func trieDepth(tbl *table.Table) int { return cluster.NewRecordTrie(tbl).Depth() }
 
 // TestCoreScansMatchOracle is the equivalence matrix: datasets {ADT, ART,
 // testSpace, testSpace with a cost dip, distinct first attribute, all
@@ -462,7 +462,7 @@ func TestK1ExpandFlatBound(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertSameGen(t, label, want, got)
-			sc := newExpandScan(c.s, newK1Trie(c.tbl), n)
+			sc := newExpandScan(c.s, cluster.NewRecordTrie(c.tbl), n)
 			out := make(table.GenRecord, c.s.NumAttrs())
 			for i := 0; i < n; i++ {
 				if evals, visits := sc.grow(c.tbl, i, k, out); evals+visits > int64(k*(n-1)) {

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"kanon/internal/cluster"
 	"kanon/internal/obs"
@@ -77,9 +75,9 @@ func K1NearestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, wo
 // Each growth step picks the least (dist, j), exactly as a full sweep in
 // ascending j would, but prices only the candidates that can still win:
 // the candidates are reached best-first through a prefix trie over the
-// records (k1Trie), in the order of a lower bound on their cost that holds
-// for all k−1 steps, and a step settles once every bound left exceeds the
-// best cost found (expandScan). At k = n every S_i is the whole table, so
+// records (cluster.RecordTrie), in the order of a lower bound on their
+// cost that holds for all k−1 steps, and a step settles once every bound
+// left exceeds the best cost found (expandScan). At k = n every S_i is the whole table, so
 // every R̄_i is the table's closure, found with no scan.
 func K1ExpandCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, workers int) (*table.GenTable, error) {
 	n := tbl.Len()
@@ -96,7 +94,7 @@ func K1ExpandCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, wor
 			widen(s, whole, rec)
 		}
 	}
-	t := newK1Trie(tbl)
+	t := cluster.NewRecordTrie(tbl)
 	p := par.New(workers)
 	defer p.Close()
 	visits := make([]int64, p.Size()) // per span
@@ -124,105 +122,6 @@ func K1ExpandCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, wor
 	return g, nil
 }
 
-// k1Trie is Algorithm 4's per-release prefix trie: the records sorted by
-// tuple (ties by index), and for every depth ℓ ≤ L a node per distinct
-// ℓ-prefix, whose records are one run of that order. L is the deepest
-// depth whose distinct prefixes number at most n/4: levels are expanded
-// only while prefixes are shared, and below L a node's records are
-// finished one by one. The rule reads only the input.
-type k1Trie struct {
-	depth int     // L
-	recs  []int32 // record indices sorted by (tuple, index)
-	vals  []int32 // their tuples in that order, r values each, value v of attribute a as off[a]+v
-	off   []int   // off[a]: where attribute a's values start in a row of all attributes' values
-	nodes []k1Node
-}
-
-// k1Node is one trie node: the prefix of its records' first depth values.
-// Node 0 is the root (the empty prefix); the nodes are in level order, so a
-// node's children are one run of the next level.
-type k1Node struct {
-	lo, hi   int32 // the node's records, recs[lo:hi]
-	kid, end int32 // its children, nodes[kid:end] (none at depth L)
-	depth    int32
-	val      int32 // the value at attribute depth−1, as in vals (unused at the root)
-}
-
-func newK1Trie(tbl *table.Table) *k1Trie {
-	n, r := tbl.Len(), tbl.Schema.NumAttrs()
-	recs := make([]int32, n)
-	for j := range recs {
-		recs[j] = int32(j)
-	}
-	slices.SortFunc(recs, func(x, y int32) int {
-		if c := slices.Compare(tbl.Records[x], tbl.Records[y]); c != 0 {
-			return c
-		}
-		return cmp.Compare(x, y)
-	})
-	// prefixes[ℓ]: the number of distinct ℓ-prefixes, one plus the number
-	// of adjacent sorted pairs that first differ before attribute ℓ.
-	prefixes := make([]int, r+1)
-	for p := 1; p < n; p++ {
-		a, b := tbl.Records[recs[p-1]], tbl.Records[recs[p]]
-		fd := 0
-		for fd < r && a[fd] == b[fd] {
-			fd++
-		}
-		if fd < r {
-			prefixes[fd+1]++
-		}
-	}
-	prefixes[0] = 1
-	depth, total := 0, 1
-	for l := 1; l <= r; l++ {
-		prefixes[l] += prefixes[l-1]
-		if 4*prefixes[l] > n {
-			break
-		}
-		depth, total = l, total+prefixes[l]
-	}
-	off := make([]int, r+1)
-	for a, attr := range tbl.Schema.Attrs {
-		off[a+1] = off[a] + attr.Size()
-	}
-	vals := make([]int32, 0, n*r)
-	for _, j := range recs {
-		for a, v := range tbl.Records[j] {
-			vals = append(vals, int32(off[a]+v))
-		}
-	}
-	nodes := make([]k1Node, 1, total)
-	nodes[0] = k1Node{hi: int32(n)}
-	for u := 0; u < len(nodes) && int(nodes[u].depth) < depth; u++ {
-		nd, a := nodes[u], int(nodes[u].depth)
-		nodes[u].kid = int32(len(nodes))
-		for p := nd.lo; p < nd.hi; {
-			v := vals[int(p)*r+a]
-			q := p + 1
-			for q < nd.hi && vals[int(q)*r+a] == v {
-				q++
-			}
-			nodes = append(nodes, k1Node{lo: p, hi: q, depth: int32(a + 1), val: v})
-			p = q
-		}
-		nodes[u].end = int32(len(nodes))
-	}
-	return &k1Trie{depth: depth, recs: recs, vals: vals, off: off, nodes: nodes}
-}
-
-// k1Buckets is the number of buckets of an Algorithm 4 record's frontier.
-const k1Buckets = 64
-
-// k1Entry is one frontier entry: a trie node (ref = ^node) or a candidate
-// record (ref = its position in k1Trie.recs), keyed by its partial or full
-// bound sum. Entry b < k1Buckets is bucket b's head sentinel.
-type k1Entry struct {
-	sum  float64
-	ref  int32
-	next int32 // the next entry of the same bucket, or −1
-}
-
 // expandScan is one worker span's scratch for Algorithm 4, reused across
 // its records so that a record allocates nothing.
 //
@@ -235,42 +134,33 @@ type k1Entry struct {
 // same ascending attribute order, is ≤ the exact cost bit for bit at every
 // step, for any measure.
 //
-// The search: costs are ≥ 0 (cluster.NewSpace), so the running sum of the
-// envelope entries over a trie node's prefix never exceeds the bound sum of
-// any record below it. A bucket queue keyed by these partial sums holds
-// the frontier of unexpanded nodes and reached records; it lives for all
-// k−1 steps of a record and only grows, so no node is expanded twice and
-// no record summed twice. A step walks the buckets upwards, prices the
-// records that can still win, expands the nodes whose partial sum is at
-// most Ts, the largest s with s/r ≤ the best cost so far, and settles at
-// the first bucket whose every key exceeds Ts.
+// The search: R_i's cluster.Frontier over the shared cluster.RecordTrie
+// lives for all k−1 steps of a record and only grows, so no node is
+// expanded twice and no record summed twice. A step walks the buckets
+// upwards, prices the records that can still win, expands (and unlinks)
+// the nodes whose partial sum is at most Ts, the largest s with s/r ≤ the
+// best cost so far, and settles at the first bucket whose every key
+// exceeds Ts.
 type expandScan struct {
 	s       *cluster.Space
-	t       *k1Trie
+	t       *cluster.RecordTrie
+	f       *cluster.Frontier
 	rows    *costRows // cost rows of S_i's closure
-	bounds  *costRows // envelope rows of R_i
-	cost    []float64 // the value entries of rows, laid out as k1Trie.vals
-	env     []float64 // the value entries of bounds, laid out as k1Trie.vals
+	cost    []float64 // the value entries of rows, laid out as the trie's value rows
 	closure table.GenRecord
 	members []int
 	inS     []bool
-	ent     []k1Entry
-	tail    [k1Buckets]int32
-	hi      float64 // no partial or bound sum exceeds hi
-	scale   float64 // k1Buckets / hi, or 0 when hi is 0 or +Inf
 }
 
-func newExpandScan(s *cluster.Space, t *k1Trie, n int) *expandScan {
+func newExpandScan(s *cluster.Space, t *cluster.RecordTrie, n int) *expandScan {
 	return &expandScan{
 		s:       s,
 		t:       t,
+		f:       cluster.NewFrontier(s, t),
 		rows:    newCostRows(s),
-		bounds:  newCostRows(s),
-		cost:    make([]float64, t.off[len(t.off)-1]),
-		env:     make([]float64, t.off[len(t.off)-1]),
+		cost:    make([]float64, t.Width()),
 		closure: make(table.GenRecord, s.NumAttrs()),
 		inS:     make([]bool, n),
-		ent:     make([]k1Entry, 0, k1Buckets+len(t.nodes)+n),
 	}
 }
 
@@ -283,8 +173,8 @@ func (sc *expandScan) grow(tbl *table.Table, i, k int, out table.GenRecord) (eva
 		copy(out, sc.closure)
 		return 0, 0
 	}
-	sc.reset(tbl.Records[i])
-	sc.push(^0, 0)
+	f := sc.f
+	f.Reset(tbl.Records[i])
 	sc.members = append(sc.members[:0], i)
 	sc.inS[i] = true
 	r := float64(len(sc.rows.rows))
@@ -292,50 +182,49 @@ func (sc *expandScan) grow(tbl *table.Table, i, k int, out table.GenRecord) (eva
 		// d(S ∪ {R_j}) − d(S): the subtrahend is constant over j, so
 		// minimizing d(S ∪ {R_j}) suffices.
 		sc.rows.load(sc.closure)
-		sc.flatten(sc.cost, sc.rows)
+		for a, row := range sc.rows.rows {
+			sc.t.Flatten(sc.cost, a, row)
+		}
 		bestJ, bestD := -1, math.Inf(1)
-		ts, last := bestD, k1Buckets-1
+		ts, last := bestD, cluster.FrontierBuckets-1
 	walk:
 		for b := 0; b <= last; b++ {
 			prev := int32(b)
-			for e := sc.ent[b].next; e >= 0; {
-				en := sc.ent[e]
-				if p := int(en.ref); p >= 0 {
-					prev, e = e, en.next
+			for e := f.Next(prev); e >= 0; {
+				sum, ref := f.Entry(e)
+				if ref >= 0 {
+					prev, e = e, f.Next(e)
 					// Cost ≥ bound = sum/r: skip a candidate that could
 					// neither beat bestD nor tie it from a lower index.
-					if en.sum > ts {
+					if sum > ts {
 						continue
 					}
-					j := int(sc.t.recs[p])
-					if sc.inS[j] || (j > bestJ && en.sum/r == bestD) {
+					j := sc.t.Record(ref)
+					if sc.inS[j] || (j > bestJ && sum/r == bestD) {
 						continue
 					}
-					d := sc.price(p)
+					d := sc.t.Sum(ref, sc.cost) / r
 					evals++
 					if d < bestD || (d == bestD && j < bestJ) {
 						bestJ, bestD = j, d
 						ts = sumLimit(d, r)
-						if last = sc.bucket(ts); b > last {
+						if last = f.Bucket(ts); b > last {
 							break walk // every key left exceeds Ts
 						}
 					}
 					continue
 				}
-				if en.sum > ts {
-					prev, e = e, en.next
+				if sum > ts {
+					prev, e = e, f.Next(e)
 					continue
 				}
 				// Unlink the node, then expand it: its children land in
 				// this bucket or later ones, so the walk reaches them.
-				sc.ent[prev].next = en.next
-				if sc.tail[b] == e {
-					sc.tail[b] = prev
-				}
-				e2, v2 := sc.expand(i, ^en.ref, en.sum)
+				f.Unlink(b, prev, e)
+				e2, v2 := f.Expand(i, ^ref, sum, math.Inf(1))
 				evals += e2
 				visits += v2
-				e = sc.ent[prev].next
+				e = f.Next(prev)
 			}
 		}
 		sc.inS[bestJ] = true
@@ -347,94 +236,6 @@ func (sc *expandScan) grow(tbl *table.Table, i, k int, out table.GenRecord) (eva
 	}
 	copy(out, sc.closure)
 	return evals, visits
-}
-
-// reset empties the frontier and loads the envelope rows of record u. The
-// bucket scale spans [0, hi], hi the sum of each attribute's largest
-// envelope entry over the values: no partial or bound sum exceeds it.
-func (sc *expandScan) reset(u table.Record) {
-	sc.bounds.loadBound(u)
-	sc.ent = sc.ent[:k1Buckets]
-	for b := range sc.tail {
-		sc.ent[b].next, sc.tail[b] = -1, int32(b)
-	}
-	sc.flatten(sc.env, sc.bounds)
-	hi := 0.0
-	for a := range sc.bounds.rows {
-		hi += slices.Max(sc.env[sc.t.off[a]:sc.t.off[a+1]])
-	}
-	sc.hi, sc.scale = hi, 0
-	if hi > 0 && !math.IsInf(hi, 1) {
-		sc.scale = k1Buckets / hi
-	}
-}
-
-// flatten copies the value entries of rows into dst, laid out as
-// k1Trie.vals: a record's row sum is then one load per attribute.
-func (sc *expandScan) flatten(dst []float64, rows *costRows) {
-	for a, row := range rows.rows {
-		copy(dst[sc.t.off[a]:sc.t.off[a+1]], row)
-	}
-}
-
-// price returns the exact cost c(C + R_j) of the record at position p of
-// the trie's order: costRows.pairCost's sum, in the same order.
-func (sc *expandScan) price(p int) float64 {
-	r := len(sc.rows.rows)
-	sum := 0.0
-	for _, x := range sc.t.vals[p*r : (p+1)*r] {
-		sum += sc.cost[x]
-	}
-	return sum / float64(r)
-}
-
-// bucket maps a key to its bucket, monotone in the key: a key ≤ Ts lies
-// in a bucket ≤ bucket(Ts).
-func (sc *expandScan) bucket(sum float64) int {
-	if !(sum < sc.hi) {
-		return k1Buckets - 1
-	}
-	return min(int(sum*sc.scale), k1Buckets-1)
-}
-
-// push appends an entry to the tail of the bucket of its sum.
-func (sc *expandScan) push(ref int32, sum float64) {
-	e := int32(len(sc.ent))
-	sc.ent = append(sc.ent, k1Entry{sum: sum, ref: ref, next: -1})
-	b := sc.bucket(sum)
-	sc.ent[sc.tail[b]].next = e
-	sc.tail[b] = e
-}
-
-// expand pushes the children of trie node u, whose partial sum is p: at
-// depth ℓ < L each child adds its envelope entry at attribute ℓ; at depth
-// L every record but i is finished with a row sum from attribute L on, the
-// same sum in the same order as a flat pass over all r attributes. It
-// returns the row sums and the trie nodes it took.
-func (sc *expandScan) expand(i int, u int32, p float64) (evals, visits int64) {
-	nd, env := sc.t.nodes[u], sc.env
-	if int(nd.depth) < sc.t.depth {
-		for c := nd.kid; c < nd.end; c++ {
-			sc.push(^c, p+env[sc.t.nodes[c].val])
-		}
-		return 0, int64(nd.end - nd.kid)
-	}
-	r, from, lo := len(sc.bounds.rows), sc.t.depth, int(nd.lo)
-	vals := sc.t.vals
-	for q, j := range sc.t.recs[lo:nd.hi] {
-		sum := p
-		for _, x := range vals[(lo+q)*r+from : (lo+q+1)*r] {
-			sum += env[x]
-		}
-		if int(j) != i {
-			sc.push(int32(lo+q), sum)
-			evals++
-		}
-	}
-	if from == r {
-		evals = 0 // the node's sum is its records' bound
-	}
-	return evals, 0
 }
 
 // sumLimit returns Ts, the largest float64 s with s/r ≤ d: a bound sum

@@ -151,6 +151,10 @@ const (
 	// CounterTilesScanned counts the fixed-size candidate tiles walked by
 	// the tiled initial build, the newborn-offer pass and rescans.
 	CounterTilesScanned = "cluster.heap.tiles_scanned"
+	// CounterInitBoundSums counts the bound sums of the trie-searched
+	// initial build: the trie nodes its frontiers reached plus the records
+	// they summed envelope entries for. A tiled initial build emits none.
+	CounterInitBoundSums = "cluster.init.bound_sums"
 )
 
 // Counter names emitted by the adversarial evaluation suite
