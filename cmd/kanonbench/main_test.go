@@ -35,6 +35,25 @@ func TestRunnerTable1(t *testing.T) {
 	}
 }
 
+// TestRunnerTableIOrder pins the block order of Table I and of the
+// ablations built on it: ART, ADT, CMC under EM, then under LM.
+func TestRunnerTableIOrder(t *testing.T) {
+	blocks, err := tinyRunner().allBlocks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOrder := []string{"ART", "ADT", "CMC", "ART", "ADT", "CMC"}
+	wantMeasure := []experiment.MeasureKind{experiment.EM, experiment.EM, experiment.EM, experiment.LM, experiment.LM, experiment.LM}
+	if len(blocks) != len(wantOrder) {
+		t.Fatalf("got %d blocks, want %d", len(blocks), len(wantOrder))
+	}
+	for i, b := range blocks {
+		if b.Dataset != wantOrder[i] || b.Measure != wantMeasure[i] {
+			t.Errorf("block %d = %s/%s, want %s/%s", i, b.Dataset, b.Measure, wantOrder[i], wantMeasure[i])
+		}
+	}
+}
+
 func TestRunnerFigures(t *testing.T) {
 	r := tinyRunner()
 	var sb strings.Builder

@@ -41,16 +41,17 @@ func TestFlagsEndpoint(t *testing.T) {
 }
 
 // TestJSONOutput pins the -json document: valid JSON, stable across
-// runs, suppressed findings carried with their reasons. The cluster
-// package has self-contained, suppressed determinism findings, so the
-// document is non-trivial even in a single-package load.
+// runs, suppressed findings carried with their reasons. The obs package
+// has self-contained, suppressed ctxflow findings (its nil-ctx
+// normalization sites), so the document is non-trivial even in a
+// single-package load.
 func TestJSONOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks packages")
 	}
 	runJSON := func() string {
 		var out, errb bytes.Buffer
-		if code := run([]string{"-json", "kanon/internal/cluster"}, &out, &errb); code != 0 {
+		if code := run([]string{"-json", "kanon/internal/obs"}, &out, &errb); code != 0 {
 			t.Fatalf("run(-json) = %d, stderr: %s", code, errb.String())
 		}
 		return out.String()
@@ -74,7 +75,7 @@ func TestJSONOutput(t *testing.T) {
 		t.Errorf("expected a clean package, got %d unsuppressed findings", report.Unsuppressed)
 	}
 	if len(report.Findings) == 0 {
-		t.Fatal("expected suppressed determinism findings in kanon/internal/cluster, got none")
+		t.Fatal("expected suppressed ctxflow findings in kanon/internal/obs, got none")
 	}
 	for _, f := range report.Findings {
 		if !f.Suppressed || f.Reason == "" {

@@ -15,7 +15,7 @@
 // A finding is suppressed by an allow directive on the same line or the
 // line directly above:
 //
-//	//kanon:allow determinism -- wall-clock phase stats are observability, not output
+//	//kanon:allow ctxflow -- documented nil-ctx normalization at the observability boundary
 //
 // The directive names one or more analyzers (comma-separated) and must
 // carry a reason after " -- "; a missing reason or an unknown analyzer

@@ -32,8 +32,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
 	Doc: "flag wall-clock reads, shared-source math/rand and map iteration " +
 		"inside the deterministic engine packages (cluster, core, bipartite, " +
-		"hierarchy, loss); suppress provably order-insensitive sites with " +
-		"//kanon:allow determinism -- reason",
+		"hierarchy, loss, attack, risk); suppress provably order-insensitive " +
+		"sites with //kanon:allow determinism -- reason",
 	Run: run,
 }
 

@@ -11,7 +11,6 @@ package anonymity
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"kanon/internal/bipartite"
@@ -116,31 +115,6 @@ func IsDistinctLDiverse(g *table.GenTable, sensitive []int, l int) (bool, error)
 			distinct[sensitive[i]] = true
 		}
 		if len(distinct) < l {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// IsEntropyLDiverse reports whether every equivalence class of g has
-// sensitive-value entropy at least log2(l) — entropy ℓ-diversity.
-func IsEntropyLDiverse(g *table.GenTable, sensitive []int, l int) (bool, error) {
-	if len(sensitive) != g.Len() {
-		return false, fmt.Errorf("anonymity: %d sensitive values for %d records", len(sensitive), g.Len())
-	}
-	threshold := math.Log2(float64(l))
-	for _, grp := range g.Classes() {
-		counts := make(map[int]int)
-		for _, i := range grp {
-			counts[sensitive[i]]++
-		}
-		h := 0.0
-		total := float64(len(grp))
-		for _, c := range counts {
-			p := float64(c) / total
-			h -= p * math.Log2(p)
-		}
-		if h < threshold-1e-12 {
 			return false, nil
 		}
 	}

@@ -329,29 +329,6 @@ func TestLDiversity(t *testing.T) {
 	}
 }
 
-func TestEntropyLDiversity(t *testing.T) {
-	s, tbl := randomTableSpace(t, rng101(), 4)
-	_ = s
-	_ = tbl
-	g := table.NewGen(tbl.Schema, 4)
-	for i := range g.Records {
-		g.Records[i][0], g.Records[i][1] = 0, 0 // one group
-	}
-	// Uniform over 2 values: entropy 1 bit = log2(2) -> 2-diverse.
-	ok, err := IsEntropyLDiverse(g, []int{0, 0, 1, 1}, 2)
-	if err != nil || !ok {
-		t.Errorf("uniform 2-value group should be entropy 2-diverse: %v %v", ok, err)
-	}
-	// Skewed 3:1 -> entropy ~0.81 < 1 -> fails.
-	ok, err = IsEntropyLDiverse(g, []int{0, 0, 0, 1}, 2)
-	if err != nil || ok {
-		t.Errorf("skewed group should fail entropy 2-diversity: %v %v", ok, err)
-	}
-	if _, err := IsEntropyLDiverse(g, []int{0}, 2); err == nil {
-		t.Error("expected length mismatch error")
-	}
-}
-
 func TestCheckReport(t *testing.T) {
 	s, tbl := prop45(t)
 	g := prop45Gen(s, [][2]int{{-1, -1}, {-1, -1}, {-1, -1}})

@@ -52,9 +52,11 @@ type IntersectionOutcome struct {
 // included. Outcomes are returned sorted by ID.
 func SimulateIntersection(releases []Release, sensitive []int) ([]IntersectionOutcome, error) {
 	// candidates[id] is the current intersected candidate set, kept sorted;
-	// releaseCount[id] counts the releases seen so far.
+	// releaseCount[id] counts the releases seen so far; ids lists every id
+	// once, in order of first appearance.
 	candidates := make(map[int][]int)
 	releaseCount := make(map[int]int)
+	var ids []int
 
 	for ri, rel := range releases {
 		n := rel.Tbl.Len()
@@ -84,6 +86,7 @@ func SimulateIntersection(releases []Release, sensitive []int) ([]IntersectionOu
 			sort.Ints(cand)
 			if releaseCount[id] == 0 {
 				candidates[id] = cand
+				ids = append(ids, id)
 			} else {
 				candidates[id] = intersectSorted(candidates[id], cand)
 			}
@@ -91,10 +94,6 @@ func SimulateIntersection(releases []Release, sensitive []int) ([]IntersectionOu
 		}
 	}
 
-	ids := make([]int, 0, len(candidates))
-	for id := range candidates { //kanon:allow determinism -- keys are sorted before any ordered use
-		ids = append(ids, id)
-	}
 	sort.Ints(ids)
 	out := make([]IntersectionOutcome, 0, len(ids))
 	for _, id := range ids {

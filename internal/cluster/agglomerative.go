@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"kanon/internal/obs"
 	"kanon/internal/par"
@@ -53,11 +52,10 @@ type AggloOptions struct {
 	Workers int
 }
 
-// AggloStats reports the work an engine run performed and where its wall
-// time went, so speedups are measurable rather than anecdotal.
+// AggloStats reports the work an engine run performed. Every counter is
+// identical at every worker count; the run's timing is the obs phases
+// PhaseInit, PhaseMerge and PhaseAbsorb.
 type AggloStats struct {
-	// Workers is the resolved worker-pool size of the run.
-	Workers int `json:"workers"`
 	// DistEvals counts inter-cluster distance evaluations, the engine's
 	// unit of work; it is identical at every worker count.
 	DistEvals int64 `json:"dist_evals"`
@@ -80,22 +78,6 @@ type AggloStats struct {
 	// initial build, the newborn-offer pass and single-cluster rescans.
 	// Worker-invariant (tile geometry depends only on sizes, not sharding).
 	TilesScanned int64 `json:"tiles_scanned"`
-	// InitNanos is the wall time of singleton construction plus the initial
-	// nearest-neighbour build.
-	InitNanos int64 `json:"init_ns"`
-	// SelectNanos is the wall time of best-pair selection and merge/shrink
-	// bookkeeping across all iterations.
-	SelectNanos int64 `json:"select_ns"`
-	// RepairNanos is the wall time of the newborn nearest-neighbour passes
-	// across all iterations.
-	RepairNanos int64 `json:"repair_ns"`
-	// AbsorbNanos is the wall time of the final leftover-absorption pass.
-	AbsorbNanos int64 `json:"absorb_ns"`
-}
-
-// TotalNanos returns the summed phase wall time.
-func (st AggloStats) TotalNanos() int64 {
-	return st.InitNanos + st.SelectNanos + st.RepairNanos + st.AbsorbNanos
 }
 
 // AgglomerateStatsCtx runs the basic agglomerative algorithm
@@ -103,8 +85,7 @@ func (st AggloStats) TotalNanos() int64 {
 // algorithm (Algorithm 2) — and returns the final clustering γ: disjoint
 // clusters covering all records, each of size ≥ K (exactly K for all but
 // the leftover-absorbing clusters in the modified variant), with the
-// engine's work counters and phase timings. It is one Run of a fresh
-// Engine.
+// engine's work counters. It is one Run of a fresh Engine.
 //
 // The engine polls ctx at every scan tile, merge, heap repair and absorbed
 // record; once ctx is done it stops promptly, drains its worker pool,
@@ -255,13 +236,12 @@ func NewEngine(s *Space, opt AggloOptions, records int) *Engine {
 // Run clusters tbl as AgglomerateStatsCtx does, on the engine's state.
 func (e *Engine) Run(ctx context.Context, tbl *table.Table) ([]*Cluster, AggloStats, error) {
 	opt := e.opt
-	stats := AggloStats{Workers: par.Workers(opt.Workers)}
 	n := tbl.Len()
 	if opt.Distance == nil {
-		return nil, stats, fmt.Errorf("cluster: nil distance")
+		return nil, AggloStats{}, fmt.Errorf("cluster: nil distance")
 	}
 	if opt.K > n {
-		return nil, stats, fmt.Errorf("cluster: k=%d exceeds table size n=%d", opt.K, n)
+		return nil, AggloStats{}, fmt.Errorf("cluster: k=%d exceeds table size n=%d", opt.K, n)
 	}
 	active := opt.Constraints[:0:0]
 	for _, c := range opt.Constraints {
@@ -272,19 +252,19 @@ func (e *Engine) Run(ctx context.Context, tbl *table.Table) ([]*Cluster, AggloSt
 	var bound []Bound
 	if len(active) > 0 {
 		if len(opt.Sensitive) != n {
-			return nil, stats, fmt.Errorf("cluster: %d sensitive values for %d records", len(opt.Sensitive), n)
+			return nil, AggloStats{}, fmt.Errorf("cluster: %d sensitive values for %d records", len(opt.Sensitive), n)
 		}
 		bound = make([]Bound, len(active))
 		for i, c := range active {
 			b, err := c.Bind(opt.Sensitive)
 			if err != nil {
-				return nil, stats, err
+				return nil, AggloStats{}, err
 			}
 			bound[i] = b
 		}
 	}
 	if n == 0 {
-		return nil, stats, nil
+		return nil, AggloStats{}, nil
 	}
 	if opt.K <= 1 && len(bound) == 0 {
 		// Every singleton already satisfies the size constraint; the optimal
@@ -293,11 +273,11 @@ func (e *Engine) Run(ctx context.Context, tbl *table.Table) ([]*Cluster, AggloSt
 		for i := 0; i < n; i++ {
 			out[i] = e.s.NewSingleton(tbl, i)
 		}
-		return out, stats, nil
+		return out, AggloStats{}, nil
 	}
 
 	if par.Done(ctx) {
-		return nil, stats, ctx.Err()
+		return nil, AggloStats{}, ctx.Err()
 	}
 	e.tbl, e.ctx, e.o, e.cons, e.guardAbsorb = tbl, ctx, obs.From(ctx), bound, false
 	for _, b := range bound {
@@ -306,7 +286,6 @@ func (e *Engine) Run(ctx context.Context, tbl *table.Table) ([]*Cluster, AggloSt
 		}
 	}
 	err := e.run()
-	e.stats.Workers = stats.Workers
 	final := e.final
 	// The output is the caller's; nothing else of the run stays reachable.
 	e.tbl, e.ctx, e.o, e.cons, e.final = nil, nil, nil, nil, nil
@@ -390,7 +369,6 @@ func (e *Engine) run() error {
 	n := e.tbl.Len()
 	e.prepare(n)
 
-	t0 := time.Now() //kanon:allow determinism -- phase wall-clock feeds Stats timing only, never engine output
 	endInit := e.o.Phase(PhaseInit)
 	for i := 0; i < n; i++ {
 		e.pushSingleton(i)
@@ -400,7 +378,6 @@ func (e *Engine) run() error {
 	// checkpoint, bounding the engine's reaction latency to one block per
 	// worker.
 	err := e.buildNN(n)
-	e.stats.InitNanos = time.Since(t0).Nanoseconds()
 	endInit()
 	if err != nil {
 		return err
@@ -413,7 +390,6 @@ func (e *Engine) run() error {
 			endMerge()
 			return e.ctx.Err()
 		}
-		tSel := time.Now() //kanon:allow determinism -- phase wall-clock feeds Stats timing only, never engine output
 		a, b := e.selectPairHeap()
 		if e.cancelled() {
 			endMerge()
@@ -424,10 +400,7 @@ func (e *Engine) run() error {
 		}
 		added, mergedSize := e.merge(a, b, e.addedScratch[:0])
 		e.addedScratch = added[:0]
-		tRep := time.Now() //kanon:allow determinism -- phase wall-clock feeds Stats timing only, never engine output
-		e.stats.SelectNanos += tRep.Sub(tSel).Nanoseconds()
 		e.repairHeap(added)
-		e.stats.RepairNanos += time.Since(tRep).Nanoseconds()
 		e.stats.Merges++
 		e.o.Event(obs.KindMerge, PhaseMerge, int64(mergedSize))
 		e.o.Peak("cluster.live_peak", int64(e.nLive))
@@ -436,7 +409,6 @@ func (e *Engine) run() error {
 
 	// At most one undersized cluster remains; distribute its records to the
 	// nearest final clusters (Algorithm 1, line 10).
-	tAbs := time.Now() //kanon:allow determinism -- phase wall-clock feeds Stats timing only, never engine output
 	endAbsorb := e.o.Phase(PhaseAbsorb)
 	absorbed := int64(0)
 	for i, ok := range e.alive {
@@ -452,7 +424,6 @@ func (e *Engine) run() error {
 			absorbed++
 		}
 	}
-	e.stats.AbsorbNanos = time.Since(tAbs).Nanoseconds()
 	e.stats.DistEvals = e.distEvals.Load()
 	endAbsorb()
 	if e.o.Enabled() {

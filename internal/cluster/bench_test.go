@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 
 	"kanon/internal/datagen"
 	"kanon/internal/loss"
+	"kanon/internal/obs"
 )
 
 func benchSpace(b *testing.B, n int) (*Space, *datagen.Dataset) {
@@ -80,26 +82,29 @@ func BenchmarkAgglomerateWorkers(b *testing.B) {
 }
 
 // BenchmarkAgglomerateLarge is the scaling sweep of the lazy NN-heap path
-// (DESIGN.md §17): n=20000..100000 single-node, with the engine's own
-// phase breakdown reported as benchmark metrics. Deliberately excluded
-// from CI's bench-smoke regex — one n=100000 iteration is minutes, these
-// rows are refreshed manually into BENCH_cluster.json.
+// (DESIGN.md §17): n=20000..100000 single-node, with the engine's obs
+// phases PhaseInit and PhaseMerge reported as init_ns and merge_ns (the
+// last iteration's). Deliberately excluded from CI's bench-smoke regex —
+// one n=100000 iteration is minutes, these rows are refreshed manually
+// into BENCH_cluster.json.
 func BenchmarkAgglomerateLarge(b *testing.B) {
 	for _, n := range []int{20000, 50000, 100000} {
 		b.Run(fmt.Sprintf("n=%d/workers=1", n), func(b *testing.B) {
 			s, ds := benchSpace(b, n)
 			b.ResetTimer()
 			var st AggloStats
+			var run obs.RunStats
 			for i := 0; i < b.N; i++ {
+				met := obs.NewMetrics()
 				var err error
-				_, st, err = AgglomerateStatsCtx(nil, s, ds.Table, AggloOptions{K: 10, Distance: D3{}, Workers: 1})
+				_, st, err = AgglomerateStatsCtx(obs.With(context.Background(), met), s, ds.Table, AggloOptions{K: 10, Distance: D3{}, Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
+				run = met.Snapshot()
 			}
-			b.ReportMetric(float64(st.InitNanos), "init_ns")
-			b.ReportMetric(float64(st.SelectNanos), "select_ns")
-			b.ReportMetric(float64(st.RepairNanos), "repair_ns")
+			b.ReportMetric(float64(run.Phase(PhaseInit).WallNanos), "init_ns")
+			b.ReportMetric(float64(run.Phase(PhaseMerge).WallNanos), "merge_ns")
 			b.ReportMetric(float64(st.StalePops), "stale_pops")
 		})
 	}

@@ -217,16 +217,6 @@ func (s *Space) MergeInto(dst, src table.GenRecord) {
 	}
 }
 
-// AddRecord returns the closure extended to also cover the original record
-// r (the record-sum R̄ + R of Section V).
-func (s *Space) AddRecord(closure table.GenRecord, r table.Record) table.GenRecord {
-	out := make(table.GenRecord, len(closure))
-	for j := range closure {
-		out[j] = s.Hiers[j].LCA(closure[j], s.Hiers[j].LeafOf(r[j]))
-	}
-	return out
-}
-
 // ClosureOf computes the closure of a set of records given by their indices
 // into tbl. It panics on an empty set.
 func (s *Space) ClosureOf(tbl *table.Table, members []int) table.GenRecord {

@@ -134,18 +134,6 @@ func TestMergeInto(t *testing.T) {
 	}
 }
 
-func TestAddRecord(t *testing.T) {
-	s, tbl := twoAttrSpace(t)
-	cl := s.LeafClosure(tbl.Records[0])
-	widened := s.AddRecord(cl, tbl.Records[1])
-	if !s.Consistent(tbl.Records[0], widened) || !s.Consistent(tbl.Records[1], widened) {
-		t.Error("AddRecord result does not cover both records")
-	}
-	if !widened.Equal(s.ClosureOf(tbl, []int{0, 1})) {
-		t.Error("AddRecord disagrees with ClosureOf")
-	}
-}
-
 func TestCostAndCostAt(t *testing.T) {
 	s, tbl := twoAttrSpace(t)
 	cl := s.ClosureOf(tbl, []int{0, 1}) // x:{a,b} LM=1/3, y:{p} LM=0
@@ -228,15 +216,17 @@ func TestDistanceFormulas(t *testing.T) {
 	}
 }
 
+// TestD4EpsilonDefault checks eq. (11) with the paper's ε = 0.1:
+// d(A∪B) / (d(A) + d(B) + 0.1), finite for a singleton pair.
 func TestD4EpsilonDefault(t *testing.T) {
-	// Singleton pair: dA = dB = 0; the default ε=0.1 keeps it finite.
-	got := (D4{}).Eval(1, 1, 2, 0, 0, 0.5)
-	if math.Abs(got-5) > eps {
-		t.Errorf("D4 with zero costs = %v, want 5", got)
+	if d4Epsilon != 0.1 {
+		t.Errorf("ε = %v, want 0.1", d4Epsilon)
 	}
-	got = (D4{Epsilon: 1}).Eval(1, 1, 2, 0, 0, 0.5)
-	if math.Abs(got-0.5) > eps {
-		t.Errorf("D4 with ε=1 = %v, want 0.5", got)
+	if got := (D4{}).Eval(1, 1, 2, 0, 0, 0.5); math.Abs(got-5) > eps {
+		t.Errorf("D4 with zero costs = %v, want 0.5 / 0.1 = 5", got)
+	}
+	if got := (D4{}).Eval(3, 2, 5, 0.2, 0.3, 0.9); math.Abs(got-1.5) > eps {
+		t.Errorf("D4 = %v, want 0.9 / (0.2 + 0.3 + 0.1) = 1.5", got)
 	}
 }
 

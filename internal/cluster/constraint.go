@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"kanon/internal/hierarchy"
 )
 
 // This file defines the pluggable privacy-constraint surface of the
@@ -28,8 +26,8 @@ import (
 //     the descending sensitive-value counts r₁ ≥ r₂ ≥ …;
 //   - TCloseness: earth-mover's distance between the cluster's sensitive
 //     distribution and the whole table's ≤ t (Li, Li, Venkatasubramanian),
-//     with three ground metrics: equal (total variation), ordered (numeric
-//     sensitive values) and hierarchical (tree-metric EMD).
+//     with two ground metrics: equal (total variation) and ordered
+//     (numeric sensitive values).
 //
 // All four are functions of the cluster's sensitive-value histogram, so
 // they share one accumulator (countBound) that maintains counts, size and
@@ -356,7 +354,7 @@ func (c recursiveCL) Bind(sensitive []int) (Bound, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := recursivePred{c: c.c, l: c.l, scratch: make([]int, domain)}
+	p := recursivePred{c: c.c, l: c.l, scratch: make([]int, c.l-1)}
 	full := tableState(sensitive, domain)
 	if !p.judge(&full) {
 		return nil, fmt.Errorf("cluster: table sensitive distribution violates recursive (%g,%d)-diversity (ratio %.4f), constraint unattainable",
@@ -368,30 +366,39 @@ func (c recursiveCL) Bind(sensitive []int) (Bound, error) {
 type recursivePred struct {
 	c       float64
 	l       int
-	scratch []int // descending-sort buffer, reused across judgements
+	scratch []int // the ℓ−1 largest counts, reused across judgements
 }
 
-// ratio returns r₁ / (r_ℓ + … + r_m) over the non-zero counts sorted
-// descending, +Inf when the tail is empty, 0 for an empty histogram.
+// ratio returns r₁ / (r_ℓ + … + r_m) over the counts sorted descending,
+// +Inf when the tail is empty, 0 for an empty histogram. It keeps only the
+// ℓ−1 largest counts, descending, by insertion: the tail is the size less
+// their sum, an exact integer, so no sort is needed.
 func (p recursivePred) ratio(st *countState) float64 {
-	rs := p.scratch[:0]
+	top := p.scratch[:0]
 	for _, c := range st.counts {
-		if c > 0 {
-			rs = append(rs, c)
+		if c == 0 || (len(top) == cap(top) && c <= top[len(top)-1]) {
+			continue
+		}
+		if len(top) < cap(top) {
+			top = append(top, c)
+		} else {
+			top[len(top)-1] = c
+		}
+		for i := len(top) - 1; i > 0 && top[i-1] < top[i]; i-- {
+			top[i-1], top[i] = top[i], top[i-1]
 		}
 	}
-	if len(rs) == 0 {
+	if len(top) == 0 {
 		return 0
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(rs)))
-	tail := 0
-	for i := p.l - 1; i < len(rs); i++ {
-		tail += rs[i]
+	tail := st.size
+	for _, c := range top {
+		tail -= c
 	}
 	if tail == 0 {
 		return math.Inf(1)
 	}
-	return float64(rs[0]) / float64(tail)
+	return float64(top[0]) / float64(tail)
 }
 
 func (p recursivePred) judge(st *countState) bool {
@@ -414,14 +421,12 @@ type tGround uint8
 const (
 	groundEqual tGround = iota
 	groundOrdered
-	groundTree
 )
 
 type tCloseness struct {
 	t      float64
 	ground tGround
-	pos    []float64            // groundOrdered: value id → numeric position
-	h      *hierarchy.Hierarchy // groundTree: leaf v = value id v
+	pos    []float64 // groundOrdered: value id → numeric position
 }
 
 // TCloseness returns the t-closeness constraint of Li, Li and
@@ -442,29 +447,15 @@ func TClosenessOrdered(t float64, pos []float64) Constraint {
 	return tCloseness{t: t, ground: groundOrdered, pos: pos}
 }
 
-// TClosenessHierarchical is TCloseness under a hierarchy ground metric for
-// categorical sensitive attributes: value id v is leaf v of h, every edge
-// of h weighs 1/(2·Height), and the EMD is the exact tree-metric
-// transport cost Σ_{u≠root} |extra(u)|/(2·Height), where extra(u) is the
-// p−q mass imbalance of the leaves under u. Leaf-to-leaf ground distances
-// are then (depth(u)+depth(v)−2·depth(LCA))/(2·Height) ≤ 1, the
-// normalized hierarchical distance of Li et al.
-func TClosenessHierarchical(t float64, h *hierarchy.Hierarchy) Constraint {
-	return tCloseness{t: t, ground: groundTree, h: h}
-}
-
 func (c tCloseness) String() string {
-	switch c.ground {
-	case groundOrdered:
+	if c.ground == groundOrdered {
 		return fmt.Sprintf("tcloseness(t=%g,ordered)", c.t)
-	case groundTree:
-		return fmt.Sprintf("tcloseness(t=%g,hierarchical)", c.t)
 	}
 	return fmt.Sprintf("tcloseness(t=%g)", c.t)
 }
 
-// Trivial: every ground metric here is normalized to leaf distances ≤ 1,
-// so EMD ≤ 1 and t ≥ 1 admits every cluster.
+// Trivial: both ground metrics are normalized to distances ≤ 1, so
+// EMD ≤ 1 and t ≥ 1 admits every cluster.
 func (c tCloseness) Trivial() bool { return c.t >= 1 }
 
 func (c tCloseness) Bind(sensitive []int) (Bound, error) {
@@ -476,8 +467,7 @@ func (c tCloseness) Bind(sensitive []int) (Bound, error) {
 		return nil, err
 	}
 	p := closenessPred{t: c.t, table: tableState(sensitive, domain)}
-	switch c.ground {
-	case groundOrdered:
+	if c.ground == groundOrdered {
 		if len(c.pos) < domain {
 			return nil, fmt.Errorf("cluster: t-closeness ordered ground covers %d values, column has %d", len(c.pos), domain)
 		}
@@ -491,22 +481,6 @@ func (c tCloseness) Bind(sensitive []int) (Bound, error) {
 		if domain > 0 {
 			p.span = c.pos[p.order[domain-1]] - c.pos[p.order[0]]
 		}
-	case groundTree:
-		if c.h == nil {
-			return nil, fmt.Errorf("cluster: t-closeness hierarchical ground needs a hierarchy")
-		}
-		if c.h.NumValues() < domain {
-			return nil, fmt.Errorf("cluster: t-closeness hierarchy covers %d values, column has %d", c.h.NumValues(), domain)
-		}
-		p.h = c.h
-		// Nodes ordered by descending depth, so one pass propagates leaf
-		// imbalances to the root.
-		p.byDepth = make([]int, c.h.NumNodes())
-		for i := range p.byDepth {
-			p.byDepth[i] = i
-		}
-		sort.SliceStable(p.byDepth, func(a, b int) bool { return c.h.Depth(p.byDepth[a]) > c.h.Depth(p.byDepth[b]) })
-		p.extra = make([]float64, c.h.NumNodes())
 	}
 	p.ground = c.ground
 	// Feasibility is automatic — the whole table is at EMD 0 from itself —
@@ -523,24 +497,18 @@ type closenessPred struct {
 	order []int
 	pos   []float64
 	span  float64
-
-	// tree ground
-	h       *hierarchy.Hierarchy
-	byDepth []int
-	extra   []float64 // per-node imbalance scratch, reused across judgements
 }
 
 // emd returns the earth-mover's distance between the histogram's
 // distribution p and the table distribution q under the bound ground
-// metric. Folds run in a fixed order (ascending value id, position order,
-// or descending depth), so the result is a pure function of the histogram.
+// metric. Folds run in a fixed order (ascending value id or position
+// order), so the result is a pure function of the histogram.
 func (p *closenessPred) emd(st *countState) float64 {
 	if st.size == 0 {
 		return 0
 	}
 	n, m := float64(st.size), float64(p.table.size)
-	switch p.ground {
-	case groundOrdered:
+	if p.ground == groundOrdered {
 		if p.span <= 0 {
 			return 0
 		}
@@ -553,30 +521,13 @@ func (p *closenessPred) emd(st *countState) float64 {
 			sum += (p.pos[p.order[i+1]] - p.pos[v]) * math.Abs(cum)
 		}
 		return sum / p.span
-	case groundTree:
-		h := p.h
-		clear(p.extra)
-		for v := 0; v < len(st.counts); v++ {
-			p.extra[v] = float64(st.counts[v])/n - float64(p.table.counts[v])/m
-		}
-		sum := 0.0
-		root := h.Root()
-		for _, u := range p.byDepth {
-			if u == root {
-				continue
-			}
-			sum += math.Abs(p.extra[u])
-			p.extra[h.Parent(u)] += p.extra[u]
-		}
-		return sum / (2 * float64(h.Height()))
-	default:
-		// Equal ground: total variation ½·Σ|pᵢ−qᵢ|.
-		sum := 0.0
-		for v, c := range st.counts {
-			sum += math.Abs(float64(c)/n - float64(p.table.counts[v])/m)
-		}
-		return sum / 2
 	}
+	// Equal ground: total variation ½·Σ|pᵢ−qᵢ|.
+	sum := 0.0
+	for v, c := range st.counts {
+		sum += math.Abs(float64(c)/n - float64(p.table.counts[v])/m)
+	}
+	return sum / 2
 }
 
 func (p *closenessPred) judge(st *countState) bool     { return p.emd(st) <= p.t }

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
-
-	"kanon/internal/hierarchy"
 )
 
 // bindOver binds c over the column and fails the test on error.
@@ -160,6 +159,40 @@ func TestRecursiveCLBound(t *testing.T) {
 	}
 }
 
+// TestRecursiveRatioMatchesSort checks the top-(ℓ−1) ratio against its
+// definition, r₁ / (r_ℓ + … + r_m) over the counts sorted descending, bit
+// for bit on random histograms with ties, zeros and fewer than ℓ values.
+func TestRecursiveRatioMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 2000; trial++ {
+		l := 2 + rng.Intn(4)
+		st := countState{counts: make([]int, 1+rng.Intn(8))}
+		for v := range st.counts {
+			if rng.Intn(3) > 0 {
+				st.counts[v] = rng.Intn(6)
+			}
+			st.size += st.counts[v]
+		}
+		rs := slices.DeleteFunc(slices.Clone(st.counts), func(c int) bool { return c == 0 })
+		slices.SortFunc(rs, func(a, b int) int { return b - a })
+		want := 0.0
+		if len(rs) > 0 {
+			tail := 0
+			for _, c := range rs[min(l-1, len(rs)):] {
+				tail += c
+			}
+			want = math.Inf(1)
+			if tail > 0 {
+				want = float64(rs[0]) / float64(tail)
+			}
+		}
+		p := recursivePred{c: 2, l: l, scratch: make([]int, l-1)}
+		if got := p.ratio(&st); got != want {
+			t.Fatalf("l=%d counts %v: ratio %v, want %v", l, st.counts, got, want)
+		}
+	}
+}
+
 func TestTClosenessEqualGround(t *testing.T) {
 	// Table distribution q = (1/2, 1/2).
 	sens := []int{0, 0, 1, 1}
@@ -245,43 +278,6 @@ func TestTClosenessOrderedGround(t *testing.T) {
 	// Position table shorter than the domain is rejected.
 	if _, err := TClosenessOrdered(0.2, []float64{0}).Bind(sens); err == nil {
 		t.Error("short position table must fail Bind")
-	}
-}
-
-func TestTClosenessHierarchicalGround(t *testing.T) {
-	// 4 leaves, two sibling pairs {0,1} and {2,3}; height 2.
-	h := hierarchy.MustFromSubsets(4, []hierarchy.Subset{
-		{Values: []int{0, 1}}, {Values: []int{2, 3}},
-	}, "root")
-	sens := []int{0, 1, 2, 3}
-	b := bindOver(t, TClosenessHierarchical(0.5, h), sens)
-	// Cluster {0,1}: leaf imbalances ±1/4, pair imbalances ±1/2;
-	// EMD = (4·(1/4) + 2·(1/2)) / (2·2) = 0.5.
-	loadMembers(b, 0, 1)
-	if got := b.Metric(); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("tree EMD = %g, want 0.5", got)
-	}
-	// Cluster {0,2} balances the two pair subtrees: only leaf-level
-	// transport remains, EMD = 4·(1/4) / 4 = 0.25 — closer than {0,1}
-	// under the tree ground even though the TV is identical (0.5).
-	loadMembers(b, 0, 2)
-	if got := b.Metric(); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("cross-pair tree EMD = %g, want 0.25", got)
-	}
-	// A flat hierarchy reduces the tree ground to total variation.
-	flat := hierarchy.Flat(2)
-	sens2 := []int{0, 0, 1, 1}
-	bf := bindOver(t, TClosenessHierarchical(0.5, flat), sens2)
-	loadMembers(bf, 0, 1)
-	if got := bf.Metric(); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("flat-tree EMD = %g, want TV 0.5", got)
-	}
-	// Missing or undersized hierarchy is rejected.
-	if _, err := TClosenessHierarchical(0.2, nil).Bind(sens); err == nil {
-		t.Error("nil hierarchy must fail Bind")
-	}
-	if _, err := TClosenessHierarchical(0.2, flat).Bind(sens); err == nil {
-		t.Error("hierarchy smaller than the domain must fail Bind")
 	}
 }
 

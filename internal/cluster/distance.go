@@ -60,24 +60,21 @@ func (D3) Eval(_, _, su int, dA, dB, dU float64) float64 {
 }
 
 // D4 is distance function (11): dist(A,B) = d(A∪B) / (d(A) + d(B) + ε),
-// the multiplicative growth factor of the generalization cost. The paper
-// uses ε = 0.1 to keep singleton pairs (zero cost) finite.
-type D4 struct {
-	// Epsilon is the additive constant of the denominator; zero means the
-	// paper's default of 0.1.
-	Epsilon float64
-}
+// the multiplicative growth factor of the generalization cost, with the
+// paper's ε = 0.1 (d4Epsilon), which keeps singleton pairs (zero cost)
+// finite.
+type D4 struct{}
+
+// d4Epsilon is D4's additive constant ε. Costs are ≥ 0 (NewSpace), so the
+// divisor d(A) + d(B) + ε is always positive.
+const d4Epsilon = 0.1
 
 // Name implements Distance.
 func (D4) Name() string { return "d4" }
 
 // Eval implements Distance.
-func (d D4) Eval(_, _, _ int, dA, dB, dU float64) float64 {
-	eps := d.Epsilon
-	if eps == 0 {
-		eps = 0.1
-	}
-	return d4Eval(eps, dA, dB, dU)
+func (D4) Eval(_, _, _ int, dA, dB, dU float64) float64 {
+	return d4Eval(dA, dB, dU)
 }
 
 // NC is the asymmetric distance of Nergiz and Clifton (ICDE Workshops'06)
@@ -112,7 +109,7 @@ func d3Eval(den, dA, dB, dU float64) float64 {
 	return (dU - dA - dB) / den
 }
 
-func d4Eval(eps, dA, dB, dU float64) float64 { return dU / (dA + dB + eps) }
+func d4Eval(dA, dB, dU float64) float64 { return dU / (dA + dB + d4Epsilon) }
 
 func ncEval(dB, dU float64) float64 { return dU - dB }
 

@@ -240,7 +240,7 @@ func checkStripPricing(t *testing.T, label string, s *Space, tbl *table.Table, s
 		}
 		return l.ubD, l.ubID == id && !math.IsInf(l.ubD, 1)
 	}
-	dists := append(append([]Distance{}, AllDistances()...), D4{Epsilon: 0.25}, skewDist{})
+	dists := append(append([]Distance{}, AllDistances()...), skewDist{})
 	row := make([]int32, r)
 	for _, d := range dists {
 		k := newKernel(s, d)

@@ -63,26 +63,21 @@ const (
 )
 
 // resolveDistKind classifies a Distance once, at engine construction, so
-// the hot loop never touches the interface for the built-in distances. The
-// D4 epsilon default (0.1) is resolved here too.
-func resolveDistKind(d Distance) (distKind, float64) {
-	switch d := d.(type) {
+// the hot loop never touches the interface for the built-in distances.
+func resolveDistKind(d Distance) distKind {
+	switch d.(type) {
 	case D1:
-		return distD1, 0
+		return distD1
 	case D2:
-		return distD2, 0
+		return distD2
 	case D3:
-		return distD3, 0
+		return distD3
 	case D4:
-		eps := d.Epsilon
-		if eps == 0 {
-			eps = 0.1
-		}
-		return distD4, eps
+		return distD4
 	case NC:
-		return distNC, 0
+		return distNC
 	default:
-		return distCustom, 0
+		return distCustom
 	}
 }
 
@@ -92,7 +87,6 @@ type kernel struct {
 	r int // NumAttrs, the arena row stride
 
 	kind   distKind
-	eps    float64  // resolved D4 epsilon
 	custom Distance // interface fallback for distCustom
 
 	// Per-attribute fused LCA-cost tables and raw LCA tables (shared,
@@ -144,7 +138,7 @@ type kernel struct {
 // distance once and attaching the space's shared fused tables.
 func newKernel(s *Space, d Distance) *kernel {
 	k := &kernel{s: s, r: s.NumAttrs(), custom: d}
-	k.kind, k.eps = resolveDistKind(d)
+	k.kind = resolveDistKind(d)
 	k.fused = s.fusedTables()
 	k.lcaTabs = make([][]int32, k.r)
 	k.nn = make([]int, k.r)
@@ -399,11 +393,10 @@ func (k *kernel) offerBuild(a, lo int, sums []float64, row *nnList, cols []nnLis
 			cols[q].offer(d3Eval(den, cb, ca, dU), a32)
 		}
 	case distD4:
-		eps := k.eps
 		for q, s := range sums {
 			dU, cb := s/fr, cost[q]
-			row.offer(d4Eval(eps, ca, cb, dU), int32(lo+q))
-			cols[q].offer(d4Eval(eps, cb, ca, dU), a32)
+			row.offer(d4Eval(ca, cb, dU), int32(lo+q))
+			cols[q].offer(d4Eval(cb, ca, dU), a32)
 		}
 	case distNC:
 		for q, s := range sums {
@@ -462,14 +455,13 @@ func (k *kernel) offerNewborn(a int, ids []int32, sums []float64, row, col *nnLi
 			n++
 		}
 	case distD4:
-		eps := k.eps
 		for q, y := range ids {
 			if y >= a32 {
 				continue
 			}
 			dU, cb := sums[q]/fr, cost[y]
-			row.offer(d4Eval(eps, ca, cb, dU), y)
-			col.offer(d4Eval(eps, cb, ca, dU), y)
+			row.offer(d4Eval(ca, cb, dU), y)
+			col.offer(d4Eval(cb, ca, dU), y)
 			n++
 		}
 	case distNC:
@@ -543,7 +535,6 @@ func (k *kernel) offerRescan(a int, ids []int32, sums []float64, l *nnList, rev 
 			n++
 		}
 	case distD4:
-		eps := k.eps
 		for q, y := range ids {
 			if y == a32 {
 				continue
@@ -552,7 +543,7 @@ func (k *kernel) offerRescan(a int, ids []int32, sums []float64, l *nnList, rev 
 			if rev {
 				dA, dB = dB, dA
 			}
-			l.offer(d4Eval(eps, dA, dB, dU), y)
+			l.offer(d4Eval(dA, dB, dU), y)
 			n++
 		}
 	case distNC:
@@ -603,7 +594,7 @@ func (k *kernel) eval(sa, sb, su int, dA, dB, dU float64) float64 {
 		}
 		return d3Eval(den, dA, dB, dU)
 	case distD4:
-		return d4Eval(k.eps, dA, dB, dU)
+		return d4Eval(dA, dB, dU)
 	case distNC:
 		return ncEval(dB, dU)
 	default:

@@ -42,7 +42,7 @@ func TestKernelEquivalenceMatrix(t *testing.T) {
 // cost tables the benchmarks run on.
 func TestKernelEquivalenceAdult(t *testing.T) {
 	s, tbl := adultSpace(t, kernelEquivalenceN(t))
-	for _, d := range []Distance{D1{}, D3{}, D4{Epsilon: 0.25}} {
+	for _, d := range []Distance{D1{}, D3{}, D4{}} {
 		for _, modified := range []bool{false, true} {
 			assertMatchesOracle(t, fmt.Sprintf("adult %s modified=%v", d.Name(), modified), s, tbl,
 				AggloOptions{K: 10, Distance: d, Modified: modified})
@@ -280,7 +280,7 @@ func (slowD2) Eval(sa, sb, su int, dA, dB, dU float64) float64 {
 func TestKernelCustomDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	s, tbl := randomSpace(t, rng, 150)
-	if kind, _ := resolveDistKind(slowD2{}); kind != distCustom {
+	if kind := resolveDistKind(slowD2{}); kind != distCustom {
 		t.Fatalf("resolveDistKind(slowD2) = %d, want distCustom", kind)
 	}
 	assertMatchesOracle(t, "custom distance", s, tbl, AggloOptions{K: 5, Distance: slowD2{}})
@@ -296,26 +296,22 @@ func TestKernelCustomDistance(t *testing.T) {
 	assertSameClustering(t, "custom vs builtin d2", custom, builtin)
 }
 
-// TestResolveDistKind pins the distance → kind mapping, including the D4
-// epsilon defaulting that must match D4.Eval's own default.
+// TestResolveDistKind pins the distance → kind mapping.
 func TestResolveDistKind(t *testing.T) {
 	cases := []struct {
 		d    Distance
 		kind distKind
-		eps  float64
 	}{
-		{D1{}, distD1, 0},
-		{D2{}, distD2, 0},
-		{D3{}, distD3, 0},
-		{D4{}, distD4, 0.1},
-		{D4{Epsilon: 0.5}, distD4, 0.5},
-		{NC{}, distNC, 0},
-		{slowD2{}, distCustom, 0},
+		{D1{}, distD1},
+		{D2{}, distD2},
+		{D3{}, distD3},
+		{D4{}, distD4},
+		{NC{}, distNC},
+		{slowD2{}, distCustom},
 	}
 	for _, c := range cases {
-		kind, eps := resolveDistKind(c.d)
-		if kind != c.kind || eps != c.eps {
-			t.Errorf("resolveDistKind(%s) = (%d, %v), want (%d, %v)", c.d.Name(), kind, eps, c.kind, c.eps)
+		if kind := resolveDistKind(c.d); kind != c.kind {
+			t.Errorf("resolveDistKind(%s) = %d, want %d", c.d.Name(), kind, c.kind)
 		}
 	}
 }

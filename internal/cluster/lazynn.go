@@ -43,12 +43,12 @@ import (
 //     nnTrieRecords records on, under a built-in distance, each record
 //     searches a prefix trie of the table best-first (buildNNTrie):
 //     frontier keys are root-path envelope sums, the bound of a key b is
-//     f(1, 1, 2, c_i, c_max, b/r) for the run's formula f (valid for d1,
-//     d2, d3 and nc, and for d4 while c_i + ε > 0), and only keys whose
+//     f(1, 1, 2, c_i, c_max, b/r) for the run's formula f (valid for
+//     every built-in distance over finite costs), and only keys whose
 //     bound is not above the list's discard bound are expanded or priced
 //     — ~10 priced pairs a record at n=10000 instead of n−1. Below the
-//     crossover, and under a user-supplied distance or a d4 that fails
-//     its test, buildNNTiled walks the strict lower triangle in
+//     crossover, and under a user-supplied distance or an infinite cost,
+//     buildNNTiled walks the strict lower triangle in
 //     initBlock×nnTile tiles, each block row anchored on its own strip,
 //     one priced sum per unordered pair, feeding row[i] and column[i]
 //     which only block-owner workers write. Both leave identical lists.

@@ -129,8 +129,8 @@ func TestParallelEquivalenceMinDiversity(t *testing.T) {
 }
 
 // TestAgglomerateStatsCounters sanity-checks the engine's work counters:
-// the distance-evaluation count is worker-invariant, merges and phase
-// timings are populated, and the initial build alone costs n·(n−1) evals.
+// the distance-evaluation count is worker-invariant, merges are counted,
+// and the initial build alone costs n·(n−1) evals.
 func TestAgglomerateStatsCounters(t *testing.T) {
 	const n = 120
 	s, tbl := randomSpace(t, rand.New(rand.NewSource(90)), n)
@@ -138,25 +138,16 @@ func TestAgglomerateStatsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seqStats.Workers != 1 {
-		t.Errorf("sequential stats report %d workers", seqStats.Workers)
-	}
 	if seqStats.DistEvals < int64(n)*int64(n-1) {
 		t.Errorf("DistEvals = %d, want ≥ n(n−1) = %d from the initial build", seqStats.DistEvals, n*(n-1))
 	}
 	if seqStats.Merges == 0 {
 		t.Error("Merges = 0")
 	}
-	if seqStats.TotalNanos() <= 0 {
-		t.Error("no phase wall time recorded")
-	}
 	for _, w := range []int{2, 4} {
 		_, parStats, err := AgglomerateStatsCtx(nil, s, tbl, AggloOptions{K: 5, Distance: D3{}, Workers: w})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if parStats.Workers != w {
-			t.Errorf("workers=%d stats report %d workers", w, parStats.Workers)
 		}
 		if parStats.DistEvals != seqStats.DistEvals {
 			t.Errorf("workers=%d: DistEvals = %d, sequential did %d — work must be worker-invariant",

@@ -395,23 +395,19 @@ func (e *Engine) buildNNTrie(n int, cmax float64) error {
 // f(1, 1, 2, c_i, c_max, dU) is f(1, 1, 2, c_i, c_j, dU) with c_j raised
 // to c_max: every built-in formula is non-decreasing in dU and
 // non-increasing in d(B) under IEEE rounding (each is a sum, difference,
-// positive scaling or positive-divisor quotient of its operands) — D4's
-// only while its divisor d(A) + d(B) + ε stays positive, so it needs
-// c_i + ε > 0 for the least c_i. Costs must be finite, so that no bound or
-// distance is NaN. A user-supplied distance has no known monotonicity.
+// positive scaling or positive-divisor quotient of its operands; D4's
+// divisor d(A) + d(B) + ε is positive because costs are ≥ 0). Costs must
+// be finite, so that no bound or distance is NaN. A user-supplied distance
+// has no known monotonicity.
 func (k *kernel) trieBound(n int) (cmax float64, ok bool) {
 	if k.kind == distCustom {
 		return 0, false
 	}
-	cmin := math.Inf(1)
 	for _, c := range k.cost[:n] {
 		if math.IsInf(c, 0) {
 			return 0, false
 		}
-		cmin, cmax = min(cmin, c), max(cmax, c)
-	}
-	if k.kind == distD4 && !(cmin+k.eps > 0) {
-		return 0, false
+		cmax = max(cmax, c)
 	}
 	return cmax, true
 }

@@ -166,9 +166,9 @@ func (scaledD3) Eval(sa, sb, su int, dA, dB, dU float64) float64 {
 }
 
 // TestNNInitFallsBackToTiled checks the build's choice above the
-// crossover: a custom Distance and a D4 whose ε makes c_i + ε ≤ 0 take the
-// tiled build (tiles scanned), the built-in distances the trie search (no
-// tile); and below the crossover every distance takes the tiled build.
+// crossover: a custom Distance takes the tiled build (tiles scanned), the
+// built-in distances the trie search (no tile); and below the crossover
+// every distance takes the tiled build.
 func TestNNInitFallsBackToTiled(t *testing.T) {
 	for _, c := range []struct {
 		n     int
@@ -176,7 +176,6 @@ func TestNNInitFallsBackToTiled(t *testing.T) {
 		tiled bool
 	}{
 		{nnTrieRecords, scaledD3{}, true},
-		{nnTrieRecords, D4{Epsilon: -1}, true},
 		{nnTrieRecords, D4{}, false},
 		{nnTrieRecords, D3{}, false},
 		{nnTrieRecords - 1, D3{}, true},

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"kanon/internal/cluster"
 	"kanon/internal/obs"
@@ -62,41 +61,48 @@ func ForestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k int) (
 	var treeEdges []edge
 	rows := newCostRows(s)
 
+	// Per-round state, allocated once: root[i] is record i's component,
+	// and for each component root r, small[r] marks a component below size
+	// k and bestW[r]/bestE[r] hold its lightest outgoing edge so far.
+	root := make([]int, n)
+	small := make([]bool, n)
+	bestW := make([]float64, n)
+	bestE := make([]edge, n)
+	var roots []int
 	for {
 		if ctxDone(ctx) {
 			return nil, nil, ctx.Err()
 		}
-		// Collect components below size k.
-		small := make(map[int]bool)
+		// Collect components below size k. Only a root is its own parent,
+		// so the scan yields the small roots in ascending order.
+		roots = roots[:0]
 		for i := 0; i < n; i++ {
-			r := find(i)
-			if compSize[r] < k {
-				small[r] = true
+			root[i] = find(i)
+			small[i] = parent[i] == i && compSize[i] < k
+			if small[i] {
+				roots = append(roots, i)
+				bestW[i] = math.Inf(1)
+				bestE[i] = edge{}
 			}
 		}
-		if len(small) == 0 {
+		if len(roots) == 0 {
 			break
 		}
 		// One pass over all pairs: best outgoing edge per small component.
-		bestW := make(map[int]float64, len(small))
-		bestE := make(map[int]edge, len(small))
-		//kanon:allow determinism -- per-key default initialization; each write touches only its own key
-		for r := range small {
-			bestW[r] = math.Inf(1)
-		}
 		evals := int64(0)
 		for i := 0; i < n; i++ {
 			if ctxDone(ctx) {
 				return nil, nil, ctx.Err()
 			}
-			ri := find(i)
+			ri := root[i]
+			iSmall := small[ri]
 			rows.load(tbl.Records[i])
 			for j := i + 1; j < n; j++ {
-				rj := find(j)
+				rj := root[j]
 				if ri == rj {
 					continue
 				}
-				iSmall, jSmall := small[ri], small[rj]
+				jSmall := small[rj]
 				if !iSmall && !jSmall {
 					continue
 				}
@@ -117,12 +123,6 @@ func ForestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k int) (
 		o.Counter("core.forest.rounds", 1)
 		// Merge deterministically: process small components in ascending
 		// root order; skip those already merged this round.
-		roots := make([]int, 0, len(small))
-		//kanon:allow determinism -- keys are collected then sorted before any order-dependent use
-		for r := range small {
-			roots = append(roots, r)
-		}
-		sort.Ints(roots)
 		merged := false
 		for _, r := range roots {
 			// The component may have been merged into during this round

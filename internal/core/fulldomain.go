@@ -107,7 +107,8 @@ func FullDomainCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k in
 	heap.Push(pq, levelNode{levels: start, loss: lossOf(start)})
 	visited := map[string]bool{key(start): true}
 	groupBuf := make([]byte, 0, 4*r)
-	groupCounts := make(map[string]int, n)
+	groupIDs := make(map[string]int, n)
+	groupCounts := make([]int, 0, n)
 
 	for pq.Len() > 0 {
 		if ctxDone(ctx) {
@@ -117,7 +118,7 @@ func FullDomainCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k in
 		// Each popped vector costs one O(n) k-anonymity test.
 		o.Event(obs.KindScan, PhaseFullDomain, int64(n))
 		o.Counter("core.fulldomain.vectors", 1)
-		if fullDomainKAnonymous(tbl, ancestorAt, cur.levels, k, groupBuf, groupCounts) {
+		if fullDomainKAnonymous(tbl, ancestorAt, cur.levels, k, groupBuf, groupIDs, groupCounts) {
 			return apply(cur.levels), cur.levels, nil
 		}
 		for j := 0; j < r; j++ {
@@ -141,19 +142,28 @@ func FullDomainCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k in
 
 // fullDomainKAnonymous checks the k-anonymity of a level vector without
 // materializing the generalized table: records are grouped by the byte
-// encoding of their per-attribute generalized nodes.
-func fullDomainKAnonymous(tbl *table.Table, ancestorAt [][][]int, levels []int, k int, buf []byte, groups map[string]int) bool {
+// encoding of their per-attribute generalized nodes, groups maps each
+// encoding to its number in order of first appearance, and counts[g] is
+// the size of group g. counts has capacity n, so its appends never
+// reallocate.
+func fullDomainKAnonymous(tbl *table.Table, ancestorAt [][][]int, levels []int, k int, buf []byte, groups map[string]int, counts []int) bool {
 	clear(groups)
+	counts = counts[:0]
 	for _, rec := range tbl.Records {
 		buf = buf[:0]
 		for j, v := range rec {
 			node := ancestorAt[j][v][levels[j]]
 			buf = append(buf, byte(node), byte(node>>8), byte(node>>16), byte(node>>24))
 		}
-		groups[string(buf)]++
+		g, ok := groups[string(buf)]
+		if !ok {
+			g = len(counts)
+			groups[string(buf)] = g
+			counts = append(counts, 0)
+		}
+		counts[g]++
 	}
-	//kanon:allow determinism -- universal predicate over group counts; the verdict is independent of visit order
-	for _, c := range groups {
+	for _, c := range counts {
 		if c < k {
 			return false
 		}

@@ -464,30 +464,6 @@ func bestBySum(series []Series, ks []int) Series {
 	return best
 }
 
-// RunTableI runs all six blocks of Table I (E1–E6) in the paper's order:
-// ART/ADT/CMC under EM, then under LM.
-func (c Config) RunTableI() ([]*Block, error) {
-	var blocks []*Block
-	for _, m := range []MeasureKind{EM, LM} {
-		for _, d := range []string{"ART", "ADT", "CMC"} {
-			b, err := c.RunBlock(d, m)
-			if err != nil {
-				return nil, err
-			}
-			blocks = append(blocks, b)
-		}
-	}
-	// Paper order: six row groups ART/ADT/CMC × EM then ART/ADT/CMC × LM —
-	// already generated in that order.
-	return blocks, nil
-}
-
-// RunFigure computes the three series of Figure 2 (measure EM) or Figure 3
-// (measure LM) on the ADT dataset: best k-anon, forest, best (k,k).
-func (c Config) RunFigure(m MeasureKind) (*Block, error) {
-	return c.RunBlock("ADT", m)
-}
-
 // SortedKs returns the block's k values ascending.
 func (b *Block) SortedKs() []int {
 	ks := append([]int(nil), b.Ks...)

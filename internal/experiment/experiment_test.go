@@ -64,27 +64,6 @@ func TestBlockShapeMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestRunTableIOrder(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.NART, cfg.NADT, cfg.NCMC = 60, 60, 60
-	cfg.Ks = []int{3}
-	cfg.Verify = false
-	blocks, err := cfg.RunTableI()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantOrder := []string{"ART", "ADT", "CMC", "ART", "ADT", "CMC"}
-	wantMeasure := []MeasureKind{EM, EM, EM, LM, LM, LM}
-	if len(blocks) != 6 {
-		t.Fatalf("got %d blocks", len(blocks))
-	}
-	for i, b := range blocks {
-		if b.Dataset != wantOrder[i] || b.Measure != wantMeasure[i] {
-			t.Errorf("block %d = %s/%s, want %s/%s", i, b.Dataset, b.Measure, wantOrder[i], wantMeasure[i])
-		}
-	}
-}
-
 func TestRunBlockUnknowns(t *testing.T) {
 	cfg := tinyConfig()
 	if _, err := cfg.RunBlock("NOPE", EM); err == nil {
@@ -95,9 +74,11 @@ func TestRunBlockUnknowns(t *testing.T) {
 	}
 }
 
+// TestRunFigure checks Figure 3's data, the ADT block under LM, and its
+// CSV rendering.
 func TestRunFigure(t *testing.T) {
 	cfg := tinyConfig()
-	blk, err := cfg.RunFigure(LM)
+	blk, err := cfg.RunBlock("ADT", LM)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,32 +238,6 @@ func (h *Hierarchy) Validate() error {
 	return nil
 }
 
-// DOT renders the hierarchy in Graphviz DOT format, labelling leaves with
-// valueLabel (falling back to "#id" when nil) and internal nodes with
-// their configured labels. Useful for documenting a hierarchy spec.
-func (h *Hierarchy) DOT(name string, valueLabel func(v int) string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n  rankdir=TB;\n  node [shape=box, fontname=\"sans-serif\"];\n", name)
-	for u := 0; u < h.NumNodes(); u++ {
-		label := h.Label(u)
-		if h.IsLeaf(u) && valueLabel != nil {
-			label = valueLabel(h.ValueOf(u))
-		}
-		shape := ""
-		if h.IsLeaf(u) {
-			shape = ", shape=plaintext"
-		}
-		fmt.Fprintf(&b, "  n%d [label=%q%s];\n", u, label, shape)
-	}
-	for u := 0; u < h.NumNodes(); u++ {
-		if p := h.Parent(u); p >= 0 {
-			fmt.Fprintf(&b, "  n%d -> n%d;\n", p, u)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
-
 // String renders the hierarchy as an indented tree, for debugging.
 func (h *Hierarchy) String() string {
 	var b strings.Builder

@@ -2,7 +2,6 @@ package hierarchy
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -411,24 +410,6 @@ func TestStringRendering(t *testing.T) {
 	s := h.String()
 	if s == "" {
 		t.Error("String() empty")
-	}
-}
-
-func TestDOT(t *testing.T) {
-	h := paperA6(t)
-	dot := h.DOT("A6", func(v int) string { return []string{"f1", "f2", "f3", "f4", "f5"}[v] })
-	for _, want := range []string{"digraph \"A6\"", "f3-5", "f1", "->"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT missing %q", want)
-		}
-	}
-	// One edge per non-root node.
-	if got := strings.Count(dot, "->"); got != h.NumNodes()-1 {
-		t.Errorf("%d edges, want %d", got, h.NumNodes()-1)
-	}
-	// nil valueLabel falls back to ids.
-	if !strings.Contains(h.DOT("x", nil), "#0") {
-		t.Error("fallback leaf labels missing")
 	}
 }
 

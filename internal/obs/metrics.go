@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"expvar"
-	"sort"
 	"sync"
 	"time"
 )
@@ -239,17 +238,4 @@ func (m *Metrics) Snapshot() RunStats {
 //	expvar.Publish("kanon.lastrun", m.Var())
 func (m *Metrics) Var() expvar.Var {
 	return expvar.Func(func() interface{} { return m.Snapshot() })
-}
-
-// CounterNames returns the sorted counter names observed so far — handy for
-// stable rendering.
-func (m *Metrics) CounterNames() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.counters))
-	for k := range m.counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -226,16 +226,6 @@ func TestMetricsAggregation(t *testing.T) {
 	if s.Counter("cluster.dist_evals") != 123 {
 		t.Error("Normalize dropped counters")
 	}
-
-	names := m.CounterNames()
-	if len(names) < 5 {
-		t.Errorf("CounterNames = %v", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Errorf("CounterNames unsorted: %v", names)
-		}
-	}
 }
 
 // TestMetricsRecordAllocatesNothing pins the per-phase counter-name cache:
