@@ -68,7 +68,7 @@ var fmtSinks = map[string]bool{
 // obsEmitters are the obs.Run methods whose string arguments become event
 // payloads.
 var obsEmitters = map[string]bool{
-	"Event": true, "Phase": true, "Counter": true, "Peak": true, "Sched": true,
+	"Phase": true, "Counter": true, "Peak": true, "Sched": true,
 }
 
 // Config is the production source/sink/sanitizer set. It is exported so

@@ -4,9 +4,9 @@
 // it, and that closure must run on every path out of the function —
 // otherwise Metrics aggregation sees unbalanced KindPhaseStart /
 // KindPhaseEnd streams and per-phase wall times go bogus. The analyzer
-// also forbids emitting the bracket events raw (Run.Event with a phase
-// kind, or an obs.Event literal), because hand-rolled brackets are how
-// pairing drifts in the first place.
+// also forbids forging the bracket events raw (an obs.Event literal with
+// a phase kind), because hand-rolled brackets are how pairing drifts in
+// the first place.
 package obsphase
 
 import (
@@ -48,8 +48,6 @@ func run(pass *analysis.Pass) error {
 				}
 			case *ast.FuncLit:
 				checkBody(pass, info, n.Body)
-			case *ast.CallExpr:
-				checkRawEvent(pass, info, n)
 			case *ast.CompositeLit:
 				checkRawEventLit(pass, info, n)
 			}
@@ -361,18 +359,6 @@ func isTerminatingCall(info *types.Info, e ast.Expr) bool {
 		return fn.Name() == "Fatal" || fn.Name() == "Fatalf" || fn.Name() == "Fatalln"
 	}
 	return false
-}
-
-// checkRawEvent flags Run.Event calls whose kind argument is a phase
-// bracket: brackets must come from Run.Phase so they always pair.
-func checkRawEvent(pass *analysis.Pass, info *types.Info, call *ast.CallExpr) {
-	fn := analysis.CalleeFunc(info, call)
-	if !analysis.IsMethod(fn, ObsPath, "Run", "Event") || len(call.Args) == 0 {
-		return
-	}
-	if isPhaseKind(info, call.Args[0]) {
-		pass.Reportf(call.Pos(), "raw phase-bracket event emission: use obs.Run.Phase so KindPhaseStart/KindPhaseEnd always pair")
-	}
 }
 
 // checkRawEventLit flags obs.Event literals with a phase-bracket kind.

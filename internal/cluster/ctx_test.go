@@ -204,16 +204,17 @@ func TestAgglomerateCancelLeaksNoGoroutines(t *testing.T) {
 // latency of a cancellation landing inside the O(n²) init build.
 func TestAgglomerateCtxCancelDuringInitScanIsPrompt(t *testing.T) {
 	s, tbl := randomSpace(t, rand.New(rand.NewSource(5)), 400)
-	// The init build polls once per tile and once per record, so poll 50
-	// of 400 records falls inside it.
-	ctx := newPollCtx(50)
+	// The init build polls once per block of initBlock records and once
+	// per tile, about 30 times for 400 records, so poll 20 falls inside
+	// it.
+	ctx := newPollCtx(20)
 	_, st, err := AgglomerateStatsCtx(ctx, s, tbl, AggloOptions{K: 10, Distance: D3{}, Workers: 2})
 	elapsed := time.Since(ctx.at)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
 	if st.Merges != 0 {
-		t.Fatalf("cancellation at poll 50 landed after the init build (%d merges)", st.Merges)
+		t.Fatalf("cancellation at poll 20 landed after the init build (%d merges)", st.Merges)
 	}
 	if elapsed > 500*time.Millisecond {
 		t.Fatalf("cancellation took %v, want < 500ms", elapsed)

@@ -3,8 +3,6 @@ package cluster
 import (
 	"math"
 	"slices"
-
-	"kanon/internal/obs"
 )
 
 // This file implements the lazy NN-heap merge selection of the
@@ -387,7 +385,8 @@ func (e *Engine) heapMaybeCompact() {
 // folded into a span-local partial list otherwise. The partials are merged
 // and the heap seeded on the driving goroutine afterwards; lists are
 // fold-order independent, so any span geometry yields identical lists.
-// Each tile and each record's scan event polls ctx.
+// Each block and each tile polls ctx, and each record of a block counts
+// as one scan of its n−1 candidates.
 func (e *Engine) buildNNTiled(n int) error {
 	numBlocks := (n + initBlock - 1) / initBlock
 	for bi := 0; bi < numBlocks; bi++ {
@@ -408,7 +407,7 @@ func (e *Engine) buildNNTiled(n int) error {
 		}
 		e.spanInitPart[sp] = part
 		strips, sums := e.spanStrips[sp], e.spanSums[sp]
-		evals := int64(0)
+		evals, records := int64(0), int64(0)
 		for bi := bLo; bi < bHi && !e.cancelled(); bi++ {
 			iLo := bi * initBlock
 			iHi := min(iLo+initBlock, n)
@@ -435,12 +434,12 @@ func (e *Engine) buildNNTiled(n int) error {
 					}
 				}
 			}
-			for i := iLo; i < iHi && !e.cancelled(); i++ {
-				e.o.Event(obs.KindScan, PhaseInit, int64(n-1))
-			}
+			records += int64(iHi - iLo)
 		}
 		e.distEvals.Add(evals)
+		e.initScans.Add(records)
 	})
+	e.initScanEvals = e.initScans.Load() * int64(n-1)
 	if err != nil {
 		return err
 	}
@@ -530,7 +529,8 @@ func (e *Engine) rescanList(owner int, dst *nnList, kind uint8) {
 		dst.mergeFrom(&e.spanRowList[sp])
 	}
 	e.distEvals.Add(evals)
-	e.o.Event(obs.KindScan, PhaseMerge, evals)
+	e.mergeScans++
+	e.mergeScanEvals += evals
 }
 
 // rescanSpan is one span of rescanList: tiles [tLo, tHi) of the live list,
@@ -582,7 +582,8 @@ func (e *Engine) repairHeap(added []int) {
 			col.mergeFrom(&e.spanColList[sp])
 		}
 		e.distEvals.Add(evals)
-		e.o.Event(obs.KindScan, PhaseMerge, evals)
+		e.mergeScans++
+		e.mergeScanEvals += evals
 		e.pushRowHead(nb)
 		e.pushColHead(nb)
 	}

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"kanon/internal/obs"
 	"kanon/internal/table"
 )
 
@@ -323,9 +322,9 @@ func (e *Engine) buildNN(n int) error {
 // walk skips keys above it and stops past its bucket. Records are sharded
 // over the pool in spans, each with its own frontier and cost row; a row
 // list is written only by its record's span, so the lists and counters are
-// worker-invariant. Each record polls ctx and emits one scan event with
-// the pairs it priced; cluster.init.bound_sums counts the frontier's
-// bound sums (Frontier.Expand).
+// worker-invariant. Each record polls ctx and is one scan of the pairs it
+// priced; cluster.init.bound_sums counts the frontier's bound sums
+// (Frontier.Expand).
 func (e *Engine) buildNNTrie(n int, cmax float64) error {
 	k, tbl := e.kern, e.tbl
 	t := NewRecordTrie(tbl)
@@ -371,19 +370,21 @@ func (e *Engine) buildNNTrie(n int, cmax float64) error {
 					}
 				}
 			}
-			e.o.Event(obs.KindScan, PhaseInit, p)
 			priced += p
 		}
 		e.distEvals.Add(priced)
+		e.initScans.Add(int64(i - lo))
 		boundSums.Add(sums)
 		if k.fillWalks > 0 {
 			k.walks.Add(2 * k.fillWalks * int64(i-lo)) // a cost and an envelope row per record
 		}
 	})
+	// The build is the run's first pricing: its scans priced every
+	// evaluation so far.
+	e.initScanEvals, e.initBoundSums = e.distEvals.Load(), boundSums.Load()
 	if err != nil {
 		return err
 	}
-	e.o.Counter(obs.CounterInitBoundSums, boundSums.Load())
 	for i := 0; i < n; i++ {
 		e.pushRowHead(i)
 	}

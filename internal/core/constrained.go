@@ -82,6 +82,8 @@ func make1KConstrained(ctx context.Context, s *cluster.Space, tbl *table.Table, 
 
 	o := obs.From(ctx)
 	defer o.Phase(PhaseMake1K)()
+	var deficient, augments int64
+	defer func() { reportAugments(o, deficient, augments) }()
 	x := newConsIndex(s, g)
 	rows := newCostRows(s)
 	var members, cands []int
@@ -169,8 +171,8 @@ func make1KConstrained(ctx context.Context, s *cluster.Space, tbl *table.Table, 
 			widened++
 		}
 		if widened > 0 {
-			o.Event(obs.KindAugment, PhaseMake1K, widened)
-			o.Counter("core.make1k.deficient", 1)
+			deficient++
+			augments += widened
 		}
 	}
 	return g, nil

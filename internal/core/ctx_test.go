@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"kanon/internal/obs"
 	"kanon/internal/par"
 )
 
@@ -77,27 +76,30 @@ func TestK1CancelAtRecordSite(t *testing.T) {
 	})
 }
 
-// scanPanic is a Recorder that panics with itself at the hit-th record
-// scan event (obs.KindScan) it receives.
-type scanPanic struct {
+// panicCtx is a live context whose Err panics with the context itself at
+// its hit-th call. K1 polls ctx once per record inside its pool spans, so
+// a hit past the pool's own entry poll lands inside a record scan.
+type panicCtx struct {
+	context.Context
 	hit   int64
-	scans atomic.Int64
+	polls atomic.Int64
 }
 
-// Record implements obs.Recorder.
-func (r *scanPanic) Record(e obs.Event) {
-	if e.Kind == obs.KindScan && r.scans.Add(1) == r.hit {
-		panic(r)
+// Err implements context.Context.
+func (c *panicCtx) Err() error {
+	if c.polls.Add(1) == c.hit {
+		panic(c)
 	}
+	return nil
 }
 
 // TestK1InjectedPanicIsContained panics inside a record scan of the
-// parallel (k,1) pipeline, through an observer whose seventh scan event
-// panics, and asserts the panic surfaces as a recoverable *par.TaskPanic
-// carrying the observer's value, not a process abort.
+// parallel (k,1) pipeline, through a context whose seventh poll panics,
+// and asserts the panic surfaces as a recoverable *par.TaskPanic carrying
+// the context's value, not a process abort.
 func TestK1InjectedPanicIsContained(t *testing.T) {
 	s, tbl := testSpace(t, rand.New(rand.NewSource(13)), 40, "lm")
-	rec := &scanPanic{hit: 7}
+	ctx := &panicCtx{Context: context.Background(), hit: 7}
 	defer func() {
 		v := recover()
 		if v == nil {
@@ -107,11 +109,11 @@ func TestK1InjectedPanicIsContained(t *testing.T) {
 		if !ok {
 			t.Fatalf("recovered %T, want *par.TaskPanic", v)
 		}
-		if tp.Value != rec {
-			t.Fatalf("panic value %v is not the observer's", tp.Value)
+		if tp.Value != ctx {
+			t.Fatalf("panic value %v is not the context's", tp.Value)
 		}
 	}()
-	_, _ = K1NearestCtx(obs.With(context.Background(), rec), s, tbl, 4, 4)
+	_, _ = K1NearestCtx(ctx, s, tbl, 4, 4)
 }
 
 // TestMake1KCancelAtRecordSite cancels Algorithm 5, plain and under a

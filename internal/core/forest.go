@@ -41,6 +41,21 @@ func ForestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k int) (
 	}
 	o := obs.From(ctx)
 	defer o.Phase(PhaseForest)()
+	// The run's Borůvka rounds, the pair costs their edge passes priced,
+	// its tree edges and parts, reported once whichever way it ends.
+	type edge struct{ u, v int }
+	var rounds, roundEvals int64
+	var treeEdges []edge
+	var clusters []*cluster.Cluster
+	defer func() {
+		if rounds > 0 {
+			o.Counter(PhaseForest+".rounds", rounds)
+			o.Counter(PhaseForest+".scans", rounds)
+			o.Counter(PhaseForest+".scan_evals", roundEvals)
+		}
+		o.Counter(PhaseForest+".tree_edges", int64(len(treeEdges)))
+		o.Counter(PhaseForest+".parts", int64(len(clusters)))
+	}()
 
 	// Phase 1: component growth over the record graph.
 	parent := make([]int, n) // union-find
@@ -57,8 +72,6 @@ func ForestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k int) (
 		}
 		return x
 	}
-	type edge struct{ u, v int }
-	var treeEdges []edge
 	rows := newCostRows(s)
 
 	// Per-round state, allocated once: root[i] is record i's component,
@@ -119,8 +132,8 @@ func ForestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k int) (
 			}
 		}
 		// One round = one full edge pass.
-		o.Event(obs.KindScan, PhaseForest, evals)
-		o.Counter("core.forest.rounds", 1)
+		rounds++
+		roundEvals += evals
 		// Merge deterministically: process small components in ascending
 		// root order; skip those already merged this round.
 		merged := false
@@ -156,7 +169,6 @@ func ForestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k int) (
 
 	// Phase 2: decompose each tree into parts of size in [k, 2k−1].
 	visited := make([]bool, n)
-	var clusters []*cluster.Cluster
 	for root := 0; root < n; root++ {
 		if visited[root] {
 			continue
@@ -165,10 +177,6 @@ func ForestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k int) (
 		for _, p := range parts {
 			clusters = append(clusters, s.NewCluster(tbl, p))
 		}
-	}
-	if o.Enabled() {
-		o.Counter("core.forest.tree_edges", int64(len(treeEdges)))
-		o.Counter("core.forest.parts", int64(len(clusters)))
 	}
 	g := cluster.ToGenTable(tbl.Schema, n, clusters)
 	return g, clusters, nil

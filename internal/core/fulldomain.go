@@ -101,6 +101,9 @@ func FullDomainCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k in
 
 	o := obs.From(ctx)
 	defer o.Phase(PhaseFullDomain)()
+	// Each popped vector costs one O(n) k-anonymity test.
+	vectors := int64(0)
+	defer func() { o.Counter(PhaseFullDomain+".vectors", vectors) }()
 	pq := &levelHeap{}
 	heap.Init(pq)
 	start := make([]int, r)
@@ -115,9 +118,7 @@ func FullDomainCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k in
 			return nil, nil, ctx.Err()
 		}
 		cur := heap.Pop(pq).(levelNode)
-		// Each popped vector costs one O(n) k-anonymity test.
-		o.Event(obs.KindScan, PhaseFullDomain, int64(n))
-		o.Counter("core.fulldomain.vectors", 1)
+		vectors++
 		if fullDomainKAnonymous(tbl, ancestorAt, cur.levels, k, groupBuf, groupIDs, groupCounts) {
 			return apply(cur.levels), cur.levels, nil
 		}

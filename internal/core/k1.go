@@ -20,7 +20,8 @@ import (
 // Records are processed independently on a pool of Workers(workers)
 // workers, so the worker count never changes the output. Record scans stop
 // at the next record boundary once ctx is done and ctx.Err() is returned
-// with no partial output. A nil ctx disables cancellation.
+// with no partial output. A nil ctx disables cancellation. Each record is
+// one scan of n−1 pair costs (core.k1.scans, core.k1.scan_evals).
 func K1NearestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, workers int) (*table.GenTable, error) {
 	n := tbl.Len()
 	if err := checkK1Args(n, k); err != nil {
@@ -31,13 +32,13 @@ func K1NearestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, wo
 	g := table.NewGen(tbl.Schema, n)
 	p := par.New(workers)
 	defer p.Close()
-	_, err := p.ForSpansCtx(ctx, n, 1, func(lo, hi, _ int) {
+	scans := make([]int64, p.Size()) // per span
+	_, err := p.ForSpansCtx(ctx, n, 1, func(lo, hi, span int) {
 		// Span scratch, reused across its records.
 		rows := newCostRows(s)
 		near := cheapest{best: make([]cand, 0, k)}
-		for i := lo; i < hi && !ctxDone(ctx); i++ {
-			// One neighbourhood scan per record: n−1 pair-cost evaluations.
-			o.Event(obs.KindScan, PhaseK1, int64(n-1))
+		i := lo
+		for ; i < hi && !ctxDone(ctx); i++ {
 			// Keep the k−1 smallest pair costs; ties broken by lower index.
 			rows.load(tbl.Records[i])
 			near.reset(k - 1)
@@ -53,7 +54,12 @@ func K1NearestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, wo
 				widen(s, out, tbl.Records[c.j])
 			}
 		}
+		scans[span] += int64(i - lo)
 	})
+	if total := sum(scans); total > 0 {
+		o.Counter(PhaseK1+".scans", total)
+		o.Counter(PhaseK1+".scan_evals", total*int64(n-1))
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +76,10 @@ func K1NearestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, wo
 // Records are processed independently on a pool of Workers(workers)
 // workers, so the worker count never changes the output. Record scans stop
 // at the next record boundary once ctx is done and ctx.Err() is returned
-// with no partial output. A nil ctx disables cancellation.
+// with no partial output. A nil ctx disables cancellation. Each record is
+// one scan (core.k1.scans) of the candidates it priced
+// (core.k1.scan_evals) and the trie nodes and records its frontier
+// reached (core.k1.trie_visits).
 //
 // Each growth step picks the least (dist, j), exactly as a full sweep in
 // ascending j would, but prices only the candidates that can still win:
@@ -97,29 +106,42 @@ func K1ExpandCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, wor
 	t := cluster.NewRecordTrie(tbl)
 	p := par.New(workers)
 	defer p.Close()
-	visits := make([]int64, p.Size()) // per span
+	// Per-span tallies: records scanned, candidates priced, trie visits.
+	scans := make([]int64, p.Size())
+	evals := make([]int64, p.Size())
+	visits := make([]int64, p.Size())
 	_, err := p.ForSpansCtx(ctx, n, 1, func(lo, hi, span int) {
 		sc := newExpandScan(s, t, n)
-		for i := lo; i < hi && !ctxDone(ctx); i++ {
+		i := lo
+		for ; i < hi && !ctxDone(ctx); i++ {
 			if whole != nil {
 				copy(g.Records[i], whole)
-				o.Event(obs.KindScan, PhaseK1, 0)
 				continue
 			}
-			evals, v := sc.grow(tbl, i, k, g.Records[i])
-			o.Event(obs.KindScan, PhaseK1, evals)
+			e, v := sc.grow(tbl, i, k, g.Records[i])
+			evals[span] += e
 			visits[span] += v
 		}
+		scans[span] += int64(i - lo)
 	})
+	if total := sum(scans); total > 0 {
+		o.Counter(PhaseK1+".scans", total)
+		o.Counter(PhaseK1+".scan_evals", sum(evals))
+	}
+	o.Counter(PhaseK1+".trie_visits", sum(visits))
 	if err != nil {
 		return nil, err
 	}
+	return g, nil
+}
+
+// sum returns the total of per-span tallies.
+func sum(tallies []int64) int64 {
 	total := int64(0)
-	for _, v := range visits {
+	for _, v := range tallies {
 		total += v
 	}
-	o.Counter(PhaseK1+".trie_visits", total)
-	return g, nil
+	return total
 }
 
 // expandScan is one worker span's scratch for Algorithm 4, reused across

@@ -46,11 +46,17 @@ func Make1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g *table
 	}
 	o := obs.From(ctx)
 	defer o.Phase(PhaseMake1K)()
+	// The deficient records, the rows widened to cover them and the class
+	// prices taken, reported once whichever way the pass ends.
+	var deficient, augments, prices int64
+	defer func() {
+		reportAugments(o, deficient, augments)
+		o.Counter("core.make1k.prices", prices)
+	}()
 	x := newConsIndex(s, g)
 	cl := newRowClasses(s, g)
 	var cheap cheapest
 	var near []int
-	prices := int64(0)
 	for i := 0; i < n; i++ {
 		if ctxDone(ctx) {
 			return nil, ctx.Err()
@@ -86,13 +92,20 @@ func Make1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g *table
 			cl.move(c.j, g, near)
 			near = append(near, c.j)
 		}
-		// One augmentation per deficient record; N is the number of
-		// generalized records widened to cover it.
-		o.Event(obs.KindAugment, PhaseMake1K, int64(need))
-		o.Counter("core.make1k.deficient", 1)
+		deficient++
+		augments += int64(need)
 	}
-	o.Counter("core.make1k.prices", prices)
 	return g, nil
+}
+
+// reportAugments emits Algorithm 5's deficient-record and widened-row
+// counters, core.make1k.deficient and core.make1k.augments, when any
+// record was deficient.
+func reportAugments(o *obs.Run, deficient, augments int64) {
+	if deficient > 0 {
+		o.Counter(PhaseMake1K+".deficient", deficient)
+		o.Counter(PhaseMake1K+".augments", augments)
+	}
 }
 
 // rowClasses is Algorithm 5's partition of the released rows into classes

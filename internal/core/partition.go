@@ -169,19 +169,33 @@ func KAnonymizePartitionedReportCtx(ctx context.Context, s *cluster.Space, tbl *
 		largest = max(largest, len(chunk))
 	}
 	var eng *cluster.Engine
+	// The shards visited, those restored from a checkpoint, and the chunks
+	// handed to the engine with their records, reported once whichever way
+	// the run ends.
+	var shards, hits, computed, computedRecords int64
 	defer func() {
 		if eng != nil {
 			eng.Close(o)
+		}
+		if shards > 0 {
+			o.Counter(obs.CounterResilientShards, shards)
+		}
+		if hits > 0 {
+			o.Counter(obs.CounterResilientCheckpointHits, hits)
+		}
+		if computed > 0 {
+			o.Counter(PhasePartition+".chunks", computed)
+			o.Counter(PhasePartition+".chunk_records", computedRecords)
 		}
 	}()
 	sub := table.New(tbl.Schema)
 	var clusters []*cluster.Cluster
 	for i, chunk := range chunks {
-		o.Counter(obs.CounterResilientShards, 1)
+		shards++
 		if ck, ok := opt.CompletedShards[i]; ok && ck.Sig == Signature(sig, chunk) {
 			// Closures and costs are pure functions of the member sets, so
 			// the rebuilt clusters are byte-identical to the computed ones.
-			o.Counter(obs.CounterResilientCheckpointHits, 1)
+			hits++
 			for _, members := range ck.Clusters {
 				clusters = append(clusters, s.NewCluster(tbl, members))
 			}
@@ -199,6 +213,8 @@ func KAnonymizePartitionedReportCtx(ctx context.Context, s *cluster.Space, tbl *
 			}, largest)
 		}
 		var cs []*cluster.Cluster
+		computed++
+		computedRecords += int64(len(chunk))
 		err := par.Recover(func() (err error) {
 			cs, err = runShard(ctx, eng, sub, tbl, chunk)
 			if err == nil && opt.OnShard != nil {
@@ -225,7 +241,6 @@ func KAnonymizePartitionedReportCtx(ctx context.Context, s *cluster.Space, tbl *
 // runShard runs the engine over one chunk, loaded into sub, and returns its
 // clusters with global member indices.
 func runShard(ctx context.Context, eng *cluster.Engine, sub, tbl *table.Table, chunk []int) ([]*cluster.Cluster, error) {
-	obs.From(ctx).Event(obs.KindChunk, PhasePartition, int64(len(chunk)))
 	sub.Records = sub.Records[:0]
 	for _, gi := range chunk {
 		sub.Records = append(sub.Records, tbl.Records[gi])

@@ -43,8 +43,10 @@ func refK1Nearest(ctx context.Context, s *cluster.Space, tbl *table.Table, k int
 	o := obs.From(ctx)
 	defer o.Phase(PhaseK1)()
 	g := table.NewGen(tbl.Schema, n)
+	// One neighbourhood scan per record: n−1 pair-cost evaluations.
+	o.Counter(PhaseK1+".scans", int64(n))
+	o.Counter(PhaseK1+".scan_evals", int64(n)*int64(n-1))
 	for i := 0; i < n; i++ {
-		o.Event(obs.KindScan, PhaseK1, int64(n-1))
 		type cand struct {
 			j int
 			w float64
@@ -82,8 +84,8 @@ func refK1Expand(ctx context.Context, s *cluster.Space, tbl *table.Table, k int)
 	defer o.Phase(PhaseK1)()
 	g := table.NewGen(tbl.Schema, n)
 	r := s.NumAttrs()
+	evals := int64(0)
 	for i := 0; i < n; i++ {
-		evals := int64(0)
 		inS := make([]bool, n)
 		inS[i] = true
 		closure := s.LeafClosure(tbl.Records[i])
@@ -112,8 +114,9 @@ func refK1Expand(ctx context.Context, s *cluster.Space, tbl *table.Table, k int)
 			}
 		}
 		copy(g.Records[i], closure)
-		o.Event(obs.KindScan, PhaseK1, evals)
 	}
+	o.Counter(PhaseK1+".scans", int64(n))
+	o.Counter(PhaseK1+".scan_evals", evals)
 	return g, nil
 }
 
@@ -130,7 +133,7 @@ func refMake1K(ctx context.Context, s *cluster.Space, tbl *table.Table, g *table
 	o := obs.From(ctx)
 	defer o.Phase(PhaseMake1K)()
 	r := s.NumAttrs()
-	prices := int64(0)
+	var deficient, augments, prices int64
 	for i := 0; i < n; i++ {
 		ri := tbl.Records[i]
 		consistent := 0
@@ -175,8 +178,12 @@ func refMake1K(ctx context.Context, s *cluster.Space, tbl *table.Table, g *table
 				gj[a] = h.LCA(gj[a], h.LeafOf(ri[a]))
 			}
 		}
-		o.Event(obs.KindAugment, PhaseMake1K, int64(need))
-		o.Counter("core.make1k.deficient", 1)
+		deficient++
+		augments += int64(need)
+	}
+	if deficient > 0 {
+		o.Counter("core.make1k.deficient", deficient)
+		o.Counter("core.make1k.augments", augments)
 	}
 	o.Counter("core.make1k.prices", prices)
 	return g, nil
@@ -203,6 +210,7 @@ func refMake1KConstrained(ctx context.Context, s *cluster.Space, tbl *table.Tabl
 	}
 	o := obs.From(ctx)
 	defer o.Phase(PhaseMake1K)()
+	var deficient, augments int64
 	r := s.NumAttrs()
 	violated := make([]cluster.Bound, 0, len(bound))
 	improvesAny := func(j int) bool {
@@ -291,9 +299,13 @@ func refMake1KConstrained(ctx context.Context, s *cluster.Space, tbl *table.Tabl
 			widened++
 		}
 		if widened > 0 {
-			o.Event(obs.KindAugment, PhaseMake1K, widened)
-			o.Counter("core.make1k.deficient", 1)
+			deficient++
+			augments += widened
 		}
+	}
+	if deficient > 0 {
+		o.Counter("core.make1k.deficient", deficient)
+		o.Counter("core.make1k.augments", augments)
 	}
 	return g, nil
 }
@@ -330,7 +342,7 @@ func refMakeGlobal1K(ctx context.Context, s *cluster.Space, tbl *table.Table, g 
 	if err != nil {
 		return nil, stats, err
 	}
-	o.Counter("core.global.matchings", 1)
+	matchings := int64(1)
 	stats.InitialMinMatches = math.MaxInt
 	for i := 0; i < n; i++ {
 		if len(allowed[i]) < stats.InitialMinMatches {
@@ -377,18 +389,18 @@ func refMakeGlobal1K(ctx context.Context, s *cluster.Space, tbl *table.Table, g 
 			}
 			steps++
 			stats.GeneralizationSteps++
-			o.Event(obs.KindAugment, PhaseGlobal, 1)
 			allowed, err = bipartite.AllowedEdges(buildGraph())
 			if err != nil {
 				return nil, stats, err
 			}
-			o.Counter("core.global.matchings", 1)
+			matchings++
 		}
 		if steps > stats.MaxStepsPerRecord {
 			stats.MaxStepsPerRecord = steps
 		}
 	}
 	if o.Enabled() {
+		o.Counter("core.global.matchings", matchings)
 		o.Counter("core.global.deficient", int64(stats.DeficientRecords))
 		o.Counter("core.global.steps", int64(stats.GeneralizationSteps))
 		o.Counter("core.global.min_matches", int64(stats.InitialMinMatches))
@@ -404,6 +416,7 @@ func refForest(ctx context.Context, s *cluster.Space, tbl *table.Table, k int) (
 	n := tbl.Len()
 	o := obs.From(ctx)
 	defer o.Phase(PhaseForest)()
+	var rounds, roundEvals int64
 	parent := make([]int, n)
 	compSize := make([]int, n)
 	for i := range parent {
@@ -460,8 +473,8 @@ func refForest(ctx context.Context, s *cluster.Space, tbl *table.Table, k int) (
 				}
 			}
 		}
-		o.Event(obs.KindScan, PhaseForest, evals)
-		o.Counter("core.forest.rounds", 1)
+		rounds++
+		roundEvals += evals
 		sort.Ints(roots)
 		merged := false
 		for _, r := range roots {
@@ -498,6 +511,11 @@ func refForest(ctx context.Context, s *cluster.Space, tbl *table.Table, k int) (
 		}
 	}
 	if o.Enabled() {
+		if rounds > 0 {
+			o.Counter("core.forest.rounds", rounds)
+			o.Counter("core.forest.scans", rounds)
+			o.Counter("core.forest.scan_evals", roundEvals)
+		}
 		o.Counter("core.forest.tree_edges", int64(len(treeEdges)))
 		o.Counter("core.forest.parts", int64(len(clusters)))
 	}

@@ -70,9 +70,10 @@ type Config struct {
 	// intended for harness-scale runs.
 	Attack bool
 	// Observer, when non-nil, additionally receives every run's raw event
-	// stream plus one KindCheckpoint event per OnRun persistence call. It
-	// must be safe for concurrent use: runs of a block execute in parallel
-	// and share it. Excluded from JSON output.
+	// stream plus, per block that persisted runs through OnRun, one
+	// checkpoint.writes counter with their number. It must be safe for
+	// concurrent use: runs of a block execute in parallel and share it.
+	// Excluded from JSON output.
 	Observer obs.Recorder `json:"-"`
 	// OnShard, when non-nil, receives every completed partitioned shard of
 	// the scalability experiment (E19), keyed by the scale run it belongs
@@ -308,7 +309,7 @@ func (c Config) RunBlock(dataset string, m MeasureKind) (*Block, error) {
 	results := make([]Run, len(jobs))
 	var onRunMu sync.Mutex
 	var checkpointed int64
-	// drv stamps the driver's own events (checkpoint writes) for an
+	// drv reports the driver's own counter (checkpoint writes) to an
 	// external observer; per-run engine events flow through runCtx below.
 	drv := obs.NewRun(c.Observer)
 	p := par.New(c.Workers)
@@ -375,10 +376,12 @@ func (c Config) RunBlock(dataset string, m MeasureKind) (*Block, error) {
 			onRunMu.Lock()
 			c.OnRun(r)
 			checkpointed++
-			drv.Event(obs.KindCheckpoint, "experiment", checkpointed)
 			onRunMu.Unlock()
 		}
 	})
+	if checkpointed > 0 {
+		drv.Counter("checkpoint.writes", checkpointed)
+	}
 	if eachErr != nil {
 		return nil, eachErr
 	}

@@ -35,17 +35,19 @@ type RunStats struct {
 	WallNanos int64 `json:"wall_ns"`
 	// Phases holds the per-phase aggregates, ordered by first entry.
 	Phases []PhaseStats `json:"phases"`
-	// Counters holds the event-derived totals (merges, distance
-	// evaluations, scans, augmentation steps, chunk counts, …). Totals are
-	// identical at every worker count for the same input and seed.
+	// Counters holds the counter totals (merges, distance evaluations,
+	// scans, augmentation steps, chunk counts, …). Totals are identical at
+	// every worker count for the same input and seed.
 	Counters map[string]int64 `json:"counters"`
 	// Peaks holds max-aggregated gauges (e.g. peak live clusters).
 	Peaks map[string]int64 `json:"peaks,omitempty"`
 	// Sched holds scheduler gauges (pool size, span/task splits). Unlike
 	// Counters these may vary with the worker count and between runs.
 	Sched map[string]int64 `json:"sched,omitempty"`
-	// Events is the total number of events observed. Span-sharded emission
-	// keeps this worker-count-invariant too, but treat it as informational.
+	// Events is the total number of events observed: phase brackets,
+	// counters, peaks and scheduler gauges. Emission stays on the driving
+	// goroutine, so this is worker-count invariant and does not grow with
+	// the record count, but treat it as informational.
 	Events int64 `json:"events"`
 }
 
@@ -104,15 +106,6 @@ type Metrics struct {
 	sched    map[string]int64
 	events   int64
 	maxT     time.Duration
-	// names caches each event phase's counter names (see phaseNames).
-	names map[string]*phaseNames
-}
-
-// phaseNames holds the counter names that one phase's merge, scan,
-// augment and chunk events feed, built once per phase so that recording an
-// event concatenates no strings and allocates nothing.
-type phaseNames struct {
-	merges, scans, scanEvals, augments, chunks, chunkRecords string
 }
 
 // NewMetrics returns an empty aggregator.
@@ -122,7 +115,6 @@ func NewMetrics() *Metrics {
 		counters: make(map[string]int64),
 		peaks:    make(map[string]int64),
 		sched:    make(map[string]int64),
-		names:    make(map[string]*phaseNames),
 	}
 }
 
@@ -145,20 +137,6 @@ func (m *Metrics) Record(e Event) {
 			p.stats.WallNanos += int64(e.T - p.open[n-1])
 			p.open = p.open[:n-1]
 		}
-	case KindMerge:
-		m.counters[m.namesOf(e.Phase).merges]++
-	case KindScan:
-		n := m.namesOf(e.Phase)
-		m.counters[n.scans]++
-		m.counters[n.scanEvals] += e.N
-	case KindAugment:
-		m.counters[m.namesOf(e.Phase).augments] += e.N
-	case KindChunk:
-		n := m.namesOf(e.Phase)
-		m.counters[n.chunks]++
-		m.counters[n.chunkRecords] += e.N
-	case KindCheckpoint:
-		m.counters["checkpoint.writes"]++
 	case KindCounter:
 		m.counters[e.Name] += e.N
 	case KindPeak:
@@ -180,24 +158,6 @@ func (m *Metrics) phase(name string) *phaseAgg {
 		m.order = append(m.order, name)
 	}
 	return p
-}
-
-// namesOf returns (building on first use) the counter names of a phase.
-// Callers hold m.mu.
-func (m *Metrics) namesOf(phase string) *phaseNames {
-	n, ok := m.names[phase]
-	if !ok {
-		n = &phaseNames{
-			merges:       phase + ".merges",
-			scans:        phase + ".scans",
-			scanEvals:    phase + ".scan_evals",
-			augments:     phase + ".augments",
-			chunks:       phase + ".chunks",
-			chunkRecords: phase + ".chunk_records",
-		}
-		m.names[phase] = n
-	}
-	return n
 }
 
 // Snapshot folds the events observed so far into a RunStats. It may be

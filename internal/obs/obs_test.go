@@ -30,7 +30,6 @@ func TestRunEmitsStampedEvents(t *testing.T) {
 		t.Fatal("armed run reports disabled")
 	}
 	end := r.Phase("p")
-	r.Event(KindMerge, "p", 7)
 	r.Counter("widgets", 3)
 	r.Peak("live", 42)
 	r.Sched("pool.size", 4)
@@ -40,7 +39,7 @@ func TestRunEmitsStampedEvents(t *testing.T) {
 		kind Kind
 		n    int64
 	}{
-		{KindPhaseStart, 0}, {KindMerge, 7}, {KindCounter, 3},
+		{KindPhaseStart, 0}, {KindCounter, 3},
 		{KindPeak, 42}, {KindSched, 4}, {KindPhaseEnd, 0},
 	}
 	if len(c.events) != len(want) {
@@ -64,7 +63,6 @@ func TestNilRunIsNoop(t *testing.T) {
 		t.Error("nil run reports enabled")
 	}
 	// None of these may panic.
-	r.Event(KindMerge, "p", 1)
 	r.Counter("c", 1)
 	r.Peak("p", 1)
 	r.Sched("s", 1)
@@ -72,15 +70,15 @@ func TestNilRunIsNoop(t *testing.T) {
 }
 
 // TestNoopObserverZeroAlloc is the overhead guard for the disabled path:
-// the exact calls the hot merge path makes (per-merge event, per-scan
-// event, counters) must not allocate when observability is off. The CI
-// bench-smoke job runs this test alongside the benchmarks.
+// the calls a pipeline makes (phase brackets, counters, peaks, scheduler
+// gauges) must not allocate when observability is off. The CI bench-smoke
+// job runs this test alongside the benchmarks.
 func TestNoopObserverZeroAlloc(t *testing.T) {
 	var r *Run
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.Event(KindMerge, "cluster.merge", 5)
-		r.Event(KindScan, "cluster.merge", 123)
 		r.Counter("cluster.dist_evals", 1)
+		r.Peak("cluster.live_peak", 5)
+		r.Sched("pool.spans", 2)
 		end := r.Phase("cluster.init")
 		end()
 	})
@@ -149,15 +147,11 @@ func TestMetricsAggregation(t *testing.T) {
 	r := NewRun(m)
 
 	end := r.Phase("cluster.init")
-	r.Event(KindScan, "cluster.init", 10)
-	r.Event(KindScan, "cluster.init", 20)
+	r.Counter("cluster.init.scans", 2)
 	end()
 	end = r.Phase("cluster.merge")
-	r.Event(KindMerge, "cluster.merge", 4)
-	r.Event(KindMerge, "cluster.merge", 6)
-	r.Event(KindAugment, "core.make1k", 1)
-	r.Event(KindChunk, "core.partition", 100)
-	r.Event(KindCheckpoint, "", 1)
+	r.Counter("cluster.merges", 2)
+	r.Counter("cluster.merges", 3) // a second run's contribution adds up
 	r.Counter("cluster.dist_evals", 123)
 	r.Peak("cluster.live_peak", 50)
 	r.Peak("cluster.live_peak", 30) // lower: must not regress the peak
@@ -169,14 +163,9 @@ func TestMetricsAggregation(t *testing.T) {
 
 	s := m.Snapshot()
 	for name, want := range map[string]int64{
-		"cluster.init.scans":           2,
-		"cluster.init.scan_evals":      30,
-		"cluster.merge.merges":         2,
-		"core.make1k.augments":         1,
-		"core.partition.chunks":        1,
-		"core.partition.chunk_records": 100,
-		"checkpoint.writes":            1,
-		"cluster.dist_evals":           123,
+		"cluster.init.scans": 2,
+		"cluster.merges":     5,
+		"cluster.dist_evals": 123,
 	} {
 		if got := s.Counter(name); got != want {
 			t.Errorf("counter %s = %d, want %d", name, got, want)
@@ -200,7 +189,7 @@ func TestMetricsAggregation(t *testing.T) {
 	if got := s.Phase("missing"); got.Name != "missing" || got.Starts != 0 {
 		t.Errorf("missing phase lookup = %+v", got)
 	}
-	if s.Events == 0 || s.WallNanos < 0 {
+	if s.Events != 13 || s.WallNanos < 0 {
 		t.Errorf("events=%d wall=%d", s.Events, s.WallNanos)
 	}
 
@@ -228,17 +217,16 @@ func TestMetricsAggregation(t *testing.T) {
 	}
 }
 
-// TestMetricsRecordAllocatesNothing pins the per-phase counter-name cache:
-// once a phase's names exist, scan, merge, augment and chunk events
-// allocate nothing, and they still add up to the same counters.
+// TestMetricsRecordAllocatesNothing pins the aggregator's steady state:
+// once a name exists, counter, peak and scheduler events allocate nothing,
+// and they still add up.
 func TestMetricsRecordAllocatesNothing(t *testing.T) {
 	m := NewMetrics()
 	events := []Event{
-		{Kind: KindScan, Phase: "cluster.init", N: 3},
-		{Kind: KindScan, Phase: "cluster.merge", N: 5},
-		{Kind: KindMerge, Phase: "cluster.merge", N: 2},
-		{Kind: KindAugment, Phase: "core.make1k", N: 4},
-		{Kind: KindChunk, Phase: "core.partition", N: 7},
+		{Kind: KindCounter, Name: "cluster.init.scans", N: 3},
+		{Kind: KindCounter, Name: "cluster.merges", N: 5},
+		{Kind: KindPeak, Name: "cluster.live_peak", N: 2},
+		{Kind: KindSched, Name: "pool.spans", N: 4},
 	}
 	const runs = 100
 	allocs := testing.AllocsPerRun(runs, func() {
@@ -252,22 +240,11 @@ func TestMetricsRecordAllocatesNothing(t *testing.T) {
 	// AllocsPerRun makes one warm-up call before its runs.
 	const calls = runs + 1
 	s := m.Snapshot()
-	for name, want := range map[string]int64{
-		"cluster.init.scans":           calls,
-		"cluster.init.scan_evals":      3 * calls,
-		"cluster.merge.scans":          calls,
-		"cluster.merge.scan_evals":     5 * calls,
-		"cluster.merge.merges":         calls,
-		"core.make1k.augments":         4 * calls,
-		"core.partition.chunks":        calls,
-		"core.partition.chunk_records": 7 * calls,
-	} {
-		if got := s.Counter(name); got != want {
-			t.Errorf("counter %s = %d, want %d", name, got, want)
-		}
+	if s.Counter("cluster.init.scans") != 3*calls || s.Counter("cluster.merges") != 5*calls || len(s.Counters) != 2 {
+		t.Errorf("counters = %v, want cluster.init.scans %d and cluster.merges %d", s.Counters, 3*calls, 5*calls)
 	}
-	if len(s.Counters) != 8 {
-		t.Errorf("counters = %v, want the 8 above", s.Counters)
+	if s.Peaks["cluster.live_peak"] != 2 || s.Sched["pool.spans"] != 4*calls {
+		t.Errorf("peaks = %v, sched = %v", s.Peaks, s.Sched)
 	}
 }
 
@@ -281,14 +258,14 @@ func TestMetricsConcurrentRecord(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				r.Event(KindScan, "p", 2)
+				r.Counter("p", 2)
 				r.Counter("c", 1)
 			}
 		}()
 	}
 	wg.Wait()
 	s := m.Snapshot()
-	if s.Counter("p.scans") != workers*per || s.Counter("p.scan_evals") != 2*workers*per || s.Counter("c") != workers*per {
+	if s.Counter("p") != 2*workers*per || s.Counter("c") != workers*per || s.Events != 2*workers*per {
 		t.Errorf("concurrent totals wrong: %v", s.Counters)
 	}
 }
@@ -370,7 +347,7 @@ func TestTraceRecorderBalance(t *testing.T) {
 	// Unmatched end must not panic.
 	tr.Record(Event{Kind: KindPhaseEnd, Phase: "p"})
 	tr.Record(Event{Kind: KindPhaseStart, Phase: "p"})
-	tr.Record(Event{Kind: KindMerge, Phase: "p"}) // ignored
+	tr.Record(Event{Kind: KindCounter, Name: "c"}) // ignored
 	tr.Record(Event{Kind: KindPhaseEnd, Phase: "p"})
 	if len(tr.regions["p"]) != 0 {
 		t.Errorf("region stack not drained: %d", len(tr.regions["p"]))

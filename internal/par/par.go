@@ -16,11 +16,11 @@
 // submitting goroutine runs the task inline, so pools cannot deadlock even
 // when nested or shared.
 //
-// Robustness: every task body (helper or inline) runs under a recover; the
-// first captured panic is re-raised on the submitting goroutine as a
-// *TaskPanic after all spans drained, so a panicking task can never kill
-// the process from a helper goroutine or leave the pool's accounting
-// wedged. The *Ctx variants additionally stop handing out spans or indices
+// Robustness: every task body (helper or inline) runs under a recover,
+// and so does a span's context poll before it starts; the first captured
+// panic is re-raised on the submitting goroutine as a *TaskPanic after
+// all spans drained, so a panicking task can never kill the process from
+// a helper goroutine or leave the pool's accounting wedged. The *Ctx variants additionally stop handing out spans or indices
 // once the supplied context is done and return ctx.Err() after draining
 // the tasks already started.
 package par
@@ -253,10 +253,11 @@ func (p *Pool) forSpans(ctx context.Context, n, grain int, fn func(lo, hi, span 
 		lo, hi, span := n*w/spans, n*(w+1)/spans, w
 		task := func() {
 			defer wg.Done()
-			if box.tripped() || done(ctx) {
-				return
-			}
-			box.run(func() { fn(lo, hi, span) })
+			box.run(func() {
+				if !box.tripped() && !done(ctx) {
+					fn(lo, hi, span)
+				}
+			})
 		}
 		select {
 		case p.tasks <- task:
@@ -267,9 +268,11 @@ func (p *Pool) forSpans(ctx context.Context, n, grain int, fn func(lo, hi, span 
 		}
 	}
 	p.inlineTasks.Add(1)
-	if !box.tripped() && !done(ctx) {
-		box.run(func() { fn(0, n/spans, 0) })
-	}
+	box.run(func() {
+		if !box.tripped() && !done(ctx) {
+			fn(0, n/spans, 0)
+		}
+	})
 	wg.Wait()
 	box.rethrow()
 	if ctx != nil {

@@ -15,14 +15,15 @@ import "kanon/internal/obs"
 //	res, _ := kanon.Anonymize(t, opt)
 //	_ = p.Stop()
 
-// Observer receives the structured event stream of a run. Implementations
-// must be safe for concurrent use: the parallel engines emit events from
-// their pool workers.
+// Observer receives the structured event stream of a run: its phase
+// brackets, and each counter, peak and scheduler gauge once per pipeline
+// run, all from the driving goroutine. Implementations must still be safe
+// for concurrent use: separate runs may share one.
 type Observer = obs.Recorder
 
-// RunEvent is one structured run event: a Kind, the owning pipeline phase,
-// an optional counter/gauge name, a count payload and a monotonic offset
-// since the run started.
+// RunEvent is one structured run event: a Kind, the phase it brackets or
+// the counter/gauge it names, a count payload and a monotonic offset since
+// the run started.
 type RunEvent = obs.Event
 
 // EventKind classifies a RunEvent.
@@ -33,18 +34,6 @@ const (
 	// EventPhaseStart and EventPhaseEnd bracket a named pipeline phase.
 	EventPhaseStart = obs.KindPhaseStart
 	EventPhaseEnd   = obs.KindPhaseEnd
-	// EventMerge is one cluster merge of an agglomerative engine.
-	EventMerge = obs.KindMerge
-	// EventScan is one nearest-neighbour (or candidate) scan; N carries the
-	// distance evaluations spent.
-	EventScan = obs.KindScan
-	// EventAugment is one widening / matching-augmentation step of the
-	// Algorithm 5/6 post-passes.
-	EventAugment = obs.KindAugment
-	// EventChunk is one partition chunk handed to a sub-engine.
-	EventChunk = obs.KindChunk
-	// EventCheckpoint is one checkpoint write of the experiment driver.
-	EventCheckpoint = obs.KindCheckpoint
 	// EventCounter, EventPeak and EventSched are named counter, max-gauge
 	// and scheduler-gauge contributions.
 	EventCounter = obs.KindCounter

@@ -51,32 +51,43 @@ func observedOptions() map[string]Options {
 }
 
 // TestObserverEventSnapshotDeterministic runs every notion twice at
-// Workers:1 and requires byte-identical event sequences (ignoring the
-// monotonic offsets): with a sequential engine the event stream is a
-// deterministic function of the input.
+// Workers:1 and once at Workers:4 and requires the same ordered (Kind,
+// Phase, Name, N) sequence from all three, the values of the Sched gauges
+// excepted: pipelines emit only on their driving goroutine, phases and
+// each counter once, so the event stream is a deterministic function of
+// the input at any worker count.
 func TestObserverEventSnapshotDeterministic(t *testing.T) {
 	for name, opt := range observedOptions() {
 		t.Run(name, func(t *testing.T) {
-			opt.Workers = 1
 			tbl := Adult(150, 7)
 			var seqs [][]RunEvent
-			for round := 0; round < 2; round++ {
+			for _, workers := range []int{1, 1, 4} {
 				rec := &captureObserver{}
 				opt.Observer = rec
+				opt.Workers = workers
 				if _, err := Anonymize(tbl, opt); err != nil {
 					t.Fatal(err)
 				}
-				seqs = append(seqs, stripT(rec.snapshot()))
+				seq := stripT(rec.snapshot())
+				for i, e := range seq {
+					if e.Kind == EventSched {
+						seq[i].N = 0
+					}
+				}
+				seqs = append(seqs, seq)
 			}
 			if len(seqs[0]) == 0 {
 				t.Fatal("no events emitted")
 			}
-			if len(seqs[0]) != len(seqs[1]) {
-				t.Fatalf("event counts differ between identical runs: %d vs %d", len(seqs[0]), len(seqs[1]))
-			}
-			for i := range seqs[0] {
-				if seqs[0][i] != seqs[1][i] {
-					t.Fatalf("event %d differs between identical runs:\n  %+v\n  %+v", i, seqs[0][i], seqs[1][i])
+			for r, seq := range seqs[1:] {
+				label := []string{"a second run at Workers:1", "Workers:4"}[r]
+				if len(seq) != len(seqs[0]) {
+					t.Fatalf("event counts differ: %d at Workers:1, %d in %s", len(seqs[0]), len(seq), label)
+				}
+				for i := range seqs[0] {
+					if seqs[0][i] != seq[i] {
+						t.Fatalf("event %d differs between Workers:1 and %s:\n  %+v\n  %+v", i, label, seqs[0][i], seq[i])
+					}
 				}
 			}
 			// Phase brackets must balance: every start has a matching end.
@@ -143,6 +154,31 @@ func TestStatsWorkerInvariance(t *testing.T) {
 			}
 			if s1.Records != tbl.Len() || s1.Notion != string(opt.Notion) {
 				t.Errorf("run identity = %q/%d, want %q/%d", s1.Notion, s1.Records, opt.Notion, tbl.Len())
+			}
+		})
+	}
+}
+
+// TestStatsEventsIndependentOfRecords requires the same Stats().Events
+// at n=300 and n=600 for each notion of the unsharded pipelines: a run
+// emits its phases and each counter once, never an event per record,
+// merge or scan.
+func TestStatsEventsIndependentOfRecords(t *testing.T) {
+	for name, opt := range observedOptions() {
+		if opt.MaxChunk > 0 {
+			continue // a partitioned run reports once per shard
+		}
+		t.Run(name, func(t *testing.T) {
+			var events []int64
+			for _, n := range []int{300, 600} {
+				res, err := Anonymize(Adult(n, 7), opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				events = append(events, res.Stats().Events)
+			}
+			if events[0] != events[1] {
+				t.Errorf("Stats().Events = %d at n=300, %d at n=600; want equal", events[0], events[1])
 			}
 		})
 	}
