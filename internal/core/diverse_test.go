@@ -177,7 +177,7 @@ func TestMake1KDiversePostcondition(t *testing.T) {
 	if !anonymity.IsKK(s, tbl, g, k) {
 		t.Error("diverse coupling lost (k,k)")
 	}
-	minDiv, err := MinCandidateDiversity(s, tbl, g, sens)
+	minDiv, err := anonymity.MinCandidateDiversity(s, tbl, g, sens)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestKKAnonymizeDiverse(t *testing.T) {
 	if !anonymity.IsKK(s, ds.Table, g, k) {
 		t.Error("not (k,k)")
 	}
-	minDiv, err := MinCandidateDiversity(s, ds.Table, g, ds.Sensitive)
+	minDiv, err := anonymity.MinCandidateDiversity(s, ds.Table, g, ds.Sensitive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,17 +237,5 @@ func TestKKAnonymizeDiverseErrors(t *testing.T) {
 	}
 	if _, err := make1KConstrained(nil, s, tbl, nil, 2, distinctL(2), sens); err == nil {
 		t.Error("expected nil/length error")
-	}
-}
-
-func TestCandidateDiversityErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	s, tbl := testSpace(t, rng, 6, "lm")
-	g, err := K1ExpandCtx(nil, s, tbl, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CandidateDiversity(s, tbl, g, []int{1}); err == nil {
-		t.Error("expected sensitive-length error")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"kanon/internal/anonymity"
 	"kanon/internal/cluster"
 	"kanon/internal/core"
 	"kanon/internal/datagen"
@@ -264,7 +265,7 @@ func (c Config) RunDiversity(dataset string, l int) ([]DiversityResult, error) {
 			return nil, err
 		}
 		res.PlainKKLoss = loss.TableLoss(meas, gKK)
-		res.PlainMinDiversity, err = core.MinCandidateDiversity(s, ds.Table, gKK, ds.Sensitive)
+		res.PlainMinDiversity, err = anonymity.MinCandidateDiversity(s, ds.Table, gKK, ds.Sensitive)
 		if err != nil {
 			return nil, err
 		}

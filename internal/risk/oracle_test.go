@@ -283,6 +283,22 @@ func naiveInformed(s *cluster.Space, tbl *table.Table, g *table.GenTable, sensit
 	return counts
 }
 
+// naiveCandidateDiversity is anonymity.CandidateDiversity from one
+// Consistent call per pair and a set of values per record.
+func naiveCandidateDiversity(s *cluster.Space, tbl *table.Table, g *table.GenTable, sensitive []int) []int {
+	out := make([]int, tbl.Len())
+	for i, ri := range tbl.Records {
+		values := make(map[int]bool)
+		for j, gj := range g.Records {
+			if s.Consistent(ri, gj) {
+				values[sensitive[j]] = true
+			}
+		}
+		out[i] = len(values)
+	}
+	return out
+}
+
 // naiveProsecutor is Assess's per-record risk for the given candidate
 // counts.
 func naiveProsecutor(counts []int) []float64 {
@@ -355,6 +371,13 @@ func assertAuditMatchesOracle(t testing.TB, name string, s *cluster.Space, tbl *
 		}
 		if want := naiveInformed(s, tbl, g, sensitive, known); !slices.Equal(got, want) {
 			t.Fatalf("%s: SimulateInformed = %v, oracle %v", name, got, want)
+		}
+		div, err := anonymity.CandidateDiversity(s, tbl, g, sensitive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := naiveCandidateDiversity(s, tbl, g, sensitive); !slices.Equal(div, want) {
+			t.Fatalf("%s: CandidateDiversity = %v, oracle %v", name, div, want)
 		}
 	}
 
