@@ -56,6 +56,14 @@ func IsKAnonymous(g *table.GenTable, k int) bool {
 	return true
 }
 
+// ConsistencyDegrees returns the degrees of V_{D,g(D)} without building
+// its edges: left[i] counts the rows of g consistent with record i of tbl —
+// the first adversary's candidates — and right[j] the records consistent
+// with row j.
+func ConsistencyDegrees(s *cluster.Space, tbl *table.Table, g *table.GenTable) (left, right []int) {
+	return consistencyDegrees(s.Hiers, tbl, g)
+}
+
 // Is1K reports whether g is a (1,k)-anonymization of tbl: every original
 // record is consistent with at least k generalized records.
 func Is1K(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) bool {
@@ -90,10 +98,9 @@ func IsKK(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) bool {
 // MatchCounts returns, for every original record, the number of its matches
 // in g: consistent generalized records whose edge extends to a perfect
 // matching of V_{D,g(D)}. If the graph has no perfect matching every count
-// is zero.
+// is zero. The counts come from the row-class quotient (matches.go).
 func MatchCounts(s *cluster.Space, tbl *table.Table, g *table.GenTable) []int {
-	counts, _ := bipartite.AllowedCounts(BuildGraph(s, tbl, g))
-	return counts
+	return RecordCandidates(s, tbl, g, nil).Matches
 }
 
 // IsGlobal1K reports whether g is a global (1,k)-anonymization of tbl
@@ -229,34 +236,25 @@ type Report struct {
 	MinMatches     int  // min over records of the number of matches
 }
 
-// Check runs every verifier and returns the combined report. The
-// consistency graph is built once: (1,k) and (k,1) are read off its left
-// and right degrees, and the match counts off its perfect-matching
-// analysis. On an empty table every notion holds vacuously, as it does for
-// the individual verifiers, and MinMatches is 0.
+// Check runs every verifier and returns the combined report. One pass over
+// the row classes (matches.go) yields (1,k) off the records' consistent-row
+// counts, (k,1) off the rows' consistent-record counts, and the match
+// counts off the class quotient. On an empty table every notion holds
+// vacuously, as it does for the individual verifiers, and MinMatches is 0.
 func Check(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) Report {
 	rep := Report{
 		K:              k,
 		Generalization: IsGeneralizationOf(s, tbl, g),
 		KAnonymous:     IsKAnonymous(g, k),
 	}
-	graph := BuildGraph(s, tbl, g)
-	left := make([]int, graph.NLeft())
-	right := make([]int, graph.NRight())
-	for i := range left {
-		left[i] = len(graph.Neighbors(i))
-		for _, j := range graph.Neighbors(i) {
-			right[j]++
-		}
-	}
-	rep.OneK = allAtLeast(left, k)
+	c, right := consistencyCounts(s.Hiers, tbl, g, nil)
+	rep.OneK = allAtLeast(c.Consistent, k)
 	rep.KOne = allAtLeast(right, k)
 	rep.KK = rep.OneK && rep.KOne
-	counts, _ := bipartite.AllowedCounts(graph)
-	if len(counts) > 0 {
-		rep.MinMatches = slices.Min(counts)
+	if len(c.Matches) > 0 {
+		rep.MinMatches = slices.Min(c.Matches)
 	}
-	rep.Global1K = allAtLeast(counts, k)
+	rep.Global1K = allAtLeast(c.Matches, k)
 	return rep
 }
 

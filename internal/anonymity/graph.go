@@ -32,6 +32,8 @@ type rowClasses struct {
 	// members[c] lists the positions of class c's rows in ascending order.
 	// The lists are capped at their length and must not be modified.
 	members [][]int
+	// class[j] is the class of released row j.
+	class []int32
 	// words is the length of a class mask: ⌈len(rows)/64⌉.
 	words int
 	// seen is expand's position bitmap, one bit per released row; it is
@@ -40,21 +42,51 @@ type rowClasses struct {
 }
 
 // newRowClasses groups the rows of g. Classes are numbered in the
-// lexicographic order of their rows.
+// lexicographic order of their rows. The rows are put in that order by a
+// least-significant-attribute radix sort: one stable counting sort per
+// attribute over its hierarchy's node ids, last attribute first, so ties
+// keep position order and each class lists its rows in ascending order.
 func newRowClasses(hiers []*hierarchy.Hierarchy, g *table.GenTable) *rowClasses {
-	order := make([]int, g.Len())
+	n := g.Len()
+	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortStableFunc(order, func(i, j int) int {
-		return slices.Compare(g.Records[i], g.Records[j])
-	})
-	x := &rowClasses{hiers: hiers, seen: make([]uint64, (g.Len()+63)/64)}
+	// key holds the rows' node ids attribute-major, so each pass reads one
+	// contiguous run.
+	key := make([]int32, len(hiers)*n)
+	for j, row := range g.Records {
+		for a := range hiers {
+			key[a*n+j] = int32(row[a])
+		}
+	}
+	next := make([]int, n)
+	var count []int
+	for a := len(hiers) - 1; a >= 0; a-- {
+		col := key[a*n : (a+1)*n]
+		count = append(count[:0], make([]int, hiers[a].NumNodes()+1)...)
+		for _, w := range col {
+			count[w+1]++
+		}
+		for w := 1; w < len(count); w++ {
+			count[w] += count[w-1]
+		}
+		for _, j := range order {
+			w := col[j]
+			next[count[w]] = j
+			count[w]++
+		}
+		order, next = next, order
+	}
+	x := &rowClasses{hiers: hiers, class: make([]int32, n), seen: make([]uint64, (n+63)/64)}
 	for lo := 0; lo < len(order); {
 		row := g.Records[order[lo]]
 		hi := lo + 1
-		for hi < len(order) && slices.Equal(g.Records[order[hi]], row) {
+		for hi < len(order) && sameKey(key, n, order[lo], order[hi]) {
 			hi++
+		}
+		for _, j := range order[lo:hi] {
+			x.class[j] = int32(len(x.rows))
 		}
 		x.rows = append(x.rows, row)
 		x.members = append(x.members, order[lo:hi:hi])
@@ -62,6 +94,17 @@ func newRowClasses(hiers []*hierarchy.Hierarchy, g *table.GenTable) *rowClasses 
 	}
 	x.words = (len(x.rows) + 63) / 64
 	return x
+}
+
+// sameKey reports whether rows i and j have the same node ids in the
+// attribute-major keys of n rows.
+func sameKey(key []int32, n, i, j int) bool {
+	for a := i; a < len(key); a += n {
+		if key[a] != key[a-i+j] {
+			return false
+		}
+	}
+	return true
 }
 
 // masks returns, per attribute, the class masks of every hierarchy node,
@@ -126,6 +169,12 @@ func (x *rowClasses) intersect(dst []uint64, masks [][]uint64, nodeOf func(a int
 	}
 }
 
+// neighbours sets dst to the classes consistent with record r: the AND of
+// its leaf masks.
+func (x *rowClasses) neighbours(dst []uint64, masks [][]uint64, r table.Record) {
+	x.intersect(dst, masks, func(a int) int { return x.hiers[a].LeafOf(r[a]) })
+}
+
 // expand appends the positions of the classes set in m to dst, in
 // ascending order: the classes' rows are marked in the position bitmap
 // x.seen and read back in order, which clears the bitmap again.
@@ -150,17 +199,6 @@ func (x *rowClasses) expand(dst []int, m []uint64) []int {
 	return dst
 }
 
-// rowCount returns the number of rows in the classes set in m.
-func (x *rowClasses) rowCount(m []uint64) int {
-	n := 0
-	for i, word := range m {
-		for ; word != 0; word &= word - 1 {
-			n += len(x.members[i*64+bits.TrailingZeros64(word)])
-		}
-	}
-	return n
-}
-
 // consistentRows returns the adjacency lists of V_{D,g(D)}: entry i holds,
 // in ascending order, the rows of g consistent with record i of tbl. A
 // first pass counts the edges, so the lists share one backing array of
@@ -171,13 +209,14 @@ func consistentRows(hiers []*hierarchy.Hierarchy, tbl *table.Table, g *table.Gen
 	m := make([]uint64, x.words)
 	off := make([]int, tbl.Len()+1)
 	for i, r := range tbl.Records {
-		x.intersect(m, masks, func(a int) int { return hiers[a].LeafOf(r[a]) })
-		off[i+1] = off[i] + x.rowCount(m)
+		x.neighbours(m, masks, r)
+		rows, _ := x.tally(m, nil, 0, nil)
+		off[i+1] = off[i] + rows
 	}
 	flat := make([]int, 0, off[tbl.Len()])
 	adj := make([][]int, tbl.Len())
 	for i, r := range tbl.Records {
-		x.intersect(m, masks, func(a int) int { return hiers[a].LeafOf(r[a]) })
+		x.neighbours(m, masks, r)
 		flat = x.expand(flat, m)
 		adj[i] = flat[off[i]:off[i+1]:off[i+1]]
 	}
@@ -189,46 +228,31 @@ func consistentRows(hiers []*hierarchy.Hierarchy, tbl *table.Table, g *table.Gen
 // right[j] the records consistent with row j.
 func consistencyDegrees(hiers []*hierarchy.Hierarchy, tbl *table.Table, g *table.GenTable) (left, right []int) {
 	x := newRowClasses(hiers, g)
-	masks := x.masks(false)
+	return x.degrees(tbl, x.masks(false), nil)
+}
+
+// degrees computes consistencyDegrees in one pass over the records of tbl.
+// When each is not nil, it is called with every record's neighbour
+// classes, in a buffer the next record reuses.
+func (x *rowClasses) degrees(tbl *table.Table, masks [][]uint64, each func(i int, m []uint64)) (left, right []int) {
 	m := make([]uint64, x.words)
 	left = make([]int, tbl.Len())
 	perClass := make([]int, len(x.rows))
 	for i, r := range tbl.Records {
-		x.intersect(m, masks, func(a int) int { return hiers[a].LeafOf(r[a]) })
-		left[i] = x.rowCount(m)
+		x.neighbours(m, masks, r)
+		left[i], _ = x.tally(m, nil, 0, nil)
 		for wi, word := range m {
 			for ; word != 0; word &= word - 1 {
 				perClass[wi*64+bits.TrailingZeros64(word)]++
 			}
 		}
-	}
-	right = make([]int, g.Len())
-	for c, rows := range x.members {
-		for _, j := range rows {
-			right[j] = perClass[c]
+		if each != nil {
+			each(i, m)
 		}
+	}
+	right = make([]int, len(x.class))
+	for j, cl := range x.class {
+		right[j] = perClass[cl]
 	}
 	return left, right
-}
-
-// OverlappingRows returns the adjacency lists of the overlap graph of a
-// release: entry i holds, in ascending order, the rows j of g that overlap
-// row i in every attribute — per attribute one node is an ancestor of the
-// other, so some original record is consistent with both rows. hiers must
-// hold one hierarchy per attribute of g. Rows of one class share one list;
-// the lists are capped at their length and must not be modified.
-func OverlappingRows(hiers []*hierarchy.Hierarchy, g *table.GenTable) [][]int {
-	x := newRowClasses(hiers, g)
-	masks := x.masks(true)
-	m := make([]uint64, x.words)
-	adj := make([][]int, g.Len())
-	for c, row := range x.rows {
-		x.intersect(m, masks, func(a int) int { return row[a] })
-		list := x.expand(nil, m)
-		list = list[:len(list):len(list)]
-		for _, i := range x.members[c] {
-			adj[i] = list
-		}
-	}
-	return adj
 }

@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"kanon/internal/anonymity"
-	"kanon/internal/bipartite"
 	"kanon/internal/cluster"
 	"kanon/internal/table"
 )
@@ -61,40 +60,29 @@ func Simulate(s *cluster.Space, tbl *table.Table, g *table.GenTable, sensitive [
 		return nil, fmt.Errorf("attack: %d sensitive values for %d records", len(sensitive), n)
 	}
 
-	graph := anonymity.BuildGraph(s, tbl, g)
-	allowed, err := bipartite.AllowedEdges(graph)
-	if err != nil {
-		// No perfect matching: the second adversary's match analysis is
-		// vacuous; report zero matches.
-		allowed = make([][]int, n)
-	}
-
+	c := anonymity.RecordCandidates(s, tbl, g, sensitive)
 	outcomes := make([]Outcome, n)
-	for i := 0; i < n; i++ {
-		o := Outcome{Record: i}
-		neighbors := graph.Neighbors(i)
-		o.Candidates1 = len(neighbors)
-		o.Candidates2 = len(allowed[i])
+	for i := range outcomes {
+		o := Outcome{Record: i, Candidates1: c.Consistent[i], Candidates2: c.Matches[i]}
 		if sensitive != nil {
-			o.SensitiveExposed1 = homogeneous(neighbors, sensitive)
-			o.SensitiveExposed2 = homogeneous(allowed[i], sensitive)
+			o.SensitiveExposed1 = c.ExposedConsistent[i]
+			o.SensitiveExposed2 = c.ExposedMatches[i]
 		}
 		outcomes[i] = o
 	}
 	return outcomes, nil
 }
 
-// homogeneous reports whether all candidate positions carry the same
-// sensitive value (and there is at least one candidate). The sensitive
-// value of released record j is that of the individual at position j,
-// since generalization is positional.
+// homogeneous reports whether all candidates carry the same sensitive
+// value (and there is at least one candidate); sensitive[j] is the value of
+// candidate j. A candidate outside sensitive has an unknown value and
+// blocks homogeneity.
 func homogeneous(candidates []int, sensitive []int) bool {
 	if len(candidates) == 0 {
 		return false
 	}
-	first := sensitive[candidates[0]]
-	for _, j := range candidates[1:] {
-		if sensitive[j] != first {
+	for _, j := range candidates {
+		if j >= len(sensitive) || sensitive[j] != sensitive[candidates[0]] {
 			return false
 		}
 	}

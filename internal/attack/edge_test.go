@@ -123,7 +123,7 @@ func TestAttackEdgeCases(t *testing.T) {
 					sum.Exposed1, sum.Exposed2, c.want.exposed1, c.want.exposed2)
 			}
 
-			counts, err := SimulateRefinement(s.Hiers, g)
+			counts, _, err := SimulateRefinement(s.Hiers, g, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

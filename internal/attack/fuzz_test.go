@@ -46,7 +46,7 @@ func FuzzRefinementAttack(f *testing.F) {
 		if !anonymity.IsGlobal1K(s, ds.Table, g, k) {
 			t.Skip("upgrade did not certify global (1,k) on this input")
 		}
-		counts, err := SimulateRefinement(ds.Hiers, g)
+		counts, _, err := SimulateRefinement(ds.Hiers, g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,7 @@ package attack
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"kanon/internal/anonymity"
 	"kanon/internal/cluster"
@@ -50,100 +50,98 @@ type IntersectionOutcome struct {
 // contain it. sensitive may be nil; when present, sensitive[id] is the
 // sensitive value of individual id and the homogeneity analysis is
 // included. Outcomes are returned sorted by ID.
+//
+// Each release keeps its row classes (anonymity.ClassIndex), the position
+// of every individual in it and the individual behind every position, in
+// slices indexed by the individuals' ranks among all ids. An individual's
+// candidates are the rows of the first release that holds it, expanded
+// once; each later release keeps a candidate iff the candidate is in that
+// release at a position whose class is set in the individual's mask there.
 func SimulateIntersection(releases []Release, sensitive []int) ([]IntersectionOutcome, error) {
-	// candidates[id] is the current intersected candidate set, kept sorted;
-	// releaseCount[id] counts the releases seen so far; ids lists every id
-	// once, in order of first appearance.
-	candidates := make(map[int][]int)
-	releaseCount := make(map[int]int)
-	var ids []int
-
+	var all []int
 	for ri, rel := range releases {
 		n := rel.Tbl.Len()
 		if rel.Gen.Len() != n || len(rel.IDs) != n {
 			return nil, fmt.Errorf("attack: release %d has %d records, %d released rows, %d ids",
 				ri, n, rel.Gen.Len(), len(rel.IDs))
 		}
-		graph := anonymity.BuildGraph(rel.Space, rel.Tbl, rel.Gen)
-		seen := make(map[int]bool, n)
-		for u := 0; u < n; u++ {
-			id := rel.IDs[u]
+		for u, id := range rel.IDs {
 			if id < 0 {
 				return nil, fmt.Errorf("attack: release %d record %d has negative id %d", ri, u, id)
 			}
-			if seen[id] {
-				return nil, fmt.Errorf("attack: release %d contains id %d twice", ri, id)
-			}
-			seen[id] = true
-			// The first adversary's candidate set within this release: the
-			// record's neighbours in the consistency graph, mapped to
-			// individual ids and sorted.
-			neighbors := graph.Neighbors(u)
-			cand := make([]int, len(neighbors))
-			for c, j := range neighbors {
-				cand[c] = rel.IDs[j]
-			}
-			sort.Ints(cand)
-			if releaseCount[id] == 0 {
-				candidates[id] = cand
-				ids = append(ids, id)
-			} else {
-				candidates[id] = intersectSorted(candidates[id], cand)
-			}
-			releaseCount[id]++
 		}
+		ids := slices.Clone(rel.IDs)
+		slices.Sort(ids)
+		for c := 1; c < len(ids); c++ {
+			if ids[c] == ids[c-1] {
+				return nil, fmt.Errorf("attack: release %d contains id %d twice", ri, ids[c])
+			}
+		}
+		all = append(all, ids...)
+	}
+	slices.Sort(all)
+	ids := slices.Compact(all)
+
+	// rank[u] is the rank of the individual at position u; pos[d] is the
+	// position of the individual of rank d, -1 when the release lacks it.
+	type view struct {
+		rel       Release
+		ix        *anonymity.ClassIndex
+		rank, pos []int32
+	}
+	views := make([]view, len(releases))
+	for ri, rel := range releases {
+		v := view{rel: rel, ix: anonymity.NewClassIndex(rel.Space.Hiers, rel.Gen),
+			rank: make([]int32, len(rel.IDs)), pos: make([]int32, len(ids))}
+		for d := range v.pos {
+			v.pos[d] = -1
+		}
+		for u, id := range rel.IDs {
+			d, _ := slices.BinarySearch(ids, id)
+			v.rank[u], v.pos[d] = int32(d), int32(u)
+		}
+		views[ri] = v
 	}
 
-	sort.Ints(ids)
-	out := make([]IntersectionOutcome, 0, len(ids))
-	for _, id := range ids {
-		o := IntersectionOutcome{ID: id, Releases: releaseCount[id], Candidates: len(candidates[id])}
-		if sensitive != nil {
-			o.SensitiveExposed = homogeneousIDs(candidates[id], sensitive)
+	out := make([]IntersectionOutcome, len(ids))
+	var cand []int32
+	var rows, candIDs []int
+	for d, id := range ids {
+		o := IntersectionOutcome{ID: id}
+		for vi := range views {
+			v := &views[vi]
+			u := v.pos[d]
+			if u < 0 {
+				continue
+			}
+			v.ix.Load(v.rel.Tbl.Records[u])
+			if o.Releases++; o.Releases == 1 {
+				rows = v.ix.AppendRows(rows[:0])
+				cand = cand[:0]
+				for _, j := range rows {
+					cand = append(cand, v.rank[j])
+				}
+				continue
+			}
+			kept := cand[:0]
+			for _, c := range cand {
+				if p := v.pos[c]; p >= 0 && v.ix.Has(int(p)) {
+					kept = append(kept, c)
+				}
+			}
+			cand = kept
 		}
-		out = append(out, o)
+		o.Candidates = len(cand)
+		if sensitive != nil {
+			candIDs = candIDs[:0]
+			for _, c := range cand {
+				candIDs = append(candIDs, ids[c])
+			}
+			o.SensitiveExposed = homogeneous(candIDs, sensitive)
+		}
+		out[d] = o
 	}
 	return out, nil
-}
-
-// intersectSorted intersects two ascending slices.
-func intersectSorted(a, b []int) []int {
-	var out []int
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// homogeneousIDs reports whether all candidate individuals carry the same
-// sensitive value (and there is at least one candidate). Ids outside the
-// sensitive slice are treated as unknown values and block homogeneity.
-func homogeneousIDs(ids []int, sensitive []int) bool {
-	if len(ids) == 0 {
-		return false
-	}
-	for _, id := range ids {
-		if id >= len(sensitive) {
-			return false
-		}
-	}
-	first := sensitive[ids[0]]
-	for _, id := range ids[1:] {
-		if sensitive[id] != first {
-			return false
-		}
-	}
-	return true
 }
 
 // OverlappingWindows derives the canonical repeated-release scenario from a

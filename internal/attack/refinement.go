@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"kanon/internal/anonymity"
-	"kanon/internal/bipartite"
 	"kanon/internal/hierarchy"
 	"kanon/internal/table"
 )
@@ -29,13 +28,20 @@ import (
 // The overlap graph provably contains the true consistency graph
 // V_{D,g(D)} as a subgraph (the hidden record R_i witnesses every true
 // edge), and it always admits a perfect matching (the identity). The
-// combinatorial refinement then discards every overlap edge that cannot be
+// combinatorial refinement discards every overlap edge that cannot be
 // completed to a perfect matching — the same Definition 4.6 analysis the
 // second adversary runs, but on public data only. Since allowed edges of a
 // subgraph stay allowed in a supergraph, the refined candidate set of
 // position i always contains the second adversary's match set:
 //
 //	matches(i) ⊆ refined(i) ⊆ overlap(i).
+//
+// The second inclusion is in fact an equality. Overlap is symmetric, so
+// for an overlap edge (i, j) the matching that swaps i and j and keeps
+// every other row on itself is perfect: the analysis never discards an
+// edge, and the refined candidates of position i are the rows overlapping
+// B_i (anonymity.RefinedCandidates counts them per row class; the oracle
+// tests run the full analysis and agree).
 //
 // Hence a certified globally (1,k)-anonymous release keeps every refined
 // candidate set at size ≥ k (the FuzzRefinementAttack invariant). In the
@@ -48,53 +54,21 @@ import (
 // set honestly keeps all of them, unlike the population-informed second
 // adversary.
 
-// OverlapGraph builds the bipartite self-consistency graph of a release:
-// both sides are the released rows, and edge (i, j) is present iff rows
-// B_i and B_j overlap in every attribute (there exists an original record
-// consistent with both). It needs only the release and the hierarchies.
-// The edges come from anonymity.OverlappingRows, built from the release's
-// row classes; rows of one class share their neighbour list.
-func OverlapGraph(hiers []*hierarchy.Hierarchy, g *table.GenTable) (*bipartite.Graph, error) {
+// SimulateRefinement runs the combinatorial refinement attack: it returns,
+// per released position, the size of the refined candidate set (overlap
+// edges that survive the perfect-matching analysis) and, when sensitive is
+// not nil, whether every refined candidate carries one sensitive value;
+// sensitive[j] is the value of position j. The counts come from the
+// release's row classes (anonymity.RefinedCandidates). A certified
+// globally (1,k)-anonymous release keeps every count ≥ k.
+func SimulateRefinement(hiers []*hierarchy.Hierarchy, g *table.GenTable, sensitive []int) (counts []int, exposed []bool, err error) {
 	n := g.Len()
 	if n > 0 && len(hiers) != len(g.Records[0]) {
-		return nil, fmt.Errorf("attack: %d hierarchies for %d attributes", len(hiers), len(g.Records[0]))
+		return nil, nil, fmt.Errorf("attack: %d hierarchies for %d attributes", len(hiers), len(g.Records[0]))
 	}
-	return bipartite.FromAdjacency(n, anonymity.OverlappingRows(hiers, g)), nil
-}
-
-// RefinementCandidates runs the combinatorial refinement attack and
-// returns, per released position, the refined candidate rows: overlap
-// edges that survive the perfect-matching analysis. The overlap graph
-// always has a perfect matching (the identity), so the analysis is never
-// vacuous on a non-empty release.
-func RefinementCandidates(hiers []*hierarchy.Hierarchy, g *table.GenTable) ([][]int, error) {
-	gr, err := OverlapGraph(hiers, g)
-	if err != nil {
-		return nil, err
+	if sensitive != nil && len(sensitive) != n {
+		return nil, nil, fmt.Errorf("attack: %d sensitive values for %d released rows", len(sensitive), n)
 	}
-	if g.Len() == 0 {
-		return nil, nil
-	}
-	allowed, err := bipartite.AllowedEdges(gr)
-	if err != nil {
-		// Unreachable for a well-formed release: the identity matching is
-		// always perfect. Surface the error rather than masking it.
-		return nil, fmt.Errorf("attack: refinement matching failed: %w", err)
-	}
-	return allowed, nil
-}
-
-// SimulateRefinement is the counting form of the refinement attack: the
-// size of each position's refined candidate set. A certified globally
-// (1,k)-anonymous release keeps every count ≥ k.
-func SimulateRefinement(hiers []*hierarchy.Hierarchy, g *table.GenTable) ([]int, error) {
-	allowed, err := RefinementCandidates(hiers, g)
-	if err != nil {
-		return nil, err
-	}
-	counts := make([]int, g.Len())
-	for i, vs := range allowed {
-		counts[i] = len(vs)
-	}
-	return counts, nil
+	counts, exposed = anonymity.RefinedCandidates(hiers, g, sensitive)
+	return counts, exposed, nil
 }

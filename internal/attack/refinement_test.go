@@ -1,9 +1,11 @@
 package attack
 
 import (
+	"slices"
 	"testing"
 
 	"kanon/internal/anonymity"
+	"kanon/internal/bipartite"
 	"kanon/internal/cluster"
 	"kanon/internal/core"
 	"kanon/internal/datagen"
@@ -53,7 +55,7 @@ func TestRefinementNoAuxBreach(t *testing.T) {
 	if anonymity.Is1K(s, tbl, g, 2) {
 		t.Fatal("construction should breach (1,2)")
 	}
-	counts, err := SimulateRefinement(s.Hiers, g)
+	counts, _, err := SimulateRefinement(s.Hiers, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,7 @@ func TestRefinementNeverOverReports(t *testing.T) {
 			t.Fatalf("second adversary should pin identity row %d, got %d matches", i, matches[i])
 		}
 	}
-	counts, err := SimulateRefinement(s.Hiers, g)
+	counts, _, err := SimulateRefinement(s.Hiers, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +119,11 @@ func TestRefinementContainsMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := RefinementCandidates(ds.Hiers, g)
+	refined, err := refinementCandidates(ds.Hiers, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, _, err := SimulateRefinement(ds.Hiers, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +131,9 @@ func TestRefinementContainsMatches(t *testing.T) {
 	for i, cand := range refined {
 		if len(cand) < matches[i] {
 			t.Errorf("record %d: %d refined candidates < %d true matches", i, len(cand), matches[i])
+		}
+		if counts[i] != len(cand) {
+			t.Errorf("record %d: SimulateRefinement counts %d refined candidates, the list form %d", i, counts[i], len(cand))
 		}
 	}
 }
@@ -153,7 +162,7 @@ func TestRefinementRespectsGlobal1K(t *testing.T) {
 	if !anonymity.IsGlobal1K(s, ds.Table, g, k) {
 		t.Fatal("upgrade did not certify global (1,k)")
 	}
-	counts, err := SimulateRefinement(ds.Hiers, g)
+	counts, _, err := SimulateRefinement(ds.Hiers, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,18 +181,24 @@ func TestOverlapGraphIdentity(t *testing.T) {
 	for i := range g.Records {
 		g.Records[i][0] = s.Hiers[0].LeafOf(i)
 	}
-	gr, err := OverlapGraph(s.Hiers, g)
+	gr := overlapGraph(s.Hiers, g)
+	edges := 0
+	for i := 0; i < 5; i++ {
+		if !slices.Contains(gr.Neighbors(i), i) {
+			t.Errorf("missing identity edge (%d,%d)", i, i)
+		}
+		edges += len(gr.Neighbors(i))
+	}
+	// Distinct identity rows under a flat hierarchy overlap nobody else.
+	if edges != 5 {
+		t.Errorf("flat identity release has %d overlap edges, want 5", edges)
+	}
+	counts, _, err := SimulateRefinement(s.Hiers, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if !gr.HasEdge(i, i) {
-			t.Errorf("missing identity edge (%d,%d)", i, i)
-		}
-	}
-	// Distinct identity rows under a flat hierarchy overlap nobody else.
-	if gr.NumEdges() != 5 {
-		t.Errorf("flat identity release has %d overlap edges, want 5", gr.NumEdges())
+	if !slices.Equal(counts, []int{1, 1, 1, 1, 1}) {
+		t.Errorf("flat identity release: refined candidates %v, want 1 each", counts)
 	}
 }
 
@@ -193,12 +208,42 @@ func TestRefinementErrors(t *testing.T) {
 	for i := range g.Records {
 		g.Records[i][0] = s.Hiers[0].LeafOf(i)
 	}
-	if _, err := OverlapGraph(s.Hiers[:0], g); err == nil {
+	if _, _, err := SimulateRefinement(s.Hiers[:0], g, nil); err == nil {
 		t.Error("expected hierarchy-count mismatch error")
 	}
+	if _, _, err := SimulateRefinement(s.Hiers, g, []int{0, 1}); err == nil {
+		t.Error("expected sensitive-count mismatch error")
+	}
 	empty := table.NewGen(tbl.Schema, 0)
-	counts, err := SimulateRefinement(s.Hiers, empty)
+	counts, _, err := SimulateRefinement(s.Hiers, empty, nil)
 	if err != nil || len(counts) != 0 {
 		t.Errorf("empty release: counts=%v err=%v", counts, err)
 	}
+}
+
+// overlapGraph is the overlap graph of a release from one pairwise test
+// per pair of rows: per attribute, one row's node is an ancestor of the
+// other's.
+func overlapGraph(hiers []*hierarchy.Hierarchy, g *table.GenTable) *bipartite.Graph {
+	n := g.Len()
+	gr := bipartite.New(n, n)
+	for i, a := range g.Records {
+		for j, b := range g.Records {
+			overlap := true
+			for at, h := range hiers {
+				overlap = overlap && (h.IsAncestor(a[at], b[at]) || h.IsAncestor(b[at], a[at]))
+			}
+			if overlap {
+				gr.AddEdge(i, j)
+			}
+		}
+	}
+	return gr
+}
+
+// refinementCandidates is the list form of the refinement attack: per
+// position, the overlap edges that extend to a perfect matching, from
+// bipartite.AllowedEdges on the pairwise overlap graph.
+func refinementCandidates(hiers []*hierarchy.Hierarchy, g *table.GenTable) ([][]int, error) {
+	return bipartite.AllowedEdges(overlapGraph(hiers, g))
 }

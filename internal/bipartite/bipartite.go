@@ -6,8 +6,8 @@
 //
 // Two match-computation methods are provided. The paper's formulation
 // removes each edge's endpoints and re-runs Hopcroft–Karp, costing
-// O(√n·m) per edge (AllowedEdgesNaive, kept as a test oracle). The fast
-// method computes one perfect matching, orients matched edges right→left
+// O(√n·m) per edge (AllowedEdgesNaive, a test oracle in naive_test.go).
+// The fast method computes one perfect matching, orients matched edges right→left
 // and unmatched edges left→right, and observes that an unmatched edge lies
 // in some perfect matching iff its endpoints share a strongly connected
 // component — a single Tarjan SCC pass, O(n + m) after the matching.
@@ -61,9 +61,6 @@ func (g *Graph) NLeft() int { return g.nLeft }
 // NRight returns the number of right nodes.
 func (g *Graph) NRight() int { return g.nRight }
 
-// NumEdges returns the number of edges.
-func (g *Graph) NumEdges() int { return g.nEdges }
-
 // AddEdge inserts the edge (u, v); duplicate edges must not be added.
 func (g *Graph) AddEdge(u, v int) {
 	if u < 0 || u >= g.nLeft || v < 0 || v >= g.nRight {
@@ -76,26 +73,6 @@ func (g *Graph) AddEdge(u, v int) {
 // Neighbors returns the right-side neighbours of left node u. The returned
 // slice must not be modified.
 func (g *Graph) Neighbors(u int) []int { return g.adj[u] }
-
-// HasEdge reports whether the edge (u, v) is present.
-func (g *Graph) HasEdge(u, v int) bool {
-	for _, w := range g.adj[u] {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := New(g.nLeft, g.nRight)
-	for u, vs := range g.adj {
-		c.adj[u] = append([]int(nil), vs...)
-	}
-	c.nEdges = g.nEdges
-	return c
-}
 
 // Matching is the result of a maximum-matching computation. MatchL[u] is
 // the right node matched to left node u (or -1), MatchR[v] symmetric, and
@@ -270,64 +247,14 @@ func AllowedCounts(g *Graph) ([]int, bool) {
 	return counts, true
 }
 
-// AllowedEdgesNaive is the paper's per-edge formulation: edge (u, v) is a
-// match iff the graph without u and v still has a perfect matching. It runs
-// one Hopcroft–Karp per edge and exists as a correctness oracle for
-// AllowedEdges.
-func AllowedEdgesNaive(g *Graph) ([][]int, error) {
-	if !HasPerfectMatching(g) {
-		return nil, fmt.Errorf("bipartite: no perfect matching")
-	}
-	out := make([][]int, g.nLeft)
-	for u := 0; u < g.nLeft; u++ {
-		for _, v := range g.adj[u] {
-			sub := New(g.nLeft-1, g.nRight-1)
-			for u2 := 0; u2 < g.nLeft; u2++ {
-				if u2 == u {
-					continue
-				}
-				su := u2
-				if u2 > u {
-					su--
-				}
-				for _, v2 := range g.adj[u2] {
-					if v2 == v {
-						continue
-					}
-					sv := v2
-					if v2 > v {
-						sv--
-					}
-					sub.AddEdge(su, sv)
-				}
-			}
-			if HasPerfectMatching(sub) {
-				out[u] = append(out[u], v)
-			}
-		}
-	}
-	return out, nil
-}
-
-// SCC computes strongly connected components of a directed graph given as
-// adjacency lists, using an iterative Tarjan algorithm. It returns the
-// component id of every node; ids are dense starting at 0.
-func SCC(adj [][]int) []int {
-	off := make([]int, len(adj)+1)
-	var tgt []int
-	for x, vs := range adj {
-		tgt = append(tgt, vs...)
-		off[x+1] = len(tgt)
-	}
-	return scc(off, tgt)
-}
-
 type sccFrame struct {
 	node, edge int
 }
 
-// scc is SCC on the compressed rows off, tgt (the successors of node x are
-// tgt[off[x]:off[x+1]]).
+// scc computes the strongly connected components of the digraph on the
+// compressed rows off, tgt (the successors of node x are
+// tgt[off[x]:off[x+1]]) with an iterative Tarjan algorithm. It returns the
+// component id of every node; ids are dense starting at 0.
 func scc(off, tgt []int) []int {
 	n := len(off) - 1
 	comp := make([]int, n)

@@ -93,16 +93,12 @@ func EvaluateAttacks(s *cluster.Space, tbl *table.Table, g *table.GenTable, k in
 	// Refinement attack: candidate sets from the release and hierarchies
 	// alone. Positions coincide with records (generalization is positional),
 	// so vulnerability composes with the other attacks per index.
-	refined, err := attack.RefinementCandidates(s.Hiers, g)
+	refined, refinedExposed, err := attack.SimulateRefinement(s.Hiers, g, sensitive)
 	if err != nil {
 		return nil, err
 	}
-	for i := range counts {
-		counts[i] = len(refined[i])
-		exposed[i] = sensitive != nil && homogeneousIdx(refined[i], sensitive)
-	}
-	rep.Refinement = vectorize("refinement", counts, exposed, k)
-	markVulnerable(vuln, counts, k)
+	rep.Refinement = vectorize("refinement", refined, refinedExposed, k)
+	markVulnerable(vuln, refined, k)
 
 	// Intersection attack over the canonical overlapping windows; outcome
 	// IDs are global record indices.
@@ -166,21 +162,6 @@ func markVulnerable(vuln []bool, counts []int, k int) {
 			vuln[i] = true
 		}
 	}
-}
-
-// homogeneousIdx reports whether all candidate positions carry the same
-// sensitive value (and there is at least one candidate).
-func homogeneousIdx(candidates []int, sensitive []int) bool {
-	if len(candidates) == 0 {
-		return false
-	}
-	first := sensitive[candidates[0]]
-	for _, j := range candidates[1:] {
-		if sensitive[j] != first {
-			return false
-		}
-	}
-	return true
 }
 
 // pct returns 100*a/b, or 0 when b is 0.

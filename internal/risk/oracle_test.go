@@ -23,9 +23,11 @@ import (
 // This file is the naive oracle of the audit layer: the pairwise loops that
 // built the consistency graph, the overlap graph and the intersection
 // attack's candidate sets before they were built from row classes
-// (internal/anonymity/graph.go), kept verbatim. Every audit result — the
-// graphs, anonymity.Report, AttackReport, Assess and SimulateInformed —
-// must come out identical on the production path and on these loops. It
+// (internal/anonymity/graph.go), kept verbatim, with the matches taken
+// from bipartite.AllowedEdges on their graphs. Every audit result — the
+// consistency graph, anonymity.Report, AttackReport, Assess and
+// SimulateInformed — must come out identical on the production path and on
+// these loops, including releases that are not positional. It
 // lives in package risk because risk is the one package that sees every
 // audit consumer.
 
@@ -262,6 +264,20 @@ func naiveEvaluateAttacks(t testing.TB, s *cluster.Space, tbl *table.Table, g *t
 	return rep
 }
 
+// homogeneousIdx reports whether all candidate positions carry the same
+// sensitive value (and there is at least one candidate).
+func homogeneousIdx(candidates []int, sensitive []int) bool {
+	if len(candidates) == 0 {
+		return false
+	}
+	for _, j := range candidates[1:] {
+		if sensitive[j] != sensitive[candidates[0]] {
+			return false
+		}
+	}
+	return true
+}
+
 // naiveInformed is attack.SimulateInformed over the naive graph.
 func naiveInformed(s *cluster.Space, tbl *table.Table, g *table.GenTable, sensitive []int, known []int) []int {
 	n := tbl.Len()
@@ -312,13 +328,22 @@ func naiveProsecutor(counts []int) []float64 {
 	return out
 }
 
+// numEdges counts a graph's edges through its adjacency lists.
+func numEdges(g *bipartite.Graph) int {
+	edges := 0
+	for u := 0; u < g.NLeft(); u++ {
+		edges += len(g.Neighbors(u))
+	}
+	return edges
+}
+
 // sameGraph fails unless two graphs have the same sides and the same
 // adjacency lists, in order.
 func sameGraph(t testing.TB, name string, got, want *bipartite.Graph) {
 	t.Helper()
-	if got.NLeft() != want.NLeft() || got.NRight() != want.NRight() || got.NumEdges() != want.NumEdges() {
+	if got.NLeft() != want.NLeft() || got.NRight() != want.NRight() || numEdges(got) != numEdges(want) {
 		t.Fatalf("%s: graph %dx%d with %d edges, oracle %dx%d with %d", name,
-			got.NLeft(), got.NRight(), got.NumEdges(), want.NLeft(), want.NRight(), want.NumEdges())
+			got.NLeft(), got.NRight(), numEdges(got), want.NLeft(), want.NRight(), numEdges(want))
 	}
 	for u := 0; u < want.NLeft(); u++ {
 		if !slices.Equal(got.Neighbors(u), want.Neighbors(u)) {
@@ -332,11 +357,6 @@ func sameGraph(t testing.TB, name string, got, want *bipartite.Graph) {
 func assertAuditMatchesOracle(t testing.TB, name string, s *cluster.Space, tbl *table.Table, g *table.GenTable, k int, sensitive []int) {
 	t.Helper()
 	sameGraph(t, name+" consistency", anonymity.BuildGraph(s, tbl, g), naiveBuildGraph(s, tbl, g))
-	overlap, err := attack.OverlapGraph(s.Hiers, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameGraph(t, name+" overlap", overlap, naiveOverlapGraph(s.Hiers, g))
 
 	if got, want := anonymity.Check(s, tbl, g, k), naiveCheck(s, tbl, g, k); got != want {
 		t.Fatalf("%s: Check = %+v, oracle %+v", name, got, want)
@@ -641,8 +661,155 @@ func TestIntersectionShuffledIDs(t *testing.T) {
 	}
 }
 
+// scrambleRows returns a copy of g whose rows at about a third of the
+// positions are shuffled among those positions: the release is no longer
+// positional, but the shuffle is still a perfect matching. With broken, one
+// row is then overwritten with an all-leaf tuple that no record of tbl
+// holds, when one turns up in 20 draws; no record is consistent with that
+// row, so no perfect matching is left.
+func scrambleRows(rng *rand.Rand, hiers []*hierarchy.Hierarchy, tbl *table.Table, g *table.GenTable, broken bool) *table.GenTable {
+	out := table.NewGen(g.Schema, g.Len())
+	var picked []int
+	for i, row := range g.Records {
+		copy(out.Records[i], row)
+		if rng.Intn(3) == 0 {
+			picked = append(picked, i)
+		}
+	}
+	for a, b := range rng.Perm(len(picked)) {
+		copy(out.Records[picked[a]], g.Records[picked[b]])
+	}
+	if !broken || out.Len() == 0 {
+		return out
+	}
+	held := make(map[string]bool)
+	for _, r := range tbl.Records {
+		held[fmt.Sprint(r)] = true
+	}
+	for tries := 0; tries < 20; tries++ {
+		r := make(table.Record, len(hiers))
+		for a, h := range hiers {
+			r[a] = rng.Intn(h.NumValues())
+		}
+		if !held[fmt.Sprint(r)] {
+			j := rng.Intn(out.Len())
+			for a, h := range hiers {
+				out.Records[j][a] = h.LeafOf(r[a])
+			}
+			break
+		}
+	}
+	return out
+}
+
+// TestAuditNonPositional compares the audit with the oracle on releases
+// whose rows are partly shuffled, with and without a row no record is
+// consistent with. The matches then come from a Hopcroft–Karp matching
+// instead of the identity, or are zero; the test requires both cases to
+// occur.
+func TestAuditNonPositional(t *testing.T) {
+	shuffled, none := 0, 0
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s, tbl, g, sensitive := randomAudit(rng, 1+rng.Intn(4), 5+rng.Intn(60), 90)
+		for _, broken := range []bool{false, true} {
+			h := scrambleRows(rng, s.Hiers, tbl, g, broken)
+			switch {
+			case !bipartite.HasPerfectMatching(naiveBuildGraph(s, tbl, h)):
+				none++
+			case !anonymity.IsGeneralizationOf(s, tbl, h):
+				shuffled++
+			}
+			assertAuditMatchesOracle(t, fmt.Sprintf("seed=%d broken=%v", seed, broken), s, tbl, h, 2, sensitive)
+		}
+	}
+	if shuffled == 0 || none == 0 {
+		t.Errorf("%d releases matched only off the identity, %d had no perfect matching; want both > 0", shuffled, none)
+	}
+}
+
+// TestAuditSingletonMatchedElsewhere: the one-row class {1} is matched to
+// record 1, not to record 0 at its position, since record 0 is not
+// consistent with it. Record 1 is pinned to that row; records 0 and 2
+// share the two suppressed rows.
+func TestAuditSingletonMatchedElsewhere(t *testing.T) {
+	hiers := []*hierarchy.Hierarchy{hierarchy.Flat(3)}
+	schema := table.MustSchema(table.MustAttribute("A", []string{"x", "y", "z"}))
+	s, err := cluster.NewSpace(hiers, loss.NewLM(hiers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := table.New(schema)
+	for v := 0; v < 3; v++ {
+		tbl.MustAppend(table.Record{v})
+	}
+	g := table.NewGen(schema, 3)
+	g.Records[0][0] = hiers[0].LeafOf(1)
+	g.Records[1][0] = hiers[0].Root()
+	g.Records[2][0] = hiers[0].Root()
+	if got := anonymity.MatchCounts(s, tbl, g); !slices.Equal(got, []int{2, 1, 2}) {
+		t.Errorf("MatchCounts = %v, want [2 1 2]", got)
+	}
+	assertAuditMatchesOracle(t, "singleton-matched-elsewhere", s, tbl, g, 2, []int{0, 1, 1})
+}
+
+// naiveAllowedCounts is the paper's per-edge formulation of the matches:
+// edge (u, v) is a match iff the graph without u and v still has a perfect
+// matching, one Hopcroft–Karp per edge.
+func naiveAllowedCounts(g *bipartite.Graph) []int {
+	counts := make([]int, g.NLeft())
+	for u := range counts {
+		for _, v := range g.Neighbors(u) {
+			sub := bipartite.New(g.NLeft()-1, g.NRight()-1)
+			for u2 := 0; u2 < g.NLeft(); u2++ {
+				for _, v2 := range g.Neighbors(u2) {
+					if u2 != u && v2 != v {
+						sub.AddEdge(u2-btoi(u2 > u), v2-btoi(v2 > v))
+					}
+				}
+			}
+			if bipartite.HasPerfectMatching(sub) {
+				counts[u]++
+			}
+		}
+	}
+	return counts
+}
+
+// btoi is 1 for true and 0 for false.
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestMatchCountsPerEdge checks the class-quotient counts of the second
+// adversary and of the refinement attack against the per-edge formulation
+// on positional, shuffled and broken releases of at most 40 records.
+func TestMatchCountsPerEdge(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s, tbl, g, _ := randomAudit(rng, 1+rng.Intn(3), 3+rng.Intn(20), 40)
+		for leg, h := range []*table.GenTable{g, scrambleRows(rng, s.Hiers, tbl, g, false), scrambleRows(rng, s.Hiers, tbl, g, true)} {
+			if got, want := anonymity.MatchCounts(s, tbl, h), naiveAllowedCounts(naiveBuildGraph(s, tbl, h)); !slices.Equal(got, want) {
+				t.Fatalf("seed %d leg %d: MatchCounts = %v, per-edge %v", seed, leg, got, want)
+			}
+			got, _, err := attack.SimulateRefinement(s.Hiers, h, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := naiveAllowedCounts(naiveOverlapGraph(s.Hiers, h)); !slices.Equal(got, want) {
+				t.Fatalf("seed %d leg %d: refinement counts = %v, per-edge %v", seed, leg, got, want)
+			}
+		}
+	}
+}
+
 // FuzzConsistencyGraph compares the audit with the naive oracle on random
-// hierarchies and releases of up to 200 records.
+// hierarchies and releases of up to 200 records, and on two non-positional
+// variants of each: partly shuffled rows, and those with a row no record is
+// consistent with.
 func FuzzConsistencyGraph(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(10), uint8(30), uint8(2))
 	f.Add(int64(2), uint8(1), uint8(64), uint8(100), uint8(3))
@@ -655,7 +822,12 @@ func FuzzConsistencyGraph(f *testing.F) {
 		k := 1 + int(kRaw)%6
 		rng := rand.New(rand.NewSource(seed))
 		s, tbl, g, sensitive := randomAudit(rng, attrs, classes, n)
-		assertAuditMatchesOracle(t, fmt.Sprintf("seed=%d attrs=%d n=%d", seed, attrs, tbl.Len()), s, tbl, g, k, sensitive)
+		name := fmt.Sprintf("seed=%d attrs=%d n=%d", seed, attrs, tbl.Len())
+		assertAuditMatchesOracle(t, name, s, tbl, g, k, sensitive)
+		for _, broken := range []bool{false, true} {
+			h := scrambleRows(rng, s.Hiers, tbl, g, broken)
+			assertAuditMatchesOracle(t, fmt.Sprintf("%s shuffled broken=%v", name, broken), s, tbl, h, k, sensitive)
+		}
 	})
 }
 
@@ -681,7 +853,7 @@ func auditBenchRelease(b *testing.B) (auditFixture, *table.GenTable) {
 // BenchmarkAudit is the audit of a k-anonymous release — Check plus
 // EvaluateAttacks, the work of kanon's -verify and -attack — on ADT n=5000,
 // k=10. BenchmarkAuditRef runs the naive oracle on the same release, so the
-// in-run ratio is the speed-up of building the graphs from row classes.
+// in-run ratio is the speed-up of reading the audit off row classes.
 func BenchmarkAudit(b *testing.B) {
 	f, g := auditBenchRelease(b)
 	b.ResetTimer()

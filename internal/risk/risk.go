@@ -89,10 +89,7 @@ func Assess(s *cluster.Space, tbl *table.Table, g *table.GenTable, model Model) 
 		if tbl == nil || tbl.Len() != n {
 			return nil, fmt.Errorf("risk: neighbours model needs the original table")
 		}
-		graph := anonymity.BuildGraph(s, tbl, g)
-		for i := 0; i < n; i++ {
-			counts[i] = len(graph.Neighbors(i))
-		}
+		counts, _ = anonymity.ConsistencyDegrees(s, tbl, g)
 	case ByMatches:
 		if tbl == nil || tbl.Len() != n {
 			return nil, fmt.Errorf("risk: matches model needs the original table")
