@@ -105,12 +105,15 @@ func AgglomerateStatsCtx(ctx context.Context, s *Space, tbl *table.Table, opt Ag
 // once at birth, selection pops a (d, row, wit)-keyed min-heap with
 // generation-tagged staleness checks and pop-time healing, and a merge
 // touches no cluster beyond its newborns — whose caches are built by one
-// tiled pass over the dense live list. Every step merges the lexicographic
+// pass over the clusters born before them, tiled over the dense live list
+// or, above the trie crossover, tiled over the live merged clusters and
+// searched over the live singletons. Every step merges the lexicographic
 // (d, i, j) minimum over ordered live pairs, the order Algorithm 1 scans
 // in.
 //
-// Parallel execution shards the initial build, the newborn passes and the
-// rare single-list rescans over the worker pool. Workers write only
+// Parallel execution shards the initial build, the newborn passes' tiles
+// and the rare single-list rescans over the worker pool; a newborn's
+// singleton search runs on the driving goroutine. Workers write only
 // span-local scratch or lists they own, and the driving goroutine folds
 // span results in a fixed order into lists whose contents are fold-order
 // independent, so any worker count reproduces the sequential clustering
@@ -121,8 +124,10 @@ func AgglomerateStatsCtx(ctx context.Context, s *Space, tbl *table.Table, opt Ag
 // lists, heap and member chains, and the span strips and sums. The first
 // run makes them, sized for the larger of its table and the records hint
 // of NewEngine; later runs empty them and grow them only for a larger
-// table. The partitioned pipeline runs all its shards on one Engine, so a
-// shard allocates little beyond its output. An Engine is not safe for
+// table. Only a run that takes the trie search builds its singleton index
+// (record trie, frontier, live counts), and drops it when it ends. The
+// partitioned pipeline runs all its shards on one Engine, so a shard
+// allocates little beyond its output. An Engine is not safe for
 // concurrent use; engines share nothing, so separate engines may run
 // concurrently.
 type Engine struct {
@@ -177,12 +182,13 @@ type Engine struct {
 	livePos  []int32
 
 	// Per-span scratch of the sharded list builds (one pool call in flight
-	// at a time): the initial build's cross-span partial rows, one
-	// row/column partial list per span for newborn passes and rescans,
-	// per-span distance-evaluation counts, per-span strip slabs of the
-	// initial build (initBlock anchor strips each) and per-span price sums
-	// (nnTile each).
+	// at a time): the initial build's cross-span partial rows and its span
+	// bounds (tiledBounds), one row/column partial list per span for
+	// newborn passes and rescans, per-span distance-evaluation counts,
+	// per-span strip slabs of the initial build (initBlock anchor strips
+	// each) and per-span price sums (nnTile each).
 	spanInitPart [][]nnList
+	spanBounds   []int
 	spanRowList  []nnList
 	spanColList  []nnList
 	spanEvals    []int64
@@ -190,12 +196,14 @@ type Engine struct {
 	spanSums     [][]float64
 
 	// The anchor of the current newborn pass or rescan, its list kind (a
-	// rescan's) and its cost strip, set on the driving goroutine before
-	// the pool call and read-only in the workers. The span functions are
-	// bound once per engine, so a pass allocates nothing.
+	// rescan's), its cost strip and a newborn pass's candidates, set on the
+	// driving goroutine before the pool call and read-only in the workers.
+	// The span functions are bound once per engine, so a pass allocates
+	// nothing.
 	anchor       int
 	anchorKind   uint8
 	anchorStrip  []float64
+	cands        []int32
 	repairSpanFn func(lo, hi, sp int)
 	rescanSpanFn func(lo, hi, sp int)
 
@@ -214,6 +222,11 @@ type Engine struct {
 	cons        []Bound
 	guardAbsorb bool
 
+	// idx is the run's singleton index when its initial lists came from
+	// the trie search (buildNNTrie), nil otherwise; it splits the newborn
+	// passes (newbornSplit).
+	idx *singletonIndex
+
 	distEvals atomic.Int64
 	// shrinkEvals counts the distance evaluations of the Algorithm 2
 	// shrink step, which the table-hit counter leaves out: subtracting
@@ -227,6 +240,7 @@ type Engine struct {
 	initScans                    atomic.Int64
 	initScanEvals, initBoundSums int64
 	mergeScans, mergeScanEvals   int64
+	mergeBoundSums               int64
 	absorbed, livePeak           int64
 
 	final []*Cluster
@@ -295,7 +309,7 @@ func (e *Engine) Run(ctx context.Context, tbl *table.Table) ([]*Cluster, AggloSt
 	err := e.run()
 	final := e.final
 	// The output is the caller's; nothing else of the run stays reachable.
-	e.tbl, e.ctx, e.o, e.cons, e.final = nil, nil, nil, nil, nil
+	e.tbl, e.ctx, e.o, e.cons, e.final, e.idx = nil, nil, nil, nil, nil, nil
 	if err != nil {
 		return nil, e.stats, err
 	}
@@ -338,6 +352,7 @@ func (e *Engine) prepare(n int) {
 		w := e.pool.Size()
 		e.spanEvals = make([]int64, w)
 		e.spanInitPart = make([][]nnList, w)
+		e.spanBounds = make([]int, w+1)
 		e.spanRowList = make([]nnList, w)
 		e.spanColList = make([]nnList, w)
 		sl := e.kern.stripLen()
@@ -370,8 +385,9 @@ func (e *Engine) prepare(n int) {
 	e.stats = AggloStats{}
 	e.initScans.Store(0)
 	e.initScanEvals, e.initBoundSums = 0, 0
-	e.mergeScans, e.mergeScanEvals = 0, 0
+	e.mergeScans, e.mergeScanEvals, e.mergeBoundSums = 0, 0, 0
 	e.absorbed, e.livePeak = 0, 0
+	e.idx = nil
 	// Final clusters hold ≥ max(K, 1) records each.
 	e.final = make([]*Cluster, 0, n/max(e.opt.K, 1))
 }
@@ -461,6 +477,9 @@ func (e *Engine) report() {
 		o.Counter(PhaseMerge+".scans", e.mergeScans)
 		o.Counter(PhaseMerge+".scan_evals", e.mergeScanEvals)
 	}
+	if e.mergeBoundSums > 0 {
+		o.Counter(obs.CounterMergeBoundSums, e.mergeBoundSums)
+	}
 	if e.livePeak > 0 {
 		o.Peak("cluster.live_peak", e.livePeak)
 	}
@@ -482,7 +501,6 @@ func (e *Engine) report() {
 	o.Counter(obs.CounterKernelTableHits, lcaEvals*int64(k.tabled))
 	o.Counter(obs.CounterKernelFallbackWalks, k.walks.Load())
 	o.Counter(obs.CounterKernelArenaReuses, k.reuses)
-	o.Peak(obs.PeakKernelArenaRows, int64(k.peakRows))
 }
 
 // push appends a live cluster id with empty neighbour lists and returns
@@ -520,6 +538,9 @@ func (e *Engine) kill(id int) {
 	e.livePos[moved] = p
 	e.liveList = e.liveList[:last]
 	e.livePos[id] = -1
+	if e.idx != nil {
+		e.idx.died(int32(id), int(e.mHead[id]))
+	}
 	e.kern.kill(id)
 }
 
@@ -532,6 +553,9 @@ func (e *Engine) pushSingleton(i int) int {
 	e.mHead = append(e.mHead, int32(i))
 	e.mTail = append(e.mTail, int32(i))
 	e.mNext[i] = -1
+	if e.idx != nil {
+		e.idx.born(int32(id), i)
+	}
 	return id
 }
 
@@ -561,6 +585,9 @@ func (e *Engine) merge(a, b int, added []int) []int {
 		e.kern.addMerged(id, row, cost, size)
 		e.mHead = append(e.mHead, head)
 		e.mTail = append(e.mTail, tail)
+		if e.idx != nil {
+			e.idx.born(int32(id), -1)
+		}
 		added = append(added, id)
 	}
 	return added

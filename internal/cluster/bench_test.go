@@ -111,38 +111,46 @@ func BenchmarkAgglomerateLarge(b *testing.B) {
 }
 
 // BenchmarkNNInit times the two initial neighbour builds alone on ADT
-// (entropy, d3, one worker): the trie search (buildNNTrie) and the tiled
-// all-pairs build (buildNNTiled), each called directly whatever the
-// crossover picks. The state before the build (singletons pushed) is set
-// up outside the timer.
+// (entropy, d3): the trie search (buildNNTrie) and the tiled all-pairs
+// build (buildNNTiled), each called directly whatever the crossover picks,
+// at one worker; and the tiled build at n=2000, the size of the CI engine
+// gate, at one and two workers, whose spans tiledBounds cuts. The state
+// before the build (singletons pushed) is set up outside the timer.
 func BenchmarkNNInit(b *testing.B) {
-	for _, n := range []int{5000, 10000} {
-		s, ds := benchSpace(b, n)
-		for _, path := range []string{"trie", "tiled"} {
-			b.Run(fmt.Sprintf("%s/n=%d", path, n), func(b *testing.B) {
-				e := NewEngine(s, AggloOptions{K: 10, Distance: D3{}, Workers: 1}, n)
-				defer e.Close(nil)
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					e.tbl = ds.Table
-					e.prepare(n)
-					for r := 0; r < n; r++ {
-						e.pushSingleton(r)
-					}
-					cmax, _ := e.kern.trieBound(n)
-					b.StartTimer()
-					var err error
-					if path == "trie" {
-						err = e.buildNNTrie(n, cmax)
-					} else {
-						err = e.buildNNTiled(n)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+	type leg struct {
+		path    string
+		n, work int
+	}
+	legs := []leg{{"trie", 5000, 1}, {"tiled", 5000, 1}, {"trie", 10000, 1}, {"tiled", 10000, 1}, {"tiled", 2000, 1}, {"tiled", 2000, 2}}
+	for _, lg := range legs {
+		name := fmt.Sprintf("%s/n=%d", lg.path, lg.n)
+		if lg.n == 2000 {
+			name += fmt.Sprintf("/workers=%d", lg.work)
 		}
+		b.Run(name, func(b *testing.B) {
+			s, ds := benchSpace(b, lg.n)
+			e := NewEngine(s, AggloOptions{K: 10, Distance: D3{}, Workers: lg.work}, lg.n)
+			defer e.Close(nil)
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e.tbl = ds.Table
+				e.prepare(lg.n)
+				for r := 0; r < lg.n; r++ {
+					e.pushSingleton(r)
+				}
+				cmax, _ := e.kern.trieBound(lg.n)
+				b.StartTimer()
+				var err error
+				if lg.path == "trie" {
+					err = e.buildNNTrie(lg.n, cmax)
+				} else {
+					err = e.buildNNTiled(lg.n)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

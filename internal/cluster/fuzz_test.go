@@ -140,6 +140,63 @@ func FuzzAgglomerate(f *testing.F) {
 	})
 }
 
+// FuzzNewbornSearch applies TestNewbornTrieMatchesFlat's comparison to
+// fuzzed tables: an engine with the singleton index and one without merge
+// in lockstep for a fuzzed number of merges (all of them past 200), each
+// newborn's split and flat passes must leave identical lists, the heaps
+// must stay identical, and the index must match the live singletons.
+// Fuzzed too: k, the distance, Algorithm 1 or 2, ℓ-diversity and
+// t-closeness, an entropy measure (its envelope is not its cost) or LM,
+// and the worker count.
+func FuzzNewbornSearch(f *testing.F) {
+	f.Add([]byte{0x01, 0x02, 0x13, 0x24, 0x35, 0x46, 0x57, 0x68, 0x79, 0x8a}, uint8(3), uint8(2), uint8(1), uint8(255))
+	f.Add([]byte{0xff, 0xfe, 0xfd, 0xfc, 0x01, 0x02, 0x03, 0x04}, uint8(2), uint8(3), uint8(9), uint8(3))
+	f.Add([]byte{0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0x11, 0x22, 0x33, 0x44}, uint8(4), uint8(0), uint8(27), uint8(255))
+	f.Add([]byte{0x10, 0x32, 0x54, 0x76, 0x98, 0xba, 0xdc, 0xfe, 0x21, 0x43, 0x65, 0x87}, uint8(5), uint8(4), uint8(13), uint8(6))
+	f.Fuzz(func(t *testing.T, data []byte, kb, distSel, mode, merges uint8) {
+		s := fuzzSpace(t)
+		tbl, sensitive := fuzzTable(data)
+		n := tbl.Len()
+		if n < 2 {
+			return
+		}
+		if mode&8 != 0 {
+			m, err := loss.NewEntropy(tbl, s.Hiers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s, err = NewSpace(s.Hiers, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dists := AllDistances()
+		opt := AggloOptions{
+			K:        1 + int(kb)%n,
+			Distance: dists[int(distSel)%len(dists)],
+			Modified: mode&1 != 0,
+			Workers:  1 + 3*int(mode>>4&1),
+		}
+		if mode&2 != 0 {
+			opt.Constraints = []Constraint{DistinctLDiversity(2)}
+			opt.Sensitive = sensitive
+		}
+		if mode&4 != 0 {
+			opt.Constraints = append(opt.Constraints, TCloseness(0.5))
+			opt.Sensitive = sensitive
+		}
+		for _, c := range opt.Constraints {
+			if _, err := c.Bind(sensitive); err != nil {
+				return // Run rejects the options
+			}
+		}
+		steps := int(merges)
+		if steps > 200 {
+			steps = -1
+		}
+		checkNewbornPasses(t, "fuzz", s, tbl, opt, steps)
+	})
+}
+
 // FuzzDistKernelEquivalence pits the flat kernel's pair passes against the
 // reference evaluation (per-attribute LCA walk + Distance.Eval through the
 // interface) over random clusters, for every built-in distance and a

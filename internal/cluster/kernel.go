@@ -129,9 +129,8 @@ type kernel struct {
 	// function of its input.
 	logTab []float64
 
-	// Arena occupancy counters (driving goroutine only).
-	reuses   int64
-	peakRows int
+	// Arena slot reuses (driving goroutine only).
+	reuses int64
 }
 
 // newKernel builds the kernel for one engine run over s, resolving the
@@ -183,7 +182,7 @@ func (k *kernel) reset(ids, n int) {
 	k.rowOf, k.cost, k.size = k.rowOf[:0], k.cost[:0], k.size[:0]
 	k.rows, k.free = k.rows[:0], k.free[:0]
 	k.walks.Store(0)
-	k.reuses, k.peakRows = 0, 0
+	k.reuses = 0
 	k.reserve(ids, n)
 }
 
@@ -206,9 +205,6 @@ func (k *kernel) alloc(id int, cost float64, size int32) []int32 {
 		// allocation-free only when the compiler elides the make, which
 		// -race builds do not.)
 		k.rows = slices.Grow(k.rows, k.r)[:base+k.r]
-		if rows := len(k.rows) / k.r; rows > k.peakRows {
-			k.peakRows = rows
-		}
 	}
 	k.rowOf = append(k.rowOf, slot)
 	k.cost = append(k.cost, cost)

@@ -317,7 +317,7 @@ func TestResolveDistKind(t *testing.T) {
 }
 
 // TestKernelCounters checks the kernel's observability: a run reports its
-// table-hit/walk split, arena occupancy peak and slot reuses. Walk-ups are
+// table-hit/walk split and arena slot reuses. Walk-ups are
 // counted where they happen — once per strip fill, not per pair — so the
 // over-budget space reports some and the tabled space none, and both
 // counters read the same at every worker count.
@@ -340,9 +340,6 @@ func TestKernelCounters(t *testing.T) {
 			st := met.Snapshot()
 			hits[x] = st.Counter(obs.CounterKernelTableHits)
 			walks[x] = st.Counter(obs.CounterKernelFallbackWalks)
-			if peak := st.Peaks[obs.PeakKernelArenaRows]; peak == 0 || peak > int64(2*tbl.Len()) {
-				t.Errorf("%s: arena peak %d out of range (0, %d]", sp.name, peak, 2*tbl.Len())
-			}
 			if st.Counter(obs.CounterKernelArenaReuses) == 0 {
 				t.Errorf("%s: merge-heavy run reused no arena slots: %v", sp.name, st.Counters)
 			}

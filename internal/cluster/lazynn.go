@@ -32,11 +32,23 @@ import (
 //     (push it — exact, no distance work) or the list is exhausted and the
 //     cluster rescans over the dense live list (the rare DeadNNRescans
 //     path, sharded in nnTile-sized tiles);
-//   - a merge that bears newborns runs one pass per newborn over the live
-//     list, anchored on the newborn's cost strip (kernel.go) — one priced
-//     sum per (newborn, live) pair serves both orientations — building the
-//     newborn's row and column lists; a merge that finalizes its cluster
-//     (Algorithm 1 absorbing a ripe cluster) does no pass at all;
+//   - a merge that bears newborns runs one pass per newborn over the
+//     clusters born before it, building the newborn's row and column
+//     lists; a merge that finalizes its cluster (Algorithm 1 absorbing a
+//     ripe cluster) does no pass at all. Below the crossover, and under a
+//     user-supplied distance or an infinite cost, the pass is flat: every
+//     live cluster is priced against the newborn's cost strip (kernel.go),
+//     one priced sum per pair serving both orientations. Above it the run
+//     keeps a singleton index (trie.go) and the pass is split: the live
+//     merged clusters, ~4% of a pass's candidates on ADT, are priced flat,
+//     and the live singletons are searched best-first over the record
+//     trie from the newborn's closure (kernel.search), which prices only
+//     the keys whose bound f(s, 1, s+1, c, c_max, b/r) for the row or
+//     f(1, s, s+1, c_max, c, b/r) for the column is not above that list's
+//     discard bound. The bound is at most the exact distance in both
+//     orientations — the formulas fall in either cost and rise in dU — so
+//     a pruned singleton is lex-above both final bounds and the lists are
+//     the flat pass's;
 //   - the initial build fills every singleton's row list. From
 //     nnTrieRecords records on, under a built-in distance, each record
 //     searches a prefix trie of the table best-first (buildNNTrie):
@@ -49,7 +61,8 @@ import (
 //     buildNNTiled walks the strict lower triangle in
 //     initBlock×nnTile tiles, each block row anchored on its own strip,
 //     one priced sum per unordered pair, feeding row[i] and column[i]
-//     which only block-owner workers write. Both leave identical lists.
+//     which only block-owner workers write, its spans cut at equal shares
+//     of the priced pairs. Both leave identical lists.
 //
 // Determinism: heap keys are unique — (kind, owner, gen) never repeats
 // because the owner's generation is bumped before every re-push — so the
@@ -385,8 +398,9 @@ func (e *Engine) heapMaybeCompact() {
 // folded into a span-local partial list otherwise. The partials are merged
 // and the heap seeded on the driving goroutine afterwards; lists are
 // fold-order independent, so any span geometry yields identical lists.
-// Each block and each tile polls ctx, and each record of a block counts
-// as one scan of its n−1 candidates.
+// The spans split the blocks by priced pairs, not by count
+// (tiledBounds). Each block and each tile polls ctx, and each record of a
+// block counts as one scan of its n−1 candidates.
 func (e *Engine) buildNNTiled(n int) error {
 	numBlocks := (n + initBlock - 1) / initBlock
 	for bi := 0; bi < numBlocks; bi++ {
@@ -399,7 +413,9 @@ func (e *Engine) buildNNTiled(n int) error {
 	// No cluster has died yet, so the live list is the identity 0..n-1 and
 	// live[jLo:jHi] names the candidate ids of a tile.
 	live := e.liveList
-	spans, err := e.pool.ForSpansCtx(e.ctx, numBlocks, 1, func(bLo, bHi, sp int) {
+	bounds := e.tiledBounds(n, numBlocks)
+	spans, err := e.pool.ForSpansCtx(e.ctx, len(bounds)-1, 1, func(sLo, sHi, sp int) {
+		bLo, bHi := bounds[sLo], bounds[sHi]
 		floor := bLo * initBlock
 		part := slices.Grow(e.spanInitPart[sp][:0], floor)[:floor]
 		for j := range part {
@@ -453,6 +469,30 @@ func (e *Engine) buildNNTiled(n int) error {
 		e.pushRowHead(i)
 	}
 	return nil
+}
+
+// tiledBounds splits the initial build's numBlocks blocks into at most
+// one span per worker, span s taking blocks [bounds[s], bounds[s+1]). Row
+// i prices the i pairs below it, so the blocks up to b price m(m−1)/2 of
+// the n(n−1)/2 pairs, m = b·initBlock: span s starts at the first block
+// whose preceding blocks price at least s/spans of them, and every span
+// takes at least one block. An even split by block count leaves the last
+// span about 3/4 of the pairs at 2 workers. The bounds depend only on n
+// and the pool size.
+func (e *Engine) tiledBounds(n, numBlocks int) []int {
+	spans := min(e.pool.Size(), numBlocks)
+	bounds := e.spanBounds[:spans+1]
+	total, b := int64(n)*int64(n-1)/2, 0
+	for s := 1; s < spans; s++ {
+		for b = max(b, s); b < numBlocks-(spans-s); b++ {
+			if m := int64(b * initBlock); m*(m-1)/2*int64(spans) >= int64(s)*total {
+				break
+			}
+		}
+		bounds[s] = b
+	}
+	bounds[0], bounds[spans] = 0, numBlocks
+	return bounds
 }
 
 // selectPairHeap pops the heap down to the current best merge pair (a, b)
@@ -553,49 +593,85 @@ func (e *Engine) rescanSpan(tLo, tHi, sp int) {
 // finalized its cluster (no newborn) does nothing — no existing list
 // references change meaning, and survivors whose cached partner died heal
 // at pop time. A merge that bore newborns runs one pass per newborn over
-// the live list (newborns sit at the list's tail; candidates are the
-// clusters born before it, i.e. lower ids), anchored on the newborn's cost
-// strip, loaded once on the driving goroutine: each candidate pair is
-// priced once, feeding the newborn's row and column lists, which are then
-// sealed with one heap entry each. Workers write only span-local scratch;
-// list merges, pushes and counters happen on the driving goroutine in span
-// order.
+// the clusters born before it (newborns sit at the live list's tail;
+// candidates are the lower ids), building the newborn's row and column
+// lists, which are then sealed with one heap entry each. Under the run's
+// singleton index the pass is split (newbornSplit), otherwise flat over
+// the live list; both leave the same lists.
 func (e *Engine) repairHeap(added []int) {
-	if len(added) == 0 {
-		e.heapMaybeCompact()
-		return
-	}
-	numTiles := (len(e.liveList) + nnTile - 1) / nnTile
 	for _, nb := range added {
-		e.stats.TilesScanned += int64(numTiles)
-		e.kern.loadStrip(e.anchorStrip, nb)
-		e.anchor = nb
-		spans := e.pool.ForSpans(numTiles, 1, e.repairSpanFn)
-		row := &e.rowNN[nb]
-		col := &e.colNN[nb]
-		row.reset(e.depth)
-		col.reset(e.depth)
-		evals := int64(0)
-		for sp := 0; sp < spans; sp++ {
-			evals += e.spanEvals[sp]
-			row.mergeFrom(&e.spanRowList[sp])
-			col.mergeFrom(&e.spanColList[sp])
+		if e.idx != nil && !math.IsInf(e.kern.cost[nb], 0) {
+			e.newbornSplit(nb)
+		} else {
+			e.newbornPrice(nb, e.liveList)
 		}
-		e.distEvals.Add(evals)
 		e.mergeScans++
-		e.mergeScanEvals += evals
 		e.pushRowHead(nb)
 		e.pushColHead(nb)
 	}
 	e.heapMaybeCompact()
 }
 
-// repairSpan is one span of a newborn pass: tiles [tLo, tHi) of the live
-// list, priced against the newborn's strip into the span's row and column
-// partials. Candidates born after the newborn (its siblings of the same
-// merge) and the newborn itself are priced with their tile and skipped.
+// newbornSplit is the newborn pass under the run's singleton index: the
+// live merged clusters are priced flat, and then the live singletons born
+// before nb are searched best-first over the index's trie from nb's
+// closure (kernel.search), with the bounds the merged candidates left in
+// the lists. A singleton the search prunes is lex-above both final
+// bounds, so the lists are the flat pass's. A newborn of infinite cost,
+// whose bounds could be NaN, takes the flat pass.
+func (e *Engine) newbornSplit(nb int) {
+	x, k := e.idx, e.kern
+	e.newbornPrice(nb, x.merged)
+	if x.live[0] == 0 {
+		return
+	}
+	for a := range k.r {
+		x.t.Flatten(x.cost, a, e.anchorStrip[k.off[a]:k.off[a+1]])
+	}
+	f := x.f
+	f.resetNodes(k.row(nb))
+	f.below = int32(nb)
+	if k.fillWalks > 0 {
+		k.walks.Add(k.fillWalks) // the envelope rows
+	}
+	priced, sums := k.search(f, x.cost, -1, int(k.size[nb]), k.cost[nb], x.cmax, &e.rowNN[nb], &e.colNN[nb])
+	e.distEvals.Add(2 * priced)
+	e.mergeScanEvals += 2 * priced
+	e.mergeBoundSums += sums
+}
+
+// newbornPrice resets nb's row and column lists and prices nb against the
+// candidates cands, sharded into nnTile-sized tiles and anchored on nb's
+// cost strip, loaded once on the driving goroutine: each candidate pair is
+// priced once, feeding both lists. Workers write only span-local scratch;
+// list merges and counters happen on the driving goroutine in span order.
+func (e *Engine) newbornPrice(nb int, cands []int32) {
+	numTiles := (len(cands) + nnTile - 1) / nnTile
+	e.stats.TilesScanned += int64(numTiles)
+	e.kern.loadStrip(e.anchorStrip, nb)
+	e.anchor, e.cands = nb, cands
+	spans := e.pool.ForSpans(numTiles, 1, e.repairSpanFn)
+	row := &e.rowNN[nb]
+	col := &e.colNN[nb]
+	row.reset(e.depth)
+	col.reset(e.depth)
+	evals := int64(0)
+	for sp := 0; sp < spans; sp++ {
+		evals += e.spanEvals[sp]
+		row.mergeFrom(&e.spanRowList[sp])
+		col.mergeFrom(&e.spanColList[sp])
+	}
+	e.distEvals.Add(evals)
+	e.mergeScanEvals += evals
+}
+
+// repairSpan is one span of newbornPrice: tiles [tLo, tHi) of the
+// candidates, priced against the newborn's strip into the span's row and
+// column partials. Candidates born after the newborn (its siblings of the
+// same merge) and the newborn itself are priced with their tile and
+// skipped.
 func (e *Engine) repairSpan(tLo, tHi, sp int) {
-	k, live, nb := e.kern, e.liveList, e.anchor
+	k, cands, nb := e.kern, e.cands, e.anchor
 	rl := &e.spanRowList[sp]
 	cl := &e.spanColList[sp]
 	rl.reset(e.depth)
@@ -606,7 +682,7 @@ func (e *Engine) repairSpan(tLo, tHi, sp int) {
 		if e.cancelled() {
 			break
 		}
-		tile := live[t*nnTile : min((t+1)*nnTile, len(live))]
+		tile := cands[t*nnTile : min((t+1)*nnTile, len(cands))]
 		k.price(e.anchorStrip, tile, sums)
 		evals += k.offerNewborn(nb, tile, sums, rl, cl)
 	}

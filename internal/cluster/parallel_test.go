@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"kanon/internal/datagen"
@@ -180,10 +181,12 @@ func TestAgglomerateStatsCounters(t *testing.T) {
 }
 
 // TestTrieInitCountersWorkerInvariant runs the engine above the crossover,
-// where the initial lists come from the trie search, at workers 1 and 4:
-// the clusterings and every observed counter must agree, the trie's
-// cluster.init.bound_sums included, and the initial scans must have priced
-// fewer than the n·(n−1) ordered pairs the tiled build evaluates.
+// where the initial lists come from the trie search and the newborn passes
+// search the live singletons, at workers 1 and 4: the clusterings and
+// every observed counter must agree, the searches' cluster.init.bound_sums
+// and cluster.merge.bound_sums and every other cluster.merge.* counter
+// included, and the initial scans must have priced fewer than the
+// n·(n−1) ordered pairs the tiled build evaluates.
 func TestTrieInitCountersWorkerInvariant(t *testing.T) {
 	n := nnTrieRecords
 	s, tbl := adultSpace(t, n)
@@ -198,8 +201,10 @@ func TestTrieInitCountersWorkerInvariant(t *testing.T) {
 		snap := met.Snapshot()
 		if w == 1 {
 			base, seq = snap, got
-			if snap.Counter(obs.CounterInitBoundSums) == 0 {
-				t.Fatalf("no %s: the run did not take the trie search", obs.CounterInitBoundSums)
+			for _, name := range []string{obs.CounterInitBoundSums, obs.CounterMergeBoundSums} {
+				if snap.Counter(name) == 0 {
+					t.Fatalf("no %s: the run did not take the trie searches", name)
+				}
 			}
 			if ev := snap.Counter(PhaseInit + ".scan_evals"); ev <= 0 || ev >= int64(n)*int64(n-1) {
 				t.Errorf("%s.scan_evals = %d, want in (0, n(n−1) = %d)", PhaseInit, ev, n*(n-1))
@@ -210,6 +215,18 @@ func TestTrieInitCountersWorkerInvariant(t *testing.T) {
 			continue
 		}
 		assertSameClustering(t, fmt.Sprintf("workers=%d", w), seq, got)
+		merge := 0
+		for name, v := range base.Counters {
+			if strings.HasPrefix(name, PhaseMerge+".") {
+				merge++
+				if snap.Counters[name] != v {
+					t.Errorf("workers=%d: %s = %d, sequential %d", w, name, snap.Counters[name], v)
+				}
+			}
+		}
+		if merge != 3 {
+			t.Errorf("%d %s.* counters, want scans, scan_evals and bound_sums", merge, PhaseMerge)
+		}
 		if !reflect.DeepEqual(snap.Counters, base.Counters) {
 			t.Errorf("workers=%d: counters differ from the sequential run:\n  seq: %v\n  got: %v", w, base.Counters, snap.Counters)
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -189,5 +190,247 @@ func TestNNInitFallsBackToTiled(t *testing.T) {
 			t.Errorf("n=%d %s (%#v): tiled build %v, want %v", c.n, c.d.Name(), c.d, got, c.tiled)
 		}
 		e.Close(nil)
+	}
+}
+
+// TestNewbornTrieMatchesFlat drives the merge loop of two engines in the
+// same state, one without a singleton index and one with it, and calls the
+// flat newborn pass on the first and the split pass on the second for
+// every newborn: the row and column lists, their discard bounds, the
+// selected pairs and the heaps after the pushes must stay identical. It
+// runs every built-in distance under entropy (non-monotone: its envelope
+// is not its cost), LM and monotone entropy, on ADT and a table of
+// duplicates, for Algorithms 1 and 2 with and without recursive (4, 2)
+// diversity. At n=300 (below the crossover, where the index is built only
+// by calling the trie search directly) the whole matrix runs at workers 1
+// and 4. Above the crossover (not in -short mode) each pair of table and
+// measure meets one distance and one variant of the algorithm, both in
+// turn, at workers 4; constrained Algorithm 2, whose flat passes take
+// seconds there, stops after 1000 merges.
+func TestNewbornTrieMatchesFlat(t *testing.T) {
+	dists := []Distance{D1{}, D2{}, D3{}, D4{}, NC{}}
+	measures := []string{"entropy", "lm", "monotone-entropy"}
+	type variant struct{ modified, cons bool }
+	variants := []variant{{false, false}, {true, false}, {false, true}, {true, true}}
+	type leg struct {
+		n       int
+		workers []int
+		// each returns the distances and variants run on the i-th pair of
+		// table and measure.
+		each func(i int) ([]Distance, []variant)
+	}
+	legs := []leg{{300, []int{1, 4}, func(int) ([]Distance, []variant) { return dists, variants }}}
+	if !testing.Short() {
+		legs = append(legs, leg{nnTrieRecords + 100, []int{4}, func(i int) ([]Distance, []variant) {
+			return dists[i%len(dists) : i%len(dists)+1], variants[i%len(variants) : i%len(variants)+1]
+		}})
+	}
+	for _, lg := range legs {
+		i := 0
+		for _, data := range []string{"adt", "dups"} {
+			ds := datagen.Adult(lg.n, 1)
+			if data == "dups" {
+				ds = duplicateAdult(lg.n)
+			}
+			for _, mname := range measures {
+				s, err := NewSpace(ds.Hiers, measureByName(t, mname, ds.Table, ds.Hiers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				dl, vl := lg.each(i)
+				i++
+				for _, d := range dl {
+					for _, v := range vl {
+						for _, w := range lg.workers {
+							opt := AggloOptions{K: 10, Distance: d, Modified: v.modified, Workers: w}
+							merges := -1
+							if v.cons {
+								opt.Constraints = []Constraint{RecursiveCL(4, 2)}
+								opt.Sensitive = ds.Sensitive
+								if v.modified && lg.n > 1000 {
+									merges = 1000
+								}
+							}
+							label := fmt.Sprintf("n=%d %s/%s %s modified=%v recursive=%v workers=%d",
+								lg.n, data, mname, d.Name(), v.modified, v.cons, w)
+							checkNewbornPasses(t, label, s, ds.Table, opt, merges)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// bindEngine readies an engine for a run over tbl up to its initial build,
+// as initEngine does, with opt's constraints bound as Run binds them.
+func bindEngine(t testing.TB, s *Space, tbl *table.Table, opt AggloOptions) *Engine {
+	t.Helper()
+	e := initEngine(s, tbl, opt)
+	for _, c := range opt.Constraints {
+		b, err := c.Bind(opt.Sensitive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.cons = append(e.cons, b)
+		e.guardAbsorb = e.guardAbsorb || !b.AdditionSafe()
+	}
+	return e
+}
+
+// checkNewbornPasses builds the initial lists of tbl twice, tiled (no
+// index) and by the trie search (which leaves the singleton index), and
+// then merges both engines in lockstep for at most maxMerges merges (all
+// of them when negative): every merge must select the same pair and bear
+// the same newborns, whose flat and split passes must leave identical
+// lists, and the heaps must be identical after the newborns' pushes. The
+// index itself is checked against the live singletons every 64 merges and
+// at the end.
+func checkNewbornPasses(t *testing.T, label string, s *Space, tbl *table.Table, opt AggloOptions, maxMerges int) {
+	t.Helper()
+	n := tbl.Len()
+	want := bindEngine(t, s, tbl, opt)
+	defer want.Close(nil)
+	if err := want.buildNNTiled(n); err != nil {
+		t.Fatal(err)
+	}
+	got := bindEngine(t, s, tbl, opt)
+	defer got.Close(nil)
+	cmax, ok := got.kern.trieBound(n)
+	if !ok {
+		t.Fatalf("%s: the trie search refuses a built-in distance", label)
+	}
+	if err := got.buildNNTrie(n, cmax); err != nil {
+		t.Fatal(err)
+	}
+	var wAdded, gAdded []int
+	for step := 0; want.nLive > 1 && step != maxMerges; step++ {
+		a, b := want.selectPairHeap()
+		if ga, gb := got.selectPairHeap(); ga != a || gb != b {
+			t.Fatalf("%s merge %d: the split engine selects (%d, %d), the flat one (%d, %d)", label, step, ga, gb, a, b)
+		}
+		if a < 0 {
+			break
+		}
+		wAdded = want.merge(a, b, wAdded[:0])
+		gAdded = got.merge(a, b, gAdded[:0])
+		if !slices.Equal(wAdded, gAdded) {
+			t.Fatalf("%s merge %d: newborns %v, flat engine %v", label, step, gAdded, wAdded)
+		}
+		for _, nb := range wAdded {
+			want.newbornPrice(nb, want.liveList)
+			got.newbornSplit(nb)
+			for _, l := range []struct {
+				kind string
+				w, g *nnList
+			}{{"row", &want.rowNN[nb], &got.rowNN[nb]}, {"column", &want.colNN[nb], &got.colNN[nb]}} {
+				w, g := l.w, l.g
+				if w.n != g.n || w.c != g.c || w.ubD != g.ubD || w.ubID != g.ubID ||
+					!slices.Equal(w.d[:w.n], g.d[:g.n]) || !slices.Equal(w.id[:w.n], g.id[:g.n]) {
+					t.Fatalf("%s merge %d: newborn %d's %s list is %v/%v ub (%v, %d), flat %v/%v ub (%v, %d)",
+						label, step, nb, l.kind, g.d[:g.n], g.id[:g.n], g.ubD, g.ubID, w.d[:w.n], w.id[:w.n], w.ubD, w.ubID)
+				}
+			}
+			for _, e := range []*Engine{want, got} {
+				e.pushRowHead(nb)
+				e.pushColHead(nb)
+			}
+		}
+		want.heapMaybeCompact()
+		got.heapMaybeCompact()
+		if !slices.Equal(want.nnHeap, got.nnHeap) {
+			t.Fatalf("%s merge %d: heaps differ", label, step)
+		}
+		if step%64 == 0 {
+			checkSingletonIndex(t, label, got)
+		}
+	}
+	checkSingletonIndex(t, label, got)
+}
+
+// checkSingletonIndex recounts the engine's singleton index from its live
+// clusters: every node's live count and live-first record and child
+// order, the ids at the live positions, and the merged list.
+func checkSingletonIndex(t *testing.T, label string, e *Engine) {
+	t.Helper()
+	x := e.idx
+	tr := x.t
+	sid := make(map[int32]int32) // record → live singleton id
+	merged := 0
+	for _, id := range e.liveList {
+		if e.kern.size[id] == 1 {
+			sid[e.mHead[id]] = id
+		} else {
+			merged++
+			if x.merged[x.pos[id]] != id {
+				t.Fatalf("%s: merged cluster %d not at its place %d", label, id, x.pos[id])
+			}
+		}
+	}
+	if merged != len(x.merged) {
+		t.Fatalf("%s: %d merged clusters indexed, %d live", label, len(x.merged), merged)
+	}
+	for u := len(tr.nodes) - 1; u >= 0; u-- {
+		nd := tr.nodes[u]
+		live := int32(0)
+		if int(nd.depth) == tr.depth {
+			for p := nd.lo; p < nd.hi; p++ {
+				id, ok := sid[tr.recs[p]]
+				if ok != (p < nd.lo+x.live[u]) || ok && x.ids[p] != id {
+					t.Fatalf("%s: leaf %d position %d (record %d) is out of place", label, u, p, tr.recs[p])
+				}
+				if ok {
+					live++
+				}
+			}
+		} else {
+			for q, c := range x.order[nd.kid:nd.end] {
+				if (x.live[c] > 0) != (int32(q) < x.kids[u]) || x.up[c] != int32(u) || x.slot[c] != nd.kid+int32(q) {
+					t.Fatalf("%s: child %d of node %d is out of place", label, c, u)
+				}
+				live += x.live[c]
+			}
+		}
+		if live != x.live[u] {
+			t.Fatalf("%s: node %d counts %d live singletons, holds %d", label, u, x.live[u], live)
+		}
+	}
+}
+
+// TestTrieLimitMatchesBisection checks trieLimit's galloping search
+// against a plain bisection over the float bit patterns, for every
+// built-in distance over random sizes, costs and discard bounds (negative
+// ones included, which d1, d2, d3 and nc can reach).
+func TestTrieLimitMatchesBisection(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	s, _ := adultSpace(t, 50)
+	for _, d := range AllDistances() {
+		k := newKernel(s, d)
+		k.reserve(1, 2000)
+		fr := float64(k.r)
+		for it := 0; it < 2000; it++ {
+			sa, sb := 1+rng.Intn(900), 1+rng.Intn(900)
+			ca, cb := rng.Float64()*3, rng.Float64()*3
+			ub := (rng.Float64() - 0.3) * math.Pow(10, float64(rng.Intn(7)-3))
+			fits := func(s float64) bool { return k.eval(sa, sb, sa+sb, ca, cb, s/fr) <= ub }
+			want := -1.0
+			if fits(0) {
+				lo, hi := uint64(0), math.Float64bits(math.Inf(1))
+				if fits(math.Inf(1)) {
+					lo = hi
+				}
+				for hi-lo > 1 {
+					if mid := lo + (hi-lo)/2; fits(math.Float64frombits(mid)) {
+						lo = mid
+					} else {
+						hi = mid
+					}
+				}
+				want = math.Float64frombits(lo)
+			}
+			if got := k.trieLimit(sa, sb, ca, cb, ub); got != want {
+				t.Fatalf("%s f(%d, %d, %v, %v) ≤ %v: trieLimit %v, bisection %v", d.Name(), sa, sb, ca, cb, ub, got, want)
+			}
+		}
 	}
 }

@@ -50,7 +50,6 @@ func ForestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k int) (
 	defer func() {
 		if rounds > 0 {
 			o.Counter(PhaseForest+".rounds", rounds)
-			o.Counter(PhaseForest+".scans", rounds)
 			o.Counter(PhaseForest+".scan_evals", roundEvals)
 		}
 		o.Counter(PhaseForest+".tree_edges", int64(len(treeEdges)))

@@ -513,7 +513,6 @@ func refForest(ctx context.Context, s *cluster.Space, tbl *table.Table, k int) (
 	if o.Enabled() {
 		if rounds > 0 {
 			o.Counter("core.forest.rounds", rounds)
-			o.Counter("core.forest.scans", rounds)
 			o.Counter("core.forest.scan_evals", roundEvals)
 		}
 		o.Counter("core.forest.tree_edges", int64(len(treeEdges)))

@@ -106,9 +106,6 @@ const (
 	// CounterKernelArenaReuses counts closure-arena slots recycled from
 	// killed clusters by later pushes.
 	CounterKernelArenaReuses = "cluster.kernel.arena_reuses"
-	// PeakKernelArenaRows is the closure arena's high-water row count
-	// (KindPeak): the maximum number of live-cluster closures it held.
-	PeakKernelArenaRows = "cluster.kernel.arena_rows"
 )
 
 // Counter names emitted by the lazy NN-heap merge selection of the
@@ -133,6 +130,10 @@ const (
 	// initial build: the trie nodes its frontiers reached plus the records
 	// they summed envelope entries for. A tiled initial build emits none.
 	CounterInitBoundSums = "cluster.init.bound_sums"
+	// CounterMergeBoundSums counts the bound sums of the newborn passes'
+	// singleton searches, counted as CounterInitBoundSums is. A run whose
+	// initial build was tiled emits none.
+	CounterMergeBoundSums = "cluster.merge.bound_sums"
 )
 
 // Counter names emitted by the adversarial evaluation suite
