@@ -11,21 +11,12 @@ package anonymity
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
-	"kanon/internal/bipartite"
 	"kanon/internal/cluster"
 	"kanon/internal/table"
 )
-
-// BuildGraph constructs the bipartite consistency graph V_{D,g(D)}: left
-// nodes are original records, right nodes are generalized records, and an
-// edge connects R_i to R̄_j iff they are consistent (Definition 3.3). Each
-// record's neighbours are ascending; they are built from the row classes
-// of g (graph.go).
-func BuildGraph(s *cluster.Space, tbl *table.Table, g *table.GenTable) *bipartite.Graph {
-	return bipartite.FromAdjacency(g.Len(), consistentRows(s.Hiers, tbl, g))
-}
 
 // IsGeneralizationOf reports whether g is a valid generalization of tbl in
 // the positional sense of Definition 3.2: R̄_i generalizes R_i for every i.
@@ -62,20 +53,6 @@ func IsKAnonymous(g *table.GenTable, k int) bool {
 // with row j.
 func ConsistencyDegrees(s *cluster.Space, tbl *table.Table, g *table.GenTable) (left, right []int) {
 	return consistencyDegrees(s.Hiers, tbl, g)
-}
-
-// Is1K reports whether g is a (1,k)-anonymization of tbl: every original
-// record is consistent with at least k generalized records.
-func Is1K(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) bool {
-	left, _ := consistencyDegrees(s.Hiers, tbl, g)
-	return allAtLeast(left, k)
-}
-
-// IsK1 reports whether g is a (k,1)-anonymization of tbl: every generalized
-// record is consistent with at least k original records.
-func IsK1(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) bool {
-	_, right := consistencyDegrees(s.Hiers, tbl, g)
-	return allAtLeast(right, k)
 }
 
 // allAtLeast reports whether every count is at least k.
@@ -132,8 +109,9 @@ func IsDistinctLDiverse(g *table.GenTable, sensitive []int, l int) (bool, error)
 // number of distinct sensitive values among the rows of g consistent with
 // it — the first adversary's residual uncertainty about the record's
 // sensitive attribute. sensitive[j] is the value id (non-negative) of row
-// j. The consistent rows come from the row classes of g (graph.go), and
-// each record's values are counted against a stamp per value id.
+// j. Each row class of g (graph.go) lists its distinct values once, and a
+// record's count is the size of the union of its neighbour classes' lists,
+// taken against a stamp per value id.
 func CandidateDiversity(s *cluster.Space, tbl *table.Table, g *table.GenTable, sensitive []int) ([]int, error) {
 	n := tbl.Len()
 	if g.Len() != n {
@@ -149,14 +127,34 @@ func CandidateDiversity(s *cluster.Space, tbl *table.Table, g *table.GenTable, s
 		}
 		values = max(values, v+1)
 	}
-	// stamp[v] is one more than the last record that counted value v.
+	x := newRowClasses(s.Hiers, g, nil)
+	masks := x.masks(false)
+	// stamp[v] is one more than the last class, then the last record, that
+	// counted value v.
 	stamp := make([]int, values)
-	out := make([]int, n)
-	for i, rows := range consistentRows(s.Hiers, tbl, g) {
+	// lists[c] holds the distinct values of class c's rows.
+	lists := make([][]int, len(x.rows))
+	for cl, rows := range x.members {
 		for _, j := range rows {
-			if v := sensitive[j]; stamp[v] != i+1 {
-				stamp[v] = i + 1
-				out[i]++
+			if v := sensitive[j]; stamp[v] != cl+1 {
+				stamp[v] = cl + 1
+				lists[cl] = append(lists[cl], v)
+			}
+		}
+	}
+	clear(stamp)
+	out := make([]int, n)
+	m := make([]uint64, x.words)
+	for i, r := range tbl.Records {
+		x.neighbours(m, masks, r)
+		for wi, word := range m {
+			for ; word != 0; word &= word - 1 {
+				for _, v := range lists[wi*64+bits.TrailingZeros64(word)] {
+					if stamp[v] != i+1 {
+						stamp[v] = i + 1
+						out[i]++
+					}
+				}
 			}
 		}
 	}

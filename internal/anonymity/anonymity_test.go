@@ -1,6 +1,7 @@
 package anonymity
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -53,6 +54,18 @@ func prop45Gen(s *cluster.Space, rows [][2]int) *table.GenTable {
 	return g
 }
 
+// is1K and isK1 are the (1,k) and (k,1) verdicts read off the degrees of
+// V_{D,g(D)}.
+func is1K(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) bool {
+	left, _ := ConsistencyDegrees(s, tbl, g)
+	return allAtLeast(left, k)
+}
+
+func isK1(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) bool {
+	_, right := ConsistencyDegrees(s, tbl, g)
+	return allAtLeast(right, k)
+}
+
 func TestProp45TwoAnon(t *testing.T) {
 	s, tbl := prop45(t)
 	// {1,2},{3,4} three times.
@@ -63,7 +76,7 @@ func TestProp45TwoAnon(t *testing.T) {
 	if !IsKAnonymous(g, 2) {
 		t.Error("2-anon example should be 2-anonymous")
 	}
-	if !IsKK(s, tbl, g, 2) || !Is1K(s, tbl, g, 2) || !IsK1(s, tbl, g, 2) {
+	if !IsKK(s, tbl, g, 2) || !is1K(s, tbl, g, 2) || !isK1(s, tbl, g, 2) {
 		t.Error("2-anonymity must imply all relaxations")
 	}
 	if !IsGlobal1K(s, tbl, g, 2) {
@@ -78,10 +91,10 @@ func TestProp45OneTwoAnon(t *testing.T) {
 	if !IsGeneralizationOf(s, tbl, g) {
 		t.Fatal("not a generalization")
 	}
-	if !Is1K(s, tbl, g, 2) {
+	if !is1K(s, tbl, g, 2) {
 		t.Error("example should be (1,2)-anonymous")
 	}
-	if IsK1(s, tbl, g, 2) {
+	if isK1(s, tbl, g, 2) {
 		t.Error("example should NOT be (2,1)-anonymous")
 	}
 	if IsKK(s, tbl, g, 2) {
@@ -96,10 +109,10 @@ func TestProp45TwoOneAnon(t *testing.T) {
 	if !IsGeneralizationOf(s, tbl, g) {
 		t.Fatal("not a generalization")
 	}
-	if !IsK1(s, tbl, g, 2) {
+	if !isK1(s, tbl, g, 2) {
 		t.Error("example should be (2,1)-anonymous")
 	}
-	if Is1K(s, tbl, g, 2) {
+	if is1K(s, tbl, g, 2) {
 		t.Error("example should NOT be (1,2)-anonymous")
 	}
 }
@@ -142,10 +155,10 @@ func TestOneKAttack(t *testing.T) {
 	for i := 4; i < 6; i++ {
 		g.Records[i][0] = hiers[0].Root() // suppressed
 	}
-	if !Is1K(s, tbl, g, k) {
+	if !is1K(s, tbl, g, k) {
 		t.Fatal("attack table should be (1,k)-anonymous")
 	}
-	if IsK1(s, tbl, g, k) {
+	if isK1(s, tbl, g, k) {
 		t.Error("attack table must fail (k,1): identity records are unique")
 	}
 	if IsKAnonymous(g, k) {
@@ -203,8 +216,8 @@ func TestInclusionLawsRandom(t *testing.T) {
 		g := randomPositionalGen(rng, s, tbl)
 		for _, k := range []int{2, 3} {
 			kAnon := IsKAnonymous(g, k)
-			oneK := Is1K(s, tbl, g, k)
-			kOne := IsK1(s, tbl, g, k)
+			oneK := is1K(s, tbl, g, k)
+			kOne := isK1(s, tbl, g, k)
 			kk := IsKK(s, tbl, g, k)
 			global := IsGlobal1K(s, tbl, g, k)
 			if kAnon && !kk {
@@ -281,7 +294,7 @@ func TestMatchCountsNoPerfectMatching(t *testing.T) {
 	}
 	allSame := true
 	for _, r := range tbl.Records {
-		if !r.Equal(tbl.Records[0]) {
+		if !slices.Equal(r, tbl.Records[0]) {
 			allSame = false
 		}
 	}
@@ -436,8 +449,8 @@ func TestCheckAgreesWithVerifiers(t *testing.T) {
 					K:              k,
 					Generalization: IsGeneralizationOf(s, tbl, g),
 					KAnonymous:     IsKAnonymous(g, k),
-					OneK:           Is1K(s, tbl, g, k),
-					KOne:           IsK1(s, tbl, g, k),
+					OneK:           is1K(s, tbl, g, k),
+					KOne:           isK1(s, tbl, g, k),
 					KK:             IsKK(s, tbl, g, k),
 					Global1K:       IsGlobal1K(s, tbl, g, k),
 					MinMatches:     minMatches,
@@ -447,6 +460,57 @@ func TestCheckAgreesWithVerifiers(t *testing.T) {
 				}
 				if n == 0 && !(rep.KAnonymous && rep.KK && rep.Global1K) {
 					t.Errorf("k=%d: empty release should satisfy every notion: %+v", k, rep)
+				}
+			}
+		}
+	}
+}
+
+// TestConsistentRows compares the expanded adjacency lists of the
+// non-positional matching with one Consistent call per pair, in ascending
+// row order, on positional and shuffled releases, with row classes plain
+// and refined by a sensitive column.
+func TestConsistentRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(107))
+	for trial := 0; trial < 40; trial++ {
+		s, tbl := randomTableSpace(t, rng, 1+rng.Intn(90))
+		g := randomPositionalGen(rng, s, tbl)
+		if trial%2 == 1 {
+			rows := rng.Perm(g.Len())
+			h := table.NewGen(g.Schema, g.Len())
+			for j, p := range rows {
+				copy(h.Records[j], g.Records[p])
+			}
+			g = h
+		}
+		sensitive := make([]int, g.Len())
+		for j := range sensitive {
+			sensitive[j] = rng.Intn(3)
+		}
+		for _, extra := range [][]int{nil, sensitive} {
+			x := newRowClasses(s.Hiers, g, extra)
+			distinct := make(map[string]bool)
+			for j, row := range g.Records {
+				key := fmt.Sprint(row)
+				if extra != nil {
+					key += fmt.Sprint(extra[j])
+				}
+				distinct[key] = true
+			}
+			if len(x.rows) != len(distinct) {
+				t.Fatalf("trial %d refined=%v: %d classes, want %d", trial, extra != nil, len(x.rows), len(distinct))
+			}
+			masks := x.masks(false)
+			got := x.consistentRows(tbl.Len(), func(m []uint64, i int) { x.neighbours(m, masks, tbl.Records[i]) })
+			for i, r := range tbl.Records {
+				var want []int
+				for j, row := range g.Records {
+					if s.Consistent(r, row) {
+						want = append(want, j)
+					}
+				}
+				if !slices.Equal(got[i], want) {
+					t.Fatalf("trial %d refined=%v record %d: rows %v, pairwise %v", trial, extra != nil, i, got[i], want)
 				}
 			}
 		}

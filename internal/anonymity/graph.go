@@ -46,25 +46,40 @@ type rowClasses struct {
 // least-significant-attribute radix sort: one stable counting sort per
 // attribute over its hierarchy's node ids, last attribute first, so ties
 // keep position order and each class lists its rows in ascending order.
-func newRowClasses(hiers []*hierarchy.Hierarchy, g *table.GenTable) *rowClasses {
+// When extra is not nil, extra[j] ≥ 0 is one more key of row j, least
+// significant and sorted first: classes then group the rows equal on every
+// attribute and on extra.
+func newRowClasses(hiers []*hierarchy.Hierarchy, g *table.GenTable, extra []int) *rowClasses {
 	n := g.Len()
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	// key holds the rows' node ids attribute-major, so each pass reads one
-	// contiguous run.
-	key := make([]int32, len(hiers)*n)
+	// key holds the rows' node ids attribute-major, then extra, so each
+	// pass reads one contiguous run; the ids of column a are below bound[a].
+	cols := len(hiers)
+	if extra != nil {
+		cols++
+	}
+	key := make([]int32, cols*n)
+	bound := make([]int, cols)
+	for a, h := range hiers {
+		bound[a] = h.NumNodes()
+	}
 	for j, row := range g.Records {
 		for a := range hiers {
 			key[a*n+j] = int32(row[a])
 		}
 	}
+	for j, v := range extra {
+		key[len(hiers)*n+j] = int32(v)
+		bound[len(hiers)] = max(bound[len(hiers)], v+1)
+	}
 	next := make([]int, n)
 	var count []int
-	for a := len(hiers) - 1; a >= 0; a-- {
+	for a := cols - 1; a >= 0; a-- {
 		col := key[a*n : (a+1)*n]
-		count = append(count[:0], make([]int, hiers[a].NumNodes()+1)...)
+		count = append(count[:0], make([]int, bound[a]+1)...)
 		for _, w := range col {
 			count[w+1]++
 		}
@@ -199,24 +214,23 @@ func (x *rowClasses) expand(dst []int, m []uint64) []int {
 	return dst
 }
 
-// consistentRows returns the adjacency lists of V_{D,g(D)}: entry i holds,
-// in ascending order, the rows of g consistent with record i of tbl. A
-// first pass counts the edges, so the lists share one backing array of
-// the exact size; each list is capped at its length.
-func consistentRows(hiers []*hierarchy.Hierarchy, tbl *table.Table, g *table.GenTable) [][]int {
-	x := newRowClasses(hiers, g)
-	masks := x.masks(false)
+// consistentRows returns the adjacency lists of the graph whose record i,
+// of n, has the neighbour classes load(m, i) sets: entry i holds that
+// record's rows in ascending order. A first pass counts the edges, so the
+// lists share one backing array of the exact size; each list is capped at
+// its length.
+func (x *rowClasses) consistentRows(n int, load func(m []uint64, i int)) [][]int {
 	m := make([]uint64, x.words)
-	off := make([]int, tbl.Len()+1)
-	for i, r := range tbl.Records {
-		x.neighbours(m, masks, r)
+	off := make([]int, n+1)
+	for i := range n {
+		load(m, i)
 		rows, _ := x.tally(m, nil, 0, nil)
 		off[i+1] = off[i] + rows
 	}
-	flat := make([]int, 0, off[tbl.Len()])
-	adj := make([][]int, tbl.Len())
-	for i, r := range tbl.Records {
-		x.neighbours(m, masks, r)
+	flat := make([]int, 0, off[n])
+	adj := make([][]int, n)
+	for i := range n {
+		load(m, i)
 		flat = x.expand(flat, m)
 		adj[i] = flat[off[i]:off[i+1]:off[i+1]]
 	}
@@ -227,7 +241,7 @@ func consistentRows(hiers []*hierarchy.Hierarchy, tbl *table.Table, g *table.Gen
 // its edges: left[i] counts the rows of g consistent with record i of tbl,
 // right[j] the records consistent with row j.
 func consistencyDegrees(hiers []*hierarchy.Hierarchy, tbl *table.Table, g *table.GenTable) (left, right []int) {
-	x := newRowClasses(hiers, g)
+	x := newRowClasses(hiers, g, nil)
 	return x.degrees(tbl, x.masks(false), nil)
 }
 

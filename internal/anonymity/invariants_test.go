@@ -1,7 +1,9 @@
 package anonymity
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kanon/internal/cluster"
@@ -10,6 +12,52 @@ import (
 	"kanon/internal/loss"
 	"kanon/internal/table"
 )
+
+// VerifyClustering checks the structural invariants every clustering-based
+// anonymizer (AgglomerateStatsCtx, ForestCtx, the partitioned variant) must
+// establish:
+//
+//   - the clusters partition the record set (disjoint cover of [0, n));
+//   - every cluster has at least k members;
+//   - every cluster's closure is exactly the closure of its members — it
+//     covers each member, and it is minimal;
+//   - every cluster's cached Cost matches the space's cost of its closure.
+//
+// The first violated invariant is returned; nil means all hold.
+func VerifyClustering(s *cluster.Space, tbl *table.Table, clusters []*cluster.Cluster, k int) error {
+	n := tbl.Len()
+	owner := make([]int, n)
+	for i := range owner {
+		owner[i] = -1
+	}
+	for ci, c := range clusters {
+		if c.Size() < k {
+			return fmt.Errorf("cluster %d has %d members, want ≥ k=%d", ci, c.Size(), k)
+		}
+		for _, i := range c.Members {
+			if i < 0 || i >= n {
+				return fmt.Errorf("cluster %d contains record %d, table has %d records", ci, i, n)
+			}
+			if owner[i] >= 0 {
+				return fmt.Errorf("record %d is in clusters %d and %d", i, owner[i], ci)
+			}
+			owner[i] = ci
+		}
+		want := s.ClosureOf(tbl, c.Members)
+		if !slices.Equal(c.Closure, want) {
+			return fmt.Errorf("cluster %d closure %v is not the closure of its members %v", ci, c.Closure, want)
+		}
+		if c.Cost != s.Cost(c.Closure) {
+			return fmt.Errorf("cluster %d caches cost %v, closure costs %v", ci, c.Cost, s.Cost(c.Closure))
+		}
+	}
+	for i, ci := range owner {
+		if ci < 0 {
+			return fmt.Errorf("record %d is in no cluster", i)
+		}
+	}
+	return nil
+}
 
 // invariantSpace builds a seeded random 3-attribute table with
 // interval/subset hierarchies under the LM measure, the shared fixture of
@@ -63,8 +111,8 @@ func TestInvariantsAgglomerate(t *testing.T) {
 							t.Errorf("seed=%d n=%d k=%d modified=%v workers=%d: %v", seed, n, k, modified, workers, err)
 						}
 						g := cluster.ToGenTable(tbl.Schema, tbl.Len(), clusters)
-						if err := VerifyClaim(s, tbl, g, k, ClaimK); err != nil {
-							t.Errorf("seed=%d n=%d k=%d modified=%v workers=%d: %v", seed, n, k, modified, workers, err)
+						if rep := Check(s, tbl, g, k); !rep.Generalization || !rep.KAnonymous {
+							t.Errorf("seed=%d n=%d k=%d modified=%v workers=%d: %v", seed, n, k, modified, workers, rep)
 						}
 					}
 				}
@@ -86,8 +134,8 @@ func TestInvariantsForest(t *testing.T) {
 			if err := VerifyClustering(s, tbl, clusters, k); err != nil {
 				t.Errorf("seed=%d k=%d: %v", seed, k, err)
 			}
-			if err := VerifyClaim(s, tbl, g, k, ClaimK); err != nil {
-				t.Errorf("seed=%d k=%d: %v", seed, k, err)
+			if rep := Check(s, tbl, g, k); !rep.Generalization || !rep.KAnonymous {
+				t.Errorf("seed=%d k=%d: %v", seed, k, rep)
 			}
 		}
 	}
@@ -104,15 +152,15 @@ func TestInvariantsK1(t *testing.T) {
 				if err != nil {
 					t.Fatalf("nearest seed=%d k=%d workers=%d: %v", seed, k, workers, err)
 				}
-				if err := VerifyClaim(s, tbl, gn, k, ClaimK1); err != nil {
-					t.Errorf("nearest seed=%d k=%d workers=%d: %v", seed, k, workers, err)
+				if rep := Check(s, tbl, gn, k); !rep.Generalization || !rep.KOne {
+					t.Errorf("nearest seed=%d k=%d workers=%d: %v", seed, k, workers, rep)
 				}
 				ge, err := core.K1ExpandCtx(nil, s, tbl, k, workers)
 				if err != nil {
 					t.Fatalf("expand seed=%d k=%d workers=%d: %v", seed, k, workers, err)
 				}
-				if err := VerifyClaim(s, tbl, ge, k, ClaimK1); err != nil {
-					t.Errorf("expand seed=%d k=%d workers=%d: %v", seed, k, workers, err)
+				if rep := Check(s, tbl, ge, k); !rep.Generalization || !rep.KOne {
+					t.Errorf("expand seed=%d k=%d workers=%d: %v", seed, k, workers, rep)
 				}
 			}
 		}
@@ -130,8 +178,8 @@ func TestInvariantsKK(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s seed=%d k=%d workers=%d: %v", alg, seed, k, workers, err)
 					}
-					if err := VerifyClaim(s, tbl, g, k, ClaimKK); err != nil {
-						t.Errorf("%s seed=%d k=%d workers=%d: %v", alg, seed, k, workers, err)
+					if rep := Check(s, tbl, g, k); !rep.Generalization || !rep.KK {
+						t.Errorf("%s seed=%d k=%d workers=%d: %v", alg, seed, k, workers, rep)
 					}
 				}
 			}

@@ -61,7 +61,7 @@ func RecordCandidates(s *cluster.Space, tbl *table.Table, g *table.GenTable, sen
 // matching of V_{D,g(D)}, and Q is rebuilt from it.
 func consistencyCounts(hiers []*hierarchy.Hierarchy, tbl *table.Table, g *table.GenTable, sensitive []int) (c Candidates, right []int) {
 	n := tbl.Len()
-	x := newRowClasses(hiers, g)
+	x := newRowClasses(hiers, g, nil)
 	masks := x.masks(false)
 	vals := x.values(sensitive)
 	c.Matches = make([]int, n)
@@ -87,28 +87,20 @@ func consistencyCounts(hiers []*hierarchy.Hierarchy, tbl *table.Table, g *table.
 		}
 	})
 
-	m := make([]uint64, x.words)
 	matched := x.class
 	if !identity {
 		if n != g.Len() {
 			return c, right
 		}
-		mt := bipartite.HopcroftKarp(bipartite.FromAdjacency(g.Len(), consistentRows(hiers, tbl, g)))
-		if !mt.IsPerfect() {
+		if matched = x.matchElsewhere(adj, n, func(m []uint64, i int) { x.neighbours(m, masks, tbl.Records[i]) }); matched == nil {
 			return c, right
-		}
-		matched = make([]int32, n)
-		clear(adj)
-		for i, r := range tbl.Records {
-			matched[i] = x.class[mt.MatchL[i]]
-			x.neighbours(m, masks, r)
-			or(x.node(adj, int(matched[i])), m)
 		}
 	}
 	comp := components(adj, x.words, len(x.rows))
 
 	// Pass 2: each record's matches are its neighbour classes in the
 	// component of the class it is matched into.
+	m := make([]uint64, x.words)
 	for i, r := range tbl.Records {
 		x.neighbours(m, masks, r)
 		count, exposed := x.tally(m, comp, comp[matched[i]], vals)
@@ -118,6 +110,97 @@ func consistencyCounts(hiers []*hierarchy.Hierarchy, tbl *table.Table, g *table.
 		}
 	}
 	return c, right
+}
+
+// matchElsewhere serves a graph on which the identity is not a perfect
+// matching; record i, of n, has the neighbour classes load(m, i) sets. It
+// finds a perfect matching by Hopcroft–Karp over the expanded rows,
+// refills adj with Q over it, and returns the class each record is matched
+// into, or nil when the graph has none.
+func (x *rowClasses) matchElsewhere(adj []uint64, n int, load func(m []uint64, i int)) []int32 {
+	mt := bipartite.HopcroftKarp(bipartite.FromAdjacency(len(x.class), x.consistentRows(n, load)))
+	if !mt.IsPerfect() {
+		return nil
+	}
+	matched := make([]int32, n)
+	clear(adj)
+	m := make([]uint64, x.words)
+	for i := range n {
+		matched[i] = x.class[mt.MatchL[i]]
+		load(m, i)
+		or(x.node(adj, int(matched[i])), m)
+	}
+	return matched
+}
+
+// InformedMatches returns, per record of tbl, its matches in V_{D,g(D)}
+// after every edge from a known record to a row of another sensitive value
+// is deleted: the candidates of the stronger adversary of Section IV-A,
+// who knows the private values of the records with known[i] set.
+// sensitive[j] is the value of record j and of row j. The classes are
+// refined by the rows' sensitive values, as far as known records hold
+// them, so the rows of one class stay twins for every record, known or
+// not: a known record keeps or drops whole classes, its neighbour mask
+// ANDed with the mask of its value's classes, and the matches come from Q
+// as above. A known record keeps its own row, so the identity stays a
+// perfect matching of a positional release. Every count is zero when the
+// pruned graph has no perfect matching, and when tbl and g differ in
+// length.
+func InformedMatches(s *cluster.Space, tbl *table.Table, g *table.GenTable, sensitive []int, known []bool) []int {
+	n := tbl.Len()
+	matches := make([]int, n)
+	if n != g.Len() {
+		return matches
+	}
+	// code numbers the values that known records hold from 1. The rows of
+	// every other value share code 0: each known record drops them all.
+	code := make(map[int]int)
+	for i, k := range known {
+		if _, ok := code[sensitive[i]]; k && !ok {
+			code[sensitive[i]] = len(code) + 1
+		}
+	}
+	codes := make([]int, n)
+	for j, v := range sensitive {
+		codes[j] = code[v]
+	}
+	x := newRowClasses(s.Hiers, g, codes)
+	masks := x.masks(false)
+	// Mask c of byCode holds the classes whose rows carry code c.
+	byCode := make([]uint64, (len(code)+1)*x.words)
+	for cl, rows := range x.members {
+		byCode[codes[rows[0]]*x.words+cl/64] |= 1 << (cl % 64)
+	}
+	load := func(m []uint64, i int) {
+		x.neighbours(m, masks, tbl.Records[i])
+		if known[i] {
+			for w, same := range x.node(byCode, codes[i]) {
+				m[w] &= same
+			}
+		}
+	}
+
+	m := make([]uint64, x.words)
+	adj := make([]uint64, len(x.rows)*x.words)
+	matched := x.class
+	for i := range n {
+		load(m, i)
+		own := x.class[i]
+		if m[own/64]&(1<<(own%64)) == 0 {
+			matched = x.matchElsewhere(adj, n, load)
+			break
+		}
+		or(x.node(adj, int(own)), m)
+	}
+	if matched == nil {
+		return matches
+	}
+	comp := components(adj, x.words, len(x.rows))
+	for i := range n {
+		load(m, i)
+		matches[i], _ = x.tally(m, comp, comp[matched[i]], nil)
+	}
+	return matches
 }
 
 // RefinedCandidates runs the combinatorial refinement attack of
@@ -132,7 +215,7 @@ func consistencyCounts(hiers []*hierarchy.Hierarchy, tbl *table.Table, g *table.
 // class's overlap mask. In the terms of Q, its arcs come in pairs, and a
 // class shares its component with every class it overlaps.
 func RefinedCandidates(hiers []*hierarchy.Hierarchy, g *table.GenTable, sensitive []int) (counts []int, exposed []bool) {
-	x := newRowClasses(hiers, g)
+	x := newRowClasses(hiers, g, nil)
 	masks := x.masks(true)
 	vals := x.values(sensitive)
 	counts = make([]int, g.Len())
@@ -287,7 +370,7 @@ type ClassIndex struct {
 
 // NewClassIndex indexes the rows of g, with one hierarchy per attribute.
 func NewClassIndex(hiers []*hierarchy.Hierarchy, g *table.GenTable) *ClassIndex {
-	x := newRowClasses(hiers, g)
+	x := newRowClasses(hiers, g, nil)
 	return &ClassIndex{x: x, masks: x.masks(false), m: make([]uint64, x.words)}
 }
 

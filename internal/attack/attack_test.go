@@ -52,10 +52,10 @@ func TestOneKAttackBreached(t *testing.T) {
 	for i := n - k; i < n; i++ {
 		g.Records[i][0] = s.Hiers[0].Root()
 	}
-	if !anonymity.Is1K(s, tbl, g, k) {
+	if !anonymity.Check(s, tbl, g, k).OneK {
 		t.Fatal("construction should be (1,k)-anonymous")
 	}
-	if anonymity.IsK1(s, tbl, g, k) {
+	if anonymity.Check(s, tbl, g, k).KOne {
 		t.Fatal("construction should fail (k,1) — that is its weakness")
 	}
 	sensitive := []int{0, 0, 1, 1, 2, 2}

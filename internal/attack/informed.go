@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"kanon/internal/anonymity"
-	"kanon/internal/bipartite"
 	"kanon/internal/cluster"
 	"kanon/internal/table"
 )
@@ -23,7 +22,8 @@ import (
 // the per-record match candidates under this stronger adversary (0 for
 // everyone if the pruned graph somehow loses its perfect matching, which
 // cannot happen for positional generalizations since identity edges are
-// never pruned).
+// never pruned). They come from the release's row classes refined by
+// sensitive value (anonymity.InformedMatches), with no edge list.
 func SimulateInformed(s *cluster.Space, tbl *table.Table, g *table.GenTable, sensitive []int, known []int) ([]int, error) {
 	n := tbl.Len()
 	if g.Len() != n {
@@ -32,24 +32,12 @@ func SimulateInformed(s *cluster.Space, tbl *table.Table, g *table.GenTable, sen
 	if len(sensitive) != n {
 		return nil, fmt.Errorf("attack: %d sensitive values for %d records", len(sensitive), n)
 	}
-	isKnown := make(map[int]bool, len(known))
+	isKnown := make([]bool, n)
 	for _, u := range known {
 		if u < 0 || u >= n {
 			return nil, fmt.Errorf("attack: known index %d out of range", u)
 		}
 		isKnown[u] = true
 	}
-
-	full := anonymity.BuildGraph(s, tbl, g)
-	pruned := bipartite.New(n, n)
-	for u := 0; u < n; u++ {
-		for _, v := range full.Neighbors(u) {
-			if isKnown[u] && sensitive[v] != sensitive[u] {
-				continue // contradicts the adversary's private knowledge
-			}
-			pruned.AddEdge(u, v)
-		}
-	}
-	counts, _ := bipartite.AllowedCounts(pruned)
-	return counts, nil
+	return anonymity.InformedMatches(s, tbl, g, sensitive, isKnown), nil
 }

@@ -52,7 +52,7 @@ func TestRefinementNoAuxBreach(t *testing.T) {
 	g.Records[1][0] = nodeA
 	g.Records[2][0] = h.LeafOf(2)
 	g.Records[3][0] = h.LeafOf(3)
-	if anonymity.Is1K(s, tbl, g, 2) {
+	if anonymity.Check(s, tbl, g, 2).OneK {
 		t.Fatal("construction should breach (1,2)")
 	}
 	counts, _, err := SimulateRefinement(s.Hiers, g, nil)
@@ -181,13 +181,13 @@ func TestOverlapGraphIdentity(t *testing.T) {
 	for i := range g.Records {
 		g.Records[i][0] = s.Hiers[0].LeafOf(i)
 	}
-	gr := overlapGraph(s.Hiers, g)
+	adj := overlapGraph(s.Hiers, g)
 	edges := 0
 	for i := 0; i < 5; i++ {
-		if !slices.Contains(gr.Neighbors(i), i) {
+		if !slices.Contains(adj[i], i) {
 			t.Errorf("missing identity edge (%d,%d)", i, i)
 		}
-		edges += len(gr.Neighbors(i))
+		edges += len(adj[i])
 	}
 	// Distinct identity rows under a flat hierarchy overlap nobody else.
 	if edges != 5 {
@@ -223,10 +223,9 @@ func TestRefinementErrors(t *testing.T) {
 
 // overlapGraph is the overlap graph of a release from one pairwise test
 // per pair of rows: per attribute, one row's node is an ancestor of the
-// other's.
-func overlapGraph(hiers []*hierarchy.Hierarchy, g *table.GenTable) *bipartite.Graph {
-	n := g.Len()
-	gr := bipartite.New(n, n)
+// other's. Entry i lists the rows overlapping row i, ascending.
+func overlapGraph(hiers []*hierarchy.Hierarchy, g *table.GenTable) [][]int {
+	adj := make([][]int, g.Len())
 	for i, a := range g.Records {
 		for j, b := range g.Records {
 			overlap := true
@@ -234,16 +233,16 @@ func overlapGraph(hiers []*hierarchy.Hierarchy, g *table.GenTable) *bipartite.Gr
 				overlap = overlap && (h.IsAncestor(a[at], b[at]) || h.IsAncestor(b[at], a[at]))
 			}
 			if overlap {
-				gr.AddEdge(i, j)
+				adj[i] = append(adj[i], j)
 			}
 		}
 	}
-	return gr
+	return adj
 }
 
 // refinementCandidates is the list form of the refinement attack: per
 // position, the overlap edges that extend to a perfect matching, from
 // bipartite.AllowedEdges on the pairwise overlap graph.
 func refinementCandidates(hiers []*hierarchy.Hierarchy, g *table.GenTable) ([][]int, error) {
-	return bipartite.AllowedEdges(overlapGraph(hiers, g))
+	return bipartite.AllowedEdges(bipartite.FromAdjacency(g.Len(), overlapGraph(hiers, g)))
 }

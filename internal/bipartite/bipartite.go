@@ -1,16 +1,21 @@
 // Package bipartite implements the bipartite consistency graph V_{D,g(D)}
 // machinery of "k-Anonymization Revisited": maximum matchings via
-// Hopcroft–Karp, perfect-matching tests, and the computation of matches —
-// edges that can be completed to a perfect matching (Definition 4.6) —
-// which underlies global (1,k)-anonymity.
+// Hopcroft–Karp and the computation of matches — edges that can be
+// completed to a perfect matching (Definition 4.6) — which underlies
+// global (1,k)-anonymity. Production reaches it twice: Algorithm 6
+// (internal/core) through Growing, and the audit's matching of a release
+// that is not positional (internal/anonymity) through HopcroftKarp. The
+// audit reads every other match off the row-class quotient and never
+// builds a Graph.
 //
 // Two match-computation methods are provided. The paper's formulation
 // removes each edge's endpoints and re-runs Hopcroft–Karp, costing
 // O(√n·m) per edge (AllowedEdgesNaive, a test oracle in naive_test.go).
-// The fast method computes one perfect matching, orients matched edges right→left
-// and unmatched edges left→right, and observes that an unmatched edge lies
-// in some perfect matching iff its endpoints share a strongly connected
-// component — a single Tarjan SCC pass, O(n + m) after the matching.
+// The fast method (AllowedEdges) computes one perfect matching, orients
+// matched edges right→left and unmatched edges left→right, and observes
+// that an unmatched edge lies in some perfect matching iff its endpoints
+// share a strongly connected component — a single Tarjan SCC pass,
+// O(n + m) after the matching.
 //
 // Growing serves a graph that only gains edges, as Algorithm 6's does: it
 // keeps the one perfect matching of its first SCC pass, remembers which
@@ -33,15 +38,10 @@ type Graph struct {
 	nEdges        int
 }
 
-// New creates an empty bipartite graph.
-func New(nLeft, nRight int) *Graph {
-	return &Graph{nLeft: nLeft, nRight: nRight, adj: make([][]int, nLeft)}
-}
-
 // FromAdjacency returns the graph whose left node u has the right
 // neighbours adj[u], in that order. The graph uses adj itself, not a copy,
-// so the caller must not change adj while it uses the graph. Like AddEdge,
-// it panics on an out-of-range neighbour; duplicates must not occur.
+// so the caller must not change adj while it uses the graph. It panics on
+// an out-of-range neighbour; duplicates must not occur.
 func FromAdjacency(nRight int, adj [][]int) *Graph {
 	g := &Graph{nLeft: len(adj), nRight: nRight, adj: adj}
 	for u, vs := range adj {
@@ -54,25 +54,6 @@ func FromAdjacency(nRight int, adj [][]int) *Graph {
 	}
 	return g
 }
-
-// NLeft returns the number of left nodes.
-func (g *Graph) NLeft() int { return g.nLeft }
-
-// NRight returns the number of right nodes.
-func (g *Graph) NRight() int { return g.nRight }
-
-// AddEdge inserts the edge (u, v); duplicate edges must not be added.
-func (g *Graph) AddEdge(u, v int) {
-	if u < 0 || u >= g.nLeft || v < 0 || v >= g.nRight {
-		panic(fmt.Sprintf("bipartite: edge (%d,%d) out of range (%d x %d)", u, v, g.nLeft, g.nRight))
-	}
-	g.adj[u] = append(g.adj[u], v)
-	g.nEdges++
-}
-
-// Neighbors returns the right-side neighbours of left node u. The returned
-// slice must not be modified.
-func (g *Graph) Neighbors(u int) []int { return g.adj[u] }
 
 // Matching is the result of a maximum-matching computation. MatchL[u] is
 // the right node matched to left node u (or -1), MatchR[v] symmetric, and
@@ -154,15 +135,6 @@ func HopcroftKarp(g *Graph) *Matching {
 	return &Matching{MatchL: matchL, MatchR: matchR, Size: size}
 }
 
-// HasPerfectMatching reports whether the graph admits a perfect matching
-// (both sides fully saturated).
-func HasPerfectMatching(g *Graph) bool {
-	if g.nLeft != g.nRight {
-		return false
-	}
-	return HopcroftKarp(g).IsPerfect()
-}
-
 // AllowedEdges returns, for every left node u, the sorted-by-insertion list
 // of right nodes v such that the edge (u, v) can be completed to a perfect
 // matching — the matches of Definition 4.6. It returns an error if the
@@ -227,24 +199,6 @@ func allowedEdges(g *Graph) ([][]int, *Matching, error) {
 		out[u] = buf[start:len(buf):len(buf)]
 	}
 	return out, m, nil
-}
-
-// AllowedCounts returns, per left node, the number of its allowed edges
-// (matches of Definition 4.6), and whether the graph admitted a perfect
-// matching at all. Without a perfect matching no edge is a match and every
-// count is zero — the vacuous case the attack simulators report as total
-// collapse. It is the counting convenience shared by the adversary
-// simulations and the risk scorer.
-func AllowedCounts(g *Graph) ([]int, bool) {
-	counts := make([]int, g.nLeft)
-	allowed, err := AllowedEdges(g)
-	if err != nil {
-		return counts, false
-	}
-	for i, vs := range allowed {
-		counts[i] = len(vs)
-	}
-	return counts, true
 }
 
 type sccFrame struct {

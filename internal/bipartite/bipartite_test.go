@@ -10,8 +10,8 @@ func TestGraphBasics(t *testing.T) {
 	g.AddEdge(0, 0)
 	g.AddEdge(0, 2)
 	g.AddEdge(1, 1)
-	if g.NLeft() != 2 || g.NRight() != 3 || g.NumEdges() != 3 {
-		t.Errorf("graph dims wrong: %d %d %d", g.NLeft(), g.NRight(), g.NumEdges())
+	if g.nLeft != 2 || g.nRight != 3 || g.NumEdges() != 3 {
+		t.Errorf("graph dims wrong: %d %d %d", g.nLeft, g.nRight, g.NumEdges())
 	}
 	if !g.HasEdge(0, 2) || g.HasEdge(1, 2) {
 		t.Error("HasEdge wrong")
@@ -80,8 +80,8 @@ func TestHopcroftKarpImperfect(t *testing.T) {
 	if m.Size != 1 || m.IsPerfect() {
 		t.Errorf("matching size = %d, want 1", m.Size)
 	}
-	if HasPerfectMatching(g) {
-		t.Error("HasPerfectMatching should be false")
+	if HopcroftKarp(g).IsPerfect() {
+		t.Error("IsPerfect should be false")
 	}
 }
 
@@ -89,7 +89,7 @@ func TestHasPerfectMatchingUnequalSides(t *testing.T) {
 	g := New(2, 3)
 	g.AddEdge(0, 0)
 	g.AddEdge(1, 1)
-	if HasPerfectMatching(g) {
+	if HopcroftKarp(g).IsPerfect() {
 		t.Error("unequal sides cannot have a perfect matching")
 	}
 }
@@ -105,10 +105,10 @@ func TestHopcroftKarpEmpty(t *testing.T) {
 // bruteMaxMatching computes the maximum matching size by exhaustive
 // backtracking (for graphs with ≤ ~8 left nodes).
 func bruteMaxMatching(g *Graph) int {
-	used := make([]bool, g.NRight())
+	used := make([]bool, g.nRight)
 	var rec func(u int) int
 	rec = func(u int) int {
-		if u == g.NLeft() {
+		if u == g.nLeft {
 			return 0
 		}
 		best := rec(u + 1) // leave u unmatched
@@ -385,6 +385,9 @@ func TestAllowedEdgesContainMatching(t *testing.T) {
 	}
 }
 
+// TestAllowedCounts counts each left node's allowed edges on a complete
+// graph, a path whose only perfect matching is the identity, and a graph
+// with no perfect matching, where AllowedEdges fails.
 func TestAllowedCounts(t *testing.T) {
 	// Complete 3x3 graph: every edge extends to a perfect matching.
 	g := New(3, 3)
@@ -393,13 +396,13 @@ func TestAllowedCounts(t *testing.T) {
 			g.AddEdge(u, v)
 		}
 	}
-	counts, ok := AllowedCounts(g)
-	if !ok {
+	allowed, err := AllowedEdges(g)
+	if err != nil {
 		t.Fatal("complete graph should have a perfect matching")
 	}
-	for u, c := range counts {
-		if c != 3 {
-			t.Errorf("counts[%d] = %d, want 3", u, c)
+	for u, vs := range allowed {
+		if len(vs) != 3 {
+			t.Errorf("counts[%d] = %d, want 3", u, len(vs))
 		}
 	}
 	// Path-shaped graph 0-0, {0,1}-1 ... the forced matching is identity,
@@ -410,35 +413,29 @@ func TestAllowedCounts(t *testing.T) {
 	p.AddEdge(1, 1)
 	p.AddEdge(2, 1)
 	p.AddEdge(2, 2)
-	counts, ok = AllowedCounts(p)
-	if !ok {
+	allowed, err = AllowedEdges(p)
+	if err != nil {
 		t.Fatal("path graph has the identity matching")
 	}
-	for u, c := range counts {
-		if c != 1 {
-			t.Errorf("path counts[%d] = %d, want 1", u, c)
+	for u, vs := range allowed {
+		if len(vs) != 1 {
+			t.Errorf("path counts[%d] = %d, want 1", u, len(vs))
 		}
 	}
-	// No perfect matching: ok=false and every count zero.
+	// No perfect matching: no edge is a match.
 	n := New(2, 2)
 	n.AddEdge(0, 0)
 	n.AddEdge(1, 0)
-	counts, ok = AllowedCounts(n)
-	if ok {
-		t.Error("graph without perfect matching reported ok")
-	}
-	for u, c := range counts {
-		if c != 0 {
-			t.Errorf("vacuous counts[%d] = %d, want 0", u, c)
-		}
+	if _, err := AllowedEdges(n); err == nil {
+		t.Error("graph without perfect matching reported matches")
 	}
 }
 
 func TestFromAdjacency(t *testing.T) {
 	adj := [][]int{{0, 2}, {}, {1}}
 	g := FromAdjacency(3, adj)
-	if g.NLeft() != 3 || g.NRight() != 3 || g.NumEdges() != 3 {
-		t.Errorf("graph dims wrong: %d %d %d", g.NLeft(), g.NRight(), g.NumEdges())
+	if g.nLeft != 3 || g.nRight != 3 || g.NumEdges() != 3 {
+		t.Errorf("graph dims wrong: %d %d %d", g.nLeft, g.nRight, g.NumEdges())
 	}
 	if !g.HasEdge(0, 2) || !g.HasEdge(2, 1) || g.HasEdge(1, 0) {
 		t.Error("HasEdge wrong")

@@ -2,10 +2,28 @@ package bipartite
 
 import "fmt"
 
-// This file holds the package's test-only helpers: the edge queries and
-// the copy the tests read graphs back with, SCC over adjacency lists, and
-// the paper's per-edge formulation of the matches, the oracle of
-// AllowedEdges and Growing.
+// This file holds the package's test-only helpers: the graph built edge by
+// edge, the edge queries and the copy the tests read graphs back with, SCC
+// over adjacency lists, and the paper's per-edge formulation of the
+// matches, the oracle of AllowedEdges and Growing.
+
+// New creates an empty bipartite graph.
+func New(nLeft, nRight int) *Graph {
+	return &Graph{nLeft: nLeft, nRight: nRight, adj: make([][]int, nLeft)}
+}
+
+// AddEdge inserts the edge (u, v); duplicate edges must not be added.
+func (g *Graph) AddEdge(u, v int) {
+	if u < 0 || u >= g.nLeft || v < 0 || v >= g.nRight {
+		panic(fmt.Sprintf("bipartite: edge (%d,%d) out of range (%d x %d)", u, v, g.nLeft, g.nRight))
+	}
+	g.adj[u] = append(g.adj[u], v)
+	g.nEdges++
+}
+
+// Neighbors returns the right-side neighbours of left node u. The returned
+// slice must not be modified.
+func (g *Graph) Neighbors(u int) []int { return g.adj[u] }
 
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return g.nEdges }
@@ -25,7 +43,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 // one Hopcroft–Karp per edge and exists as a correctness oracle for
 // AllowedEdges.
 func AllowedEdgesNaive(g *Graph) ([][]int, error) {
-	if !HasPerfectMatching(g) {
+	if !HopcroftKarp(g).IsPerfect() {
 		return nil, fmt.Errorf("bipartite: no perfect matching")
 	}
 	out := make([][]int, g.nLeft)
@@ -51,7 +69,7 @@ func AllowedEdgesNaive(g *Graph) ([][]int, error) {
 					sub.AddEdge(su, sv)
 				}
 			}
-			if HasPerfectMatching(sub) {
+			if HopcroftKarp(sub).IsPerfect() {
 				out[u] = append(out[u], v)
 			}
 		}

@@ -199,16 +199,6 @@ func (s *Space) LeafClosure(r table.Record) table.GenRecord {
 	return g
 }
 
-// MergeClosures returns the per-attribute LCA of two closures: the closure
-// of the union of the underlying record sets. Neither argument is modified.
-func (s *Space) MergeClosures(a, b table.GenRecord) table.GenRecord {
-	out := make(table.GenRecord, len(a))
-	for j := range a {
-		out[j] = s.Hiers[j].LCA(a[j], b[j])
-	}
-	return out
-}
-
 // MergeInto sets dst to the per-attribute LCA of dst and src, avoiding an
 // allocation in hot loops.
 func (s *Space) MergeInto(dst, src table.GenRecord) {
@@ -271,15 +261,6 @@ func (s *Space) NewSingleton(tbl *table.Table, i int) *Cluster {
 func (s *Space) NewCluster(tbl *table.Table, members []int) *Cluster {
 	cl := s.ClosureOf(tbl, members)
 	return &Cluster{Closure: cl, Members: append([]int(nil), members...), Cost: s.Cost(cl)}
-}
-
-// Merge returns the union cluster A ∪ B.
-func (s *Space) Merge(a, b *Cluster) *Cluster {
-	cl := s.MergeClosures(a.Closure, b.Closure)
-	members := make([]int, 0, len(a.Members)+len(b.Members))
-	members = append(members, a.Members...)
-	members = append(members, b.Members...)
-	return &Cluster{Closure: cl, Members: members, Cost: s.Cost(cl)}
 }
 
 // Size returns |S|.

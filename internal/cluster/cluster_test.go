@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"kanon/internal/hierarchy"
@@ -118,7 +119,7 @@ func TestMergeClosuresMatchesClosureOf(t *testing.T) {
 	b := s.ClosureOf(tbl, []int{2, 3})
 	merged := s.MergeClosures(a, b)
 	direct := s.ClosureOf(tbl, []int{0, 1, 2, 3})
-	if !merged.Equal(direct) {
+	if !slices.Equal(merged, direct) {
 		t.Errorf("MergeClosures = %v, ClosureOf = %v", merged, direct)
 	}
 }
@@ -129,7 +130,7 @@ func TestMergeInto(t *testing.T) {
 	b := s.ClosureOf(tbl, []int{3})
 	want := s.MergeClosures(a, b)
 	s.MergeInto(a, b)
-	if !a.Equal(want) {
+	if !slices.Equal(a, want) {
 		t.Errorf("MergeInto = %v, want %v", a, want)
 	}
 }
@@ -180,12 +181,12 @@ func TestClusterApplyAndToGenTable(t *testing.T) {
 	c2 := s.NewCluster(tbl, []int{2, 3, 4, 5})
 	g := ToGenTable(tbl.Schema, tbl.Len(), []*Cluster{c, c2})
 	for _, i := range c.Members {
-		if !g.Records[i].Equal(c.Closure) {
+		if !slices.Equal(g.Records[i], c.Closure) {
 			t.Errorf("record %d not assigned its cluster closure", i)
 		}
 	}
 	for _, i := range c2.Members {
-		if !g.Records[i].Equal(c2.Closure) {
+		if !slices.Equal(g.Records[i], c2.Closure) {
 			t.Errorf("record %d not assigned its cluster closure", i)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -98,7 +99,7 @@ func TestAgglomerateCtxNilMatchesPlain(t *testing.T) {
 		t.Fatalf("%d vs %d clusters", len(a), len(b))
 	}
 	for i := range a {
-		if !a[i].Closure.Equal(b[i].Closure) {
+		if !slices.Equal(a[i].Closure, b[i].Closure) {
 			t.Fatalf("cluster %d closure differs", i)
 		}
 		if len(a[i].Members) != len(b[i].Members) {

@@ -113,13 +113,12 @@ func d4Eval(dA, dB, dU float64) float64 { return dU / (dA + dB + d4Epsilon) }
 
 func ncEval(dB, dU float64) float64 { return dU - dB }
 
-// The package-level distance tables backing PaperDistances, AllDistances
-// and DistanceByName. The distances are stateless values, so sharing the
+// The package-level distance tables backing PaperDistances and
+// DistanceByName. The distances are stateless values, so sharing the
 // slices is safe as long as callers treat them as read-only; previously
 // every call rebuilt them, which showed up in per-record resolution loops.
 var (
 	paperDistances  = []Distance{D1{}, D2{}, D3{}, D4{}}
-	allDistances    = []Distance{D1{}, D2{}, D3{}, D4{}, NC{}}
 	distancesByName = map[string]Distance{
 		"d1": D1{}, "d2": D2{}, "d3": D3{}, "d4": D4{}, "nc": NC{},
 	}
@@ -129,11 +128,6 @@ var (
 // order (8), (9), (10), (11). The returned slice is shared and must not be
 // modified.
 func PaperDistances() []Distance { return paperDistances }
-
-// AllDistances returns the paper's four distances plus the Nergiz–Clifton
-// asymmetric variant. The returned slice is shared and must not be
-// modified.
-func AllDistances() []Distance { return allDistances }
 
 // DistanceByName resolves a distance by its Name in one table lookup; it
 // returns nil for an unknown name.

@@ -10,6 +10,32 @@ import (
 	"kanon/internal/table"
 )
 
+// The oracle's cluster arithmetic: a merge builds a new cluster from two,
+// never updating either in place as the engine does.
+
+// MergeClosures returns the per-attribute LCA of two closures: the closure
+// of the union of the underlying record sets. Neither argument is modified.
+func (s *Space) MergeClosures(a, b table.GenRecord) table.GenRecord {
+	out := make(table.GenRecord, len(a))
+	for j := range a {
+		out[j] = s.Hiers[j].LCA(a[j], b[j])
+	}
+	return out
+}
+
+// Merge returns the union cluster A ∪ B.
+func (s *Space) Merge(a, b *Cluster) *Cluster {
+	cl := s.MergeClosures(a.Closure, b.Closure)
+	members := make([]int, 0, len(a.Members)+len(b.Members))
+	members = append(members, a.Members...)
+	members = append(members, b.Members...)
+	return &Cluster{Closure: cl, Members: members, Cost: s.Cost(cl)}
+}
+
+// AllDistances returns the paper's four distances plus the Nergiz–Clifton
+// asymmetric variant, the distances the tests sweep.
+func AllDistances() []Distance { return []Distance{D1{}, D2{}, D3{}, D4{}, NC{}} }
+
 // oracleAgglomerate is Algorithms 1 and 2 as printed: the naive reference
 // the engine's equivalence tests compare against. It shares none of the
 // engine's machinery — no kernel arena, fused tables, heap, neighbour

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,7 +33,7 @@ func assertSameClustering(t *testing.T, label string, want, got []*Cluster) {
 				t.Fatalf("%s: cluster %d member %d is %d, want %d", label, ci, mi, g.Members[mi], w.Members[mi])
 			}
 		}
-		if !w.Closure.Equal(g.Closure) {
+		if !slices.Equal(w.Closure, g.Closure) {
 			t.Fatalf("%s: cluster %d closure differs", label, ci)
 		}
 		if w.Cost != g.Cost {

@@ -16,9 +16,11 @@
 //     under privacy constraints (KKAnonymizeCtx);
 //   - Algorithm 6, upgrading a (k,k)-anonymization to a global
 //     (1,k)-anonymization via perfect-matching tests (MakeGlobal1KCtx);
-//   - the full-domain global-recoding baseline (FullDomainCtx);
-//   - brute-force optimal k- and (k,1)-anonymizers for tiny inputs, used
-//     as test oracles (OptimalKAnonymize, OptimalK1).
+//   - the full-domain global-recoding baseline (FullDomainCtx).
+//
+// The oracles the tests hold these against — brute-force optimal k- and
+// (k,1)-anonymizers for tiny inputs (optimal_test.go) and the LCA-walk
+// references (ref_test.go) — live in test files and ship in no build.
 //
 // A nil context disables cancellation.
 package core

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kanon/internal/anonymity"
@@ -162,7 +163,7 @@ func TestK1NearestPostcondition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !anonymity.IsK1(s, tbl, g, k) {
+		if !anonymity.Check(s, tbl, g, k).KOne {
 			t.Errorf("K1Nearest k=%d: not (k,1)-anonymous", k)
 		}
 		if !anonymity.IsGeneralizationOf(s, tbl, g) {
@@ -210,7 +211,7 @@ func TestK1ExpandPostcondition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !anonymity.IsK1(s, tbl, g, k) {
+		if !anonymity.Check(s, tbl, g, k).KOne {
 			t.Errorf("K1Expand k=%d: not (k,1)-anonymous", k)
 		}
 		if !anonymity.IsGeneralizationOf(s, tbl, g) {
@@ -238,7 +239,7 @@ func TestK1OneIsIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range tbl.Records {
-		if !g.Records[i].Equal(s.LeafClosure(r)) {
+		if !slices.Equal(g.Records[i], s.LeafClosure(r)) {
 			t.Errorf("record %d: (1,1) should be identity", i)
 		}
 	}
@@ -303,10 +304,10 @@ func TestMake1KPostcondition(t *testing.T) {
 	if _, err := Make1KCtx(nil, s, tbl, g, k); err != nil {
 		t.Fatal(err)
 	}
-	if !anonymity.Is1K(s, tbl, g, k) {
+	if !anonymity.Check(s, tbl, g, k).OneK {
 		t.Error("Make1K output not (1,k)-anonymous")
 	}
-	if !anonymity.IsK1(s, tbl, g, k) {
+	if !anonymity.Check(s, tbl, g, k).KOne {
 		t.Error("Make1K destroyed the (k,1) property")
 	}
 	if !anonymity.IsKK(s, tbl, g, k) {
@@ -327,7 +328,7 @@ func TestMake1KOnIdentity(t *testing.T) {
 	if _, err := Make1KCtx(nil, s, tbl, g, k); err != nil {
 		t.Fatal(err)
 	}
-	if !anonymity.Is1K(s, tbl, g, k) {
+	if !anonymity.Check(s, tbl, g, k).OneK {
 		t.Error("Make1K on identity not (1,k)-anonymous")
 	}
 }
@@ -581,7 +582,7 @@ func TestMake1KIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range g.Records {
-		if !g.Records[i].Equal(before.Records[i]) {
+		if !slices.Equal(g.Records[i], before.Records[i]) {
 			t.Fatalf("Make1K modified record %d of an already-(1,k) table", i)
 		}
 	}
@@ -610,7 +611,7 @@ func TestMakeGlobal1KIdempotent(t *testing.T) {
 		t.Errorf("re-run did work: %+v", stats)
 	}
 	for i := range g.Records {
-		if !g.Records[i].Equal(before.Records[i]) {
+		if !slices.Equal(g.Records[i], before.Records[i]) {
 			t.Fatalf("MakeGlobal1K modified record %d of a global table", i)
 		}
 	}
@@ -632,7 +633,7 @@ func TestK1Determinism(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range a.Records {
-			if !a.Records[i].Equal(b.Records[i]) {
+			if !slices.Equal(a.Records[i], b.Records[i]) {
 				t.Fatalf("K1Expand non-deterministic at record %d", i)
 			}
 		}

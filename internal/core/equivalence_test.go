@@ -198,7 +198,7 @@ func assertSameGen(t *testing.T, label string, want, got *table.GenTable) {
 		t.Fatalf("%s: %d records, want %d", label, got.Len(), want.Len())
 	}
 	for i := range want.Records {
-		if !want.Records[i].Equal(got.Records[i]) {
+		if !slices.Equal(want.Records[i], got.Records[i]) {
 			t.Fatalf("%s: record %d is %v, oracle %v", label, i, got.Records[i], want.Records[i])
 		}
 	}
@@ -468,7 +468,7 @@ func TestK1ExpandFlatBound(t *testing.T) {
 				if evals, visits := sc.grow(c.tbl, i, k, out); evals+visits > int64(k*(n-1)) {
 					t.Fatalf("%s: record %d took %d row sums and %d trie visits, above k·(n−1) = %d", label, i, evals, visits, k*(n-1))
 				}
-				if !out.Equal(want.Records[i]) {
+				if !slices.Equal(out, want.Records[i]) {
 					t.Fatalf("%s: record %d is %v, oracle %v", label, i, out, want.Records[i])
 				}
 			}

@@ -53,7 +53,7 @@ func genEqual(t testing.TB, a, b *table.GenTable) bool {
 		return false
 	}
 	for i := range a.Records {
-		if !a.Records[i].Equal(b.Records[i]) {
+		if !slices.Equal(a.Records[i], b.Records[i]) {
 			return false
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -78,7 +79,7 @@ func TestPartitionedHugeChunkEqualsPlain(t *testing.T) {
 			t.Fatalf("MaxChunk=%d: %v", maxChunk, err)
 		}
 		for i := range gP.Records {
-			if !gP.Records[i].Equal(gA.Records[i]) {
+			if !slices.Equal(gP.Records[i], gA.Records[i]) {
 				t.Fatalf("MaxChunk=%d: record %d differs from plain agglomerative", maxChunk, i)
 			}
 		}

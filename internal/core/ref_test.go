@@ -328,15 +328,15 @@ func refMakeGlobal1K(ctx context.Context, s *cluster.Space, tbl *table.Table, g 
 		}
 	}
 	buildGraph := func() *bipartite.Graph {
-		gr := bipartite.New(n, n)
+		adj := make([][]int, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if cons[i][j] {
-					gr.AddEdge(i, j)
+					adj[i] = append(adj[i], j)
 				}
 			}
 		}
-		return gr
+		return bipartite.FromAdjacency(n, adj)
 	}
 	allowed, err := bipartite.AllowedEdges(buildGraph())
 	if err != nil {

@@ -3,6 +3,7 @@ package datagen
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kanon/internal/cluster"
@@ -79,7 +80,7 @@ func TestARTDeterminism(t *testing.T) {
 	a := ART(100, 42)
 	b := ART(100, 42)
 	for i := range a.Table.Records {
-		if !a.Table.Records[i].Equal(b.Table.Records[i]) {
+		if !slices.Equal(a.Table.Records[i], b.Table.Records[i]) {
 			t.Fatalf("record %d differs across same-seed runs", i)
 		}
 		if a.Sensitive[i] != b.Sensitive[i] {
@@ -89,7 +90,7 @@ func TestARTDeterminism(t *testing.T) {
 	c := ART(100, 43)
 	same := true
 	for i := range a.Table.Records {
-		if !a.Table.Records[i].Equal(c.Table.Records[i]) {
+		if !slices.Equal(a.Table.Records[i], c.Table.Records[i]) {
 			same = false
 			break
 		}

@@ -9,7 +9,7 @@ func TestAutoHierarchiesNumeric(t *testing.T) {
 	// Ages appear out of order in the CSV; the auto hierarchy must bucket
 	// by numeric value, not appearance order.
 	csv := "age\n40\n20\n30\n21\n41\n31\n22\n42\n32\n23\n"
-	tbl, err := ReadCSV(strings.NewReader(csv), true)
+	tbl, err := ReadCSVOptions(strings.NewReader(csv), ReadOptions{Header: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestAutoHierarchiesNumeric(t *testing.T) {
 
 func TestAutoHierarchiesMixed(t *testing.T) {
 	csv := "age,city\n30,haifa\n31,eilat\n32,haifa\n33,acre\n34,haifa\n"
-	tbl, err := ReadCSV(strings.NewReader(csv), true)
+	tbl, err := ReadCSVOptions(strings.NewReader(csv), ReadOptions{Header: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestAutoHierarchiesMixed(t *testing.T) {
 func TestAutoHierarchiesSmallNumericDomain(t *testing.T) {
 	// A numeric domain not exceeding baseWidth stays trivial.
 	csv := "n\n1\n2\n3\n"
-	tbl, err := ReadCSV(strings.NewReader(csv), true)
+	tbl, err := ReadCSVOptions(strings.NewReader(csv), ReadOptions{Header: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestAutoHierarchiesSmallNumericDomain(t *testing.T) {
 
 func TestAutoHierarchiesBadWidth(t *testing.T) {
 	csv := "n\n1\n2\n"
-	tbl, err := ReadCSV(strings.NewReader(csv), true)
+	tbl, err := ReadCSVOptions(strings.NewReader(csv), ReadOptions{Header: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestAutoHierarchiesBadWidth(t *testing.T) {
 
 func TestNumericOrderRejectsNonInts(t *testing.T) {
 	csv := "x\n1\n2\nthree\n"
-	tbl, err := ReadCSV(strings.NewReader(csv), true)
+	tbl, err := ReadCSVOptions(strings.NewReader(csv), ReadOptions{Header: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestNumericOrderRejectsNonInts(t *testing.T) {
 		t.Error("mixed domain should not be numeric")
 	}
 	csv2 := "x\n-5\n0\n10\n"
-	tbl2, err := ReadCSV(strings.NewReader(csv2), true)
+	tbl2, err := ReadCSVOptions(strings.NewReader(csv2), ReadOptions{Header: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,17 +98,13 @@ type ReadOptions struct {
 	MaxRecords int
 }
 
-// ReadCSV parses a CSV stream into a table. When header is true the first
-// row supplies attribute names; otherwise attributes are named col1..colr.
-// Attribute domains are built from the data, values ordered by first
-// appearance. Every row must have the same number of fields.
-func ReadCSV(r io.Reader, header bool) (*table.Table, error) {
-	return ReadCSVOptions(r, ReadOptions{Header: header})
-}
-
-// ReadCSVOptions is ReadCSV with explicit options. Malformed input is
-// reported through typed errors carrying positions: *RaggedRowError,
-// *DuplicateColumnError, *EmptyTableError, *TooManyRecordsError.
+// ReadCSVOptions parses a CSV stream into a table. With opt.Header the
+// first row supplies attribute names; otherwise attributes are named
+// col1..colr. Attribute domains are built from the data, values ordered by
+// first appearance. Every row must have the same number of fields.
+// Malformed input is reported through typed errors carrying positions:
+// *RaggedRowError, *DuplicateColumnError, *EmptyTableError,
+// *TooManyRecordsError.
 //
 // The stream is read in one pass: each field is trimmed once and interned
 // with one map lookup into its column's domain, ids in first-appearance

@@ -19,7 +19,7 @@ const sampleCSV = `age,city
 `
 
 func TestReadCSVWithHeader(t *testing.T) {
-	tbl, err := ReadCSV(strings.NewReader(sampleCSV), true)
+	tbl, err := ReadCSVOptions(strings.NewReader(sampleCSV), ReadOptions{Header: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestReadCSVWithHeader(t *testing.T) {
 }
 
 func TestReadCSVNoHeader(t *testing.T) {
-	tbl, err := ReadCSV(strings.NewReader("a,b\nc,d\n"), false)
+	tbl, err := ReadCSVOptions(strings.NewReader("a,b\nc,d\n"), ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,19 +53,19 @@ func TestReadCSVNoHeader(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader(""), true); err == nil {
+	if _, err := ReadCSVOptions(strings.NewReader(""), ReadOptions{Header: true}); err == nil {
 		t.Error("expected error for empty input")
 	}
-	if _, err := ReadCSV(strings.NewReader("h1,h2\n"), true); err == nil {
+	if _, err := ReadCSVOptions(strings.NewReader("h1,h2\n"), ReadOptions{Header: true}); err == nil {
 		t.Error("expected error for header-only input")
 	}
-	if _, err := ReadCSV(strings.NewReader("a,b\nc\n"), false); err == nil {
+	if _, err := ReadCSVOptions(strings.NewReader("a,b\nc\n"), ReadOptions{}); err == nil {
 		t.Error("expected error for ragged rows")
 	}
 }
 
 func TestReadCSVTrimsSpace(t *testing.T) {
-	tbl, err := ReadCSV(strings.NewReader("a, b\nx, y\n"), true)
+	tbl, err := ReadCSVOptions(strings.NewReader("a, b\nx, y\n"), ReadOptions{Header: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestReadCSVTrimsSpace(t *testing.T) {
 }
 
 func TestWriteCSVRoundTrip(t *testing.T) {
-	tbl, err := ReadCSV(strings.NewReader(sampleCSV), true)
+	tbl, err := ReadCSVOptions(strings.NewReader(sampleCSV), ReadOptions{Header: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestWriteCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, tbl); err != nil {
 		t.Fatal(err)
 	}
-	tbl2, err := ReadCSV(bytes.NewReader(buf.Bytes()), true)
+	tbl2, err := ReadCSVOptions(bytes.NewReader(buf.Bytes()), ReadOptions{Header: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestWriteCSVRoundTrip(t *testing.T) {
 
 func buildTestHierarchy(t *testing.T) (*table.Table, []*hierarchy.Hierarchy) {
 	t.Helper()
-	tbl, err := ReadCSV(strings.NewReader(sampleCSV), true)
+	tbl, err := ReadCSVOptions(strings.NewReader(sampleCSV), ReadOptions{Header: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,14 +268,14 @@ func TestWriteGenCSV(t *testing.T) {
 // which share one backing array, are capped: appending to one leaves the
 // next unchanged.
 func TestReadCSVRecordsIndependent(t *testing.T) {
-	tbl, err := ReadCSV(strings.NewReader("a,b\nx,y\nz,w\nx,w\n"), true)
+	tbl, err := ReadCSVOptions(strings.NewReader("a,b\nx,y\nz,w\nx,w\n"), ReadOptions{Header: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	next := slices.Clone(tbl.Records[1])
 	grown := append(tbl.Records[0], 7)
 	grown[0] = 9
-	if !tbl.Records[1].Equal(next) {
+	if !slices.Equal(tbl.Records[1], next) {
 		t.Errorf("appending to record 0 changed record 1: %v, was %v", tbl.Records[1], next)
 	}
 	if tbl.Records[0][0] != 0 {

@@ -12,7 +12,7 @@ import (
 // TestRaggedRowTypedError checks that a short row surfaces as a
 // *RaggedRowError naming the 1-based data row and both field counts.
 func TestRaggedRowTypedError(t *testing.T) {
-	_, err := ReadCSV(strings.NewReader("age,city\n30,haifa\n31\n"), true)
+	_, err := ReadCSVOptions(strings.NewReader("age,city\n30,haifa\n31\n"), ReadOptions{Header: true})
 	var ragged *RaggedRowError
 	if !errors.As(err, &ragged) {
 		t.Fatalf("err = %v (%T), want *RaggedRowError", err, err)
@@ -25,7 +25,7 @@ func TestRaggedRowTypedError(t *testing.T) {
 	}
 
 	// A long row is just as ragged as a short one.
-	_, err = ReadCSV(strings.NewReader("a,b\nx,y,z\n"), true)
+	_, err = ReadCSVOptions(strings.NewReader("a,b\nx,y,z\n"), ReadOptions{Header: true})
 	if !errors.As(err, &ragged) || ragged.Fields != 3 {
 		t.Errorf("long row: err = %v", err)
 	}
@@ -34,7 +34,7 @@ func TestRaggedRowTypedError(t *testing.T) {
 // TestDuplicateColumnTypedError checks that a header naming the same
 // column twice reports both 1-based positions.
 func TestDuplicateColumnTypedError(t *testing.T) {
-	_, err := ReadCSV(strings.NewReader("age,city,age\n30,haifa,31\n"), true)
+	_, err := ReadCSVOptions(strings.NewReader("age,city,age\n30,haifa,31\n"), ReadOptions{Header: true})
 	var dup *DuplicateColumnError
 	if !errors.As(err, &dup) {
 		t.Fatalf("err = %v (%T), want *DuplicateColumnError", err, err)
@@ -44,7 +44,7 @@ func TestDuplicateColumnTypedError(t *testing.T) {
 	}
 
 	// Header names are trimmed before comparison, so " age" collides too.
-	_, err = ReadCSV(strings.NewReader("age, age\n30,31\n"), true)
+	_, err = ReadCSVOptions(strings.NewReader("age, age\n30,31\n"), ReadOptions{Header: true})
 	if !errors.As(err, &dup) {
 		t.Errorf("trimmed duplicate: err = %v", err)
 	}
@@ -53,12 +53,12 @@ func TestDuplicateColumnTypedError(t *testing.T) {
 // TestEmptyTableTypedError distinguishes no input at all from a header
 // with no data rows.
 func TestEmptyTableTypedError(t *testing.T) {
-	_, err := ReadCSV(strings.NewReader(""), true)
+	_, err := ReadCSVOptions(strings.NewReader(""), ReadOptions{Header: true})
 	var empty *EmptyTableError
 	if !errors.As(err, &empty) || empty.HeaderOnly {
 		t.Fatalf("empty input: err = %v", err)
 	}
-	_, err = ReadCSV(strings.NewReader("age,city\n"), true)
+	_, err = ReadCSVOptions(strings.NewReader("age,city\n"), ReadOptions{Header: true})
 	if !errors.As(err, &empty) || !empty.HeaderOnly {
 		t.Fatalf("header-only input: err = %v", err)
 	}

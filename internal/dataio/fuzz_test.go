@@ -39,13 +39,13 @@ func FuzzReadCSV(f *testing.F) {
 		}
 		assertSameTable(t, tbl, want)
 		if tbl.Len() == 0 {
-			t.Fatal("ReadCSV returned an empty table without error")
+			t.Fatal("ReadCSVOptions returned an empty table without error")
 		}
 		var buf bytes.Buffer
 		if err := WriteCSV(&buf, tbl); err != nil {
 			t.Fatalf("WriteCSV on parsed table: %v", err)
 		}
-		tbl2, err := ReadCSV(bytes.NewReader(buf.Bytes()), true)
+		tbl2, err := ReadCSVOptions(bytes.NewReader(buf.Bytes()), ReadOptions{Header: true})
 		if err != nil {
 			t.Fatalf("re-reading written CSV: %v", err)
 		}
@@ -72,7 +72,7 @@ func assertSameTable(t *testing.T, got, want *table.Table) {
 		t.Fatalf("%d records, oracle %d", got.Len(), want.Len())
 	}
 	for i, rec := range got.Records {
-		if !rec.Equal(want.Records[i]) {
+		if !slices.Equal(rec, want.Records[i]) {
 			t.Fatalf("record %d = %v, oracle %v", i, rec, want.Records[i])
 		}
 	}
@@ -86,7 +86,7 @@ func FuzzLoadHierarchies(f *testing.F) {
 	f.Add(`{`)
 	f.Add(`{"attributes": [{"attribute": "age", "subsets": [{"values": ["1","1"]}]}]}`)
 	f.Fuzz(func(t *testing.T, spec string) {
-		tbl, err := ReadCSV(strings.NewReader("age,city\n1,a\n2,b\n3,c\n"), true)
+		tbl, err := ReadCSVOptions(strings.NewReader("age,city\n1,a\n2,b\n3,c\n"), ReadOptions{Header: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,8 +11,8 @@ import (
 
 // refReadCSV is the two-pass reader ReadCSVOptions replaced, kept verbatim
 // as its oracle: it keeps every row's fields, collects the domains in a
-// second pass through one set per column, and interns each record through
-// Table.AppendValues (a second map lookup per field, one slice per record).
+// second pass through one set per column, and interns each field through
+// Attribute.ValueID (a second map lookup per field, one slice per record).
 func refReadCSV(r io.Reader, opt ReadOptions) (*table.Table, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
@@ -110,13 +110,15 @@ func refReadCSV(r io.Reader, opt ReadOptions) (*table.Table, error) {
 	}
 	tbl := table.New(schema)
 	for _, row := range rows {
-		vals := make([]string, nAttrs)
+		r := make(table.Record, nAttrs)
 		for j, v := range row {
-			vals[j] = strings.TrimSpace(v)
+			id, err := schema.Attrs[j].ValueID(strings.TrimSpace(v))
+			if err != nil {
+				return nil, err
+			}
+			r[j] = id
 		}
-		if err := tbl.AppendValues(vals...); err != nil {
-			return nil, err
-		}
+		tbl.Records = append(tbl.Records, r)
 	}
 	return tbl, nil
 }

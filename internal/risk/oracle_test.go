@@ -23,25 +23,52 @@ import (
 // This file is the naive oracle of the audit layer: the pairwise loops that
 // built the consistency graph, the overlap graph and the intersection
 // attack's candidate sets before they were built from row classes
-// (internal/anonymity/graph.go), kept verbatim, with the matches taken
-// from bipartite.AllowedEdges on their graphs. Every audit result — the
-// consistency graph, anonymity.Report, AttackReport, Assess and
-// SimulateInformed — must come out identical on the production path and on
-// these loops, including releases that are not positional. It
-// lives in package risk because risk is the one package that sees every
-// audit consumer.
+// (internal/anonymity/graph.go), kept verbatim as adjacency lists, with the
+// matches taken from bipartite.AllowedEdges on their graphs. Every audit
+// result — anonymity.Report, AttackReport, Assess, SimulateInformed and
+// CandidateDiversity — must come out identical on the production path and
+// on these loops, including releases that are not positional. It lives in
+// package risk because risk is the one package that sees every audit
+// consumer.
 
-// naiveBuildGraph is V_{D,g(D)} from one Consistent call per pair.
-func naiveBuildGraph(s *cluster.Space, tbl *table.Table, g *table.GenTable) *bipartite.Graph {
-	gr := bipartite.New(tbl.Len(), g.Len())
+// naiveBuildGraph is V_{D,g(D)} from one Consistent call per pair: entry i
+// lists the rows of g consistent with record i, ascending.
+func naiveBuildGraph(s *cluster.Space, tbl *table.Table, g *table.GenTable) [][]int {
+	adj := make([][]int, tbl.Len())
 	for i, r := range tbl.Records {
 		for j, gj := range g.Records {
 			if s.Consistent(r, gj) {
-				gr.AddEdge(i, j)
+				adj[i] = append(adj[i], j)
 			}
 		}
 	}
-	return gr
+	return adj
+}
+
+// naiveAllowed is bipartite.AllowedEdges on the graph with the left
+// adjacency lists adj and nRight right nodes; without a perfect matching
+// no edge is a match, and every list is empty.
+func naiveAllowed(adj [][]int, nRight int) [][]int {
+	allowed, err := bipartite.AllowedEdges(bipartite.FromAdjacency(nRight, adj))
+	if err != nil {
+		return make([][]int, len(adj))
+	}
+	return allowed
+}
+
+// naiveMatchCounts is the length of each list of naiveAllowed.
+func naiveMatchCounts(adj [][]int, nRight int) []int {
+	counts := make([]int, len(adj))
+	for u, vs := range naiveAllowed(adj, nRight) {
+		counts[u] = len(vs)
+	}
+	return counts
+}
+
+// hasPerfectMatching reports whether the graph with the left adjacency
+// lists adj and nRight right nodes has a perfect matching.
+func hasPerfectMatching(adj [][]int, nRight int) bool {
+	return bipartite.HopcroftKarp(bipartite.FromAdjacency(nRight, adj)).IsPerfect()
 }
 
 // naiveIs1K counts, per record, the consistent released records.
@@ -93,7 +120,7 @@ func naiveCheck(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) an
 		KOne:           naiveIsK1(s, tbl, g, k),
 	}
 	rep.KK = rep.OneK && rep.KOne
-	counts, _ := bipartite.AllowedCounts(naiveBuildGraph(s, tbl, g))
+	counts := naiveMatchCounts(naiveBuildGraph(s, tbl, g), g.Len())
 	if len(counts) > 0 {
 		rep.MinMatches = slices.Min(counts)
 	}
@@ -107,18 +134,18 @@ func naiveCheck(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) an
 }
 
 // naiveOverlapGraph is the overlap graph from one rowsOverlap call per
-// pair of released rows.
-func naiveOverlapGraph(hiers []*hierarchy.Hierarchy, g *table.GenTable) *bipartite.Graph {
+// pair of released rows, as adjacency lists.
+func naiveOverlapGraph(hiers []*hierarchy.Hierarchy, g *table.GenTable) [][]int {
 	n := g.Len()
-	gr := bipartite.New(n, n)
+	adj := make([][]int, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if rowsOverlap(hiers, g.Records[i], g.Records[j]) {
-				gr.AddEdge(i, j)
+				adj[i] = append(adj[i], j)
 			}
 		}
 	}
-	return gr
+	return adj
 }
 
 // rowsOverlap reports whether two generalized records share at least one
@@ -222,11 +249,8 @@ func naiveEvaluateAttacks(t testing.TB, s *cluster.Space, tbl *table.Table, g *t
 		return rep
 	}
 	vuln := make([]bool, n)
-	vector := func(name string, gr *bipartite.Graph) AttackVector {
-		allowed, err := bipartite.AllowedEdges(gr)
-		if err != nil {
-			allowed = make([][]int, n)
-		}
+	vector := func(name string, adj [][]int) AttackVector {
+		allowed := naiveAllowed(adj, g.Len())
 		counts := make([]int, n)
 		exposed := make([]bool, n)
 		for i, vs := range allowed {
@@ -285,18 +309,13 @@ func naiveInformed(s *cluster.Space, tbl *table.Table, g *table.GenTable, sensit
 	for _, u := range known {
 		isKnown[u] = true
 	}
-	full := naiveBuildGraph(s, tbl, g)
-	pruned := bipartite.New(n, n)
+	pruned := naiveBuildGraph(s, tbl, g)
 	for u := 0; u < n; u++ {
-		for _, v := range full.Neighbors(u) {
-			if isKnown[u] && sensitive[v] != sensitive[u] {
-				continue
-			}
-			pruned.AddEdge(u, v)
+		if isKnown[u] {
+			pruned[u] = slices.DeleteFunc(pruned[u], func(v int) bool { return sensitive[v] != sensitive[u] })
 		}
 	}
-	counts, _ := bipartite.AllowedCounts(pruned)
-	return counts
+	return naiveMatchCounts(pruned, n)
 }
 
 // naiveCandidateDiversity is anonymity.CandidateDiversity from one
@@ -328,44 +347,12 @@ func naiveProsecutor(counts []int) []float64 {
 	return out
 }
 
-// numEdges counts a graph's edges through its adjacency lists.
-func numEdges(g *bipartite.Graph) int {
-	edges := 0
-	for u := 0; u < g.NLeft(); u++ {
-		edges += len(g.Neighbors(u))
-	}
-	return edges
-}
-
-// sameGraph fails unless two graphs have the same sides and the same
-// adjacency lists, in order.
-func sameGraph(t testing.TB, name string, got, want *bipartite.Graph) {
-	t.Helper()
-	if got.NLeft() != want.NLeft() || got.NRight() != want.NRight() || numEdges(got) != numEdges(want) {
-		t.Fatalf("%s: graph %dx%d with %d edges, oracle %dx%d with %d", name,
-			got.NLeft(), got.NRight(), numEdges(got), want.NLeft(), want.NRight(), numEdges(want))
-	}
-	for u := 0; u < want.NLeft(); u++ {
-		if !slices.Equal(got.Neighbors(u), want.Neighbors(u)) {
-			t.Fatalf("%s: node %d has neighbours %v, oracle %v", name, u, got.Neighbors(u), want.Neighbors(u))
-		}
-	}
-}
-
 // assertAuditMatchesOracle runs every audit entry point on one release and
 // requires the oracle's result. sensitive may be nil.
 func assertAuditMatchesOracle(t testing.TB, name string, s *cluster.Space, tbl *table.Table, g *table.GenTable, k int, sensitive []int) {
 	t.Helper()
-	sameGraph(t, name+" consistency", anonymity.BuildGraph(s, tbl, g), naiveBuildGraph(s, tbl, g))
-
 	if got, want := anonymity.Check(s, tbl, g, k), naiveCheck(s, tbl, g, k); got != want {
 		t.Fatalf("%s: Check = %+v, oracle %+v", name, got, want)
-	}
-	if got, want := anonymity.Is1K(s, tbl, g, k), naiveIs1K(s, tbl, g, k); got != want {
-		t.Fatalf("%s: Is1K = %v, oracle %v", name, got, want)
-	}
-	if got, want := anonymity.IsK1(s, tbl, g, k), naiveIsK1(s, tbl, g, k); got != want {
-		t.Fatalf("%s: IsK1 = %v, oracle %v", name, got, want)
 	}
 	if got, want := anonymity.IsKK(s, tbl, g, k), naiveIs1K(s, tbl, g, k) && naiveIsK1(s, tbl, g, k); got != want {
 		t.Fatalf("%s: IsKK = %v, oracle %v", name, got, want)
@@ -380,33 +367,48 @@ func assertAuditMatchesOracle(t testing.TB, name string, s *cluster.Space, tbl *
 			t.Fatalf("%s (sensitive %v): EvaluateAttacks = %+v, oracle %+v", name, sens != nil, got, want)
 		}
 	}
-	if len(sensitive) == tbl.Len() && tbl.Len() == g.Len() {
-		var known []int
-		for u := 0; u < tbl.Len(); u += 3 {
-			known = append(known, u)
+	if n := tbl.Len(); len(sensitive) == n && n == g.Len() {
+		// The adversary knows every third record's value, no record's, or
+		// every record's.
+		var third, all []int
+		for u := 0; u < n; u++ {
+			if u%3 == 0 {
+				third = append(third, u)
+			}
+			all = append(all, u)
 		}
-		got, err := attack.SimulateInformed(s, tbl, g, sensitive, known)
-		if err != nil {
-			t.Fatal(err)
+		for _, known := range [][]int{third, nil, all} {
+			got, err := attack.SimulateInformed(s, tbl, g, sensitive, known)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := naiveInformed(s, tbl, g, sensitive, known); !slices.Equal(got, want) {
+				t.Fatalf("%s (%d known): SimulateInformed = %v, oracle %v", name, len(known), got, want)
+			}
 		}
-		if want := naiveInformed(s, tbl, g, sensitive, known); !slices.Equal(got, want) {
-			t.Fatalf("%s: SimulateInformed = %v, oracle %v", name, got, want)
+		// The release's sensitive column, a one-valued column and an
+		// all-distinct one.
+		one, distinct := make([]int, n), make([]int, n)
+		for j := range distinct {
+			distinct[j] = j
 		}
-		div, err := anonymity.CandidateDiversity(s, tbl, g, sensitive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := naiveCandidateDiversity(s, tbl, g, sensitive); !slices.Equal(div, want) {
-			t.Fatalf("%s: CandidateDiversity = %v, oracle %v", name, div, want)
+		for _, sens := range [][]int{sensitive, one, distinct} {
+			div, err := anonymity.CandidateDiversity(s, tbl, g, sens)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := naiveCandidateDiversity(s, tbl, g, sens); !slices.Equal(div, want) {
+				t.Fatalf("%s: CandidateDiversity = %v, oracle %v", name, div, want)
+			}
 		}
 	}
 
 	graph := naiveBuildGraph(s, tbl, g)
 	neighbors := make([]int, tbl.Len())
-	for i := range neighbors {
-		neighbors[i] = len(graph.Neighbors(i))
+	for i, rows := range graph {
+		neighbors[i] = len(rows)
 	}
-	matches, _ := bipartite.AllowedCounts(graph)
+	matches := naiveMatchCounts(graph, g.Len())
 	for _, m := range []struct {
 		model  Model
 		counts []int
@@ -607,7 +609,7 @@ func TestAuditNoPerfectMatching(t *testing.T) {
 		g.Records[i][0] = hiers[0].LeafOf(0)
 		g.Records[i][1] = hiers[1].Root()
 	}
-	if bipartite.HasPerfectMatching(anonymity.BuildGraph(s, tbl, g)) {
+	if hasPerfectMatching(naiveBuildGraph(s, tbl, g), g.Len()) {
 		t.Fatal("fixture should have no perfect matching")
 	}
 	assertAuditMatchesOracle(t, "no-perfect-matching", s, tbl, g, 2, []int{0, 1, 0})
@@ -715,7 +717,7 @@ func TestAuditNonPositional(t *testing.T) {
 		for _, broken := range []bool{false, true} {
 			h := scrambleRows(rng, s.Hiers, tbl, g, broken)
 			switch {
-			case !bipartite.HasPerfectMatching(naiveBuildGraph(s, tbl, h)):
+			case !hasPerfectMatching(naiveBuildGraph(s, tbl, h), h.Len()):
 				none++
 			case !anonymity.IsGeneralizationOf(s, tbl, h):
 				shuffled++
@@ -753,22 +755,31 @@ func TestAuditSingletonMatchedElsewhere(t *testing.T) {
 	assertAuditMatchesOracle(t, "singleton-matched-elsewhere", s, tbl, g, 2, []int{0, 1, 1})
 }
 
-// naiveAllowedCounts is the paper's per-edge formulation of the matches:
+// naiveAllowedCounts is the paper's per-edge formulation of the matches
+// on the graph with the left adjacency lists adj and nRight right nodes:
 // edge (u, v) is a match iff the graph without u and v still has a perfect
 // matching, one Hopcroft–Karp per edge.
-func naiveAllowedCounts(g *bipartite.Graph) []int {
-	counts := make([]int, g.NLeft())
+func naiveAllowedCounts(adj [][]int, nRight int) []int {
+	counts := make([]int, len(adj))
+	if len(adj) != nRight {
+		return counts
+	}
 	for u := range counts {
-		for _, v := range g.Neighbors(u) {
-			sub := bipartite.New(g.NLeft()-1, g.NRight()-1)
-			for u2 := 0; u2 < g.NLeft(); u2++ {
-				for _, v2 := range g.Neighbors(u2) {
-					if u2 != u && v2 != v {
-						sub.AddEdge(u2-btoi(u2 > u), v2-btoi(v2 > v))
+		for _, v := range adj[u] {
+			sub := make([][]int, 0, len(adj)-1)
+			for u2, vs := range adj {
+				if u2 == u {
+					continue
+				}
+				var row []int
+				for _, v2 := range vs {
+					if v2 != v {
+						row = append(row, v2-btoi(v2 > v))
 					}
 				}
+				sub = append(sub, row)
 			}
-			if bipartite.HasPerfectMatching(sub) {
+			if hasPerfectMatching(sub, nRight-1) {
 				counts[u]++
 			}
 		}
@@ -792,14 +803,14 @@ func TestMatchCountsPerEdge(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s, tbl, g, _ := randomAudit(rng, 1+rng.Intn(3), 3+rng.Intn(20), 40)
 		for leg, h := range []*table.GenTable{g, scrambleRows(rng, s.Hiers, tbl, g, false), scrambleRows(rng, s.Hiers, tbl, g, true)} {
-			if got, want := anonymity.MatchCounts(s, tbl, h), naiveAllowedCounts(naiveBuildGraph(s, tbl, h)); !slices.Equal(got, want) {
+			if got, want := anonymity.MatchCounts(s, tbl, h), naiveAllowedCounts(naiveBuildGraph(s, tbl, h), h.Len()); !slices.Equal(got, want) {
 				t.Fatalf("seed %d leg %d: MatchCounts = %v, per-edge %v", seed, leg, got, want)
 			}
 			got, _, err := attack.SimulateRefinement(s.Hiers, h, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := naiveAllowedCounts(naiveOverlapGraph(s.Hiers, h)); !slices.Equal(got, want) {
+			if want := naiveAllowedCounts(naiveOverlapGraph(s.Hiers, h), h.Len()); !slices.Equal(got, want) {
 				t.Fatalf("seed %d leg %d: refinement counts = %v, per-edge %v", seed, leg, got, want)
 			}
 		}

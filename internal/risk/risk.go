@@ -64,16 +64,13 @@ type Report struct {
 	// Marketer is the mean prosecutor risk: the expected fraction of
 	// records an indiscriminate linker gets right.
 	Marketer float64
-	// AtRisk counts records whose prosecutor risk exceeds 1/k for the
-	// given k (filled by AtRiskCount).
-	records int
 }
 
 // Assess computes the risk report for a release under the chosen model.
 // For ByClass the original table may be nil; the other models need it.
 func Assess(s *cluster.Space, tbl *table.Table, g *table.GenTable, model Model) (*Report, error) {
 	n := g.Len()
-	rep := &Report{Model: model, Prosecutor: make([]float64, n), records: n}
+	rep := &Report{Model: model, Prosecutor: make([]float64, n)}
 	if n == 0 {
 		return rep, nil
 	}
@@ -130,5 +127,5 @@ func (r *Report) AtRiskCount(k int) int {
 // String renders the headline numbers.
 func (r *Report) String() string {
 	return fmt.Sprintf("risk(%s): journalist=%.4f marketer=%.4f over %d records",
-		r.Model, r.Journalist, r.Marketer, r.records)
+		r.Model, r.Journalist, r.Marketer, len(r.Prosecutor))
 }

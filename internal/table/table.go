@@ -153,19 +153,6 @@ func (r Record) Clone() Record {
 	return c
 }
 
-// Equal reports whether two records hold identical values.
-func (r Record) Equal(o Record) bool {
-	if len(r) != len(o) {
-		return false
-	}
-	for i := range r {
-		if r[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Table is a public database D: a schema plus n records.
 type Table struct {
 	Schema  *Schema
@@ -200,24 +187,6 @@ func (t *Table) MustAppend(r Record) {
 	if err := t.Append(r); err != nil {
 		panic(err)
 	}
-}
-
-// AppendValues interns the given string values and appends the resulting
-// record.
-func (t *Table) AppendValues(values ...string) error {
-	if len(values) != t.Schema.NumAttrs() {
-		return fmt.Errorf("table: got %d values, schema has %d attributes", len(values), t.Schema.NumAttrs())
-	}
-	r := make(Record, len(values))
-	for j, v := range values {
-		id, err := t.Schema.Attrs[j].ValueID(v)
-		if err != nil {
-			return err
-		}
-		r[j] = id
-	}
-	t.Records = append(t.Records, r)
-	return nil
 }
 
 // Clone returns a deep copy of the table (the schema is shared; schemas are
@@ -273,19 +242,6 @@ func (g GenRecord) Clone() GenRecord {
 	c := make(GenRecord, len(g))
 	copy(c, g)
 	return c
-}
-
-// Equal reports whether two generalized records hold identical nodes.
-func (g GenRecord) Equal(o GenRecord) bool {
-	if len(g) != len(o) {
-		return false
-	}
-	for i := range g {
-		if g[i] != o[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // GenTable is a generalization g(D): one generalized record per original

@@ -1,9 +1,9 @@
 package table
 
 import (
+	"slices"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewAttribute(t *testing.T) {
@@ -111,18 +111,12 @@ func TestNewSchemaErrors(t *testing.T) {
 func TestRecordCloneAndEqual(t *testing.T) {
 	r := Record{1, 2, 3}
 	c := r.Clone()
-	if !r.Equal(c) {
+	if !slices.Equal(r, c) {
 		t.Error("clone not equal to original")
 	}
 	c[0] = 9
 	if r[0] == 9 {
 		t.Error("clone shares storage with original")
-	}
-	if r.Equal(c) {
-		t.Error("records differing in a field compare equal")
-	}
-	if r.Equal(Record{1, 2}) {
-		t.Error("records of different lengths compare equal")
 	}
 }
 
@@ -150,22 +144,6 @@ func TestAppendValidation(t *testing.T) {
 	}
 	if tbl.Len() != 1 {
 		t.Errorf("Len() = %d, want 1 (failed appends must not modify)", tbl.Len())
-	}
-}
-
-func TestAppendValues(t *testing.T) {
-	tbl := New(testSchema(t))
-	if err := tbl.AppendValues("y", "q"); err != nil {
-		t.Fatalf("AppendValues: %v", err)
-	}
-	if got := tbl.Records[0]; !got.Equal(Record{1, 1}) {
-		t.Errorf("record = %v, want [1 1]", got)
-	}
-	if err := tbl.AppendValues("y"); err == nil {
-		t.Error("expected arity error")
-	}
-	if err := tbl.AppendValues("y", "nope"); err == nil {
-		t.Error("expected unknown-value error")
 	}
 }
 
@@ -209,15 +187,12 @@ func TestValueCounts(t *testing.T) {
 func TestGenRecordCloneEqual(t *testing.T) {
 	g := GenRecord{4, 5}
 	c := g.Clone()
-	if !g.Equal(c) {
+	if !slices.Equal(g, c) {
 		t.Error("clone not equal")
 	}
 	c[1] = 6
-	if g.Equal(c) {
-		t.Error("mutated clone still equal")
-	}
-	if g.Equal(GenRecord{4}) {
-		t.Error("different length equal")
+	if slices.Equal(g, c) {
+		t.Error("mutated clone still equal: clone shares storage")
 	}
 }
 
@@ -241,13 +216,13 @@ func TestNewGenRowsIsolated(t *testing.T) {
 	g.Records[1][0], g.Records[1][1] = 4, 5
 	grown := append(g.Records[0], 9)
 	grown[0] = 6
-	if !g.Records[1].Equal(GenRecord{4, 5}) {
+	if !slices.Equal(g.Records[1], GenRecord{4, 5}) {
 		t.Errorf("append to row 0 overwrote row 1: %v", g.Records[1])
 	}
-	if !g.Records[0].Equal(GenRecord{0, 0}) {
+	if !slices.Equal(g.Records[0], GenRecord{0, 0}) {
 		t.Errorf("append to row 0 wrote through to it: %v", g.Records[0])
 	}
-	if !grown.Equal(GenRecord{6, 0, 9}) {
+	if !slices.Equal(grown, GenRecord{6, 0, 9}) {
 		t.Errorf("grown row = %v", grown)
 	}
 }
@@ -320,31 +295,4 @@ func TestMustAppendPanics(t *testing.T) {
 		}
 	}()
 	tbl.MustAppend(Record{9, 9})
-}
-
-func TestRecordEqualQuick(t *testing.T) {
-	f := func(a, b []int8) bool {
-		ra := make(Record, len(a))
-		for i, v := range a {
-			ra[i] = int(v)
-		}
-		rb := make(Record, len(b))
-		for i, v := range b {
-			rb[i] = int(v)
-		}
-		// Equal must agree with element-wise comparison.
-		want := len(a) == len(b)
-		if want {
-			for i := range a {
-				if a[i] != b[i] {
-					want = false
-					break
-				}
-			}
-		}
-		return ra.Equal(rb) == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
