@@ -181,19 +181,29 @@ type Engine struct {
 	liveList []int32
 	livePos  []int32
 
+	// tc groups the run's records by tuple (tupleClasses, lazynn.go), and
+	// cls[id] is the tuple class of cluster id when its closure is that
+	// class's tuple — a singleton, or a merge of records of one class — and
+	// −1 otherwise.
+	tc  tupleClasses
+	cls []int32
+
 	// Per-span scratch of the sharded list builds (one pool call in flight
-	// at a time): the initial build's cross-span partial rows and its span
-	// bounds (tiledBounds), one row/column partial list per span for
-	// newborn passes and rescans, per-span distance-evaluation counts,
-	// per-span strip slabs of the initial build (initBlock anchor strips
-	// each) and per-span price sums (nnTile each).
+	// at a time): the initial build's cross-span partial class lists and
+	// its span bounds (tiledBounds), one row/column partial list per span
+	// for newborn passes and rescans, per-span distance-evaluation counts
+	// and class-row reads, per-span strip slabs of the initial build
+	// (initBlock anchor strips each), per-span price sums and the initial
+	// build's per-span distances of both orientations (nnTile each).
 	spanInitPart [][]nnList
 	spanBounds   []int
 	spanRowList  []nnList
 	spanColList  []nnList
 	spanEvals    []int64
+	spanServed   []int64
 	spanStrips   [][]float64
 	spanSums     [][]float64
+	spanDists    [][]float64
 
 	// The anchor of the current newborn pass or rescan, its list kind (a
 	// rescan's), its cost strip and a newborn pass's candidates, set on the
@@ -203,6 +213,7 @@ type Engine struct {
 	anchor       int
 	anchorKind   uint8
 	anchorStrip  []float64
+	anchorSums   []float64
 	cands        []int32
 	repairSpanFn func(lo, hi, sp int)
 	rescanSpanFn func(lo, hi, sp int)
@@ -242,6 +253,9 @@ type Engine struct {
 	mergeScans, mergeScanEvals   int64
 	mergeBoundSums               int64
 	absorbed, livePeak           int64
+	// classSums counts the pair sums served from a tuple class instead of
+	// priced (obs.CounterKernelClassSums). Driving goroutine only.
+	classSums int64
 
 	final []*Cluster
 }
@@ -351,6 +365,7 @@ func (e *Engine) prepare(n int) {
 		e.kern = newKernel(e.s, e.opt.Distance)
 		w := e.pool.Size()
 		e.spanEvals = make([]int64, w)
+		e.spanServed = make([]int64, w)
 		e.spanInitPart = make([][]nnList, w)
 		e.spanBounds = make([]int, w+1)
 		e.spanRowList = make([]nnList, w)
@@ -358,9 +373,11 @@ func (e *Engine) prepare(n int) {
 		sl := e.kern.stripLen()
 		e.spanStrips = make([][]float64, w)
 		e.spanSums = make([][]float64, w)
+		e.spanDists = make([][]float64, w)
 		for sp := range w {
 			e.spanStrips[sp] = make([]float64, initBlock*sl)
 			e.spanSums[sp] = make([]float64, nnTile)
+			e.spanDists[sp] = make([]float64, 2*nnTile)
 		}
 		e.anchorStrip = make([]float64, sl)
 		e.repairSpanFn = e.repairSpan
@@ -373,6 +390,7 @@ func (e *Engine) prepare(n int) {
 	e.rowGen = slices.Grow(e.rowGen[:0], 2*m)
 	e.colGen = slices.Grow(e.colGen[:0], 2*m)
 	e.livePos = slices.Grow(e.livePos[:0], 2*m)
+	e.cls = slices.Grow(e.cls[:0], 2*m)
 	e.liveList = slices.Grow(e.liveList[:0], m)
 	e.nnHeap = slices.Grow(e.nnHeap[:0], 2*m)
 	e.mHead = slices.Grow(e.mHead[:0], 2*m)
@@ -387,7 +405,9 @@ func (e *Engine) prepare(n int) {
 	e.initScanEvals, e.initBoundSums = 0, 0
 	e.mergeScans, e.mergeScanEvals, e.mergeBoundSums = 0, 0, 0
 	e.absorbed, e.livePeak = 0, 0
+	e.classSums = 0
 	e.idx = nil
+	e.tc.classify(e.tbl, m)
 	// Final clusters hold ≥ max(K, 1) records each.
 	e.final = make([]*Cluster, 0, n/max(e.opt.K, 1))
 }
@@ -501,6 +521,7 @@ func (e *Engine) report() {
 	o.Counter(obs.CounterKernelTableHits, lcaEvals*int64(k.tabled))
 	o.Counter(obs.CounterKernelFallbackWalks, k.walks.Load())
 	o.Counter(obs.CounterKernelArenaReuses, k.reuses)
+	o.Counter(obs.CounterKernelClassSums, e.classSums)
 }
 
 // push appends a live cluster id with empty neighbour lists and returns
@@ -515,6 +536,7 @@ func (e *Engine) push() int {
 	e.colNN[id].reset(e.depth)
 	e.rowGen = append(e.rowGen, 0)
 	e.colGen = append(e.colGen, 0)
+	e.cls = append(e.cls, -1)
 	e.livePos = append(e.livePos, int32(len(e.liveList)))
 	e.liveList = append(e.liveList, int32(id))
 	return id
@@ -549,6 +571,7 @@ func (e *Engine) kill(id int) {
 // per-cluster heap allocation, and its member chain is the single record.
 func (e *Engine) pushSingleton(i int) int {
 	id := e.push()
+	e.cls[id] = e.tc.of[i]
 	e.kern.addSingleton(id, e.tbl.Records[i])
 	e.mHead = append(e.mHead, int32(i))
 	e.mTail = append(e.mTail, int32(i))
@@ -567,6 +590,10 @@ func (e *Engine) pushSingleton(i int) int {
 // the newborn ids appended to added.
 func (e *Engine) merge(a, b int, added []int) []int {
 	row, cost, size := e.kern.mergeScratch(a, b)
+	cls := e.cls[a]
+	if cls != e.cls[b] {
+		cls = -1
+	}
 	head, tail := e.mHead[a], e.mTail[b]
 	e.mNext[e.mTail[a]] = e.mHead[b]
 	e.kill(a)
@@ -582,6 +609,7 @@ func (e *Engine) merge(a, b int, added []int) []int {
 		e.final = append(e.final, c)
 	} else {
 		id := e.push()
+		e.cls[id] = cls
 		e.kern.addMerged(id, row, cost, size)
 		e.mHead = append(e.mHead, head)
 		e.mTail = append(e.mTail, tail)

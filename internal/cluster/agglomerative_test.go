@@ -290,7 +290,9 @@ func TestAgglomerateMatchesBruteForceNN(t *testing.T) {
 // members when the absorb pass appended a leftover record (visible as
 // spare capacity). Whatever is left must not depend on n: a per-pass make
 // in a newborn pass or rescan would add one per merge. The flat newborn
-// passes run at n=100 and 200, the split ones at nnTrieRecords and 500
+// passes run at n=100 and 200, and on ADT tuples that repeat (the tiled
+// build on tuple classes, with kept pair-sum rows that the twin merges'
+// passes read) at n=200 and 400; the split ones at nnTrieRecords and 500
 // more (~450 more merges).
 //
 // AllocsPerRun counts the mallocs of the whole process, and a binary that
@@ -303,11 +305,19 @@ func TestMergeLoopAllocatesNothingPerMerge(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	flat := func(n int) (*Space, *table.Table) { return randomSpace(t, rand.New(rand.NewSource(12)), n) }
 	split := func(n int) (*Space, *table.Table) { return adultSpace(t, n) }
+	dups := func(n int) (*Space, *table.Table) {
+		ds := duplicateAdult(n)
+		s, err := NewSpace(ds.Hiers, measureByName(t, "entropy", ds.Table, ds.Hiers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, ds.Table
+	}
 	for _, leg := range []struct {
 		space func(int) (*Space, *table.Table)
 		ns    [2]int
 		runs  int
-	}{{flat, [2]int{100, 200}, 5}, {split, [2]int{nnTrieRecords, nnTrieRecords + 500}, 3}} {
+	}{{flat, [2]int{100, 200}, 5}, {dups, [2]int{200, 400}, 5}, {split, [2]int{nnTrieRecords, nnTrieRecords + 500}, 3}} {
 		var rest [2]float64
 		for x, n := range leg.ns {
 			s, tbl := leg.space(n)

@@ -204,10 +204,12 @@ func TestAgglomerateCancelLeaksNoGoroutines(t *testing.T) {
 // TestAgglomerateCtxCancelDuringInitScanIsPrompt bounds the reaction
 // latency of a cancellation landing inside the O(n²) init build.
 func TestAgglomerateCtxCancelDuringInitScanIsPrompt(t *testing.T) {
-	s, tbl := randomSpace(t, rand.New(rand.NewSource(5)), 400)
-	// The init build polls once per block of initBlock records and once
-	// per tile, about 30 times for 400 records, so poll 20 falls inside
-	// it.
+	// ADT's 400 records hold 399 distinct tuples (the random table's 64
+	// possible tuples would leave the build two blocks of classes).
+	s, tbl := adultSpace(t, 400)
+	// The init build polls once per block of initBlock tuple classes and
+	// once per tile, about 30 times for 400 classes, so poll 20 falls
+	// inside it.
 	ctx := newPollCtx(20)
 	_, st, err := AgglomerateStatsCtx(ctx, s, tbl, AggloOptions{K: 10, Distance: D3{}, Workers: 2})
 	elapsed := time.Since(ctx.at)

@@ -51,6 +51,14 @@ func fuzzTable(data []byte) (*table.Table, []int) {
 	return tbl, sensitive
 }
 
+// poolTuples gives every record of tbl past the first pool the tuple of
+// one of those, chosen by its own first value.
+func poolTuples(tbl *table.Table, pool int) {
+	for i := pool; i < tbl.Len(); i++ {
+		tbl.Records[i] = tbl.Records[tbl.Records[i][0]%pool]
+	}
+}
+
 // FuzzAgglomerate drives the engine over small random tables: whatever the
 // input, the engine must not panic, must either reject the options
 // identically at every worker count or return a clustering satisfying the
@@ -59,16 +67,23 @@ func fuzzTable(data []byte) (*table.Table, []int) {
 // engine must equal the naive oracle (oracle_test.go)
 // exactly — including under ℓ-diversity and t-closeness constraints (mode
 // bits 2 and 4) — and the trie-searched initial lists must equal the tiled
-// build's.
+// build's. Mode bit 8 draws the records' tuples from a pool of the first
+// one to four (the high bits), so that every tuple repeats and the tiled
+// build and the passes work on tuple classes.
 func FuzzAgglomerate(f *testing.F) {
 	f.Add([]byte{0x00}, uint8(2), uint8(0), uint8(0))
 	f.Add([]byte{0x01, 0x02, 0x13, 0x24, 0x35, 0x46, 0x57, 0x68, 0x79, 0x8a}, uint8(3), uint8(2), uint8(1))
 	f.Add([]byte{0xff, 0xfe, 0xfd, 0xfc, 0x01, 0x02, 0x03, 0x04}, uint8(2), uint8(3), uint8(3))
 	f.Add([]byte{0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0x11, 0x22, 0x33, 0x44}, uint8(4), uint8(1), uint8(2))
 	f.Add([]byte{0x10, 0x32, 0x54, 0x76, 0x98, 0xba, 0xdc, 0xfe, 0x21, 0x43}, uint8(5), uint8(4), uint8(5))
+	f.Add([]byte{0x01, 0x02, 0x13, 0x24, 0x35, 0x46, 0x57, 0x68, 0x79, 0x8a, 0x9b, 0xac, 0xbd, 0xce}, uint8(4), uint8(2), uint8(8|2<<4))
+	f.Add([]byte{0xff, 0xfe, 0xfd, 0xfc, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08}, uint8(3), uint8(4), uint8(9|1<<4))
 	f.Fuzz(func(t *testing.T, data []byte, kb, distSel, mode uint8) {
 		s := fuzzSpace(t)
 		tbl, sensitive := fuzzTable(data)
+		if mode&8 != 0 {
+			poolTuples(tbl, 1+int(mode>>4)%4)
+		}
 		dists := AllDistances()
 		opt := AggloOptions{
 			K:        int(kb%34) - 1, // −1..32: exercises the k<0, k=0 and k>n rejections too
@@ -374,38 +389,25 @@ func checkStripPricing(t *testing.T, label string, s *Space, tbl *table.Table, s
 						}
 					}
 				}
-				// The initial build offers consecutive ids: those below the
-				// anchor, then those above it, each span priced in one call and
-				// offered in windows as above.
-				cols := make([]nnList, len(cls))
-				for i := range cols {
-					cols[i].reset(depth)
+			}
+			// The initial build evaluates runs of candidates in both
+			// orientations: every run of others, priced in one call.
+			dRow, dCol := make([]float64, len(cls)), make([]float64, len(cls))
+			for run := 1; run <= len(others); run++ {
+				cands := others[:run]
+				k.price(strip, cands, sums)
+				if got := k.evalBoth(a, cands, sums, dRow, dCol); got != 2*int64(run) {
+					t.Errorf("%s %s: evalBoth counted %d evaluations, want %d", label, d.Name(), got, 2*run)
 				}
-				for _, span := range [][2]int{{0, a}, {a + 1, len(cls)}} {
-					lo, hi := span[0], span[1]
-					if lo == hi {
-						continue
-					}
-					ids := make([]int32, 0, hi-lo)
-					for b := lo; b < hi; b++ {
-						ids = append(ids, int32(b))
-					}
-					k.price(strip, ids, sums)
-					for wlo := lo; wlo < hi; wlo += w {
-						whi := min(wlo+w, hi)
-						var buildRow nnList
-						buildRow.reset(depth)
-						if got := k.offerBuild(a, wlo, sums[wlo-lo:whi-lo], &buildRow, cols[wlo:whi]); got != 2*int64(whi-wlo) {
-							t.Errorf("%s %s: offerBuild counted %d evaluations, want %d", label, d.Name(), got, 2*(whi-wlo))
+				for q, b32 := range cands {
+					b := int(b32)
+					for _, c := range []struct {
+						x, y int
+						got  float64
+					}{{a, b, dRow[q]}, {b, a, dCol[q]}} {
+						if want := ref(d, cls[c.x], cls[c.y]); math.Float64bits(c.got) != math.Float64bits(want) {
+							t.Errorf("%s %s build: dist(%d, %d) = %v, reference %v", label, d.Name(), c.x, c.y, c.got, want)
 						}
-						for b := wlo; b < whi; b++ {
-							check("build", a, b, &buildRow, int32(b), ref(d, cls[a], cls[b]))
-						}
-					}
-				}
-				for b := range cls {
-					if b != a {
-						check("build", b, a, &cols[b], int32(a), ref(d, cls[b], cls[a]))
 					}
 				}
 			}

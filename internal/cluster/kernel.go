@@ -28,7 +28,7 @@ import (
 //     candidate streams one contiguous row instead of chasing a heap
 //     GenRecord; per-id costs and sizes sit in parallel flat arrays;
 //   - the Distance interface is resolved once at kernel construction into
-//     a distKind. The pair passes' offer helpers (offerBuild, offerNewborn,
+//     a distKind. The pair passes' helpers (evalBoth, offerNewborn,
 //     offerRescan) switch on it once per priced run and evaluate the
 //     formula inline in the loop that offers each candidate to its
 //     neighbour lists, so a priced pair costs no function call; eval, the
@@ -353,6 +353,43 @@ func (k *kernel) price(strip []float64, ids []int32, sums []float64) {
 	}
 }
 
+// priceFrom is price for an anchor whose closure is a tuple class's with a
+// kept pair-sum row (tupleClasses): a candidate whose closure is class
+// b's tuple (cls[id] = b ≥ 0) takes row[b], the sum price would add, and
+// any other is priced against the strip in the same order as price. It
+// returns the candidates served from the row.
+func (k *kernel) priceFrom(strip, row []float64, cls []int32, ids []int32, sums []float64) int64 {
+	r, rows, rowOf := k.r, k.rows, k.rowOf
+	off := k.off[:r]
+	sums = sums[:len(ids)]
+	served := int64(0)
+	for q, id := range ids {
+		if b := cls[id]; b >= 0 {
+			sums[q] = row[b]
+			served++
+			continue
+		}
+		rb := rows[int(rowOf[id])*r:][:r]
+		s := 0.0
+		for j, o := range off {
+			s += strip[o+int(rb[j])]
+		}
+		sums[q] = s
+	}
+	return served
+}
+
+// leafSum returns the cost sum of singleton id's leaves in ascending
+// attribute order: its pair sum with its own tuple, since
+// cost(LCA(v, v)) is cost(v).
+func (k *kernel) leafSum(id int) float64 {
+	sum := 0.0
+	for j, v := range k.row(id) {
+		sum += k.s.costs[j][v]
+	}
+	return sum
+}
+
 // The offer helpers evaluate one priced run of a pair pass (DESIGN.md §17)
 // and offer the distances to neighbour lists. Each switches on the distance
 // kind once and runs the chosen formula inline in its candidate loop; the
@@ -361,53 +398,54 @@ func (k *kernel) price(strip []float64, ids []int32, sums []float64) {
 // share dU = sum/r. Each helper returns the evaluations it made, the
 // engine's dist_evals.
 
-// offerBuild evaluates the initial build's pairs of anchor a with the
-// consecutive ids lo, lo+1, …, lo+len(sums)−1, priced in sums: dist(a, j)
-// goes to row under j, dist(j, a) to cols[j−lo] under a.
-func (k *kernel) offerBuild(a, lo int, sums []float64, row *nnList, cols []nnList) int64 {
-	fr, sa, ca, a32 := float64(k.r), int(k.size[a]), k.cost[a], int32(a)
-	size, cost := k.size[lo:lo+len(sums)], k.cost[lo:lo+len(sums)]
-	cols = cols[:len(sums)]
+// evalBoth evaluates the pairs of anchor a with the ids priced in sums in
+// both orientations, for the initial build: dist(a, ids[q]) into dRow[q]
+// and dist(ids[q], a) into dCol[q].
+func (k *kernel) evalBoth(a int, ids []int32, sums, dRow, dCol []float64) int64 {
+	fr, sa, ca := float64(k.r), int(k.size[a]), k.cost[a]
+	size, cost := k.size, k.cost
+	sums = sums[:len(ids)]
+	dRow, dCol = dRow[:len(ids)], dCol[:len(ids)]
 	switch k.kind {
 	case distD1:
-		for q, s := range sums {
-			dU, sb, cb := s/fr, int(size[q]), cost[q]
-			row.offer(d1Eval(sa, sb, sa+sb, ca, cb, dU), int32(lo+q))
-			cols[q].offer(d1Eval(sb, sa, sb+sa, cb, ca, dU), a32)
+		for q, y := range ids {
+			dU, sb, cb := sums[q]/fr, int(size[y]), cost[y]
+			dRow[q] = d1Eval(sa, sb, sa+sb, ca, cb, dU)
+			dCol[q] = d1Eval(sb, sa, sb+sa, cb, ca, dU)
 		}
 	case distD2:
-		for q, s := range sums {
-			dU, cb := s/fr, cost[q]
-			row.offer(d2Eval(ca, cb, dU), int32(lo+q))
-			cols[q].offer(d2Eval(cb, ca, dU), a32)
+		for q, y := range ids {
+			dU, cb := sums[q]/fr, cost[y]
+			dRow[q] = d2Eval(ca, cb, dU)
+			dCol[q] = d2Eval(cb, ca, dU)
 		}
 	case distD3:
 		logTab := k.logTab
-		for q, s := range sums {
-			dU, cb, den := s/fr, cost[q], logTab[sa+int(size[q])]
-			row.offer(d3Eval(den, ca, cb, dU), int32(lo+q))
-			cols[q].offer(d3Eval(den, cb, ca, dU), a32)
+		for q, y := range ids {
+			dU, cb, den := sums[q]/fr, cost[y], logTab[sa+int(size[y])]
+			dRow[q] = d3Eval(den, ca, cb, dU)
+			dCol[q] = d3Eval(den, cb, ca, dU)
 		}
 	case distD4:
-		for q, s := range sums {
-			dU, cb := s/fr, cost[q]
-			row.offer(d4Eval(ca, cb, dU), int32(lo+q))
-			cols[q].offer(d4Eval(cb, ca, dU), a32)
+		for q, y := range ids {
+			dU, cb := sums[q]/fr, cost[y]
+			dRow[q] = d4Eval(ca, cb, dU)
+			dCol[q] = d4Eval(cb, ca, dU)
 		}
 	case distNC:
-		for q, s := range sums {
-			dU, cb := s/fr, cost[q]
-			row.offer(ncEval(cb, dU), int32(lo+q))
-			cols[q].offer(ncEval(ca, dU), a32)
+		for q, y := range ids {
+			dU, cb := sums[q]/fr, cost[y]
+			dRow[q] = ncEval(cb, dU)
+			dCol[q] = ncEval(ca, dU)
 		}
 	default:
-		for q, s := range sums {
-			dU, sb, cb := s/fr, int(size[q]), cost[q]
-			row.offer(k.custom.Eval(sa, sb, sa+sb, ca, cb, dU), int32(lo+q))
-			cols[q].offer(k.custom.Eval(sb, sa, sb+sa, cb, ca, dU), a32)
+		for q, y := range ids {
+			dU, sb, cb := sums[q]/fr, int(size[y]), cost[y]
+			dRow[q] = k.custom.Eval(sa, sb, sa+sb, ca, cb, dU)
+			dCol[q] = k.custom.Eval(sb, sa, sb+sa, cb, ca, dU)
 		}
 	}
-	return 2 * int64(len(sums))
+	return 2 * int64(len(ids))
 }
 
 // offerNewborn evaluates a newborn pass's pairs of anchor a with the ids

@@ -3,6 +3,8 @@ package cluster
 import (
 	"math"
 	"slices"
+
+	"kanon/internal/table"
 )
 
 // This file implements the lazy NN-heap merge selection of the
@@ -38,7 +40,10 @@ import (
 //     ripe cluster) does no pass at all. Below the crossover, and under a
 //     user-supplied distance or an infinite cost, the pass is flat: every
 //     live cluster is priced against the newborn's cost strip (kernel.go),
-//     one priced sum per pair serving both orientations. Above it the run
+//     one priced sum per pair serving both orientations — or, when the
+//     newborn's closure is a repeated tuple (a twin merge), read from that
+//     tuple's kept pair-sum row for every candidate whose closure is a
+//     tuple too (tupleClasses); rescans do the same. Above it the run
 //     keeps a singleton index (trie.go) and the pass is split: the live
 //     merged clusters, ~4% of a pass's candidates on ADT, are priced flat,
 //     and the live singletons are searched best-first over the record
@@ -58,11 +63,19 @@ import (
 //     bound is not above the list's discard bound are expanded or priced
 //     — ~10 priced pairs a record at n=10000 instead of n−1. Below the
 //     crossover, and under a user-supplied distance or an infinite cost,
-//     buildNNTiled walks the strict lower triangle in
-//     initBlock×nnTile tiles, each block row anchored on its own strip,
-//     one priced sum per unordered pair, feeding row[i] and column[i]
-//     which only block-owner workers write, its spans cut at equal shares
-//     of the priced pairs. Both leave identical lists.
+//     buildNNTiled works on the table's tuple classes: it walks the
+//     strict lower triangle of distinct tuples in initBlock×nnTile tiles,
+//     each block class anchored on its own strip, one priced sum per
+//     unordered pair of tuples, feeding the two classes' lists, which
+//     only block-owner workers write, under the other class's records;
+//     each record's row is its class's list plus its twins. Its spans are
+//     cut at equal shares of the priced pairs, and it keeps the pair-sum
+//     rows of the repeated tuples for the passes. Both builds leave
+//     identical lists: a list is a function of its offered (d, id)
+//     multiset, which is the same whether a pair of tuples is priced once
+//     or once per pair of records. Nothing assumes that twins merge first:
+//     a kept row serves whatever pass is anchored on its tuple, whenever
+//     it runs.
 //
 // Determinism: heap keys are unique — (kind, owner, gen) never repeats
 // because the owner's generation is bumped before every re-push — so the
@@ -376,6 +389,106 @@ func (e *Engine) heapMaybeCompact() {
 	}
 }
 
+// tupleClasses groups a run's records by tuple: its records sorted by
+// (tuple, index), as the record trie sorts them, cut into runs of equal
+// tuples, the classes, numbered in that order. Records of one class have
+// one closure and one cost, so a pair cost that involves them is the same
+// for each: the tiled initial build prices each pair of classes once
+// (buildNNTiled), and keeps the pair-sum row of every class that holds
+// two or more records, from which a flat newborn pass or rescan anchored
+// on such a class's tuple reads the sums of its leaf-tuple candidates
+// (keptRow). The arrays are sized by the engine's largest table and kept
+// across runs.
+type tupleClasses struct {
+	recs  []int32   // the run's record indices sorted by (tuple, index)
+	keys  []uint64  // sortByTuple's scratch
+	start []int32   // class c holds recs[start[c]:start[c+1]], in index order
+	reps  []int32   // reps[c] = recs[start[c]], the class's least record
+	of    []int32   // of[j]: record j's class
+	slot  []int32   // slot[c]: class c's kept row, sums[slot·m:(slot+1)·m], or −1
+	sums  []float64 // the kept rows: one pair sum per (kept class, class)
+	lists []nnList  // the tiled build's class lists
+}
+
+// keptBudget caps the kept rows of a run, in pair sums (16 MiB). A class
+// that would pass it keeps no row, and the passes anchored on its tuple
+// price their candidates. Every table of up to 2896 records fits: its
+// kept rows number at most n²/4, t classes of two or more records leaving
+// at most n − t classes.
+const keptBudget = 1 << 21
+
+// classify sorts tbl's records into tuple classes, growing the arrays to
+// hold a table of max records, and drops the previous run's kept rows.
+func (c *tupleClasses) classify(tbl *table.Table, max int) {
+	n := tbl.Len()
+	c.recs, c.keys = sortByTuple(tbl, slices.Grow(c.recs[:0], max), slices.Grow(c.keys[:0], max))
+	c.start = slices.Grow(c.start[:0], max+1)
+	c.reps = slices.Grow(c.reps[:0], max)
+	c.of = slices.Grow(c.of[:0], max)[:n]
+	for p, j := range c.recs {
+		if p == 0 || !slices.Equal(tbl.Records[c.recs[p-1]], tbl.Records[j]) {
+			c.start = append(c.start, int32(p))
+			c.reps = append(c.reps, j)
+		}
+		c.of[j] = int32(len(c.reps) - 1)
+	}
+	c.start = append(c.start, int32(n))
+	c.slot = slices.Grow(c.slot[:0], max)[:len(c.reps)]
+	for i := range c.slot {
+		c.slot[i] = -1
+	}
+}
+
+// members returns class a's records, at most lim of them, least first.
+func (c *tupleClasses) members(a, lim int) []int32 {
+	lo := c.start[a]
+	return c.recs[lo:min(c.start[a+1], lo+int32(lim))]
+}
+
+// keepRows gives a kept row to every class of two or more records, in
+// class order, while the rows fit keptBudget, and returns the rows, nil
+// when no class keeps one. The first run that keeps a row sizes the rows
+// for the engine's largest table, so later runs of a partitioned release
+// allocate none.
+func (c *tupleClasses) keepRows(records int) []float64 {
+	m := len(c.reps)
+	twins := 0
+	for a := range m {
+		if c.start[a+1]-c.start[a] > 1 {
+			twins++
+		}
+	}
+	if twins == 0 {
+		return nil
+	}
+	if cap(c.sums) < min(twins*m, keptBudget) {
+		c.sums = make([]float64, min(records*records/4, keptBudget))
+	}
+	c.sums = c.sums[:cap(c.sums)]
+	t := int32(0)
+	for a := range m {
+		if c.start[a+1]-c.start[a] > 1 && int(t+1)*m <= len(c.sums) {
+			c.slot[a] = t
+			t++
+		}
+	}
+	return c.sums
+}
+
+// keptRow returns the kept pair-sum row of cluster id's tuple class, nil
+// when id's closure is not a class's tuple or its class keeps no row.
+// Entry b is the pair sum of the class's tuple with class b's.
+func (e *Engine) keptRow(id int) []float64 {
+	c := &e.tc
+	if a := e.cls[id]; a >= 0 {
+		if t := int(c.slot[a]); t >= 0 {
+			m := len(c.reps)
+			return c.sums[t*m : (t+1)*m : (t+1)*m]
+		}
+	}
+	return nil
+}
+
 // buildNNTiled is the initial nearest-neighbour build. All n singletons
 // are born together, so the birth-order coverage rule degenerates: every
 // row list caches the lex top-depth over ALL other clusters — both
@@ -386,34 +499,53 @@ func (e *Engine) heapMaybeCompact() {
 // cubic. Columns exist only for newborns, whose candidate range they keep
 // narrow.)
 //
-// The strict lower triangle is walked once — one priced sum per unordered
-// pair serves both orientations, half the LCA-cost sums that one scan per
-// ordered pair would spend — in initBlock-row blocks sweeping the
-// candidate ids in ascending nnTile-wide tiles, so a tile's arena rows are
-// reused across the whole block. Each block row i is an anchor: its cost
-// strip is loaded once per block into the span's strip slab, and every
-// tile prices its candidates j < i against it. For a pair (i, j), j < i,
-// dist(i, j) feeds row[i], owned by the block's worker; dist(j, i) feeds
-// row[j], written directly when j is inside the worker's own span and
-// folded into a span-local partial list otherwise. The partials are merged
-// and the heap seeded on the driving goroutine afterwards; lists are
-// fold-order independent, so any span geometry yields identical lists.
-// The spans split the blocks by priced pairs, not by count
-// (tiledBounds). Each block and each tile polls ctx, and each record of a
-// block counts as one scan of its n−1 candidates.
+// The build works on the run's tuple classes (tupleClasses): a record's
+// distance to another depends only on their two tuples, so each class
+// pair is priced and evaluated once, and every record pair is offered the
+// distances of its class pair. The strict lower triangle of classes is
+// walked once — one priced sum per unordered pair serves both
+// orientations — in initBlock-class blocks sweeping the candidate classes
+// in nnTile-wide tiles, so a tile's arena rows are reused across the whole
+// block. Each block class a is an anchor: the cost strip of its
+// least record is loaded once per block into the span's strip slab, and
+// every tile prices the least records of its classes b < a against it.
+// dist(a, b) feeds class a's list, owned by the block's worker, under
+// each record of b; dist(b, a) feeds class b's list under each record of
+// a, written directly when b is inside the worker's own span and folded
+// into a span-local partial list otherwise. The class lists thus hold,
+// for each class, what its records' rows are offered by other classes;
+// each record's row is then its class list plus its twins, the other
+// records of its class, at the class's own distance. A list keeps the lex
+// top-depth of what it is offered and the lex-least of the rest, and
+// candidates of one distance order by id, so only a class's depth + 1
+// least records are offered anywhere: the others could enter neither the
+// list nor its discard bound. The partials are merged and the heap seeded
+// on the driving goroutine afterwards; lists are fold-order independent,
+// so any span geometry yields identical lists, and they are the lists a
+// walk over every record pair would leave. The spans split the blocks by
+// priced pairs, not by count (tiledBounds). Each block and each tile polls
+// ctx, and each class of a block counts as one scan of its m−1 candidate
+// classes.
 func (e *Engine) buildNNTiled(n int) error {
-	numBlocks := (n + initBlock - 1) / initBlock
+	c := &e.tc
+	m := len(c.reps)
+	kept := c.keepRows(max(n, e.records))
+	numBlocks := (m + initBlock - 1) / initBlock
 	for bi := 0; bi < numBlocks; bi++ {
-		if t := min((bi+1)*initBlock, n) - 1; t > 0 {
+		if t := min((bi+1)*initBlock, m) - 1; t > 0 {
 			e.stats.TilesScanned += int64((t + nnTile - 1) / nnTile)
 		}
 	}
 	k := e.kern
 	sl := k.stripLen()
-	// No cluster has died yet, so the live list is the identity 0..n-1 and
-	// live[jLo:jHi] names the candidate ids of a tile.
-	live := e.liveList
-	bounds := e.tiledBounds(n, numBlocks)
+	lim := int(e.depth) + 1
+	c.lists = slices.Grow(c.lists[:0], max(n, e.records))[:m]
+	for a := range c.lists {
+		c.lists[a].reset(e.depth)
+	}
+	lists, reps, slot := c.lists, c.reps, c.slot
+	start, recs := c.start, c.recs
+	bounds := e.tiledBounds(m, numBlocks)
 	spans, err := e.pool.ForSpansCtx(e.ctx, len(bounds)-1, 1, func(sLo, sHi, sp int) {
 		bLo, bHi := bounds[sLo], bounds[sHi]
 		floor := bLo * initBlock
@@ -422,49 +554,114 @@ func (e *Engine) buildNNTiled(n int) error {
 			part[j].reset(e.depth)
 		}
 		e.spanInitPart[sp] = part
-		strips, sums := e.spanStrips[sp], e.spanSums[sp]
-		evals, records := int64(0), int64(0)
+		strips, sums, dists := e.spanStrips[sp], e.spanSums[sp], e.spanDists[sp]
+		evals, classes := int64(0), int64(0)
 		for bi := bLo; bi < bHi && !e.cancelled(); bi++ {
 			iLo := bi * initBlock
-			iHi := min(iLo+initBlock, n)
-			for i := max(iLo, 1); i < iHi; i++ {
-				k.loadStrip(strips[(i-iLo)*sl:(i-iLo+1)*sl], i)
+			iHi := min(iLo+initBlock, m)
+			for a := max(iLo, 1); a < iHi; a++ {
+				k.loadStrip(strips[(a-iLo)*sl:(a-iLo+1)*sl], int(reps[a]))
 			}
-			for jLo := 0; jLo < iHi-1; jLo += nnTile {
+			// The tiles, and the candidates of a tile, go downwards from
+			// the anchor: classes adjacent in tuple order share their
+			// leading values and tend to be near, so a row list meets its
+			// nearest candidates first and rejects most of the rest at
+			// its guard.
+			for jLo := (iHi - 2) / nnTile * nnTile; iHi > 1 && jLo >= 0; jLo -= nnTile {
 				if e.cancelled() {
 					break
 				}
 				jHi := min(jLo+nnTile, iHi-1)
-				for i := max(iLo, jLo+1); i < iHi; i++ {
-					jEnd := min(jHi, i)
-					cands := live[jLo:jEnd]
-					k.price(strips[(i-iLo)*sl:(i-iLo+1)*sl], cands, sums)
-					// dist(j, i) goes to the span-local partial below the
-					// span's floor and to row j itself from there on.
-					row, mid := &e.rowNN[i], min(max(floor, jLo), jEnd)
-					if mid > jLo {
-						evals += k.offerBuild(i, jLo, sums[:mid-jLo], row, part[jLo:mid])
+				for a := max(iLo, jLo+1); a < iHi; a++ {
+					jEnd := min(jHi, a)
+					w := jEnd - jLo
+					k.price(strips[(a-iLo)*sl:(a-iLo+1)*sl], reps[jLo:jEnd], sums)
+					if kept != nil {
+						if t := int(slot[a]); t >= 0 {
+							copy(kept[t*m+jLo:t*m+jEnd], sums[:w])
+						}
+						for q, t := range slot[jLo:jEnd] {
+							if t >= 0 {
+								kept[int(t)*m+a] = sums[q]
+							}
+						}
 					}
-					if mid < jEnd {
-						evals += k.offerBuild(i, mid, sums[mid-jLo:jEnd-jLo], row, e.rowNN[mid:jEnd])
+					dRow, dCol := dists[:w], dists[nnTile:nnTile+w]
+					evals += k.evalBoth(int(reps[a]), reps[jLo:jEnd], sums, dRow, dCol)
+					// dist(b, a) goes to the span-local partial below the
+					// span's floor and to class b's list from there on. A
+					// class of one record, the common case, takes one offer.
+					row, own := &lists[a], c.members(a, lim)
+					for q := w - 1; q >= 0; q-- {
+						b := jLo + q
+						if lo := start[b]; start[b+1] == lo+1 {
+							row.offer(dRow[q], recs[lo])
+						} else {
+							for _, j := range c.members(b, lim) {
+								row.offer(dRow[q], j)
+							}
+						}
+						col := &lists[b]
+						if b < floor {
+							col = &part[b]
+						}
+						for _, i := range own {
+							col.offer(dCol[q], i)
+						}
 					}
 				}
 			}
-			records += int64(iHi - iLo)
+			classes += int64(iHi - iLo)
 		}
 		e.distEvals.Add(evals)
-		e.initScans.Add(records)
+		e.initScans.Add(classes)
 	})
-	e.initScanEvals = e.initScans.Load() * int64(n-1)
+	e.initScanEvals = e.initScans.Load() * int64(m-1)
 	if err != nil {
 		return err
 	}
 	for sp := 0; sp < spans; sp++ {
-		for j := range e.spanInitPart[sp] {
-			e.rowNN[j].mergeFrom(&e.spanInitPart[sp][j])
+		for b := range e.spanInitPart[sp] {
+			lists[b].mergeFrom(&e.spanInitPart[sp][b])
 		}
 		e.spanInitPart[sp] = e.spanInitPart[sp][:0]
 	}
+	// Each record's row: its class list, and its twins at the distance of
+	// the class's tuple to itself, whose pair sum is the tuple's leaf cost
+	// sum (cost(LCA(v, v)) is cost(v)) and whose dU is the class's cost.
+	evals := int64(0)
+	for a := range m {
+		mem := c.members(a, n)
+		if len(mem) == 1 {
+			e.rowNN[mem[0]] = lists[a]
+			continue
+		}
+		rep := int(reps[a])
+		sum := k.leafSum(rep)
+		if t := int(slot[a]); t >= 0 {
+			kept[t*m+a] = sum
+		}
+		ca := k.cost[rep]
+		d := k.eval(1, 1, 2, ca, ca, sum/float64(k.r))
+		evals++
+		for _, i := range mem {
+			row := &e.rowNN[i]
+			*row = lists[a]
+			twins := 0
+			for _, j := range mem {
+				if twins == lim {
+					break
+				}
+				if j != i {
+					row.offer(d, j)
+					twins++
+				}
+			}
+		}
+	}
+	e.distEvals.Add(evals)
+	e.initScanEvals += evals
+	e.classSums += int64(n)*int64(n-1)/2 - int64(m)*int64(m-1)/2
 	for i := 0; i < n; i++ {
 		e.pushRowHead(i)
 	}
@@ -551,26 +748,46 @@ func (e *Engine) healList(l *nnList, owner int, kind uint8) {
 
 // rescanList rebuilds one list exactly over the dense live list, sharded
 // into nnTile-sized tiles and anchored on the owner's cost strip, loaded
-// once on the driving goroutine: dist(owner, y) for a row list,
-// dist(y, owner) for a column list. A rescan widens the list's coverage
-// from its birth-order range to every current live cluster — pairs a
-// newer cluster's column also covers — which is harmless: both covering
-// entries demand the identical merge.
+// once on the driving goroutine, or on its tuple class's kept row
+// (loadAnchor): dist(owner, y) for a row list, dist(y, owner) for a
+// column list. A rescan widens the list's coverage from its birth-order
+// range to every current live cluster — pairs a newer cluster's column
+// also covers — which is harmless: both covering entries demand the
+// identical merge.
 func (e *Engine) rescanList(owner int, dst *nnList, kind uint8) {
 	numTiles := (len(e.liveList) + nnTile - 1) / nnTile
 	e.stats.TilesScanned += int64(numTiles)
-	e.kern.loadStrip(e.anchorStrip, owner)
-	e.anchor, e.anchorKind = owner, kind
+	e.loadAnchor(owner)
+	e.anchorKind = kind
 	spans := e.pool.ForSpans(numTiles, 1, e.rescanSpanFn)
 	dst.reset(e.depth)
 	evals := int64(0)
 	for sp := 0; sp < spans; sp++ {
 		evals += e.spanEvals[sp]
+		e.classSums += e.spanServed[sp]
 		dst.mergeFrom(&e.spanRowList[sp])
 	}
 	e.distEvals.Add(evals)
 	e.mergeScans++
 	e.mergeScanEvals += evals
+}
+
+// loadAnchor makes cluster id the anchor of a pass: its cost strip, and
+// the kept pair-sum row of its tuple class when it has one (keptRow),
+// which the pass reads its leaf-tuple candidates' sums from (priceFrom).
+func (e *Engine) loadAnchor(id int) {
+	e.kern.loadStrip(e.anchorStrip, id)
+	e.anchor, e.anchorSums = id, e.keptRow(id)
+}
+
+// priceAnchor prices the candidates ids against the pass's anchor into
+// sums, and returns those served from its kept row.
+func (e *Engine) priceAnchor(ids []int32, sums []float64) int64 {
+	if e.anchorSums != nil {
+		return e.kern.priceFrom(e.anchorStrip, e.anchorSums, e.cls, ids, sums)
+	}
+	e.kern.price(e.anchorStrip, ids, sums)
+	return 0
 }
 
 // rescanSpan is one span of rescanList: tiles [tLo, tHi) of the live list,
@@ -580,13 +797,13 @@ func (e *Engine) rescanSpan(tLo, tHi, sp int) {
 	l := &e.spanRowList[sp]
 	l.reset(e.depth)
 	sums := e.spanSums[sp]
-	evals := int64(0)
+	evals, served := int64(0), int64(0)
 	for t := tLo; t < tHi; t++ {
 		tile := live[t*nnTile : min((t+1)*nnTile, len(live))]
-		k.price(e.anchorStrip, tile, sums)
+		served += e.priceAnchor(tile, sums)
 		evals += k.offerRescan(owner, tile, sums, l, e.anchorKind == entCol)
 	}
-	e.spanEvals[sp] = evals
+	e.spanEvals[sp], e.spanServed[sp] = evals, served
 }
 
 // repairHeap restores the lazy-path invariants after a merge. A merge that
@@ -642,14 +859,15 @@ func (e *Engine) newbornSplit(nb int) {
 
 // newbornPrice resets nb's row and column lists and prices nb against the
 // candidates cands, sharded into nnTile-sized tiles and anchored on nb's
-// cost strip, loaded once on the driving goroutine: each candidate pair is
-// priced once, feeding both lists. Workers write only span-local scratch;
-// list merges and counters happen on the driving goroutine in span order.
+// cost strip, loaded once on the driving goroutine, or on its tuple
+// class's kept row (loadAnchor): each candidate pair is priced once,
+// feeding both lists. Workers write only span-local scratch; list merges
+// and counters happen on the driving goroutine in span order.
 func (e *Engine) newbornPrice(nb int, cands []int32) {
 	numTiles := (len(cands) + nnTile - 1) / nnTile
 	e.stats.TilesScanned += int64(numTiles)
-	e.kern.loadStrip(e.anchorStrip, nb)
-	e.anchor, e.cands = nb, cands
+	e.loadAnchor(nb)
+	e.cands = cands
 	spans := e.pool.ForSpans(numTiles, 1, e.repairSpanFn)
 	row := &e.rowNN[nb]
 	col := &e.colNN[nb]
@@ -658,6 +876,7 @@ func (e *Engine) newbornPrice(nb int, cands []int32) {
 	evals := int64(0)
 	for sp := 0; sp < spans; sp++ {
 		evals += e.spanEvals[sp]
+		e.classSums += e.spanServed[sp]
 		row.mergeFrom(&e.spanRowList[sp])
 		col.mergeFrom(&e.spanColList[sp])
 	}
@@ -677,14 +896,14 @@ func (e *Engine) repairSpan(tLo, tHi, sp int) {
 	rl.reset(e.depth)
 	cl.reset(e.depth)
 	sums := e.spanSums[sp]
-	evals := int64(0)
+	evals, served := int64(0), int64(0)
 	for t := tLo; t < tHi; t++ {
 		if e.cancelled() {
 			break
 		}
 		tile := cands[t*nnTile : min((t+1)*nnTile, len(cands))]
-		k.price(e.anchorStrip, tile, sums)
+		served += e.priceAnchor(tile, sums)
 		evals += k.offerNewborn(nb, tile, sums, rl, cl)
 	}
-	e.spanEvals[sp] = evals
+	e.spanEvals[sp], e.spanServed[sp] = evals, served
 }

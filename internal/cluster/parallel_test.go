@@ -132,7 +132,8 @@ func TestParallelEquivalenceMinDiversity(t *testing.T) {
 
 // TestAgglomerateStatsCounters sanity-checks the engine's work counters:
 // the distance-evaluation count is worker-invariant, merges are counted,
-// and the initial build alone costs n·(n−1) evals.
+// and the initial build alone costs m·(m−1) evals over the table's m
+// distinct tuples (the random table holds at most 64).
 func TestAgglomerateStatsCounters(t *testing.T) {
 	const n = 120
 	s, tbl := randomSpace(t, rand.New(rand.NewSource(90)), n)
@@ -140,8 +141,9 @@ func TestAgglomerateStatsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seqStats.DistEvals < int64(n)*int64(n-1) {
-		t.Errorf("DistEvals = %d, want ≥ n(n−1) = %d from the initial build", seqStats.DistEvals, n*(n-1))
+	m := int64(len(distinctTuples(tbl)))
+	if seqStats.DistEvals < m*(m-1) {
+		t.Errorf("DistEvals = %d, want ≥ m(m−1) = %d from the initial build", seqStats.DistEvals, m*(m-1))
 	}
 	if seqStats.Merges == 0 {
 		t.Error("Merges = 0")
@@ -178,6 +180,65 @@ func TestAgglomerateStatsCounters(t *testing.T) {
 	}
 	if seqStats.TilesScanned == 0 {
 		t.Error("TilesScanned = 0 on the lazy path")
+	}
+}
+
+// distinctTuples returns the number of records of each distinct tuple of
+// tbl, keyed by the tuple's text.
+func distinctTuples(tbl *table.Table) map[string]int {
+	seen := make(map[string]int)
+	for _, rec := range tbl.Records {
+		seen[fmt.Sprint(rec)]++
+	}
+	return seen
+}
+
+// TestClassSumsWorkerInvariant runs Algorithms 1 and 2 on tables of
+// duplicate tuples at workers 1 and 4: every observed counter must agree,
+// cluster.kernel.class_sums included, and the initial build must have
+// evaluated m(m−1) pairs of the m distinct tuples plus one twin distance
+// per tuple of two or more records, and served the rest of the n(n−1)/2
+// record pairs' sums from the tuple classes, the newborn passes anchored
+// on a duplicated tuple adding theirs.
+func TestClassSumsWorkerInvariant(t *testing.T) {
+	for data, ds := range twinTables() {
+		s, err := NewSpace(ds.Hiers, loss.NewLM(ds.Hiers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := int64(ds.Table.Len())
+		counts := distinctTuples(ds.Table)
+		m, twins := int64(len(counts)), int64(0)
+		for _, c := range counts {
+			if c > 1 {
+				twins++
+			}
+		}
+		for _, modified := range []bool{false, true} {
+			var base obs.RunStats
+			for _, w := range []int{1, 4} {
+				label := fmt.Sprintf("%s modified=%v workers=%d", data, modified, w)
+				met := obs.NewMetrics()
+				if _, _, err := AgglomerateStatsCtx(obs.With(context.Background(), met), s, ds.Table,
+					AggloOptions{K: 10, Distance: D3{}, Modified: modified, Workers: w}); err != nil {
+					t.Fatal(err)
+				}
+				snap := met.Snapshot()
+				if w == 1 {
+					base = snap
+					if got, want := snap.Counter(PhaseInit+".scan_evals"), m*(m-1)+twins; got != want {
+						t.Errorf("%s: %s.scan_evals = %d, want m(m−1) + %d twin tuples = %d", label, PhaseInit, got, twins, want)
+					}
+					if got, least := snap.Counter(obs.CounterKernelClassSums), n*(n-1)/2-m*(m-1)/2; got <= least {
+						t.Errorf("%s: %s = %d, want more than the initial build's %d", label, obs.CounterKernelClassSums, got, least)
+					}
+					continue
+				}
+				if !reflect.DeepEqual(snap.Counters, base.Counters) {
+					t.Errorf("%s: counters differ from the sequential run:\n  seq: %v\n  got: %v", label, base.Counters, snap.Counters)
+				}
+			}
+		}
 	}
 }
 

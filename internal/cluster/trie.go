@@ -3,6 +3,7 @@ package cluster
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -44,17 +45,69 @@ type trieNode struct {
 
 // NewRecordTrie builds the trie over tbl's records.
 func NewRecordTrie(tbl *table.Table) *RecordTrie {
+	recs, _ := sortByTuple(tbl, nil, nil)
+	return newRecordTrie(tbl, recs)
+}
+
+// sortByTuple returns tbl's record indices sorted by (tuple, index), in
+// recs' storage when it has room, and keys, its scratch. When the bit
+// widths of the attributes' domains and of the largest index add up to at
+// most 64, it sorts packed keys — attribute 0 in the highest bits, the
+// index in the lowest — whose numeric order is the (tuple, index) order. A
+// wider schema, or a value outside its attribute's domain, takes a
+// comparison sort of the records.
+func sortByTuple(tbl *table.Table, recs []int32, keys []uint64) ([]int32, []uint64) {
 	n, r := tbl.Len(), tbl.Schema.NumAttrs()
-	recs := make([]int32, n)
-	for j := range recs {
-		recs[j] = int32(j)
-	}
-	slices.SortFunc(recs, func(x, y int32) int {
-		if c := slices.Compare(tbl.Records[x], tbl.Records[y]); c != 0 {
-			return c
+	recs = slices.Grow(recs[:0], n)[:n]
+	var width [64]int
+	iw := bits.Len(uint(n))
+	packed := r <= len(width)
+	if packed {
+		total := iw
+		for a, attr := range tbl.Schema.Attrs {
+			width[a] = bits.Len(uint(max(attr.Size()-1, 0)))
+			total += width[a]
 		}
-		return cmp.Compare(x, y)
-	})
+		packed = total <= 64
+	}
+	if packed {
+		keys = slices.Grow(keys[:0], n)[:n]
+	pack:
+		for j, rec := range tbl.Records {
+			key := uint64(0)
+			for a, v := range rec {
+				if uint(v)>>width[a] != 0 {
+					packed = false
+					break pack
+				}
+				key = key<<width[a] | uint64(v)
+			}
+			keys[j] = key<<iw | uint64(j)
+		}
+	}
+	if !packed {
+		for j := range recs {
+			recs[j] = int32(j)
+		}
+		slices.SortFunc(recs, func(x, y int32) int {
+			if c := slices.Compare(tbl.Records[x], tbl.Records[y]); c != 0 {
+				return c
+			}
+			return cmp.Compare(x, y)
+		})
+		return recs, keys
+	}
+	slices.Sort(keys)
+	for p, key := range keys {
+		recs[p] = int32(key & (1<<iw - 1))
+	}
+	return recs, keys
+}
+
+// newRecordTrie builds the trie over tbl's records given their
+// sortByTuple order, which it takes over.
+func newRecordTrie(tbl *table.Table, recs []int32) *RecordTrie {
+	n, r := tbl.Len(), tbl.Schema.NumAttrs()
 	// prefixes[ℓ]: the number of distinct ℓ-prefixes, one plus the number
 	// of adjacent sorted pairs that first differ before attribute ℓ.
 	prefixes := make([]int, r+1)
@@ -473,7 +526,7 @@ type singletonIndex struct {
 // indexSingletons builds the index over the run's n singletons, cluster
 // id j holding record j, as the initial build finds them.
 func (e *Engine) indexSingletons(n int, cmax float64) *singletonIndex {
-	t := NewRecordTrie(e.tbl)
+	t := newRecordTrie(e.tbl, slices.Clone(e.tc.recs))
 	x := &singletonIndex{
 		t:      t,
 		cost:   make([]float64, t.Width()),

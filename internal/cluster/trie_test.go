@@ -69,7 +69,9 @@ func duplicateAdult(n int) *datagen.Dataset {
 
 // TestNNInitTrieMatchesTiled calls both initial builders directly and
 // requires every row list — entries, depth and discard bound — and the
-// seeded heap to be identical, on ADT and on a table of duplicates, for
+// seeded heap to be identical, on ADT, on a table of duplicates and on one
+// whose every tuple repeats at least k = 10 times, more than a list's
+// depth + 1 (the tiled build offers no more of a tuple's records), for
 // every built-in distance and measure. Below the crossover it runs the
 // whole matrix at k 2 and 10 and workers 1 and 4; above it (not in -short
 // mode) each measure meets two distances, in turn, at workers 4. A space
@@ -91,10 +93,13 @@ func TestNNInitTrieMatchesTiled(t *testing.T) {
 		}})
 	}
 	for _, lg := range legs {
-		for _, data := range []string{"adt", "dups"} {
+		for _, data := range []string{"adt", "dups", "repeated"} {
 			ds := datagen.Adult(lg.n, 1)
-			if data == "dups" {
+			switch data {
+			case "dups":
 				ds = duplicateAdult(lg.n)
+			case "repeated":
+				ds = repeatedAdult(lg.n/11, 10)
 			}
 			for mi, mname := range measures {
 				s, err := NewSpace(ds.Hiers, measureByName(t, mname, ds.Table, ds.Hiers))
@@ -117,7 +122,9 @@ func TestNNInitTrieMatchesTiled(t *testing.T) {
 // checkInitLists builds the initial lists of tbl under d with the tiled
 // build and, at every k and worker count given, with the trie search, and
 // fails unless every row list and the seeded heap agree and the trie
-// search priced no more pairs.
+// search priced no more pairs than a scan of every ordered record pair.
+// (The tiled build prices pairs of distinct tuples, which on a table of
+// duplicates can be far fewer.)
 func checkInitLists(t *testing.T, label string, s *Space, tbl *table.Table, d Distance, ks, workers []int) {
 	t.Helper()
 	n := tbl.Len()
@@ -148,8 +155,8 @@ func checkInitLists(t *testing.T, label string, s *Space, tbl *table.Table, d Di
 			if !slices.Equal(want.nnHeap, got.nnHeap) {
 				t.Fatalf("%s: seeded heaps differ", label)
 			}
-			if ev := got.distEvals.Load(); ev > want.distEvals.Load() {
-				t.Errorf("%s: trie search priced %d pairs, tiled %d", label, ev, want.distEvals.Load())
+			if ev := got.distEvals.Load(); ev > int64(n)*int64(n-1) {
+				t.Errorf("%s: trie search priced %d pairs, more than the n(n−1) = %d of an all-pairs scan", label, ev, n*(n-1))
 			}
 			got.Close(nil)
 		}
@@ -430,6 +437,136 @@ func TestTrieLimitMatchesBisection(t *testing.T) {
 			}
 			if got := k.trieLimit(sa, sb, ca, cb, ub); got != want {
 				t.Fatalf("%s f(%d, %d, %v, %v) ≤ %v: trieLimit %v, bisection %v", d.Name(), sa, sb, ca, cb, ub, got, want)
+			}
+		}
+	}
+}
+
+// repeatedAdult returns a table of ADT tuples in which every tuple repeats
+// at least k times: tuples tuples of Adult(n, 4), the i-th taken k + i%3
+// times, in a shuffled order, with the sensitive values of the records
+// they were drawn in place of.
+func repeatedAdult(tuples, k int) *datagen.Dataset {
+	ds := datagen.Adult(tuples*(k+2), 4)
+	tbl := table.New(ds.Table.Schema)
+	for i := 0; i < tuples; i++ {
+		for range k + i%3 {
+			tbl.MustAppend(slices.Clone(ds.Table.Records[i]))
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	rng.Shuffle(tbl.Len(), func(i, j int) { tbl.Records[i], tbl.Records[j] = tbl.Records[j], tbl.Records[i] })
+	ds.Table, ds.Sensitive = tbl, ds.Sensitive[:tbl.Len()]
+	return ds
+}
+
+// twinTables are the duplicate-heavy tables the tuple-class tests run on:
+// duplicateAdult, whose tuples repeat a random number of times, and
+// repeatedAdult, whose tuples all repeat at least k = 10 times.
+func twinTables() map[string]*datagen.Dataset {
+	return map[string]*datagen.Dataset{"dups": duplicateAdult(200), "repeated": repeatedAdult(14, 10)}
+}
+
+// TestTwinsMatchOracle runs the engine against the naive oracle on tables
+// of duplicate tuples, where the tiled build prices each pair of distinct
+// tuples once and the passes anchored on a duplicated tuple read its kept
+// pair-sum row: Algorithms 1 and 2 under every built-in distance and the
+// entropy, LM and suppression measures, and under recursive (4, 2)
+// diversity and 0.3-closeness, at workers 1 and 4 and both depths (in
+// -short mode under entropy only). One engine then runs over windows of
+// the tables that grow and shrink, as the shards of a partitioned run do,
+// each checked against the oracle.
+func TestTwinsMatchOracle(t *testing.T) {
+	dists := []Distance{D1{}, D2{}, D3{}, D4{}, NC{}}
+	measures := []string{"entropy", "lm", "suppression"}
+	if testing.Short() {
+		measures = measures[:1]
+	}
+	for _, data := range []string{"dups", "repeated"} {
+		ds := twinTables()[data]
+		for _, mname := range measures {
+			s, err := NewSpace(ds.Hiers, measureByName(t, mname, ds.Table, ds.Hiers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, modified := range []bool{false, true} {
+				for _, d := range dists {
+					label := fmt.Sprintf("%s/%s %s modified=%v", data, mname, d.Name(), modified)
+					assertMatchesOracle(t, label, s, ds.Table, AggloOptions{K: 10, Distance: d, Modified: modified})
+				}
+				if mname != "entropy" {
+					continue
+				}
+				for _, c := range []Constraint{RecursiveCL(4, 2), TCloseness(0.3)} {
+					label := fmt.Sprintf("%s/%s %s modified=%v", data, mname, c, modified)
+					assertMatchesOracle(t, label, s, ds.Table, AggloOptions{
+						K: 10, Distance: D3{}, Modified: modified, Constraints: []Constraint{c}, Sensitive: ds.Sensitive,
+					})
+				}
+			}
+		}
+	}
+	ds := twinTables()["dups"]
+	s, err := NewSpace(ds.Hiers, measureByName(t, "entropy", ds.Table, ds.Hiers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, modified := range []bool{false, true} {
+		opt := AggloOptions{K: 5, Distance: D3{}, Modified: modified, Workers: 2}
+		e := NewEngine(s, opt, 120)
+		for _, w := range [][2]int{{0, 80}, {80, 200}, {40, 70}, {0, 120}} {
+			tbl := table.New(ds.Table.Schema)
+			tbl.Records = ds.Table.Records[w[0]:w[1]]
+			want, err := oracleAgglomerate(s, tbl, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := e.Run(nil, tbl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameClustering(t, fmt.Sprintf("reused engine modified=%v records [%d, %d)", modified, w[0], w[1]), want, got)
+		}
+		e.Close(nil)
+	}
+}
+
+// TestSortByTuple checks sortByTuple's order against a comparison sort of
+// the records by (tuple, index), on schemas whose keys pack into 64 bits
+// and on one too wide for that, over tables with repeating tuples.
+func TestSortByTuple(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, shape := range []struct{ attrs, size int }{{3, 2}, {9, 40}, {30, 8}} {
+		attrs := make([]*table.Attribute, shape.attrs)
+		for a := range attrs {
+			vals := make([]string, shape.size)
+			for v := range vals {
+				vals[v] = fmt.Sprint(v)
+			}
+			attrs[a] = table.MustAttribute(fmt.Sprint("a", a), vals)
+		}
+		schema := table.MustSchema(attrs...)
+		for _, n := range []int{0, 1, 7, 300} {
+			tbl := table.New(schema)
+			for i := 0; i < n; i++ {
+				if i > 0 && rng.Intn(3) == 0 {
+					tbl.MustAppend(slices.Clone(tbl.Records[rng.Intn(i)]))
+					continue
+				}
+				rec := make(table.Record, shape.attrs)
+				for a := range rec {
+					rec[a] = rng.Intn(shape.size)
+				}
+				tbl.MustAppend(rec)
+			}
+			want := make([]int32, n)
+			for j := range want {
+				want[j] = int32(j)
+			}
+			slices.SortStableFunc(want, func(x, y int32) int { return slices.Compare(tbl.Records[x], tbl.Records[y]) })
+			got, _ := sortByTuple(tbl, nil, nil)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d attributes of %d values, n=%d: order %v, want %v", shape.attrs, shape.size, n, got, want)
 			}
 		}
 	}

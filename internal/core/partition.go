@@ -451,10 +451,12 @@ func foldedMax(sizes []int, k int) (int, bool) {
 	return largest, parts >= 2
 }
 
-// foldSmall merges groups smaller than k into the smallest groups until
-// every part has ≥ k records (or everything collapses into one part).
-// Groups are processed largest-first so the folds land on the smallest
-// viable parts, keeping the split balanced.
+// foldSmall turns groups into parts of ≥ k records each (or one part
+// holding everything). It takes the groups in child order: a group of ≥ k
+// records is a part, and the records of the smaller ones are pooled, in
+// that order. A pool of ≥ k records becomes the last part; a smaller pool
+// joins a smallest part, which the parts are sorted by size to find (the
+// parts then stay in that order).
 func foldSmall(groups [][]int, k int) [][]int {
 	parts := make([][]int, 0, len(groups))
 	var smalls []int

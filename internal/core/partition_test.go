@@ -395,3 +395,78 @@ func TestBestSplitEdgeCases(t *testing.T) {
 		}
 	})
 }
+
+// TestPartitionedTwinsMatchFreshEngine runs the partitioned pipeline with a
+// small MaxChunk on ADT tables of repeating tuples, where each shard's
+// engine prices pairs of distinct tuples and keeps the pair-sum rows of
+// the repeated ones: for Algorithms 1 and 2 under every built-in distance
+// and the entropy, LM and suppression measures, at workers 1 and 4, every
+// shard's clusters must be those of a fresh engine run on the shard's
+// records alone (the engine tests pin such runs to the naive oracle), so
+// no tuple-class state of one shard reaches the next.
+func TestPartitionedTwinsMatchFreshEngine(t *testing.T) {
+	base := datagen.Adult(300, 3)
+	rng := rand.New(rand.NewSource(8))
+	tbl := table.New(base.Table.Schema)
+	for range 300 {
+		tbl.MustAppend(slices.Clone(base.Table.Records[rng.Intn(40)]))
+	}
+	for _, mname := range []string{"entropy", "lm", "suppression"} {
+		var m loss.Measure
+		switch mname {
+		case "entropy":
+			em, err := loss.NewEntropy(tbl, base.Hiers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m = em
+		case "lm":
+			m = loss.NewLM(base.Hiers)
+		default:
+			m = loss.NewSuppression(base.Hiers)
+		}
+		s, err := cluster.NewSpace(base.Hiers, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, modified := range []bool{false, true} {
+			for _, d := range []cluster.Distance{cluster.D1{}, cluster.D2{}, cluster.D3{}, cluster.D4{}, cluster.NC{}} {
+				for _, w := range []int{1, 4} {
+					label := fmt.Sprintf("%s %s modified=%v workers=%d", mname, d.Name(), modified, w)
+					_, got, chunks, err := KAnonymizePartitionedReportCtx(nil, s, tbl, PartitionedOptions{
+						K: 5, Distance: d, Modified: modified, MaxChunk: 40, Workers: w,
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					var want []*cluster.Cluster
+					for _, chunk := range chunks {
+						sub := table.New(tbl.Schema)
+						for _, gi := range chunk {
+							sub.Records = append(sub.Records, tbl.Records[gi])
+						}
+						cs, _, err := cluster.AgglomerateStatsCtx(nil, s, sub, cluster.AggloOptions{K: 5, Distance: d, Modified: modified, Workers: 1})
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						for _, c := range cs {
+							for mi, local := range c.Members {
+								c.Members[mi] = chunk[local]
+							}
+						}
+						want = append(want, cs...)
+					}
+					if len(chunks) < 2 || len(got) != len(want) {
+						t.Fatalf("%s: %d chunks, %d clusters, fresh engines %d", label, len(chunks), len(got), len(want))
+					}
+					for i := range want {
+						if !slices.Equal(got[i].Members, want[i].Members) || !slices.Equal(got[i].Closure, want[i].Closure) ||
+							math.Float64bits(got[i].Cost) != math.Float64bits(want[i].Cost) {
+							t.Fatalf("%s: cluster %d is %v, fresh engine %v", label, i, got[i].Members, want[i].Members)
+						}
+					}
+				}
+			}
+		}
+	}
+}

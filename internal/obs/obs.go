@@ -89,8 +89,9 @@ func (k Kind) String() string {
 // worker-count invariant: table hits are derived from the deterministic
 // distance-evaluation count, fallback walks are counted where they happen
 // (a fixed number per anchor strip fill, and the anchors are fixed by the
-// algorithm, not the sharding), and the arena is mutated only on the
-// engine's driving goroutine.
+// algorithm, not the sharding), the arena is mutated only on the engine's
+// driving goroutine, and class sums follow from the table's tuples and the
+// candidates of each pass.
 const (
 	// CounterKernelTableHits counts per-attribute LCA costs read from the
 	// precomputed fused tables — through the anchor's cost strip in the
@@ -106,6 +107,12 @@ const (
 	// CounterKernelArenaReuses counts closure-arena slots recycled from
 	// killed clusters by later pushes.
 	CounterKernelArenaReuses = "cluster.kernel.arena_reuses"
+	// CounterKernelClassSums counts the pair sums the flat path served
+	// from a tuple class instead of pricing them: the record pairs of the
+	// tiled initial build beyond its pairs of distinct tuples, and the
+	// candidates a newborn pass or rescan anchored on a leaf tuple read
+	// from that tuple's kept pair-sum row.
+	CounterKernelClassSums = "cluster.kernel.class_sums"
 )
 
 // Counter names emitted by the lazy NN-heap merge selection of the
