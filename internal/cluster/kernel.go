@@ -30,10 +30,9 @@ import (
 //   - the Distance interface is resolved once at kernel construction into
 //     a distKind. The pair passes' helpers (evalBoth, offerNewborn,
 //     offerRescan) switch on it once per priced run and evaluate the
-//     formula inline in the loop that offers each candidate to its
-//     neighbour lists, so a priced pair costs no function call; eval, the
-//     per-call form, serves the shrink and absorb paths. User-supplied
-//     distances go through the interface.
+//     formula inline in their candidate loop, so a priced pair costs no
+//     function call; eval, the per-call form, serves the shrink and
+//     absorb paths. User-supplied distances go through the interface.
 //
 // The kernel is byte-exact against the naive evaluation: every float64
 // sum runs in the same (ascending-attribute) order over the same cells
@@ -390,8 +389,10 @@ func (k *kernel) leafSum(id int) float64 {
 	return sum
 }
 
-// The offer helpers evaluate one priced run of a pair pass (DESIGN.md §17)
-// and offer the distances to neighbour lists. Each switches on the distance
+// The pair helpers evaluate one priced run of a pair pass (DESIGN.md §17):
+// the initial build's evalBoth hands the distances of both orientations
+// back for the class offers, the others offer them to neighbour lists
+// themselves. Each switches on the distance
 // kind once and runs the chosen formula inline in its candidate loop; the
 // union size of two live clusters never exceeds the table's record count,
 // so D3's log|A∪B| is always a logTab load. Both orientations of a pair
