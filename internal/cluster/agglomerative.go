@@ -239,12 +239,12 @@ type Engine struct {
 	idx *singletonIndex
 
 	distEvals atomic.Int64
-	// shrinkEvals counts the distance evaluations of the Algorithm 2
-	// shrink step, which the table-hit counter leaves out: subtracting
-	// them from DistEvals yields the evaluations behind it. Driving
-	// goroutine only.
-	shrinkEvals int64
-	stats       AggloStats
+	// priced counts the pair sums computed from the fused tables, each
+	// reading one cost per tabled attribute (obs.CounterKernelTableHits):
+	// those priced against an anchor's cost strip by the pair passes and
+	// the trie searches, and the absorb path's. Added to by pool spans.
+	priced atomic.Int64
+	stats  AggloStats
 
 	// The run's tallies behind its obs counters (report). Only initScans
 	// is added to by pool spans.
@@ -399,7 +399,7 @@ func (e *Engine) prepare(n int) {
 	e.kern.reset(2*m, m)
 	e.nLive = 0
 	e.distEvals.Store(0)
-	e.shrinkEvals = 0
+	e.priced.Store(0)
 	e.stats = AggloStats{}
 	e.initScans.Store(0)
 	e.initScanEvals, e.initBoundSums = 0, 0
@@ -511,14 +511,13 @@ func (e *Engine) report() {
 	o.Counter(obs.CounterStalePops, e.stats.StalePops)
 	o.Counter(obs.CounterDeadNNRescans, e.stats.DeadNNRescans)
 	o.Counter(obs.CounterTilesScanned, e.stats.TilesScanned)
-	// Every non-shrink distance evaluation reads r per-attribute LCA
-	// costs; the tabled ones come from a fused table row (through a strip
-	// in the pair passes), a count worker-invariant because DistEvals is.
-	// Walk-ups are counted where they happen: a fixed number per strip
-	// fill, and strips are filled once per anchor.
+	// Every priced pair sum reads one cost per attribute, the tabled ones
+	// from a fused table row (through a strip in the pair passes); the
+	// priced sums are fixed by the trajectory, not the sharding. Walk-ups
+	// are counted where they happen: a fixed number per strip fill, and
+	// strips are filled once per anchor.
 	k := e.kern
-	lcaEvals := e.stats.DistEvals - e.shrinkEvals
-	o.Counter(obs.CounterKernelTableHits, lcaEvals*int64(k.tabled))
+	o.Counter(obs.CounterKernelTableHits, e.priced.Load()*int64(k.tabled))
 	o.Counter(obs.CounterKernelFallbackWalks, k.walks.Load())
 	o.Counter(obs.CounterKernelArenaReuses, k.reuses)
 	o.Counter(obs.CounterKernelClassSums, e.classSums)
@@ -791,7 +790,6 @@ func (e *Engine) shrink(c *Cluster) []int {
 			}
 		}
 		e.distEvals.Add(evals)
-		e.shrinkEvals += evals
 		if bestIdx < 0 {
 			break // every eviction would break a constraint
 		}
@@ -858,6 +856,7 @@ func (e *Engine) absorb(ri int) {
 		}
 	}
 	e.distEvals.Add(int64(len(e.final)))
+	e.priced.Add(int64(len(e.final)))
 	if okIdx >= 0 {
 		bestIdx = okIdx
 	}

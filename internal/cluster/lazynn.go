@@ -401,7 +401,6 @@ func (e *Engine) heapMaybeCompact() {
 // across runs.
 type tupleClasses struct {
 	recs  []int32   // the run's record indices sorted by (tuple, index)
-	keys  []uint64  // sortByTuple's scratch
 	start []int32   // class c holds recs[start[c]:start[c+1]], in index order
 	reps  []int32   // reps[c] = recs[start[c]], the class's least record
 	of    []int32   // of[j]: record j's class
@@ -410,18 +409,21 @@ type tupleClasses struct {
 	lists []nnList  // the tiled build's class lists
 }
 
-// keptBudget caps the kept rows of a run, in pair sums (16 MiB). A class
-// that would pass it keeps no row, and the passes anchored on its tuple
-// price their candidates. Every table of up to 2896 records fits: its
-// kept rows number at most n²/4, t classes of two or more records leaving
-// at most n − t classes.
-const keptBudget = 1 << 21
+// keptBudget caps the kept rows of a run, in pair sums: the most that a
+// table below the trie crossover can need, so every run that takes the
+// tiled build under a built-in distance keeps all its rows (18 MB at
+// 2999 records). t classes of two or more records leave at most n − t
+// classes, so the rows number at most t(n − t) ≤ n²/4. A larger table
+// reaches the tiled build only under a user-supplied distance or an
+// infinite cost; there a class that would pass the cap keeps no row, and
+// the passes anchored on its tuple price their candidates.
+const keptBudget = nnTrieRecords * nnTrieRecords / 4
 
 // classify sorts tbl's records into tuple classes, growing the arrays to
 // hold a table of max records, and drops the previous run's kept rows.
 func (c *tupleClasses) classify(tbl *table.Table, max int) {
 	n := tbl.Len()
-	c.recs, c.keys = sortByTuple(tbl, slices.Grow(c.recs[:0], max), slices.Grow(c.keys[:0], max))
+	c.recs = sortByTuple(tbl, slices.Grow(c.recs[:0], max))
 	c.start = slices.Grow(c.start[:0], max+1)
 	c.reps = slices.Grow(c.reps[:0], max)
 	c.of = slices.Grow(c.of[:0], max)[:n]
@@ -555,7 +557,7 @@ func (e *Engine) buildNNTiled(n int) error {
 		}
 		e.spanInitPart[sp] = part
 		strips, sums, dists := e.spanStrips[sp], e.spanSums[sp], e.spanDists[sp]
-		evals, classes := int64(0), int64(0)
+		evals, priced, classes := int64(0), int64(0), int64(0)
 		for bi := bLo; bi < bHi && !e.cancelled(); bi++ {
 			iLo := bi * initBlock
 			iHi := min(iLo+initBlock, m)
@@ -576,6 +578,7 @@ func (e *Engine) buildNNTiled(n int) error {
 					jEnd := min(jHi, a)
 					w := jEnd - jLo
 					k.price(strips[(a-iLo)*sl:(a-iLo+1)*sl], reps[jLo:jEnd], sums)
+					priced += int64(w)
 					if kept != nil {
 						if t := int(slot[a]); t >= 0 {
 							copy(kept[t*m+jLo:t*m+jEnd], sums[:w])
@@ -614,6 +617,7 @@ func (e *Engine) buildNNTiled(n int) error {
 			classes += int64(iHi - iLo)
 		}
 		e.distEvals.Add(evals)
+		e.priced.Add(priced)
 		e.initScans.Add(classes)
 	})
 	e.initScanEvals = e.initScans.Load() * int64(m-1)
@@ -797,12 +801,14 @@ func (e *Engine) rescanSpan(tLo, tHi, sp int) {
 	l := &e.spanRowList[sp]
 	l.reset(e.depth)
 	sums := e.spanSums[sp]
-	evals, served := int64(0), int64(0)
+	evals, served, priced := int64(0), int64(0), int64(0)
 	for t := tLo; t < tHi; t++ {
 		tile := live[t*nnTile : min((t+1)*nnTile, len(live))]
-		served += e.priceAnchor(tile, sums)
+		s := e.priceAnchor(tile, sums)
+		served, priced = served+s, priced+int64(len(tile))-s
 		evals += k.offerRescan(owner, tile, sums, l, e.anchorKind == entCol)
 	}
+	e.priced.Add(priced)
 	e.spanEvals[sp], e.spanServed[sp] = evals, served
 }
 
@@ -852,6 +858,7 @@ func (e *Engine) newbornSplit(nb int) {
 		k.walks.Add(k.fillWalks) // the envelope rows
 	}
 	priced, sums := k.search(f, x.cost, -1, int(k.size[nb]), k.cost[nb], x.cmax, &e.rowNN[nb], &e.colNN[nb])
+	e.priced.Add(priced)
 	e.distEvals.Add(2 * priced)
 	e.mergeScanEvals += 2 * priced
 	e.mergeBoundSums += sums
@@ -896,14 +903,16 @@ func (e *Engine) repairSpan(tLo, tHi, sp int) {
 	rl.reset(e.depth)
 	cl.reset(e.depth)
 	sums := e.spanSums[sp]
-	evals, served := int64(0), int64(0)
+	evals, served, priced := int64(0), int64(0), int64(0)
 	for t := tLo; t < tHi; t++ {
 		if e.cancelled() {
 			break
 		}
 		tile := cands[t*nnTile : min((t+1)*nnTile, len(cands))]
-		served += e.priceAnchor(tile, sums)
+		s := e.priceAnchor(tile, sums)
+		served, priced = served+s, priced+int64(len(tile))-s
 		evals += k.offerNewborn(nb, tile, sums, rl, cl)
 	}
+	e.priced.Add(priced)
 	e.spanEvals[sp], e.spanServed[sp] = evals, served
 }

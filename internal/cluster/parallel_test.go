@@ -199,14 +199,19 @@ func distinctTuples(tbl *table.Table) map[string]int {
 // evaluated m(m−1) pairs of the m distinct tuples plus one twin distance
 // per tuple of two or more records, and served the rest of the n(n−1)/2
 // record pairs' sums from the tuple classes, the newborn passes anchored
-// on a duplicated tuple adding theirs.
+// on a duplicated tuple adding theirs. cluster.kernel.table_hits must
+// count r table reads per priced pair sum, so that the priced sums and
+// class_sums add up to the n(n−1)/2 record pairs, the passes' candidates
+// and the absorb evaluations: a pass evaluates at most two pairs per
+// candidate, and under Algorithm 1 (one newborn per merge, no shrink)
+// skips only its anchor.
 func TestClassSumsWorkerInvariant(t *testing.T) {
 	for data, ds := range twinTables() {
 		s, err := NewSpace(ds.Hiers, loss.NewLM(ds.Hiers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := int64(ds.Table.Len())
+		n, r := int64(ds.Table.Len()), int64(ds.Table.Schema.NumAttrs())
 		counts := distinctTuples(ds.Table)
 		m, twins := int64(len(counts)), int64(0)
 		for _, c := range counts {
@@ -231,6 +236,18 @@ func TestClassSumsWorkerInvariant(t *testing.T) {
 					}
 					if got, least := snap.Counter(obs.CounterKernelClassSums), n*(n-1)/2-m*(m-1)/2; got <= least {
 						t.Errorf("%s: %s = %d, want more than the initial build's %d", label, obs.CounterKernelClassSums, got, least)
+					}
+					hits := snap.Counter(obs.CounterKernelTableHits)
+					if hits%r != 0 || hits < r*m*(m-1)/2 {
+						t.Errorf("%s: %s = %d, want a multiple of r = %d, at least r·m(m−1)/2 = %d", label, obs.CounterKernelTableHits, hits, r, r*m*(m-1)/2)
+					}
+					passEvals := snap.Counter(PhaseMerge + ".scan_evals")
+					if !modified {
+						absorbEvals := snap.Counter("cluster.dist_evals") - snap.Counter(PhaseInit+".scan_evals") - passEvals
+						cands := hits/r + snap.Counter(obs.CounterKernelClassSums) - n*(n-1)/2 - absorbEvals
+						if most := passEvals + snap.Counter(PhaseMerge+".scans"); 2*cands < passEvals || cands > most {
+							t.Errorf("%s: %s = %d leaves the passes %d candidates, want [%d, %d] for %d evaluations", label, obs.CounterKernelTableHits, hits, cands, (passEvals+1)/2, most, passEvals)
+						}
 					}
 					continue
 				}

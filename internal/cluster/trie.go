@@ -3,7 +3,6 @@ package cluster
 import (
 	"cmp"
 	"math"
-	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -45,63 +44,23 @@ type trieNode struct {
 
 // NewRecordTrie builds the trie over tbl's records.
 func NewRecordTrie(tbl *table.Table) *RecordTrie {
-	recs, _ := sortByTuple(tbl, nil, nil)
-	return newRecordTrie(tbl, recs)
+	return newRecordTrie(tbl, sortByTuple(tbl, nil))
 }
 
 // sortByTuple returns tbl's record indices sorted by (tuple, index), in
-// recs' storage when it has room, and keys, its scratch. When the bit
-// widths of the attributes' domains and of the largest index add up to at
-// most 64, it sorts packed keys — attribute 0 in the highest bits, the
-// index in the lowest — whose numeric order is the (tuple, index) order. A
-// wider schema, or a value outside its attribute's domain, takes a
-// comparison sort of the records.
-func sortByTuple(tbl *table.Table, recs []int32, keys []uint64) ([]int32, []uint64) {
-	n, r := tbl.Len(), tbl.Schema.NumAttrs()
-	recs = slices.Grow(recs[:0], n)[:n]
-	var width [64]int
-	iw := bits.Len(uint(n))
-	packed := r <= len(width)
-	if packed {
-		total := iw
-		for a, attr := range tbl.Schema.Attrs {
-			width[a] = bits.Len(uint(max(attr.Size()-1, 0)))
-			total += width[a]
+// recs' storage when it has room.
+func sortByTuple(tbl *table.Table, recs []int32) []int32 {
+	recs = slices.Grow(recs[:0], tbl.Len())[:tbl.Len()]
+	for j := range recs {
+		recs[j] = int32(j)
+	}
+	slices.SortFunc(recs, func(x, y int32) int {
+		if c := slices.Compare(tbl.Records[x], tbl.Records[y]); c != 0 {
+			return c
 		}
-		packed = total <= 64
-	}
-	if packed {
-		keys = slices.Grow(keys[:0], n)[:n]
-	pack:
-		for j, rec := range tbl.Records {
-			key := uint64(0)
-			for a, v := range rec {
-				if uint(v)>>width[a] != 0 {
-					packed = false
-					break pack
-				}
-				key = key<<width[a] | uint64(v)
-			}
-			keys[j] = key<<iw | uint64(j)
-		}
-	}
-	if !packed {
-		for j := range recs {
-			recs[j] = int32(j)
-		}
-		slices.SortFunc(recs, func(x, y int32) int {
-			if c := slices.Compare(tbl.Records[x], tbl.Records[y]); c != 0 {
-				return c
-			}
-			return cmp.Compare(x, y)
-		})
-		return recs, keys
-	}
-	slices.Sort(keys)
-	for p, key := range keys {
-		recs[p] = int32(key & (1<<iw - 1))
-	}
-	return recs, keys
+		return cmp.Compare(x, y)
+	})
+	return recs
 }
 
 // newRecordTrie builds the trie over tbl's records given their
@@ -638,7 +597,7 @@ func (x *singletonIndex) swapKid(c, s int32) {
 // singletons (indexSingletons), and each record i searches the index's
 // trie (kernel.search) for the candidates whose distance lower bound is
 // not above rowNN[i]'s discard bound, offering each priced dist(i, j) to
-// rowNN[i] as offerBuild does. A pruned candidate is lex-above the final
+// rowNN[i] as the tiled build does. A pruned candidate is lex-above the final
 // list and bound, the (top-depth set, discard bound) a full scan would
 // leave, since both are functions of the offered set alone.
 //
@@ -672,6 +631,7 @@ func (e *Engine) buildNNTrie(n int, cmax float64) error {
 			sums += s
 		}
 		e.distEvals.Add(priced)
+		e.priced.Add(priced)
 		e.initScans.Add(int64(i - lo))
 		boundSums.Add(sums)
 		if k.fillWalks > 0 {
@@ -698,7 +658,7 @@ func (e *Engine) buildNNTrie(n int, cmax float64) error {
 // initial build's anchor holds. A reached candidate y is priced exactly —
 // the ascending-attribute sum of its cost row that price adds — and
 // dist(anchor, y) is offered to row and dist(y, anchor) to col, under y,
-// as offerBuild and offerNewborn offer them. It returns the pairs priced
+// as the tiled build and offerNewborn offer them. It returns the pairs priced
 // and the frontier's bound sums.
 //
 // The bound of a key b is f(sa, 1, sa+1, ca, c_max, b/r) in row and

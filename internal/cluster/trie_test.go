@@ -530,44 +530,3 @@ func TestTwinsMatchOracle(t *testing.T) {
 		e.Close(nil)
 	}
 }
-
-// TestSortByTuple checks sortByTuple's order against a comparison sort of
-// the records by (tuple, index), on schemas whose keys pack into 64 bits
-// and on one too wide for that, over tables with repeating tuples.
-func TestSortByTuple(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, shape := range []struct{ attrs, size int }{{3, 2}, {9, 40}, {30, 8}} {
-		attrs := make([]*table.Attribute, shape.attrs)
-		for a := range attrs {
-			vals := make([]string, shape.size)
-			for v := range vals {
-				vals[v] = fmt.Sprint(v)
-			}
-			attrs[a] = table.MustAttribute(fmt.Sprint("a", a), vals)
-		}
-		schema := table.MustSchema(attrs...)
-		for _, n := range []int{0, 1, 7, 300} {
-			tbl := table.New(schema)
-			for i := 0; i < n; i++ {
-				if i > 0 && rng.Intn(3) == 0 {
-					tbl.MustAppend(slices.Clone(tbl.Records[rng.Intn(i)]))
-					continue
-				}
-				rec := make(table.Record, shape.attrs)
-				for a := range rec {
-					rec[a] = rng.Intn(shape.size)
-				}
-				tbl.MustAppend(rec)
-			}
-			want := make([]int32, n)
-			for j := range want {
-				want[j] = int32(j)
-			}
-			slices.SortStableFunc(want, func(x, y int32) int { return slices.Compare(tbl.Records[x], tbl.Records[y]) })
-			got, _ := sortByTuple(tbl, nil, nil)
-			if !slices.Equal(got, want) {
-				t.Fatalf("%d attributes of %d values, n=%d: order %v, want %v", shape.attrs, shape.size, n, got, want)
-			}
-		}
-	}
-}

@@ -86,17 +86,19 @@ func (k Kind) String() string {
 
 // Counter and gauge names emitted by the flat distance kernel of the
 // agglomerative engine (internal/cluster, DESIGN.md §12). All four are
-// worker-count invariant: table hits are derived from the deterministic
-// distance-evaluation count, fallback walks are counted where they happen
+// worker-count invariant: table hits follow from the deterministic set of
+// priced pair sums, fallback walks are counted where they happen
 // (a fixed number per anchor strip fill, and the anchors are fixed by the
 // algorithm, not the sharding), the arena is mutated only on the engine's
 // driving goroutine, and class sums follow from the table's tuples and the
 // candidates of each pass.
 const (
 	// CounterKernelTableHits counts per-attribute LCA costs read from the
-	// precomputed fused tables — through the anchor's cost strip in the
-	// pair passes: one per tabled attribute per distance evaluation
-	// outside the Algorithm 2 shrink.
+	// precomputed fused tables: one per tabled attribute for each pair sum
+	// priced against an anchor's cost strip (the pair passes and the trie
+	// searches; one sum serves both orientations of a pair) and for each
+	// absorb evaluation. Sums served from a tuple class read none, and the
+	// Algorithm 2 shrink is left out.
 	CounterKernelTableHits = "cluster.kernel.table_hits"
 	// CounterKernelFallbackWalks counts the LCA walk-ups performed for
 	// attributes whose hierarchy exceeded the LCA-table memory budget: one
