@@ -41,8 +41,9 @@ type Space struct {
 	// of x, and bound[j][u*nn+v] = env[j][LCA(u,v)] (LCABoundRow). When an
 	// attribute's costs never fall along a root path, env[j] is costs[j]
 	// and bound[j] is fused[j], shared rather than copied.
-	env   [][]float64
-	bound [][]float64
+	env      [][]float64
+	bound    [][]float64
+	monotone bool // no attribute's costs fall along a root path
 }
 
 // NewSpace validates that the hierarchies and measure agree on the number
@@ -84,9 +85,11 @@ func (s *Space) fusedTables() [][]float64 {
 		s.fused = make([][]float64, r)
 		s.env = make([][]float64, r)
 		s.bound = make([][]float64, r)
+		s.monotone = true
 		for j, h := range s.Hiers {
 			env, monotone := rootEnvelope(h, s.costs[j])
 			s.env[j] = env
+			s.monotone = s.monotone && monotone
 			lt := h.LCATable()
 			if lt == nil {
 				continue
@@ -184,6 +187,14 @@ func (s *Space) LCABoundRow(a, u int, buf []float64) []float64 {
 		buf[v] = s.env[a][h.LCA(u, v)]
 	}
 	return buf
+}
+
+// Monotone reports whether no attribute's cost falls along a root path:
+// then every LCABoundRow entry is the matching LCACostRow entry, so a sum
+// of bound rows is the exact cost sum.
+func (s *Space) Monotone() bool {
+	s.fusedTables()
+	return s.monotone
 }
 
 // NumAttrs returns the number of attributes r.

@@ -177,7 +177,8 @@ type frontierEntry struct {
 // run's singletonIndex, which keeps each node's live records and children
 // first, and takes no singleton whose id is ≥ below (expandLive). Without
 // an index (Algorithm 4, the engine's initial build) every record is a
-// candidate and a node's key is its partial sum (Expand). Under one, a
+// candidate and a node is first keyed by its partial sum (Expand,
+// ExpandKeyed). Under one, a
 // node of depth d is keyed higher, by suf[d], the least envelope sum the
 // attributes from d on can add: each attribute's smallest value entry,
 // which for a closure anchor is the envelope at its own node. The raised
@@ -188,6 +189,12 @@ type frontierEntry struct {
 // parent's bucket or a later one. A merged newborn's closure costs count
 // against the limit from the root down, not only at the attributes the
 // trie keys on.
+//
+// Algorithm 4's walk raises keys as its closure C widens (Tighten): a
+// node whose Fold under C exceeds the step's limit, or a priced record's
+// bound sum under C, moves to a later bucket at that sum (Rekey), and
+// ExpandKeyed expands a node from its kept partial sum, keying each child
+// at least the node's key.
 type Frontier struct {
 	s     *Space
 	t     *RecordTrie
@@ -201,7 +208,9 @@ type Frontier struct {
 	below int32
 	suf   []float64 // suf[d]: the least sum of attributes d.. (zero without an index)
 	lo    []float64 // lo[a]: attribute a's smallest envelope entry
-	part  []float64 // part[u]: pushed node u's partial sum under an index
+	part  []float64 // part[u]: pushed node u's partial sum, under an index or in ExpandKeyed
+	cenv  []float64 // the closure's envelope entries, laid out as a value row (Tighten)
+	clo   []float64 // clo[a]: attribute a's smallest entry of cenv
 }
 
 // NewFrontier returns an empty frontier over t under s's envelopes.
@@ -216,6 +225,8 @@ func NewFrontier(s *Space, t *RecordTrie) *Frontier {
 		suf:  make([]float64, r+1),
 		lo:   make([]float64, r),
 		part: make([]float64, len(t.nodes)),
+		cenv: make([]float64, t.Width()),
+		clo:  make([]float64, r),
 	}
 }
 
@@ -289,6 +300,46 @@ func (f *Frontier) start(hi float64) {
 	f.push(^0, root)
 }
 
+// Tighten loads the envelope rows of closure c as the bound that Fold and
+// BoundSum read. Each c_a must be an ancestor-or-self of the anchor's
+// value, as the closure of a set holding the anchor is. Then LCA(c_a, w)
+// lies on the anchor's root path above LCA(anchor_a, w), so each entry is
+// at least the anchor's envelope entry, and at most the cost of widening
+// c, or any closure above it, to w: the bound holds for every later growth
+// step. Its least entry is the envelope at c_a itself (loadEnv).
+func (f *Frontier) Tighten(c []int) {
+	for a, v := range c {
+		row := f.s.LCABoundRow(a, v, f.buf[a])
+		f.buf[a] = row
+		f.t.Flatten(f.cenv, a, row)
+		f.clo[a] = row[v]
+	}
+}
+
+// Fold returns the Tighten bound of trie node u: the closure's envelope
+// entries of u's prefix values, then clo[a] for every later attribute a,
+// added in ascending attribute order. Each term is at most the matching
+// term of BoundSum for any record below u, and IEEE addition is monotone,
+// so the fold is at most that record's BoundSum, bit for bit.
+func (f *Frontier) Fold(u int32) float64 {
+	t := f.t
+	r, nd := len(t.off)-1, t.nodes[u]
+	row := int(nd.lo) * r
+	sum := 0.0
+	for _, x := range t.vals[row : row+int(nd.depth)] {
+		sum += f.cenv[x]
+	}
+	for _, lo := range f.clo[nd.depth:] {
+		sum += lo
+	}
+	return sum
+}
+
+// BoundSum returns the Tighten bound of the record at position p of the
+// trie's order: its closure envelope entries, added in ascending attribute
+// order.
+func (f *Frontier) BoundSum(p int32) float64 { return f.t.Sum(p, f.cenv) }
+
 // Bucket maps a key to its bucket, monotone in the key: a key ≤ Ts lies
 // in a bucket ≤ Bucket(Ts).
 func (f *Frontier) Bucket(sum float64) int {
@@ -326,10 +377,29 @@ func (f *Frontier) Unlink(b int, prev, e int32) {
 	}
 }
 
+// Rekey raises entry e, which follows prev in bucket b, to key when key
+// falls in a later bucket: it moves the entry to that bucket's tail and
+// reports true. An entry keyed into b itself stays where it is, so that
+// the walk of b does not meet it twice.
+func (f *Frontier) Rekey(b int, prev, e int32, key float64) bool {
+	if f.Bucket(key) <= b {
+		return false
+	}
+	f.Unlink(b, prev, e)
+	f.ent[e].sum, f.ent[e].next = key, -1
+	f.link(e, key)
+	return true
+}
+
 // push appends an entry to the tail of the bucket of its sum.
 func (f *Frontier) push(ref int32, sum float64) {
 	e := int32(len(f.ent))
 	f.ent = append(f.ent, frontierEntry{sum: sum, ref: ref, next: -1})
+	f.link(e, sum)
+}
+
+// link appends entry e, keyed sum, to the tail of the bucket of its key.
+func (f *Frontier) link(e int32, sum float64) {
 	b := f.Bucket(sum)
 	f.ent[f.tail[b]].next = e
 	f.tail[b] = e
@@ -364,6 +434,49 @@ func (f *Frontier) Expand(skip int, u int32, p, limit float64) (sums, visits int
 		if sum <= limit {
 			f.push(int32(lo+q), sum)
 		}
+		sums++
+	}
+	if from == r {
+		sums = 0 // the node's sum is its records' bound
+	}
+	return sums, 0
+}
+
+// ExpandKeyed is Expand for Algorithm 4's walk, whose keys Rekey and the
+// walk's node test raise above a node's partial sum: node u, keyed k, is
+// expanded from its kept partial sum part[u], each child keeps its own
+// partial sum in part, and every child and record is keyed the larger of k
+// and its own sum. k is at most the bound of every record below u at this
+// growth step and every later one, so the floor keeps each key a bound,
+// and the children land in u's bucket or a later one.
+func (f *Frontier) ExpandKeyed(skip int, u int32, k float64) (sums, visits int64) {
+	t, env := f.t, f.env
+	nd, p := t.nodes[u], f.part[u]
+	if int(nd.depth) < t.depth {
+		for c := nd.kid; c < nd.end; c++ {
+			part := p + env[t.nodes[c].val]
+			f.part[c] = part
+			if part < k {
+				f.push(^c, k)
+			} else {
+				f.push(^c, part)
+			}
+		}
+		return 0, int64(nd.end - nd.kid)
+	}
+	r, from, lo := len(t.off)-1, t.depth, int(nd.lo)
+	for q, j := range t.recs[lo:nd.hi] {
+		if int(j) == skip {
+			continue
+		}
+		sum := p
+		for _, x := range t.vals[(lo+q)*r+from : (lo+q+1)*r] {
+			sum += env[x]
+		}
+		if sum < k {
+			sum = k
+		}
+		f.push(int32(lo+q), sum)
 		sums++
 	}
 	if from == r {

@@ -530,3 +530,232 @@ func TestTwinsMatchOracle(t *testing.T) {
 		e.Close(nil)
 	}
 }
+
+// TestFrontierRaisedKeysBoundLaterSteps drives Algorithm 4's raised keys
+// (Frontier.Tighten, Fold, BoundSum, Rekey, ExpandKeyed) along random
+// growth sequences from random anchors: on ART, on ADT with and without
+// repeated tuples, on both under a measure whose costs fall along root
+// paths (dipCosts), and on an over-budget space with and without the dip.
+// At step t, closure C_t, it requires, bit for bit:
+//   - every node's Fold and every record's BoundSum under C_t to be at
+//     most the exact ascending cost sum of widening C_t′ to each record
+//     below, for every t′ ≥ t, and a node's Fold at most each of its
+//     records' BoundSum; under a monotone measure BoundSum is that exact
+//     sum at t itself;
+//   - after a pass over the buckets that raises random node and record
+//     entries to their Fold or BoundSum (Rekey) and expands random nodes
+//     (ExpandKeyed, keyed the larger of key and Fold): every entry lies in
+//     its key's bucket and is keyed at most the exact sums of its records
+//     at t and later steps, every node keeps its prefix's envelope sum at
+//     the anchor as its partial sum, every child is keyed at least its
+//     parent's key, and Rekey moves an entry exactly when its key falls in
+//     a later bucket.
+func TestFrontierRaisedKeysBoundLaterSteps(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	dip := func(s *Space) *Space {
+		d, err := NewSpace(s.Hiers, dipCosts{s.Measure, s.Hiers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	space := func(ds *datagen.Dataset, measure string) *Space {
+		s, err := NewSpace(ds.Hiers, measureByName(t, measure, ds.Table, ds.Hiers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	adt, dups, art := datagen.Adult(300, 3), duplicateAdult(300), datagen.ART(200, 3)
+	wide, wideTbl := overBudgetSpace(t, rng, 150)
+	for _, rec := range wideTbl.Records {
+		rec[0] = rng.Intn(64) // a narrow band, so prefixes are shared
+	}
+	cases := []struct {
+		name string
+		s    *Space
+		tbl  *table.Table
+	}{
+		{"adt", space(adt, "entropy"), adt.Table},
+		{"adt-dups", space(dups, "entropy"), dups.Table},
+		{"art", space(art, "entropy"), art.Table},
+		{"adt-dip", dip(space(adt, "lm")), adt.Table},
+		{"adt-dups-dip", dip(space(dups, "lm")), dups.Table},
+		{"art-dip", dip(space(art, "lm")), art.Table},
+		{"wide", wide, wideTbl},
+		{"wide-dip", dip(wide), wideTbl},
+	}
+	var inPlace, moved, deep, monotone int
+	for _, c := range cases {
+		want := true
+		for a, h := range c.s.Hiers {
+			for x := 0; x < h.NumNodes(); x++ {
+				if p := h.Parent(x); p >= 0 && c.s.CostAt(a, p) < c.s.CostAt(a, x) {
+					want = false
+				}
+			}
+		}
+		if c.s.Monotone() != want {
+			t.Fatalf("%s: Monotone() = %v, want %v", c.name, c.s.Monotone(), want)
+		}
+		if want {
+			monotone++
+		}
+		tr := NewRecordTrie(c.tbl)
+		if tr.Depth() >= 2 {
+			deep++
+		}
+		f := NewFrontier(c.s, tr)
+		for trial := 0; trial < 10; trial++ {
+			label := fmt.Sprintf("%s trial %d", c.name, trial)
+			i, steps := rng.Intn(c.tbl.Len()), 2+rng.Intn(7)
+			closures := []table.GenRecord{slices.Clone(table.GenRecord(c.tbl.Records[i]))}
+			for len(closures) < steps {
+				next := slices.Clone(closures[len(closures)-1])
+				c.s.MergeInto(next, table.GenRecord(c.tbl.Records[rng.Intn(c.tbl.Len())]))
+				closures = append(closures, next)
+			}
+			// later[t][j]: the least exact sum of widening C_t′ to record
+			// j over t′ ≥ t, each folded in ascending attribute order.
+			later := make([][]float64, steps+1)
+			later[steps] = make([]float64, c.tbl.Len())
+			for j := range later[steps] {
+				later[steps][j] = math.Inf(1)
+			}
+			exact := make([][]float64, steps)
+			for st := steps - 1; st >= 0; st-- {
+				exact[st] = make([]float64, c.tbl.Len())
+				later[st] = make([]float64, c.tbl.Len())
+				for j, rec := range c.tbl.Records {
+					sum := 0.0
+					for a, h := range c.s.Hiers {
+						sum += c.s.CostAt(a, h.LCA(closures[st][a], rec[a]))
+					}
+					exact[st][j] = sum
+					later[st][j] = min(sum, later[st+1][j])
+				}
+			}
+			f.Reset(c.tbl.Records[i])
+			for st := 0; st < steps; st++ {
+				f.Tighten(closures[st])
+				checkRaisedBounds(t, fmt.Sprintf("%s step %d", label, st), c.s, f, exact[st], later[st])
+				in, mv := raiseAndExpand(t, fmt.Sprintf("%s step %d", label, st), rng, f, i)
+				inPlace, moved = inPlace+in, moved+mv
+				checkFrontierKeys(t, fmt.Sprintf("%s step %d", label, st), c.s, c.tbl, f, c.tbl.Records[i], later[st])
+			}
+		}
+	}
+	if inPlace == 0 || moved == 0 || deep == 0 || monotone == 0 || monotone == len(cases) {
+		t.Fatalf("cases not all covered: %d raises within a bucket, %d across buckets, %d tries of depth ≥ 2, %d of %d spaces monotone", inPlace, moved, deep, monotone, len(cases))
+	}
+}
+
+// checkRaisedBounds checks every node's Fold and every record's BoundSum
+// under f's closure against the exact sums at this step (exact) and their
+// least over this and every later step (later).
+func checkRaisedBounds(t *testing.T, label string, s *Space, f *Frontier, exact, later []float64) {
+	t.Helper()
+	tr := f.t
+	for p := range tr.recs {
+		j, bs := tr.recs[p], f.BoundSum(int32(p))
+		if bs > later[j] {
+			t.Fatalf("%s: record %d bound sum %v above its exact sum %v", label, j, bs, later[j])
+		}
+		if s.Monotone() && bs != exact[j] {
+			t.Fatalf("%s: record %d bound sum %v, exact %v under a monotone measure", label, j, bs, exact[j])
+		}
+	}
+	for u, nd := range tr.nodes {
+		fold := f.Fold(int32(u))
+		for p := nd.lo; p < nd.hi; p++ {
+			if j := tr.recs[p]; fold > later[j] || fold > f.BoundSum(p) {
+				t.Fatalf("%s: node %d fold %v above record %d's exact sum %v or bound sum %v", label, u, fold, j, later[j], f.BoundSum(p))
+			}
+		}
+	}
+}
+
+// raiseAndExpand walks f's buckets upwards once, as Algorithm 4's step
+// does, raising a random third of the entries it meets to their Fold or
+// BoundSum and expanding a random third of the nodes, keyed the larger of
+// key and Fold. It returns the raises that stayed in their bucket and
+// those that moved.
+func raiseAndExpand(t *testing.T, label string, rng *rand.Rand, f *Frontier, anchor int) (inPlace, moved int) {
+	t.Helper()
+	for b := 0; b < FrontierBuckets; b++ {
+		prev := int32(b)
+		for e := f.Next(prev); e >= 0; {
+			key, ref := f.Entry(e)
+			raise := key
+			if ref < 0 {
+				raise = max(key, f.Fold(^ref))
+			} else {
+				raise = max(key, f.BoundSum(ref))
+			}
+			switch x := rng.Intn(3); {
+			case x == 0 && raise > key:
+				later := f.Bucket(raise) > b
+				if got := f.Rekey(b, prev, e, raise); got != later {
+					t.Fatalf("%s: Rekey from bucket %d to key %v (bucket %d) moved %v", label, b, raise, f.Bucket(raise), got)
+				}
+				if later {
+					moved++
+					e = f.Next(prev)
+					continue
+				}
+				inPlace++
+				if k, _ := f.Entry(e); k != key || f.Next(prev) != e {
+					t.Fatalf("%s: an entry raised within bucket %d was changed or moved", label, b)
+				}
+			case x == 1 && ref < 0:
+				f.Unlink(b, prev, e)
+				first := int32(len(f.ent))
+				f.ExpandKeyed(anchor, ^ref, raise)
+				for c := first; c < int32(len(f.ent)); c++ {
+					if k, _ := f.Entry(c); k < raise {
+						t.Fatalf("%s: a child of node %d keyed %v below its parent's %v", label, ^ref, k, raise)
+					}
+				}
+				e = f.Next(prev)
+				continue
+			}
+			prev, e = e, f.Next(e)
+		}
+	}
+	return inPlace, moved
+}
+
+// checkFrontierKeys checks every entry of f: in its key's bucket, keyed
+// at most the exact sums of its records at this and every later step, and
+// a node's kept partial sum equal to its prefix's envelope sum at anchor.
+func checkFrontierKeys(t *testing.T, label string, s *Space, tbl *table.Table, f *Frontier, anchor table.Record, later []float64) {
+	t.Helper()
+	tr := f.t
+	for b := 0; b < FrontierBuckets; b++ {
+		for e := f.Next(int32(b)); e >= 0; e = f.Next(e) {
+			key, ref := f.Entry(e)
+			if f.Bucket(key) != b {
+				t.Fatalf("%s: entry keyed %v in bucket %d, want %d", label, key, b, f.Bucket(key))
+			}
+			if ref >= 0 {
+				if j := tr.recs[ref]; key > later[j] {
+					t.Fatalf("%s: record %d keyed %v above its exact sum %v", label, j, key, later[j])
+				}
+				continue
+			}
+			nd := tr.nodes[^ref]
+			for _, j := range tr.recs[nd.lo:nd.hi] {
+				if key > later[j] {
+					t.Fatalf("%s: node %d keyed %v above record %d's exact sum %v", label, ^ref, key, j, later[j])
+				}
+			}
+			part, rec := 0.0, tbl.Records[tr.recs[nd.lo]]
+			for a := 0; a < int(nd.depth); a++ {
+				part += s.LCABoundRow(a, anchor[a], nil)[rec[a]]
+			}
+			if f.part[^ref] != part {
+				t.Fatalf("%s: node %d keeps partial sum %v, its prefix's envelope sum is %v", label, ^ref, f.part[^ref], part)
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -476,6 +477,27 @@ func TestK1ExpandFlatBound(t *testing.T) {
 	}
 }
 
+// TestK1ExpandBelowOneSweepPerRecord guards Algorithm 4's pruning on the
+// kk-adt2500 input of bench/ (ADT n=2500, seed 42, entropy, k=10): its
+// bound sums and exact prices (core.k1.scan_evals) together must number
+// fewer than n(n−1), one sweep of the table per record for all k−1 steps.
+// A frontier keyed only by R_i's envelope took 7,777,549 of 6,247,500.
+func TestK1ExpandBelowOneSweepPerRecord(t *testing.T) {
+	const n, k = 2500, 10
+	ds := datagen.Adult(n, 42)
+	s := measureSpace(t, ds.Table, ds.Hiers, "entropy")
+	st, err := observe(func(ctx context.Context) error {
+		_, err := K1ExpandCtx(ctx, s, ds.Table, k, 2)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Counter(PhaseK1 + ".scan_evals"); got >= n*(n-1) {
+		t.Fatalf("%s = %d, want below n(n−1) = %d", PhaseK1+".scan_evals", got, n*(n-1))
+	}
+}
+
 // TestK1ExpandCountersWorkerInvariant checks Algorithm 4's work counters
 // at workers {1, 4}: core.k1.scan_evals (bound sums plus exact prices) and
 // core.k1.trie_visits (trie nodes reached) are per-record sums, so they
@@ -631,4 +653,55 @@ func FuzzCoreEquivalence(f *testing.F) {
 		}
 		checkCoreEquivalence(t, fmt.Sprintf("%s/%s n=%d k=%d", dataset, measure, n, k), s, tbl, k, 1+int(wb)%4)
 	})
+}
+
+// TestK1StepOnRandomGrowth runs Algorithm 4's growth step along random
+// growth sequences, S_i widened by random records instead of its own
+// picks, on every dataset of the equivalence matrix under both measures:
+// each step must return the least (exact cost, j) outside S_i, as a full
+// ascending sweep finds it. The frontier then carries keys raised under
+// closures the greedy would not reach.
+func TestK1StepOnRandomGrowth(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, dataset := range []string{"adt", "art", "test", "dip", "distinct", "dups", "wide"} {
+		for _, measure := range []string{"entropy", "lm"} {
+			s, tbl := equivInput(t, dataset, measure, 120, 6)
+			n, r := tbl.Len(), s.NumAttrs()
+			sc := newExpandScan(s, cluster.NewRecordTrie(tbl), n)
+			for trial := 0; trial < 20; trial++ {
+				i := rng.Intn(n)
+				copy(sc.closure, tbl.Records[i])
+				sc.f.Reset(tbl.Records[i])
+				sc.members = append(sc.members[:0], i)
+				sc.inS[i] = true
+				for size := 1; size < min(n, 12); size++ {
+					got, _, _ := sc.step(i, size > 1)
+					want, wantD := -1, math.Inf(1)
+					for j, rec := range tbl.Records {
+						if sc.inS[j] {
+							continue
+						}
+						sum := 0.0
+						for a, h := range s.Hiers {
+							sum += s.CostAt(a, h.LCA(sc.closure[a], rec[a]))
+						}
+						if d := sum / float64(r); d < wantD {
+							want, wantD = j, d
+						}
+					}
+					if got != want {
+						t.Fatalf("%s/%s anchor %d step %d: picked %d, a full sweep picks %d", dataset, measure, i, size, got, want)
+					}
+					j := rng.Intn(n)
+					for sc.inS[j] {
+						j = rng.Intn(n)
+					}
+					sc.add(tbl, j)
+				}
+				for _, j := range sc.members {
+					sc.inS[j] = false
+				}
+			}
+		}
+	}
 }

@@ -84,10 +84,16 @@ func K1NearestCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, wo
 // Each growth step picks the least (dist, j), exactly as a full sweep in
 // ascending j would, but prices only the candidates that can still win:
 // the candidates are reached best-first through a prefix trie over the
-// records (cluster.RecordTrie), in the order of a lower bound on their
-// cost that holds for all k−1 steps, and a step settles once every bound
-// left exceeds the best cost found (expandScan). At k = n every S_i is the whole table, so
-// every R̄_i is the table's closure, found with no scan.
+// records (cluster.RecordTrie), in the order of lower bounds on their cost
+// that hold for the step and every later one, and a step settles once
+// every bound left exceeds the best cost found (expandScan). The bounds
+// start from R_i's root-path envelope; from the second step on, a trie
+// node is first tested against S_i's grown closure, on all r attributes,
+// before its records are summed, and the nodes and records that cannot
+// win are re-keyed to the tighter bound. core.k1.scan_evals counts those
+// node tests and, under a measure whose costs fall along a root path, the
+// re-keys' bound sums too. At k = n every S_i is the whole table, so every
+// R̄_i is the table's closure, found with no scan.
 func K1ExpandCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, workers int) (*table.GenTable, error) {
 	n := tbl.Len()
 	if err := checkK1Args(n, k); err != nil {
@@ -148,116 +154,172 @@ func sum(tallies []int64) int64 {
 // its records so that a record allocates nothing.
 //
 // The bound: Algorithm 4 minimizes d(S_i ∪ {R_j}), a sum over attributes of
-// CostAt(a, LCA(C_a, R_j,a)) divided by r, where C is S_i's closure. As
-// S_i ∋ R_i, C_a is an ancestor-or-self of R_i,a, so LCA(C_a, R_j,a) is an
-// ancestor-or-self of LCA(R_i,a, R_j,a), and each term is at least the
-// root-path envelope that cluster.Space.LCABoundRow reads at R_i. IEEE
-// addition and division by r are monotone, so the bound sum, taken in the
-// same ascending attribute order, is ≤ the exact cost bit for bit at every
-// step, for any measure.
+// CostAt(a, LCA(C_a, R_j,a)) divided by r, where C is S_i's closure. C_a
+// is an ancestor-or-self of R_i,a, and S_i only grows, so the root-path
+// envelope that cluster.Space.LCABoundRow reads at C_a bounds each term
+// from below at this growth step and at every later one, and the envelope
+// at R_i,a bounds it at every step. IEEE addition and division by r are
+// monotone, so a bound sum taken in the same ascending attribute order is
+// ≤ the exact cost bit for bit, for any measure. The frontier is keyed by
+// R_i's envelope; from the second step on, the walk loads C's envelope
+// rows once per step (cluster.Frontier.Tighten) and raises keys to it.
 //
 // The search: R_i's cluster.Frontier over the shared cluster.RecordTrie
 // lives for all k−1 steps of a record and only grows, so no node is
-// expanded twice and no record summed twice. A step walks the buckets
-// upwards, prices the records that can still win, expands (and unlinks)
-// the nodes whose partial sum is at most Ts, the largest s with s/r ≤ the
-// best cost so far, and settles at the first bucket whose every key
-// exceeds Ts.
+// expanded twice. A step walks the buckets upwards and settles at the
+// first bucket whose every key exceeds Ts, the largest s with s/r ≤ the
+// best cost so far. Of the entries keyed at most Ts:
+//   - a record is priced unless it cannot win. One priced and not chosen
+//     is re-keyed to its bound sum under C, which under a monotone measure
+//     is the exact sum just taken (the bound rows are the cost rows), and
+//     moves to a later bucket when that sum exceeds Ts (Frontier.Rekey);
+//   - a node, from the second step on, is first folded under C
+//     (Frontier.Fold): its prefix values' entries, then C's least entry of
+//     each later attribute. A fold above Ts skips the node, which moves to
+//     the fold's bucket when that is a later one. Otherwise the node is
+//     unlinked and expanded from its own partial sum, its children keyed
+//     at least the larger of its key and its fold (Frontier.ExpandKeyed),
+//     so they land in its bucket or a later one.
+//
+// Every raised key bounds its records at its step and every later one, so
+// an entry the walk leaves behind cannot win a later step either.
 type expandScan struct {
-	s       *cluster.Space
-	t       *cluster.RecordTrie
-	f       *cluster.Frontier
-	rows    *costRows // cost rows of S_i's closure
-	cost    []float64 // the value entries of rows, laid out as the trie's value rows
-	closure table.GenRecord
-	members []int
-	inS     []bool
+	s        *cluster.Space
+	t        *cluster.RecordTrie
+	f        *cluster.Frontier
+	rows     *costRows // cost rows of S_i's closure
+	cost     []float64 // the value entries of rows, laid out as the trie's value rows
+	monotone bool      // the space's bound rows are its cost rows
+	closure  table.GenRecord
+	members  []int
+	inS      []bool
 }
 
 func newExpandScan(s *cluster.Space, t *cluster.RecordTrie, n int) *expandScan {
 	return &expandScan{
-		s:       s,
-		t:       t,
-		f:       cluster.NewFrontier(s, t),
-		rows:    newCostRows(s),
-		cost:    make([]float64, t.Width()),
-		closure: make(table.GenRecord, s.NumAttrs()),
-		inS:     make([]bool, n),
+		s:        s,
+		t:        t,
+		f:        cluster.NewFrontier(s, t),
+		rows:     newCostRows(s),
+		cost:     make([]float64, t.Width()),
+		monotone: s.Monotone(),
+		closure:  make(table.GenRecord, s.NumAttrs()),
+		inS:      make([]bool, n),
 	}
 }
 
 // grow runs Algorithm 4 for record i into out and returns the number of
-// per-candidate row sums it took, bound and exact, and of trie nodes it
-// reached.
+// row sums it took (bound sums, node tests and exact prices) and of trie
+// nodes it reached.
 func (sc *expandScan) grow(tbl *table.Table, i, k int, out table.GenRecord) (evals, visits int64) {
 	copy(sc.closure, tbl.Records[i])
 	if k == 1 {
 		copy(out, sc.closure)
 		return 0, 0
 	}
-	f := sc.f
-	f.Reset(tbl.Records[i])
+	sc.f.Reset(tbl.Records[i])
 	sc.members = append(sc.members[:0], i)
 	sc.inS[i] = true
-	r := float64(len(sc.rows.rows))
 	for size := 1; size < k; size++ {
-		// d(S ∪ {R_j}) − d(S): the subtrahend is constant over j, so
-		// minimizing d(S ∪ {R_j}) suffices.
-		sc.rows.load(sc.closure)
-		for a, row := range sc.rows.rows {
-			sc.t.Flatten(sc.cost, a, row)
-		}
-		bestJ, bestD := -1, math.Inf(1)
-		ts, last := bestD, cluster.FrontierBuckets-1
-	walk:
-		for b := 0; b <= last; b++ {
-			prev := int32(b)
-			for e := f.Next(prev); e >= 0; {
-				sum, ref := f.Entry(e)
-				if ref >= 0 {
-					prev, e = e, f.Next(e)
-					// Cost ≥ bound = sum/r: skip a candidate that could
-					// neither beat bestD nor tie it from a lower index.
-					if sum > ts {
-						continue
-					}
-					j := sc.t.Record(ref)
-					if sc.inS[j] || (j > bestJ && sum/r == bestD) {
-						continue
-					}
-					d := sc.t.Sum(ref, sc.cost) / r
-					evals++
-					if d < bestD || (d == bestD && j < bestJ) {
-						bestJ, bestD = j, d
-						ts = sumLimit(d, r)
-						if last = f.Bucket(ts); b > last {
-							break walk // every key left exceeds Ts
-						}
-					}
-					continue
-				}
-				if sum > ts {
-					prev, e = e, f.Next(e)
-					continue
-				}
-				// Unlink the node, then expand it: its children land in
-				// this bucket or later ones, so the walk reaches them.
-				f.Unlink(b, prev, e)
-				e2, v2 := f.Expand(i, ^ref, sum, math.Inf(1))
-				evals += e2
-				visits += v2
-				e = f.Next(prev)
-			}
-		}
-		sc.inS[bestJ] = true
-		sc.members = append(sc.members, bestJ)
-		widen(sc.s, sc.closure, tbl.Records[bestJ])
+		j, e, v := sc.step(i, size > 1)
+		evals += e
+		visits += v
+		sc.add(tbl, j)
 	}
 	for _, j := range sc.members {
 		sc.inS[j] = false
 	}
 	copy(out, sc.closure)
 	return evals, visits
+}
+
+// add puts record j into S_i and widens the closure over it.
+func (sc *expandScan) add(tbl *table.Table, j int) {
+	sc.inS[j] = true
+	sc.members = append(sc.members, j)
+	widen(sc.s, sc.closure, tbl.Records[j])
+}
+
+// step is one growth step of anchor i: it returns the record R_j ∉ S_i of
+// least (d(S_i ∪ {R_j}), j), with the row sums it took and the trie nodes
+// it reached. tight, from the second step on, raises the keys it meets to
+// S_i's closure envelope.
+func (sc *expandScan) step(i int, tight bool) (bestJ int, evals, visits int64) {
+	f := sc.f
+	// d(S ∪ {R_j}) − d(S): the subtrahend is constant over j, so
+	// minimizing d(S ∪ {R_j}) suffices.
+	sc.rows.load(sc.closure)
+	for a, row := range sc.rows.rows {
+		sc.t.Flatten(sc.cost, a, row)
+	}
+	if tight {
+		f.Tighten(sc.closure)
+	}
+	r := float64(len(sc.rows.rows))
+	bestJ, bestD := -1, math.Inf(1)
+	ts, last := bestD, cluster.FrontierBuckets-1
+walk:
+	for b := 0; b <= last; b++ {
+		prev := int32(b)
+		for e := f.Next(prev); e >= 0; {
+			key, ref := f.Entry(e)
+			// Cost ≥ bound = key/r: skip an entry that could neither
+			// beat bestD nor tie it from a lower index.
+			if key > ts {
+				prev, e = e, f.Next(e)
+				continue
+			}
+			if ref >= 0 {
+				j := sc.t.Record(ref)
+				if sc.inS[j] || (j > bestJ && key/r == bestD) {
+					prev, e = e, f.Next(e)
+					continue
+				}
+				sum := sc.t.Sum(ref, sc.cost)
+				d := sum / r
+				evals++
+				if d < bestD || (d == bestD && j < bestJ) {
+					bestJ, bestD = j, d
+					ts = sumLimit(d, r)
+					if last = f.Bucket(ts); b > last {
+						break walk // every key left exceeds Ts
+					}
+				} else if tight {
+					if !sc.monotone {
+						sum = f.BoundSum(ref)
+						evals++
+					}
+					if sum > ts && f.Rekey(b, prev, e, sum) {
+						e = f.Next(prev)
+						continue
+					}
+				}
+				prev, e = e, f.Next(e)
+				continue
+			}
+			if tight {
+				fold := f.Fold(^ref)
+				evals++
+				if fold > ts {
+					if f.Rekey(b, prev, e, fold) {
+						e = f.Next(prev)
+					} else {
+						prev, e = e, f.Next(e)
+					}
+					continue
+				}
+				key = max(key, fold)
+			}
+			// Unlink the node, then expand it: its children land in this
+			// bucket or later ones, so the walk reaches them.
+			f.Unlink(b, prev, e)
+			e2, v2 := f.ExpandKeyed(i, ^ref, key)
+			evals += e2
+			visits += v2
+			e = f.Next(prev)
+		}
+	}
+	return bestJ, evals, visits
 }
 
 // sumLimit returns Ts, the largest float64 s with s/r ≤ d: a bound sum
